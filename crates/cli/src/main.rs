@@ -22,6 +22,7 @@ use bagualu::model::transformer::Transformer;
 use bagualu::optim::adam::{Adam, AdamConfig};
 use bagualu::parallel::moe_dist::A2aKind;
 use bagualu::perfmodel::{project, PerfInput};
+use bagualu::tensor::par;
 use bagualu::tensor::rng::Rng;
 use bagualu::trainer::Trainer;
 
@@ -174,6 +175,7 @@ fn cmd_train(args: &Args) -> Result<(), String> {
         cfg.resolved_placement(),
         cfg.compute
     );
+    println!("{}", par::describe_layout(nranks));
 
     // Fault-tolerant path: an enabled [ft] section (any checkpoint or
     // degradation flag sets it) or an injected fault routes through
@@ -435,6 +437,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
             "full blast".to_string()
         }
     );
+    println!("{}", par::describe_layout(nranks));
     let opts = rc.to_server_options(true);
     let started = Instant::now();
     let report = run(

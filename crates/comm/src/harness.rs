@@ -1,5 +1,11 @@
 //! Rank thread harness: spawn one thread per rank, join, propagate panics.
 //!
+//! A rank thread is born with its share of the spawning thread's intra-op
+//! lanes ([`par::rank_width`]: all cores split `n` ways from an ordinary
+//! thread), the way each BaGuaLu rank owns one core group: kernels inside a
+//! rank fan out over that many lanes and no further, so ranks never contend
+//! for each other's cores.
+//!
 //! Fault-aware variants: [`run_ranks_ft`] traps per-rank panics and comm
 //! errors into [`RankOutcome`]s (marking the failed rank dead so survivors'
 //! timeout receives resolve instead of hanging), and [`run_ranks_deadline`]
@@ -8,6 +14,7 @@
 
 use crate::fault::CommError;
 use crate::shm::{ShmComm, World};
+use bagualu_tensor::par;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
@@ -26,14 +33,33 @@ where
     F: Fn(ShmComm) -> R + Send + Sync,
     R: Send,
 {
-    let world = World::new(n);
+    run_world(&World::new(n), f)
+}
+
+/// One thread per rank of `world`, each at its share of the caller's
+/// lanes; results in rank order, the first rank panic re-raised after all
+/// threads have been joined.
+fn run_world<F, R>(world: &World, f: F) -> Vec<R>
+where
+    F: Fn(ShmComm) -> R + Send + Sync,
+    R: Send,
+{
     let comms = world.comms();
+    let lanes = par::rank_width(comms.len());
     let f = &f;
     std::thread::scope(|s| {
-        let handles: Vec<_> = comms.into_iter().map(|c| s.spawn(move || f(c))).collect();
+        let handles: Vec<_> = comms
+            .into_iter()
+            .map(|c| {
+                s.spawn(move || {
+                    let _lanes = par::scoped_width(lanes);
+                    f(c)
+                })
+            })
+            .collect();
         handles
             .into_iter()
-            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .map(|h| h.join().unwrap_or_else(|e| resume_unwind(e)))
             .collect()
     })
 }
@@ -45,14 +71,7 @@ where
     F: Fn(ShmComm) + Send + Sync,
 {
     let world = World::new(n);
-    let comms = world.comms();
-    let f = &f;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = comms.into_iter().map(|c| s.spawn(move || f(c))).collect();
-        for h in handles {
-            h.join().unwrap_or_else(|e| std::panic::resume_unwind(e));
-        }
-    });
+    run_world(&world, f);
     (world.bytes_sent(), world.messages_sent())
 }
 
@@ -96,6 +115,7 @@ where
     R: Send,
 {
     let comms = world.comms();
+    let lanes = par::rank_width(comms.len());
     let f = &f;
     std::thread::scope(|s| {
         let handles: Vec<_> = comms
@@ -103,6 +123,7 @@ where
             .enumerate()
             .map(|(rank, c)| {
                 s.spawn(move || {
+                    let _lanes = par::scoped_width(lanes);
                     let world_rank = c.world_rank_of(rank);
                     let result = catch_unwind(AssertUnwindSafe(|| f(c)));
                     let outcome = match result {
@@ -174,6 +195,32 @@ mod tests {
     fn map_returns_in_rank_order() {
         let out = run_ranks_map(6, |c| c.rank() * 10);
         assert_eq!(out, vec![0, 10, 20, 30, 40, 50]);
+    }
+
+    /// Rank threads split the spawning thread's lanes `n` ways — on every
+    /// `run_ranks*` entry point — and the spawning thread keeps its own
+    /// width, also when a rank unwinds.
+    #[test]
+    fn rank_threads_get_their_share_of_the_cores() {
+        let cores = par::cores();
+        assert_eq!(par::width(), cores, "an ordinary thread owns every core");
+        for n in [1, 2, 3, cores + 1] {
+            let want = (cores / n).max(1);
+            assert_eq!(run_ranks_map(n, |_| par::width()), vec![want; n]);
+            run_ranks_counted(n, |_| assert_eq!(par::width(), want));
+            for outcome in run_ranks_ft(&World::new(n), |_| Ok(par::width())) {
+                assert!(matches!(outcome, RankOutcome::Ok(w) if w == want));
+            }
+        }
+        let unwound = catch_unwind(|| run_ranks(2, |_| panic!("rank dies at its rank width")));
+        assert!(unwound.is_err());
+        assert_eq!(par::width(), cores, "caller's width survives a rank panic");
+
+        // The share is of the *caller's* lanes: a caller that owns 12 hands
+        // 4 to each of 3 ranks, and gets its 12 back.
+        let _mine = par::scoped_width(12);
+        assert_eq!(run_ranks_map(3, |_| par::width()), vec![4; 3]);
+        assert_eq!(par::width(), 12);
     }
 
     #[test]

@@ -27,6 +27,7 @@ use bagualu_comm::collectives;
 use bagualu_comm::shm::World;
 use bagualu_comm::Communicator;
 use bagualu_parallel::DistTransformer;
+use bagualu_tensor::par;
 use bagualu_trace::{Trace, TraceCollector};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -153,6 +154,9 @@ where
         stop: AtomicBool::new(false),
     };
 
+    // Each rank thread owns its share of the caller's intra-op lanes, as in
+    // `comm::harness`; the driver keeps the calling thread's width.
+    let lanes = par::rank_width(opts.nranks);
     let output = std::thread::scope(|scope| {
         for comm in comms {
             let rank = comm.rank();
@@ -160,6 +164,7 @@ where
             let build_model = &build_model;
             let collector = collector.as_ref();
             scope.spawn(move || {
+                let _lanes = par::scoped_width(lanes);
                 let _lane = collector.map(|c| c.install(rank));
                 let model = build_model(rank);
                 let mut engine = Engine::new(model, opts.engine);
@@ -302,6 +307,31 @@ mod tests {
             tokens
         });
         assert_eq!(solo.output, crowded.output);
+    }
+
+    /// Serving ranks split the cores like training ranks do; the driver
+    /// closure stays on the calling thread at the calling thread's width.
+    #[test]
+    fn rank_threads_get_their_share_of_the_cores() {
+        let cores = par::cores();
+        for nranks in [1, 2] {
+            let seen = Mutex::new(Vec::new());
+            let building = build(nranks);
+            let report = run(
+                opts(nranks, false),
+                |rank| {
+                    seen.lock().unwrap().push(par::width());
+                    building(rank)
+                },
+                |_| par::width(),
+            );
+            assert_eq!(report.output, cores, "driver keeps the caller's width");
+            assert_eq!(
+                seen.into_inner().unwrap(),
+                vec![(cores / nranks).max(1); nranks]
+            );
+            assert_eq!(par::width(), cores);
+        }
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! * [`Tensor`] — an owned, contiguous, row-major `f32` tensor with the small
 //!   set of shapes deep-learning training needs (vectors, matrices, batched
 //!   matrices),
-//! * blocked, [rayon]-parallel matrix multiplication in the `NN`/`NT`/`TN`
-//!   layouts used by forward and backward passes,
+//! * blocked matrix multiplication in the `NN`/`NT`/`TN` layouts used by
+//!   forward and backward passes, fanned out over the calling thread's
+//!   intra-op lanes (see [`par`]),
 //! * fused element-wise and reduction kernels (GELU, softmax, layer-norm
 //!   statistics, …),
 //! * bit-exact software [`F16`] and [`BF16`] types so
@@ -22,6 +23,7 @@
 pub mod dtype;
 pub mod ops;
 pub mod pack;
+pub mod par;
 pub mod rng;
 pub mod tensor;
 

@@ -13,28 +13,29 @@
 //! [`crate::ops::backend`]), record the `compute.matmul.{flops,ns}` trace
 //! counters when tracing is enabled, and delegate.
 //!
-//! [`Reference`] holds the original blocked, rayon-parallel kernels — the
-//! correctness oracle every other backend is tested against. Its inner
-//! loops run in the cache-friendly order for row-major storage (`ikj` for
-//! NN, dot-product rows for NT, row-`axpy` for TN) with K-panel blocking so
-//! the streamed operand stays in L1/L2. Rows of the output are distributed
-//! across the rayon pool; each task writes a disjoint chunk, so there is no
-//! synchronization in the hot loop.
+//! [`Reference`] holds the original blocked kernels — the correctness
+//! oracle every other backend is tested against. Its inner loops run in the
+//! cache-friendly order for row-major storage (`ikj` for NN, dot-product
+//! rows for NT, row-`axpy` for TN) with K-panel blocking so the streamed
+//! operand stays in L1/L2. Above the work cutoff of [`crate::par`], blocks
+//! of output rows are distributed across the calling thread's intra-op
+//! lanes; each task writes a disjoint chunk, so there is no synchronization
+//! in the hot loop.
 
 use crate::ops::backend::{current_backend, Activation, MatmulBackend};
+use crate::par::{self, work};
 use crate::tensor::Tensor;
 use bagualu_trace::{self as trace, names};
-use rayon::prelude::*;
 
 /// Panel size along the reduction dimension; 256 f32 = 1 KiB per row panel,
 /// mirroring the 256 KiB LDM budget of an SW26010-Pro CPE cluster when 64
 /// rows are in flight.
 pub(crate) const KC: usize = 256;
 
-/// Below this many output elements the parallel dispatch overhead outweighs
-/// the work; run single-threaded. Shared by every backend so the
-/// serial-vs-parallel boundary is one constant, tested in one place.
-pub(crate) const PAR_THRESHOLD: usize = 64 * 64;
+/// Estimated work of an `m×k · k×n` GEMM in the units of [`par::work`].
+pub(crate) fn gemm_work(m: usize, k: usize, n: usize) -> u64 {
+    work::GEMM_MAC * m as u64 * k as u64 * n as u64
+}
 
 /// Record the compute counters around a kernel invocation. `flops` is the
 /// multiply-add count `2·m·k·n`; the timer only runs when tracing is on.
@@ -103,7 +104,7 @@ pub(crate) fn dot4(a: &[f32], b: &[f32]) -> f32 {
     s
 }
 
-/// The original blocked, rayon-parallel kernels — the correctness oracle.
+/// The original blocked kernels — the correctness oracle.
 ///
 /// One deliberate change from the historical code: the hot loops used to
 /// skip multiplies where `a[i,k] == 0.0`. That skip silently dropped
@@ -145,27 +146,27 @@ pub(crate) fn reference_matmul(a: &Tensor, b: &Tensor) -> Tensor {
     }
     let (av, bv) = (a.as_slice(), b.as_slice());
 
-    let body = |(i, crow): (usize, &mut [f32])| {
-        let arow = &av[i * k..(i + 1) * k];
-        for k0 in (0..k).step_by(KC) {
-            let k1 = (k0 + KC).min(k);
-            for (kk, &aik) in arow[k0..k1].iter().enumerate() {
-                let brow = &bv[(k0 + kk) * n..(k0 + kk + 1) * n];
-                for (cj, &bj) in crow.iter_mut().zip(brow) {
-                    *cj += aik * bj;
+    let rows = par::rows_per_task(gemm_work(1, k, n));
+    par::for_each_chunk(
+        c.as_mut_slice(),
+        rows * n,
+        gemm_work(m, k, n),
+        |task, cchunk| {
+            for (r, crow) in cchunk.chunks_mut(n).enumerate() {
+                let i = task * rows + r;
+                let arow = &av[i * k..(i + 1) * k];
+                for k0 in (0..k).step_by(KC) {
+                    let k1 = (k0 + KC).min(k);
+                    for (kk, &aik) in arow[k0..k1].iter().enumerate() {
+                        let brow = &bv[(k0 + kk) * n..(k0 + kk + 1) * n];
+                        for (cj, &bj) in crow.iter_mut().zip(brow) {
+                            *cj += aik * bj;
+                        }
+                    }
                 }
             }
-        }
-    };
-
-    if m * n >= PAR_THRESHOLD {
-        c.as_mut_slice()
-            .par_chunks_mut(n)
-            .enumerate()
-            .for_each(body);
-    } else {
-        c.as_mut_slice().chunks_mut(n).enumerate().for_each(body);
-    }
+        },
+    );
     c
 }
 
@@ -181,21 +182,21 @@ pub(crate) fn reference_matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
     }
     let (av, bv) = (a.as_slice(), b.as_slice());
 
-    let body = |(i, crow): (usize, &mut [f32])| {
-        let arow = &av[i * k..(i + 1) * k];
-        for (j, cj) in crow.iter_mut().enumerate() {
-            *cj = dot4(arow, &bv[j * k..(j + 1) * k]);
-        }
-    };
-
-    if m * n >= PAR_THRESHOLD {
-        c.as_mut_slice()
-            .par_chunks_mut(n)
-            .enumerate()
-            .for_each(body);
-    } else {
-        c.as_mut_slice().chunks_mut(n).enumerate().for_each(body);
-    }
+    let rows = par::rows_per_task(gemm_work(1, k, n));
+    par::for_each_chunk(
+        c.as_mut_slice(),
+        rows * n,
+        gemm_work(m, k, n),
+        |task, cchunk| {
+            for (r, crow) in cchunk.chunks_mut(n).enumerate() {
+                let i = task * rows + r;
+                let arow = &av[i * k..(i + 1) * k];
+                for (j, cj) in crow.iter_mut().enumerate() {
+                    *cj = dot4(arow, &bv[j * k..(j + 1) * k]);
+                }
+            }
+        },
+    );
     c
 }
 
@@ -222,37 +223,30 @@ pub(crate) fn reference_matmul_tn(a: &Tensor, b: &Tensor) -> Tensor {
 
     // Panel of output rows per task: big enough to amortize streaming B,
     // never larger than the k rows that exist.
-    let panel = 64.max(k / (rayon::current_num_threads().max(1) * 4)).min(k);
+    let panel = 64.max(k / (par::width() * 4)).min(k);
 
-    let body = |(p, cpanel): (usize, &mut [f32])| {
-        let r0 = p * panel;
-        debug_assert_eq!(cpanel.len() % n, 0, "panel chunk must be whole rows");
-        let rows_here = cpanel.len() / n;
-        debug_assert!(r0 + rows_here <= k);
-        for i in 0..m {
-            let brow = &bv[i * n..(i + 1) * n];
-            let arow = &av[i * k..(i + 1) * k];
-            for r in 0..rows_here {
-                let aik = arow[r0 + r];
-                let crow = &mut cpanel[r * n..(r + 1) * n];
-                for (cj, &bj) in crow.iter_mut().zip(brow) {
-                    *cj += aik * bj;
+    par::for_each_chunk(
+        c.as_mut_slice(),
+        panel * n,
+        gemm_work(m, k, n),
+        |p, cpanel| {
+            let r0 = p * panel;
+            debug_assert_eq!(cpanel.len() % n, 0, "panel chunk must be whole rows");
+            let rows_here = cpanel.len() / n;
+            debug_assert!(r0 + rows_here <= k);
+            for i in 0..m {
+                let brow = &bv[i * n..(i + 1) * n];
+                let arow = &av[i * k..(i + 1) * k];
+                for r in 0..rows_here {
+                    let aik = arow[r0 + r];
+                    let crow = &mut cpanel[r * n..(r + 1) * n];
+                    for (cj, &bj) in crow.iter_mut().zip(brow) {
+                        *cj += aik * bj;
+                    }
                 }
             }
-        }
-    };
-
-    if k * n >= PAR_THRESHOLD {
-        c.as_mut_slice()
-            .par_chunks_mut(panel * n)
-            .enumerate()
-            .for_each(body);
-    } else {
-        c.as_mut_slice()
-            .chunks_mut(panel * n)
-            .enumerate()
-            .for_each(body);
-    }
+        },
+    );
     c
 }
 
@@ -375,13 +369,14 @@ mod tests {
     #[test]
     fn large_parallel_path_matches_naive() {
         let mut rng = Rng::seed_from(5);
-        let a = Tensor::randn(&[130, 70], 1.0, &mut rng);
-        let b = Tensor::randn(&[70, 140], 1.0, &mut rng);
-        // 130*140 > PAR_THRESHOLD → exercises the rayon path.
+        let a = Tensor::randn(&[130, 300], 1.0, &mut rng);
+        let b = Tensor::randn(&[300, 140], 1.0, &mut rng);
+        // 130·300·140 multiply-adds clear `par::MIN_WORK`: the fanned-out
+        // path wherever the test thread owns more than one lane.
         assert!(matmul(&a, &b).approx_eq(&naive(&a, &b), 1e-4));
-        let bt = Tensor::randn(&[140, 70], 1.0, &mut rng);
+        let bt = Tensor::randn(&[140, 300], 1.0, &mut rng);
         assert!(matmul_nt(&a, &bt).approx_eq(&naive(&a, &bt.transposed()), 1e-4));
-        let b2 = Tensor::randn(&[130, 90], 1.0, &mut rng);
+        let b2 = Tensor::randn(&[130, 120], 1.0, &mut rng);
         assert!(matmul_tn(&a, &b2).approx_eq(&naive(&a.transposed(), &b2), 1e-4));
     }
 

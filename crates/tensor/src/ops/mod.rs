@@ -1,8 +1,8 @@
 //! Compute kernels over [`crate::Tensor`].
 //!
 //! These are the substitute for the hand-written SW26010-Pro CPE kernels:
-//! blocked for cache locality and parallelized across cores with rayon, per
-//! the project's HPC coding guides.
+//! blocked for cache locality and fanned out over the calling thread's
+//! intra-op lanes (see [`crate::par`]), per the project's HPC coding guides.
 //!
 //! Matrix multiplication is pluggable: the free functions in [`mod@matmul`]
 //! dispatch to the calling thread's [`MatmulBackend`] (see [`backend`]),

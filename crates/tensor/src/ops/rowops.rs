@@ -17,11 +17,12 @@
 //! * [`VectorizedRowOps`] keeps every *within-row* reduction in the same
 //!   sequential order — reassociating a float sum changes bits, so sums
 //!   never change shape — and takes its speed from what is exactly
-//!   reorderable: rows are independent, so they fan out across the thread
-//!   pool; layer-norm's normalize and scale-shift passes fuse into one
-//!   (f32 store/load between passes is lossless, so fusing is exact); and
-//!   the Adam update splits its four state slices at identical element
-//!   boundaries across scoped threads.
+//!   reorderable: rows are independent, so above the work cutoff of
+//!   [`crate::par`] blocks of rows fan out across the calling thread's
+//!   intra-op lanes; layer-norm's normalize and scale-shift passes fuse
+//!   into one (f32 store/load between passes is lossless, so fusing is
+//!   exact); and the Adam update splits its four state slices at identical
+//!   element boundaries across the same lanes.
 //!
 //! There is deliberately no FMA tier here: these ops are memory-bound
 //! passes where fused arithmetic buys nothing, and keeping every row-op
@@ -34,7 +35,7 @@
 //! counters with *nominal* FLOP counts (documented per op) so traces can
 //! attribute row-op time next to GEMM time.
 
-use crate::ops::matmul::PAR_THRESHOLD;
+use crate::par::{self, work};
 use crate::tensor::Tensor;
 use bagualu_trace::{self as trace, names};
 use rayon::prelude::*;
@@ -209,20 +210,14 @@ fn log_softmax_row(row: &mut [f32]) {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct VectorizedRowOps;
 
-/// Split `[0, len)` into `parts` contiguous ranges differing by at most
-/// one element, in order.
-fn split_ranges(len: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
-    let parts = parts.max(1).min(len.max(1));
-    let base = len / parts;
-    let extra = len % parts;
-    let mut out = Vec::with_capacity(parts);
-    let mut start = 0;
-    for i in 0..parts {
-        let sz = base + usize::from(i < extra);
-        out.push(start..start + sz);
-        start += sz;
-    }
-    out
+/// Apply `row` to every `cols`-wide row of `x`, blocks of rows claimed by
+/// the intra-op lanes when the whole call clears the work cutoff.
+fn softmax_family_rows(x: &mut [f32], cols: usize, row: impl Fn(&mut [f32]) + Sync) {
+    let rows = par::rows_per_task(work::SOFTMAX_ELEM * cols as u64);
+    let work = work::SOFTMAX_ELEM * x.len() as u64;
+    par::for_each_chunk(x, rows * cols, work, |_, block| {
+        block.chunks_exact_mut(cols).for_each(&row);
+    });
 }
 
 impl RowOpsBackend for VectorizedRowOps {
@@ -235,16 +230,7 @@ impl RowOpsBackend for VectorizedRowOps {
         if c == 0 {
             return;
         }
-        if x.len() >= PAR_THRESHOLD {
-            x.as_mut_slice()
-                .par_chunks_mut(c)
-                .enumerate()
-                .for_each(|(_, row)| softmax_row(row));
-        } else {
-            for row in x.as_mut_slice().chunks_exact_mut(c) {
-                softmax_row(row);
-            }
-        }
+        softmax_family_rows(x.as_mut_slice(), c, softmax_row);
     }
 
     fn log_softmax_rows(&self, x: &Tensor) -> Tensor {
@@ -253,24 +239,15 @@ impl RowOpsBackend for VectorizedRowOps {
         if c == 0 {
             return out;
         }
-        if out.len() >= PAR_THRESHOLD {
-            out.as_mut_slice()
-                .par_chunks_mut(c)
-                .enumerate()
-                .for_each(|(_, row)| log_softmax_row(row));
-        } else {
-            for row in out.as_mut_slice().chunks_exact_mut(c) {
-                log_softmax_row(row);
-            }
-        }
+        softmax_family_rows(out.as_mut_slice(), c, log_softmax_row);
         out
     }
 
     /// Fused single pass per row (mean, variance, then normalize+scale+
-    /// shift writing both `x̂` and `y`), rows partitioned across scoped
-    /// threads. The reference's `x̂` round-trip between its two passes is
-    /// an exact f32 store/load, so fusing them changes no bits; the
-    /// reductions keep the reference's sequential order.
+    /// shift writing both `x̂` and `y`), blocks of rows claimed by the
+    /// intra-op lanes. The reference's `x̂` round-trip between its two
+    /// passes is an exact f32 store/load, so fusing them changes no bits;
+    /// the reductions keep the reference's sequential order.
     fn layernorm_rows(&self, x: &Tensor, gamma: &[f32], beta: &[f32], eps: f32) -> LayerNormOut {
         let d = x.cols();
         let n = x.rows();
@@ -281,64 +258,45 @@ impl RowOpsBackend for VectorizedRowOps {
             return LayerNormOut { y, xhat, inv_sigma };
         }
 
-        let row_body = |xr: &[f32], xhr: &mut [f32], yr: &mut [f32]| -> f32 {
-            let mean = xr.iter().sum::<f32>() / d as f32;
-            let var = xr.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / d as f32;
-            let inv = 1.0 / (var + eps).sqrt();
-            for i in 0..d {
-                let xh = (xr[i] - mean) * inv;
-                xhr[i] = xh;
-                yr[i] = xh * gamma[i] + beta[i];
+        let xs = x.as_slice();
+        // One block of rows: `r0` is the block's first row, the three
+        // outputs are that block's windows of `x̂`, `y` and `1/σ`.
+        let block = |r0: usize, xh: &mut [f32], ys: &mut [f32], iv: &mut [f32]| {
+            for (r, inv_out) in iv.iter_mut().enumerate() {
+                let xr = &xs[(r0 + r) * d..(r0 + r + 1) * d];
+                let mean = xr.iter().sum::<f32>() / d as f32;
+                let var = xr.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / d as f32;
+                let inv = 1.0 / (var + eps).sqrt();
+                let (xhr, yr) = (&mut xh[r * d..(r + 1) * d], &mut ys[r * d..(r + 1) * d]);
+                for i in 0..d {
+                    let v = (xr[i] - mean) * inv;
+                    xhr[i] = v;
+                    yr[i] = v * gamma[i] + beta[i];
+                }
+                *inv_out = inv;
             }
-            inv
         };
 
-        let xs = x.as_slice();
-        let threads = rayon::current_num_threads().max(1);
-        if n * d < PAR_THRESHOLD || threads <= 1 {
-            let (xh, ys) = (xhat.as_mut_slice(), y.as_mut_slice());
-            for r in 0..n {
-                inv_sigma[r] = row_body(
-                    &xs[r * d..(r + 1) * d],
-                    &mut xh[r * d..(r + 1) * d],
-                    &mut ys[r * d..(r + 1) * d],
-                );
-            }
+        let (xh, ys, iv) = (
+            xhat.as_mut_slice(),
+            y.as_mut_slice(),
+            inv_sigma.as_mut_slice(),
+        );
+        if par::dispatch(work::LAYERNORM_ELEM * (n * d) as u64) {
+            let rows = par::rows_per_task(work::LAYERNORM_ELEM * d as u64);
+            xh.par_chunks_mut(rows * d)
+                .zip(ys.par_chunks_mut(rows * d))
+                .zip(iv.par_chunks_mut(rows))
+                .enumerate()
+                .for_each(|(t, ((xh, ys), iv))| block(t * rows, xh, ys, iv));
         } else {
-            let ranges = split_ranges(n, threads);
-            let (mut xh_rest, mut y_rest, mut inv_rest) = (
-                xhat.as_mut_slice(),
-                y.as_mut_slice(),
-                inv_sigma.as_mut_slice(),
-            );
-            let row_body = &row_body;
-            std::thread::scope(|scope| {
-                for range in ranges {
-                    let rows = range.len();
-                    let (xh, xh_next) = xh_rest.split_at_mut(rows * d);
-                    let (yc, y_next) = y_rest.split_at_mut(rows * d);
-                    let (iv, inv_next) = inv_rest.split_at_mut(rows);
-                    xh_rest = xh_next;
-                    y_rest = y_next;
-                    inv_rest = inv_next;
-                    let r0 = range.start;
-                    scope.spawn(move || {
-                        for r in 0..rows {
-                            iv[r] = row_body(
-                                &xs[(r0 + r) * d..(r0 + r + 1) * d],
-                                &mut xh[r * d..(r + 1) * d],
-                                &mut yc[r * d..(r + 1) * d],
-                            );
-                        }
-                    });
-                }
-            });
+            block(0, xh, ys, iv);
         }
         LayerNormOut { y, xhat, inv_sigma }
     }
 
     /// The four state slices split at identical element boundaries across
-    /// scoped threads; each element's update is `adam_element` either
+    /// the intra-op lanes; each element's update is `adam_element` either
     /// way, so any chunking is bit-identical to the sequential loop.
     fn adam_update(
         &self,
@@ -348,33 +306,23 @@ impl RowOpsBackend for VectorizedRowOps {
         v: &mut [f32],
         s: &AdamStep,
     ) {
-        let len = value.len();
-        let threads = rayon::current_num_threads().max(1);
-        if len < PAR_THRESHOLD || threads <= 1 {
-            for j in 0..len {
+        let block = |j0: usize, value: &mut [f32], m: &mut [f32], v: &mut [f32]| {
+            let grad = &grad[j0..j0 + value.len()];
+            for j in 0..value.len() {
                 adam_element(&mut value[j], grad[j], &mut m[j], &mut v[j], s);
             }
-            return;
+        };
+        if par::dispatch(work::ADAM_ELEM * value.len() as u64) {
+            let len = par::rows_per_task(work::ADAM_ELEM);
+            value
+                .par_chunks_mut(len)
+                .zip(m.par_chunks_mut(len))
+                .zip(v.par_chunks_mut(len))
+                .enumerate()
+                .for_each(|(t, ((value, m), v))| block(t * len, value, m, v));
+        } else {
+            block(0, value, m, v);
         }
-        let ranges = split_ranges(len, threads);
-        let (mut val_rest, mut m_rest, mut v_rest) = (value, m, v);
-        std::thread::scope(|scope| {
-            for range in ranges {
-                let sz = range.len();
-                let (vc, val_next) = val_rest.split_at_mut(sz);
-                let (mc, m_next) = m_rest.split_at_mut(sz);
-                let (vv, v_next) = v_rest.split_at_mut(sz);
-                val_rest = val_next;
-                m_rest = m_next;
-                v_rest = v_next;
-                let gc = &grad[range];
-                scope.spawn(move || {
-                    for j in 0..sz {
-                        adam_element(&mut vc[j], gc[j], &mut mc[j], &mut vv[j], s);
-                    }
-                });
-            }
-        });
     }
 }
 
@@ -513,14 +461,18 @@ mod tests {
         }
     }
 
-    /// Shapes straddling PAR_THRESHOLD so both the sequential and the
-    /// parallel/fused paths of the vectorized tier are pinned.
+    /// Shapes on both sides of the work cutoff (the last clears it for
+    /// softmax and layer-norm alike), so the inline and the fanned-out
+    /// paths of the vectorized tier are both pinned. The tests run on three
+    /// lanes whatever the host has: the cutoff, not the core count, picks
+    /// the path.
     fn shapes() -> Vec<(usize, usize)> {
-        vec![(1, 1), (3, 17), (40, 64), (70, 70), (128, 64)]
+        vec![(1, 1), (3, 17), (40, 64), (70, 70), (128, 64), (1031, 130)]
     }
 
     #[test]
     fn vectorized_softmax_is_bit_identical() {
+        let _lanes = par::scoped_width(3);
         let mut rng = Rng::seed_from(31);
         for (n, d) in shapes() {
             let x = Tensor::randn(&[n, d], 2.0, &mut rng);
@@ -541,6 +493,7 @@ mod tests {
 
     #[test]
     fn vectorized_layernorm_is_bit_identical() {
+        let _lanes = par::scoped_width(3);
         let mut rng = Rng::seed_from(32);
         for (n, d) in shapes() {
             let x = Tensor::randn(&[n, d], 1.5, &mut rng);
@@ -560,8 +513,10 @@ mod tests {
 
     #[test]
     fn vectorized_adam_is_bit_identical() {
+        let _lanes = par::scoped_width(3);
         let mut rng = Rng::seed_from(33);
-        for len in [1usize, 100, 4095, 4096, 10_000] {
+        let cutoff = (par::MIN_WORK / work::ADAM_ELEM) as usize;
+        for len in [1usize, 100, 4096, cutoff - 1, cutoff, cutoff + 12_345] {
             let grad: Vec<f32> = Tensor::randn(&[len], 1.0, &mut rng).as_slice().to_vec();
             let init: Vec<f32> = Tensor::randn(&[len], 1.0, &mut rng).as_slice().to_vec();
             let (mut va, mut ma, mut sa) = (init.clone(), vec![0.1f32; len], vec![0.2f32; len]);
@@ -592,19 +547,6 @@ mod tests {
             .join()
             .unwrap();
         assert_eq!(other, process_row_ops().name());
-    }
-
-    #[test]
-    fn split_ranges_cover_exactly() {
-        for (len, parts) in [(10, 3), (3, 10), (0, 4), (7, 1), (4096, 8)] {
-            let rs = split_ranges(len, parts);
-            let mut next = 0;
-            for r in &rs {
-                assert_eq!(r.start, next);
-                next = r.end;
-            }
-            assert_eq!(next, len);
-        }
     }
 
     #[test]

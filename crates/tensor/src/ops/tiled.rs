@@ -6,8 +6,8 @@
 //!
 //! * **KC** (reduction panel, shared with the reference kernel): the slice
 //!   of the reduction dimension kept hot while a block of C accumulates.
-//! * **MC** rows of C per parallel task — the unit `par_chunks_mut`
-//!   distributes.
+//! * **MC** rows of C per parallel task — the unit the intra-op lanes
+//!   claim (see [`crate::par`]).
 //! * **MR×NR** register tile: the micro-kernel holds a block of C in
 //!   registers, broadcasts one A element per row, and multiply-adds an
 //!   NR-wide packed B row into each — zero C traffic inside the k-loop and
@@ -62,9 +62,9 @@
 //! not use it; the CLI rejects those combinations.
 
 use crate::ops::backend::{Activation, MatmulBackend};
-use crate::ops::matmul::{dot4, KC, PAR_THRESHOLD};
+use crate::ops::matmul::{dot4, gemm_work, KC};
+use crate::par;
 use crate::tensor::Tensor;
-use rayon::prelude::*;
 
 /// Rows of C per parallel task on the portable path.
 pub(crate) const MC: usize = 64;
@@ -409,7 +409,7 @@ pub(crate) fn tiled_nn(
     let packed = PackedB::pack(bv, k, n, nr, kcb);
     let packed = &packed;
 
-    let body = |(chunk_idx, cchunk): (usize, &mut [f32])| {
+    let body = |chunk_idx: usize, cchunk: &mut [f32]| {
         let ia0 = chunk_idx * mc;
         let rows = cchunk.len() / n;
         for k0 in (0..k).step_by(kcb) {
@@ -487,17 +487,7 @@ pub(crate) fn tiled_nn(
         epilogue(cchunk, n, bias, act);
     };
 
-    if m * n >= PAR_THRESHOLD {
-        c.as_mut_slice()
-            .par_chunks_mut(mc * n)
-            .enumerate()
-            .for_each(body);
-    } else {
-        c.as_mut_slice()
-            .chunks_mut(mc * n)
-            .enumerate()
-            .for_each(body);
-    }
+    par::for_each_chunk(c.as_mut_slice(), mc * n, gemm_work(m, k, n), body);
     c
 }
 
@@ -658,7 +648,7 @@ pub(crate) fn tiled_nt(a: &Tensor, b: &Tensor, fma: bool) -> Tensor {
     let (packed, align_off) = pack_bt(bv, k, n, nr);
     let packed = &packed;
 
-    let body = |(chunk_idx, cchunk): (usize, &mut [f32])| {
+    let body = |chunk_idx: usize, cchunk: &mut [f32]| {
         let ia0 = chunk_idx * MC;
         let rows = cchunk.len() / n;
         for p in 0..full_panels {
@@ -693,17 +683,7 @@ pub(crate) fn tiled_nt(a: &Tensor, b: &Tensor, fma: bool) -> Tensor {
         }
     };
 
-    if m * n >= PAR_THRESHOLD {
-        c.as_mut_slice()
-            .par_chunks_mut(MC * n)
-            .enumerate()
-            .for_each(body);
-    } else {
-        c.as_mut_slice()
-            .chunks_mut(MC * n)
-            .enumerate()
-            .for_each(body);
-    }
+    par::for_each_chunk(c.as_mut_slice(), MC * n, gemm_work(m, k, n), body);
     c
 }
 

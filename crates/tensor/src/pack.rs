@@ -9,28 +9,19 @@
 //! saturation to ±∞, NaN preservation), so a pack/unpack round trip is
 //! bit-for-bit identical to [`DType::round_trip`].
 //!
-//! Buffers below [`PAR_THRESHOLD`] elements convert sequentially; larger
-//! ones are chunked across the rayon pool. Parallelism is expressed over
-//! the *output* buffer (`par_chunks_mut` + `enumerate`), with each task
-//! reading the matching input window — disjoint writes, shared reads, no
-//! synchronization. The `_into` variants reuse a caller-owned buffer so
-//! steady-state training loops do not allocate per message.
+//! Buffers below the work cutoff of [`crate::par`] convert on the calling
+//! thread (control messages, tail buckets); larger ones are chunked across
+//! its intra-op lanes. Parallelism is expressed over the *output* buffer,
+//! with each task reading the matching input window — disjoint writes,
+//! shared reads, no synchronization. The `_into` variants reuse a
+//! caller-owned buffer so steady-state training loops do not allocate per
+//! message.
 
 use crate::dtype::{DType, BF16, F16};
-use rayon::prelude::*;
-
-/// Element count below which pack/unpack stays sequential. Conversion is a
-/// few ns/element, so small payloads (control messages, tail buckets) are
-/// cheaper to convert inline than to fan out across threads.
-pub const PAR_THRESHOLD: usize = 1 << 16;
-
-/// Chunk size for the parallel path: large enough to amortize task
-/// dispatch, small enough to load-balance across the pool.
-const PAR_CHUNK: usize = 1 << 14;
+use crate::par::{self, work};
 
 /// Core conversion driver: fill `dst` (pre-sized to `src.len()`) with
-/// `conv(src[i])`, sequentially below [`PAR_THRESHOLD`] and rayon-chunked
-/// over the output above it.
+/// `conv(src[i])`, inline or chunked over the output as [`par`] decides.
 fn convert_into<S, D, F>(src: &[S], dst: &mut Vec<D>, conv: F)
 where
     S: Copy + Sync,
@@ -39,21 +30,14 @@ where
 {
     dst.clear();
     dst.resize(src.len(), D::default());
-    if src.len() < PAR_THRESHOLD {
-        for (d, &s) in dst.iter_mut().zip(src) {
+    let chunk = par::rows_per_task(work::PACK_ELEM);
+    let work = work::PACK_ELEM * src.len() as u64;
+    par::for_each_chunk(dst.as_mut_slice(), chunk, work, |i, out| {
+        let window = &src[i * chunk..i * chunk + out.len()];
+        for (d, &s) in out.iter_mut().zip(window) {
             *d = conv(s);
         }
-    } else {
-        dst.as_mut_slice()
-            .par_chunks_mut(PAR_CHUNK)
-            .enumerate()
-            .for_each(|(i, chunk)| {
-                let base = i * PAR_CHUNK;
-                for (j, d) in chunk.iter_mut().enumerate() {
-                    *d = conv(src[base + j]);
-                }
-            });
-    }
+    });
 }
 
 /// Pack `f32` values to FP16 bit patterns into a reused buffer.
@@ -177,9 +161,10 @@ mod tests {
 
     #[test]
     fn parallel_path_matches_sequential() {
-        // PAR_THRESHOLD + a ragged tail exercises the rayon path with an
-        // uneven final chunk.
-        let n = PAR_THRESHOLD + 12_345;
+        // The work cutoff plus a ragged tail: the fanned-out path with an
+        // uneven final chunk, on three lanes whatever the host has.
+        let _lanes = par::scoped_width(3);
+        let n = (par::MIN_WORK / work::PACK_ELEM) as usize + 12_345;
         let xs: Vec<f32> = (0..n).map(|i| (i as f32 - 1000.0) * 0.37).collect();
         for dt in [DType::F16, DType::BF16] {
             let big = pack_slice(dt, &xs);

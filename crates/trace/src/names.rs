@@ -99,6 +99,15 @@ pub const COMPUTE_ADAM_FLOPS: &str = "compute.adam.flops";
 /// [`COMPUTE_ADAM_FLOPS`]).
 pub const COMPUTE_ADAM_NS: &str = "compute.adam.ns";
 
+/// Kernel calls (GEMM, row op, or pack) that fanned out over the intra-op
+/// pool: estimated work at or above the parallel cutoff on a thread whose
+/// width is at least 2. Next to the `compute.*.ns` counters this says how
+/// many of a lane's kernel calls left the calling thread.
+pub const COMPUTE_PAR_DISPATCHED: &str = "compute.par.dispatched";
+/// Kernel calls that ran inline on the calling thread (see
+/// [`COMPUTE_PAR_DISPATCHED`]).
+pub const COMPUTE_PAR_INLINE: &str = "compute.par.inline";
+
 /// Messages dropped in flight by fault injection.
 pub const FAULT_DROPS: &str = "fault.drops";
 /// Payloads corrupted in flight by fault injection.

@@ -13,10 +13,12 @@
 //!   stay inside the documented per-element error band instead.
 //!
 //! Shapes deliberately sweep the degenerate cases (`m == 0`, `k == 0`,
-//! `n == 1`), the MR/NR/MR_W/NR_W tile edges, and the serial-vs-parallel
-//! dispatch boundary at `m·n == 4096`.
+//! `n == 1`), the MR/NR/MR_W/NR_W tile edges, and the inline-vs-fanned-out
+//! dispatch boundary (`m·n·k` around `par::MIN_WORK`) at intra-op widths
+//! 1, 2, 3 and the host's core count.
 
 use bagualu_tensor::ops::{Activation, ComputeBackend};
+use bagualu_tensor::par;
 use bagualu_tensor::rng::Rng;
 use bagualu_tensor::{DType, Tensor};
 use proptest::prelude::*;
@@ -56,6 +58,11 @@ fn prequantized(t: &Tensor, dtype: DType) -> Tensor {
 
 fn f32_backends() -> [ComputeBackend; 2] {
     [ComputeBackend::Reference, ComputeBackend::Tiled]
+}
+
+/// Intra-op widths every width-sensitive property runs at.
+fn widths() -> [usize; 4] {
+    [1, 2, 3, par::cores()]
 }
 
 proptest! {
@@ -179,9 +186,8 @@ proptest! {
         }
     }
 
-    // Straddle the serial-vs-rayon dispatch boundary (`m·n` around
-    // PAR_THRESHOLD = 4096 = 64·64): the parallel split must not change a
-    // single bit on either backend.
+    // Straddle `m·n = 64·64`, where dispatch switched before the cutoff
+    // became estimated work: still a tile-edge sweep worth keeping.
     #[test]
     fn par_threshold_boundary_is_bit_stable(
         m in 60usize..69, n in 60usize..69, k in 1usize..32, seed in 0u64..1000,
@@ -193,6 +199,48 @@ proptest! {
         for cb in f32_backends() {
             let c = cb.instantiate().matmul(&a, &b);
             prop_assert!(bitwise_eq(&c, &want), "{cb} {m}x{k}x{n} vs naive");
+        }
+    }
+
+    // Width never reaches the bits: chunking decides which lane computes
+    // an output element, not the order of additions inside it. Shapes put
+    // `m·k·n` between 0.4× and 2.4× `par::MIN_WORK` (so both the inline and
+    // the fanned-out path run, ragged last chunks included), and every
+    // layout and the fused epilogue of both f32 backends must equal
+    // Reference on one lane at every width.
+    #[test]
+    fn width_and_work_cutoff_never_change_a_bit(
+        m in 120usize..220, k in 120usize..220, n in 120usize..220, seed in 0u64..1000,
+    ) {
+        let below = m * k * n < par::MIN_WORK as usize;
+        let mut rng = Rng::seed_from(seed);
+        let a = Tensor::randn(&[m, k], 1.0, &mut rng);
+        let b = Tensor::randn(&[k, n], 1.0, &mut rng);
+        let (at, bt) = (a.transposed(), b.transposed());
+        let bias: Vec<f32> = (0..n).map(|j| (j as f32) * 0.125 - 0.5).collect();
+        let all_ops = |cb: ComputeBackend| {
+            let be = cb.instantiate();
+            [
+                be.matmul(&a, &b),
+                be.matmul_nt(&a, &bt),
+                be.matmul_tn(&at, &b),
+                be.matmul_bias_act(&a, &b, Some(&bias), Activation::Gelu),
+            ]
+        };
+        let want = {
+            let _one_lane = par::scoped_width(1);
+            all_ops(ComputeBackend::Reference)
+        };
+        for width in widths() {
+            let _lanes = par::scoped_width(width);
+            for cb in f32_backends() {
+                for (op, (got, want)) in ["nn", "nt", "tn", "fused"].iter().zip(all_ops(cb).iter().zip(&want)) {
+                    prop_assert!(
+                        bitwise_eq(got, want),
+                        "{cb} {op} {m}x{k}x{n} (below cutoff: {below}) at width {width}"
+                    );
+                }
+            }
         }
     }
 
