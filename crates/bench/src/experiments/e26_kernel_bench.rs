@@ -9,10 +9,9 @@
 //! * correctness — `Tiled` must agree with `Reference` **bitwise** (NN and
 //!   NT) and the vectorized row-op tier must agree with the reference tier
 //!   bitwise before any timing is believed;
-//! * performance — four CI gates, all ratios timed in the same process
-//!   (so they hold on single-core and noisy runners). Three are per-core
-//!   kernel ratios at 512³, timed on one intra-op lane so that the host's
-//!   core count cannot compress them:
+//! * performance — five CI gates, all ratios timed in the same process at
+//!   the host's full intra-op width (so they hold on single-core and noisy
+//!   runners). Three are kernel ratios at 512³:
 //!   - `nn_tiled_over_reference` ≥ [`NN_TILED_MIN_SPEEDUP`]× where the
 //!     wide AVX-512 micro-kernel runs,
 //!   - `nt_tiled_over_reference` ≥ [`NT_TILED_MIN_SPEEDUP`]× — the packed
@@ -21,12 +20,15 @@
 //!     must pay for its loss of bit-identity.
 //!
 //!   On hosts without AVX-512 each of those floors drops to
-//!   [`PORTABLE_MIN_SPEEDUP`] (recorded in the JSON as `wide_kernel`). The
-//!   fourth runs at the host's full width:
-//!   - `rowops_vectorized_over_reference` ≥ [`ROWOPS_MIN_RATIO`]× on both
+//!   [`PORTABLE_MIN_SPEEDUP`] (recorded in the JSON as `wide_kernel`). Two
+//!   hold the intra-op runtime to "fanning out is never a loss", on any
+//!   core count:
+//!   - `rowops_vectorized_over_reference` ≥ [`NOT_SLOWER`]× on both
 //!     softmax 256×2048 and Adam 1 M (the gate records the lower of the
-//!     two) — the tier that fans rows out over the intra-op lanes must not
-//!     lose to the sequential oracle it shadows, on any core count.
+//!     two) — the tier that fans rows out over the intra-op lanes against
+//!     the sequential oracle it shadows,
+//!   - `nn_reference_dispatched_over_inline` ≥ [`NOT_SLOWER`]× — the same
+//!     reference 512³ GEMM at full width against itself on one lane.
 //!
 //! Every GEMM row also reports arithmetic intensity (FLOPs per byte of
 //! minimum streaming traffic) and percent-of-roofline against an
@@ -41,10 +43,11 @@
 
 use crate::table::Table;
 use bagualu::hw::{Precision, Roofline};
-use bagualu::tensor::ops::{Activation, AdamStep, ComputeBackend};
+use bagualu::tensor::ops::{Activation, AdamStep, ComputeBackend, RowOpsBackend};
 use bagualu::tensor::par;
 use bagualu::tensor::rng::Rng;
 use bagualu::tensor::Tensor;
+use std::cell::RefCell;
 use std::time::Instant;
 
 const TABLE_OUT: &str = "target/e26/kernel-table.txt";
@@ -66,11 +69,11 @@ pub const FMA_MIN_SPEEDUP: f64 = 1.5;
 /// The floor applied to every gate when only the portable micro-kernel is
 /// available (no AVX-512): strictly not-slower, honestly labelled.
 pub const PORTABLE_MIN_SPEEDUP: f64 = 1.0;
-/// Row-op gate: the vectorized tier against the reference tier on softmax
-/// and on Adam, whichever is lower. Not-slower with 2 % of timer noise: on
-/// one core the two tiers run the same loops, on more the vectorized one
+/// Floor of the two intra-op gates: the fanned-out side against the
+/// sequential side of the same work. Not slower, with 2 % of timer noise:
+/// on one core both sides run the same loops, on more the fanned-out one
 /// must turn the extra lanes into speed rather than dispatch cost.
-pub const ROWOPS_MIN_RATIO: f64 = 0.98;
+pub const NOT_SLOWER: f64 = 0.98;
 /// The gate shape: large enough that B (1 MiB) falls out of L1/L2 and the
 /// reference kernel's streaming cost shows.
 const GATE_DIM: usize = 512;
@@ -308,26 +311,48 @@ pub fn run() {
     let mut gate_nn = GatePair::new(floor_of(NN_TILED_MIN_SPEEDUP));
     let mut gate_nt = GatePair::new(floor_of(NT_TILED_MIN_SPEEDUP));
     let mut gate_fma = GatePair::new(floor_of(FMA_MIN_SPEEDUP));
-    let sample_gates = |nn: &mut GatePair, nt: &mut GatePair, fm: &mut GatePair| {
-        let _one_lane = par::scoped_width(1);
-        if !nn.passing() {
-            let (f, g) = paired_best(11, || reference.matmul(&ga, &gb), || tiled.matmul(&ga, &gb));
-            nn.absorb(f, g);
-        }
-        if !nt.passing() {
-            let (f, g) = paired_best(
-                7,
-                || reference.matmul_nt(&ga, &gb),
-                || tiled.matmul_nt(&ga, &gb),
-            );
-            nt.absorb(f, g);
-        }
-        if !fm.passing() {
-            let (f, g) = paired_best(15, || tiled.matmul(&ga, &gb), || fma.matmul(&ga, &gb));
-            fm.absorb(f, g);
-        }
-    };
-    sample_gates(&mut gate_nn, &mut gate_nt, &mut gate_fma);
+    // The dispatch pair is sampled first: the process's first fanned-out
+    // call starts the worker pool, and that belongs in this pair's warm-up.
+    // Where it sits also decides which state glibc's heap is in for the
+    // kernel pairs after it — see ROADMAP.md ledger (a)(i) before moving it.
+    let mut gate_dispatch = GatePair::new(NOT_SLOWER);
+    let sample_gates =
+        |nn: &mut GatePair, nt: &mut GatePair, fm: &mut GatePair, dispatch: &mut GatePair| {
+            if !dispatch.passing() {
+                let (f, g) = paired_best(
+                    7,
+                    || {
+                        let _one_lane = par::scoped_width(1);
+                        reference.matmul(&ga, &gb)
+                    },
+                    || reference.matmul(&ga, &gb),
+                );
+                dispatch.absorb(f, g);
+            }
+            if !nn.passing() {
+                let (f, g) =
+                    paired_best(11, || reference.matmul(&ga, &gb), || tiled.matmul(&ga, &gb));
+                nn.absorb(f, g);
+            }
+            if !nt.passing() {
+                let (f, g) = paired_best(
+                    7,
+                    || reference.matmul_nt(&ga, &gb),
+                    || tiled.matmul_nt(&ga, &gb),
+                );
+                nt.absorb(f, g);
+            }
+            if !fm.passing() {
+                let (f, g) = paired_best(15, || tiled.matmul(&ga, &gb), || fma.matmul(&ga, &gb));
+                fm.absorb(f, g);
+            }
+        };
+    sample_gates(
+        &mut gate_nn,
+        &mut gate_nt,
+        &mut gate_fma,
+        &mut gate_dispatch,
+    );
 
     // ---- The row-op gate's operands and pairs, sampled at the same
     // dispersed points as the GEMM gates (after each section below).
@@ -344,57 +369,44 @@ pub fn run() {
     };
     let ref_ops = ComputeBackend::Reference.instantiate_row_ops();
     let vec_ops = ComputeBackend::Tiled.instantiate_row_ops();
-    let mut gate_softmax = GatePair::new(ROWOPS_MIN_RATIO);
-    let mut gate_adam = GatePair::new(ROWOPS_MIN_RATIO);
-    let mut sample_rowop_gates = {
-        // Per tier, the same rows.
-        let x = Tensor::randn(&[rn, rc], 1.0, &mut rng);
-        let mut soft = [x.clone(), x];
+    let mut gate_softmax = GatePair::new(NOT_SLOWER);
+    let mut gate_adam = GatePair::new(NOT_SLOWER);
+    let sample_rowop_gates = {
+        // Both tiers work on the same buffers, turn by turn, the way both
+        // GEMM backends multiply the same operands: where the two tiers run
+        // the same loop (one lane), page placement cannot tell them apart.
+        // What the values drift to under repeated updates does not matter
+        // to the timing.
+        let soft = RefCell::new(Tensor::randn(&[rn, rc], 1.0, &mut rng));
         let grad = Tensor::randn(&[adam_len], 0.1, &mut rng);
-        // Per tier: value, first moment, second moment.
-        let value = Tensor::randn(&[adam_len], 1.0, &mut rng);
-        let mut state: [[Tensor; 3]; 2] = std::array::from_fn(|_| {
-            [
-                value.clone(),
-                Tensor::zeros(&[adam_len]),
-                Tensor::zeros(&[adam_len]),
-            ]
-        });
+        // Value, first moment, second moment.
+        let state = RefCell::new([
+            Tensor::randn(&[adam_len], 1.0, &mut rng),
+            Tensor::zeros(&[adam_len]),
+            Tensor::zeros(&[adam_len]),
+        ]);
         let (ref_ops, vec_ops) = (ref_ops.clone(), vec_ops.clone());
         move |softmax: &mut GatePair, adam: &mut GatePair| {
             if !softmax.passing() {
-                let [a, b] = &mut soft;
                 let (f, g) = paired_best(
-                    7,
-                    || ref_ops.softmax_rows_inplace(a),
-                    || vec_ops.softmax_rows_inplace(b),
+                    11,
+                    || ref_ops.softmax_rows_inplace(&mut soft.borrow_mut()),
+                    || vec_ops.softmax_rows_inplace(&mut soft.borrow_mut()),
                 );
                 softmax.absorb(f, g);
             }
             if !adam.passing() {
-                let [[va, ma, sa], [vb, mb, sb]] = &mut state;
-                let g = grad.as_slice();
-                let (f, g) = paired_best(
-                    7,
-                    || {
-                        ref_ops.adam_update(
-                            va.as_mut_slice(),
-                            g,
-                            ma.as_mut_slice(),
-                            sa.as_mut_slice(),
-                            &adam_step,
-                        )
-                    },
-                    || {
-                        vec_ops.adam_update(
-                            vb.as_mut_slice(),
-                            g,
-                            mb.as_mut_slice(),
-                            sb.as_mut_slice(),
-                            &adam_step,
-                        )
-                    },
-                );
+                let update = |ops: &dyn RowOpsBackend| {
+                    let [value, m, v] = &mut *state.borrow_mut();
+                    ops.adam_update(
+                        value.as_mut_slice(),
+                        grad.as_slice(),
+                        m.as_mut_slice(),
+                        v.as_mut_slice(),
+                        &adam_step,
+                    )
+                };
+                let (f, g) = paired_best(11, || update(&*ref_ops), || update(&*vec_ops));
                 adam.absorb(f, g);
             }
         }
@@ -451,7 +463,12 @@ pub fn run() {
         ]);
     }
     t.print();
-    sample_gates(&mut gate_nn, &mut gate_nt, &mut gate_fma);
+    sample_gates(
+        &mut gate_nn,
+        &mut gate_nt,
+        &mut gate_fma,
+        &mut gate_dispatch,
+    );
     sample_rowop_gates(&mut gate_softmax, &mut gate_adam);
 
     // ---- Backward layouts + fused epilogue at 256³ and the 512³ gate
@@ -494,7 +511,12 @@ pub fn run() {
         }
     }
     t2.print();
-    sample_gates(&mut gate_nn, &mut gate_nt, &mut gate_fma);
+    sample_gates(
+        &mut gate_nn,
+        &mut gate_nt,
+        &mut gate_fma,
+        &mut gate_dispatch,
+    );
     sample_rowop_gates(&mut gate_softmax, &mut gate_adam);
 
     // ---- Row-op tiers: elements/s for softmax, layernorm, Adam.
@@ -572,7 +594,12 @@ pub fn run() {
     // ---- Last gate sample point, then freeze the CI gates — all at
     // 512³, from the dispersed paired rounds (see [`GatePair`]); the
     // sweep rows above are for the trajectory tables, not the gates.
-    sample_gates(&mut gate_nn, &mut gate_nt, &mut gate_fma);
+    sample_gates(
+        &mut gate_nn,
+        &mut gate_nt,
+        &mut gate_fma,
+        &mut gate_dispatch,
+    );
     sample_rowop_gates(&mut gate_softmax, &mut gate_adam);
     let shape = format!("{GATE_DIM}^3");
     let gates = vec![
@@ -602,7 +629,14 @@ pub fn run() {
             op: "softmax+adam",
             shape: format!("{rn}x{rc}, {adam_len}"),
             ratio: gate_softmax.ratio().min(gate_adam.ratio()),
-            floor: ROWOPS_MIN_RATIO,
+            floor: NOT_SLOWER,
+        },
+        Gate {
+            name: "nn_reference_dispatched_over_inline",
+            op: "nn",
+            shape: shape.clone(),
+            ratio: gate_dispatch.ratio(),
+            floor: NOT_SLOWER,
         },
     ];
     let gate_flops = 2 * (GATE_DIM as u64).pow(3);
@@ -617,12 +651,14 @@ pub fn run() {
         gflops(gate_flops, gate_fma.best_g),
     );
     println!(
-        "paired row ops on {} lane(s): softmax vectorized {:.2}x reference, adam {:.2}x",
-        par::width(),
+        "paired on {} lane(s) vs one: softmax vectorized {:.2}x reference, adam {:.2}x, \
+         reference nn {:.2}x inline",
+        par::current_num_threads(),
         gate_softmax.ratio(),
-        gate_adam.ratio()
+        gate_adam.ratio(),
+        gate_dispatch.ratio()
     );
-    println!("-- gates (GEMM at {shape} on one lane; wide kernel: {wide}) --");
+    println!("-- gates (GEMM at {shape}; wide kernel: {wide}) --");
     for g in &gates {
         println!(
             "gate {}: {:.2}x (floor {}x) {}",
@@ -638,9 +674,7 @@ pub fn run() {
     artifact.push_str(&t.render());
     artifact.push_str("\nlayouts\n");
     artifact.push_str(&t2.render());
-    artifact.push_str(&format!(
-        "\ngates (GEMM at {shape} on one lane; wide kernel: {wide})\n"
-    ));
+    artifact.push_str(&format!("\ngates (GEMM at {shape}; wide kernel: {wide})\n"));
     for g in &gates {
         artifact.push_str(&format!(
             "  {}: {:.2}x (floor {}x)\n",

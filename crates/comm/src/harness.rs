@@ -1,10 +1,9 @@
 //! Rank thread harness: spawn one thread per rank, join, propagate panics.
 //!
-//! A rank thread is born with its share of the spawning thread's intra-op
-//! lanes ([`par::rank_width`]: all cores split `n` ways from an ordinary
-//! thread), the way each BaGuaLu rank owns one core group: kernels inside a
-//! rank fan out over that many lanes and no further, so ranks never contend
-//! for each other's cores.
+//! A rank thread is born with its share of the cores as intra-op lanes
+//! ([`par::rank_width`]: `max(1, cores / n)`), the way each BaGuaLu rank
+//! owns one core group: kernels inside a rank fan out over that many lanes
+//! and no further, so ranks never contend for each other's cores.
 //!
 //! Fault-aware variants: [`run_ranks_ft`] traps per-rank panics and comm
 //! errors into [`RankOutcome`]s (marking the failed rank dead so survivors'
@@ -36,9 +35,9 @@ where
     run_world(&World::new(n), f)
 }
 
-/// One thread per rank of `world`, each at its share of the caller's
-/// lanes; results in rank order, the first rank panic re-raised after all
-/// threads have been joined.
+/// One thread per rank of `world`, each at its share of the cores; results
+/// in rank order, the first rank panic re-raised after all threads have
+/// been joined.
 fn run_world<F, R>(world: &World, f: F) -> Vec<R>
 where
     F: Fn(ShmComm) -> R + Send + Sync,
@@ -197,30 +196,44 @@ mod tests {
         assert_eq!(out, vec![0, 10, 20, 30, 40, 50]);
     }
 
-    /// Rank threads split the spawning thread's lanes `n` ways — on every
-    /// `run_ranks*` entry point — and the spawning thread keeps its own
-    /// width, also when a rank unwinds.
+    /// Rank threads split the cores `n` ways — on every `run_ranks*` entry
+    /// point — and the spawning thread keeps its own width, also when a
+    /// rank unwinds.
     #[test]
     fn rank_threads_get_their_share_of_the_cores() {
-        let cores = par::cores();
-        assert_eq!(par::width(), cores, "an ordinary thread owns every core");
+        let cores = par::available_cores();
+        assert_eq!(
+            par::current_num_threads(),
+            cores,
+            "an ordinary thread owns every core"
+        );
         for n in [1, 2, 3, cores + 1] {
             let want = (cores / n).max(1);
-            assert_eq!(run_ranks_map(n, |_| par::width()), vec![want; n]);
-            run_ranks_counted(n, |_| assert_eq!(par::width(), want));
-            for outcome in run_ranks_ft(&World::new(n), |_| Ok(par::width())) {
+            assert_eq!(
+                run_ranks_map(n, |_| par::current_num_threads()),
+                vec![want; n]
+            );
+            run_ranks_counted(n, |_| assert_eq!(par::current_num_threads(), want));
+            for outcome in run_ranks_ft(&World::new(n), |_| Ok(par::current_num_threads())) {
                 assert!(matches!(outcome, RankOutcome::Ok(w) if w == want));
             }
         }
         let unwound = catch_unwind(|| run_ranks(2, |_| panic!("rank dies at its rank width")));
         assert!(unwound.is_err());
-        assert_eq!(par::width(), cores, "caller's width survives a rank panic");
+        assert_eq!(
+            par::current_num_threads(),
+            cores,
+            "caller's width survives a rank panic"
+        );
 
-        // The share is of the *caller's* lanes: a caller that owns 12 hands
-        // 4 to each of 3 ranks, and gets its 12 back.
-        let _mine = par::scoped_width(12);
-        assert_eq!(run_ranks_map(3, |_| par::width()), vec![4; 3]);
-        assert_eq!(par::width(), 12);
+        // The share is of the cores, whatever width the caller runs at
+        // itself; the caller's own width comes back untouched.
+        let _mine = par::scoped_width(3 * cores);
+        assert_eq!(
+            run_ranks_map(3, |_| par::current_num_threads()),
+            vec![(cores / 3).max(1); 3]
+        );
+        assert_eq!(par::current_num_threads(), 3 * cores);
     }
 
     #[test]

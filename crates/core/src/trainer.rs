@@ -375,6 +375,14 @@ impl Trainer {
         }
     }
 
+    /// One rank's share of [`Trainer::run`], for a caller that owns the
+    /// rank threads itself (its own harness, a wrapped communicator): runs
+    /// every step over `comm` and returns this rank's report, without the
+    /// wall-clock throughput and the trace that `run` fills in.
+    pub fn run_rank<C: Communicator>(&self, comm: &C) -> TrainReport {
+        rank_main(self.cfg, comm)
+    }
+
     /// Run with fault injection and checkpoint/restart recovery.
     ///
     /// Each rank heartbeats at every step boundary ([`barrier_ft`]) and

@@ -154,7 +154,7 @@ where
         stop: AtomicBool::new(false),
     };
 
-    // Each rank thread owns its share of the caller's intra-op lanes, as in
+    // Each rank thread owns its share of the cores as intra-op lanes, as in
     // `comm::harness`; the driver keeps the calling thread's width.
     let lanes = par::rank_width(opts.nranks);
     let output = std::thread::scope(|scope| {
@@ -313,24 +313,24 @@ mod tests {
     /// closure stays on the calling thread at the calling thread's width.
     #[test]
     fn rank_threads_get_their_share_of_the_cores() {
-        let cores = par::cores();
+        let cores = par::available_cores();
         for nranks in [1, 2] {
             let seen = Mutex::new(Vec::new());
             let building = build(nranks);
             let report = run(
                 opts(nranks, false),
                 |rank| {
-                    seen.lock().unwrap().push(par::width());
+                    seen.lock().unwrap().push(par::current_num_threads());
                     building(rank)
                 },
-                |_| par::width(),
+                |_| par::current_num_threads(),
             );
             assert_eq!(report.output, cores, "driver keeps the caller's width");
             assert_eq!(
                 seen.into_inner().unwrap(),
                 vec![(cores / nranks).max(1); nranks]
             );
-            assert_eq!(par::width(), cores);
+            assert_eq!(par::current_num_threads(), cores);
         }
     }
 

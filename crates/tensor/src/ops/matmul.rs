@@ -23,7 +23,7 @@
 //! in the hot loop.
 
 use crate::ops::backend::{current_backend, Activation, MatmulBackend};
-use crate::par::{self, work};
+use crate::par;
 use crate::tensor::Tensor;
 use bagualu_trace::{self as trace, names};
 
@@ -32,9 +32,10 @@ use bagualu_trace::{self as trace, names};
 /// rows are in flight.
 pub(crate) const KC: usize = 256;
 
-/// Estimated work of an `m×k · k×n` GEMM in the units of [`par::work`].
+/// Estimated work of an `m×k · k×n` GEMM: its multiply-adds, the unit
+/// [`par::MIN_WORK`] is written in.
 pub(crate) fn gemm_work(m: usize, k: usize, n: usize) -> u64 {
-    work::GEMM_MAC * m as u64 * k as u64 * n as u64
+    m as u64 * k as u64 * n as u64
 }
 
 /// Record the compute counters around a kernel invocation. `flops` is the
@@ -146,7 +147,7 @@ pub(crate) fn reference_matmul(a: &Tensor, b: &Tensor) -> Tensor {
     }
     let (av, bv) = (a.as_slice(), b.as_slice());
 
-    let rows = par::rows_per_task(gemm_work(1, k, n));
+    let rows = par::gemm_rows_per_task(m, gemm_work(1, k, n));
     par::for_each_chunk(
         c.as_mut_slice(),
         rows * n,
@@ -182,7 +183,7 @@ pub(crate) fn reference_matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
     }
     let (av, bv) = (a.as_slice(), b.as_slice());
 
-    let rows = par::rows_per_task(gemm_work(1, k, n));
+    let rows = par::gemm_rows_per_task(m, gemm_work(1, k, n));
     par::for_each_chunk(
         c.as_mut_slice(),
         rows * n,
@@ -223,7 +224,7 @@ pub(crate) fn reference_matmul_tn(a: &Tensor, b: &Tensor) -> Tensor {
 
     // Panel of output rows per task: big enough to amortize streaming B,
     // never larger than the k rows that exist.
-    let panel = 64.max(k / (par::width() * 4)).min(k);
+    let panel = 64.max(k / (par::current_num_threads() * 4)).min(k);
 
     par::for_each_chunk(
         c.as_mut_slice(),

@@ -114,6 +114,15 @@ fn adam_element(value: &mut f32, g: f32, m: &mut f32, v: &mut f32, s: &AdamStep)
     *value -= s.lr * (mhat / (vhat.sqrt() + s.eps) + s.weight_decay * *value);
 }
 
+/// [`adam_element`] over four equally long slices: the one loop both tiers
+/// run, so a vectorized call that stays on the calling thread costs what
+/// the reference call costs.
+fn adam_slices(value: &mut [f32], grad: &[f32], m: &mut [f32], v: &mut [f32], s: &AdamStep) {
+    for j in 0..value.len() {
+        adam_element(&mut value[j], grad[j], &mut m[j], &mut v[j], s);
+    }
+}
+
 /// The verbatim historical loops — sequential, clone-based where the
 /// originals were. This is the oracle tier: the pinned trainer loss curves
 /// were recorded under exactly these bits.
@@ -172,9 +181,7 @@ impl RowOpsBackend for ReferenceRowOps {
         v: &mut [f32],
         s: &AdamStep,
     ) {
-        for j in 0..value.len() {
-            adam_element(&mut value[j], grad[j], &mut m[j], &mut v[j], s);
-        }
+        adam_slices(value, grad, m, v, s);
     }
 }
 
@@ -213,8 +220,8 @@ pub struct VectorizedRowOps;
 /// Apply `row` to every `cols`-wide row of `x`, blocks of rows claimed by
 /// the intra-op lanes when the whole call clears the work cutoff.
 fn softmax_family_rows(x: &mut [f32], cols: usize, row: impl Fn(&mut [f32]) + Sync) {
-    let rows = par::rows_per_task(work::SOFTMAX_ELEM * cols as u64);
-    let work = work::SOFTMAX_ELEM * x.len() as u64;
+    let rows = par::rows_per_task(work::EXP_ELEM * cols as u64);
+    let work = work::EXP_ELEM * x.len() as u64;
     par::for_each_chunk(x, rows * cols, work, |_, block| {
         block.chunks_exact_mut(cols).for_each(&row);
     });
@@ -282,8 +289,8 @@ impl RowOpsBackend for VectorizedRowOps {
             y.as_mut_slice(),
             inv_sigma.as_mut_slice(),
         );
-        if par::dispatch(work::LAYERNORM_ELEM * (n * d) as u64) {
-            let rows = par::rows_per_task(work::LAYERNORM_ELEM * d as u64);
+        if par::dispatch(work::STREAM_ELEM * (n * d) as u64) {
+            let rows = par::rows_per_task(work::STREAM_ELEM * d as u64);
             xh.par_chunks_mut(rows * d)
                 .zip(ys.par_chunks_mut(rows * d))
                 .zip(iv.par_chunks_mut(rows))
@@ -306,22 +313,18 @@ impl RowOpsBackend for VectorizedRowOps {
         v: &mut [f32],
         s: &AdamStep,
     ) {
-        let block = |j0: usize, value: &mut [f32], m: &mut [f32], v: &mut [f32]| {
-            let grad = &grad[j0..j0 + value.len()];
-            for j in 0..value.len() {
-                adam_element(&mut value[j], grad[j], &mut m[j], &mut v[j], s);
-            }
-        };
-        if par::dispatch(work::ADAM_ELEM * value.len() as u64) {
-            let len = par::rows_per_task(work::ADAM_ELEM);
+        if par::dispatch(work::STREAM_ELEM * value.len() as u64) {
+            let len = par::rows_per_task(work::STREAM_ELEM);
             value
                 .par_chunks_mut(len)
                 .zip(m.par_chunks_mut(len))
                 .zip(v.par_chunks_mut(len))
                 .enumerate()
-                .for_each(|(t, ((value, m), v))| block(t * len, value, m, v));
+                .for_each(|(t, ((value, m), v))| {
+                    adam_slices(value, &grad[t * len..][..value.len()], m, v, s)
+                });
         } else {
-            block(0, value, m, v);
+            adam_slices(value, grad, m, v, s);
         }
     }
 }
@@ -467,7 +470,7 @@ mod tests {
     /// lanes whatever the host has: the cutoff, not the core count, picks
     /// the path.
     fn shapes() -> Vec<(usize, usize)> {
-        vec![(1, 1), (3, 17), (40, 64), (70, 70), (128, 64), (1031, 130)]
+        vec![(1, 1), (3, 17), (40, 64), (70, 70), (128, 64), (2063, 130)]
     }
 
     #[test]
@@ -515,7 +518,7 @@ mod tests {
     fn vectorized_adam_is_bit_identical() {
         let _lanes = par::scoped_width(3);
         let mut rng = Rng::seed_from(33);
-        let cutoff = (par::MIN_WORK / work::ADAM_ELEM) as usize;
+        let cutoff = (par::MIN_WORK / work::STREAM_ELEM) as usize;
         for len in [1usize, 100, 4096, cutoff - 1, cutoff, cutoff + 12_345] {
             let grad: Vec<f32> = Tensor::randn(&[len], 1.0, &mut rng).as_slice().to_vec();
             let init: Vec<f32> = Tensor::randn(&[len], 1.0, &mut rng).as_slice().to_vec();

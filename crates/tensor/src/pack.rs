@@ -30,8 +30,8 @@ where
 {
     dst.clear();
     dst.resize(src.len(), D::default());
-    let chunk = par::rows_per_task(work::PACK_ELEM);
-    let work = work::PACK_ELEM * src.len() as u64;
+    let chunk = par::rows_per_task(work::STREAM_ELEM);
+    let work = work::STREAM_ELEM * src.len() as u64;
     par::for_each_chunk(dst.as_mut_slice(), chunk, work, |i, out| {
         let window = &src[i * chunk..i * chunk + out.len()];
         for (d, &s) in out.iter_mut().zip(window) {
@@ -164,7 +164,7 @@ mod tests {
         // The work cutoff plus a ragged tail: the fanned-out path with an
         // uneven final chunk, on three lanes whatever the host has.
         let _lanes = par::scoped_width(3);
-        let n = (par::MIN_WORK / work::PACK_ELEM) as usize + 12_345;
+        let n = (par::MIN_WORK / work::STREAM_ELEM) as usize + 12_345;
         let xs: Vec<f32> = (0..n).map(|i| (i as f32 - 1000.0) * 0.37).collect();
         for dt in [DType::F16, DType::BF16] {
             let big = pack_slice(dt, &xs);

@@ -6,8 +6,8 @@
 //! is a resident worker pool (the `vendor/rayon` shim, started once per
 //! process) plus a per-thread **width**: a thread that nobody configured
 //! owns every core, and a thread that hosts one of `n` ranks owns
-//! [`rank_width`]`(n)` of its parent's lanes, set where rank threads are
-//! born (`comm::harness::run_ranks*`, `serve::run`). Two ranks on two cores
+//! [`rank_width`]`(n)` = `max(1, cores / n)` lanes, set where rank threads
+//! are born (`comm::harness::run_ranks*`, `serve::run`). Two ranks on two cores
 //! therefore run every kernel inline instead of fighting over the cores
 //! with each other's workers. There is no flag for any of this: the width
 //! follows from the core count and the rank count.
@@ -20,60 +20,59 @@
 use bagualu_trace::{self as trace, names};
 use rayon::prelude::*;
 
-pub use rayon::{scoped_width, WidthGuard};
+pub use rayon::{available_cores, current_num_threads, scoped_width, WidthGuard};
 
-/// Cores available to this process (read once).
-pub fn cores() -> usize {
-    rayon::available_cores()
-}
-
-/// Intra-op lanes the calling thread owns, itself included.
-pub fn width() -> usize {
-    rayon::current_num_threads()
-}
-
-/// The width each of `nranks` rank threads spawned *by the calling thread*
-/// gets: an equal share of the caller's lanes, at least one.
+/// The width each of `nranks` rank threads gets: an equal share of the
+/// cores, at least one lane.
 pub fn rank_width(nranks: usize) -> usize {
-    (width() / nranks.max(1)).max(1)
+    (available_cores() / nranks.max(1)).max(1)
 }
 
-/// One line for `train`/`serve` to print: what `nranks` rank threads
-/// spawned from the calling thread will run at.
+/// One line for `train`/`serve` to print: what `nranks` rank threads run at.
 pub fn describe_layout(nranks: usize) -> String {
     format!(
         "intra-op width {} = {} cores / {} ranks, pool of {} workers",
         rank_width(nranks),
-        cores(),
+        available_cores(),
         nranks,
         rayon::pool_workers()
     )
 }
 
-/// Estimated work per unit of each op class, in the time of one tiled-GEMM
-/// multiply-add (≈ 0.04 ns on the reference box): what `BENCH_kernels.json`
-/// measures per element, rounded down to a power of two so the cutoff errs
-/// towards staying inline.
+/// Estimated work per element of the row ops and the wire packers, in GEMM
+/// multiply-adds (a GEMM's own work is its `m·n·k`). Two classes only, both
+/// powers of two rounded down so the cutoff errs towards staying inline;
+/// see [`MIN_WORK`] for which measurements stand behind them.
 pub mod work {
-    /// One multiply-add of a GEMM (`m·n·k` of them), priced at the fastest
-    /// backend so no backend fans out work that its speed makes small.
-    pub const GEMM_MAC: u64 = 1;
-    /// One softmax / log-softmax element (an `exp`, ≈ 3 ns).
-    pub const SOFTMAX_ELEM: u64 = 64;
-    /// One layer-norm element (three passes over the row, ≈ 2 ns).
-    pub const LAYERNORM_ELEM: u64 = 32;
-    /// One Adam element (four streams, a sqrt and two divides, ≈ 1 ns).
-    pub const ADAM_ELEM: u64 = 16;
-    /// One f32 ↔ f16/bf16 conversion (≈ 0.5–2 ns).
-    pub const PACK_ELEM: u64 = 8;
+    /// One softmax / log-softmax element: an `exp`, ≈ 3 ns against the
+    /// ≈ 0.04 ns of a tiled multiply-add.
+    pub const EXP_ELEM: u64 = 64;
+    /// One element of a streaming pass — layer norm, Adam, f32 ↔ f16/bf16
+    /// conversion: ≈ 0.5–2 ns, memory-bound.
+    pub const STREAM_ELEM: u64 = 16;
 }
 
 /// Calls estimated below this much work run inline at any width: ≈ 150 µs
-/// on one core, several times what waking a parked worker costs, so a
-/// dispatched call is never slower than the inline one would have been.
-/// One definition for every backend and op; both sides of it are pinned
-/// bit-identical at several widths in `tests/tests/matmul_backends.rs` and
-/// `tests/tests/rowops_backends.rs`.
+/// of tiled GEMM on one core of the 2-core reference box, several times
+/// the 4–90 µs that waking a parked worker costs there. One definition for
+/// every backend and op.
+///
+/// What is measured on each side of it (2 cores, `reproduce e26` and the
+/// scratch probes quoted in ROADMAP.md ledger (a)):
+///
+/// | class | inline side | dispatched side |
+/// |---|---|---|
+/// | GEMM | 64×32×64 NT (2^17): 5.7 µs inline | 512³ (2^27): E26 gate `nn_reference_dispatched_over_inline` |
+/// | [`work::EXP_ELEM`] | 64×64 softmax (2^18): 12.6 µs inline | 256×2048 softmax (2^25): E26 gate `rowops_vectorized_over_reference` |
+/// | [`work::STREAM_ELEM`] | not measured | Adam 1 M (2^24): same gate; layer norm 256×2048 (2^23): E26 table row |
+///
+/// Nothing times a call *at* the cutoff, and the pack path has no timed row
+/// on either side, so "a dispatched call is never slower than the inline
+/// one" is the sizing intent, gated only at the shapes above — and ROADMAP
+/// ledger (a) records an allocator state in which a tiled GEMM breaks it
+/// (first-touch page faults on a freshly mapped output). Both sides are
+/// pinned bit-identical at several widths in
+/// `tests/tests/matmul_backends.rs` and `tests/tests/rowops_backends.rs`.
 pub const MIN_WORK: u64 = 1 << 22;
 
 /// Work one claimed chunk should carry where the call site is free to
@@ -85,7 +84,7 @@ const TASK_WORK: u64 = MIN_WORK / 16;
 /// it clears [`MIN_WORK`] and the calling thread owns more than one lane.
 /// Records `compute.par.{dispatched,inline}` when tracing.
 pub(crate) fn dispatch(work: u64) -> bool {
-    let fan_out = work >= MIN_WORK && width() > 1;
+    let fan_out = work >= MIN_WORK && current_num_threads() > 1;
     if trace::enabled() {
         let name = if fan_out {
             names::COMPUTE_PAR_DISPATCHED
@@ -123,19 +122,34 @@ pub(crate) fn rows_per_task(row_work: u64) -> usize {
     (TASK_WORK / row_work.max(1)).max(1) as usize
 }
 
+/// Rows of a GEMM's output per claimed chunk: [`rows_per_task`], but never
+/// finer than [`MIN_GEMM_ROWS`] of the `m` rows there are. A GEMM writes a
+/// freshly zeroed `C`, so the first touch of every output page is a page
+/// fault; lanes that claim single interleaved rows fault on each other's
+/// pages, and a 512³ reference GEMM dispatched that way ran at 0.6–0.8× the
+/// inline call on 2 cores. In contiguous blocks it runs at ≈ 1.9× (E26 gate
+/// `nn_reference_dispatched_over_inline`).
+pub(crate) fn gemm_rows_per_task(m: usize, row_work: u64) -> usize {
+    rows_per_task(row_work).max(MIN_GEMM_ROWS.min(m))
+}
+
+/// The tiled backend's `MC`, and the reference TN kernel's minimum panel.
+const MIN_GEMM_ROWS: usize = 64;
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn rank_width_is_an_equal_share_of_the_callers_lanes() {
-        let _w = scoped_width(8);
-        assert_eq!(rank_width(1), 8);
-        assert_eq!(rank_width(2), 4);
-        assert_eq!(rank_width(3), 2);
-        assert_eq!(rank_width(8), 1);
-        assert_eq!(rank_width(64), 1, "never below one lane");
-        assert_eq!(rank_width(0), 8, "zero ranks reads as one");
+    fn rank_width_is_an_equal_share_of_the_cores() {
+        let cores = available_cores();
+        // Whatever the calling thread's own width is.
+        let _w = scoped_width(3 * cores);
+        assert_eq!(rank_width(1), cores);
+        assert_eq!(rank_width(2), (cores / 2).max(1));
+        assert_eq!(rank_width(cores), 1);
+        assert_eq!(rank_width(64 * cores), 1, "never below one lane");
+        assert_eq!(rank_width(0), cores, "zero ranks reads as one");
     }
 
     #[test]
@@ -155,5 +169,9 @@ mod tests {
         assert_eq!(rows_per_task(TASK_WORK * 9), 1);
         assert_eq!(rows_per_task(TASK_WORK / 8), 8);
         assert_eq!(rows_per_task(0), TASK_WORK as usize);
+        // GEMM outputs: contiguous blocks, as many rows as there are at most.
+        assert_eq!(gemm_rows_per_task(512, TASK_WORK), MIN_GEMM_ROWS);
+        assert_eq!(gemm_rows_per_task(10, TASK_WORK), 10);
+        assert_eq!(gemm_rows_per_task(4096, TASK_WORK / 128), 128);
     }
 }

@@ -62,7 +62,7 @@ fn f32_backends() -> [ComputeBackend; 2] {
 
 /// Intra-op widths every width-sensitive property runs at.
 fn widths() -> [usize; 4] {
-    [1, 2, 3, par::cores()]
+    [1, 2, 3, par::available_cores()]
 }
 
 proptest! {

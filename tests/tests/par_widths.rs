@@ -3,9 +3,11 @@
 //! threads run at the width the harness derives (`cores / ranks`) or are
 //! forced to fan every large kernel out over the whole pool.
 
+use bagualu::comm::harness::run_ranks_map;
+use bagualu::comm::Communicator;
 use bagualu::model::config::ModelConfig;
 use bagualu::tensor::par;
-use bagualu::trace::names;
+use bagualu::trace::{names, Trace, TraceCollector};
 use bagualu::trainer::{TrainConfig, Trainer};
 
 /// Big enough that the FFN and head GEMMs (128 tokens × 128 × 512
@@ -31,31 +33,36 @@ fn cfg() -> TrainConfig {
     }
 }
 
+/// `(dispatched, inline)` kernel calls over all ranks.
+fn par_calls(trace: &Trace) -> (u64, u64) {
+    (
+        trace.counter_total(names::COMPUTE_PAR_DISPATCHED),
+        trace.counter_total(names::COMPUTE_PAR_INLINE),
+    )
+}
+
 #[test]
 fn loss_curve_is_identical_at_harness_width_and_at_full_width() {
-    let dispatched = |r: &bagualu::trainer::TrainReport| {
-        let trace = r.trace.as_ref().expect("tracing was on");
-        (
-            trace.counter_total(names::COMPUTE_PAR_DISPATCHED),
-            trace.counter_total(names::COMPUTE_PAR_INLINE),
-        )
-    };
+    let trainer = Trainer::new(cfg());
 
-    let derived = Trainer::new(cfg()).run();
-    let (fanned, inline) = dispatched(&derived);
+    let derived = trainer.run();
+    let (fanned, inline) = par_calls(derived.trace.as_ref().expect("tracing was on"));
     assert!(inline > 0, "small kernels stay inline at any width");
     if par::rank_width(2) == 1 {
         assert_eq!(fanned, 0, "a one-lane rank never posts to the pool");
     }
 
-    // Rank threads split the *caller's* lanes, so a caller that owns twice
-    // the pool hands each of its two ranks all of it (at least two lanes,
-    // so the fanned-out path runs even on a one-core host).
-    let forced = {
-        let _all = par::scoped_width(2 * par::cores().max(2));
-        Trainer::new(cfg()).run()
-    };
-    let (fanned, _) = dispatched(&forced);
+    // The same two ranks, each widened inside its own thread to every core
+    // (at least two lanes, so the fanned-out path runs on a one-core host
+    // as well).
+    let collector = TraceCollector::new();
+    let forced = run_ranks_map(2, |c| {
+        let _all = par::scoped_width(par::available_cores().max(2));
+        let _lane = collector.install(c.rank());
+        trainer.run_rank(&c)
+    })
+    .swap_remove(0);
+    let (fanned, _) = par_calls(&collector.finish());
     assert!(fanned > 0, "full-width ranks fan the large GEMMs out");
 
     assert_eq!(derived.loss_curve, forced.loss_curve);

@@ -22,7 +22,7 @@ fn bitwise_eq(x: &[f32], y: &[f32]) -> bool {
 
 /// Intra-op widths every width-sensitive property runs at.
 fn widths() -> [usize; 4] {
-    [1, 2, 3, par::cores()]
+    [1, 2, 3, par::available_cores()]
 }
 
 /// An element count between 0.5× and 1.5× the cutoff of an op class that
@@ -116,8 +116,8 @@ proptest! {
         let mut rng = Rng::seed_from(seed);
         let gamma: Vec<f32> = (0..cols).map(|i| 1.0 + i as f32 * 1e-3).collect();
         let beta: Vec<f32> = (0..cols).map(|i| i as f32 * 1e-2 - 0.5).collect();
-        let xs = Tensor::randn(&[around_cutoff(work::SOFTMAX_ELEM, t) / cols, cols], 2.0, &mut rng);
-        let xl = Tensor::randn(&[around_cutoff(work::LAYERNORM_ELEM, t) / cols, cols], 1.0, &mut rng);
+        let xs = Tensor::randn(&[around_cutoff(work::EXP_ELEM, t) / cols, cols], 2.0, &mut rng);
+        let xl = Tensor::randn(&[around_cutoff(work::STREAM_ELEM, t) / cols, cols], 1.0, &mut rng);
         let mut soft = xs.clone();
         ReferenceRowOps.softmax_rows_inplace(&mut soft);
         let log_soft = ReferenceRowOps.log_softmax_rows(&xs);
@@ -145,7 +145,7 @@ proptest! {
         t in 0usize..1000, seed in 0u64..1000,
     ) {
         let mut rng = Rng::seed_from(seed);
-        let len = around_cutoff(work::ADAM_ELEM, t);
+        let len = around_cutoff(work::STREAM_ELEM, t);
         let grad = Tensor::randn(&[len], 0.1, &mut rng);
         let value0 = Tensor::randn(&[len], 1.0, &mut rng);
         let step = AdamStep {
@@ -162,7 +162,7 @@ proptest! {
             ops.adam_update(&mut value, grad.as_slice(), &mut m, &mut v, &step);
             (value, m, v)
         };
-        let wire = Tensor::randn(&[around_cutoff(work::PACK_ELEM, t)], 100.0, &mut rng);
+        let wire = Tensor::randn(&[around_cutoff(work::STREAM_ELEM, t)], 100.0, &mut rng);
         let pack = |dt: DType| {
             let bits = pack_slice(dt, wire.as_slice());
             let back = unpack_slice(dt, &bits);
