@@ -8,11 +8,18 @@ use bagualu::model::config::ModelConfig;
 use bagualu::model::param::HasParams;
 use bagualu::model::transformer::Transformer;
 use bagualu::tensor::rng::Rng;
+use std::io::Write;
 use std::time::Instant;
 
+/// Interleaved (raw write, `save_params`) pairs behind `save_over_raw_write`.
+const RATIO_PAIRS: usize = 5;
+/// CI floor for `save_over_raw_write`. The clone → encode → bytewise-CRC →
+/// `BufWriter` path this gate was introduced against sat near 0.2.
+const SAVE_OVER_RAW_FLOOR: f64 = 0.4;
+
 pub fn run() {
-    println!("== E10: checkpoint throughput (functional model, tmpfs-backed) ==\n");
-    // A model big enough to measure (~13M params ≈ 53 MB of f32).
+    println!("== E10: checkpoint throughput (functional model, system temp dir) ==\n");
+    // A model big enough to measure (~20M params ≈ 80 MB of f32).
     let cfg = ModelConfig {
         vocab: 2048,
         d_model: 256,
@@ -83,7 +90,40 @@ pub fn run() {
     ]);
 
     t.print();
+
+    // What the checkpoint code costs on top of the I/O it cannot avoid:
+    // write + fsync of the very same bytes, against `save_params`, paired in
+    // one process on one directory so the disk's speed cancels. 1.0 would be
+    // a save that is all I/O.
+    let raw_path = dir.join("raw.bin");
+    let image = std::fs::read(&path).unwrap();
+    let mut ratios: Vec<f64> = (0..RATIO_PAIRS)
+        .map(|_| {
+            let start = Instant::now();
+            let mut f = std::fs::File::create(&raw_path).unwrap();
+            f.write_all(&image).unwrap();
+            f.sync_all().unwrap();
+            drop(f);
+            let raw_t = start.elapsed().as_secs_f64();
+            let start = Instant::now();
+            save_params(&path, &mut model).unwrap();
+            raw_t / start.elapsed().as_secs_f64()
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    let save_over_raw_write = ratios[RATIO_PAIRS / 2];
+    println!(
+        "\nsave_over_raw_write = {save_over_raw_write:.2}  (median of {RATIO_PAIRS} pairs, \
+         {:.2}–{:.2}; floor {SAVE_OVER_RAW_FLOOR})",
+        ratios[0],
+        ratios[RATIO_PAIRS - 1]
+    );
     let _ = std::fs::remove_dir_all(&dir);
+    assert!(
+        save_over_raw_write >= SAVE_OVER_RAW_FLOOR,
+        "save_params spends too long outside I/O: raw write+fsync / save = \
+         {save_over_raw_write:.2} < {SAVE_OVER_RAW_FLOOR}"
+    );
     println!(
         "\nShape check: sharding adds negligible overhead at equal volume and is\n\
          what lets 96,000 ranks checkpoint disjoint expert shards concurrently\n\

@@ -15,26 +15,53 @@
 //!
 //! **Crash consistency (v2).** A checkpoint that survives a failure must
 //! never decode as garbage: writes go to `<path>.tmp` and are renamed into
-//! place only after an fsync, so a crash mid-write leaves the previous file
-//! intact; every record carries a CRC32 so a flipped bit fails loudly; and
-//! the trailer makes truncation at a record boundary detectable. Version 1
-//! files (no CRCs, no trailer) still load.
+//! place only after an fsync, and the directory is fsynced after the
+//! rename, so a crash or power loss mid-write leaves the previous file
+//! intact and a completed write stays completed; every record carries a
+//! CRC32 so a flipped bit fails loudly; and the trailer makes truncation at
+//! a record boundary detectable. Version 1 files (no CRCs, no trailer)
+//! still load.
+//!
+//! **Data path.** A shard is touched once in each direction. Saving streams
+//! every tensor straight out of the model inside `visit_params`, through one
+//! staging buffer, into the record CRC and the file — no copy of the model
+//! is made. Loading reads each file once, verifying every record, and moves
+//! the decoded tensors into the model. The metadata readers
+//! ([`read_placement`], [`read_run_config`]) walk record headers and seek
+//! past the parameter data, verifying only the record they return.
 
 use crate::runconfig::RunConfig;
 use bagualu_model::param::HasParams;
 use bagualu_tensor::Tensor;
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use bagualu_trace::{self as trace, names};
+use std::collections::HashMap;
+use std::fs::File;
+use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::time::Instant;
 
 const MAGIC: &[u8; 4] = b"BGLU";
 const TRAILER_MAGIC: &[u8; 4] = b"BGLT";
 const VERSION: u32 = 2;
 
+/// Size of the one staging buffer a shard writer or reader owns. Tensor data
+/// crosses it in pieces this large — encode/decode, CRC and the `File` call
+/// all see a piece while it is still cache-resident. A multiple of 16 (the
+/// CRC block) and of 4 (one `f32`).
+const STAGE_BYTES: usize = 256 * 1024;
+
+fn elapsed_ns(since: Instant) -> u64 {
+    since.elapsed().as_nanos() as u64
+}
+
 // ------------------------------------------------------------------- CRC32
 
-/// IEEE CRC-32 lookup table, built at compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// IEEE CRC-32 slicing tables, built at compile time. `CRC_TABLES[0]` is the
+/// classic one-byte table; `CRC_TABLES[k][b]` is the CRC of byte `b`
+/// followed by `k` zero bytes, which is what lets sixteen input bytes be
+/// folded in with sixteen independent lookups.
+static CRC_TABLES: [[u32; 256]; 16] = {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -47,13 +74,34 @@ const CRC_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
-/// Incremental IEEE CRC-32.
+/// The four lookups for one little-endian input word whose first byte is
+/// `first` bytes away from the end of a 16-byte block.
+#[inline(always)]
+fn crc_word(first: usize, w: u32) -> u32 {
+    CRC_TABLES[first][(w & 0xFF) as usize]
+        ^ CRC_TABLES[first - 1][((w >> 8) & 0xFF) as usize]
+        ^ CRC_TABLES[first - 2][((w >> 16) & 0xFF) as usize]
+        ^ CRC_TABLES[first - 3][(w >> 24) as usize]
+}
+
+/// Incremental IEEE CRC-32 (slicing-by-16; the value of any split of the
+/// input into `update` calls is the value of the whole).
 struct Crc32(u32);
 
 impl Crc32 {
@@ -62,55 +110,128 @@ impl Crc32 {
     }
 
     fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = CRC_TABLE[((self.0 ^ b as u32) & 0xFF) as usize] ^ (self.0 >> 8);
+        let word = |b: &[u8]| u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        let mut crc = self.0;
+        let mut blocks = bytes.chunks_exact(16);
+        for b in &mut blocks {
+            crc = crc_word(15, word(&b[0..4]) ^ crc)
+                ^ crc_word(11, word(&b[4..8]))
+                ^ crc_word(7, word(&b[8..12]))
+                ^ crc_word(3, word(&b[12..16]));
         }
+        for &b in blocks.remainder() {
+            crc = CRC_TABLES[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+        }
+        self.0 = crc;
     }
 
-    fn finish(self) -> u32 {
+    fn finish(&self) -> u32 {
         self.0 ^ 0xFFFF_FFFF
     }
 }
 
 // ------------------------------------------------------------------ writing
 
-/// Serialize one parameter record (without its CRC) into bytes.
-fn encode_param(name: &str, value: &Tensor) -> Vec<u8> {
-    let name_bytes = name.as_bytes();
-    let shape = value.shape();
-    let mut buf = Vec::with_capacity(8 + name_bytes.len() + 8 + 8 * shape.len() + 4 * value.len());
-    buf.extend_from_slice(&(name_bytes.len() as u64).to_le_bytes());
-    buf.extend_from_slice(name_bytes);
-    buf.extend_from_slice(&(shape.len() as u64).to_le_bytes());
-    for &d in shape {
-        buf.extend_from_slice(&(d as u64).to_le_bytes());
+/// Streams one checkpoint file: bytes are staged in a fixed buffer, record
+/// bytes are folded into the open record's CRC as they are staged, and the
+/// buffer goes to the file whenever it fills.
+struct ShardWriter<'a> {
+    file: &'a mut File,
+    stage: Vec<u8>,
+    len: usize,
+    crc: Crc32,
+    written: u64,
+    write_ns: u64,
+}
+
+impl ShardWriter<'_> {
+    fn new(file: &mut File) -> ShardWriter<'_> {
+        ShardWriter {
+            file,
+            stage: vec![0u8; STAGE_BYTES],
+            len: 0,
+            crc: Crc32::new(),
+            written: 0,
+            write_ns: 0,
+        }
     }
-    for &v in value.as_slice() {
-        buf.extend_from_slice(&v.to_le_bytes());
+
+    fn flush(&mut self) -> io::Result<()> {
+        let t = Instant::now();
+        self.file.write_all(&self.stage[..self.len])?;
+        self.write_ns += elapsed_ns(t);
+        self.written += self.len as u64;
+        self.len = 0;
+        Ok(())
     }
-    buf
-}
 
-fn write_param(w: &mut impl Write, name: &str, value: &Tensor) -> io::Result<u64> {
-    let record = encode_param(name, value);
-    let mut crc = Crc32::new();
-    crc.update(&record);
-    w.write_all(&record)?;
-    w.write_all(&crc.finish().to_le_bytes())?;
-    Ok(record.len() as u64 + 4)
-}
+    /// Stage bytes that no record CRC covers (file header, CRC fields,
+    /// trailer).
+    fn raw(&mut self, mut bytes: &[u8]) -> io::Result<()> {
+        while !bytes.is_empty() {
+            if self.len == self.stage.len() {
+                self.flush()?;
+            }
+            let take = bytes.len().min(self.stage.len() - self.len);
+            self.stage[self.len..self.len + take].copy_from_slice(&bytes[..take]);
+            self.len += take;
+            bytes = &bytes[take..];
+        }
+        Ok(())
+    }
 
-fn write_header(w: &mut impl Write, n_params: u64) -> io::Result<u64> {
-    w.write_all(MAGIC)?;
-    w.write_all(&VERSION.to_le_bytes())?;
-    w.write_all(&n_params.to_le_bytes())?;
-    Ok(16)
-}
+    /// Stage bytes of the open record.
+    fn summed(&mut self, bytes: &[u8]) -> io::Result<()> {
+        self.crc.update(bytes);
+        self.raw(bytes)
+    }
 
-fn write_trailer(w: &mut impl Write, n_params: u64) -> io::Result<u64> {
-    w.write_all(TRAILER_MAGIC)?;
-    w.write_all(&n_params.to_le_bytes())?;
-    Ok(12)
+    /// Stage tensor data of the open record as little-endian `f32`s.
+    fn f32s(&mut self, mut vals: &[f32]) -> io::Result<()> {
+        while !vals.is_empty() {
+            let room = (self.stage.len() - self.len) / 4;
+            if room == 0 {
+                self.flush()?;
+                continue;
+            }
+            let take = vals.len().min(room);
+            let dst = &mut self.stage[self.len..self.len + 4 * take];
+            for (d, v) in dst.chunks_exact_mut(4).zip(&vals[..take]) {
+                d.copy_from_slice(&v.to_le_bytes());
+            }
+            self.crc.update(dst);
+            self.len += 4 * take;
+            vals = &vals[take..];
+        }
+        Ok(())
+    }
+
+    fn header(&mut self, n_params: u64) -> io::Result<()> {
+        self.raw(MAGIC)?;
+        self.raw(&VERSION.to_le_bytes())?;
+        self.raw(&n_params.to_le_bytes())
+    }
+
+    /// One record: name, shape, data, then the CRC over all three.
+    fn record(&mut self, name: &str, value: &Tensor) -> io::Result<()> {
+        self.crc = Crc32::new();
+        self.summed(&(name.len() as u64).to_le_bytes())?;
+        self.summed(name.as_bytes())?;
+        self.summed(&(value.shape().len() as u64).to_le_bytes())?;
+        for &d in value.shape() {
+            self.summed(&(d as u64).to_le_bytes())?;
+        }
+        self.f32s(value.as_slice())?;
+        let crc = self.crc.finish();
+        self.raw(&crc.to_le_bytes())
+    }
+
+    /// Trailer, then everything still staged.
+    fn finish(&mut self, n_params: u64) -> io::Result<()> {
+        self.raw(TRAILER_MAGIC)?;
+        self.raw(&n_params.to_le_bytes())?;
+        self.flush()
+    }
 }
 
 fn tmp_path(path: &Path) -> PathBuf {
@@ -119,23 +240,92 @@ fn tmp_path(path: &Path) -> PathBuf {
     PathBuf::from(s)
 }
 
-/// Write a full checkpoint file atomically: serialize to `<path>.tmp`,
-/// fsync, then rename over `path`. Returns bytes written.
-fn write_checkpoint_atomic(path: &Path, names: &[String], tensors: &[Tensor]) -> io::Result<u64> {
-    let tmp = tmp_path(path);
-    let file = std::fs::File::create(&tmp)?;
-    let mut w = BufWriter::new(file);
-    let mut total = write_header(&mut w, names.len() as u64)?;
-    for (name, t) in names.iter().zip(tensors) {
-        total += write_param(&mut w, name, t)?;
+/// Make a rename inside `path`'s directory durable. Without it a power loss
+/// can forget the rename while remembering later writes — a MANIFEST naming
+/// a step whose shard never reached its final name.
+fn sync_parent_dir(path: &Path) -> io::Result<()> {
+    #[cfg(unix)]
+    {
+        let parent = match path.parent() {
+            Some(p) if !p.as_os_str().is_empty() => p,
+            _ => Path::new("."),
+        };
+        File::open(parent)?.sync_all()?;
     }
-    total += write_trailer(&mut w, names.len() as u64)?;
-    w.flush()?;
-    let file = w.into_inner().map_err(|e| e.into_error())?;
-    file.sync_all()?;
-    drop(file);
-    std::fs::rename(&tmp, path)?;
-    Ok(total)
+    #[cfg(not(unix))]
+    let _ = path;
+    Ok(())
+}
+
+/// Publish a file atomically and durably: `fill` writes `<path>.tmp`, which
+/// is fsynced, renamed over `path`, and the directory fsynced. A failure at
+/// any point removes the staging file and leaves the previous `path` (if
+/// any) untouched.
+pub(crate) fn publish_atomic<T>(
+    path: &Path,
+    fill: impl FnOnce(&mut File) -> io::Result<T>,
+) -> io::Result<T> {
+    let tmp = tmp_path(path);
+    let publish = || {
+        let mut file = File::create(&tmp)?;
+        let out = fill(&mut file)?;
+        let t = Instant::now();
+        file.sync_all()?;
+        drop(file);
+        std::fs::rename(&tmp, path)?;
+        sync_parent_dir(path)?;
+        trace::count(names::CKPT_FSYNC_NS, elapsed_ns(t));
+        Ok(out)
+    };
+    let result = publish();
+    if result.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    result
+}
+
+/// Stream the parameters `keep` selects (by position in the model's visit
+/// order), then `extras`, into one atomically published file. Each tensor is
+/// read once, straight out of the model. Returns bytes written.
+fn save_shard(
+    path: &Path,
+    model: &mut dyn HasParams,
+    keep: &dyn Fn(usize) -> bool,
+    extras: &[(&str, Tensor)],
+) -> io::Result<u64> {
+    // The header carries the record count, so count before streaming; this
+    // visit touches no tensor data.
+    let mut n_records = extras.len() as u64;
+    let mut i = 0usize;
+    model.visit_params(&mut |_| {
+        n_records += keep(i) as u64;
+        i += 1;
+    });
+    publish_atomic(path, |file| {
+        let t = Instant::now();
+        let mut w = ShardWriter::new(file);
+        w.header(n_records)?;
+        let mut result = Ok(());
+        let mut i = 0usize;
+        model.visit_params(&mut |p| {
+            if result.is_ok() && keep(i) {
+                result = w.record(&p.name, &p.value);
+            }
+            i += 1;
+        });
+        result?;
+        for (name, value) in extras {
+            w.record(name, value)?;
+        }
+        w.finish(n_records)?;
+        trace::count(
+            names::CKPT_ENCODE_CRC_NS,
+            elapsed_ns(t).saturating_sub(w.write_ns),
+        );
+        trace::count(names::CKPT_WRITE_NS, w.write_ns);
+        trace::count(names::CKPT_BYTES_WRITTEN, w.written);
+        Ok(w.written)
+    })
 }
 
 // ------------------------------------------------------------------ reading
@@ -144,144 +334,269 @@ fn bad(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
-fn read_u64(r: &mut impl Read, crc: &mut Crc32) -> io::Result<u64> {
-    let mut buf = [0u8; 8];
-    r.read_exact(&mut buf)?;
-    crc.update(&buf);
-    Ok(u64::from_le_bytes(buf))
+/// A `File` that counts the bytes it hands out and the time its reads take.
+struct MeteredFile {
+    file: File,
+    bytes: u64,
+    ns: u64,
 }
 
-/// Read one record. `limit` is the file size: every length field is checked
-/// against it so a corrupted field fails cleanly instead of attempting an
-/// absurd allocation. For v2, the record CRC is verified; v1 records carry
-/// none, so the accumulated CRC is simply discarded.
-fn read_param(r: &mut impl Read, version: u32, limit: u64) -> io::Result<(String, Tensor)> {
-    let mut crc = Crc32::new();
-
-    let name_len = read_u64(r, &mut crc)? as usize;
-    if name_len as u64 > limit {
-        return Err(bad(format!("name length {name_len} exceeds file size")));
+impl Read for MeteredFile {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let t = Instant::now();
+        let n = self.file.read(buf)?;
+        self.ns += elapsed_ns(t);
+        self.bytes += n as u64;
+        Ok(n)
     }
-    let mut name = vec![0u8; name_len];
-    r.read_exact(&mut name)?;
-    crc.update(&name);
-    let name = String::from_utf8(name).map_err(|e| bad(e.to_string()))?;
+}
 
-    let ndim = read_u64(r, &mut crc)? as usize;
-    if ndim > 64 {
-        return Err(bad(format!("{name}: implausible rank {ndim}")));
+impl Seek for MeteredFile {
+    fn seek(&mut self, pos: SeekFrom) -> io::Result<u64> {
+        self.file.seek(pos)
     }
-    let mut shape = Vec::with_capacity(ndim);
-    for _ in 0..ndim {
-        shape.push(read_u64(r, &mut crc)? as usize);
-    }
-    let n = shape
-        .iter()
-        .try_fold(1usize, |a, &d| a.checked_mul(d))
-        .ok_or_else(|| bad(format!("{name}: shape {shape:?} overflows")))?;
-    let byte_len = n
-        .checked_mul(4)
-        .filter(|&b| b as u64 <= limit)
-        .ok_or_else(|| {
-            bad(format!(
-                "{name}: data size for shape {shape:?} exceeds file"
-            ))
-        })?;
-    let mut bytes = vec![0u8; byte_len];
-    r.read_exact(&mut bytes)?;
-    crc.update(&bytes);
-    let data: Vec<f32> = bytes
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect();
+}
 
-    if version >= 2 {
-        let mut stored = [0u8; 4];
-        r.read_exact(&mut stored)?;
-        let stored = u32::from_le_bytes(stored);
-        let computed = crc.finish();
-        if stored != computed {
+/// Name and shape of one record, read ahead of its data.
+struct RecordHeader {
+    name: String,
+    shape: Vec<usize>,
+    byte_len: usize,
+}
+
+/// One forward pass over a checkpoint file. After [`ShardReader::open`] the
+/// caller alternates [`ShardReader::next_header`] with either
+/// [`ShardReader::payload`] (read, decode, verify the record's CRC) or
+/// [`ShardReader::skip`] (seek past data and CRC, verifying neither),
+/// `n_params` times, then calls [`ShardReader::finish`].
+struct ShardReader {
+    r: BufReader<MeteredFile>,
+    version: u32,
+    n_params: u64,
+    /// File size: every length field is checked against it, so a corrupted
+    /// field fails cleanly instead of attempting an absurd allocation.
+    limit: u64,
+    crc: Crc32,
+    stage: Vec<u8>,
+}
+
+impl ShardReader {
+    /// Open `path` and read the file header. Accepts v1 and v2.
+    fn open(path: &Path) -> io::Result<ShardReader> {
+        let file = File::open(path)?;
+        let limit = file.metadata()?.len();
+        let mut r = BufReader::new(MeteredFile {
+            file,
+            bytes: 0,
+            ns: 0,
+        });
+        let mut magic = [0u8; 4];
+        r.read_exact(&mut magic)?;
+        if &magic != MAGIC {
+            return Err(bad("not a BGLU checkpoint"));
+        }
+        let mut ver = [0u8; 4];
+        r.read_exact(&mut ver)?;
+        let version = u32::from_le_bytes(ver);
+        if version == 0 || version > VERSION {
+            return Err(bad(format!("unsupported checkpoint version {version}")));
+        }
+        let mut n = [0u8; 8];
+        r.read_exact(&mut n)?;
+        let n_params = u64::from_le_bytes(n);
+        if n_params > limit {
             return Err(bad(format!(
-                "{name}: checksum mismatch (stored {stored:#010x}, computed {computed:#010x}) — \
-                 checkpoint is corrupted"
+                "param count {n_params} exceeds file size {limit}"
             )));
         }
+        Ok(ShardReader {
+            r,
+            version,
+            n_params,
+            limit,
+            crc: Crc32::new(),
+            stage: vec![0u8; STAGE_BYTES],
+        })
     }
-    Ok((name, Tensor::from_vec(data, &shape)))
-}
 
-/// Header → `(version, n_params)`. Accepts v1 and v2.
-fn read_header(r: &mut impl Read) -> io::Result<(u32, u64)> {
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(bad("not a BGLU checkpoint"));
+    /// A length field of the open record.
+    fn u64_summed(&mut self) -> io::Result<u64> {
+        let mut buf = [0u8; 8];
+        self.r.read_exact(&mut buf)?;
+        self.crc.update(&buf);
+        Ok(u64::from_le_bytes(buf))
     }
-    let mut ver = [0u8; 4];
-    r.read_exact(&mut ver)?;
-    let ver = u32::from_le_bytes(ver);
-    if ver == 0 || ver > VERSION {
-        return Err(bad(format!("unsupported checkpoint version {ver}")));
-    }
-    let n = read_u64(r, &mut Crc32::new())?;
-    Ok((ver, n))
-}
 
-fn read_trailer(r: &mut impl Read, n_params: u64) -> io::Result<()> {
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic).map_err(|_| {
-        bad("truncated checkpoint: trailer missing (crash mid-write or truncation)")
-    })?;
-    if &magic != TRAILER_MAGIC {
-        return Err(bad("corrupted checkpoint: bad trailer magic"));
-    }
-    let echoed = read_u64(r, &mut Crc32::new())?;
-    if echoed != n_params {
-        return Err(bad(format!(
-            "corrupted checkpoint: trailer records {echoed} params, header {n_params}"
-        )));
-    }
-    Ok(())
-}
-
-/// Read every `(name, tensor)` record of a checkpoint file, verifying
-/// integrity (v2: per-record CRC32 + trailer; v1: structure only).
-fn read_params_file(path: &Path) -> io::Result<Vec<(String, Tensor)>> {
-    let file = std::fs::File::open(path)?;
-    let limit = file.metadata()?.len();
-    let mut r = BufReader::new(file);
-    let (version, n) = read_header(&mut r)?;
-    if n > limit {
-        return Err(bad(format!("param count {n} exceeds file size {limit}")));
-    }
-    let mut out = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        out.push(read_param(&mut r, version, limit)?);
-    }
-    if version >= 2 {
-        read_trailer(&mut r, n)?;
-    } else {
-        // Genuine v1 files end exactly after the last record. Trailing
-        // bytes mean this is really a v2 file whose version field was
-        // corrupted into 1 — refuse rather than skip its CRCs.
-        let mut probe = [0u8; 1];
-        if r.read(&mut probe)? != 0 {
-            return Err(bad(
-                "trailing bytes after a version-1 record set — corrupted header?",
-            ));
+    fn next_header(&mut self) -> io::Result<RecordHeader> {
+        self.crc = Crc32::new();
+        let name_len = self.u64_summed()?;
+        if name_len > self.limit {
+            return Err(bad(format!("name length {name_len} exceeds file size")));
         }
+        let mut name = vec![0u8; name_len as usize];
+        self.r.read_exact(&mut name)?;
+        self.crc.update(&name);
+        let name = String::from_utf8(name).map_err(|e| bad(e.to_string()))?;
+
+        let ndim = self.u64_summed()?;
+        if ndim > 64 {
+            return Err(bad(format!("{name}: implausible rank {ndim}")));
+        }
+        let mut shape = Vec::with_capacity(ndim as usize);
+        for _ in 0..ndim {
+            let d = self.u64_summed()?;
+            shape.push(usize::try_from(d).map_err(|_| bad(format!("{name}: dimension {d}")))?);
+        }
+        let byte_len = shape
+            .iter()
+            .try_fold(4usize, |a, &d| a.checked_mul(d))
+            .filter(|&b| b as u64 <= self.limit)
+            .ok_or_else(|| {
+                bad(format!(
+                    "{name}: data size for shape {shape:?} exceeds file"
+                ))
+            })?;
+        Ok(RecordHeader {
+            name,
+            shape,
+            byte_len,
+        })
     }
-    Ok(out)
+
+    /// Read the open record's data through the staging buffer — file → CRC →
+    /// `f32`s, a piece at a time — and check the record CRC (v2; v1 records
+    /// carry none).
+    fn payload(&mut self, h: &RecordHeader) -> io::Result<Tensor> {
+        let mut data = Vec::with_capacity(h.byte_len / 4);
+        let mut left = h.byte_len;
+        while left > 0 {
+            let piece = &mut self.stage[..left.min(STAGE_BYTES)];
+            self.r.read_exact(piece)?;
+            self.crc.update(piece);
+            data.extend(
+                piece
+                    .chunks_exact(4)
+                    .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])),
+            );
+            left -= piece.len();
+        }
+        if self.version >= 2 {
+            let mut stored = [0u8; 4];
+            self.r.read_exact(&mut stored)?;
+            let stored = u32::from_le_bytes(stored);
+            let computed = self.crc.finish();
+            if stored != computed {
+                return Err(bad(format!(
+                    "{}: checksum mismatch (stored {stored:#010x}, computed {computed:#010x}) — \
+                     checkpoint is corrupted",
+                    h.name
+                )));
+            }
+        }
+        Ok(Tensor::from_vec(data, &h.shape))
+    }
+
+    /// Seek past the open record's data and CRC without reading either.
+    fn skip(&mut self, h: &RecordHeader) -> io::Result<()> {
+        let crc_len = if self.version >= 2 { 4 } else { 0 };
+        // `byte_len` is at most the file size, so this cannot overflow.
+        self.r.seek_relative(h.byte_len as i64 + crc_len)
+    }
+
+    /// Check what follows the last record: the v2 trailer, or nothing.
+    fn finish(mut self) -> io::Result<()> {
+        if self.version >= 2 {
+            let mut tail = [0u8; 12];
+            self.r.read_exact(&mut tail).map_err(|_| {
+                bad("truncated checkpoint: trailer missing (crash mid-write or truncation)")
+            })?;
+            if &tail[..4] != TRAILER_MAGIC {
+                return Err(bad("corrupted checkpoint: bad trailer magic"));
+            }
+            let echoed = u64::from_le_bytes(tail[4..].try_into().expect("8 of 12 bytes"));
+            if echoed != self.n_params {
+                return Err(bad(format!(
+                    "corrupted checkpoint: trailer records {echoed} params, header {}",
+                    self.n_params
+                )));
+            }
+        } else {
+            // Genuine v1 files end exactly after the last record. Trailing
+            // bytes mean this is really a v2 file whose version field was
+            // corrupted into 1 — refuse rather than skip its CRCs.
+            let mut probe = [0u8; 1];
+            if self.r.read(&mut probe)? != 0 {
+                return Err(bad(
+                    "trailing bytes after a version-1 record set — corrupted header?",
+                ));
+            }
+        }
+        Ok(())
+    }
 }
 
-fn collect_params(model: &mut dyn HasParams) -> (Vec<String>, Vec<Tensor>) {
-    let mut names = Vec::new();
-    let mut tensors = Vec::new();
-    model.visit_params(&mut |p| {
-        names.push(p.name.clone());
-        tensors.push(p.value.clone());
+impl Drop for ShardReader {
+    fn drop(&mut self) {
+        let file = self.r.get_ref();
+        trace::count(names::CKPT_READ_NS, file.ns);
+        trace::count(names::CKPT_BYTES_READ, file.bytes);
+    }
+}
+
+/// Read every record of every file in one pass each, verifying integrity
+/// (v2: per-record CRC32 + trailer; v1: structure only). A name that occurs
+/// more than once keeps its last occurrence.
+fn read_records(paths: &[impl AsRef<Path>]) -> io::Result<HashMap<String, Tensor>> {
+    let mut records = HashMap::new();
+    for path in paths {
+        let mut r = ShardReader::open(path.as_ref())?;
+        for _ in 0..r.n_params {
+            let h = r.next_header()?;
+            let t = r.payload(&h)?;
+            records.insert(h.name, t);
+        }
+        r.finish()?;
+    }
+    Ok(records)
+}
+
+/// Find the record called `name` by walking record headers and seeking past
+/// every other record's data. Only the returned record is CRC-verified; a
+/// file without the record is walked to its end and its trailer checked.
+/// Damage inside a skipped record is left for the full load to report.
+fn read_named_record(path: &Path, name: &str) -> io::Result<Option<Tensor>> {
+    let mut r = ShardReader::open(path)?;
+    for _ in 0..r.n_params {
+        let h = r.next_header()?;
+        if h.name == name {
+            return r.payload(&h).map(Some);
+        }
+        r.skip(&h)?;
+    }
+    r.finish()?;
+    Ok(None)
+}
+
+/// Move `records` into `model` by name. Every parameter of `model` must be
+/// present with a matching shape; records the model does not name (metadata,
+/// other shards' parameters) are dropped.
+fn install(mut records: HashMap<String, Tensor>, model: &mut dyn HasParams) -> io::Result<()> {
+    let mut problems = Vec::new();
+    model.visit_params(&mut |p| match records.remove(&p.name) {
+        Some(t) if t.shape() == p.value.shape() => p.value = t,
+        Some(t) => problems.push(format!(
+            "{}: shape {:?} vs checkpoint {:?}",
+            p.name,
+            p.value.shape(),
+            t.shape()
+        )),
+        None => problems.push(format!("{}: absent from checkpoint", p.name)),
     });
-    (names, tensors)
+    if problems.is_empty() {
+        Ok(())
+    } else {
+        Err(bad(problems.join("; ")))
+    }
 }
 
 // ------------------------------------------------------------------ public
@@ -289,8 +604,7 @@ fn collect_params(model: &mut dyn HasParams) -> (Vec<String>, Vec<Tensor>) {
 /// Save every parameter of `model` to one file (atomically: tmp + rename).
 /// Returns bytes written.
 pub fn save_params(path: impl AsRef<Path>, model: &mut dyn HasParams) -> io::Result<u64> {
-    let (names, tensors) = collect_params(model);
-    write_checkpoint_atomic(path.as_ref(), &names, &tensors)
+    save_shard(path.as_ref(), model, &|_| true, &[])
 }
 
 // ------------------------------------------------------- placement metadata
@@ -360,23 +674,18 @@ pub fn save_params_with_placement(
     model: &mut dyn HasParams,
     meta: PlacementMeta,
 ) -> io::Result<u64> {
-    let (mut names, mut tensors) = collect_params(model);
-    names.push(PLACEMENT_RECORD.to_string());
-    tensors.push(meta.encode());
-    write_checkpoint_atomic(path.as_ref(), &names, &tensors)
+    save_params_with_meta(path, model, meta, None)
 }
 
 /// Read the placement metadata of a checkpoint file. `Ok(None)` means the
 /// file predates placement metadata (written by [`save_params`] or an older
 /// build) — callers must then only accept the historical round-robin
-/// mapping.
+/// mapping. Walks record headers and reads only the metadata record, so it
+/// vouches for that record alone, not for the parameters it seeks past.
 pub fn read_placement(path: impl AsRef<Path>) -> io::Result<Option<PlacementMeta>> {
-    for (name, t) in read_params_file(path.as_ref())? {
-        if name == PLACEMENT_RECORD {
-            return Ok(Some(PlacementMeta::decode(&t)?));
-        }
-    }
-    Ok(None)
+    read_named_record(path.as_ref(), PLACEMENT_RECORD)?
+        .map(|t| PlacementMeta::decode(&t))
+        .transpose()
 }
 
 // ------------------------------------------------------ run-config metadata
@@ -421,53 +730,48 @@ pub fn save_params_with_meta(
     meta: PlacementMeta,
     run_config: Option<&RunConfig>,
 ) -> io::Result<u64> {
-    let (mut names, mut tensors) = collect_params(model);
-    names.push(PLACEMENT_RECORD.to_string());
-    tensors.push(meta.encode());
+    let mut extras = vec![(PLACEMENT_RECORD, meta.encode())];
     if let Some(rc) = run_config {
-        names.push(RUNCONFIG_RECORD.to_string());
-        tensors.push(encode_text(&rc.to_toml()));
+        extras.push((RUNCONFIG_RECORD, encode_text(&rc.to_toml())));
     }
-    write_checkpoint_atomic(path.as_ref(), &names, &tensors)
+    save_shard(path.as_ref(), model, &|_| true, &extras)
 }
 
 /// Read the embedded [`RunConfig`] of a checkpoint file. `Ok(None)` means
 /// the file carries no config record (an older build, or a run whose
-/// config the schema could not express).
+/// config the schema could not express). A header walk like
+/// [`read_placement`].
 pub fn read_run_config(path: impl AsRef<Path>) -> io::Result<Option<RunConfig>> {
-    for (name, t) in read_params_file(path.as_ref())? {
-        if name == RUNCONFIG_RECORD {
-            let toml = decode_text(RUNCONFIG_RECORD, &t)?;
-            return Ok(Some(RunConfig::from_toml(&toml).map_err(bad)?));
-        }
-    }
-    Ok(None)
+    let Some(t) = read_named_record(path.as_ref(), RUNCONFIG_RECORD)? else {
+        return Ok(None);
+    };
+    let toml = decode_text(RUNCONFIG_RECORD, &t)?;
+    RunConfig::from_toml(&toml).map(Some).map_err(bad)
 }
 
-/// Load parameter values by name from a single checkpoint file. Every
-/// parameter of `model` must be present with a matching shape; extra
+/// Load parameter values by name from a single checkpoint file, read once.
+/// Every parameter of `model` must be present with a matching shape; extra
 /// entries in the file are ignored (they belong to other shards' views).
 pub fn load_params(path: impl AsRef<Path>, model: &mut dyn HasParams) -> io::Result<()> {
-    let mut map = std::collections::HashMap::new();
-    for (name, t) in read_params_file(path.as_ref())? {
-        map.insert(name, t);
-    }
-    let mut missing = Vec::new();
-    model.visit_params(&mut |p| match map.get(&p.name) {
-        Some(t) if t.shape() == p.value.shape() => p.value = t.clone(),
-        Some(t) => missing.push(format!(
-            "{}: shape {:?} vs checkpoint {:?}",
-            p.name,
-            p.value.shape(),
-            t.shape()
-        )),
-        None => missing.push(format!("{}: absent from checkpoint", p.name)),
-    });
-    if missing.is_empty() {
-        Ok(())
-    } else {
-        Err(bad(missing.join("; ")))
-    }
+    install(read_records(&[path])?, model)
+}
+
+/// [`load_params`] for a restoring rank: the same single pass also yields
+/// the shard's placement metadata, which `gate` judges (by panicking on a
+/// mismatch) before any parameter is installed.
+pub(crate) fn load_params_gated(
+    path: &Path,
+    model: &mut dyn HasParams,
+    gate: impl FnOnce(Option<PlacementMeta>),
+) -> io::Result<()> {
+    let records = read_records(&[path])?;
+    gate(
+        records
+            .get(PLACEMENT_RECORD)
+            .map(PlacementMeta::decode)
+            .transpose()?,
+    );
+    install(records, model)
 }
 
 /// Save `model`'s parameters split round-robin across `shards` files named
@@ -481,14 +785,10 @@ pub fn save_params_sharded(
 ) -> io::Result<u64> {
     assert!(shards > 0);
     std::fs::create_dir_all(&dir)?;
-    let (names, tensors) = collect_params(model);
     let mut total = 0u64;
     for s in 0..shards {
-        let idx: Vec<usize> = (s..names.len()).step_by(shards).collect();
-        let shard_names: Vec<String> = idx.iter().map(|&i| names[i].clone()).collect();
-        let shard_tensors: Vec<Tensor> = idx.iter().map(|&i| tensors[i].clone()).collect();
         let path = dir.as_ref().join(format!("shard{s}.bglu"));
-        total += write_checkpoint_atomic(&path, &shard_names, &shard_tensors)?;
+        total += save_shard(&path, model, &|i| i % shards == s, &[])?;
     }
     Ok(total)
 }
@@ -505,28 +805,7 @@ pub fn load_params_from_files(
     paths: &[impl AsRef<Path>],
     model: &mut dyn HasParams,
 ) -> io::Result<()> {
-    let mut map = std::collections::HashMap::new();
-    for path in paths {
-        for (name, t) in read_params_file(path.as_ref())? {
-            map.insert(name, t);
-        }
-    }
-    let mut missing = Vec::new();
-    model.visit_params(&mut |p| match map.get(&p.name) {
-        Some(t) if t.shape() == p.value.shape() => p.value = t.clone(),
-        Some(t) => missing.push(format!(
-            "{}: shape {:?} vs checkpoint {:?}",
-            p.name,
-            p.value.shape(),
-            t.shape()
-        )),
-        None => missing.push(format!("{}: absent from checkpoint set", p.name)),
-    });
-    if missing.is_empty() {
-        Ok(())
-    } else {
-        Err(bad(missing.join("; ")))
-    }
+    install(read_records(paths)?, model)
 }
 
 /// Reload a sharded checkpoint written by [`save_params_sharded`].
@@ -535,23 +814,10 @@ pub fn load_params_sharded(
     model: &mut dyn HasParams,
     shards: usize,
 ) -> io::Result<()> {
-    let mut map = std::collections::HashMap::new();
-    for s in 0..shards {
-        let path = dir.as_ref().join(format!("shard{s}.bglu"));
-        for (name, t) in read_params_file(&path)? {
-            map.insert(name, t);
-        }
-    }
-    let mut missing = Vec::new();
-    model.visit_params(&mut |p| match map.get(&p.name) {
-        Some(t) if t.shape() == p.value.shape() => p.value = t.clone(),
-        _ => missing.push(p.name.clone()),
-    });
-    if missing.is_empty() {
-        Ok(())
-    } else {
-        Err(bad(format!("missing/mismatched: {}", missing.join(", "))))
-    }
+    let paths: Vec<PathBuf> = (0..shards)
+        .map(|s| dir.as_ref().join(format!("shard{s}.bglu")))
+        .collect();
+    load_params_from_files(&paths, model)
 }
 
 #[cfg(test)]
@@ -560,6 +826,7 @@ mod tests {
     use bagualu_model::config::ModelConfig;
     use bagualu_model::transformer::Transformer;
     use bagualu_tensor::rng::Rng;
+    use proptest::prelude::*;
 
     fn tmpdir(tag: &str) -> std::path::PathBuf {
         let d = std::env::temp_dir().join(format!("bagualu-ckpt-{tag}-{}", std::process::id()));
@@ -568,18 +835,96 @@ mod tests {
         d
     }
 
-    /// Replicate the version-1 writer (no CRCs, no trailer) so v1 files can
-    /// be produced for the compatibility test.
-    fn save_params_v1(path: &Path, model: &mut dyn HasParams) {
-        let (names, tensors) = collect_params(model);
-        let mut w = BufWriter::new(std::fs::File::create(path).unwrap());
-        w.write_all(MAGIC).unwrap();
-        w.write_all(&1u32.to_le_bytes()).unwrap();
-        w.write_all(&(names.len() as u64).to_le_bytes()).unwrap();
-        for (name, t) in names.iter().zip(&tensors) {
-            w.write_all(&encode_param(name, t)).unwrap();
+    // The data path this module replaced — clone the model, encode each
+    // record into its own `Vec`, checksum it a byte at a time — kept as the
+    // oracle that pins the streaming writer's bytes and the sliced CRC.
+
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc = CRC_TABLES[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
         }
-        w.flush().unwrap();
+        crc ^ 0xFFFF_FFFF
+    }
+
+    fn collect_params(model: &mut dyn HasParams) -> Vec<(String, Tensor)> {
+        let mut out = Vec::new();
+        model.visit_params(&mut |p| out.push((p.name.clone(), p.value.clone())));
+        out
+    }
+
+    fn encode_param(name: &str, value: &Tensor) -> Vec<u8> {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&(name.len() as u64).to_le_bytes());
+        buf.extend_from_slice(name.as_bytes());
+        buf.extend_from_slice(&(value.shape().len() as u64).to_le_bytes());
+        for &d in value.shape() {
+            buf.extend_from_slice(&(d as u64).to_le_bytes());
+        }
+        for &v in value.as_slice() {
+            buf.extend_from_slice(&v.to_le_bytes());
+        }
+        buf
+    }
+
+    /// The whole file the old writer produced for `records`: version 2 with
+    /// record CRCs and trailer, or version 1 with neither.
+    fn legacy_file(version: u32, records: &[(String, Tensor)]) -> Vec<u8> {
+        let mut out = Vec::new();
+        out.extend_from_slice(MAGIC);
+        out.extend_from_slice(&version.to_le_bytes());
+        out.extend_from_slice(&(records.len() as u64).to_le_bytes());
+        for (name, t) in records {
+            let record = encode_param(name, t);
+            out.extend_from_slice(&record);
+            if version >= 2 {
+                out.extend_from_slice(&crc32_bytewise(&record).to_le_bytes());
+            }
+        }
+        if version >= 2 {
+            out.extend_from_slice(TRAILER_MAGIC);
+            out.extend_from_slice(&(records.len() as u64).to_le_bytes());
+        }
+        out
+    }
+
+    fn save_params_v1(path: &Path, model: &mut dyn HasParams) {
+        std::fs::write(path, legacy_file(1, &collect_params(model))).unwrap();
+    }
+
+    /// Parameters sized to land on every side of the staging buffer: tiny
+    /// records that share one buffer fill, one that ends a few bytes short
+    /// of a boundary, and one several buffers long with an odd length.
+    struct Bag(Vec<bagualu_model::param::Param>);
+
+    impl HasParams for Bag {
+        fn visit_params(&mut self, f: &mut dyn FnMut(&mut bagualu_model::param::Param)) {
+            self.0.iter_mut().for_each(f);
+        }
+    }
+
+    fn straddling_bag() -> Bag {
+        let mut rng = Rng::seed_from(77);
+        let stage = STAGE_BYTES / 4;
+        let shapes: [&[usize]; 7] = [
+            &[3],
+            &[5, 7],
+            &[stage - 20],
+            &[1],
+            &[3, stage + 1],
+            &[2, 2, 2],
+            &[17],
+        ];
+        Bag(shapes
+            .iter()
+            .enumerate()
+            .map(|(i, shape)| {
+                bagualu_model::param::Param::new(
+                    format!("bag.{i}.w"),
+                    Tensor::randn(shape, 1.0, &mut rng),
+                )
+            })
+            .collect())
     }
 
     #[test]
@@ -798,6 +1143,231 @@ mod tests {
             err.to_string().contains("checksum mismatch"),
             "want checksum error, got: {err}"
         );
+        let _ = std::fs::remove_dir_all(dir);
+    }
+    #[test]
+    fn crc32_check_value() {
+        let mut crc = Crc32::new();
+        crc.update(b"123456789");
+        assert_eq!(crc.finish(), 0xCBF4_3926);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+        assert_eq!(Crc32::new().finish(), 0);
+    }
+
+    #[test]
+    fn sliced_crc_matches_bytewise_oracle_at_every_length_and_alignment() {
+        let mut rng = Rng::seed_from(5);
+        let buf: Vec<u8> = (0..4096 + 16).map(|_| rng.next_u64() as u8).collect();
+        for align in 0..16 {
+            let data = &buf[align..];
+            // The oracle's value for each prefix, carried from the last one.
+            let mut oracle = 0xFFFF_FFFFu32;
+            for len in 0..=4096usize {
+                let mut crc = Crc32::new();
+                crc.update(&data[..len]);
+                assert_eq!(
+                    crc.finish(),
+                    oracle ^ 0xFFFF_FFFF,
+                    "length {len} at alignment {align}"
+                );
+                oracle =
+                    CRC_TABLES[0][((oracle ^ data[len] as u32) & 0xFF) as usize] ^ (oracle >> 8);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        // Any split of the input into incremental updates, starting at any
+        // alignment, gives the oracle's value for the whole.
+        #[test]
+        fn sliced_crc_is_split_invariant(
+            bytes in proptest::collection::vec(any::<u8>(), 0..4097),
+            start in 0usize..16,
+            cuts in (any::<usize>(), any::<usize>()),
+        ) {
+            let data = &bytes[start.min(bytes.len())..];
+            let a = cuts.0 % (data.len() + 1);
+            let b = a + cuts.1 % (data.len() - a + 1);
+            let mut crc = Crc32::new();
+            crc.update(&data[..a]);
+            crc.update(&data[a..b]);
+            crc.update(&data[b..]);
+            prop_assert_eq!(crc.finish(), crc32_bytewise(data));
+        }
+    }
+
+    #[test]
+    fn streaming_writer_reproduces_the_old_writers_bytes() {
+        use bagualu_parallel::ExpertPlacement;
+        let dir = tmpdir("golden");
+        let path = dir.join("m.bglu");
+        let meta = PlacementMeta {
+            placement: ExpertPlacement::Shed { victim: 1 },
+            n_experts: 8,
+            nranks: 2,
+        };
+        let rc = RunConfig::default();
+        let mut tiny = Transformer::new(ModelConfig::tiny(), &mut Rng::seed_from(31));
+        let mut bag = straddling_bag();
+        let models: [&mut dyn HasParams; 2] = [&mut tiny, &mut bag];
+        for model in models {
+            let params = collect_params(model);
+            let with = |extras: &[(&str, Tensor)]| {
+                let mut records = params.clone();
+                records.extend(extras.iter().map(|(n, t)| (n.to_string(), t.clone())));
+                legacy_file(2, &records)
+            };
+
+            let n = save_params(&path, model).unwrap();
+            assert_eq!(std::fs::read(&path).unwrap(), with(&[]), "save_params");
+            assert_eq!(n, std::fs::metadata(&path).unwrap().len());
+
+            save_params_with_placement(&path, model, meta).unwrap();
+            assert_eq!(
+                std::fs::read(&path).unwrap(),
+                with(&[(PLACEMENT_RECORD, meta.encode())]),
+                "save_params_with_placement"
+            );
+
+            save_params_with_meta(&path, model, meta, Some(&rc)).unwrap();
+            assert_eq!(
+                std::fs::read(&path).unwrap(),
+                with(&[
+                    (PLACEMENT_RECORD, meta.encode()),
+                    (RUNCONFIG_RECORD, encode_text(&rc.to_toml())),
+                ]),
+                "save_params_with_meta"
+            );
+
+            let shards = 3;
+            let total = save_params_sharded(&dir, model, shards).unwrap();
+            let mut want_total = 0;
+            for s in 0..shards {
+                let part: Vec<_> = params.iter().skip(s).step_by(shards).cloned().collect();
+                let want = legacy_file(2, &part);
+                want_total += want.len() as u64;
+                let got = std::fs::read(dir.join(format!("shard{s}.bglu"))).unwrap();
+                assert_eq!(got, want, "save_params_sharded shard {s}");
+            }
+            assert_eq!(total, want_total);
+        }
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn metadata_walk_returns_what_the_full_read_holds() {
+        use bagualu_parallel::ExpertPlacement;
+        let dir = tmpdir("walk");
+        let path = dir.join("m.bglu");
+        let meta = PlacementMeta {
+            placement: ExpertPlacement::Block,
+            n_experts: 4,
+            nranks: 2,
+        };
+        let rc = RunConfig::default();
+        let mut bag = straddling_bag();
+
+        save_params_with_meta(&path, &mut bag, meta, Some(&rc)).unwrap();
+        let full = read_records(&[&path]).unwrap();
+        assert_eq!(
+            read_placement(&path).unwrap(),
+            Some(PlacementMeta::decode(&full[PLACEMENT_RECORD]).unwrap())
+        );
+        assert_eq!(read_placement(&path).unwrap(), Some(meta));
+        assert_eq!(
+            read_run_config(&path).unwrap().map(|c| c.to_toml()),
+            Some(decode_text(RUNCONFIG_RECORD, &full[RUNCONFIG_RECORD]).unwrap())
+        );
+        assert_eq!(read_run_config(&path).unwrap(), Some(rc));
+
+        // Placement but no config; then neither (v2 and v1).
+        save_params_with_placement(&path, &mut bag, meta).unwrap();
+        assert_eq!(read_placement(&path).unwrap(), Some(meta));
+        assert_eq!(read_run_config(&path).unwrap(), None);
+        save_params(&path, &mut bag).unwrap();
+        assert_eq!(read_placement(&path).unwrap(), None);
+        assert_eq!(read_run_config(&path).unwrap(), None);
+        save_params_v1(&path, &mut bag);
+        assert_eq!(read_placement(&path).unwrap(), None);
+        assert_eq!(read_run_config(&path).unwrap(), None);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn metadata_walk_seeks_past_parameters_and_leaves_their_damage_to_the_load() {
+        use bagualu_parallel::ExpertPlacement;
+        let dir = tmpdir("walk-skip");
+        let path = dir.join("m.bglu");
+        let meta = PlacementMeta {
+            placement: ExpertPlacement::RoundRobin,
+            n_experts: 4,
+            nranks: 2,
+        };
+        let mut bag = straddling_bag();
+        let len = save_params_with_placement(&path, &mut bag, meta).unwrap();
+
+        // The walk reads a small fraction of the file…
+        let col = trace::TraceCollector::new();
+        {
+            let _lane = col.install(0);
+            assert_eq!(read_placement(&path).unwrap(), Some(meta));
+        }
+        let walked = col.finish().counter_total(names::CKPT_BYTES_READ);
+        assert!(
+            walked > 0 && walked < len / 4,
+            "walk read {walked} of {len} bytes"
+        );
+
+        // …so a flip inside a payload it skipped goes unseen by the walk,
+        // and is still caught by the full load. A flip inside the record it
+        // returns is caught by the walk itself.
+        let clean = std::fs::read(&path).unwrap();
+        let mut data = clean.clone();
+        data[clean.len() / 2] ^= 0x04;
+        std::fs::write(&path, &data).unwrap();
+        assert_eq!(read_placement(&path).unwrap(), Some(meta));
+        let err = load_params(&path, &mut straddling_bag()).unwrap_err();
+        assert!(err.to_string().contains("checksum mismatch"), "{err}");
+
+        let mut data = clean;
+        let in_placement_payload = data.len() - 12 - 4 - 3;
+        data[in_placement_payload] ^= 0x04;
+        std::fs::write(&path, &data).unwrap();
+        let err = read_placement(&path).unwrap_err();
+        assert!(err.to_string().contains("checksum mismatch"), "{err}");
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn full_load_reads_the_file_exactly_once() {
+        let dir = tmpdir("once");
+        let path = dir.join("m.bglu");
+        let mut bag = straddling_bag();
+        let len = save_params(&path, &mut bag).unwrap();
+        let col = trace::TraceCollector::new();
+        {
+            let _lane = col.install(0);
+            load_params(&path, &mut straddling_bag()).unwrap();
+        }
+        assert_eq!(col.finish().counter_total(names::CKPT_BYTES_READ), len);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn failed_publish_removes_its_staging_file_and_keeps_the_old_one() {
+        let dir = tmpdir("publish-fail");
+        let path = dir.join("MANIFEST");
+        publish_atomic(&path, |f| f.write_all(b"4\n")).unwrap();
+        let err = publish_atomic(&path, |f| {
+            f.write_all(b"garbage that must never be seen")?;
+            Err::<(), _>(io::Error::other("disk full"))
+        })
+        .unwrap_err();
+        assert_eq!(err.to_string(), "disk full");
+        assert!(!tmp_path(&path).exists(), "stale staging file left behind");
+        assert_eq!(std::fs::read(&path).unwrap(), b"4\n");
         let _ = std::fs::remove_dir_all(dir);
     }
 }

@@ -32,6 +32,7 @@ use bagualu_parallel::sync::{backward_and_sync_overlapped_wire, sync_grads_wire}
 use bagualu_tensor::ops::{install_backend, install_row_ops, ComputeBackend};
 use bagualu_tensor::DType;
 use bagualu_trace::{self as trace, names, Trace, TraceCollector, DRIVER_LANE};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -469,7 +470,7 @@ impl Trainer {
                             meta.n_experts, current.n_experts
                         ),
                         _ => {
-                            placement_gate(&shard0, current, 0);
+                            placement_gate(saved, &shard0, current, 0);
                             Restore::Strict
                         }
                     }
@@ -780,12 +781,16 @@ impl RankState {
             let _span = trace::span(names::OPTIMIZER);
             if let Some(max_norm) = cfg.clip {
                 // Unscale before measuring the norm so clipping thresholds
-                // mean the same thing at every loss scale.
-                let inv = 1.0 / self.opt.loss_scale();
-                self.model.visit_params(&mut |p| p.grad.scale(inv));
+                // mean the same thing at every loss scale (at scale 1.0 both
+                // passes would multiply by exactly 1.0 and are skipped).
+                let scale = self.opt.loss_scale();
+                if scale != 1.0 {
+                    self.model.visit_params(&mut |p| p.grad.scale(1.0 / scale));
+                }
                 clip_grad_norm(&mut self.model, max_norm);
-                let back = self.opt.loss_scale();
-                self.model.visit_params(&mut |p| p.grad.scale(back));
+                if scale != 1.0 {
+                    self.model.visit_params(&mut |p| p.grad.scale(scale));
+                }
             }
             let outcome = self.opt.step(&mut self.model);
             // Keep replicas in lockstep: if any rank overflowed, all did —
@@ -964,10 +969,14 @@ struct Segment {
 /// expert↔rank mapping would load each expert's weights into whatever expert
 /// now occupies the same slot — fail loudly instead. Called by the driver
 /// (with rank 0's shard, so the mismatch surfaces as a hard error rather
-/// than a retried crash) and by every rank on its own shard.
-fn placement_gate(path: &std::path::Path, current: crate::checkpoint::PlacementMeta, rank: usize) {
-    let saved = crate::checkpoint::read_placement(path)
-        .unwrap_or_else(|e| panic!("rank {rank}: cannot read checkpoint {path:?}: {e}"));
+/// than a retried crash) and by every rank on its own shard. `saved` is the
+/// placement record read from `path` (`None`: the shard predates them).
+fn placement_gate(
+    saved: Option<crate::checkpoint::PlacementMeta>,
+    path: &Path,
+    current: crate::checkpoint::PlacementMeta,
+    rank: usize,
+) {
     match saved {
         Some(meta) if meta != current => panic!(
             "rank {rank}: placement mismatch — checkpoint {path:?} was written under \
@@ -1042,8 +1051,12 @@ fn rank_main_ft<C: FtCommunicator>(
                 .ckpt_dir
                 .join(format!("step{start_step}"))
                 .join(format!("rank{}.bglu", comm.rank()));
-            placement_gate(&path, placement_meta, comm.rank());
-            crate::checkpoint::load_params(&path, &mut st.model).unwrap_or_else(|e| {
+            // One pass over the shard yields both the placement record to
+            // gate on and the parameters.
+            crate::checkpoint::load_params_gated(&path, &mut st.model, |saved| {
+                placement_gate(saved, &path, placement_meta, comm.rank())
+            })
+            .unwrap_or_else(|e| {
                 panic!(
                     "rank {}: cannot restore step-{start_step} checkpoint: {e}",
                     comm.rank()
@@ -1176,12 +1189,15 @@ fn splice<T: Copy>(at: usize, src: &[T], dst: &mut [T]) {
     }
 }
 
-/// Publish `MANIFEST` naming the latest complete checkpoint step. Written
-/// to a staging file and renamed so readers never see a partial manifest.
+/// Publish `MANIFEST` naming the latest complete checkpoint step: staged,
+/// fsynced, renamed and the directory fsynced, so readers never see a
+/// partial manifest and a power loss never leaves one that names a step
+/// whose shards were not durable first.
 fn write_manifest(dir: &Path, step: usize) {
-    let tmp = dir.join("MANIFEST.tmp");
-    std::fs::write(&tmp, format!("{step}\n")).expect("write checkpoint manifest");
-    std::fs::rename(&tmp, dir.join("MANIFEST")).expect("publish checkpoint manifest");
+    crate::checkpoint::publish_atomic(&dir.join("MANIFEST"), |f| {
+        f.write_all(format!("{step}\n").as_bytes())
+    })
+    .expect("publish checkpoint manifest");
 }
 
 /// Read the latest published checkpoint step. The two failure shapes are
@@ -1574,6 +1590,17 @@ mod tests {
             lane.check_balanced()
                 .expect("balanced across restart attempts");
             assert!(lane.span_count(names::CHECKPOINT) >= 2);
+            // The span's breakdown: each save recorded its stages, and the
+            // restart restored from disk.
+            for counter in [
+                names::CKPT_ENCODE_CRC_NS,
+                names::CKPT_WRITE_NS,
+                names::CKPT_FSYNC_NS,
+                names::CKPT_BYTES_WRITTEN,
+                names::CKPT_BYTES_READ,
+            ] {
+                assert!(lane.counter_total(counter) > 0, "rank {rank}: {counter}");
+            }
         }
         let _ = std::fs::remove_dir_all(dir);
     }
@@ -1942,6 +1969,38 @@ mod tests {
             resume_step: 4,
             ..FtConfig::new(&dir)
         });
+    }
+
+    #[test]
+    fn resume_reads_each_ranks_shard_exactly_once() {
+        // Placement gate and parameter load share one pass, and the driver's
+        // pre-flight on rank 0's shard is a header walk off the rank lanes:
+        // what a restoring rank pulls from disk is its shard, once.
+        let dir = ft_tmpdir("read-once");
+        let cfg = TrainConfig {
+            steps: 6,
+            ..Default::default()
+        };
+        Trainer::new(cfg).run_ft(&FtConfig {
+            ckpt_every: 4,
+            ..FtConfig::new(&dir)
+        });
+        let resumed = Trainer::new(TrainConfig { trace: true, ..cfg }).run_ft(&FtConfig {
+            ckpt_every: 0,
+            resume_step: 4,
+            ..FtConfig::new(&dir)
+        });
+        let trace = resumed.trace.as_ref().expect("trace requested");
+        for rank in 0..cfg.nranks {
+            let shard = dir.join("step4").join(format!("rank{rank}.bglu"));
+            let lane = trace.lane(rank).expect("rank lane");
+            assert_eq!(
+                lane.counter_total(names::CKPT_BYTES_READ),
+                std::fs::metadata(&shard).unwrap().len(),
+                "rank {rank}"
+            );
+        }
+        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]

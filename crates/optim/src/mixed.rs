@@ -7,7 +7,8 @@
 //! 2. call [`MixedPrecision::step`] — it unscales gradients, skips the
 //!    update on overflow (shrinking the scale), otherwise runs the FP32
 //!    Adam update on the master weights and writes half-rounded copies back
-//!    into the model,
+//!    into the model (in FP32 the model's weights are the masters and
+//!    nothing is copied),
 //! 3. `zero_grad` and continue.
 //!
 //! The model's working parameters therefore always carry the configured
@@ -34,6 +35,7 @@ pub struct MixedPrecision {
     pub dtype: DType,
     pub scaler: LossScaler,
     adam: Adam,
+    /// FP32 master weights, one per parameter; stays empty for `DType::F32`.
     masters: Vec<Tensor>,
     /// Steps skipped due to overflow (telemetry for experiments).
     pub skipped_steps: u64,
@@ -86,17 +88,14 @@ impl MixedPrecision {
 
     /// One optimizer step. Returns whether the update was applied.
     pub fn step(&mut self, model: &mut dyn HasParams) -> StepOutcome {
-        // Capture master weights on first use (from the *unquantized*
-        // values if the caller hasn't quantized yet — idempotent either way).
-        if self.masters.is_empty() {
-            model.visit_params(&mut |p| self.masters.push(p.value.clone()));
-        }
-
-        // Unscale and overflow-check the gradients.
+        // Unscale and overflow-check the gradients. Scaling by exactly 1.0
+        // changes no bit, so an unscaled run skips that pass.
         let inv = 1.0 / self.scaler.scale();
         let mut overflow = false;
         model.visit_params(&mut |p| {
-            p.grad.scale(inv);
+            if inv != 1.0 {
+                p.grad.scale(inv);
+            }
             if p.grad.has_non_finite() {
                 overflow = true;
             }
@@ -108,22 +107,38 @@ impl MixedPrecision {
             return StepOutcome::SkippedOverflow;
         }
 
-        // Swap master weights in, run the FP32 update, swap the refreshed
-        // masters out and publish half-rounded working copies.
-        let masters = &mut self.masters;
-        let mut i = 0usize;
-        model.visit_params(&mut |p| {
-            std::mem::swap(&mut p.value, &mut masters[i]);
-            i += 1;
-        });
-        self.adam.step(model);
-        let dt = self.dtype;
-        let mut i = 0usize;
-        model.visit_params(&mut |p| {
-            masters[i] = p.value.clone();
-            p.value.quantize(dt);
-            i += 1;
-        });
+        if self.dtype == DType::F32 {
+            // The working weights *are* the master weights: rounding through
+            // f32 is the identity, so there is no copy to keep.
+            self.adam.step(model);
+        } else {
+            // Capture master weights on first use (from the *unquantized*
+            // values if the caller hasn't quantized yet — idempotent either
+            // way).
+            if self.masters.is_empty() {
+                model.visit_params(&mut |p| self.masters.push(p.value.clone()));
+            }
+            // Swap master weights in, run the FP32 update, swap the refreshed
+            // masters back out and publish their half-rounded values in the
+            // working buffers.
+            let masters = &mut self.masters;
+            let mut i = 0usize;
+            model.visit_params(&mut |p| {
+                std::mem::swap(&mut p.value, &mut masters[i]);
+                i += 1;
+            });
+            self.adam.step(model);
+            let dt = self.dtype;
+            let mut i = 0usize;
+            model.visit_params(&mut |p| {
+                std::mem::swap(&mut p.value, &mut masters[i]);
+                p.value
+                    .as_mut_slice()
+                    .copy_from_slice(masters[i].as_slice());
+                p.value.quantize(dt);
+                i += 1;
+            });
+        }
 
         self.scaler.update(false);
         self.applied_steps += 1;
@@ -166,7 +181,29 @@ mod tests {
             b.p.grad = b.p.value.clone();
             assert_eq!(mixed.step(&mut b), StepOutcome::Applied);
         }
-        assert!(a.p.value.approx_eq(&b.p.value, 1e-7));
+        assert!(a.p.value.approx_eq(&b.p.value, 0.0));
+        assert!(
+            mixed.masters.is_empty(),
+            "f32 weights are their own masters"
+        );
+    }
+
+    #[test]
+    fn half_step_reuses_the_working_buffer() {
+        let mut m = One {
+            p: Param::new("x", Tensor::from_vec(vec![1.0, 2.0, 3.0], &[3])),
+        };
+        let mut opt = MixedPrecision::new(AdamConfig::default(), DType::BF16);
+        opt.quantize_model(&mut m);
+        let working = m.p.value.as_slice().as_ptr();
+        for _ in 0..3 {
+            m.p.grad = Tensor::from_vec(vec![0.5, -0.5, 0.25], &[3]);
+            assert_eq!(opt.step(&mut m), StepOutcome::Applied);
+            assert_eq!(m.p.value.as_slice().as_ptr(), working);
+            let mut rounded = opt.masters[0].clone();
+            rounded.quantize(DType::BF16);
+            assert_eq!(m.p.value.as_slice(), rounded.as_slice());
+        }
     }
 
     #[test]

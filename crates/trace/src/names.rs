@@ -108,6 +108,25 @@ pub const COMPUTE_PAR_DISPATCHED: &str = "compute.par.dispatched";
 /// [`COMPUTE_PAR_DISPATCHED`]).
 pub const COMPUTE_PAR_INLINE: &str = "compute.par.inline";
 
+/// Nanoseconds a checkpoint save spent encoding records into its staging
+/// buffer and folding them into record CRCs (the streaming pass minus
+/// [`CKPT_WRITE_NS`]). Recorded per file, inside the
+/// [`CHECKPOINT`] span when the trainer saves.
+pub const CKPT_ENCODE_CRC_NS: &str = "ckpt.encode_crc_ns";
+/// Nanoseconds a checkpoint save spent in `write` calls on the staging file.
+pub const CKPT_WRITE_NS: &str = "ckpt.write_ns";
+/// Nanoseconds spent making a checkpoint file durable: fsync of the staging
+/// file, the rename, and the fsync of its directory (shards and `MANIFEST`).
+pub const CKPT_FSYNC_NS: &str = "ckpt.fsync_ns";
+/// Bytes written to checkpoint shards.
+pub const CKPT_BYTES_WRITTEN: &str = "ckpt.bytes_written";
+/// Nanoseconds checkpoint readers spent in `read` calls (restore and
+/// metadata walks).
+pub const CKPT_READ_NS: &str = "ckpt.read_ns";
+/// Bytes checkpoint readers pulled from their files. A rank that restores
+/// reads its shard exactly once, so this equals the shard's length.
+pub const CKPT_BYTES_READ: &str = "ckpt.bytes_read";
+
 /// Messages dropped in flight by fault injection.
 pub const FAULT_DROPS: &str = "fault.drops";
 /// Payloads corrupted in flight by fault injection.
