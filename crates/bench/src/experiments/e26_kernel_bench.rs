@@ -9,7 +9,7 @@
 //! * correctness — `Tiled` must agree with `Reference` **bitwise** (NN and
 //!   NT) and the vectorized row-op tier must agree with the reference tier
 //!   bitwise before any timing is believed;
-//! * performance — five CI gates, all ratios timed in the same process at
+//! * performance — seven CI gates, all ratios timed in the same process at
 //!   the host's full intra-op width (so they hold on single-core and noisy
 //!   runners). Three are kernel ratios at 512³:
 //!   - `nn_tiled_over_reference` ≥ [`NN_TILED_MIN_SPEEDUP`]× where the
@@ -30,6 +30,14 @@
 //!   - `nn_reference_dispatched_over_inline` ≥ [`NOT_SLOWER`]× — the same
 //!     reference 512³ GEMM at full width against itself on one lane.
 //!
+//!   Two hold the activation to the GEMM's speed:
+//!   - `gelu_over_libm` ≥ [`GELU_OVER_LIBM_MIN`]× — `ops::gelu` (the
+//!     in-crate branch-free `tanh`) against a loop over the host libm's
+//!     `tanhf`, the form it replaced, on 256×1024,
+//!   - `nn_bias_gelu_over_nn` ≥ [`FUSED_GELU_OVER_NN_MIN`]× — plain tiled
+//!     NN time ÷ fused bias+GELU time at 256³: the fused call must track
+//!     the GEMM, not the activation.
+//!
 //! Every GEMM row also reports arithmetic intensity (FLOPs per byte of
 //! minimum streaming traffic) and percent-of-roofline against an
 //! approximate single-core host model ([`host_roofline`]) — so the table
@@ -43,7 +51,7 @@
 
 use crate::table::Table;
 use bagualu::hw::{Precision, Roofline};
-use bagualu::tensor::ops::{Activation, AdamStep, ComputeBackend, RowOpsBackend};
+use bagualu::tensor::ops::{self, Activation, AdamStep, ComputeBackend, RowOpsBackend};
 use bagualu::tensor::par;
 use bagualu::tensor::rng::Rng;
 use bagualu::tensor::Tensor;
@@ -74,6 +82,13 @@ pub const PORTABLE_MIN_SPEEDUP: f64 = 1.0;
 /// on one core both sides run the same loops, on more the fanned-out one
 /// must turn the extra lanes into speed rather than dispatch cost.
 pub const NOT_SLOWER: f64 = 0.98;
+/// Floor of `gelu_over_libm`. The vectorized kernel reads ≈ 2 ns per
+/// element on the 2-core reference box against 20–24 for glibc 2.36's
+/// `tanhf`; 4× leaves room for a faster libm or a narrower vector unit.
+pub const GELU_OVER_LIBM_MIN: f64 = 4.0;
+/// Floor of `nn_bias_gelu_over_nn`: with libm's `tanhf` in the epilogue the
+/// ratio was 0.30.
+pub const FUSED_GELU_OVER_NN_MIN: f64 = 0.7;
 /// The gate shape: large enough that B (1 MiB) falls out of L1/L2 and the
 /// reference kernel's streaming cost shows.
 const GATE_DIM: usize = 512;
@@ -92,6 +107,12 @@ pub fn host_roofline() -> Roofline {
 
 const HOST_FP32_GFLOPS: f64 = 64.0;
 const HOST_MEM_BW_GBPS: f64 = 12.0;
+
+/// GELU over the host libm's `tanhf`: the form `ops::gelu` replaced, kept
+/// here as the baseline of the `gelu_over_libm` gate.
+fn gelu_libm(x: f32) -> f32 {
+    0.5 * x * (1.0 + (0.797_884_6 * (x + 0.044715 * x * x * x)).tanh())
+}
 
 /// Best-of-N wall time for one op, with one untimed warmup.
 fn best_ns<T>(reps: usize, mut f: impl FnMut() -> T) -> u64 {
@@ -413,6 +434,33 @@ pub fn run() {
     };
     sample_rowop_gates(&mut gate_softmax, &mut gate_adam);
 
+    // ---- The activation gates: a [256×1024] hidden through GELU, and the
+    // fused 256³ call against the plain GEMM it extends.
+    let mut gate_gelu = GatePair::new(GELU_OVER_LIBM_MIN);
+    let mut gate_fused = GatePair::new(FUSED_GELU_OVER_NN_MIN);
+    let sample_gelu_gates = {
+        let hidden = Tensor::randn(&[256, 1024], 1.5, &mut rng);
+        let a = Tensor::randn(&[256, 256], 1.0, &mut rng);
+        let b = Tensor::randn(&[256, 256], 1.0, &mut rng);
+        let bias: Vec<f32> = (0..256).map(|j| j as f32 * 1e-3).collect();
+        let tiled = tiled.clone();
+        move |gelu: &mut GatePair, fused: &mut GatePair| {
+            if !gelu.passing() {
+                let (f, g) = paired_best(11, || hidden.map(gelu_libm), || ops::gelu(&hidden));
+                gelu.absorb(f, g);
+            }
+            if !fused.passing() {
+                let (f, g) = paired_best(
+                    15,
+                    || tiled.matmul(&a, &b),
+                    || tiled.matmul_bias_act(&a, &b, Some(&bias), Activation::Gelu),
+                );
+                fused.absorb(f, g);
+            }
+        }
+    };
+    sample_gelu_gates(&mut gate_gelu, &mut gate_fused);
+
     // ---- Square NN sweep (the forward-pass shape).
     let backends = [
         ComputeBackend::Reference,
@@ -470,6 +518,7 @@ pub fn run() {
         &mut gate_dispatch,
     );
     sample_rowop_gates(&mut gate_softmax, &mut gate_adam);
+    sample_gelu_gates(&mut gate_gelu, &mut gate_fused);
 
     // ---- Backward layouts + fused epilogue at 256³ and the 512³ gate
     // shape, for the three fp32 backends.
@@ -518,6 +567,7 @@ pub fn run() {
         &mut gate_dispatch,
     );
     sample_rowop_gates(&mut gate_softmax, &mut gate_adam);
+    sample_gelu_gates(&mut gate_gelu, &mut gate_fused);
 
     // ---- Row-op tiers: elements/s for softmax, layernorm, Adam.
     println!("\n-- row-op Gelem/s (reference vs vectorized tier) --");
@@ -601,6 +651,7 @@ pub fn run() {
         &mut gate_dispatch,
     );
     sample_rowop_gates(&mut gate_softmax, &mut gate_adam);
+    sample_gelu_gates(&mut gate_gelu, &mut gate_fused);
     let shape = format!("{GATE_DIM}^3");
     let gates = vec![
         Gate {
@@ -638,6 +689,20 @@ pub fn run() {
             ratio: gate_dispatch.ratio(),
             floor: NOT_SLOWER,
         },
+        Gate {
+            name: "gelu_over_libm",
+            op: "gelu",
+            shape: "256x1024".to_string(),
+            ratio: gate_gelu.ratio(),
+            floor: GELU_OVER_LIBM_MIN,
+        },
+        Gate {
+            name: "nn_bias_gelu_over_nn",
+            op: "nn_bias_gelu",
+            shape: "256^3".to_string(),
+            ratio: gate_fused.ratio(),
+            floor: FUSED_GELU_OVER_NN_MIN,
+        },
     ];
     let gate_flops = 2 * (GATE_DIM as u64).pow(3);
     println!(
@@ -657,6 +722,14 @@ pub fn run() {
         gate_softmax.ratio(),
         gate_adam.ratio(),
         gate_dispatch.ratio()
+    );
+    println!(
+        "paired: gelu 256x1024 libm {:.2} / in-crate {:.2} ns/elem; tiled 256^3 nn {} / \
+         nn+bias+gelu {} us",
+        gate_gelu.best_f as f64 / (256.0 * 1024.0),
+        gate_gelu.best_g as f64 / (256.0 * 1024.0),
+        gate_fused.best_f / 1000,
+        gate_fused.best_g / 1000,
     );
     println!("-- gates (GEMM at {shape}; wide kernel: {wide}) --");
     for g in &gates {

@@ -11,8 +11,10 @@ use bagualu_tensor::Tensor;
 /// With [`FeedForward::with_recompute`] the `[n, d_ff]` hidden activation —
 /// the dominant activation-memory term of a transformer — is *not* cached;
 /// the backward pass recomputes it from the (4× smaller) input. This is the
-/// activation-checkpointing trade the memory budget in `bagualu-hw` assumes
-/// (≈33% extra FFN forward FLOPs for a 4× activation-memory reduction).
+/// activation-checkpointing trade the memory budget in `bagualu-hw` assumes:
+/// backward replays one of the layer's six GEMMs (`fc1`; `fc2`'s product is
+/// not needed, only its input) plus the GELU — ≈17% extra FFN FLOPs for a
+/// 4× activation-memory reduction.
 #[derive(Debug, Clone)]
 pub struct FeedForward {
     pub fc1: Linear,
@@ -83,16 +85,15 @@ impl FeedForward {
         let h = match self.cache_h.take() {
             Some(h) => h,
             None => {
-                // Recompute path: replay the segment forward to repopulate
-                // every internal cache (the ~33% FLOPs cost of
-                // checkpointing), then run the normal backward.
+                // Recompute path: replay `fc1` and the activation to
+                // repopulate every internal cache, then run the normal
+                // backward. `fc2` only needs its input back, not its output.
                 let x = self
                     .cache_x
                     .take()
                     .expect("FeedForward::backward before forward");
                 let h = self.fc1.forward(&x);
-                let a = gelu(&h);
-                let _ = self.fc2.forward(&a);
+                self.fc2.prime_cache(gelu(&h));
                 h
             }
         };

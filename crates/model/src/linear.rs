@@ -37,6 +37,14 @@ impl Linear {
         self.cache_x = None;
     }
 
+    /// Install `x` as the cached forward input without running the GEMM:
+    /// for a caller that replays a segment only to rebuild what
+    /// [`Linear::backward`] reads and has no use for the product.
+    pub fn prime_cache(&mut self, x: Tensor) {
+        assert_eq!(x.cols(), self.d_in());
+        self.cache_x = Some(x);
+    }
+
     /// Bytes currently held in the forward cache.
     pub fn cached_bytes(&self) -> usize {
         4 * self.cache_x.as_ref().map(|t| t.len()).unwrap_or(0)

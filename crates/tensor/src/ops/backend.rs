@@ -29,7 +29,7 @@
 //!   run on pre-quantized operands (half×half products are exact in `f32`).
 
 use crate::dtype::DType;
-use crate::ops::elementwise::gelu_scalar;
+use crate::ops::elementwise::{gelu_inplace, gelu_slice, relu_scalar};
 use crate::tensor::Tensor;
 use std::cell::RefCell;
 use std::fmt;
@@ -49,24 +49,25 @@ pub enum Activation {
 }
 
 impl Activation {
-    /// Apply to one value. Uses the exact same scalar functions as the
+    /// Apply to a slice in place on the calling thread: what a tiled GEMM's
+    /// epilogue runs on each output row. The same scalar functions as the
     /// standalone element-wise kernels, so a fused epilogue is bit-identical
     /// to `matmul` + `add_row_broadcast` + `gelu`/`relu`.
-    #[inline]
-    pub fn apply_scalar(self, x: f32) -> f32 {
+    pub(crate) fn apply_slice(self, xs: &mut [f32]) {
         match self {
-            Activation::Identity => x,
-            Activation::Gelu => gelu_scalar(x),
-            Activation::Relu => x.max(0.0),
+            Activation::Identity => {}
+            Activation::Gelu => gelu_slice(xs),
+            Activation::Relu => xs.iter_mut().for_each(|x| *x = relu_scalar(*x)),
         }
     }
 
-    /// Apply element-wise in place.
+    /// Apply element-wise in place. GELU fans out over the intra-op lanes
+    /// above the work cutoff and is counted under `compute.gelu.*`, like
+    /// the standalone [`gelu`](crate::ops::elementwise::gelu).
     pub fn apply(self, t: &mut Tensor) {
-        if self != Activation::Identity {
-            for x in t.as_mut_slice() {
-                *x = self.apply_scalar(*x);
-            }
+        match self {
+            Activation::Gelu => gelu_inplace(t),
+            _ => self.apply_slice(t.as_mut_slice()),
         }
     }
 }

@@ -13,7 +13,8 @@
 //! f32 accumulation). The row-structured kernels — softmax, layer-norm
 //! forward, the Adam update — dispatch the same way through
 //! [`rowops::RowOpsBackend`], whose two tiers (reference / vectorized) are
-//! bit-identical to each other.
+//! bit-identical to each other. GELU has one form on every backend: the
+//! in-crate branch-free `tanh` of [`elementwise`].
 
 pub mod backend;
 pub mod elementwise;

@@ -65,6 +65,9 @@ use crate::ops::backend::{Activation, MatmulBackend};
 use crate::ops::matmul::{dot4, gemm_work, KC};
 use crate::par;
 use crate::tensor::Tensor;
+use bagualu_trace::{self as trace, names};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
 /// Rows of C per parallel task on the portable path.
 pub(crate) const MC: usize = 64;
@@ -346,7 +349,8 @@ fn micro_edge(
 
 /// Apply the fused epilogue to a chunk of whole C rows, in `f32`, in the
 /// same per-element order as the unfused `add_row_broadcast` + activation
-/// sequence (so fused and unfused are bit-identical).
+/// sequence (so fused and unfused are bit-identical). Row by row, so a row
+/// is still in L1 when the activation's slice kernel reads it.
 fn epilogue(cchunk: &mut [f32], n: usize, bias: Option<&[f32]>, act: Activation) {
     if bias.is_none() && act == Activation::Identity {
         return;
@@ -357,11 +361,24 @@ fn epilogue(cchunk: &mut [f32], n: usize, bias: Option<&[f32]>, act: Activation)
                 *x += b;
             }
         }
-        if act != Activation::Identity {
-            for x in row.iter_mut() {
-                *x = act.apply_scalar(*x);
-            }
-        }
+        act.apply_slice(row);
+    }
+}
+
+/// [`epilogue`], its time added to `gelu_ns` when the caller is tracing a
+/// GELU epilogue. Chunks run on pool workers, which hold no trace lane, so
+/// the caller records the sum once the GEMM is done.
+fn timed_epilogue(
+    cchunk: &mut [f32],
+    n: usize,
+    bias: Option<&[f32]>,
+    act: Activation,
+    gelu_ns: Option<&AtomicU64>,
+) {
+    let t0 = gelu_ns.map(|_| Instant::now());
+    epilogue(cchunk, n, bias, act);
+    if let (Some(ns), Some(t0)) = (gelu_ns, t0) {
+        ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
     }
 }
 
@@ -385,9 +402,18 @@ pub(crate) fn tiled_nn(
     if m == 0 || n == 0 {
         return c;
     }
+    let gelu_ns = (act == Activation::Gelu && trace::enabled()).then(|| AtomicU64::new(0));
+    let gelu_ns = gelu_ns.as_ref();
+    let record_gelu = || {
+        if let Some(ns) = gelu_ns {
+            trace::count(names::COMPUTE_GELU_NS, ns.load(Ordering::Relaxed));
+            trace::count(names::COMPUTE_GELU_ELEMS, (m * n) as u64);
+        }
+    };
     if k == 0 {
         // Empty reduction: C is all zeros, but the epilogue still applies.
-        epilogue(c.as_mut_slice(), n, bias, act);
+        timed_epilogue(c.as_mut_slice(), n, bias, act, gelu_ns);
+        record_gelu();
         return c;
     }
     #[cfg(not(target_arch = "x86_64"))]
@@ -484,10 +510,11 @@ pub(crate) fn tiled_nn(
                 }
             }
         }
-        epilogue(cchunk, n, bias, act);
+        timed_epilogue(cchunk, n, bias, act, gelu_ns);
     };
 
     par::for_each_chunk(c.as_mut_slice(), mc * n, gemm_work(m, k, n), body);
+    record_gelu();
     c
 }
 

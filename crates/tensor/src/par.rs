@@ -44,8 +44,9 @@ pub fn describe_layout(nranks: usize) -> String {
 /// powers of two rounded down so the cutoff errs towards staying inline;
 /// see [`MIN_WORK`] for which measurements stand behind them.
 pub mod work {
-    /// One softmax / log-softmax element: an `exp`, ≈ 3 ns against the
-    /// ≈ 0.04 ns of a tiled multiply-add.
+    /// One element of a pass bound by a transcendental — a softmax /
+    /// log-softmax `exp`, a GELU `tanh` or its derivative: ≈ 2–3 ns against
+    /// the ≈ 0.04 ns of a tiled multiply-add.
     pub const EXP_ELEM: u64 = 64;
     /// One element of a streaming pass — layer norm, Adam, f32 ↔ f16/bf16
     /// conversion: ≈ 0.5–2 ns, memory-bound.
@@ -63,7 +64,7 @@ pub mod work {
 /// | class | inline side | dispatched side |
 /// |---|---|---|
 /// | GEMM | 64×32×64 NT (2^17): 5.7 µs inline | 512³ (2^27): E26 gate `nn_reference_dispatched_over_inline` |
-/// | [`work::EXP_ELEM`] | 64×64 softmax (2^18): 12.6 µs inline | 256×2048 softmax (2^25): E26 gate `rowops_vectorized_over_reference` |
+/// | [`work::EXP_ELEM`] | 64×64 softmax (2^18): 12.6 µs inline | 256×2048 softmax (2^25): E26 gate `rowops_vectorized_over_reference`; 256×1024 GELU (2^24): E26 gate `gelu_over_libm` |
 /// | [`work::STREAM_ELEM`] | not measured | Adam 1 M (2^24): same gate; layer norm 256×2048 (2^23): E26 table row |
 ///
 /// Nothing times a call *at* the cutoff, and the pack path has no timed row

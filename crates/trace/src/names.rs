@@ -86,6 +86,17 @@ pub const COMPUTE_SOFTMAX_FLOPS: &str = "compute.softmax.flops";
 /// Wall-clock nanoseconds inside the softmax kernels (see
 /// [`COMPUTE_SOFTMAX_FLOPS`]).
 pub const COMPUTE_SOFTMAX_NS: &str = "compute.softmax.ns";
+/// Elements passed through GELU or its derivative: the standalone forward
+/// and backward kernels and the fused GEMM epilogue alike. With
+/// [`COMPUTE_GELU_NS`] this is the activation's cost per element, the row
+/// that was invisible inside the FFN and expert spans while it cost more
+/// than the GEMMs around it.
+pub const COMPUTE_GELU_ELEMS: &str = "compute.gelu.elems";
+/// Nanoseconds inside the GELU kernels (see [`COMPUTE_GELU_ELEMS`]). A
+/// fused epilogue's share is the bias add and activation of every row
+/// chunk, summed over the lanes that ran them, and is also part of that
+/// call's [`COMPUTE_MATMUL_NS`].
+pub const COMPUTE_GELU_NS: &str = "compute.gelu.ns";
 /// Nominal FLOPs executed by layer-norm forward (8 per element: two
 /// reduction adds, centered square, normalize, scale, shift).
 pub const COMPUTE_LAYERNORM_FLOPS: &str = "compute.layernorm.flops";

@@ -323,3 +323,48 @@ proptest! {
         }
     }
 }
+
+/// `compute.gelu.elems` names every element that went through GELU or its
+/// derivative — standalone forward, backward, and the fused epilogue of
+/// every backend — including the chunks that ran on pool workers, which
+/// hold no trace lane of their own.
+#[test]
+fn gelu_counters_cover_forward_backward_and_fused_epilogue_at_any_width() {
+    use bagualu_tensor::ops::{gelu, gelu_backward};
+    use bagualu_trace::{names, TraceCollector};
+
+    let mut rng = Rng::seed_from(17);
+    // 128 × 512 × 128 multiply-adds and 128 × 512 GELU elements both clear
+    // `par::MIN_WORK`, so at width 2 the work leaves the calling thread.
+    let a = Tensor::randn(&[128, 128], 1.0, &mut rng);
+    let b = Tensor::randn(&[128, 512], 1.0, &mut rng);
+    let bias = vec![0.1f32; 512];
+    let h = Tensor::randn(&[128, 512], 1.0, &mut rng);
+    let elems = h.len() as u64;
+    for width in [1, 2] {
+        let _w = par::scoped_width(width);
+        let collector = TraceCollector::new();
+        {
+            let _lane = collector.install(0);
+            std::hint::black_box(gelu(&h));
+            std::hint::black_box(gelu_backward(&h, &h));
+            for cb in [
+                ComputeBackend::Reference,
+                ComputeBackend::Tiled,
+                ComputeBackend::Half(DType::BF16),
+            ] {
+                let be = cb.instantiate();
+                std::hint::black_box(be.matmul_bias_act(&a, &b, Some(&bias), Activation::Gelu));
+                // An identity epilogue is not GELU.
+                std::hint::black_box(be.matmul_bias_act(&a, &b, Some(&bias), Activation::Identity));
+            }
+        }
+        let trace = collector.finish();
+        assert_eq!(
+            trace.counter_total(names::COMPUTE_GELU_ELEMS),
+            5 * elems,
+            "width {width}"
+        );
+        assert!(trace.counter_total(names::COMPUTE_GELU_NS) > 0);
+    }
+}
