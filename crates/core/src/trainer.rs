@@ -1838,14 +1838,16 @@ mod tests {
     #[test]
     fn half_compute_bf16_trains_within_the_mixed_precision_band() {
         // End-to-end 16-bit *compute*: every GEMM operand is stored and
-        // multiplied in bf16 with f32 accumulation. Converge, and land
-        // within 1% relative / 0.03 absolute of the f32 run's final loss.
-        // The gap at step 40 is 0.020 (0.083 vs 0.103) and its fourth
-        // decimal follows the last bits of GELU — 0.0196 with glibc's
-        // `tanhf`, 0.0201 with the in-crate `tanh` — so the 16-bit wire's
-        // 0.02 floor sat on top of the quantity it bounds.
+        // multiplied in bf16 with f32 accumulation. Same acceptance band as
+        // the 16-bit wire (E24): converge, and land within 1% relative /
+        // 0.02 absolute of the f32 run's final loss — read where the curve
+        // has flattened, as the mean of the last 8 of 60 steps (0.016 vs
+        // 0.019, gap 0.003). At step 40 the loss still falls tenfold per
+        // ten steps, so a single-step gap there (0.020) is the distance
+        // between two points on a steep slope and follows the last bits of
+        // GELU, not the precision of the GEMMs.
         let base = TrainConfig {
-            steps: 40,
+            steps: 60,
             lr: 2e-2,
             nranks: 4,
             ..Default::default()
@@ -1858,9 +1860,10 @@ mod tests {
         .run();
         assert_eq!(half.compute, ComputeBackend::Half(DType::BF16));
         assert!(half.final_loss() < half.loss_curve[0], "did not converge");
-        let (a, b) = (exact.final_loss(), half.final_loss());
+        let tail = |r: &TrainReport| r.loss_curve[52..].iter().sum::<f32>() / 8.0;
+        let (a, b) = (tail(&exact), tail(&half));
         assert!(
-            (a - b).abs() <= (0.01 * a.abs()).max(0.03),
+            (a - b).abs() <= (0.01 * a.abs()).max(0.02),
             "bf16 compute degraded final loss: f32={a} vs {b}"
         );
     }

@@ -423,3 +423,88 @@ impl HasParams for DistMoELayer {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bagualu_comm::shm::{CommFamily, World};
+    use bagualu_model::moe::gate::GateKind;
+    use bagualu_tensor::rng::Rng;
+
+    /// All-to-all traffic is a function of the routing alone: an assignment
+    /// whose expert lives on another rank crosses the wire four times per
+    /// step — dispatch, combine and their two backward mirrors — as `d`
+    /// wire elements each, plus one `u32` expert id; an assignment that
+    /// stays home sends nothing. So a change that flips routing decisions
+    /// (different inputs, a capacity drop, a last-bit change upstream of a
+    /// near-tie) moves the byte count by exactly this much per flipped
+    /// assignment, and by nothing else.
+    #[test]
+    fn a2a_bytes_are_fixed_per_cross_rank_assignment() {
+        let (r, n_experts, d, n_local) = (4, 8, 16, 24);
+        for (wire, seed) in [
+            (WireDType::F32, 3u64),
+            (WireDType::F16, 3),
+            (WireDType::F16, 4),
+        ] {
+            let world = World::new(r);
+            let crossed: usize = std::thread::scope(|s| {
+                let ranks: Vec<_> = world
+                    .comms()
+                    .into_iter()
+                    .map(|comm| {
+                        s.spawn(move || {
+                            let rank = comm.rank();
+                            let placement = ExpertPlacement::RoundRobin;
+                            // Capacity factor 1.0 with top-2: some
+                            // assignments are dropped, as on `train_route`.
+                            let gate = Gate::new(
+                                "g",
+                                d,
+                                n_experts,
+                                GateKind::Top2,
+                                1.0,
+                                0.01,
+                                &mut Rng::seed_from(seed),
+                            );
+                            let mut rng = Rng::seed_from(seed * 100 + rank as u64);
+                            let experts = placement
+                                .local_experts(rank, n_experts, r)
+                                .into_iter()
+                                .map(|e| FeedForward::new(&format!("e{e}"), d, 2 * d, &mut rng))
+                                .collect();
+                            let mut layer = DistMoELayer::new(
+                                gate,
+                                n_experts,
+                                experts,
+                                rank,
+                                r,
+                                A2aKind::Pairwise,
+                                placement,
+                            );
+                            layer.set_wire(wire);
+                            let x = Tensor::randn(&[n_local, d], 1.0, &mut rng);
+                            layer.forward(&x, &comm);
+                            let cache = layer.cache.as_ref().unwrap();
+                            assert!(cache.routing.dropped > 0, "rank {rank}: nothing dropped");
+                            let crossed: usize = (0..r)
+                                .filter(|&dest| dest != rank)
+                                .map(|dest| cache.send_idx[dest].len())
+                                .sum();
+                            layer.backward(&Tensor::randn(&[n_local, d], 1.0, &mut rng), &comm);
+                            crossed
+                        })
+                    })
+                    .collect();
+                ranks.into_iter().map(|h| h.join().unwrap()).sum()
+            });
+            assert!(crossed > 0);
+            let per_assignment = 4 * d * wire.size_bytes() + 4;
+            assert_eq!(
+                world.stats().family(CommFamily::Alltoall).bytes,
+                (crossed * per_assignment) as u64,
+                "{wire:?} seed {seed}: {crossed} cross-rank assignments"
+            );
+        }
+    }
+}

@@ -62,12 +62,10 @@
 //! not use it; the CLI rejects those combinations.
 
 use crate::ops::backend::{Activation, MatmulBackend};
+use crate::ops::elementwise::GeluClock;
 use crate::ops::matmul::{dot4, gemm_work, KC};
 use crate::par;
 use crate::tensor::Tensor;
-use bagualu_trace::{self as trace, names};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
 /// Rows of C per parallel task on the portable path.
 pub(crate) const MC: usize = 64;
@@ -350,8 +348,9 @@ fn micro_edge(
 /// Apply the fused epilogue to a chunk of whole C rows, in `f32`, in the
 /// same per-element order as the unfused `add_row_broadcast` + activation
 /// sequence (so fused and unfused are bit-identical). Row by row, so a row
-/// is still in L1 when the activation's slice kernel reads it.
-fn epilogue(cchunk: &mut [f32], n: usize, bias: Option<&[f32]>, act: Activation) {
+/// is still in L1 when the activation's slice kernel reads it; `gelu` times
+/// the activation alone, not the bias add.
+fn epilogue(cchunk: &mut [f32], n: usize, bias: Option<&[f32]>, act: Activation, gelu: &GeluClock) {
     if bias.is_none() && act == Activation::Identity {
         return;
     }
@@ -361,24 +360,7 @@ fn epilogue(cchunk: &mut [f32], n: usize, bias: Option<&[f32]>, act: Activation)
                 *x += b;
             }
         }
-        act.apply_slice(row);
-    }
-}
-
-/// [`epilogue`], its time added to `gelu_ns` when the caller is tracing a
-/// GELU epilogue. Chunks run on pool workers, which hold no trace lane, so
-/// the caller records the sum once the GEMM is done.
-fn timed_epilogue(
-    cchunk: &mut [f32],
-    n: usize,
-    bias: Option<&[f32]>,
-    act: Activation,
-    gelu_ns: Option<&AtomicU64>,
-) {
-    let t0 = gelu_ns.map(|_| Instant::now());
-    epilogue(cchunk, n, bias, act);
-    if let (Some(ns), Some(t0)) = (gelu_ns, t0) {
-        ns.fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        gelu.time(|| act.apply_slice(row));
     }
 }
 
@@ -402,18 +384,11 @@ pub(crate) fn tiled_nn(
     if m == 0 || n == 0 {
         return c;
     }
-    let gelu_ns = (act == Activation::Gelu && trace::enabled()).then(|| AtomicU64::new(0));
-    let gelu_ns = gelu_ns.as_ref();
-    let record_gelu = || {
-        if let Some(ns) = gelu_ns {
-            trace::count(names::COMPUTE_GELU_NS, ns.load(Ordering::Relaxed));
-            trace::count(names::COMPUTE_GELU_ELEMS, (m * n) as u64);
-        }
-    };
+    let gelu = GeluClock::start(act == Activation::Gelu);
     if k == 0 {
         // Empty reduction: C is all zeros, but the epilogue still applies.
-        timed_epilogue(c.as_mut_slice(), n, bias, act, gelu_ns);
-        record_gelu();
+        epilogue(c.as_mut_slice(), n, bias, act, &gelu);
+        gelu.record(m * n);
         return c;
     }
     #[cfg(not(target_arch = "x86_64"))]
@@ -510,11 +485,11 @@ pub(crate) fn tiled_nn(
                 }
             }
         }
-        timed_epilogue(cchunk, n, bias, act, gelu_ns);
+        epilogue(cchunk, n, bias, act, &gelu);
     };
 
     par::for_each_chunk(c.as_mut_slice(), mc * n, gemm_work(m, k, n), body);
-    record_gelu();
+    gelu.record(m * n);
     c
 }
 

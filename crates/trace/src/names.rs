@@ -92,10 +92,13 @@ pub const COMPUTE_SOFTMAX_NS: &str = "compute.softmax.ns";
 /// that was invisible inside the FFN and expert spans while it cost more
 /// than the GEMMs around it.
 pub const COMPUTE_GELU_ELEMS: &str = "compute.gelu.elems";
-/// Nanoseconds inside the GELU kernels (see [`COMPUTE_GELU_ELEMS`]). A
-/// fused epilogue's share is the bias add and activation of every row
-/// chunk, summed over the lanes that ran them, and is also part of that
-/// call's [`COMPUTE_MATMUL_NS`].
+/// Lane nanoseconds inside the GELU kernels (see [`COMPUTE_GELU_ELEMS`]):
+/// the time of every slice-kernel call, summed over the intra-op lanes
+/// that ran them — not the caller's wall clock, which a fused epilogue
+/// interleaved with its GEMM does not have — so `ns ÷ elems` reads the
+/// same at any width, standalone or fused. A fused epilogue's share covers
+/// the activation only (not the bias add) and also sits inside that
+/// call's wall-clock [`COMPUTE_MATMUL_NS`].
 pub const COMPUTE_GELU_NS: &str = "compute.gelu.ns";
 /// Nominal FLOPs executed by layer-norm forward (8 per element: two
 /// reduction adds, centered square, normalize, scale, shift).
