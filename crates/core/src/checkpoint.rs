@@ -25,8 +25,11 @@
 //! **Data path.** A shard is touched once in each direction. Saving streams
 //! every tensor straight out of the model inside `visit_params`, through one
 //! staging buffer, into the record CRC and the file — no copy of the model
-//! is made. Loading reads each file once, verifying every record, and moves
-//! the decoded tensors into the model. The metadata readers
+//! is made. Loading walks each file once, verifying every record the model
+//! names (and seeking past any it does not — other ranks' experts, on a
+//! re-sharding restore), and moves the decoded tensors into the model. A
+//! load that leaves a parameter unset is an error, so a restoring rank may
+//! build its model without drawing a weight. The metadata readers
 //! ([`read_placement`], [`read_run_config`]) walk record headers and seek
 //! past the parameter data, verifying only the record they return.
 
@@ -34,7 +37,7 @@ use crate::runconfig::RunConfig;
 use bagualu_model::param::HasParams;
 use bagualu_tensor::Tensor;
 use bagualu_trace::{self as trace, names};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fs::File;
 use std::io::{self, BufReader, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -543,17 +546,32 @@ impl Drop for ShardReader {
     }
 }
 
-/// Read every record of every file in one pass each, verifying integrity
-/// (v2: per-record CRC32 + trailer; v1: structure only). A name that occurs
+/// Read what `model` will install from a set of files, one pass each: the
+/// records it names and the metadata records are decoded and verified (v2:
+/// per-record CRC32; v1: structure only); any other record — another rank's
+/// experts, on a re-sharding restore — is seeked past like
+/// [`read_named_record`] does, so a reader holds no more than it installs.
+/// Every file's structure and trailer are still checked. A name that occurs
 /// more than once keeps its last occurrence.
-fn read_records(paths: &[impl AsRef<Path>]) -> io::Result<HashMap<String, Tensor>> {
+fn read_records(
+    paths: &[impl AsRef<Path>],
+    model: &mut dyn HasParams,
+) -> io::Result<HashMap<String, Tensor>> {
+    let mut wanted = HashSet::from([PLACEMENT_RECORD.to_string(), RUNCONFIG_RECORD.to_string()]);
+    model.visit_params(&mut |p| {
+        wanted.insert(p.name.clone());
+    });
     let mut records = HashMap::new();
     for path in paths {
         let mut r = ShardReader::open(path.as_ref())?;
         for _ in 0..r.n_params {
             let h = r.next_header()?;
-            let t = r.payload(&h)?;
-            records.insert(h.name, t);
+            if wanted.contains(&h.name) {
+                let t = r.payload(&h)?;
+                records.insert(h.name, t);
+            } else {
+                r.skip(&h)?;
+            }
         }
         r.finish()?;
     }
@@ -578,8 +596,9 @@ fn read_named_record(path: &Path, name: &str) -> io::Result<Option<Tensor>> {
 }
 
 /// Move `records` into `model` by name. Every parameter of `model` must be
-/// present with a matching shape; records the model does not name (metadata,
-/// other shards' parameters) are dropped.
+/// present with a matching shape — a load never leaves one unset, which is
+/// what lets a restoring rank build its model without drawing a weight;
+/// records the model does not name (metadata) are dropped.
 fn install(mut records: HashMap<String, Tensor>, model: &mut dyn HasParams) -> io::Result<()> {
     let mut problems = Vec::new();
     model.visit_params(&mut |p| match records.remove(&p.name) {
@@ -751,9 +770,9 @@ pub fn read_run_config(path: impl AsRef<Path>) -> io::Result<Option<RunConfig>> 
 
 /// Load parameter values by name from a single checkpoint file, read once.
 /// Every parameter of `model` must be present with a matching shape; extra
-/// entries in the file are ignored (they belong to other shards' views).
+/// entries in the file are seeked past (they belong to other shards' views).
 pub fn load_params(path: impl AsRef<Path>, model: &mut dyn HasParams) -> io::Result<()> {
-    install(read_records(&[path])?, model)
+    install(read_records(&[path], model)?, model)
 }
 
 /// [`load_params`] for a restoring rank: the same single pass also yields
@@ -764,7 +783,7 @@ pub(crate) fn load_params_gated(
     model: &mut dyn HasParams,
     gate: impl FnOnce(Option<PlacementMeta>),
 ) -> io::Result<()> {
-    let records = read_records(&[path])?;
+    let records = read_records(&[path], model)?;
     gate(
         records
             .get(PLACEMENT_RECORD)
@@ -797,15 +816,16 @@ pub fn save_params_sharded(
 ///
 /// This is the **repartitioning** path: a run checkpointed on `R` ranks
 /// (one file per rank, disjoint experts + identical dense replicas) can be
-/// restored onto `R'` ranks — each new rank passes every file and picks out
-/// the parameters its layout owns. Duplicate names across files must agree
-/// in shape (dense replicas legitimately appear in every rank's file; the
-/// last occurrence wins, and replicas are identical by construction).
+/// restored onto `R'` ranks — each new rank passes every file and reads out
+/// of each the parameters its layout owns, seeking past the rest. Duplicate
+/// names across files must agree in shape (dense replicas legitimately
+/// appear in every rank's file; the last occurrence wins, and replicas are
+/// identical by construction).
 pub fn load_params_from_files(
     paths: &[impl AsRef<Path>],
     model: &mut dyn HasParams,
 ) -> io::Result<()> {
-    install(read_records(paths)?, model)
+    install(read_records(paths, model)?, model)
 }
 
 /// Reload a sharded checkpoint written by [`save_params_sharded`].
@@ -1034,6 +1054,119 @@ mod tests {
                 );
             });
         }
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn a_restore_build_loads_to_the_model_a_drawn_build_loads_to() {
+        use bagualu_parallel::model_dist::DistTransformer;
+        use bagualu_parallel::moe_dist::A2aKind;
+        use bagualu_parallel::ExpertPlacement;
+        let dir = tmpdir("restore-build");
+        let cfg = ModelConfig {
+            n_experts: 6,
+            ..ModelConfig::tiny()
+        };
+        // A 2-rank run's shards, values moved off their initialisation.
+        let paths: Vec<PathBuf> = (0..2)
+            .map(|rank| {
+                let mut m = DistTransformer::new(cfg, 777, rank, 2, A2aKind::Pairwise);
+                m.visit_params(&mut |p| p.value.scale(1.5));
+                let path = dir.join(format!("rank{rank}.bglu"));
+                save_params(&path, &mut m).unwrap();
+                path
+            })
+            .collect();
+
+        // Restored in place (own shard) and re-sharded onto 3 ranks: a model
+        // that drew nothing ends up bit for bit where a drawn one does, and a
+        // shard set without one of its experts fails instead of leaving the
+        // zeros in place.
+        for (nranks, placement) in [
+            (2, ExpertPlacement::RoundRobin),
+            (3, ExpertPlacement::RoundRobin),
+            (3, ExpertPlacement::Shed { victim: 0 }),
+        ] {
+            for rank in 0..nranks {
+                let a2a = A2aKind::Pairwise;
+                let mut drawn = DistTransformer::new_placed(cfg, 5, rank, nranks, a2a, placement);
+                let mut shell =
+                    DistTransformer::new_for_restore(cfg, 5, rank, nranks, a2a, placement);
+                let files = if nranks == 2 {
+                    &paths[rank..=rank]
+                } else {
+                    &paths[..]
+                };
+                load_params_from_files(files, &mut drawn).unwrap();
+                load_params_from_files(files, &mut shell).unwrap();
+                let want = collect_params(&mut drawn);
+                let got = collect_params(&mut shell);
+                assert_eq!(want.len(), got.len());
+                for ((wn, wv), (gn, gv)) in want.iter().zip(&got) {
+                    assert_eq!(wn, gn);
+                    assert_eq!(wv.shape(), gv.shape(), "{wn}");
+                    let bits = |t: &Tensor| -> Vec<u32> {
+                        t.as_slice().iter().map(|v| v.to_bits()).collect()
+                    };
+                    assert_eq!(bits(wv), bits(gv), "{nranks} ranks, rank {rank}: {wn}");
+                }
+                if nranks == 3 {
+                    let err = load_params_from_files(&paths[1..], &mut shell).unwrap_err();
+                    assert!(err.to_string().contains("absent from checkpoint"), "{err}");
+                }
+            }
+        }
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn resharding_load_seeks_past_the_records_it_does_not_install() {
+        use bagualu_parallel::model_dist::DistTransformer;
+        use bagualu_parallel::moe_dist::A2aKind;
+        use bagualu_parallel::ExpertPlacement::RoundRobin;
+        let dir = tmpdir("reshard-skip");
+        // Experts large next to the reader's 8 KiB read-ahead, which is what
+        // a seek throws away.
+        let cfg = ModelConfig {
+            n_experts: 8,
+            d_ff: 512,
+            ..ModelConfig::tiny()
+        };
+        let mut total = 0;
+        let paths: Vec<PathBuf> = (0..2)
+            .map(|rank| {
+                let mut m = DistTransformer::new(cfg, 31, rank, 2, A2aKind::Pairwise);
+                let path = dir.join(format!("rank{rank}.bglu"));
+                total += save_params(&path, &mut m).unwrap();
+                path
+            })
+            .collect();
+        // One of four new ranks owns 2 of the 8 experts: it reads both dense
+        // replicas and those two, and a flipped bit inside an expert it
+        // skipped is left for the rank that installs that expert.
+        let mut m = DistTransformer::new_for_restore(cfg, 31, 0, 4, A2aKind::Pairwise, RoundRobin);
+        let col = trace::TraceCollector::new();
+        {
+            let _lane = col.install(0);
+            load_params_from_files(&paths, &mut m).unwrap();
+        }
+        let read = col.finish().counter_total(names::CKPT_BYTES_READ);
+        let expert_bytes = (4 * 2 * cfg.d_model * cfg.d_ff) as u64;
+        assert!(
+            read < total - 5 * expert_bytes && read > total - 7 * expert_bytes,
+            "read {read} of {total} bytes ({expert_bytes} per expert, 6 skipped)"
+        );
+
+        // Rank 1's shard holds experts 1, 3, 5, 7 last; its tail is expert 7.
+        let mut data = std::fs::read(&paths[1]).unwrap();
+        let in_expert_7 = data.len() - 12 - 4 - 64;
+        data[in_expert_7] ^= 0x04;
+        std::fs::write(&paths[1], &data).unwrap();
+        load_params_from_files(&paths, &mut m).unwrap();
+        let mut owner =
+            DistTransformer::new_for_restore(cfg, 31, 3, 4, A2aKind::Pairwise, RoundRobin);
+        let err = load_params_from_files(&paths, &mut owner).unwrap_err();
+        assert!(err.to_string().contains("checksum mismatch"), "{err}");
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -1270,7 +1403,7 @@ mod tests {
         let mut bag = straddling_bag();
 
         save_params_with_meta(&path, &mut bag, meta, Some(&rc)).unwrap();
-        let full = read_records(&[&path]).unwrap();
+        let full = read_records(&[&path], &mut bag).unwrap();
         assert_eq!(
             read_placement(&path).unwrap(),
             Some(PlacementMeta::decode(&full[PLACEMENT_RECORD]).unwrap())

@@ -452,27 +452,26 @@ impl Trainer {
                     n_experts: cfg.model.n_experts,
                     nranks: world_size,
                 };
-                if !shard0.exists() {
-                    Restore::Strict
-                } else {
-                    let saved = crate::checkpoint::read_placement(&shard0)
-                        .unwrap_or_else(|e| panic!("cannot read checkpoint {shard0:?}: {e}"));
-                    match saved {
-                        Some(meta) if meta == current => Restore::Strict,
-                        Some(meta) if allow_reshard && meta.n_experts == current.n_experts => {
-                            Restore::Reshard {
-                                from_nranks: meta.nranks,
-                            }
+                // So is a step with no checkpoint behind it, whether the
+                // step came from `resume_step` or from the MANIFEST.
+                let saved = crate::checkpoint::read_placement(&shard0).unwrap_or_else(|e| {
+                    panic!("cannot resume from step {start_step}: checkpoint shard {shard0:?}: {e}")
+                });
+                match saved {
+                    Some(meta) if meta == current => Restore::Strict,
+                    Some(meta) if allow_reshard && meta.n_experts == current.n_experts => {
+                        Restore::Reshard {
+                            from_nranks: meta.nranks,
                         }
-                        Some(meta) if allow_reshard => panic!(
-                            "cannot re-shard checkpoint {shard0:?}: it holds {} experts but \
-                             this run has {}",
-                            meta.n_experts, current.n_experts
-                        ),
-                        _ => {
-                            placement_gate(saved, &shard0, current, 0);
-                            Restore::Strict
-                        }
+                    }
+                    Some(meta) if allow_reshard => panic!(
+                        "cannot re-shard checkpoint {shard0:?}: it holds {} experts but \
+                         this run has {}",
+                        meta.n_experts, current.n_experts
+                    ),
+                    _ => {
+                        placement_gate(saved, &shard0, current, 0);
+                        Restore::Strict
                     }
                 }
             };
@@ -658,16 +657,26 @@ struct RankState {
 }
 
 impl RankState {
-    fn new<C: Communicator>(cfg: TrainConfig, comm: &C) -> RankState {
-        let placement = cfg.resolved_placement();
-        let mut model = DistTransformer::new_placed(
-            cfg.model,
-            cfg.seed,
-            comm.rank(),
-            comm.size(),
-            cfg.a2a,
-            placement,
-        );
+    /// `restoring`: the caller loads a checkpoint into the model before its
+    /// first step, so no weight is drawn (see
+    /// [`DistTransformer::new_for_restore`]).
+    fn new<C: Communicator>(cfg: TrainConfig, comm: &C, restoring: bool) -> RankState {
+        let build = if restoring {
+            DistTransformer::new_for_restore
+        } else {
+            DistTransformer::new_placed
+        };
+        let mut model = {
+            let _span = trace::span(names::MODEL_BUILD);
+            build(
+                cfg.model,
+                cfg.seed,
+                comm.rank(),
+                comm.size(),
+                cfg.a2a,
+                cfg.resolved_placement(),
+            )
+        };
         model.set_wire_dtype(cfg.wire);
         // Arm intra/inter-supernode byte accounting and the locality-biased
         // gate whenever a supernode size is known (from the placement or
@@ -902,7 +911,7 @@ fn rank_main<C: Communicator>(cfg: TrainConfig, comm: &C) -> TrainReport {
     // affected.
     let _backend = install_backend(cfg.compute.instantiate());
     let _row_ops = install_row_ops(cfg.compute.instantiate_row_ops());
-    let mut st = RankState::new(cfg, comm);
+    let mut st = RankState::new(cfg, comm, false);
     for step in 0..cfg.steps {
         st.step(step, comm);
     }
@@ -1035,7 +1044,7 @@ fn rank_main_ft<C: FtCommunicator>(
     // fresh threads, so each attempt re-installs them.
     let _backend = install_backend(cfg.compute.instantiate());
     let _row_ops = install_row_ops(cfg.compute.instantiate_row_ops());
-    let mut st = RankState::new(cfg, comm);
+    let mut st = RankState::new(cfg, comm, !matches!(restore, Restore::Fresh));
     let placement_meta = crate::checkpoint::PlacementMeta {
         placement: cfg.resolved_placement(),
         n_experts: cfg.model.n_experts,
@@ -2000,31 +2009,144 @@ mod tests {
     fn resume_reads_each_ranks_shard_exactly_once() {
         // Placement gate and parameter load share one pass, and the driver's
         // pre-flight on rank 0's shard is a header walk off the rank lanes:
-        // what a restoring rank pulls from disk is its shard, once.
+        // what a restoring rank pulls from disk is its shard, once. And what
+        // it draws from the init stream is nothing — while a fresh rank draws
+        // exactly the weights it owns and steps past the rest of the model.
         let dir = ft_tmpdir("read-once");
         let cfg = TrainConfig {
             steps: 6,
+            trace: true,
             ..Default::default()
         };
-        Trainer::new(cfg).run_ft(&FtConfig {
+        let fresh = Trainer::new(cfg).run_ft(&FtConfig {
             ckpt_every: 4,
             ..FtConfig::new(&dir)
         });
-        let resumed = Trainer::new(TrainConfig { trace: true, ..cfg }).run_ft(&FtConfig {
+        let resumed = Trainer::new(cfg).run_ft(&FtConfig {
             ckpt_every: 0,
             resume_step: 4,
             ..FtConfig::new(&dir)
         });
-        let trace = resumed.trace.as_ref().expect("trace requested");
+        // Drawn weights are the matrices; biases and norms are constants.
+        fn weights(m: &mut dyn HasParams) -> u64 {
+            let mut n = 0;
+            m.visit_params(&mut |p| n += if p.value.ndim() == 2 { p.numel() } else { 0 });
+            n as u64
+        }
+        let full = weights(&mut bagualu_model::transformer::Transformer::new(
+            cfg.model,
+            &mut bagualu_tensor::rng::Rng::seed_from(cfg.seed),
+        ));
+        let (fresh, resumed) = (fresh.trace.unwrap(), resumed.trace.unwrap());
         for rank in 0..cfg.nranks {
             let shard = dir.join("step4").join(format!("rank{rank}.bglu"));
-            let lane = trace.lane(rank).expect("rank lane");
+            let lane = resumed.lane(rank).expect("rank lane");
             assert_eq!(
                 lane.counter_total(names::CKPT_BYTES_READ),
                 std::fs::metadata(&shard).unwrap().len(),
                 "rank {rank}"
             );
+            assert_eq!(lane.span_count(names::MODEL_BUILD), 1);
+            assert_eq!(lane.counter_total(names::INIT_DRAWN_ELEMS), 0);
+            assert_eq!(lane.counter_total(names::INIT_SKIPPED_ELEMS), full);
+
+            let lane = fresh.lane(rank).expect("rank lane");
+            let owned = weights(&mut DistTransformer::new_placed(
+                cfg.model,
+                cfg.seed,
+                rank,
+                cfg.nranks,
+                cfg.a2a,
+                cfg.resolved_placement(),
+            ));
+            assert!(owned < full, "rank {rank} owns the whole model");
+            assert_eq!(lane.span_count(names::MODEL_BUILD), 1);
+            assert_eq!(lane.counter_total(names::INIT_DRAWN_ELEMS), owned);
+            assert_eq!(lane.counter_total(names::INIT_SKIPPED_ELEMS), full - owned);
         }
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot resume from step 4")]
+    fn resuming_from_a_step_with_no_checkpoint_is_a_hard_error_not_a_retried_crash() {
+        // Every rank would fail its load, the driver would count that as a
+        // crash, find no manifest, fall back to `resume_step` again, and die
+        // `max_restarts` full attempts later with "giving up after …".
+        let dir = ft_tmpdir("resume-missing");
+        let cfg = TrainConfig {
+            steps: 6,
+            ..Default::default()
+        };
+        let _ = Trainer::new(cfg).run_ft(&FtConfig {
+            ckpt_every: 0,
+            resume_step: 4,
+            ..FtConfig::new(&dir)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot resume from step 4")]
+    fn a_manifest_naming_a_step_with_no_shards_is_a_hard_error() {
+        // The same error when the step comes from the MANIFEST: the run
+        // crashes, the driver reads "4", and step4/ was never written.
+        let dir = ft_tmpdir("manifest-missing-shards");
+        std::fs::write(dir.join("MANIFEST"), "4\n").unwrap();
+        let cfg = TrainConfig {
+            steps: 6,
+            ..Default::default()
+        };
+        let _ = Trainer::new(cfg).run_ft(&FtConfig {
+            plan: FaultPlan::new(3).crash(0, 2),
+            ckpt_every: 0,
+            heartbeat_ms: 200,
+            ..FtConfig::new(&dir)
+        });
+    }
+
+    #[test]
+    fn noisy_gate_recovery_matches_a_run_resumed_from_the_same_checkpoint() {
+        // `crash_recovers_from_checkpoint_and_matches_reference` with a gate
+        // whose routing depends on its private noise stream. That stream's
+        // seed is drawn from the init stream *after* tensors a restoring
+        // rank never evaluates, and is not in the checkpoint: both restores
+        // must re-derive it, and the same one.
+        let cfg = TrainConfig {
+            steps: 10,
+            model: ModelConfig {
+                gate: bagualu_model::moe::GateKind::NoisyTop1,
+                ..ModelConfig::tiny()
+            },
+            ..Default::default()
+        };
+        let dir = ft_tmpdir("crash-noisy");
+        let faulted = Trainer::new(cfg).run_ft(&FtConfig {
+            plan: FaultPlan::new(7).crash(1, 6),
+            ckpt_every: 4,
+            heartbeat_ms: 200,
+            ..FtConfig::new(&dir)
+        });
+        assert_eq!(faulted.restarts, 1);
+        let reference = Trainer::new(cfg).run_ft(&FtConfig {
+            ckpt_every: 0,
+            resume_step: 4,
+            ..FtConfig::new(&dir)
+        });
+        assert_eq!(reference.restarts, 0);
+        assert_eq!(faulted.loss_curve[4..], reference.loss_curve[4..]);
+        assert_eq!(faulted.aux_curve[4..], reference.aux_curve[4..]);
+        assert_eq!(faulted.drop_curve[4..], reference.drop_curve[4..]);
+        // The noise is live: the same run routed by a plain top-1 gate
+        // lands elsewhere.
+        let top1 = Trainer::new(TrainConfig {
+            model: ModelConfig {
+                gate: bagualu_model::moe::GateKind::Top1,
+                ..cfg.model
+            },
+            ..cfg
+        })
+        .run();
+        assert_ne!(top1.loss_curve[..4], faulted.loss_curve[..4]);
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -2087,6 +2209,21 @@ mod tests {
                 .expect("driver lane");
             assert_eq!(driver.counter_total(names::FT_RESIZES), 1);
             assert_eq!(driver.counter_total(names::RESTARTS), 1);
+
+            // A re-sharding survivor reads what it installs — every shard's
+            // dense replica and the experts it now owns — not the old world.
+            let old_world: u64 = (0..3)
+                .map(|r| dir.join("step4").join(format!("rank{r}.bglu")))
+                .map(|shard| std::fs::metadata(shard).unwrap().len())
+                .sum();
+            for survivor in 0..2 {
+                let lane = r.trace.as_ref().unwrap().lane(survivor).unwrap();
+                let read = lane.counter_total(names::CKPT_BYTES_READ);
+                assert!(
+                    read > 0 && read < old_world,
+                    "zero={zero}: survivor {survivor} read {read} of {old_world} shard bytes"
+                );
+            }
 
             // The shrunk world checkpoints under its own layout: step 8's
             // record must say "6 experts on 2 ranks", not echo the old world.

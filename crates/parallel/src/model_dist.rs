@@ -1,9 +1,22 @@
 //! The distributed transformer: replicated dense layers + sharded experts.
 //!
-//! Construction goes through a *local* [`Transformer`] so that a
-//! single-rank run and an `R`-rank run start from bit-identical weights —
-//! the semantic-equivalence tests rely on this, and it mirrors how the real
-//! system deterministically seeds every rank.
+//! A rank builds only what it owns. [`DistTransformer::new_placed`] walks
+//! one seeded init stream in [`Transformer::new`]'s draw order — per block
+//! the gate, experts `0..E` in global order, then attention; then `tok`,
+//! `pos`, `head` — and draws the replicated dense layers and the experts the
+//! placement gives this rank. An expert owned elsewhere still goes through
+//! its own constructor, but inside [`Rng::with_fills`], which steps the
+//! stream past its weights without evaluating or allocating them, and is
+//! dropped. [`DistTransformer::new_for_restore`] skips *every* tensor:
+//! names, shapes and gate noise seeds only, for a rank whose values come
+//! from a checkpoint.
+//!
+//! What is pinned to what: [`DistTransformer::from_local_placed`] — shard a
+//! fully materialised single-rank [`Transformer`] — is the oracle. The unit
+//! tests below hold `new_placed` to it bitwise (every parameter name, shape
+//! and value, every gate's noise stream) across placements, world sizes and
+//! layer mixes, so a single-rank run and an `R`-rank run still start from
+//! bit-identical weights, which the semantic-equivalence tests rely on.
 
 use crate::moe_dist::{A2aKind, DistMoELayer};
 use crate::placement::ExpertPlacement;
@@ -15,9 +28,10 @@ use bagualu_model::ffn::FeedForward;
 use bagualu_model::layernorm::LayerNorm;
 use bagualu_model::linear::Linear;
 use bagualu_model::loss::cross_entropy;
+use bagualu_model::moe::gate::Gate;
 use bagualu_model::param::{HasParams, Param};
 use bagualu_model::transformer::{BlockFfn, StepStats, Transformer};
-use bagualu_tensor::rng::Rng;
+use bagualu_tensor::rng::{Fills, Rng};
 use bagualu_tensor::Tensor;
 
 /// FFN of a distributed block.
@@ -210,8 +224,11 @@ impl DistTransformer {
         Self::new_placed(cfg, seed, rank, nranks, a2a, ExpertPlacement::RoundRobin)
     }
 
-    /// Build directly from a seed (all ranks derive identical dense weights
-    /// and consistent expert shards under the given placement).
+    /// Build this rank's shard directly from a seed: all ranks derive
+    /// identical dense weights and consistent expert shards under the given
+    /// placement, bit for bit what [`Self::from_local_placed`] cuts out of
+    /// `Transformer::new(cfg, &mut Rng::seed_from(seed))`, without drawing
+    /// the experts other ranks own.
     pub fn new_placed(
         cfg: ModelConfig,
         seed: u64,
@@ -220,9 +237,124 @@ impl DistTransformer {
         a2a: A2aKind,
         placement: ExpertPlacement,
     ) -> DistTransformer {
-        let mut rng = Rng::seed_from(seed);
-        let local = Transformer::new(cfg, &mut rng);
-        Self::from_local_placed(&local, rank, nranks, a2a, placement)
+        Self::build(cfg, &mut Rng::seed_from(seed), rank, nranks, a2a, placement)
+    }
+
+    /// [`Self::new_placed`] for a rank that is about to load a checkpoint:
+    /// the same parameter names and shapes and the same gate noise seeds,
+    /// but no weight is drawn — every value is zero until the load sets it.
+    /// Sound only because the checkpoint loaders fail a load that leaves any
+    /// parameter of the model unset; do not train or serve the result
+    /// without one.
+    pub fn new_for_restore(
+        cfg: ModelConfig,
+        seed: u64,
+        rank: usize,
+        nranks: usize,
+        a2a: A2aKind,
+        placement: ExpertPlacement,
+    ) -> DistTransformer {
+        Rng::seed_from(seed).with_fills(Fills::SkipToZeros, |rng| {
+            Self::build(cfg, rng, rank, nranks, a2a, placement)
+        })
+    }
+
+    /// One rank's shard off `rng`, in [`Transformer::new`]'s draw order (the
+    /// statement order of `Transformer::new`, `Block::new` and
+    /// `MoELayer::new`). Every layer goes through its own constructor, so
+    /// the constructors stay the one definition of what a layer consumes;
+    /// an expert owned elsewhere is constructed with its fills skipping to
+    /// empty tensors and dropped. Gradient accumulators come zeroed from
+    /// `Param::new`.
+    fn build(
+        cfg: ModelConfig,
+        rng: &mut Rng,
+        rank: usize,
+        nranks: usize,
+        a2a: A2aKind,
+        placement: ExpertPlacement,
+    ) -> DistTransformer {
+        assert!(rank < nranks);
+        placement
+            .validate(nranks)
+            .expect("invalid expert placement");
+        assert_eq!(
+            cfg.router_groups, 0,
+            "MoDa runtime requires the flat gate; the two-level router is a single-rank feature"
+        );
+        let blocks = (0..cfg.n_layers)
+            .map(|i| {
+                let name = format!("blocks.{i}");
+                let ffn = if cfg.is_moe_block(i) {
+                    let gate = Gate::new(
+                        &format!("{name}.moe.gate"),
+                        cfg.d_model,
+                        cfg.n_experts,
+                        cfg.gate,
+                        cfg.capacity_factor,
+                        cfg.aux_weight,
+                        rng,
+                    );
+                    let mut shard = Vec::new();
+                    for e in 0..cfg.n_experts {
+                        let mine = placement.owner(e, cfg.n_experts, nranks) == rank;
+                        let fills = if mine {
+                            Fills::Draw
+                        } else {
+                            Fills::SkipToEmpty
+                        };
+                        let expert = rng.with_fills(fills, |rng| {
+                            FeedForward::new(
+                                &format!("{name}.moe.expert{e}"),
+                                cfg.d_model,
+                                cfg.d_ff,
+                                rng,
+                            )
+                        });
+                        if mine {
+                            shard.push(expert);
+                        }
+                    }
+                    DistFfn::MoE(DistMoELayer::new(
+                        gate,
+                        cfg.n_experts,
+                        shard,
+                        rank,
+                        nranks,
+                        a2a,
+                        placement,
+                    ))
+                } else {
+                    DistFfn::Dense(FeedForward::new(
+                        &format!("{name}.ffn"),
+                        cfg.d_model,
+                        cfg.d_ff,
+                        rng,
+                    ))
+                };
+                let mut attn =
+                    MultiHeadAttention::new(&format!("{name}.attn"), cfg.d_model, cfg.n_heads, rng);
+                if cfg.rope {
+                    attn = attn.with_rope();
+                }
+                DistBlock {
+                    ln1: LayerNorm::new(&format!("{name}.ln1"), cfg.d_model),
+                    attn,
+                    ln2: LayerNorm::new(&format!("{name}.ln2"), cfg.d_model),
+                    ffn,
+                }
+            })
+            .collect();
+        DistTransformer {
+            cfg,
+            rank,
+            nranks,
+            tok: Embedding::new("tok", cfg.vocab, cfg.d_model, rng),
+            pos: Embedding::new("pos", cfg.max_seq, cfg.d_model, rng),
+            blocks,
+            ln_f: LayerNorm::new("ln_f", cfg.d_model),
+            head: Linear::new("head", cfg.d_model, cfg.vocab, rng),
+        }
     }
 
     /// The expert placement every MoE block uses (round-robin when the
@@ -414,5 +546,181 @@ impl HasParams for DistTransformer {
         // Dense first, then experts — a deterministic global order.
         self.visit_dense_params(f);
         self.visit_expert_params(f);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bagualu_model::moe::GateKind;
+    use bagualu_trace::{names, TraceCollector};
+
+    /// Odd sizes everywhere a draw count comes from: `9·E` gate weights with
+    /// `E = 5`, 9 × 5 expert matrices, a 13 × 9 token table, 7 × 9
+    /// positions. The Box–Muller spare is then live across gate → expert,
+    /// expert → expert (owned or not) and block → embedding boundaries;
+    /// [`layer_mixes`] adds the even cases. The noisy gate makes each gate's
+    /// seed — drawn *after* skipped tensors — observable.
+    fn odd_cfg(n_experts: usize, moe_every: usize) -> ModelConfig {
+        ModelConfig {
+            vocab: 13,
+            d_model: 9,
+            n_heads: 3,
+            n_layers: 4,
+            d_ff: 5,
+            max_seq: 7,
+            n_experts,
+            moe_every,
+            gate: GateKind::NoisyTop1,
+            ..ModelConfig::tiny()
+        }
+    }
+
+    /// Dense-only, MoE in every layer, MoE in every second layer; an even
+    /// gate; even expert matrices entered with the odd gate's spare cached;
+    /// and RoPE, whose even head size rules the odd counts out.
+    fn layer_mixes() -> Vec<ModelConfig> {
+        let even_experts = ModelConfig {
+            d_ff: 6,
+            ..odd_cfg(5, 1)
+        };
+        let rope = ModelConfig {
+            d_model: 10,
+            n_heads: 5,
+            rope: true,
+            ..odd_cfg(5, 2)
+        };
+        vec![
+            odd_cfg(0, 1),
+            odd_cfg(5, 1),
+            odd_cfg(5, 2),
+            odd_cfg(6, 1),
+            even_experts,
+            rope,
+        ]
+    }
+
+    fn placements(nranks: usize) -> Vec<ExpertPlacement> {
+        let mut out = vec![ExpertPlacement::RoundRobin, ExpertPlacement::Block];
+        if nranks.is_multiple_of(2) {
+            out.push(ExpertPlacement::Supernode { supernode_size: 2 });
+        }
+        if nranks >= 2 {
+            out.push(ExpertPlacement::Shed { victim: nranks - 1 });
+        }
+        out
+    }
+
+    fn params(m: &mut DistTransformer) -> Vec<Param> {
+        let mut out = Vec::new();
+        m.visit_params(&mut |p| out.push(p.clone()));
+        // RoPE takes `pos` out of the visit, not out of the draw order.
+        if m.cfg.rope {
+            out.push(m.pos.table.clone());
+        }
+        out
+    }
+
+    /// Where each gate's noise stream starts: all-zero inputs tie every
+    /// logit, so the noisy gate's choices are its noise alone.
+    fn first_noisy_routing(m: &mut DistTransformer) -> Vec<Vec<usize>> {
+        let x = Tensor::zeros(&[32, m.cfg.d_model]);
+        m.blocks
+            .iter_mut()
+            .filter_map(|b| match &mut b.ffn {
+                DistFfn::MoE(moe) => Some(moe.gate.forward(&x)),
+                DistFfn::Dense(_) => None,
+            })
+            .map(|routing| routing.assignments.iter().map(|a| a.expert).collect())
+            .collect()
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn shard_direct_construction_is_the_oracles_shard_bit_for_bit() {
+        const SEED: u64 = 2024;
+        for cfg in layer_mixes() {
+            let local = Transformer::new(cfg, &mut Rng::seed_from(SEED));
+            for nranks in 1..=4 {
+                for placement in placements(nranks) {
+                    for rank in 0..nranks {
+                        let what = format!(
+                            "{} experts every {}, rope {}, {placement}, rank {rank}/{nranks}",
+                            cfg.n_experts, cfg.moe_every, cfg.rope
+                        );
+                        let a2a = A2aKind::Pairwise;
+                        let mut oracle = DistTransformer::from_local_placed(
+                            &local, rank, nranks, a2a, placement,
+                        );
+                        let mut direct =
+                            DistTransformer::new_placed(cfg, SEED, rank, nranks, a2a, placement);
+                        let (want, got) = (params(&mut oracle), params(&mut direct));
+                        assert_eq!(want.len(), got.len(), "{what}");
+                        for (w, g) in want.iter().zip(&got) {
+                            assert_eq!(w.name, g.name, "{what}");
+                            assert_eq!(w.value.shape(), g.value.shape(), "{what}: {}", w.name);
+                            assert_eq!(bits(&w.value), bits(&g.value), "{what}: {}", w.name);
+                            assert_eq!(g.grad, Tensor::zeros(g.value.shape()), "{what}");
+                        }
+                        assert_eq!(
+                            first_noisy_routing(&mut oracle),
+                            first_noisy_routing(&mut direct),
+                            "{what}: gate noise seeds"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn restore_build_has_the_names_shapes_and_gate_seeds_and_draws_nothing() {
+        const SEED: u64 = 77;
+        let cfg = odd_cfg(5, 2);
+        let (nranks, a2a) = (3, A2aKind::Pairwise);
+        for placement in placements(nranks) {
+            for rank in 0..nranks {
+                let mut fresh =
+                    DistTransformer::new_placed(cfg, SEED, rank, nranks, a2a, placement);
+                let col = TraceCollector::new();
+                let mut shell = {
+                    let _lane = col.install(0);
+                    DistTransformer::new_for_restore(cfg, SEED, rank, nranks, a2a, placement)
+                };
+                let (want, got) = (params(&mut fresh), params(&mut shell));
+                assert_eq!(want.len(), got.len());
+                let mut drawable = 0;
+                for (w, g) in want.iter().zip(&got) {
+                    assert_eq!(w.name, g.name);
+                    assert_eq!(g.grad, Tensor::zeros(w.value.shape()), "{}", g.name);
+                    // Biases and layer-norm parameters are constants, the
+                    // same in both; everything drawn is zero in the shell.
+                    if w.value.as_slice().iter().any(|&v| v != 0.0 && v != 1.0) {
+                        assert_eq!(g.value, Tensor::zeros(w.value.shape()), "{}", g.name);
+                        drawable += w.value.len() as u64;
+                    } else {
+                        assert_eq!(g.value, w.value, "{}", g.name);
+                    }
+                }
+                assert_eq!(
+                    first_noisy_routing(&mut fresh),
+                    first_noisy_routing(&mut shell),
+                    "{placement}, rank {rank}: gate noise seeds"
+                );
+                // Nothing drawn, and the stream stepped past the whole
+                // model: what this rank owns plus the experts it does not.
+                let trace = col.finish();
+                assert_eq!(trace.counter_total(names::INIT_DRAWN_ELEMS), 0);
+                let foreign = cfg.n_experts - placement.local_count(rank, cfg.n_experts, nranks);
+                let per_expert = 2 * cfg.d_model * cfg.d_ff;
+                assert_eq!(
+                    trace.counter_total(names::INIT_SKIPPED_ELEMS),
+                    drawable + (cfg.n_moe_blocks() * foreign * per_expert) as u64
+                );
+            }
+        }
     }
 }

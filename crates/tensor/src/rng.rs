@@ -8,12 +8,35 @@
 
 use rand::{Rng as _, RngCore, SeedableRng};
 
+/// What the bulk tensor fills (`Tensor::randn`, `xavier`, `uniform`) do with
+/// a stream inside [`Rng::with_fills`]. Ordered: of two nested scopes the
+/// later variant wins.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Fills {
+    /// Draw every element — how a stream starts.
+    Draw,
+    /// Step the stream past the elements ([`Rng::skip_normals`] /
+    /// [`Rng::skip_uniforms`]) and return zeros of the right shape, straight
+    /// from `calloc` and never touched: for a layer whose values a
+    /// checkpoint load will supply.
+    SkipToZeros,
+    /// Step the stream past the elements and return an *empty* tensor: for a
+    /// layer constructed only so that its constructor consumes its share of
+    /// the stream, and dropped. It allocates no weight or gradient storage;
+    /// with zeros, a rank stepping past 64 experts would `calloc` — and, on
+    /// recycled heap, `memset` — 64 MiB in the middle of its build just to
+    /// free it again.
+    SkipToEmpty,
+}
+
 /// A seeded pseudo-random generator with the distributions training needs.
 #[derive(Debug, Clone)]
 pub struct Rng {
     inner: rand::rngs::StdRng,
     /// Cached second output of the Box–Muller transform.
     spare_normal: Option<f32>,
+    /// What bulk tensor fills do with this stream ([`Rng::with_fills`]).
+    fills: Fills,
 }
 
 impl Rng {
@@ -22,6 +45,7 @@ impl Rng {
         Rng {
             inner: rand::rngs::StdRng::seed_from_u64(seed),
             spare_normal: None,
+            fills: Fills::Draw,
         }
     }
 
@@ -67,6 +91,50 @@ impl Rng {
         let theta = 2.0 * std::f64::consts::PI * u2 as f64;
         self.spare_normal = Some((r * theta.sin()) as f32);
         (r * theta.cos()) as f32
+    }
+
+    /// Advance the stream exactly as `n` calls of [`Rng::normal`] would,
+    /// without evaluating them: a cached spare is consumed first, every whole
+    /// Box–Muller pair costs its two raw generator steps, and an odd tail
+    /// evaluates one pair so its second half is left cached. Generator state
+    /// and spare afterwards are bit for bit what the draws leave behind, for
+    /// `O(n)` generator steps and at most one `ln`/`sin`/`cos`.
+    pub fn skip_normals(&mut self, mut n: usize) {
+        if n > 0 && self.spare_normal.take().is_some() {
+            n -= 1;
+        }
+        self.skip_uniforms(n / 2 * 2);
+        if n % 2 == 1 {
+            self.normal();
+        }
+    }
+
+    /// Advance the stream as `n` calls of [`Rng::uniform`] would (one raw
+    /// generator step each).
+    pub fn skip_uniforms(&mut self, n: usize) {
+        for _ in 0..n {
+            self.inner.next_u64();
+        }
+    }
+
+    /// Run `f` — a layer constructor — with the bulk tensor fills switched
+    /// to `fills`. Everything else — [`Rng::next_u64`], which seeds a gate's
+    /// noise stream, included — draws as always, so the constructor itself
+    /// stays the one definition of how much of the stream its layer
+    /// consumes. Scopes nest (the later [`Fills`] variant wins); the mode on
+    /// entry is restored.
+    pub fn with_fills<T>(&mut self, fills: Fills, f: impl FnOnce(&mut Rng) -> T) -> T {
+        let outer = self.fills;
+        self.fills = outer.max(fills);
+        let out = f(self);
+        self.fills = outer;
+        out
+    }
+
+    /// What bulk tensor fills currently do with this stream.
+    #[inline]
+    pub fn fills(&self) -> Fills {
+        self.fills
     }
 
     /// Shuffle a slice in place (Fisher–Yates).
@@ -179,6 +247,65 @@ mod tests {
         let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f32>() / n as f32;
         assert!(mean.abs() < 0.02, "mean {mean}");
         assert!((var - 1.0).abs() < 0.05, "var {var}");
+    }
+
+    #[test]
+    fn skipping_normals_leaves_the_stream_where_drawing_them_does() {
+        // Every reachable Box–Muller state — fresh, spare cached, spare
+        // just consumed — then `skip(n)` against `n` draws: the next `k`
+        // normals and the raw word after them must agree bit for bit.
+        let counts = (0..=9).chain([1000, 1001, 65_536, 65_537]);
+        for (warm, n) in (0..3).flat_map(|w| counts.clone().map(move |n| (w, n))) {
+            for k in 0..4 {
+                let mut skipped = Rng::seed_from(17 + n as u64);
+                for _ in 0..warm {
+                    skipped.normal();
+                }
+                let mut drawn = skipped.clone();
+                skipped.skip_normals(n);
+                for _ in 0..n {
+                    drawn.normal();
+                }
+                for i in 0..k {
+                    assert_eq!(
+                        skipped.normal().to_bits(),
+                        drawn.normal().to_bits(),
+                        "warm {warm}, skip {n}: draw {i} of {k}"
+                    );
+                }
+                assert_eq!(
+                    skipped.next_u64(),
+                    drawn.next_u64(),
+                    "warm {warm}, skip {n}, then {k} draws"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn skipping_uniforms_and_the_scoped_mode() {
+        let mut skipped = Rng::seed_from(6);
+        let mut drawn = skipped.clone();
+        skipped.skip_uniforms(5);
+        for _ in 0..5 {
+            drawn.uniform();
+        }
+        assert_eq!(skipped.next_u64(), drawn.next_u64());
+
+        // Scopes nest, the later variant wins, and the mode on entry comes
+        // back.
+        let mut rng = Rng::seed_from(7);
+        assert_eq!(rng.fills(), Fills::Draw);
+        rng.with_fills(Fills::Draw, |r| assert_eq!(r.fills(), Fills::Draw));
+        rng.with_fills(Fills::SkipToZeros, |r| {
+            assert_eq!(r.fills(), Fills::SkipToZeros);
+            r.with_fills(Fills::Draw, |r| assert_eq!(r.fills(), Fills::SkipToZeros));
+            r.with_fills(Fills::SkipToEmpty, |r| {
+                assert_eq!(r.fills(), Fills::SkipToEmpty)
+            });
+            assert_eq!(r.fills(), Fills::SkipToZeros);
+        });
+        assert_eq!(rng.fills(), Fills::Draw);
     }
 
     #[test]

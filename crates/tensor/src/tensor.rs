@@ -6,7 +6,8 @@
 //! original system's kernels do.
 
 use crate::dtype::DType;
-use crate::rng::Rng;
+use crate::rng::{Fills, Rng};
+use bagualu_trace::{self as trace, names};
 
 /// An owned, contiguous, row-major tensor of `f32` values.
 #[derive(Clone, PartialEq, Default)]
@@ -69,30 +70,43 @@ impl Tensor {
         }
     }
 
+    /// The random initializers' shared body: `n` samples from `draw` — or,
+    /// inside a skipping [`Rng::with_fills`] scope, the stream advanced by
+    /// `skip` and what the [`Fills`] variant says to return. Either way the
+    /// elements are counted, drawn or skipped.
+    fn random_fill(
+        shape: &[usize],
+        rng: &mut Rng,
+        skip: impl FnOnce(&mut Rng, usize),
+        mut draw: impl FnMut(&mut Rng) -> f32,
+    ) -> Tensor {
+        let n: usize = shape.iter().product();
+        let returned: &[usize] = match rng.fills() {
+            Fills::Draw => {
+                trace::count(names::INIT_DRAWN_ELEMS, n as u64);
+                return Tensor {
+                    data: (0..n).map(|_| draw(rng)).collect(),
+                    shape: shape.to_vec(),
+                };
+            }
+            Fills::SkipToZeros => shape,
+            Fills::SkipToEmpty => &[0],
+        };
+        skip(rng, n);
+        trace::count(names::INIT_SKIPPED_ELEMS, n as u64);
+        Tensor::zeros(returned)
+    }
+
     /// Standard-normal initialization scaled by `std`.
     pub fn randn(shape: &[usize], std: f32, rng: &mut Rng) -> Tensor {
-        let n: usize = shape.iter().product();
-        let mut data = Vec::with_capacity(n);
-        for _ in 0..n {
-            data.push(rng.normal() * std);
-        }
-        Tensor {
-            data,
-            shape: shape.to_vec(),
-        }
+        Tensor::random_fill(shape, rng, Rng::skip_normals, |r| r.normal() * std)
     }
 
     /// Uniform initialization on `[lo, hi)`.
     pub fn uniform(shape: &[usize], lo: f32, hi: f32, rng: &mut Rng) -> Tensor {
-        let n: usize = shape.iter().product();
-        let mut data = Vec::with_capacity(n);
-        for _ in 0..n {
-            data.push(lo + (hi - lo) * rng.uniform());
-        }
-        Tensor {
-            data,
-            shape: shape.to_vec(),
-        }
+        Tensor::random_fill(shape, rng, Rng::skip_uniforms, |r| {
+            lo + (hi - lo) * r.uniform()
+        })
     }
 
     /// Xavier/Glorot-style initialization for a `[fan_in, fan_out]` weight.
@@ -494,6 +508,39 @@ mod tests {
         assert!(!t.has_non_finite());
         t.as_mut_slice()[1] = f32::INFINITY;
         assert!(t.has_non_finite());
+    }
+
+    #[test]
+    fn skipped_fills_consume_what_the_draw_consumes() {
+        // Odd lengths, so the Box–Muller spare crosses every boundary
+        // between a skipped fill and the drawn one after it.
+        type Fill = fn(&mut Rng) -> Tensor;
+        let fills: [(Fill, &[usize]); 3] = [
+            (|r| Tensor::randn(&[3, 5], 0.5, r), &[3, 5]),
+            (|r| Tensor::xavier(7, 3, r), &[7, 3]),
+            (|r| Tensor::uniform(&[5], -1.0, 1.0, r), &[5]),
+        ];
+        let mut drawn = Rng::seed_from(13);
+        let mut zeros = drawn.clone();
+        let mut empty = drawn.clone();
+        for (fill, shape) in fills {
+            let real = fill(&mut drawn);
+            assert_eq!(real.shape(), shape);
+            assert!(real.as_slice().iter().all(|&v| v != 0.0));
+            assert_eq!(
+                zeros.with_fills(Fills::SkipToZeros, fill),
+                Tensor::zeros(shape)
+            );
+            assert!(empty.with_fills(Fills::SkipToEmpty, fill).is_empty());
+            // Outside the scope the same streams draw again, from the same
+            // place.
+            let next = Tensor::randn(&[3], 1.0, &mut drawn);
+            assert_eq!(Tensor::randn(&[3], 1.0, &mut zeros), next);
+            assert_eq!(Tensor::randn(&[3], 1.0, &mut empty), next);
+        }
+        let next = drawn.next_u64();
+        assert_eq!(zeros.next_u64(), next);
+        assert_eq!(empty.next_u64(), next);
     }
 
     #[test]

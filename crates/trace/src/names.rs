@@ -122,6 +122,21 @@ pub const COMPUTE_PAR_DISPATCHED: &str = "compute.par.dispatched";
 /// [`COMPUTE_PAR_DISPATCHED`]).
 pub const COMPUTE_PAR_INLINE: &str = "compute.par.inline";
 
+/// Constructing one rank's model shard in the trainer: drawing what the rank
+/// owns, skipping the init stream past what it does not (see
+/// [`INIT_DRAWN_ELEMS`]).
+pub const MODEL_BUILD: &str = "model.build";
+/// Weight elements the random tensor initializers (`Tensor::randn`,
+/// `xavier`, `uniform`) drew. A freshly started rank draws exactly the
+/// randomly initialized weights it owns; a rank about to restore a
+/// checkpoint draws none.
+pub const INIT_DRAWN_ELEMS: &str = "init.drawn_elems";
+/// Weight elements the initializers stepped the init stream past without
+/// evaluating (another rank's experts, or everything on a restoring rank).
+/// `drawn + skipped` is the whole model's randomly initialized element
+/// count, the same on every rank.
+pub const INIT_SKIPPED_ELEMS: &str = "init.skipped_elems";
+
 /// Nanoseconds a checkpoint save spent encoding records into its staging
 /// buffer and folding them into record CRCs (the streaming pass minus
 /// [`CKPT_WRITE_NS`]). Recorded per file, inside the
