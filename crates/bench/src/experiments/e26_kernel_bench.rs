@@ -38,14 +38,22 @@
 //!     NN time ÷ fused bias+GELU time at 256³: the fused call must track
 //!     the GEMM, not the activation.
 //!
+//! * consistency — the file must say one thing: every sweep row at the
+//!   512³ gate shape has to sit within [`SWEEP_VS_GATE_MAX`]× of the time
+//!   the gate pair of the same backend and layout measured (each gate
+//!   records its two paired times, `num_ns` and `den_ns`, next to its
+//!   ratio). A sweep table and a gate that disagree about the same kernel
+//!   mean one of them was taken in a different state of the allocator.
+//!
 //! Every GEMM row also reports arithmetic intensity (FLOPs per byte of
 //! minimum streaming traffic) and percent-of-roofline against an
 //! approximate single-core host model ([`host_roofline`]) — so the table
 //! says not just "faster than reference" but "how far from the machine".
 //!
 //! Artifacts: `target/e26/kernel-table.txt` (human table) and
-//! `BENCH_kernels.json` at the repo root (schema `bagualu-kernel-bench/v2`)
-//! — the machine-readable cross-PR kernel-perf trajectory. Half-compute
+//! `BENCH_kernels.json` at the repo root (schema `bagualu-kernel-bench/v3`:
+//! v2 plus each gate's two paired times) — the machine-readable cross-PR
+//! kernel-perf trajectory. Half-compute
 //! rows time the *whole* operation including operand quantization — the
 //! honest number a training step sees.
 
@@ -89,6 +97,13 @@ pub const GELU_OVER_LIBM_MIN: f64 = 4.0;
 /// Floor of `nn_bias_gelu_over_nn`: with libm's `tanhf` in the epilogue the
 /// ratio was 0.30.
 pub const FUSED_GELU_OVER_NN_MIN: f64 = 0.7;
+/// How far a 512³ sweep row and the gate pair that timed the same backend
+/// and layout may sit apart. They are the same kernel on same-sized
+/// operands in one process, so a larger gap means the two were not measured
+/// in the same state of the machine — which is what `BENCH_kernels.json`
+/// recorded while every fresh GEMM output was page-faulted in (sweep rows
+/// of 5.2–5.3 ms beside a paired 2.1 ms for the same tiled call).
+pub const SWEEP_VS_GATE_MAX: f64 = 1.5;
 /// The gate shape: large enough that B (1 MiB) falls out of L1/L2 and the
 /// reference kernel's streaming cost shows.
 const GATE_DIM: usize = 512;
@@ -221,8 +236,25 @@ struct Gate {
     name: &'static str,
     op: &'static str,
     shape: String,
+    /// The pair's two best times: `ratio = num_ns / den_ns`.
+    num_ns: u64,
+    den_ns: u64,
     ratio: f64,
     floor: f64,
+}
+
+impl Gate {
+    fn of(name: &'static str, op: &'static str, shape: &str, pair: &GatePair) -> Gate {
+        Gate {
+            name,
+            op,
+            shape: shape.to_string(),
+            num_ns: pair.best_f,
+            den_ns: pair.best_g,
+            ratio: pair.ratio(),
+            floor: pair.floor,
+        }
+    }
 }
 
 /// Build one GEMM row: time it, then attach intensity and roofline
@@ -258,6 +290,45 @@ fn gemm_row(
         ai: flops as f64 / bytes,
         pct_roofline: 100.0 * gf / roof_gflops,
     }
+}
+
+/// One sweep row at the gate shape next to what a gate pair measured for
+/// the same backend and layout.
+struct SweepVsGate {
+    backend: &'static str,
+    op: &'static str,
+    /// Index into the sweep rows.
+    row: usize,
+    gate_ns: u64,
+    /// The larger of the two times over the smaller.
+    apart: f64,
+}
+
+/// Every sweep row the gate pairs also timed (the tiled NN is in two pairs).
+fn sweep_vs_gate(rows: &[Row], nn: &GatePair, nt: &GatePair, fma: &GatePair) -> Vec<SweepVsGate> {
+    let paired = [
+        ("reference", "nn", nn.best_f),
+        ("tiled", "nn", nn.best_g.min(fma.best_f)),
+        ("tiled:fma", "nn", fma.best_g),
+        ("reference", "nt", nt.best_f),
+        ("tiled", "nt", nt.best_g),
+    ];
+    let mut out = Vec::new();
+    for (backend, op, gate_ns) in paired {
+        for (row, r) in rows.iter().enumerate() {
+            if r.backend == backend && r.op == op && [r.m, r.k, r.n] == [GATE_DIM; 3] {
+                let (a, b) = (r.ns as f64, gate_ns as f64);
+                out.push(SweepVsGate {
+                    backend,
+                    op,
+                    row,
+                    gate_ns,
+                    apart: (a / b).max(b / a),
+                });
+            }
+        }
+    }
+    out
 }
 
 /// Bitwise prechecks: no timing is meaningful if the kernels disagree.
@@ -337,42 +408,46 @@ pub fn run() {
     // Where it sits also decides which state glibc's heap is in for the
     // kernel pairs after it — see ROADMAP.md ledger (a)(i) before moving it.
     let mut gate_dispatch = GatePair::new(NOT_SLOWER);
-    let sample_gates =
-        |nn: &mut GatePair, nt: &mut GatePair, fm: &mut GatePair, dispatch: &mut GatePair| {
-            if !dispatch.passing() {
-                let (f, g) = paired_best(
-                    7,
-                    || {
-                        let _one_lane = par::scoped_width(1);
-                        reference.matmul(&ga, &gb)
-                    },
-                    || reference.matmul(&ga, &gb),
-                );
-                dispatch.absorb(f, g);
-            }
-            if !nn.passing() {
-                let (f, g) =
-                    paired_best(11, || reference.matmul(&ga, &gb), || tiled.matmul(&ga, &gb));
-                nn.absorb(f, g);
-            }
-            if !nt.passing() {
-                let (f, g) = paired_best(
-                    7,
-                    || reference.matmul_nt(&ga, &gb),
-                    || tiled.matmul_nt(&ga, &gb),
-                );
-                nt.absorb(f, g);
-            }
-            if !fm.passing() {
-                let (f, g) = paired_best(15, || tiled.matmul(&ga, &gb), || fma.matmul(&ga, &gb));
-                fm.absorb(f, g);
-            }
-        };
+    // `again` samples the three kernel pairs even where they already pass.
+    let sample_gates = |nn: &mut GatePair,
+                        nt: &mut GatePair,
+                        fm: &mut GatePair,
+                        dispatch: &mut GatePair,
+                        again: bool| {
+        if !dispatch.passing() {
+            let (f, g) = paired_best(
+                7,
+                || {
+                    let _one_lane = par::scoped_width(1);
+                    reference.matmul(&ga, &gb)
+                },
+                || reference.matmul(&ga, &gb),
+            );
+            dispatch.absorb(f, g);
+        }
+        if again || !nn.passing() {
+            let (f, g) = paired_best(11, || reference.matmul(&ga, &gb), || tiled.matmul(&ga, &gb));
+            nn.absorb(f, g);
+        }
+        if again || !nt.passing() {
+            let (f, g) = paired_best(
+                7,
+                || reference.matmul_nt(&ga, &gb),
+                || tiled.matmul_nt(&ga, &gb),
+            );
+            nt.absorb(f, g);
+        }
+        if again || !fm.passing() {
+            let (f, g) = paired_best(15, || tiled.matmul(&ga, &gb), || fma.matmul(&ga, &gb));
+            fm.absorb(f, g);
+        }
+    };
     sample_gates(
         &mut gate_nn,
         &mut gate_nt,
         &mut gate_fma,
         &mut gate_dispatch,
+        false,
     );
 
     // ---- The row-op gate's operands and pairs, sampled at the same
@@ -516,6 +591,7 @@ pub fn run() {
         &mut gate_nt,
         &mut gate_fma,
         &mut gate_dispatch,
+        false,
     );
     sample_rowop_gates(&mut gate_softmax, &mut gate_adam);
     sample_gelu_gates(&mut gate_gelu, &mut gate_fused);
@@ -565,6 +641,7 @@ pub fn run() {
         &mut gate_nt,
         &mut gate_fma,
         &mut gate_dispatch,
+        false,
     );
     sample_rowop_gates(&mut gate_softmax, &mut gate_adam);
     sample_gelu_gates(&mut gate_gelu, &mut gate_fused);
@@ -649,60 +726,74 @@ pub fn run() {
         &mut gate_nt,
         &mut gate_fma,
         &mut gate_dispatch,
+        false,
     );
     sample_rowop_gates(&mut gate_softmax, &mut gate_adam);
     sample_gelu_gates(&mut gate_gelu, &mut gate_fused);
     let shape = format!("{GATE_DIM}^3");
+
+    // ---- The file has to say one thing ([`SWEEP_VS_GATE_MAX`]). A sweep
+    // row is one best-of-5 at one moment and a pair that has cleared its
+    // floor is not sampled again, so on a shared box either may come from a
+    // contended window. Before they are compared, every row and pair that
+    // disagree get up to three more samples each, best-of as everywhere.
+    for _ in 0..3 {
+        let stale = sweep_vs_gate(&rows, &gate_nn, &gate_nt, &gate_fma);
+        if stale.iter().all(|d| d.apart <= SWEEP_VS_GATE_MAX) {
+            break;
+        }
+        sample_gates(
+            &mut gate_nn,
+            &mut gate_nt,
+            &mut gate_fma,
+            &mut gate_dispatch,
+            true,
+        );
+        for d in stale.iter().filter(|d| d.apart > SWEEP_VS_GATE_MAX) {
+            let cb: ComputeBackend = d.backend.parse().expect("a backend the sweep named");
+            let be = cb.instantiate();
+            let fresh = gemm_row(
+                d.backend,
+                d.op,
+                GATE_DIM,
+                GATE_DIM,
+                GATE_DIM,
+                Precision::FP32,
+                5,
+                || match d.op {
+                    "nn" => be.matmul(&ga, &gb),
+                    _ => be.matmul_nt(&ga, &gb),
+                },
+            );
+            if fresh.ns < rows[d.row].ns {
+                rows[d.row] = fresh;
+            }
+        }
+    }
+
+    let rowops_pair = if gate_softmax.ratio() <= gate_adam.ratio() {
+        &gate_softmax
+    } else {
+        &gate_adam
+    };
     let gates = vec![
-        Gate {
-            name: "nn_tiled_over_reference",
-            op: "nn",
-            shape: shape.clone(),
-            ratio: gate_nn.ratio(),
-            floor: gate_nn.floor,
-        },
-        Gate {
-            name: "nt_tiled_over_reference",
-            op: "nt",
-            shape: shape.clone(),
-            ratio: gate_nt.ratio(),
-            floor: gate_nt.floor,
-        },
-        Gate {
-            name: "nn_fma_over_tiled",
-            op: "nn",
-            shape: shape.clone(),
-            ratio: gate_fma.ratio(),
-            floor: gate_fma.floor,
-        },
-        Gate {
-            name: "rowops_vectorized_over_reference",
-            op: "softmax+adam",
-            shape: format!("{rn}x{rc}, {adam_len}"),
-            ratio: gate_softmax.ratio().min(gate_adam.ratio()),
-            floor: NOT_SLOWER,
-        },
-        Gate {
-            name: "nn_reference_dispatched_over_inline",
-            op: "nn",
-            shape: shape.clone(),
-            ratio: gate_dispatch.ratio(),
-            floor: NOT_SLOWER,
-        },
-        Gate {
-            name: "gelu_over_libm",
-            op: "gelu",
-            shape: "256x1024".to_string(),
-            ratio: gate_gelu.ratio(),
-            floor: GELU_OVER_LIBM_MIN,
-        },
-        Gate {
-            name: "nn_bias_gelu_over_nn",
-            op: "nn_bias_gelu",
-            shape: "256^3".to_string(),
-            ratio: gate_fused.ratio(),
-            floor: FUSED_GELU_OVER_NN_MIN,
-        },
+        Gate::of("nn_tiled_over_reference", "nn", &shape, &gate_nn),
+        Gate::of("nt_tiled_over_reference", "nt", &shape, &gate_nt),
+        Gate::of("nn_fma_over_tiled", "nn", &shape, &gate_fma),
+        Gate::of(
+            "rowops_vectorized_over_reference",
+            "softmax+adam",
+            &format!("{rn}x{rc}, {adam_len}"),
+            rowops_pair,
+        ),
+        Gate::of(
+            "nn_reference_dispatched_over_inline",
+            "nn",
+            &shape,
+            &gate_dispatch,
+        ),
+        Gate::of("gelu_over_libm", "gelu", "256x1024", &gate_gelu),
+        Gate::of("nn_bias_gelu_over_nn", "nn_bias_gelu", "256^3", &gate_fused),
     ];
     let gate_flops = 2 * (GATE_DIM as u64).pow(3);
     println!(
@@ -759,7 +850,7 @@ pub fn run() {
     std::fs::create_dir_all("target/e26").expect("create target/e26");
     std::fs::write(TABLE_OUT, &artifact).expect("write kernel table");
 
-    let mut json = String::from("{\n  \"schema\": \"bagualu-kernel-bench/v2\",\n");
+    let mut json = String::from("{\n  \"schema\": \"bagualu-kernel-bench/v3\",\n");
     json.push_str(&format!("  \"wide_kernel\": {wide},\n"));
     json.push_str(&format!(
         "  \"roofline_model\": {{\"sustained_fp32_gflops\": {HOST_FP32_GFLOPS}, \
@@ -770,10 +861,12 @@ pub fn run() {
     for (i, g) in gates.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"name\": \"{}\", \"op\": \"{}\", \"shape\": \"{}\", \
-             \"ratio\": {:.3}, \"floor\": {}}}{}\n",
+             \"num_ns\": {}, \"den_ns\": {}, \"ratio\": {:.3}, \"floor\": {}}}{}\n",
             g.name,
             g.op,
             g.shape,
+            g.num_ns,
+            g.den_ns,
             g.ratio,
             g.floor,
             if i + 1 == gates.len() { "" } else { "," }
@@ -827,7 +920,20 @@ pub fn run() {
          machines.\n"
     );
 
-    // Gates last, after artifacts are on disk for post-mortems.
+    // Gates last, after artifacts are on disk for post-mortems. First that
+    // the file says one thing.
+    for d in sweep_vs_gate(&rows, &gate_nn, &gate_nt, &gate_fma) {
+        assert!(
+            d.apart <= SWEEP_VS_GATE_MAX,
+            "{} {} at {shape}: sweep row {} ns vs {} ns in its gate pair ({:.2}x apart, at \
+             most {SWEEP_VS_GATE_MAX}x)",
+            d.backend,
+            d.op,
+            rows[d.row].ns,
+            d.gate_ns,
+            d.apart
+        );
+    }
     for g in &gates {
         assert!(
             g.ratio >= g.floor,

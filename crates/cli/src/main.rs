@@ -510,6 +510,30 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         trace.counter_total(names::SERVE_KV_BLOCKS_USED),
         trace.counter_total(names::SERVE_KV_BLOCKS_FREE),
     );
+    // The process-wide rows (rank 0's lane): what the run cost the host, and
+    // what the tensor reservoir spared it.
+    println!(
+        "host: {} minor faults, {} ms system | tensor reservoir: {} hit, {} missed, {} released, \
+         {} retained at most",
+        trace.counter_total(names::HOST_MINOR_FAULTS),
+        trace.counter_total(names::HOST_SYS_MS),
+        format_si(
+            trace.counter_total(names::MEM_RESERVOIR_HIT_BYTES) as f64,
+            "B"
+        ),
+        format_si(
+            trace.counter_total(names::MEM_RESERVOIR_MISS_BYTES) as f64,
+            "B"
+        ),
+        format_si(
+            trace.counter_total(names::MEM_RESERVOIR_RELEASED_BYTES) as f64,
+            "B"
+        ),
+        format_si(
+            trace.counter_total(names::MEM_RESERVOIR_RETAINED_PEAK_BYTES) as f64,
+            "B"
+        ),
+    );
     Ok(())
 }
 

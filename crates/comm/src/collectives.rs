@@ -15,6 +15,7 @@
 
 use crate::payload::{Payload, WireDType};
 use crate::shm::Communicator;
+use bagualu_tensor::reservoir;
 
 /// Element-wise reduction applied by reduce collectives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -218,7 +219,9 @@ impl<C: Communicator> RingAllreduce<C> {
         } else {
             (rank + n - (s - (n - 1))) % n
         };
-        let chunk = self.data[bound(len, n, cs)..bound(len, n, cs + 1)].to_vec();
+        let window = &self.data[bound(len, n, cs)..bound(len, n, cs + 1)];
+        let mut chunk = reservoir::global().lend(window.len());
+        chunk.extend_from_slice(window);
         c.send(right, self.tag, Payload::pack(self.wire, chunk));
         self.pending = Some(c.irecv(left, self.tag));
     }
@@ -240,6 +243,7 @@ impl<C: Communicator> RingAllreduce<C> {
         } else {
             dst.copy_from_slice(&got);
         }
+        reservoir::global().recycle(got);
         self.step += 1;
         if self.step < self.total {
             self.launch(c);
@@ -550,16 +554,16 @@ pub fn alltoallv_hierarchical_wire<C: Communicator>(
     // with a u64 header of the S lengths.
     for j in 0..s {
         let peer = g * s + j;
-        let mut header = Vec::with_capacity(big_s);
-        let mut data = Vec::new();
-        for t in 0..big_s {
-            let p = &parts[t * s + j];
-            header.push(p.len() as u64);
-            data.extend_from_slice(p);
-        }
+        let bundle = (0..big_s).map(|t| &parts[t * s + j]);
+        let header: Vec<u64> = bundle.clone().map(|p| p.len() as u64).collect();
+        let mut data = reservoir::global().lend(header.iter().sum::<u64>() as usize);
+        bundle.for_each(|p| data.extend_from_slice(p));
         c.send(peer, TAG_H1_HDR, header.into());
         c.send(peer, TAG_H1_DAT, Payload::pack(wire, data));
     }
+    parts
+        .into_iter()
+        .for_each(|v| reservoir::global().recycle(v));
     // Receive the bundle from every local peer (including self).
     let mut h1: Vec<Vec<u64>> = Vec::with_capacity(s);
     let mut d1: Vec<Vec<f32>> = Vec::with_capacity(s);
@@ -588,16 +592,14 @@ pub fn alltoallv_hierarchical_wire<C: Communicator>(
         .collect();
     for t in 0..big_s {
         let peer = t * s + l;
-        let mut header = Vec::with_capacity(s);
-        let mut data = Vec::new();
-        for jp in 0..s {
-            let (lo, hi) = (offsets[jp][t], offsets[jp][t + 1]);
-            header.push((hi - lo) as u64);
-            data.extend_from_slice(&d1[jp][lo..hi]);
-        }
+        let chunk = |jp: usize| &d1[jp][offsets[jp][t]..offsets[jp][t + 1]];
+        let header: Vec<u64> = (0..s).map(|jp| chunk(jp).len() as u64).collect();
+        let mut data = reservoir::global().lend(header.iter().sum::<u64>() as usize);
+        (0..s).for_each(|jp| data.extend_from_slice(chunk(jp)));
         c.send(peer, TAG_H2_HDR, header.into());
         c.send(peer, TAG_H2_DAT, Payload::pack(wire, data));
     }
+    d1.into_iter().for_each(|v| reservoir::global().recycle(v));
     // Receive one bundle per supernode; unpack by source local index.
     let mut out: Vec<Vec<f32>> = vec![Vec::new(); n];
     for t in 0..big_s {
@@ -607,9 +609,12 @@ pub fn alltoallv_hierarchical_wire<C: Communicator>(
         let mut off = 0usize;
         for (jp, &len) in header.iter().enumerate() {
             let len = len as usize;
-            out[t * s + jp] = data[off..off + len].to_vec();
+            let mut part = reservoir::global().lend(len);
+            part.extend_from_slice(&data[off..off + len]);
+            out[t * s + jp] = part;
             off += len;
         }
+        reservoir::global().recycle(data);
     }
     out
 }

@@ -15,6 +15,7 @@
 //! 2-byte elements.
 
 use bagualu_tensor::pack::{pack_slice, unpack_slice};
+use bagualu_tensor::reservoir;
 use bagualu_tensor::DType;
 
 /// Wire element format for `f32` tensor traffic.
@@ -97,11 +98,17 @@ pub enum Payload {
 
 impl Payload {
     /// Wrap `f32` data for the wire, compressing per `wire`. `F32` wraps
-    /// without copying; `F16`/`BF16` round each element to 16 bits.
+    /// without copying; `F16`/`BF16` round each element to 16 bits and hand
+    /// the `f32` buffer to the tensor reservoir, where the receiving side's
+    /// [`Payload::into_floats`] finds one to expand into.
     pub fn pack(wire: WireDType, v: Vec<f32>) -> Payload {
         match wire.half_dtype() {
             None => Payload::F32(v),
-            Some(dt) => Payload::Half(dt, pack_slice(dt, &v)),
+            Some(dt) => {
+                let bits = pack_slice(dt, &v);
+                reservoir::global().recycle(v);
+                Payload::Half(dt, bits)
+            }
         }
     }
 

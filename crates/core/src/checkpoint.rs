@@ -470,18 +470,19 @@ impl ShardReader {
     /// `f32`s, a piece at a time — and check the record CRC (v2; v1 records
     /// carry none).
     fn payload(&mut self, h: &RecordHeader) -> io::Result<Tensor> {
-        let mut data = Vec::with_capacity(h.byte_len / 4);
-        let mut left = h.byte_len;
-        while left > 0 {
-            let piece = &mut self.stage[..left.min(STAGE_BYTES)];
+        // A tensor from the start, so a restore draws its buffers from the
+        // reservoir the training step recycles through, not from `malloc`.
+        let mut tensor = Tensor::zeros(&h.shape);
+        let mut rest = tensor.as_mut_slice();
+        while !rest.is_empty() {
+            let piece = &mut self.stage[..(rest.len() * 4).min(STAGE_BYTES)];
             self.r.read_exact(piece)?;
             self.crc.update(piece);
-            data.extend(
-                piece
-                    .chunks_exact(4)
-                    .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])),
-            );
-            left -= piece.len();
+            let (filled, tail) = rest.split_at_mut(piece.len() / 4);
+            for (v, c) in filled.iter_mut().zip(piece.chunks_exact(4)) {
+                *v = f32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+            }
+            rest = tail;
         }
         if self.version >= 2 {
             let mut stored = [0u8; 4];
@@ -496,7 +497,7 @@ impl ShardReader {
                 )));
             }
         }
-        Ok(Tensor::from_vec(data, &h.shape))
+        Ok(tensor)
     }
 
     /// Seek past the open record's data and CRC without reading either.

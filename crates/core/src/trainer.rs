@@ -30,8 +30,9 @@ use bagualu_parallel::moe_dist::A2aKind;
 use bagualu_parallel::placement::ExpertPlacement;
 use bagualu_parallel::sync::{backward_and_sync_overlapped_wire, sync_grads_wire};
 use bagualu_tensor::ops::{install_backend, install_row_ops, ComputeBackend};
+use bagualu_tensor::reservoir;
 use bagualu_tensor::DType;
-use bagualu_trace::{self as trace, names, Trace, TraceCollector, DRIVER_LANE};
+use bagualu_trace::{self as trace, names, HostUsage, Trace, TraceCollector, DRIVER_LANE};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -362,6 +363,7 @@ impl Trainer {
         let cfg = self.cfg;
         let start = Instant::now();
         let collector = cfg.trace.then(TraceCollector::new);
+        let host = collector.as_ref().and_then(|_| HostUsage::now());
         let col = collector.clone();
         let mut reports = run_ranks_map(cfg.nranks, move |c| {
             let _lane = col.as_ref().map(|col| col.install(c.rank()));
@@ -371,7 +373,7 @@ impl Trainer {
         let elapsed = start.elapsed().as_secs_f64();
         TrainReport {
             tokens_per_sec: report.total_tokens as f64 / elapsed,
-            trace: collector.map(|c| Arc::new(c.finish())),
+            trace: collector.map(|c| finish_trace(c, host)),
             ..report
         }
     }
@@ -405,6 +407,7 @@ impl Trainer {
         // One collector for the whole run: lanes from successive restart
         // attempts append to the same per-rank timeline.
         let collector = cfg.trace.then(TraceCollector::new);
+        let host = collector.as_ref().and_then(|_| HostUsage::now());
 
         let mut loss = vec![f32::NAN; cfg.steps];
         let mut aux = vec![f32::NAN; cfg.steps];
@@ -549,7 +552,7 @@ impl Trainer {
                     recovery_time_s,
                     resizes,
                     migrations,
-                    trace: collector.map(|c| Arc::new(c.finish())),
+                    trace: collector.map(|c| finish_trace(c, host)),
                     // The report's own reconstruction has no [ft] section
                     // (finish() cannot see it); re-stamp with it included.
                     run_config: RunConfig::reconstruct(&cfg, Some(ft)),
@@ -638,6 +641,22 @@ impl Trainer {
     }
 }
 
+/// Close a run's trace: the process-wide rows only the driver can record
+/// ([`reservoir::record_run`]), then the merge.
+fn finish_trace(collector: TraceCollector, host_at_start: Option<HostUsage>) -> Arc<Trace> {
+    reservoir::record_run(&collector, host_at_start);
+    Arc::new(collector.finish())
+}
+
+/// The tensor reservoir is process-wide, so one lane speaks for it: rank 0
+/// publishes what every thread did since the last call (see
+/// [`names::MEM_RESERVOIR_HIT_BYTES`]). One relaxed load when not tracing.
+fn publish_reservoir<C: Communicator>(comm: &C) {
+    if comm.rank() == 0 && trace::enabled() {
+        reservoir::publish();
+    }
+}
+
 /// Everything one rank needs to execute training steps, factored out of
 /// `rank_main` so the fault-tolerant driver can restore a checkpoint into
 /// it and resume from an arbitrary step.
@@ -661,6 +680,10 @@ impl RankState {
     /// first step, so no weight is drawn (see
     /// [`DistTransformer::new_for_restore`]).
     fn new<C: Communicator>(cfg: TrainConfig, comm: &C, restoring: bool) -> RankState {
+        if comm.rank() == 0 && trace::enabled() {
+            // Whatever the reservoir did before this run is not this run's.
+            reservoir::global().drain_counts();
+        }
         let build = if restoring {
             DistTransformer::new_for_restore
         } else {
@@ -704,6 +727,7 @@ impl RankState {
         });
         opt.quantize_model(&mut model);
         let task = SyntheticLM::new(cfg.model.vocab, cfg.data, cfg.seed);
+        publish_reservoir(comm);
         RankState {
             cfg,
             model,
@@ -846,6 +870,7 @@ impl RankState {
                 self.eval_curve.push((step, agg[0] / r));
             }
         }
+        publish_reservoir(comm);
     }
 
     /// Pool run-wide counters and assemble the report. Uses blocking
@@ -875,6 +900,7 @@ impl RankState {
         // the totals are stable and identical in meaning across ranks.
         comm.barrier();
         let comm_stats = comm.stats();
+        publish_reservoir(comm);
 
         let total_tokens =
             cfg.nranks * cfg.batch_per_rank * cfg.seq * cfg.steps * cfg.grad_accum.max(1);

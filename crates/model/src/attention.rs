@@ -83,20 +83,20 @@ impl KvStore for KvCache {
     }
 }
 
-/// Rotate a single-row `[1, hd]` tensor at absolute position `pos`.
-fn apply_rope_at(x: &mut Tensor, pos: usize, sign: f32) {
-    apply_rope(x, pos, sign);
-}
-
 /// Rotate the `[s, hd]` rows of `x` by RoPE angles for absolute positions
 /// `start..start+s` (`sign = -1.0` applies the inverse rotation — the
 /// backward pass, since rotations are orthogonal).
 fn apply_rope(x: &mut Tensor, start: usize, sign: f32) {
     let hd = x.cols();
+    rope_rows(x.as_mut_slice(), hd, start, sign);
+}
+
+/// [`apply_rope`] over bare rows: `rows` is `[s, hd]` row-major. The decode
+/// path rotates one head's slice of a `[1, d]` row in place through this.
+fn rope_rows(rows: &mut [f32], hd: usize, start: usize, sign: f32) {
     assert!(hd.is_multiple_of(2), "RoPE needs an even head dim");
-    for t in 0..x.rows() {
+    for (t, row) in rows.chunks_exact_mut(hd).enumerate() {
         let pos = (start + t) as f32;
-        let row = x.row_mut(t);
         for i in 0..hd / 2 {
             let theta = pos * 10000f32.powf(-2.0 * i as f32 / hd as f32);
             let (sin, cos) = (sign * theta.sin(), theta.cos());
@@ -266,12 +266,8 @@ impl MultiHeadAttention {
             // Rotate per head at this absolute position; keys are stored
             // rotated, matching the batched path's score math.
             for h in 0..self.n_heads {
-                let mut qh = Tensor::from_vec(q_all[h * hd..(h + 1) * hd].to_vec(), &[1, hd]);
-                apply_rope_at(&mut qh, this_pos, 1.0);
-                q_all[h * hd..(h + 1) * hd].copy_from_slice(qh.as_slice());
-                let mut kh = Tensor::from_vec(k_new[h * hd..(h + 1) * hd].to_vec(), &[1, hd]);
-                apply_rope_at(&mut kh, this_pos, 1.0);
-                k_new[h * hd..(h + 1) * hd].copy_from_slice(kh.as_slice());
+                rope_rows(&mut q_all[h * hd..(h + 1) * hd], hd, this_pos, 1.0);
+                rope_rows(&mut k_new[h * hd..(h + 1) * hd], hd, this_pos, 1.0);
             }
         }
         kv.append(&k_new, &row[2 * d..3 * d]);

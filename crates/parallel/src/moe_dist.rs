@@ -62,20 +62,33 @@ impl A2aKind {
         }
     }
 
-    /// Run the selected all-to-all with token payloads packed to `wire` in
-    /// flight (`WireDType::F32` is the uncompressed baseline).
+    /// Run the selected all-to-all over per-peer `[rows, d]` staging
+    /// matrices, packed to `wire` in flight (`WireDType::F32` is the
+    /// uncompressed baseline). The matrices are tensors on both sides of the
+    /// exchange, so their buffers come from and go back to the tensor
+    /// reservoir — on an uncompressed wire the very buffer one rank staged
+    /// is recycled by the rank that received it.
     fn run_wire<C: Communicator>(
         self,
         comm: &C,
-        parts: Vec<Vec<f32>>,
+        parts: Vec<Tensor>,
         wire: WireDType,
-    ) -> Vec<Vec<f32>> {
-        match self {
+    ) -> Vec<Tensor> {
+        let d = parts[0].cols();
+        let parts = parts.into_iter().map(Tensor::into_vec).collect();
+        let received = match self {
             A2aKind::Pairwise => alltoallv_wire(comm, parts, wire),
             A2aKind::Hierarchical { supernode_size } => {
                 alltoallv_hierarchical_wire(comm, parts, supernode_size, wire)
             }
-        }
+        };
+        received
+            .into_iter()
+            .map(|v| {
+                let rows = v.len() / d;
+                Tensor::from_vec(v, &[rows, d])
+            })
+            .collect()
     }
 }
 
@@ -235,12 +248,13 @@ impl DistMoELayer {
                     .collect()
             })
             .collect();
-        let data_parts: Vec<Vec<f32>> = send_idx
+        let data_parts: Vec<Tensor> = send_idx
             .iter()
             .map(|idxs| {
-                let mut buf = Vec::with_capacity(idxs.len() * d);
-                for &i in idxs {
-                    buf.extend_from_slice(x.row(routing.assignments[i].token));
+                let mut buf = Tensor::zeros(&[idxs.len(), d]);
+                for (row, &i) in idxs.iter().enumerate() {
+                    buf.row_mut(row)
+                        .copy_from_slice(x.row(routing.assignments[i].token));
                 }
                 buf
             })
@@ -254,39 +268,44 @@ impl DistMoELayer {
 
         // ---- Group received tokens by local expert slot.
         let n_slots = self.local_experts.len();
-        let mut slot_inputs: Vec<Vec<f32>> = vec![Vec::new(); n_slots];
         let mut origin: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n_slots];
         let mut recv_counts = vec![0usize; r];
         for src in 0..r {
             let hdr = &hdrs[src];
-            let data = &datas[src];
-            assert_eq!(data.len(), hdr.len() * d, "dispatch data/header mismatch");
+            assert_eq!(
+                datas[src].rows(),
+                hdr.len(),
+                "dispatch data/header mismatch"
+            );
             recv_counts[src] = hdr.len();
             for (pos, &e) in hdr.iter().enumerate() {
                 let e = e as usize;
                 assert_eq!(self.owner(e), self.rank, "token for expert {e} misrouted");
-                let slot = self.slot(e);
-                slot_inputs[slot].extend_from_slice(&data[pos * d..(pos + 1) * d]);
-                origin[slot].push((src, pos));
+                origin[self.slot(e)].push((src, pos));
             }
         }
 
         // ---- Expert compute.
         let mut slot_outputs = Vec::with_capacity(n_slots);
-        for (slot, input) in slot_inputs.into_iter().enumerate() {
-            let rows = origin[slot].len();
-            let xe = Tensor::from_vec(input, &[rows, d]);
+        for (slot, orig) in origin.iter().enumerate() {
+            let mut xe = Tensor::zeros(&[orig.len(), d]);
+            for (row, &(src, pos)) in orig.iter().enumerate() {
+                xe.row_mut(row).copy_from_slice(datas[src].row(pos));
+            }
             slot_outputs.push(self.local_experts[slot].forward(&xe));
         }
 
         // ---- Combine: return results to their source ranks, in the
         // position order of the original dispatch.
-        let mut reply: Vec<Vec<f32>> = (0..r)
-            .map(|src| vec![0.0f32; recv_counts[src] * d])
+        let mut reply: Vec<Tensor> = recv_counts
+            .iter()
+            .map(|&rows| Tensor::zeros(&[rows, d]))
             .collect();
         for (slot, orig) in origin.iter().enumerate() {
             for (row, &(src, pos)) in orig.iter().enumerate() {
-                reply[src][pos * d..(pos + 1) * d].copy_from_slice(slot_outputs[slot].row(row));
+                reply[src]
+                    .row_mut(pos)
+                    .copy_from_slice(slot_outputs[slot].row(row));
             }
         }
         let replies = {
@@ -300,7 +319,7 @@ impl DistMoELayer {
         for (dest, idxs) in send_idx.iter().enumerate() {
             for (j, &ai) in idxs.iter().enumerate() {
                 let a = routing.assignments[ai];
-                let out_row = &replies[dest][j * d..(j + 1) * d];
+                let out_row = replies[dest].row(j);
                 assign_out.row_mut(ai).copy_from_slice(out_row);
                 let dst = y.row_mut(a.token);
                 for (o, &v) in dst.iter_mut().zip(out_row) {
@@ -328,19 +347,18 @@ impl DistMoELayer {
             .take()
             .expect("DistMoELayer::backward before forward");
         let d = dy.cols();
-        let r = comm.size();
         assert_eq!(dy.shape(), &cache.x_shape[..]);
         let routing = &cache.routing;
 
         // ---- Combine-backward: dweights stay local; dY rows travel to the
         // expert owners along the cached dispatch plan.
         let mut dweights = vec![0.0f32; routing.assignments.len()];
-        let dsend: Vec<Vec<f32>> = cache
+        let dsend: Vec<Tensor> = cache
             .send_idx
             .iter()
             .map(|idxs| {
-                let mut buf = Vec::with_capacity(idxs.len() * d);
-                for &ai in idxs {
+                let mut buf = Tensor::zeros(&[idxs.len(), d]);
+                for (row, &ai) in idxs.iter().enumerate() {
                     let a = routing.assignments[ai];
                     let dyr = dy.row(a.token);
                     dweights[ai] = dyr
@@ -348,7 +366,9 @@ impl DistMoELayer {
                         .zip(cache.assign_out.row(ai))
                         .map(|(g, v)| g * v)
                         .sum();
-                    buf.extend(dyr.iter().map(|&g| a.weight * g));
+                    for (o, &g) in buf.row_mut(row).iter_mut().zip(dyr) {
+                        *o = a.weight * g;
+                    }
                 }
                 buf
             })
@@ -361,18 +381,19 @@ impl DistMoELayer {
         };
 
         // ---- Expert backward, rows in forward order.
-        let mut dreply: Vec<Vec<f32>> = (0..r)
-            .map(|src| vec![0.0f32; cache.recv_counts[src] * d])
+        let mut dreply: Vec<Tensor> = cache
+            .recv_counts
+            .iter()
+            .map(|&rows| Tensor::zeros(&[rows, d]))
             .collect();
         for (slot, orig) in cache.origin.iter().enumerate() {
             let mut dye = Tensor::zeros(&[orig.len(), d]);
             for (row, &(src, pos)) in orig.iter().enumerate() {
-                dye.row_mut(row)
-                    .copy_from_slice(&dys[src][pos * d..(pos + 1) * d]);
+                dye.row_mut(row).copy_from_slice(dys[src].row(pos));
             }
             let dxe = self.local_experts[slot].backward(&dye);
             for (row, &(src, pos)) in orig.iter().enumerate() {
-                dreply[src][pos * d..(pos + 1) * d].copy_from_slice(dxe.row(row));
+                dreply[src].row_mut(pos).copy_from_slice(dxe.row(row));
             }
         }
         let dxs = {
@@ -386,7 +407,7 @@ impl DistMoELayer {
         for (dest, idxs) in cache.send_idx.iter().enumerate() {
             for (j, &ai) in idxs.iter().enumerate() {
                 let a = routing.assignments[ai];
-                let src_row = &dxs[dest][j * d..(j + 1) * d];
+                let src_row = dxs[dest].row(j);
                 let dst = dx.row_mut(a.token);
                 for (o, &g) in dst.iter_mut().zip(src_row) {
                     *o += g;

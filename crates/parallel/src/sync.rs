@@ -31,7 +31,7 @@ use bagualu_comm::collectives::{
 };
 use bagualu_comm::payload::WireDType;
 use bagualu_comm::shm::Communicator;
-use bagualu_tensor::Tensor;
+use bagualu_tensor::{reservoir, Tensor};
 use bagualu_trace::{self as trace, names};
 
 /// Synchronize gradients across the data-parallel group. Returns the number
@@ -110,6 +110,9 @@ struct GradBucketer<'a, C: Communicator> {
     bucket_elems: usize,
     /// Element format each bucket's ring uses in flight.
     wire: WireDType,
+    /// Dense gradient scalars still to come, so the last bucket borrows a
+    /// buffer of the size it will fill rather than a whole bucket's.
+    remaining: usize,
     current: Vec<f32>,
     rings: Vec<RingAllreduce<C>>,
     /// Wall time spent polling in-flight rings from inside the backward
@@ -119,7 +122,12 @@ struct GradBucketer<'a, C: Communicator> {
 }
 
 impl<'a, C: Communicator> GradBucketer<'a, C> {
-    fn new(comm: &'a C, bucket_bytes: usize, wire: WireDType) -> GradBucketer<'a, C> {
+    fn new(
+        comm: &'a C,
+        bucket_bytes: usize,
+        wire: WireDType,
+        dense_scalars: usize,
+    ) -> GradBucketer<'a, C> {
         // `bucket_bytes` is a *wire* budget: a 16-bit wire fits twice the
         // scalars per bucket, so fewer rings move the same gradient stream.
         let bucket_elems = (bucket_bytes / wire.size_bytes()).max(1);
@@ -127,6 +135,7 @@ impl<'a, C: Communicator> GradBucketer<'a, C> {
             comm,
             bucket_elems,
             wire,
+            remaining: dense_scalars,
             current: Vec::new(),
             rings: Vec::new(),
             poll_ns: 0,
@@ -138,9 +147,13 @@ impl<'a, C: Communicator> GradBucketer<'a, C> {
     fn push(&mut self, grad: &[f32]) {
         let mut off = 0usize;
         while off < grad.len() {
+            if self.current.capacity() == 0 {
+                self.current = reservoir::global().lend(self.bucket_elems.min(self.remaining));
+            }
             let take = (self.bucket_elems - self.current.len()).min(grad.len() - off);
             self.current.extend_from_slice(&grad[off..off + take]);
             off += take;
+            self.remaining = self.remaining.saturating_sub(take);
             if self.current.len() == self.bucket_elems {
                 self.flush();
             }
@@ -220,7 +233,9 @@ pub fn backward_and_sync_overlapped_wire<C: Communicator>(
     wire: WireDType,
 ) -> SyncStats {
     let r = comm.size() as f32;
-    let mut bucketer = GradBucketer::new(comm, bucket_bytes, wire);
+    let mut dense_scalars = 0;
+    model.visit_dense_params(&mut |p| dense_scalars += p.grad.len());
+    let mut bucketer = GradBucketer::new(comm, bucket_bytes, wire, dense_scalars);
     let backward_span = trace::span(names::BACKWARD);
     model.backward_with_grad_ready(dlogits, comm, &mut |p| {
         bucketer.push(p.grad.as_slice());
@@ -282,6 +297,10 @@ pub fn backward_and_sync_overlapped_wire<C: Communicator>(
             }
         }
     });
+
+    buckets
+        .into_iter()
+        .for_each(|v| reservoir::global().recycle(v));
 
     // Experts: rescale only.
     model.visit_expert_params(&mut |p| p.grad.scale(1.0 / r));

@@ -28,7 +28,8 @@ use bagualu_comm::shm::World;
 use bagualu_comm::Communicator;
 use bagualu_parallel::DistTransformer;
 use bagualu_tensor::par;
-use bagualu_trace::{Trace, TraceCollector};
+use bagualu_tensor::reservoir;
+use bagualu_trace::{HostUsage, Trace, TraceCollector};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Condvar, Mutex};
@@ -145,6 +146,7 @@ where
     let world = World::new(opts.nranks);
     let comms = world.comms();
     let collector = opts.trace.then(TraceCollector::new);
+    let host = collector.as_ref().and_then(|_| HostUsage::now());
     let shared = Shared {
         queues: Mutex::new((0..opts.nranks).map(|_| VecDeque::new()).collect()),
         cv: Condvar::new(),
@@ -166,9 +168,18 @@ where
             scope.spawn(move || {
                 let _lanes = par::scoped_width(lanes);
                 let _lane = collector.map(|c| c.install(rank));
+                // The tensor reservoir is process-wide: rank 0's lane
+                // carries what every thread did between here and shutdown.
+                let speaks = rank == 0 && collector.is_some();
+                if speaks {
+                    reservoir::global().drain_counts();
+                }
                 let model = build_model(rank);
                 let mut engine = Engine::new(model, opts.engine);
                 rank_loop(&mut engine, &comm, shared, opts.nranks);
+                if speaks {
+                    reservoir::publish();
+                }
             });
         }
         let client = Client {
@@ -183,7 +194,10 @@ where
 
     ServerReport {
         output,
-        trace: collector.map(|c| c.finish()),
+        trace: collector.map(|c| {
+            reservoir::record_run(&c, host);
+            c.finish()
+        }),
     }
 }
 

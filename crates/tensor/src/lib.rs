@@ -11,6 +11,8 @@
 //!   intra-op lanes (see [`par`]),
 //! * fused element-wise and reduction kernels (GELU, softmax, layer-norm
 //!   statistics, …),
+//! * one process-wide recycling [`reservoir`] under every large buffer, so a
+//!   steady-state step allocates nothing from the kernel,
 //! * bit-exact software [`F16`] and [`BF16`] types so
 //!   that mixed-precision *numerics* (rounding, underflow, loss-scale
 //!   dynamics) can be reproduced without half-precision hardware.
@@ -24,6 +26,7 @@ pub mod dtype;
 pub mod ops;
 pub mod pack;
 pub mod par;
+pub mod reservoir;
 pub mod rng;
 pub mod tensor;
 

@@ -125,15 +125,19 @@ fn avx512_available() -> bool {
 /// the ragged final KC-block because every *preceding* block has full
 /// height: `block_base = k0 · n_panels · nr`.
 ///
-/// The buffer is explicitly aligned to 64 bytes (one cache line, one zmm):
-/// `vec![0.0f32; …]` alignment depends on where the allocator happens to
-/// place a large block — page-aligned from a fresh mmap, but only 16-byte
-/// aligned once heap churn raises glibc's mmap threshold — and a 16-byte
-/// base makes three of every four 64-byte panel loads straddle a cache
-/// line. The arithmetic-bound exact kernels hide that; the load-bound FMA
-/// kernel measurably does not.
+/// The buffer is scratch from the process-wide [`crate::reservoir`]
+/// ([`Tensor::scratch`]): whichever recycled buffer was used last and is big
+/// enough, so one GEMM call maps no memory of its own and consecutive calls
+/// pack into the same cache-warm block whatever their `n`, as they did at
+/// the top of `malloc`'s heap. The panels are explicitly aligned to
+/// 64 bytes (one cache line, one zmm) inside it — a recycled buffer sits
+/// wherever `malloc` first put it, page-aligned from a fresh mmap but only
+/// 16-byte aligned out of a heap bin, and a 16-byte base makes three of
+/// every four 64-byte panel loads straddle a cache line. The
+/// arithmetic-bound exact kernels hide that; the load-bound FMA kernel
+/// measurably does not.
 struct PackedB {
-    data: Vec<f32>,
+    data: Tensor,
     /// Offset (in floats) of the first 64-byte-aligned element of `data`.
     align_off: usize,
     n_panels: usize,
@@ -145,10 +149,10 @@ impl PackedB {
         let n_panels = n.div_ceil(nr);
         let len = k * n_panels * nr;
         // Over-allocate one cache line and skip to the aligned start; the
-        // Vec's heap block never moves, so the offset stays valid.
-        let mut data = vec![0.0f32; len + 16];
-        let align_off = (data.as_ptr() as usize).wrapping_neg() % 64 / 4;
-        let floats = &mut data[align_off..align_off + len];
+        // tensor's heap block never moves, so the offset stays valid.
+        let mut data = Tensor::scratch(len + 16);
+        let align_off = (data.as_slice().as_ptr() as usize).wrapping_neg() % 64 / 4;
+        let floats = &mut data.as_mut_slice()[align_off..align_off + len];
         // kk-outer traversal: each B row is read once, sequentially, and
         // scattered to its panels — sequential reads beat sequential
         // writes once B outgrows L2.
@@ -177,7 +181,7 @@ impl PackedB {
     #[inline]
     fn panel(&self, k0: usize, kc: usize, p: usize) -> &[f32] {
         let base = self.align_off + k0 * self.n_panels * self.nr + p * kc * self.nr;
-        &self.data[base..base + kc * self.nr]
+        &self.data.as_slice()[base..base + kc * self.nr]
     }
 }
 
@@ -503,19 +507,19 @@ pub(crate) fn tiled_nn(
 /// collapsing the chains), so there is no KC blocking to offset for. Only
 /// the `n / nr` full panels are packed; ragged edge columns take the plain
 /// [`dot4`] path over unpacked B rows.
-fn pack_bt(bv: &[f32], k: usize, n: usize, nr: usize) -> (Vec<f32>, usize) {
+fn pack_bt(bv: &[f32], k: usize, n: usize, nr: usize) -> (Tensor, usize) {
     let full_panels = n / nr;
     let len = full_panels * k * nr;
     // 64-byte-align the panels, exactly as [`PackedB::pack`] does and for
     // the same reason: the wide NT kernel is load-bound, and a 16-byte
     // buffer base would split most of its 64-byte panel loads across
     // cache lines.
-    let mut data = vec![0.0f32; len + 16];
-    let align_off = (data.as_ptr() as usize).wrapping_neg() % 64 / 4;
+    let mut data = Tensor::scratch(len + 16);
+    let align_off = (data.as_slice().as_ptr() as usize).wrapping_neg() % 64 / 4;
     // Lane-outer traversal: each B row is read once, sequentially, and
     // scattered down its panel column (stride `nr`).
     for p in 0..full_panels {
-        let panel = &mut data[align_off + p * k * nr..align_off + (p + 1) * k * nr];
+        let panel = &mut data.as_mut_slice()[align_off + p * k * nr..align_off + (p + 1) * k * nr];
         for lane in 0..nr {
             let src = &bv[(p * nr + lane) * k..(p * nr + lane + 1) * k];
             for (kk, &x) in src.iter().enumerate() {
@@ -648,7 +652,7 @@ pub(crate) fn tiled_nt(a: &Tensor, b: &Tensor, fma: bool) -> Tensor {
     let nr = if wide { NT_NR_W } else { NT_NR };
     let full_panels = n / nr;
     let (packed, align_off) = pack_bt(bv, k, n, nr);
-    let packed = &packed;
+    let packed = packed.as_slice();
 
     let body = |chunk_idx: usize, cchunk: &mut [f32]| {
         let ia0 = chunk_idx * MC;

@@ -19,6 +19,7 @@
 
 use crate::dtype::{DType, BF16, F16};
 use crate::par::{self, work};
+use crate::reservoir;
 
 /// Core conversion driver: fill `dst` (pre-sized to `src.len()`) with
 /// `conv(src[i])`, inline or chunked over the output as [`par`] decides.
@@ -74,16 +75,17 @@ pub fn pack_bf16(src: &[f32]) -> Vec<u16> {
     out
 }
 
-/// Expand FP16 bit patterns back to `f32` (allocating).
+/// Expand FP16 bit patterns back to `f32` (into a [`reservoir::Reservoir::lend`]ed
+/// buffer, so a received payload recycles what a sent one gave back).
 pub fn unpack_f16(bits: &[u16]) -> Vec<f32> {
-    let mut out = Vec::new();
+    let mut out = reservoir::global().lend(bits.len());
     unpack_f16_into(bits, &mut out);
     out
 }
 
-/// Expand BF16 bit patterns back to `f32` (allocating).
+/// Expand BF16 bit patterns back to `f32` (see [`unpack_f16`]).
 pub fn unpack_bf16(bits: &[u16]) -> Vec<f32> {
-    let mut out = Vec::new();
+    let mut out = reservoir::global().lend(bits.len());
     unpack_bf16_into(bits, &mut out);
     out
 }

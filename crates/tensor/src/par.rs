@@ -69,11 +69,13 @@ pub mod work {
 ///
 /// Nothing times a call *at* the cutoff, and the pack path has no timed row
 /// on either side, so "a dispatched call is never slower than the inline
-/// one" is the sizing intent, gated only at the shapes above — and ROADMAP
-/// ledger (a) records an allocator state in which a tiled GEMM breaks it
-/// (first-touch page faults on a freshly mapped output). Both sides are
-/// pinned bit-identical at several widths in
-/// `tests/tests/matmul_backends.rs` and `tests/tests/rowops_backends.rs`.
+/// one" is the sizing intent, gated only at the shapes above. The allocator
+/// state that used to break it for a tiled GEMM — a freshly mapped output
+/// whose every page faulted on first touch, under whichever lane touched it
+/// — is gone: outputs and packed panels at or above 64 KiB are recycled
+/// through [`crate::reservoir`] and stay mapped. Both sides are pinned
+/// bit-identical at several widths in `tests/tests/matmul_backends.rs` and
+/// `tests/tests/rowops_backends.rs`.
 pub const MIN_WORK: u64 = 1 << 22;
 
 /// Work one claimed chunk should carry where the call site is free to
@@ -124,12 +126,13 @@ pub(crate) fn rows_per_task(row_work: u64) -> usize {
 }
 
 /// Rows of a GEMM's output per claimed chunk: [`rows_per_task`], but never
-/// finer than [`MIN_GEMM_ROWS`] of the `m` rows there are. A GEMM writes a
-/// freshly zeroed `C`, so the first touch of every output page is a page
-/// fault; lanes that claim single interleaved rows fault on each other's
+/// finer than [`MIN_GEMM_ROWS`] of the `m` rows there are. Lanes that claim
+/// single interleaved rows of `C` write into each other's cache lines and
 /// pages, and a 512³ reference GEMM dispatched that way ran at 0.6–0.8× the
-/// inline call on 2 cores. In contiguous blocks it runs at ≈ 1.9× (E26 gate
-/// `nn_reference_dispatched_over_inline`).
+/// inline call on 2 cores — measured when `C` was also freshly mapped and
+/// every first touch a page fault; a recycled `C` ([`crate::reservoir`])
+/// takes the faults away but not the sharing. In contiguous blocks it runs
+/// at ≈ 1.9× (E26 gate `nn_reference_dispatched_over_inline`).
 pub(crate) fn gemm_rows_per_task(m: usize, row_work: u64) -> usize {
     rows_per_task(row_work).max(MIN_GEMM_ROWS.min(m))
 }

@@ -6,14 +6,44 @@
 //! original system's kernels do.
 
 use crate::dtype::DType;
+use crate::reservoir;
 use crate::rng::{Fills, Rng};
 use bagualu_trace::{self as trace, names};
 
 /// An owned, contiguous, row-major tensor of `f32` values.
-#[derive(Clone, PartialEq, Default)]
+///
+/// Storage at or above [`reservoir::CUTOFF_ELEMS`] is recycled through the
+/// process-wide [`reservoir`]: dropping a tensor hands its buffer back and
+/// every constructor here draws from it, overwriting the whole buffer, so
+/// what a recycled tensor holds never depends on what the buffer held.
+#[derive(PartialEq, Default)]
 pub struct Tensor {
     data: Vec<f32>,
     shape: Vec<usize>,
+}
+
+impl Drop for Tensor {
+    fn drop(&mut self) {
+        if self.data.capacity() >= reservoir::CUTOFF_ELEMS {
+            reservoir::global().give(std::mem::take(&mut self.data));
+        }
+    }
+}
+
+impl Clone for Tensor {
+    fn clone(&self) -> Tensor {
+        let mut data = buffer(self.data.len());
+        data.extend_from_slice(&self.data);
+        Tensor {
+            data,
+            shape: self.shape.clone(),
+        }
+    }
+}
+
+/// An empty buffer with room for `n` elements, recycled when large.
+fn buffer(n: usize) -> Vec<f32> {
+    reservoir::global().take(n)
 }
 
 impl std::fmt::Debug for Tensor {
@@ -32,19 +62,29 @@ impl Tensor {
 
     /// A tensor of zeros with the given shape.
     pub fn zeros(shape: &[usize]) -> Tensor {
-        let n: usize = shape.iter().product();
-        Tensor {
-            data: vec![0.0; n],
-            shape: shape.to_vec(),
-        }
+        Tensor::full(shape, 0.0)
     }
 
     /// A tensor filled with `value`.
     pub fn full(shape: &[usize], value: f32) -> Tensor {
         let n: usize = shape.iter().product();
+        let mut data = buffer(n);
+        data.resize(n, value);
         Tensor {
-            data: vec![value; n],
+            data,
             shape: shape.to_vec(),
+        }
+    }
+
+    /// `n` zeros for scratch the caller drops before it returns (a packed
+    /// panel): backed by whichever recycled buffer was used last, see
+    /// [`reservoir::Reservoir::take_scratch`].
+    pub(crate) fn scratch(n: usize) -> Tensor {
+        let mut data = reservoir::global().take_scratch(n);
+        data.resize(n, 0.0);
+        Tensor {
+            data,
+            shape: vec![n],
         }
     }
 
@@ -53,8 +93,9 @@ impl Tensor {
         Tensor::full(shape, 1.0)
     }
 
-    /// Build from an existing buffer. Panics if `data.len()` does not match
-    /// the product of `shape`.
+    /// Build from an existing buffer, which the reservoir counts as live
+    /// from here on. Panics if `data.len()` does not match the product of
+    /// `shape`.
     pub fn from_vec(data: Vec<f32>, shape: &[usize]) -> Tensor {
         let n: usize = shape.iter().product();
         assert_eq!(
@@ -64,6 +105,7 @@ impl Tensor {
             data.len(),
             shape
         );
+        reservoir::global().adopt(data.capacity());
         Tensor {
             data,
             shape: shape.to_vec(),
@@ -84,8 +126,10 @@ impl Tensor {
         let returned: &[usize] = match rng.fills() {
             Fills::Draw => {
                 trace::count(names::INIT_DRAWN_ELEMS, n as u64);
+                let mut data = buffer(n);
+                data.extend((0..n).map(|_| draw(rng)));
                 return Tensor {
-                    data: (0..n).map(|_| draw(rng)).collect(),
+                    data,
                     shape: shape.to_vec(),
                 };
             }
@@ -177,9 +221,13 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consume the tensor and return its storage.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
+    /// Consume the tensor and return its storage, which the reservoir stops
+    /// counting: whoever drops the `Vec` frees it, and a tensor built around
+    /// it again ([`Tensor::from_vec`]) brings it back.
+    pub fn into_vec(mut self) -> Vec<f32> {
+        let data = std::mem::take(&mut self.data);
+        reservoir::global().release(data.capacity());
+        data
     }
 
     /// Borrow row `i` of a 2-D tensor.
@@ -228,7 +276,12 @@ impl Tensor {
     pub fn slice_rows(&self, lo: usize, hi: usize) -> Tensor {
         let c = self.cols();
         assert!(lo <= hi && hi <= self.rows());
-        Tensor::from_vec(self.data[lo * c..hi * c].to_vec(), &[hi - lo, c])
+        let mut data = buffer((hi - lo) * c);
+        data.extend_from_slice(&self.data[lo * c..hi * c]);
+        Tensor {
+            data,
+            shape: vec![hi - lo, c],
+        }
     }
 
     /// Stack 2-D tensors with identical column counts on the row axis.
@@ -236,30 +289,33 @@ impl Tensor {
         assert!(!parts.is_empty());
         let c = parts[0].cols();
         let total: usize = parts.iter().map(|p| p.rows()).sum();
-        let mut data = Vec::with_capacity(total * c);
+        let mut data = buffer(total * c);
         for p in parts {
             assert_eq!(p.cols(), c, "concat_rows: mismatched column counts");
             data.extend_from_slice(p.as_slice());
         }
-        Tensor::from_vec(data, &[total, c])
+        Tensor {
+            data,
+            shape: vec![total, c],
+        }
     }
 
     /// Transposed copy of a 2-D tensor.
     pub fn transposed(&self) -> Tensor {
         let (r, c) = (self.rows(), self.cols());
-        let mut out = vec![0.0f32; r * c];
+        let mut out = Tensor::zeros(&[c, r]);
         // Blocked transpose for cache friendliness on large matrices.
         const B: usize = 32;
         for i0 in (0..r).step_by(B) {
             for j0 in (0..c).step_by(B) {
                 for i in i0..(i0 + B).min(r) {
                     for j in j0..(j0 + B).min(c) {
-                        out[j * r + i] = self.data[i * c + j];
+                        out.data[j * r + i] = self.data[i * c + j];
                     }
                 }
             }
         }
-        Tensor::from_vec(out, &[c, r])
+        out
     }
 
     // ------------------------------------------------------------- mutation
@@ -324,8 +380,10 @@ impl Tensor {
 
     /// New tensor with `f` applied to every element.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
+        let mut data = buffer(self.data.len());
+        data.extend(self.data.iter().map(|&x| f(x)));
         Tensor {
-            data: self.data.iter().map(|&x| f(x)).collect(),
+            data,
             shape: self.shape.clone(),
         }
     }
@@ -367,20 +425,20 @@ impl Tensor {
         self.data.iter().zip(&other.data).map(|(a, b)| a * b).sum()
     }
 
-    /// Index of the maximum element of each row of a 2-D tensor.
+    /// Index of the maximum element of each row of a 2-D tensor, ignoring
+    /// NaN (an all-NaN row reads 0).
     pub fn argmax_rows(&self) -> Vec<usize> {
         let c = self.cols();
         self.data
             .chunks_exact(c)
             .map(|row| {
-                // First index of the maximum (strict `>` keeps the earliest
-                // of tied values and ignores NaN).
-                let mut best = 0usize;
-                let mut best_v = row[0];
-                for (i, &v) in row.iter().enumerate().skip(1) {
-                    if v > best_v {
+                // Start from the first element that is not NaN (index 0 when
+                // the whole row is); from there a strict `>` keeps the
+                // earliest of tied values and never picks a later NaN.
+                let mut best = row.iter().position(|v| !v.is_nan()).unwrap_or(0);
+                for (i, &v) in row.iter().enumerate().skip(best + 1) {
+                    if v > row[best] {
                         best = i;
-                        best_v = v;
                     }
                 }
                 best
@@ -484,6 +542,76 @@ mod tests {
     fn argmax_rows_picks_first_max() {
         let t = Tensor::from_vec(vec![0.0, 5.0, 5.0, 9.0, 1.0, 2.0], &[2, 3]);
         assert_eq!(t.argmax_rows(), vec![1, 0]);
+    }
+
+    #[test]
+    fn argmax_rows_ignores_nan_wherever_it_sits() {
+        let (nan, ninf) = (f32::NAN, f32::NEG_INFINITY);
+        let rows = [
+            ([nan, 1.0, 2.0], 2),
+            ([1.0, nan, 2.0], 2),
+            ([nan, 5.0, 5.0], 1),
+            ([2.0, 1.0, nan], 0),
+            ([nan, nan, nan], 0),
+            ([ninf, ninf, ninf], 0),
+            ([nan, ninf, 0.0], 2),
+        ];
+        let data: Vec<f32> = rows.iter().flat_map(|(row, _)| *row).collect();
+        let want: Vec<usize> = rows.iter().map(|&(_, at)| at).collect();
+        assert_eq!(Tensor::from_vec(data, &[rows.len(), 3]).argmax_rows(), want);
+    }
+
+    /// A recycled buffer never shows through: after tensors full of NaN are
+    /// dropped, every constructor of the same and of a smaller size class
+    /// yields exactly what a fresh allocation would, and the random fills
+    /// draw exactly what they drew before.
+    #[test]
+    fn recycled_storage_is_rewritten_in_full() {
+        use bagualu_trace::TraceCollector;
+        let same = 3 * reservoir::CUTOFF_ELEMS;
+        let smaller = 2 * reservoir::CUTOFF_ELEMS + 5;
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let reference = Tensor::randn(&[same], 1.0, &mut Rng::seed_from(3));
+        for n in [same, smaller] {
+            // Poison more buffers than the constructors below take at once.
+            drop(
+                (0..4)
+                    .map(|_| Tensor::full(&[same], f32::NAN))
+                    .collect::<Vec<_>>(),
+            );
+            assert!(bits(&Tensor::zeros(&[n])).iter().all(|&b| b == 0));
+            let fives = Tensor::full(&[n], 5.0);
+            assert!(fives.as_slice().iter().all(|&v| v == 5.0));
+            let part = reference.clone().reshape(&[3, same / 3]);
+            assert_eq!(bits(&part), bits(&reference));
+            assert_eq!(bits(&part.slice_rows(0, 3)), bits(&reference));
+            assert_eq!(bits(&part.transposed().transposed()), bits(&reference));
+            assert_eq!(bits(&reference.map(|v| v)), bits(&reference));
+
+            let collector = TraceCollector::new();
+            let (mut rng, mut plain) = (Rng::seed_from(17), Rng::seed_from(17));
+            let drawn = {
+                let _lane = collector.install(0);
+                Tensor::randn(&[n], 0.5, &mut rng)
+            };
+            let want: Vec<u32> = (0..n).map(|_| (plain.normal() * 0.5).to_bits()).collect();
+            assert_eq!(bits(&drawn), want);
+            assert_eq!(rng.next_u64(), plain.next_u64(), "same draws consumed");
+            let trace = collector.finish();
+            assert_eq!(trace.counter_total(names::INIT_DRAWN_ELEMS), n as u64);
+        }
+    }
+
+    /// `from_vec` and `into_vec` move a buffer in and out of the live count
+    /// without copying it.
+    #[test]
+    fn a_buffer_passes_through_a_tensor_by_value() {
+        let n = reservoir::CUTOFF_ELEMS + 1;
+        let data: Vec<f32> = (0..n).map(|i| i as f32).collect();
+        let at = data.as_ptr();
+        let back = Tensor::from_vec(data, &[n]).into_vec();
+        assert_eq!(back.as_ptr(), at);
+        assert_eq!(back[n - 1], (n - 1) as f32);
     }
 
     #[test]

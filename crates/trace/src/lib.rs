@@ -19,6 +19,8 @@
 //! * [`Trace`] — the merged result ([`TraceCollector::finish`]): per-rank
 //!   event logs plus analysis helpers ([`Trace::counter_total`],
 //!   [`Trace::span_total_ns`], [`Trace::overlap_fraction`]),
+//! * [`host`] — page faults and kernel time of the whole process per run,
+//!   the cost no span inside the program can see,
 //! * [`chrome`] — export as Chrome trace-event JSON (loadable in
 //!   `chrome://tracing` / Perfetto) and as a per-rank text summary table.
 //!
@@ -31,12 +33,14 @@
 #![warn(missing_docs)]
 
 pub mod chrome;
+pub mod host;
 pub mod names;
 pub mod ring;
 pub mod straggler;
 pub mod trace;
 pub mod tracer;
 
+pub use host::HostUsage;
 pub use ring::Ring;
 pub use straggler::StragglerDetector;
 pub use trace::{Event, EventKind, RankTrace, Trace};

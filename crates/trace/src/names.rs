@@ -137,6 +137,35 @@ pub const INIT_DRAWN_ELEMS: &str = "init.drawn_elems";
 /// count, the same on every rank.
 pub const INIT_SKIPPED_ELEMS: &str = "init.skipped_elems";
 
+/// Bytes of buffer capacity the process-wide tensor reservoir
+/// (`bagualu_tensor::reservoir`) served from its free lists. The three
+/// `mem.reservoir.*_bytes` counters are process-wide, so they are published
+/// on one lane only — rank 0's, once after the model is built, once per
+/// step and once at the end of a run — and each event carries what happened
+/// on every thread since the previous one.
+pub const MEM_RESERVOIR_HIT_BYTES: &str = "mem.reservoir.hit_bytes";
+/// Bytes the reservoir had to allocate afresh (see
+/// [`MEM_RESERVOIR_HIT_BYTES`]). After the first step of a fixed-shape run
+/// this stays 0: the step allocates nothing.
+pub const MEM_RESERVOIR_MISS_BYTES: &str = "mem.reservoir.miss_bytes";
+/// Bytes the reservoir freed to the allocator to stay within the program's
+/// own high-water mark (see [`MEM_RESERVOIR_HIT_BYTES`]).
+pub const MEM_RESERVOIR_RELEASED_BYTES: &str = "mem.reservoir.released_bytes";
+/// Gauge: the most the reservoir has held on its free lists since the
+/// process started, bytes. Recorded once per run, by the driver, after the
+/// last rank has finished (rank 0's lane).
+pub const MEM_RESERVOIR_RETAINED_PEAK_BYTES: &str = "mem.reservoir.retained_peak_bytes";
+/// Minor page faults the whole process took during the run
+/// (`/proc/self/stat` field 10, end minus start; recorded by the driver on
+/// rank 0's lane, which carries every process-wide row). A buffer
+/// handed back to the allocator and mapped again shows up here and in
+/// [`HOST_SYS_MS`], and nowhere in a kernel's own time.
+pub const HOST_MINOR_FAULTS: &str = "host.minor_faults";
+/// Milliseconds of system (kernel) CPU time the whole process spent during
+/// the run (`/proc/self/stat` field 15 at the kernel's 100 ticks a second;
+/// rank 0's lane, like [`HOST_MINOR_FAULTS`]).
+pub const HOST_SYS_MS: &str = "host.sys_ms";
+
 /// Nanoseconds a checkpoint save spent encoding records into its staging
 /// buffer and folding them into record CRCs (the streaming pass minus
 /// [`CKPT_WRITE_NS`]). Recorded per file, inside the
