@@ -3,13 +3,14 @@
 //! Measures achieved GFLOP/s for every `MatmulBackend` on the GEMM shapes
 //! the trainer actually runs (square NN at several sizes, plus the NT/TN
 //! backward layouts and the fused bias+GELU epilogue at 256³ **and** the
-//! 512³ gate shape), and elements/s for both `RowOpsBackend` tiers on the
+//! 512³ gate shape, plus the few-row `[m×256]·[256×1024]` NN a decode step
+//! runs), and elements/s for both `RowOpsBackend` tiers on the
 //! softmax / layer-norm / Adam kernels. Self-gating on:
 //!
 //! * correctness — `Tiled` must agree with `Reference` **bitwise** (NN and
 //!   NT) and the vectorized row-op tier must agree with the reference tier
 //!   bitwise before any timing is believed;
-//! * performance — seven CI gates, all ratios timed in the same process at
+//! * performance — eight CI gates, all ratios timed in the same process at
 //!   the host's full intra-op width (so they hold on single-core and noisy
 //!   runners). Three are kernel ratios at 512³:
 //!   - `nn_tiled_over_reference` ≥ [`NN_TILED_MIN_SPEEDUP`]× where the
@@ -37,6 +38,12 @@
 //!   - `nn_bias_gelu_over_nn` ≥ [`FUSED_GELU_OVER_NN_MIN`]× — plain tiled
 //!     NN time ÷ fused bias+GELU time at 256³: the fused call must track
 //!     the GEMM, not the activation.
+//!
+//!   One holds the few-row GEMM to one pass over the weight:
+//!   - `nn_single_tile_over_two_tile` ≥ [`SINGLE_TILE_MIN`]× — tiled
+//!     `[7×256]·[256×1024]` (two register tiles: B is packed) over
+//!     `[1×256]·[256×1024]` (one tile: B is read in place). Seven rows for
+//!     the price of ≈ 1.5 would mean the one-row call packs again.
 //!
 //! * consistency — the file must say one thing: every sweep row at the
 //!   512³ gate shape has to sit within [`SWEEP_VS_GATE_MAX`]× of the time
@@ -97,6 +104,14 @@ pub const GELU_OVER_LIBM_MIN: f64 = 4.0;
 /// Floor of `nn_bias_gelu_over_nn`: with libm's `tanhf` in the epilogue the
 /// ratio was 0.30.
 pub const FUSED_GELU_OVER_NN_MIN: f64 = 0.7;
+/// Floor of `nn_single_tile_over_two_tile` where the wide kernel runs
+/// (3.6–4.6 on the reference box; ≈ 1.5 when every call packed the weight).
+pub const SINGLE_TILE_MIN: f64 = 2.0;
+/// The decode shape: `[m×256]·[256×1024]`, the `serve_decode` model's FFN
+/// up-projection. `m` is one row, the exact tier's one-tile limit, the
+/// first two-tile count, and the engine's batch.
+const DECODE_KN: (usize, usize) = (256, 1024);
+const DECODE_ROWS: [usize; 4] = [1, 6, 7, 8];
 /// How far a 512³ sweep row and the gate pair that timed the same backend
 /// and layout may sit apart. They are the same kernel on same-sized
 /// operands in one process, so a larger gap means the two were not measured
@@ -536,6 +551,27 @@ pub fn run() {
     };
     sample_gelu_gates(&mut gate_gelu, &mut gate_fused);
 
+    // ---- The few-row gate: two register tiles (packed) over one (in place).
+    let mut gate_single = GatePair::new(floor_of(SINGLE_TILE_MIN));
+    let sample_decode_gate = {
+        let (k, n) = DECODE_KN;
+        let two_tiles = Tensor::randn(&[7, k], 1.0, &mut rng);
+        let one_tile = Tensor::randn(&[1, k], 1.0, &mut rng);
+        let w = Tensor::randn(&[k, n], 1.0, &mut rng);
+        let tiled = tiled.clone();
+        move |single: &mut GatePair| {
+            if !single.passing() {
+                let (f, g) = paired_best(
+                    31,
+                    || tiled.matmul(&two_tiles, &w),
+                    || tiled.matmul(&one_tile, &w),
+                );
+                single.absorb(f, g);
+            }
+        }
+    };
+    sample_decode_gate(&mut gate_single);
+
     // ---- Square NN sweep (the forward-pass shape).
     let backends = [
         ComputeBackend::Reference,
@@ -595,6 +631,7 @@ pub fn run() {
     );
     sample_rowop_gates(&mut gate_softmax, &mut gate_adam);
     sample_gelu_gates(&mut gate_gelu, &mut gate_fused);
+    sample_decode_gate(&mut gate_single);
 
     // ---- Backward layouts + fused epilogue at 256³ and the 512³ gate
     // shape, for the three fp32 backends.
@@ -636,6 +673,36 @@ pub fn run() {
         }
     }
     t2.print();
+
+    // ---- The few-row NN of a decode step, fp32 tiers.
+    println!("\n-- decode-shape NN [m x 256]·[256 x 1024], us per call --");
+    let mut t4 = Table::new(&["backend", "m=1", "m=6", "m=7", "m=8"]);
+    for cb in [
+        ComputeBackend::Reference,
+        ComputeBackend::Tiled,
+        ComputeBackend::TiledFma,
+    ] {
+        let be = cb.instantiate();
+        let (k, n) = DECODE_KN;
+        let w = Tensor::randn(&[k, n], 1.0, &mut rng);
+        let mut cells = vec![cb.to_string()];
+        for m in DECODE_ROWS {
+            let a = Tensor::randn(&[m, k], 1.0, &mut rng);
+            let row = gemm_row(&cb.to_string(), "nn", m, k, n, Precision::FP32, 31, || {
+                be.matmul(&a, &w)
+            });
+            cells.push(format!("{:.1}", row.ns as f64 / 1e3));
+            rows.push(row);
+        }
+        t4.row(&[
+            cells[0].clone(),
+            cells[1].clone(),
+            cells[2].clone(),
+            cells[3].clone(),
+            cells[4].clone(),
+        ]);
+    }
+    t4.print();
     sample_gates(
         &mut gate_nn,
         &mut gate_nt,
@@ -645,6 +712,7 @@ pub fn run() {
     );
     sample_rowop_gates(&mut gate_softmax, &mut gate_adam);
     sample_gelu_gates(&mut gate_gelu, &mut gate_fused);
+    sample_decode_gate(&mut gate_single);
 
     // ---- Row-op tiers: elements/s for softmax, layernorm, Adam.
     println!("\n-- row-op Gelem/s (reference vs vectorized tier) --");
@@ -730,6 +798,7 @@ pub fn run() {
     );
     sample_rowop_gates(&mut gate_softmax, &mut gate_adam);
     sample_gelu_gates(&mut gate_gelu, &mut gate_fused);
+    sample_decode_gate(&mut gate_single);
     let shape = format!("{GATE_DIM}^3");
 
     // ---- The file has to say one thing ([`SWEEP_VS_GATE_MAX`]). A sweep
@@ -794,6 +863,12 @@ pub fn run() {
         ),
         Gate::of("gelu_over_libm", "gelu", "256x1024", &gate_gelu),
         Gate::of("nn_bias_gelu_over_nn", "nn_bias_gelu", "256^3", &gate_fused),
+        Gate::of(
+            "nn_single_tile_over_two_tile",
+            "nn",
+            "7x256x1024 / 1x256x1024",
+            &gate_single,
+        ),
     ];
     let gate_flops = 2 * (GATE_DIM as u64).pow(3);
     println!(
@@ -822,6 +897,11 @@ pub fn run() {
         gate_fused.best_f / 1000,
         gate_fused.best_g / 1000,
     );
+    println!(
+        "paired: tiled [m x 256]·[256 x 1024] m=7 (packed) {:.1} / m=1 (in place) {:.1} us",
+        gate_single.best_f as f64 / 1e3,
+        gate_single.best_g as f64 / 1e3,
+    );
     println!("-- gates (GEMM at {shape}; wide kernel: {wide}) --");
     for g in &gates {
         println!(
@@ -838,6 +918,8 @@ pub fn run() {
     artifact.push_str(&t.render());
     artifact.push_str("\nlayouts\n");
     artifact.push_str(&t2.render());
+    artifact.push_str("\ndecode-shape NN [m x 256]·[256 x 1024], us per call\n");
+    artifact.push_str(&t4.render());
     artifact.push_str(&format!("\ngates (GEMM at {shape}; wide kernel: {wide})\n"));
     for g in &gates {
         artifact.push_str(&format!(

@@ -2,7 +2,7 @@
 
 use crate::linear::Linear;
 use crate::param::{HasParams, Param};
-use bagualu_tensor::ops::{matmul, matmul_nt, matmul_tn, softmax_rows_inplace};
+use bagualu_tensor::ops::{matmul, matmul_nt, matmul_tn, softmax_rows_inplace, Activation};
 use bagualu_tensor::rng::Rng;
 use bagualu_tensor::Tensor;
 
@@ -13,8 +13,8 @@ use bagualu_tensor::Tensor;
 ///
 /// [`KvCache`] is the growable in-memory implementation; `bagualu-serve`
 /// provides a paged implementation backed by a shared block pool. The
-/// attention math in [`MultiHeadAttention::forward_incremental_store`] is
-/// identical across stores, so swapping the store cannot change outputs.
+/// attention math in [`MultiHeadAttention::attend`] is identical across
+/// stores, so swapping the store cannot change outputs.
 pub trait KvStore {
     /// Number of cached positions.
     fn len(&self) -> usize;
@@ -92,7 +92,7 @@ fn apply_rope(x: &mut Tensor, start: usize, sign: f32) {
 }
 
 /// [`apply_rope`] over bare rows: `rows` is `[s, hd]` row-major. The decode
-/// path rotates one head's slice of a `[1, d]` row in place through this.
+/// path rotates one head's slice of a QKV row in place through this.
 fn rope_rows(rows: &mut [f32], hd: usize, start: usize, sign: f32) {
     assert!(hd.is_multiple_of(2), "RoPE needs an even head dim");
     for (t, row) in rows.chunks_exact_mut(hd).enumerate() {
@@ -123,6 +123,9 @@ pub struct MultiHeadAttention {
     /// Apply rotary position embeddings to queries and keys.
     pub rope: bool,
     cache: Option<Cache>,
+    /// One head's scores in [`attend`](Self::attend), kept between calls so
+    /// decoding allocates nothing per row.
+    scores: Vec<f32>,
 }
 
 #[derive(Debug, Clone)]
@@ -147,6 +150,7 @@ impl MultiHeadAttention {
             n_heads,
             rope: false,
             cache: None,
+            scores: Vec::new(),
         }
     }
 
@@ -248,36 +252,60 @@ impl MultiHeadAttention {
     }
 
     /// [`forward_incremental`](Self::forward_incremental) generalized over
-    /// any [`KvStore`] — the serving path passes a paged store here. The
-    /// math (and therefore the bits) is independent of the store.
+    /// any [`KvStore`] — the one-row composition of
+    /// [`project_qkv`](Self::project_qkv), [`attend`](Self::attend) and
+    /// [`project_out`](Self::project_out), which a batched decode step calls
+    /// over all its rows at once. The math (and therefore the bits) is
+    /// independent of the store.
     pub fn forward_incremental_store(&mut self, x: &Tensor, kv: &mut dyn KvStore) -> Tensor {
+        assert_eq!(x.shape(), &[1, self.d_model()]);
+        let mut qkv = self.project_qkv(x);
+        let mut ctx = Tensor::zeros(x.shape());
+        self.attend(qkv.row_mut(0), kv, ctx.row_mut(0));
+        self.project_out(&ctx)
+    }
+
+    /// The fused QKV projection of `[n, d]` rows: `[n, 3d]`, each row
+    /// `q | k | v`. Rows are independent — on a bit-identical backend row
+    /// `i` has the bits of the one-row projection of row `i` — so a decode
+    /// step projects its whole batch in one GEMM. Inference-only.
+    pub fn project_qkv(&self, x: &Tensor) -> Tensor {
+        self.wqkv.apply(x, Activation::Identity)
+    }
+
+    /// One position of one sequence: rotate the row's queries and keys in
+    /// place (under RoPE, at the position `kv` is about to hold), append its
+    /// keys and values to `kv`, and write the attention context over the
+    /// whole history — this position included — into `ctx_row` (`[d]`, all
+    /// heads packed). `qkv_row` is one `[3d]` row of
+    /// [`project_qkv`](Self::project_qkv). Rows of one sequence must arrive
+    /// in position order; nothing is allocated per call.
+    pub fn attend(&mut self, qkv_row: &mut [f32], kv: &mut dyn KvStore, ctx_row: &mut [f32]) {
         let d = self.d_model();
-        assert_eq!(x.shape(), &[1, d]);
+        assert_eq!(qkv_row.len(), 3 * d);
+        assert_eq!(ctx_row.len(), d);
         let hd = self.head_dim();
         let scale = 1.0 / (hd as f32).sqrt();
 
-        let qkv = self.wqkv.forward(x);
-        self.wqkv.clear_cache(); // inference: no backward
-        let row = qkv.row(0);
-        let this_pos = kv.len();
-        let mut q_all = row[..d].to_vec();
-        let mut k_new = row[d..2 * d].to_vec();
+        let (q_all, kv_new) = qkv_row.split_at_mut(d);
+        let (k_new, v_new) = kv_new.split_at_mut(d);
         if self.rope {
             // Rotate per head at this absolute position; keys are stored
             // rotated, matching the batched path's score math.
+            let this_pos = kv.len();
             for h in 0..self.n_heads {
                 rope_rows(&mut q_all[h * hd..(h + 1) * hd], hd, this_pos, 1.0);
                 rope_rows(&mut k_new[h * hd..(h + 1) * hd], hd, this_pos, 1.0);
             }
         }
-        kv.append(&k_new, &row[2 * d..3 * d]);
+        kv.append(k_new, v_new);
         let t = kv.len();
 
-        let mut ctx_all = Tensor::zeros(&[1, d]);
+        let scores = &mut self.scores;
         for h in 0..self.n_heads {
             let q = &q_all[h * hd..(h + 1) * hd];
             // Scores over all cached positions for this head.
-            let mut scores = Vec::with_capacity(t);
+            scores.clear();
             for pos in 0..t {
                 let k = &kv.key(pos)[h * hd..(h + 1) * hd];
                 let s: f32 = q.iter().zip(k).map(|(a, b)| a * b).sum();
@@ -292,8 +320,9 @@ impl MultiHeadAttention {
             }
             let inv = 1.0 / sum;
             // Weighted value sum.
-            let out = &mut ctx_all.as_mut_slice()[h * hd..(h + 1) * hd];
-            for (pos, s) in scores.iter().enumerate().take(t) {
+            let out = &mut ctx_row[h * hd..(h + 1) * hd];
+            out.fill(0.0);
+            for (pos, s) in scores.iter().enumerate() {
                 let w = s * inv;
                 let v = &kv.value(pos)[h * hd..(h + 1) * hd];
                 for (o, &vv) in out.iter_mut().zip(v) {
@@ -301,9 +330,13 @@ impl MultiHeadAttention {
                 }
             }
         }
-        let y = self.wo.forward(&ctx_all);
-        self.wo.clear_cache();
-        y
+    }
+
+    /// The output projection that mixes heads, over `[n, d]` context rows.
+    /// Inference-only, row-independent like
+    /// [`project_qkv`](Self::project_qkv).
+    pub fn project_out(&self, ctx: &Tensor) -> Tensor {
+        self.wo.apply(ctx, Activation::Identity)
     }
 
     /// Backward; returns `dx`.

@@ -50,14 +50,22 @@ impl Linear {
         4 * self.cache_x.as_ref().map(|t| t.len()).unwrap_or(0)
     }
 
+    /// `act(x·W + b)` over a `[n, d_in]` batch and nothing else: the GEMM
+    /// with its fused epilogue, no backward cache. What inference calls.
+    pub fn apply(&self, x: &Tensor, act: Activation) -> Tensor {
+        assert_eq!(x.cols(), self.d_in());
+        matmul_bias_act(x, &self.w.value, Some(self.b.value.as_slice()), act)
+    }
+
     /// Forward over a `[n, d_in]` batch.
     pub fn forward(&mut self, x: &Tensor) -> Tensor {
         self.forward_act(x, Activation::Identity)
     }
 
-    /// Forward with a fused epilogue: `act(x·W + b)` in one kernel pass,
-    /// applying bias and activation while the output tile is still
-    /// cache-resident on tiled backends.
+    /// [`apply`](Self::apply) plus the input cache [`Linear::backward`]
+    /// reads: `act(x·W + b)` in one kernel pass, applying bias and
+    /// activation while the output tile is still cache-resident on tiled
+    /// backends.
     ///
     /// Only for callers that do not need the pre-activation in backward:
     /// [`Linear::backward`] expects `dy` with respect to the *pre*-activation
@@ -66,8 +74,7 @@ impl Linear {
     /// path deliberately never materializes. The FFN uses it exactly where
     /// that holds: the recompute forward, whose backward replays unfused.
     pub fn forward_act(&mut self, x: &Tensor, act: Activation) -> Tensor {
-        assert_eq!(x.cols(), self.d_in());
-        let y = matmul_bias_act(x, &self.w.value, Some(self.b.value.as_slice()), act);
+        let y = self.apply(x, act);
         self.cache_x = Some(x.clone());
         y
     }

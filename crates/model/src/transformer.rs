@@ -9,7 +9,7 @@ use crate::linear::Linear;
 use crate::loss::cross_entropy;
 use crate::moe::MoELayer;
 use crate::param::{HasParams, Param};
-use bagualu_tensor::ops::{matmul, matmul_nt, matmul_tn};
+use bagualu_tensor::ops::{matmul, matmul_nt, matmul_tn, Activation};
 use bagualu_tensor::rng::Rng;
 use bagualu_tensor::Tensor;
 
@@ -201,9 +201,19 @@ impl Transformer {
     fn head_forward(&mut self, x: &Tensor) -> Tensor {
         if self.cfg.tie_embeddings {
             self.tied_cache = Some(x.clone());
-            matmul_nt(x, &self.tok.table.value)
+            self.head_apply(x)
         } else {
             self.head.forward(x)
+        }
+    }
+
+    /// [`head_forward`](Self::head_forward) without the backward cache:
+    /// what generation calls.
+    fn head_apply(&self, x: &Tensor) -> Tensor {
+        if self.cfg.tie_embeddings {
+            matmul_nt(x, &self.tok.table.value)
+        } else {
+            self.head.apply(x, Activation::Identity)
         }
     }
 
@@ -306,9 +316,7 @@ impl Transformer {
                 x = b.forward_incremental(&x, kv);
             }
             let x = self.ln_f.forward(&x);
-            let logits = self.head_forward(&x);
-            self.head.clear_cache();
-            self.tied_cache = None;
+            let logits = self.head_apply(&x);
             if pos + 1 >= prompt.len() {
                 seq.push(logits.argmax_rows()[0]);
             }
@@ -346,9 +354,7 @@ impl Transformer {
                 x = b.forward_incremental(&x, kv);
             }
             let x = self.ln_f.forward(&x);
-            let logits = self.head_forward(&x);
-            self.head.clear_cache();
-            self.tied_cache = None;
+            let logits = self.head_apply(&x);
             if pos + 1 >= prompt.len() {
                 seq.push(sample_logits(logits.row(0), temperature, top_k, rng));
             }

@@ -3,16 +3,19 @@
 //!
 //! Training runs `[batch·seq, d]` forwards; serving runs *decode steps*: a
 //! batch of single positions, one per in-flight sequence, each attending to
-//! its own KV history. [`decode_step`] is that forward. Three properties
-//! make it the serving workhorse:
+//! its own KV history. [`decode_step`] is that forward: [`decode_hidden`],
+//! the walk through the blocks, then [`logits`] over the rows the caller
+//! samples from. Three properties make it the serving workhorse:
 //!
-//! * **Row-wise purity.** Embedding lookup, LayerNorm, the FFN/expert
-//!   GEMMs, the LM head, and dropless inference routing
-//!   (`Gate::route_infer`) are all per-row operations, and attention runs
-//!   per sequence against that sequence's own history. Adding or removing
-//!   rows (sequences joining or leaving the batch) therefore cannot change
-//!   any other row's bits — the invariant that makes continuous batching
-//!   safe.
+//! * **Row-wise purity.** Embedding lookup, LayerNorm, the attention
+//!   projections, the FFN/expert GEMMs, the LM head, and dropless inference
+//!   routing (`Gate::route_infer`) are all per-row operations — each layer
+//!   projects the whole batch in one QKV GEMM and one output GEMM, and row
+//!   `i` of a GEMM has the bits of the one-row GEMM of row `i` — and the
+//!   attention between them runs per row against that row's own history.
+//!   Adding or removing rows (sequences joining or leaving the batch)
+//!   therefore cannot change any other row's bits — the invariant that
+//!   makes continuous batching safe.
 //! * **Collective alignment.** Each call runs exactly one
 //!   `DistMoELayer::forward_infer` per MoE block, whatever the local row
 //!   count — ranks with *zero* active sequences pass an empty batch and
@@ -29,24 +32,25 @@
 use crate::model_dist::{DistFfn, DistTransformer};
 use bagualu_comm::shm::Communicator;
 use bagualu_model::attention::{KvCache, KvStore};
+use bagualu_tensor::ops::Activation;
 use bagualu_tensor::Tensor;
 
 /// Source of per-(sequence, layer) KV stores for a decode batch.
 ///
-/// `decode_step` calls [`with_store`](Self::with_store) once per row per
+/// [`decode_hidden`] calls [`with_store`](Self::with_store) once per row per
 /// block, passing the absolute position the row is about to occupy; the
 /// provider must hand over a store currently holding exactly `pos`
 /// positions (the attention kernel appends position `pos` to it).
 pub trait KvProvider {
     /// Run `f` against the KV store of sequence `seq` at layer `layer`,
-    /// which holds exactly `pos` cached positions, and return its result.
+    /// which holds exactly `pos` cached positions.
     fn with_store(
         &mut self,
         seq: usize,
         layer: usize,
         pos: usize,
-        f: &mut dyn FnMut(&mut dyn KvStore) -> Tensor,
-    ) -> Tensor;
+        f: &mut dyn FnMut(&mut dyn KvStore),
+    );
 }
 
 /// The reference [`KvProvider`]: one growable [`KvCache`] per
@@ -92,8 +96,8 @@ impl KvProvider for VecKvBatch {
         seq: usize,
         layer: usize,
         pos: usize,
-        f: &mut dyn FnMut(&mut dyn KvStore) -> Tensor,
-    ) -> Tensor {
+        f: &mut dyn FnMut(&mut dyn KvStore),
+    ) {
         let store = &mut self.caches[seq][layer];
         assert_eq!(
             KvStore::len(store),
@@ -107,18 +111,33 @@ impl KvProvider for VecKvBatch {
 
 /// One batched decode step over `tokens[i]` at absolute `positions[i]` for
 /// provider sequence `seqs[i]`. Returns `[n, vocab]` logits, one row per
-/// input row. Collective: every rank must call it in the same program
-/// position each step, with `n = 0` when it has no active rows.
+/// input row: [`logits`] of [`decode_hidden`]. Collective: every rank must
+/// call it in the same program position each step, with `n = 0` when it has
+/// no active rows.
+pub fn decode_step<C: Communicator>(
+    model: &mut DistTransformer,
+    tokens: &[usize],
+    positions: &[usize],
+    seqs: &[usize],
+    kv: &mut dyn KvProvider,
+    comm: &C,
+) -> Tensor {
+    let hidden = decode_hidden(model, tokens, positions, seqs, kv, comm);
+    logits(model, &hidden)
+}
+
+/// The walk through the blocks: `[n, d_model]` hidden states, one per input
+/// row, before the final norm. Collective like [`decode_step`].
 ///
 /// Rows are processed in order; a sequence may contribute several
 /// *consecutive* rows at consecutive positions (chunked prefill), each
 /// appended to its KV history before the next is read. The math per row is
 /// exactly `Transformer::generate_cached`'s per-step math — LayerNorm, the
-/// attention kernel, residuals, FFN, final norm, head — so single-rank
-/// decode through this function is bit-identical to the local oracle, and
-/// (because f32 addition of the ≤ 2 expert contributions per token is
-/// commutative) any rank count produces the same bits as one rank.
-pub fn decode_step<C: Communicator>(
+/// attention kernel, residuals, FFN — so single-rank decode through this
+/// function is bit-identical to the local oracle, and (because f32 addition
+/// of the ≤ 2 expert contributions per token is commutative) any rank count
+/// produces the same bits as one rank.
+pub fn decode_hidden<C: Communicator>(
     model: &mut DistTransformer,
     tokens: &[usize],
     positions: &[usize],
@@ -144,18 +163,19 @@ pub fn decode_step<C: Communicator>(
     }
     for (li, b) in model.blocks.iter_mut().enumerate() {
         let a = b.ln1.forward(&x);
-        // Per-row incremental attention against the row's own KV history.
-        let mut att = Tensor::zeros(&[n, d]);
+        // One QKV GEMM over the batch, then each row against its own KV
+        // history, then one output GEMM.
+        let mut qkv = b.attn.project_qkv(&a);
+        let mut ctx = Tensor::zeros(&[n, d]);
         for i in 0..n {
-            let row = a.slice_rows(i, i + 1);
+            let (qkv_row, ctx_row) = (qkv.row_mut(i), ctx.row_mut(i));
             let attn = &mut b.attn;
-            let out = kv.with_store(seqs[i], li, positions[i], &mut |store| {
-                attn.forward_incremental_store(&row, store)
+            kv.with_store(seqs[i], li, positions[i], &mut |store| {
+                attn.attend(qkv_row, store, ctx_row)
             });
-            att.row_mut(i).copy_from_slice(out.row(0));
         }
-        let mut h = x.clone();
-        h.add_assign(&att);
+        let mut h = x;
+        h.add_assign(&b.attn.project_out(&ctx));
         let f = b.ln2.forward(&h);
         let f = match &mut b.ffn {
             DistFfn::Dense(ffn) => ffn.forward(&f),
@@ -164,10 +184,16 @@ pub fn decode_step<C: Communicator>(
         x = h;
         x.add_assign(&f);
     }
-    let xf = model.ln_f.forward(&x);
-    let logits = model.head.forward(&xf);
-    model.head.clear_cache();
-    logits
+    x
+}
+
+/// Final norm and LM head over `rows` of [`decode_hidden`] — all of them for
+/// a decode step, each prompt's last for a prefill. Both are per-row, so a
+/// row's logits do not depend on which rows are asked for with it. Local:
+/// no communication.
+pub fn logits(model: &mut DistTransformer, rows: &Tensor) -> Tensor {
+    let xf = model.ln_f.forward(rows);
+    model.head.apply(&xf, Activation::Identity)
 }
 
 #[cfg(test)]
@@ -177,6 +203,7 @@ mod tests {
     use bagualu_comm::harness::run_ranks_map;
     use bagualu_model::config::ModelConfig;
     use bagualu_model::transformer::Transformer;
+    use bagualu_tensor::ops::{install_backend, ComputeBackend};
     use bagualu_tensor::rng::Rng;
 
     /// Greedy KV-cached generation driven through `decode_step`, one
@@ -301,5 +328,149 @@ mod tests {
                 }
             }
         });
+    }
+
+    /// `ModelConfig::tiny` is 32 wide, so none of its GEMMs reaches the
+    /// 64-column panel of the AVX-512 kernel. At this width every
+    /// projection does (where the host has one), the head with a ragged
+    /// column edge besides.
+    fn wide_cfg() -> ModelConfig {
+        ModelConfig {
+            d_model: 128,
+            d_ff: 256,
+            vocab: 96,
+            ..ModelConfig::tiny()
+        }
+    }
+
+    fn bits(logits: &Tensor) -> Vec<Vec<u32>> {
+        (0..logits.rows())
+            .map(|r| logits.row(r).iter().map(|v| v.to_bits()).collect())
+            .collect()
+    }
+
+    /// One `decode_step` per row, each sequence in a provider of its own
+    /// order: the logits every batched shape must reproduce.
+    fn one_call_per_row<C: Communicator>(
+        model: &mut DistTransformer,
+        prompts: &[Vec<usize>],
+        comm: &C,
+    ) -> Vec<Vec<Vec<u32>>> {
+        let mut kv = VecKvBatch::new(model.cfg.d_model, model.blocks.len());
+        prompts
+            .iter()
+            .map(|p| {
+                let s = kv.add_seq();
+                p.iter()
+                    .enumerate()
+                    .map(|(pos, &t)| {
+                        bits(&decode_step(model, &[t], &[pos], &[s], &mut kv, comm)).remove(0)
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Thirteen sequences cover, on both wide tiers, the single-tile
+    /// unpacked GEMM (≤ 6 or ≤ 5 rows), full register tiles and every
+    /// remainder height. Under `tiled:fma` this failed while remainder rows
+    /// computed exactly and full tiles fused.
+    #[test]
+    fn wide_batched_rows_are_bit_identical_to_solo_rows_at_every_batch_size() {
+        let cfg = wide_cfg();
+        let steps = 3usize;
+        let prompts: Vec<Vec<usize>> = (0..13)
+            .map(|i| {
+                (0..steps)
+                    .map(|p| (7 * i + 3 * p + 1) % cfg.vocab)
+                    .collect()
+            })
+            .collect();
+        for backend in [ComputeBackend::Tiled, ComputeBackend::TiledFma] {
+            let prompts = prompts.clone();
+            run_ranks_map(1, move |comm| {
+                let _backend = install_backend(backend.instantiate());
+                let mut m = DistTransformer::new(cfg, 513, 0, 1, A2aKind::Pairwise);
+                let solo = one_call_per_row(&mut m, &prompts, &comm);
+                for rows in 1..=prompts.len() {
+                    let mut kv = VecKvBatch::new(cfg.d_model, cfg.n_layers);
+                    let seqs: Vec<usize> = (0..rows).map(|_| kv.add_seq()).collect();
+                    for pos in 0..steps {
+                        let tokens: Vec<usize> = prompts[..rows].iter().map(|p| p[pos]).collect();
+                        let lg =
+                            decode_step(&mut m, &tokens, &vec![pos; rows], &seqs, &mut kv, &comm);
+                        for (i, got) in bits(&lg).into_iter().enumerate() {
+                            assert_eq!(
+                                got, solo[i][pos],
+                                "{backend}: sequence {i} of {rows} at position {pos}"
+                            );
+                        }
+                    }
+                }
+            });
+        }
+    }
+
+    /// Chunked prefill: consecutive rows of one sequence in one call — each
+    /// appended to the KV history before the next reads it — next to the
+    /// rows of another sequence.
+    #[test]
+    fn wide_consecutive_rows_of_one_sequence_match_one_call_per_row() {
+        let cfg = wide_cfg();
+        let prompts = vec![vec![5usize, 17, 2, 90, 33, 8, 61], vec![44usize, 3, 3, 70]];
+        run_ranks_map(1, move |comm| {
+            let _backend = install_backend(ComputeBackend::Tiled.instantiate());
+            let mut m = DistTransformer::new(cfg, 514, 0, 1, A2aKind::Pairwise);
+            let solo = one_call_per_row(&mut m, &prompts, &comm);
+
+            let mut kv = VecKvBatch::new(cfg.d_model, cfg.n_layers);
+            let (mut tokens, mut positions, mut seqs) = (Vec::new(), Vec::new(), Vec::new());
+            for p in &prompts {
+                let s = kv.add_seq();
+                for (pos, &t) in p.iter().enumerate() {
+                    tokens.push(t);
+                    positions.push(pos);
+                    seqs.push(s);
+                }
+            }
+            let lg = bits(&decode_step(
+                &mut m, &tokens, &positions, &seqs, &mut kv, &comm,
+            ));
+            let want: Vec<Vec<u32>> = solo.into_iter().flatten().collect();
+            assert_eq!(lg, want, "one call over both prompts diverged");
+            assert_eq!((kv.seq_len(0), kv.seq_len(1)), (7, 4));
+        });
+    }
+
+    /// A rank with no rows still projects, attends over and routes an empty
+    /// batch, so it joins every dispatch/combine exchange and carries its
+    /// experts for the rank that has them all.
+    #[test]
+    fn wide_rank_without_rows_joins_every_exchange() {
+        let cfg = wide_cfg();
+        let tokens = [[9usize, 40, 77], [12, 12, 5], [63, 1, 88]];
+        let run = move |nranks: usize| {
+            run_ranks_map(nranks, move |comm| {
+                let _backend = install_backend(ComputeBackend::Tiled.instantiate());
+                let rank = comm.rank();
+                let mut m = DistTransformer::new(cfg, 515, rank, nranks, A2aKind::Pairwise);
+                let mut kv = VecKvBatch::new(cfg.d_model, cfg.n_layers);
+                let seqs: Vec<usize> = (0..3).map(|_| kv.add_seq()).collect();
+                let mut out = Vec::new();
+                for (pos, step) in tokens.iter().enumerate() {
+                    let lg = if rank == 0 {
+                        decode_step(&mut m, step, &[pos; 3], &seqs, &mut kv, &comm)
+                    } else {
+                        decode_step(&mut m, &[], &[], &[], &mut kv, &comm)
+                    };
+                    assert_eq!(lg.shape(), &[if rank == 0 { 3 } else { 0 }, cfg.vocab]);
+                    out.push(bits(&lg));
+                }
+                out
+            })
+        };
+        let single = run(1);
+        let multi = run(2);
+        assert_eq!(multi[0], single[0], "two ranks, one of them idle, diverged");
     }
 }

@@ -37,7 +37,7 @@ pub mod placement;
 pub mod sync;
 pub mod zero;
 
-pub use decode::{decode_step, KvProvider, VecKvBatch};
+pub use decode::{decode_hidden, decode_step, logits, KvProvider, VecKvBatch};
 pub use model_dist::{DistBlock, DistFfn, DistTransformer};
 pub use moe_dist::{A2aKind, DistMoELayer};
 pub use placement::ExpertPlacement;

@@ -12,7 +12,8 @@
 //!    strictly FIFO.
 //! 2. **Prefill phase** — one batched forward over the *full prompts* of
 //!    everything admitted this step; each admitted sequence's first token
-//!    is the argmax of its last prompt row.
+//!    is the argmax of its last prompt row, the only row of a prompt that
+//!    goes through the final norm and the LM head.
 //! 3. **Decode phase** — one batched forward advancing every in-flight
 //!    sequence by exactly one token.
 //! 4. **Detach** — finished sequences leave the batch immediately; their
@@ -29,7 +30,7 @@
 //! # Bit-identity
 //!
 //! Decoding is greedy argmax over `forward_infer` logits, and every
-//! per-row operation in [`decode_step`] is
+//! per-row operation in [`decode_hidden`] and [`logits`] is
 //! row-independent (inference routing is dropless, so no capacity
 //! coupling). A sequence therefore produces **bit-identical tokens** no
 //! matter which sequences share its batch, when they arrive, or when they
@@ -43,7 +44,7 @@ use bagualu_comm::collectives;
 use bagualu_comm::Communicator;
 use bagualu_model::attention::KvStore;
 use bagualu_parallel::decode::KvProvider;
-use bagualu_parallel::{decode_step, DistTransformer};
+use bagualu_parallel::{decode_hidden, logits, DistTransformer};
 use bagualu_tensor::Tensor;
 use bagualu_trace::{self as trace, names};
 use std::collections::VecDeque;
@@ -95,7 +96,7 @@ impl Active {
 }
 
 /// Bridges the in-flight batch's paged KV state to the
-/// [`KvProvider`] interface [`decode_step`] consumes: sequence ids are
+/// [`KvProvider`] interface [`decode_hidden`] consumes: sequence ids are
 /// indices into the active batch, and each (row, layer) access opens an
 /// ephemeral paged view at the row's position.
 struct ActiveProvider<'a> {
@@ -109,8 +110,8 @@ impl KvProvider for ActiveProvider<'_> {
         seq: usize,
         layer: usize,
         pos: usize,
-        f: &mut dyn FnMut(&mut dyn KvStore) -> Tensor,
-    ) -> Tensor {
+        f: &mut dyn FnMut(&mut dyn KvStore),
+    ) {
         let mut store = self.pool.store(&self.active[seq].kv, layer, pos);
         f(&mut store)
     }
@@ -269,17 +270,22 @@ impl Engine {
                 }
             }
             trace::count(names::SERVE_PREFILL_TOKENS, tokens.len() as u64);
-            let logits = self.phase_forward(&tokens, &positions, &seqs, comm);
-            let picks = logits.argmax_rows();
+            let hidden = self.phase_hidden(&tokens, &positions, &seqs, comm);
+            // The last prompt row predicts the first generated token; the
+            // norm and the head are per-row, so only those rows go through.
+            let mut last = Tensor::zeros(&[newly.len(), hidden.cols()]);
+            let mut end = 0usize;
+            for (r, &i) in newly.iter().enumerate() {
+                end += self.active[i].prompt_len;
+                last.row_mut(r).copy_from_slice(hidden.row(end - 1));
+            }
+            let picks = logits(&mut self.model, &last).argmax_rows();
             let now = Instant::now();
-            let mut row = 0usize;
-            for &i in &newly {
+            for (&i, pick) in newly.iter().zip(picks) {
                 let a = &mut self.active[i];
                 a.kv.len = a.prompt_len;
-                // The last prompt row predicts the first generated token.
-                a.tokens.push(picks[row + a.prompt_len - 1]);
+                a.tokens.push(pick);
                 a.prefill_done = Some(now);
-                row += a.prompt_len;
             }
         }
 
@@ -300,8 +306,8 @@ impl Engine {
             }
             trace::count(names::SERVE_BATCH_OCCUPANCY, seqs.len() as u64);
             trace::count(names::SERVE_DECODE_TOKENS, seqs.len() as u64);
-            let logits = self.phase_forward(&tokens, &positions, &seqs, comm);
-            let picks = logits.argmax_rows();
+            let hidden = self.phase_hidden(&tokens, &positions, &seqs, comm);
+            let picks = logits(&mut self.model, &hidden).argmax_rows();
             for (r, &i) in seqs.iter().enumerate() {
                 let a = &mut self.active[i];
                 a.kv.len += 1;
@@ -326,8 +332,8 @@ impl Engine {
         }
     }
 
-    /// One batched forward through the shared decode path.
-    fn phase_forward<C: Communicator>(
+    /// One batched walk through the blocks of the shared decode path.
+    fn phase_hidden<C: Communicator>(
         &mut self,
         tokens: &[usize],
         positions: &[usize],
@@ -341,7 +347,7 @@ impl Engine {
             ..
         } = self;
         let mut provider = ActiveProvider { pool, active };
-        decode_step(model, tokens, positions, seqs, &mut provider, comm)
+        decode_hidden(model, tokens, positions, seqs, &mut provider, comm)
     }
 
     /// Move finished sequences out of the batch, returning their blocks
@@ -555,5 +561,67 @@ mod tests {
         for r in 1..4 {
             assert!(multi[r].is_empty(), "only rank 0 held requests");
         }
+    }
+
+    /// The paged pool behind [`decode_step`] against the growable
+    /// [`VecKvBatch`], at a width where the AVX-512 kernel runs and with
+    /// blocks short enough that every sequence crosses several: ragged
+    /// batches, bit-identical logits.
+    #[test]
+    fn paged_store_matches_the_growable_cache_through_decode_step() {
+        use bagualu_parallel::{decode_step, VecKvBatch};
+        use bagualu_tensor::ops::{install_backend, ComputeBackend};
+
+        struct Paged {
+            pool: KvBlockPool,
+            seqs: Vec<SeqKv>,
+        }
+        impl KvProvider for Paged {
+            fn with_store(
+                &mut self,
+                seq: usize,
+                layer: usize,
+                pos: usize,
+                f: &mut dyn FnMut(&mut dyn KvStore),
+            ) {
+                f(&mut self.pool.store(&self.seqs[seq], layer, pos))
+            }
+        }
+
+        let cfg = ModelConfig {
+            d_model: 128,
+            d_ff: 256,
+            vocab: 96,
+            ..ModelConfig::tiny()
+        };
+        let prompts: [&[usize]; 3] = [&[4, 90, 17, 17, 8, 52, 3], &[61, 2], &[33, 33, 70, 9, 5]];
+        run_ranks_map(1, |comm| {
+            let _backend = install_backend(ComputeBackend::Tiled.instantiate());
+            let mut model = DistTransformer::new(cfg, 77, 0, 1, A2aKind::Pairwise);
+            let mut pool = KvBlockPool::new(12, 3, cfg.n_layers, cfg.d_model);
+            let mut paged = Paged {
+                seqs: prompts
+                    .iter()
+                    .map(|p| SeqKv::new(pool.try_reserve(pool.blocks_for(p.len())).unwrap()))
+                    .collect(),
+                pool,
+            };
+            let mut grown = VecKvBatch::new(cfg.d_model, cfg.n_layers);
+            for _ in prompts {
+                grown.add_seq();
+            }
+            for pos in 0..prompts.iter().map(|p| p.len()).max().unwrap() {
+                let live: Vec<usize> = (0..prompts.len())
+                    .filter(|&i| pos < prompts[i].len())
+                    .collect();
+                let tokens: Vec<usize> = live.iter().map(|&i| prompts[i][pos]).collect();
+                let positions = vec![pos; live.len()];
+                let a = decode_step(&mut model, &tokens, &positions, &live, &mut paged, &comm);
+                let b = decode_step(&mut model, &tokens, &positions, &live, &mut grown, &comm);
+                let bits =
+                    |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&a), bits(&b), "position {pos}: stores diverged");
+            }
+        });
     }
 }

@@ -15,14 +15,22 @@
 //! * **Packed B**: before the row-block loop, B is repacked once into
 //!   KC-high, NR-wide column panels (zero-padded on the ragged right edge),
 //!   so the micro-kernel streams B contiguously regardless of `n`.
+//! * **Single-tile GEMMs skip the pack**: when all of A's rows fit one
+//!   register tile (`m ≤ MR` of the tier in use — the few-row GEMMs of
+//!   decoding and of a lightly loaded expert) each panel would be written
+//!   once and read once, so the same micro-kernels take B's own row stride
+//!   and run over row-major B at full `k`. One pass over the weight instead
+//!   of three; the rule is structural, there is nothing to tune.
 //!
 //! Two micro-kernel paths share this skeleton, chosen once per call:
 //!
 //! * **wide** (x86-64 with AVX-512F, detected at runtime): a 6×64 tile —
 //!   24 zmm accumulators + 4 packed-B vectors + 1 broadcast = 29 of the 32
 //!   vector registers — using explicit `_mm512_mul_ps` + `_mm512_add_ps`.
-//!   This is the only `unsafe` in the workspace; each call site proves the
-//!   CPU feature and the slice bounds it relies on.
+//!   Row remainders run the same kernel at their own height (it is
+//!   const-generic in its rows). This is the only `unsafe` in the
+//!   workspace; each call site proves the CPU feature and the slice bounds
+//!   it relies on.
 //! * **portable** (everything else, and any `n < 64` where a 64-wide panel
 //!   would be all edge): a safe 8×8 scalar tile the auto-vectorizer lowers
 //!   to whatever the target baseline offers.
@@ -49,23 +57,28 @@
 //!
 //! # The FMA tier
 //!
-//! [`TiledFma`] runs the same tiling with `_mm512_fmadd_ps` in the full
-//! wide micro-kernels (NN and NT). Skipping the product's intermediate
+//! [`TiledFma`] runs the same tiling with `_mm512_fmadd_ps` in the wide
+//! micro-kernels (NN and NT). Skipping the product's intermediate
 //! rounding changes low bits, so this tier is **not** bit-identical to the
 //! oracle; it is pinned to a tolerance band instead: per output element the
 //! absolute error is bounded by `2 (k+1) ε · Σₚ|A[i,p]||B[p,j]|` (each of
 //! the ≤ k+1 fused/rounded steps contributes at most one half-ulp of the
 //! running magnitude bound, doubled for slack). Where the wide kernel does
-//! not run (no AVX-512F, or edge tiles), `TiledFma` computes exactly the
-//! same bits as [`Tiled`] — the band holds trivially. Runs whose tests
-//! assert bit-identity (elastic re-shard pins, checkpoint-resume pins) must
-//! not use it; the CLI rejects those combinations.
+//! not run (no AVX-512F, or the ragged right *column* edge), `TiledFma`
+//! computes exactly the same bits as [`Tiled`] — the band holds trivially.
+//! Which kernel an element gets depends on its column alone, never on how
+//! many rows share the call, so both tiers are row-wise pure: row *i* of an
+//! `[m×k]·[k×n]` product has the bits of the one-row product of row *i*
+//! (what makes continuous batching invisible in served logits). Runs whose
+//! tests assert bit-identity (elastic re-shard pins, checkpoint-resume
+//! pins) must not use it; the CLI rejects those combinations.
 
 use crate::ops::backend::{Activation, MatmulBackend};
 use crate::ops::elementwise::GeluClock;
 use crate::ops::matmul::{dot4, gemm_work, KC};
 use crate::par;
 use crate::tensor::Tensor;
+use bagualu_trace::{self as trace, names};
 
 /// Rows of C per parallel task on the portable path.
 pub(crate) const MC: usize = 64;
@@ -188,6 +201,9 @@ impl PackedB {
 /// Portable full MR×NR micro-kernel: every loop bound is a constant, so
 /// the accumulator tile lives in registers and the inner loop compiles to
 /// broadcast + multiply + add at whatever width the baseline ISA offers.
+/// `ldb` is the distance between consecutive `kk` rows of `bpanel`: `NR`
+/// for a packed panel, `n` when `bpanel` is row-major B itself (see
+/// [`tiled_nn`]).
 #[inline]
 #[allow(clippy::too_many_arguments)] // the args *are* the tile coordinates; a struct would obscure the hot path
 fn micro_full(
@@ -197,6 +213,7 @@ fn micro_full(
     k0: usize,
     kc: usize,
     bpanel: &[f32],
+    ldb: usize,
     cchunk: &mut [f32],
     rc0: usize,
     n: usize,
@@ -208,7 +225,7 @@ fn micro_full(
         accr.copy_from_slice(&cchunk[base..base + NR]);
     }
     for kk in 0..kc {
-        let brow: &[f32; NR] = bpanel[kk * NR..kk * NR + NR].try_into().unwrap();
+        let brow: &[f32; NR] = bpanel[kk * ldb..kk * ldb + NR].try_into().unwrap();
         for (r, accr) in acc.iter_mut().enumerate() {
             let aik = av[(ia0 + r) * k + k0 + kk];
             for (cj, &bj) in accr.iter_mut().zip(brow) {
@@ -223,7 +240,9 @@ fn micro_full(
 }
 
 /// Wide full MR×NR_W micro-kernel: `MR` C rows × 4 zmm accumulators, with
-/// one packed-B row (4 loads) and `MR` scalar broadcasts per `kk` step.
+/// one B row (4 loads) and `MR` scalar broadcasts per `kk` step. Consecutive
+/// B rows sit `ldb` floats apart: `NR_W` in a packed panel, `n` when
+/// `bpanel` is row-major B itself (see [`tiled_nn`]).
 ///
 /// With `FMA = false`, multiply and add are issued as *separate* IEEE
 /// instructions so every product rounds exactly like the scalar reference
@@ -239,14 +258,16 @@ fn micro_full(
 /// `kk` instead of 10. Hidden under 48 arithmetic µops that is free; under
 /// 24 fused FMAs it becomes the bottleneck. The FMA tier therefore runs 5
 /// rows (25 zmm live), which keeps B in registers and the kernel on its
-/// FMA-port bound — same 64 flops/cycle ceiling, actually reachable.
+/// FMA-port bound — same 64 flops/cycle ceiling, actually reachable. Row
+/// remainders (`rows mod mr`) instantiate the same kernel at their own
+/// height, so every row of a full-width panel gets its tier's arithmetic.
 ///
 /// # Safety
 ///
 /// Callers must guarantee:
 /// * the CPU supports AVX-512F (`avx512_available()` returned true);
 /// * `av` holds at least `(ia0 + MR - 1) * k + k0 + kc` elements;
-/// * `bpanel` holds at least `kc * NR_W` elements;
+/// * `bpanel` holds at least `(kc - 1) * ldb + NR_W` elements;
 /// * `cchunk` holds at least `(rc0 + MR - 1) * n + j0 + NR_W` elements.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
@@ -258,14 +279,15 @@ unsafe fn micro_full_wide<const FMA: bool, const MR: usize>(
     k0: usize,
     kc: usize,
     bpanel: &[f32],
+    ldb: usize,
     cchunk: &mut [f32],
     rc0: usize,
     n: usize,
     j0: usize,
 ) {
     use std::arch::x86_64::*;
-    debug_assert!(kc > 0 && (ia0 + MR - 1) * k + k0 + kc <= av.len());
-    debug_assert!(kc * NR_W <= bpanel.len());
+    debug_assert!(MR > 0 && kc > 0 && (ia0 + MR - 1) * k + k0 + kc <= av.len());
+    debug_assert!((kc - 1) * ldb + NR_W <= bpanel.len());
     debug_assert!((rc0 + MR - 1) * n + j0 + NR_W <= cchunk.len());
 
     let cp = cchunk.as_mut_ptr();
@@ -283,7 +305,7 @@ unsafe fn micro_full_wide<const FMA: bool, const MR: usize>(
         }
     }
     for kk in 0..kc {
-        let brow = bp.add(kk * NR_W);
+        let brow = bp.add(kk * ldb);
         let b0 = _mm512_loadu_ps(brow);
         let b1 = _mm512_loadu_ps(brow.add(16));
         let b2 = _mm512_loadu_ps(brow.add(32));
@@ -311,11 +333,13 @@ unsafe fn micro_full_wide<const FMA: bool, const MR: usize>(
     }
 }
 
-/// Generic edge micro-kernel for ragged tiles (`rows < mr` and/or
-/// `width < nr`), shared by both paths. Row-at-a-time with a stack
-/// accumulator, loading and storing only the `width` valid columns so the
-/// panel's zero padding never reaches C. Per element the products still
-/// accumulate in ascending `kk` order — bit-identical by construction.
+/// Generic edge micro-kernel for ragged tiles: the ragged right column edge
+/// (`width < nr`) of both paths, and the portable path's row remainders.
+/// Row-at-a-time with a stack accumulator, loading and storing only the
+/// `width` valid columns so a packed panel's zero padding (or, over
+/// row-major B at `ldb = n`, the next panel's columns) never reaches C. Per
+/// element the products still accumulate in ascending `kk` order —
+/// bit-identical by construction.
 #[inline]
 #[allow(clippy::too_many_arguments)] // tile coordinates plus the ragged rows/width pair
 fn micro_edge(
@@ -326,27 +350,40 @@ fn micro_edge(
     k0: usize,
     kc: usize,
     bpanel: &[f32],
-    nr: usize,
+    ldb: usize,
     cchunk: &mut [f32],
     rc0: usize,
     n: usize,
     j0: usize,
     width: usize,
 ) {
-    debug_assert!(width <= nr && nr <= NR_W);
+    debug_assert!(width <= NR_W && width <= ldb);
     let mut acc = [0.0f32; NR_W];
     for r in 0..rows {
         let arow = &av[(ia0 + r) * k + k0..][..kc];
         let crow = &mut cchunk[(rc0 + r) * n + j0..][..width];
         acc[..width].copy_from_slice(crow);
         for (kk, &aik) in arow.iter().enumerate() {
-            let brow = &bpanel[kk * nr..][..width];
+            let brow = &bpanel[kk * ldb..][..width];
             for (cj, &bj) in acc[..width].iter_mut().zip(brow) {
                 *cj += aik * bj;
             }
         }
         crow.copy_from_slice(&acc[..width]);
     }
+}
+
+/// Run one pack of `floats` panel elements, counted under
+/// `compute.pack.{bytes,ns}` when tracing is on.
+fn timed_pack<T>(floats: usize, pack: impl FnOnce() -> T) -> T {
+    if !trace::enabled() {
+        return pack();
+    }
+    let t0 = std::time::Instant::now();
+    let packed = pack();
+    trace::count(names::COMPUTE_PACK_NS, t0.elapsed().as_nanos() as u64);
+    trace::count(names::COMPUTE_PACK_BYTES, 4 * floats as u64);
+    packed
 }
 
 /// Apply the fused epilogue to a chunk of whole C rows, in `f32`, in the
@@ -368,12 +405,22 @@ fn epilogue(cchunk: &mut [f32], n: usize, bias: Option<&[f32]>, act: Activation,
     }
 }
 
-/// The shared NN core: `C = act(A·B + bias)` with B packed once and the
-/// epilogue applied per row-chunk while it is still cache-resident.
-/// `HalfCompute` reuses this on quantized operands. `fma` selects the fused
-/// multiply-add variant of the *wide full* micro-kernel only — edge tiles
-/// and the portable path always compute exactly, so `fma = true` differs
-/// from `fma = false` only where the 6×64 tile runs.
+/// The shared NN core: `C = act(A·B + bias)` with the epilogue applied per
+/// row-chunk while it is still cache-resident. `HalfCompute` reuses this on
+/// quantized operands.
+///
+/// B is packed once into panels — unless all of A's rows fit one register
+/// tile (`m ≤ mr` of the tier in use). Then every panel would be written
+/// once and read once, so the same micro-kernels run straight over
+/// row-major B (`ldb = n`) at full `k`: the accumulators never leave
+/// registers and B is read exactly once. Each element still starts at
+/// `+0.0` and sums its products in ascending `k`, so the bits are those of
+/// the packed path.
+///
+/// `fma` selects the fused multiply-add variant of the *wide* micro-kernel
+/// only, at every row height — the ragged right column edge and the
+/// portable path always compute exactly, so a row's bits never depend on
+/// how many other rows share the call.
 pub(crate) fn tiled_nn(
     a: &Tensor,
     b: &Tensor,
@@ -404,70 +451,89 @@ pub(crate) fn tiled_nn(
     } else {
         (MC, MR, NR, KC)
     };
-    // The FMA wide kernel runs 5-row tiles (see [`MR_W_FMA`]); the ragged
-    // remainder rows fall to the exact edge kernel either way. Blocking
+    // The FMA wide kernel runs 5-row tiles (see [`MR_W_FMA`]). Blocking
     // (`kcb`) is shared with the exact tier: measured on AVX-512 hosts,
     // L1-resident B panels beat a register-resident C with full-`k` panels
     // streaming from L2.
     let mr = if wide && fma { MR_W_FMA } else { mr };
     let (av, bv) = (a.as_slice(), b.as_slice());
-    let packed = PackedB::pack(bv, k, n, nr, kcb);
-    let packed = &packed;
+    let n_panels = n.div_ceil(nr);
+    let packed = if m <= mr {
+        trace::count(names::COMPUTE_MATMUL_UNPACKED, 1);
+        None
+    } else {
+        Some(timed_pack(k * n_panels * nr, || {
+            PackedB::pack(bv, k, n, nr, kcb)
+        }))
+    };
+    // Unpacked: one `k`-block, B's own row stride.
+    let (kcb, ldb) = if packed.is_some() { (kcb, nr) } else { (k, n) };
+    let packed = packed.as_ref();
 
     let body = |chunk_idx: usize, cchunk: &mut [f32]| {
         let ia0 = chunk_idx * mc;
         let rows = cchunk.len() / n;
         for k0 in (0..k).step_by(kcb) {
             let kc = (k0 + kcb).min(k) - k0;
-            for p in 0..packed.n_panels {
+            for p in 0..n_panels {
                 let j0 = p * nr;
                 let width = nr.min(n - j0);
-                let bpanel = packed.panel(k0, kc, p);
+                let bpanel = match packed {
+                    Some(packed) => packed.panel(k0, kc, p),
+                    None => &bv[k0 * n + j0..],
+                };
                 let mut r = 0;
                 while r < rows {
                     let rh = mr.min(rows - r);
-                    if rh == mr && width == nr {
-                        if wide {
-                            #[cfg(target_arch = "x86_64")]
+                    if wide && width == nr {
+                        #[cfg(target_arch = "x86_64")]
+                        {
+                            macro_rules! tile {
+                                ($fma:literal, $rh:literal) => {
+                                    micro_full_wide::<$fma, $rh>(
+                                        av,
+                                        k,
+                                        ia0 + r,
+                                        k0,
+                                        kc,
+                                        bpanel,
+                                        ldb,
+                                        cchunk,
+                                        r,
+                                        n,
+                                        j0,
+                                    )
+                                };
+                            }
                             // SAFETY: `wide` proves AVX-512F support; the
-                            // loop bounds keep `ia0+r+mr` rows inside
-                            // `av`, `bpanel` is exactly `kc·NR_W` long, and
-                            // `rc0+mr` rows × `j0+NR_W` cols sit inside
-                            // this chunk (rh == mr, width == NR_W).
+                            // loop bounds keep `ia0+r+rh` rows inside `av`;
+                            // `bpanel` is either a packed panel, exactly
+                            // `kc·NR_W` long at `ldb = NR_W`, or row-major
+                            // B from `[k0, j0]` on at `ldb = n`, where row
+                            // `kc−1` still holds `n − j0 ≥ NR_W` floats
+                            // (width == NR_W); and `r+rh` rows × `j0+NR_W`
+                            // cols sit inside this chunk.
                             unsafe {
-                                if fma {
-                                    micro_full_wide::<true, MR_W_FMA>(
-                                        av,
-                                        k,
-                                        ia0 + r,
-                                        k0,
-                                        kc,
-                                        bpanel,
-                                        cchunk,
-                                        r,
-                                        n,
-                                        j0,
-                                    );
-                                } else {
-                                    micro_full_wide::<false, MR_W>(
-                                        av,
-                                        k,
-                                        ia0 + r,
-                                        k0,
-                                        kc,
-                                        bpanel,
-                                        cchunk,
-                                        r,
-                                        n,
-                                        j0,
-                                    );
+                                match (fma, rh) {
+                                    (false, 6) => tile!(false, 6),
+                                    (false, 5) => tile!(false, 5),
+                                    (false, 4) => tile!(false, 4),
+                                    (false, 3) => tile!(false, 3),
+                                    (false, 2) => tile!(false, 2),
+                                    (false, 1) => tile!(false, 1),
+                                    (true, 5) => tile!(true, 5),
+                                    (true, 4) => tile!(true, 4),
+                                    (true, 3) => tile!(true, 3),
+                                    (true, 2) => tile!(true, 2),
+                                    (true, 1) => tile!(true, 1),
+                                    _ => unreachable!("row tile of {rh} rows, fma = {fma}"),
                                 }
                             }
-                            #[cfg(not(target_arch = "x86_64"))]
-                            unreachable!("wide path requires x86_64");
-                        } else {
-                            micro_full(av, k, ia0 + r, k0, kc, bpanel, cchunk, r, n, j0);
                         }
+                        #[cfg(not(target_arch = "x86_64"))]
+                        unreachable!("wide path requires x86_64");
+                    } else if rh == mr && width == nr {
+                        micro_full(av, k, ia0 + r, k0, kc, bpanel, ldb, cchunk, r, n, j0);
                     } else {
                         micro_edge(
                             av,
@@ -477,7 +543,7 @@ pub(crate) fn tiled_nn(
                             k0,
                             kc,
                             bpanel,
-                            nr,
+                            ldb,
                             cchunk,
                             r,
                             n,
@@ -651,7 +717,7 @@ pub(crate) fn tiled_nt(a: &Tensor, b: &Tensor, fma: bool) -> Tensor {
     let wide = avx512_available() && n >= NT_NR_W;
     let nr = if wide { NT_NR_W } else { NT_NR };
     let full_panels = n / nr;
-    let (packed, align_off) = pack_bt(bv, k, n, nr);
+    let (packed, align_off) = timed_pack(full_panels * k * nr, || pack_bt(bv, k, n, nr));
     let packed = packed.as_slice();
 
     let body = |chunk_idx: usize, cchunk: &mut [f32]| {
@@ -736,8 +802,8 @@ impl MatmulBackend for Tiled {
     }
 }
 
-/// The same tiling as [`Tiled`] with fused multiply-add in the wide full
-/// micro-kernels — roughly half the arithmetic µops where the 6×64 tile
+/// The same tiling as [`Tiled`] with fused multiply-add in the wide
+/// micro-kernels — roughly half the arithmetic µops where the 64-wide tile
 /// runs, at the price of bit-identity: results sit in a tolerance band of
 /// the oracle (see the module docs) rather than matching it exactly. Opt-in
 /// via `--compute-backend tiled:fma`; rejected wherever a run promises
@@ -796,8 +862,15 @@ mod tests {
     /// Shapes chosen to hit: tiny, MR/NR-ragged edges, KC-non-dividing k,
     /// multi-KC-block k, the serial/parallel boundary, multi-chunk m, and
     /// (on AVX-512 hosts) the wide path's full tiles plus both of its edge
-    /// kinds — ragged rows mod MR_W and ragged columns mod NR_W.
+    /// kinds — ragged rows mod MR_W and ragged columns mod NR_W; then the
+    /// few-row sweep of [`few_row_shapes`].
     fn shapes() -> Vec<(usize, usize, usize)> {
+        let mut shapes = base_shapes();
+        shapes.extend(few_row_shapes());
+        shapes
+    }
+
+    fn base_shapes() -> Vec<(usize, usize, usize)> {
         vec![
             (1, 1, 1),
             (3, 5, 2),
@@ -810,6 +883,23 @@ mod tests {
             (61, 500, 131),
             (128, 64, 128),
         ]
+    }
+
+    /// Every row count around the register tiles (single-tile unpacked at
+    /// `m ≤ mr`, one full tile plus each remainder height above it) against
+    /// empty, one-deep, KC-straddling and multi-block reductions, and widths
+    /// on the portable path (`n < 64`), exactly one and many wide panels,
+    /// and a ragged column edge.
+    fn few_row_shapes() -> Vec<(usize, usize, usize)> {
+        let mut shapes = Vec::new();
+        for m in 1..=13 {
+            for k in [0, 1, 127, 128, 129, 300, 1024] {
+                for n in [8, 48, 64, 65, 128, 1000, 1024] {
+                    shapes.push((m, k, n));
+                }
+            }
+        }
+        shapes
     }
 
     #[test]
@@ -885,7 +975,17 @@ mod tests {
     #[test]
     fn fused_epilogue_bitwise_matches_unfused() {
         let mut rng = Rng::seed_from(14);
-        for (m, k, n) in [(5, 4, 3), (65, 257, 66), (9, 0, 7)] {
+        // The few-row shapes run the epilogue on the unpacked path, wide
+        // (n ≥ 64, with a ragged column edge) and portable.
+        for (m, k, n) in [
+            (5, 4, 3),
+            (65, 257, 66),
+            (9, 0, 7),
+            (1, 256, 1024),
+            (4, 129, 65),
+            (6, 300, 200),
+            (8, 127, 48),
+        ] {
             let a = Tensor::randn(&[m, k], 1.0, &mut rng);
             let b = Tensor::randn(&[k, n], 1.0, &mut rng);
             let bias: Vec<f32> = (0..n).map(|j| (j as f32) * 0.25 - 1.0).collect();
@@ -931,7 +1031,13 @@ mod tests {
     #[test]
     fn fma_variant_is_within_the_documented_band() {
         let mut rng = Rng::seed_from(15);
-        for (m, k, n) in shapes() {
+        // Of the few-row sweep, the shapes up to two panels wide: every row
+        // height on and off the unpacked path and both column kinds. The
+        // scalar bound below is what a longer list would mostly time.
+        let few_rows = few_row_shapes()
+            .into_iter()
+            .filter(|&(_, k, n)| k <= 300 && n <= 128);
+        for (m, k, n) in base_shapes().into_iter().chain(few_rows) {
             let a = Tensor::randn(&[m, k], 1.0, &mut rng);
             let tol_of = |bound: f32, k: usize| 2.0 * (k as f32 + 1.0) * f32::EPSILON * bound;
             {
@@ -996,6 +1102,38 @@ mod tests {
                 &Tiled.matmul_nt(&a, &bt),
                 &format!("portable nt {m}x{k}x{n}"),
             );
+        }
+    }
+
+    /// Row *i* of `[m×k]·[k×n]` equals the one-row product of row *i*,
+    /// bitwise, on both tiers: which micro-kernel computes an element
+    /// depends on its column, never on the rows beside it. Under
+    /// `TiledFma` this failed while row remainders fell to the exact edge
+    /// kernel and full tiles fused.
+    #[test]
+    fn rows_do_not_depend_on_the_rows_beside_them() {
+        let mut rng = Rng::seed_from(17);
+        let backends: [&dyn MatmulBackend; 2] = [&Tiled, &TiledFma];
+        for (k, n) in [(256, 768), (129, 200), (300, 48)] {
+            let b = Tensor::randn(&[k, n], 1.0, &mut rng);
+            let bias: Vec<f32> = (0..n).map(|j| (j as f32) * 0.01 - 1.0).collect();
+            for m in 1..=13 {
+                let a = Tensor::randn(&[m, k], 1.0, &mut rng);
+                for be in backends {
+                    let whole = be.matmul(&a, &b);
+                    let fused = be.matmul_bias_act(&a, &b, Some(&bias), Activation::Gelu);
+                    for i in 0..m {
+                        let row = a.slice_rows(i, i + 1);
+                        let what = format!("{} row {i} of {m}x{k}x{n}", be.name());
+                        assert_bitwise(&whole.slice_rows(i, i + 1), &be.matmul(&row, &b), &what);
+                        assert_bitwise(
+                            &fused.slice_rows(i, i + 1),
+                            &be.matmul_bias_act(&row, &b, Some(&bias), Activation::Gelu),
+                            &format!("fused {what}"),
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -77,6 +77,17 @@ pub const COMPUTE_MATMUL_FLOPS: &str = "compute.matmul.flops";
 /// Wall-clock nanoseconds spent inside matmul kernels, including any fused
 /// bias+activation epilogue (see [`COMPUTE_MATMUL_FLOPS`]).
 pub const COMPUTE_MATMUL_NS: &str = "compute.matmul.ns";
+/// Tiled NN GEMM calls that skipped the pack: all of A's rows fit one
+/// register tile, so the micro-kernels read row-major B in place (decode
+/// projections, lightly loaded experts).
+pub const COMPUTE_MATMUL_UNPACKED: &str = "compute.matmul.unpacked";
+/// Bytes of packed-B panels written by the tiled GEMMs (NN and NT). A
+/// weight packed on every call is what a weight-stationary panel cache
+/// would save; this is its number.
+pub const COMPUTE_PACK_BYTES: &str = "compute.pack.bytes";
+/// Wall-clock nanoseconds spent packing (see [`COMPUTE_PACK_BYTES`]);
+/// inside the same calls' [`COMPUTE_MATMUL_NS`].
+pub const COMPUTE_PACK_NS: &str = "compute.pack.ns";
 
 /// Nominal FLOPs executed by the row-wise softmax family (softmax and
 /// log-softmax: 5 per element — compare, subtract, exp, sum, scale),

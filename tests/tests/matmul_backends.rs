@@ -13,7 +13,8 @@
 //!   stay inside the documented per-element error band instead.
 //!
 //! Shapes deliberately sweep the degenerate cases (`m == 0`, `k == 0`,
-//! `n == 1`), the MR/NR/MR_W/NR_W tile edges, and the inline-vs-fanned-out
+//! `n == 1`), the MR/NR/MR_W/NR_W tile edges, the few-row GEMMs that skip
+//! the pack (`m` up to one register tile), and the inline-vs-fanned-out
 //! dispatch boundary (`m·n·k` around `par::MIN_WORK`) at intra-op widths
 //! 1, 2, 3 and the host's core count.
 
@@ -141,6 +142,42 @@ proptest! {
             ),
             "fused {m}x{k}x{n}"
         );
+    }
+
+    // The few-row GEMMs of decoding and of a lightly loaded expert: up to
+    // `mr` rows read row-major B in place (no pack), more run one full
+    // register tile plus a remainder at its own height. `k` is empty, one
+    // deep, around the wide KC=128 block, and several blocks; `n` is on the
+    // portable path (< 64), one and many wide panels, and ragged at the
+    // right edge. NN and the fused bias+GELU epilogue, bit for bit against
+    // Reference on one lane, at intra-op widths 1 and 2.
+    #[test]
+    fn few_row_gemms_are_bit_identical_to_reference(
+        m in 1usize..14, ki in 0usize..7, ni in 0usize..7, seed in 0u64..1000,
+    ) {
+        let k = [0, 1, 127, 128, 129, 300, 1024][ki];
+        let n = [8, 48, 64, 65, 128, 1000, 1024][ni];
+        let mut rng = Rng::seed_from(seed);
+        let a = Tensor::randn(&[m, k], 1.0, &mut rng);
+        let b = Tensor::randn(&[k, n], 1.0, &mut rng);
+        let bias: Vec<f32> = (0..n).map(|j| (j as f32) * 0.125 - 0.5).collect();
+        let both = |cb: ComputeBackend| {
+            let be = cb.instantiate();
+            [
+                be.matmul(&a, &b),
+                be.matmul_bias_act(&a, &b, Some(&bias), Activation::Gelu),
+            ]
+        };
+        let want = {
+            let _one_lane = par::scoped_width(1);
+            both(ComputeBackend::Reference)
+        };
+        for width in [1, 2] {
+            let _lanes = par::scoped_width(width);
+            for (op, (got, want)) in ["nn", "fused"].iter().zip(both(ComputeBackend::Tiled).iter().zip(&want)) {
+                prop_assert!(bitwise_eq(got, want), "{op} {m}x{k}x{n} at width {width}");
+            }
+        }
     }
 
     // `tiled:fma` trades bitwise identity for a *documented* band: each
