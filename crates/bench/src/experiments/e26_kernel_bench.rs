@@ -4,13 +4,14 @@
 //! the trainer actually runs (square NN at several sizes, plus the NT/TN
 //! backward layouts and the fused bias+GELU epilogue at 256³ **and** the
 //! 512³ gate shape, plus the few-row `[m×256]·[256×1024]` NN a decode step
-//! runs), and elements/s for both `RowOpsBackend` tiers on the
+//! runs and the same shape against a weight packed per call and packed
+//! once), and elements/s for both `RowOpsBackend` tiers on the
 //! softmax / layer-norm / Adam kernels. Self-gating on:
 //!
 //! * correctness — `Tiled` must agree with `Reference` **bitwise** (NN and
 //!   NT) and the vectorized row-op tier must agree with the reference tier
 //!   bitwise before any timing is believed;
-//! * performance — eight CI gates, all ratios timed in the same process at
+//! * performance — nine CI gates, all ratios timed in the same process at
 //!   the host's full intra-op width (so they hold on single-core and noisy
 //!   runners). Three are kernel ratios at 512³:
 //!   - `nn_tiled_over_reference` ≥ [`NN_TILED_MIN_SPEEDUP`]× where the
@@ -39,11 +40,14 @@
 //!     NN time ÷ fused bias+GELU time at 256³: the fused call must track
 //!     the GEMM, not the activation.
 //!
-//!   One holds the few-row GEMM to one pass over the weight:
+//!   Two hold the few-row GEMM to one pass over the weight:
 //!   - `nn_single_tile_over_two_tile` ≥ [`SINGLE_TILE_MIN`]× — tiled
 //!     `[7×256]·[256×1024]` (two register tiles: B is packed) over
 //!     `[1×256]·[256×1024]` (one tile: B is read in place). Seven rows for
 //!     the price of ≈ 1.5 would mean the one-row call packs again.
+//!   - `nn_prepacked_over_packed` ≥ [`PREPACKED_MIN`]× — tiled
+//!     `[8×256]·[256×1024]` with B packed per call over the same against
+//!     panels packed once ([`PackedB`]), what a served layer multiplies by.
 //!
 //! * consistency — the file must say one thing: every sweep row at the
 //!   512³ gate shape has to sit within [`SWEEP_VS_GATE_MAX`]× of the time
@@ -66,7 +70,7 @@
 
 use crate::table::Table;
 use bagualu::hw::{Precision, Roofline};
-use bagualu::tensor::ops::{self, Activation, AdamStep, ComputeBackend, RowOpsBackend};
+use bagualu::tensor::ops::{self, Activation, AdamStep, ComputeBackend, PackedB, RowOpsBackend};
 use bagualu::tensor::par;
 use bagualu::tensor::rng::Rng;
 use bagualu::tensor::Tensor;
@@ -107,11 +111,20 @@ pub const FUSED_GELU_OVER_NN_MIN: f64 = 0.7;
 /// Floor of `nn_single_tile_over_two_tile` where the wide kernel runs
 /// (3.6–4.6 on the reference box; ≈ 1.5 when every call packed the weight).
 pub const SINGLE_TILE_MIN: f64 = 2.0;
+/// Floor of `nn_prepacked_over_packed` where the wide kernel runs: tiled
+/// `[8×256]·[256×1024]` against the weight packed per call over the same
+/// against panels packed once. Five runs on the reference box read
+/// 2.31–2.66; the floor sits 30 % under the lowest, and a prepacked call
+/// that packed again would read ≈ 1.
+pub const PREPACKED_MIN: f64 = 1.6;
 /// The decode shape: `[m×256]·[256×1024]`, the `serve_decode` model's FFN
 /// up-projection. `m` is one row, the exact tier's one-tile limit, the
 /// first two-tile count, and the engine's batch.
 const DECODE_KN: (usize, usize) = (256, 1024);
 const DECODE_ROWS: [usize; 4] = [1, 6, 7, 8];
+/// Row counts of the weight-stationary comparison at the decode shape: the
+/// engine's decode batch, a larger continuous batch, and a prefill.
+const STATIONARY_ROWS: [usize; 3] = [8, 32, 256];
 /// How far a 512³ sweep row and the gate pair that timed the same backend
 /// and layout may sit apart. They are the same kernel on same-sized
 /// operands in one process, so a larger gap means the two were not measured
@@ -572,6 +585,28 @@ pub fn run() {
     };
     sample_decode_gate(&mut gate_single);
 
+    // ---- The weight-stationary gate: the decode batch against a weight
+    // packed per call (eight rows: two tiles) and packed once.
+    let mut gate_prepacked = GatePair::new(floor_of(PREPACKED_MIN));
+    let sample_prepacked_gate = {
+        let (k, n) = DECODE_KN;
+        let a = Tensor::randn(&[8, k], 1.0, &mut rng);
+        let w = Tensor::randn(&[k, n], 1.0, &mut rng);
+        let packed = PackedB::new(&w);
+        let tiled = tiled.clone();
+        move |prepacked: &mut GatePair| {
+            if !prepacked.passing() {
+                let (f, g) = paired_best(
+                    31,
+                    || tiled.matmul(&a, &w),
+                    || tiled.matmul_packed(&a, &packed, None, Activation::Identity),
+                );
+                prepacked.absorb(f, g);
+            }
+        }
+    };
+    sample_prepacked_gate(&mut gate_prepacked);
+
     // ---- Square NN sweep (the forward-pass shape).
     let backends = [
         ComputeBackend::Reference,
@@ -632,6 +667,7 @@ pub fn run() {
     sample_rowop_gates(&mut gate_softmax, &mut gate_adam);
     sample_gelu_gates(&mut gate_gelu, &mut gate_fused);
     sample_decode_gate(&mut gate_single);
+    sample_prepacked_gate(&mut gate_prepacked);
 
     // ---- Backward layouts + fused epilogue at 256³ and the 512³ gate
     // shape, for the three fp32 backends.
@@ -703,6 +739,50 @@ pub fn run() {
         ]);
     }
     t4.print();
+
+    // ---- The same weight packed per call and packed once, tiled. Per call
+    // at m = 8 is the decode table's row above.
+    println!("\n-- weight-stationary NN [m x 256]·[256 x 1024], tiled, us per call --");
+    let mut t5 = Table::new(&["m", "packed per call", "prepacked", "ratio"]);
+    {
+        let (k, n) = DECODE_KN;
+        let w = Tensor::randn(&[k, n], 1.0, &mut rng);
+        let packed = PackedB::new(&w);
+        for m in STATIONARY_ROWS {
+            let a = Tensor::randn(&[m, k], 1.0, &mut rng);
+            let same =
+                |r: &Row| r.backend == "tiled" && r.op == "nn" && [r.m, r.k, r.n] == [m, k, n];
+            let per_call = match rows.iter().find(|r| same(r)) {
+                Some(r) => r.ns,
+                None => {
+                    let row = gemm_row("tiled", "nn", m, k, n, Precision::FP32, 31, || {
+                        tiled.matmul(&a, &w)
+                    });
+                    let ns = row.ns;
+                    rows.push(row);
+                    ns
+                }
+            };
+            let row = gemm_row(
+                "tiled",
+                "nn_prepacked",
+                m,
+                k,
+                n,
+                Precision::FP32,
+                31,
+                || tiled.matmul_packed(&a, &packed, None, Activation::Identity),
+            );
+            t5.row(&[
+                m.to_string(),
+                format!("{:.1}", per_call as f64 / 1e3),
+                format!("{:.1}", row.ns as f64 / 1e3),
+                format!("{:.2}x", per_call as f64 / row.ns as f64),
+            ]);
+            rows.push(row);
+        }
+    }
+    t5.print();
     sample_gates(
         &mut gate_nn,
         &mut gate_nt,
@@ -713,6 +793,7 @@ pub fn run() {
     sample_rowop_gates(&mut gate_softmax, &mut gate_adam);
     sample_gelu_gates(&mut gate_gelu, &mut gate_fused);
     sample_decode_gate(&mut gate_single);
+    sample_prepacked_gate(&mut gate_prepacked);
 
     // ---- Row-op tiers: elements/s for softmax, layernorm, Adam.
     println!("\n-- row-op Gelem/s (reference vs vectorized tier) --");
@@ -799,6 +880,7 @@ pub fn run() {
     sample_rowop_gates(&mut gate_softmax, &mut gate_adam);
     sample_gelu_gates(&mut gate_gelu, &mut gate_fused);
     sample_decode_gate(&mut gate_single);
+    sample_prepacked_gate(&mut gate_prepacked);
     let shape = format!("{GATE_DIM}^3");
 
     // ---- The file has to say one thing ([`SWEEP_VS_GATE_MAX`]). A sweep
@@ -869,6 +951,12 @@ pub fn run() {
             "7x256x1024 / 1x256x1024",
             &gate_single,
         ),
+        Gate::of(
+            "nn_prepacked_over_packed",
+            "nn",
+            "8x256x1024",
+            &gate_prepacked,
+        ),
     ];
     let gate_flops = 2 * (GATE_DIM as u64).pow(3);
     println!(
@@ -902,6 +990,11 @@ pub fn run() {
         gate_single.best_f as f64 / 1e3,
         gate_single.best_g as f64 / 1e3,
     );
+    println!(
+        "paired: tiled [8 x 256]·[256 x 1024] packed per call {:.1} / prepacked {:.1} us",
+        gate_prepacked.best_f as f64 / 1e3,
+        gate_prepacked.best_g as f64 / 1e3,
+    );
     println!("-- gates (GEMM at {shape}; wide kernel: {wide}) --");
     for g in &gates {
         println!(
@@ -920,6 +1013,8 @@ pub fn run() {
     artifact.push_str(&t2.render());
     artifact.push_str("\ndecode-shape NN [m x 256]·[256 x 1024], us per call\n");
     artifact.push_str(&t4.render());
+    artifact.push_str("\nweight-stationary NN [m x 256]·[256 x 1024], tiled, us per call\n");
+    artifact.push_str(&t5.render());
     artifact.push_str(&format!("\ngates (GEMM at {shape}; wide kernel: {wide})\n"));
     for g in &gates {
         artifact.push_str(&format!(

@@ -168,6 +168,16 @@ impl MultiHeadAttention {
         self.wqkv.d_in()
     }
 
+    /// Freeze both projections for inference ([`Linear::freeze`]) and drop
+    /// the backward cache; the KV-cached path
+    /// ([`forward_incremental_store`](Self::forward_incremental_store) and
+    /// its parts) is all that still runs.
+    pub fn freeze(&mut self) {
+        self.wqkv.freeze();
+        self.wo.freeze();
+        self.cache = None;
+    }
+
     fn head_dim(&self) -> usize {
         self.d_model() / self.n_heads
     }

@@ -55,6 +55,26 @@ impl FeedForward {
             + self.fc2.cached_bytes()
     }
 
+    /// Freeze both projections for inference ([`Linear::freeze`]) and drop
+    /// the activation caches: what remains is what [`apply`](Self::apply)
+    /// reads.
+    pub fn freeze(&mut self) {
+        self.fc1.freeze();
+        self.fc2.freeze();
+        self.cache_h = None;
+        self.cache_x = None;
+    }
+
+    /// The inference forward over `[n, d_model]` (`n = 0` allowed): bias and
+    /// GELU fused into the `fc1` GEMM, then `fc2`, and no cache — so it
+    /// cannot disturb a training forward's pending backward. The fused
+    /// epilogue is bit-identical to the unfused sequence, so these are
+    /// [`forward`](Self::forward)'s bits.
+    pub fn apply(&self, x: &Tensor) -> Tensor {
+        let a = self.fc1.apply(x, Activation::Gelu);
+        self.fc2.apply(&a, Activation::Identity)
+    }
+
     /// Forward over `[n, d_model]`. Accepts `n = 0` (an expert that received
     /// no tokens this step).
     pub fn forward(&mut self, x: &Tensor) -> Tensor {
@@ -208,6 +228,22 @@ mod tests {
         // segment input.
         assert_eq!(plain.cached_activation_bytes(), 4 * (10 * 64 * 2 + 10 * 8));
         assert_eq!(ckpt.cached_activation_bytes(), 4 * 10 * 8);
+    }
+
+    /// `apply` is `forward`'s bits without its caches, frozen or not.
+    #[test]
+    fn apply_is_the_forward_without_the_caches() {
+        let mut rng = Rng::seed_from(47);
+        let mut ffn = FeedForward::new("t", 64, 96, &mut rng);
+        let x = Tensor::randn(&[7, 64], 1.0, &mut rng);
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let want = bits(&ffn.forward(&x));
+        let cached = ffn.cached_activation_bytes();
+        assert_eq!(bits(&ffn.apply(&x)), want);
+        assert_eq!(ffn.cached_activation_bytes(), cached);
+        ffn.freeze();
+        assert_eq!(ffn.cached_activation_bytes(), 0);
+        assert_eq!(bits(&ffn.apply(&x)), want);
     }
 
     #[test]

@@ -12,7 +12,11 @@
 //! Layer convention: `forward(&mut self, …)` caches whatever the backward
 //! pass needs; `backward(&mut self, dy)` consumes the cache, **accumulates**
 //! parameter gradients, and returns the input gradient. A step is
-//! `zero_grad → forward → loss → backward → optimizer`.
+//! `zero_grad → forward → loss → backward → optimizer`. The layers serving
+//! uses also have `apply(&self, …)`, the forward without a cache, and
+//! `freeze(&mut self)`, which packs their weights once for inference and
+//! drops what only training needs; a frozen layer's training entry points
+//! panic.
 
 pub mod attention;
 pub mod config;

@@ -1,7 +1,9 @@
 //! Fully connected layer with cached-input backward.
 
-use crate::param::{HasParams, Param};
-use bagualu_tensor::ops::{matmul_bias_act, matmul_nt, matmul_tn, Activation};
+use crate::param::{frozen_panic, HasParams, Param};
+use bagualu_tensor::ops::{
+    matmul_bias_act, matmul_nt, matmul_packed, matmul_tn, Activation, PackedB,
+};
 use bagualu_tensor::rng::Rng;
 use bagualu_tensor::Tensor;
 
@@ -12,6 +14,10 @@ pub struct Linear {
     pub b: Param,
     /// Input cached by `forward` for the weight-gradient GEMM.
     cache_x: Option<Tensor>,
+    /// `W` as the GEMM's packed panels once [`Linear::freeze`] ran; `w` then
+    /// holds no value and neither parameter a gradient. Boxed: a trained
+    /// layer carries one pointer for it, not the panels' header.
+    frozen: Option<Box<PackedB>>,
 }
 
 impl Linear {
@@ -21,15 +27,41 @@ impl Linear {
             w: Param::new(format!("{name}.w"), Tensor::xavier(d_in, d_out, rng)),
             b: Param::new(format!("{name}.b"), Tensor::zeros(&[d_out])),
             cache_x: None,
+            frozen: None,
         }
     }
 
     pub fn d_in(&self) -> usize {
-        self.w.value.rows()
+        self.frozen
+            .as_ref()
+            .map_or_else(|| self.w.value.rows(), |w| w.rows())
     }
 
     pub fn d_out(&self) -> usize {
-        self.w.value.cols()
+        self.frozen
+            .as_ref()
+            .map_or_else(|| self.w.value.cols(), |w| w.cols())
+    }
+
+    /// Freeze for inference: the weight is packed once into the panels
+    /// every later [`apply`](Self::apply) reads and kept only in that form;
+    /// both gradients and the forward cache go. From then on
+    /// [`forward_act`](Self::forward_act), [`backward`](Self::backward) and
+    /// [`visit_params`](HasParams::visit_params) panic, naming the weight.
+    /// The bits of `apply` do not change.
+    pub fn freeze(&mut self) {
+        if self.frozen.is_none() {
+            self.cache_x = None;
+            self.frozen = Some(Box::new(self.w.freeze()));
+            self.b.grad = Tensor::default();
+        }
+    }
+
+    /// Panic if frozen: the guard of every training entry point.
+    fn trainable(&self) {
+        if self.frozen.is_some() {
+            frozen_panic(&self.w.name);
+        }
     }
 
     /// Drop the cached forward input (activation checkpointing).
@@ -51,10 +83,15 @@ impl Linear {
     }
 
     /// `act(x·W + b)` over a `[n, d_in]` batch and nothing else: the GEMM
-    /// with its fused epilogue, no backward cache. What inference calls.
+    /// with its fused epilogue, no backward cache. What inference calls;
+    /// once [frozen](Self::freeze), over the packed panels.
     pub fn apply(&self, x: &Tensor, act: Activation) -> Tensor {
         assert_eq!(x.cols(), self.d_in());
-        matmul_bias_act(x, &self.w.value, Some(self.b.value.as_slice()), act)
+        let bias = Some(self.b.value.as_slice());
+        match &self.frozen {
+            Some(w) => matmul_packed(x, w, bias, act),
+            None => matmul_bias_act(x, &self.w.value, bias, act),
+        }
     }
 
     /// Forward over a `[n, d_in]` batch.
@@ -74,6 +111,7 @@ impl Linear {
     /// path deliberately never materializes. The FFN uses it exactly where
     /// that holds: the recompute forward, whose backward replays unfused.
     pub fn forward_act(&mut self, x: &Tensor, act: Activation) -> Tensor {
+        self.trainable();
         let y = self.apply(x, act);
         self.cache_x = Some(x.clone());
         y
@@ -82,6 +120,7 @@ impl Linear {
     /// Backward: accumulates `dW = xᵀ·dy`, `db = Σrows dy`; returns
     /// `dx = dy·Wᵀ`.
     pub fn backward(&mut self, dy: &Tensor) -> Tensor {
+        self.trainable();
         let x = self
             .cache_x
             .take()
@@ -102,6 +141,7 @@ impl Linear {
 
 impl HasParams for Linear {
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        self.trainable();
         f(&mut self.w);
         f(&mut self.b);
     }
@@ -187,6 +227,52 @@ mod tests {
         let mut rng = Rng::seed_from(14);
         let mut lin = Linear::new("t", 2, 2, &mut rng);
         lin.backward(&Tensor::zeros(&[1, 2]));
+    }
+
+    /// Frozen, a layer keeps its weight only as panels — no row-major value,
+    /// no gradient — and `apply` gives the bits it gave before.
+    #[test]
+    fn frozen_apply_keeps_the_bits_and_drops_the_training_state() {
+        let mut rng = Rng::seed_from(16);
+        let mut lin = Linear::new("t", 70, 130, &mut rng);
+        lin.b.value = Tensor::randn(&[130], 1.0, &mut rng);
+        let x = Tensor::randn(&[9, 70], 1.0, &mut rng);
+        let bits = |lin: &Linear| -> Vec<u32> {
+            let y = lin.apply(&x, Activation::Gelu);
+            y.as_slice().iter().map(|v| v.to_bits()).collect()
+        };
+        let before = bits(&lin);
+        lin.freeze();
+        lin.freeze();
+        assert_eq!((lin.d_in(), lin.d_out()), (70, 130));
+        assert!(lin.w.value.is_empty() && lin.w.grad.is_empty() && lin.b.grad.is_empty());
+        assert_eq!(bits(&lin), before);
+    }
+
+    fn frozen() -> Linear {
+        let mut lin = Linear::new("t", 2, 2, &mut Rng::seed_from(17));
+        lin.freeze();
+        lin
+    }
+
+    #[test]
+    #[should_panic(expected = "t.w is frozen for inference")]
+    fn a_frozen_layer_has_no_training_forward() {
+        frozen().forward_act(&Tensor::zeros(&[1, 2]), Activation::Identity);
+    }
+
+    #[test]
+    #[should_panic(expected = "t.w is frozen for inference")]
+    fn a_frozen_layer_has_no_backward() {
+        frozen().backward(&Tensor::zeros(&[1, 2]));
+    }
+
+    /// Checkpoint save, `zero_grad` and the optimizer all visit parameters:
+    /// a frozen layer must stop them, not hand them empty tensors.
+    #[test]
+    #[should_panic(expected = "t.w is frozen for inference")]
+    fn a_frozen_layer_has_no_parameters_to_visit() {
+        frozen().zero_grad();
     }
 
     #[test]

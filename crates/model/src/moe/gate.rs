@@ -1,7 +1,9 @@
 //! The MoE router: expert selection, capacity limiting, balance loss.
 
-use crate::param::{HasParams, Param};
-use bagualu_tensor::ops::{matmul, matmul_nt, matmul_tn, softmax_rows};
+use crate::param::{frozen_panic, HasParams, Param};
+use bagualu_tensor::ops::{
+    matmul, matmul_nt, matmul_packed, matmul_tn, softmax_rows, Activation, PackedB,
+};
 use bagualu_tensor::rng::Rng;
 use bagualu_tensor::Tensor;
 
@@ -134,6 +136,9 @@ pub struct Gate {
     /// Per-expert locality flags (empty until [`Gate::set_locality`]).
     locality: Vec<bool>,
     cache: Option<GateCache>,
+    /// `wg` as the GEMM's packed panels once [`Gate::freeze`] ran; `wg`
+    /// then holds no value and no gradient.
+    frozen: Option<PackedB>,
 }
 
 #[derive(Debug, Clone)]
@@ -169,6 +174,25 @@ impl Gate {
             locality_bias: 0.0,
             locality: Vec::new(),
             cache: None,
+            frozen: None,
+        }
+    }
+
+    /// Freeze the router for inference, like [`crate::Linear::freeze`]:
+    /// `wg` is kept only as packed panels, for [`Gate::route_infer`], and
+    /// the training [`forward`](Self::forward) and
+    /// [`visit_params`](HasParams::visit_params) panic from then on.
+    pub fn freeze(&mut self) {
+        if self.frozen.is_none() {
+            self.cache = None;
+            self.frozen = Some(self.wg.freeze());
+        }
+    }
+
+    /// Panic if frozen: the guard of the training entry points.
+    fn trainable(&self) {
+        if self.frozen.is_some() {
+            frozen_panic(&self.wg.name);
         }
     }
 
@@ -195,7 +219,9 @@ impl Gate {
     }
 
     pub fn n_experts(&self) -> usize {
-        self.wg.value.cols()
+        self.frozen
+            .as_ref()
+            .map_or_else(|| self.wg.value.cols(), PackedB::cols)
     }
 
     /// Capacity for `n` tokens.
@@ -207,6 +233,7 @@ impl Gate {
 
     /// Route a batch `[n, d]`; returns the dispatch plan.
     pub fn forward(&mut self, x: &Tensor) -> Routing {
+        self.trainable();
         let n = x.rows();
         let e = self.n_experts();
         let logits = matmul(x, &self.wg.value);
@@ -410,7 +437,10 @@ impl Gate {
     pub fn route_infer(&self, x: &Tensor) -> Routing {
         let n = x.rows();
         let e = self.n_experts();
-        let logits = matmul(x, &self.wg.value);
+        let logits = match &self.frozen {
+            Some(wg) => matmul_packed(x, wg, None, Activation::Identity),
+            None => matmul(x, &self.wg.value),
+        };
         let probs = softmax_rows(&logits);
 
         let bias_vec: Option<Vec<f32>> = if self.locality_bias != 0.0 {
@@ -521,6 +551,7 @@ impl Gate {
 
 impl HasParams for Gate {
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        self.trainable();
         f(&mut self.wg);
     }
 }
@@ -866,6 +897,15 @@ mod tests {
             assert_eq!(full.dropped, 0, "{kind:?}");
             assert_eq!(full.assignments.len(), 12 * kind.k(), "{kind:?}");
             assert_eq!(full.aux_loss, 0.0);
+            // Frozen, the router routes to the same experts, same bits.
+            let mut frozen = g.clone();
+            frozen.freeze();
+            assert_eq!(frozen.n_experts(), 4);
+            let plan = |r: &Routing| -> Vec<(usize, usize, u32)> {
+                let a = r.assignments.iter();
+                a.map(|a| (a.token, a.expert, a.weight.to_bits())).collect()
+            };
+            assert_eq!(plan(&frozen.route_infer(&x)), plan(&full), "{kind:?}");
             // Row-wise purity: routing each token alone gives the same
             // expert and the bit-identical weight.
             for t in 0..12 {
@@ -878,6 +918,14 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "g.wg is frozen for inference")]
+    fn a_frozen_router_has_no_training_forward() {
+        let mut g = gate(GateKind::Top2, 4, 1.0);
+        g.freeze();
+        g.forward(&Tensor::ones(&[2, 8]));
     }
 
     #[test]

@@ -178,7 +178,7 @@ pub fn decode_hidden<C: Communicator>(
         h.add_assign(&b.attn.project_out(&ctx));
         let f = b.ln2.forward(&h);
         let f = match &mut b.ffn {
-            DistFfn::Dense(ffn) => ffn.forward(&f),
+            DistFfn::Dense(ffn) => ffn.apply(&f),
             DistFfn::MoE(moe) => moe.forward_infer(&f, comm),
         };
         x = h;
@@ -374,7 +374,10 @@ mod tests {
     /// Thirteen sequences cover, on both wide tiers, the single-tile
     /// unpacked GEMM (≤ 6 or ≤ 5 rows), full register tiles and every
     /// remainder height. Under `tiled:fma` this failed while remainder rows
-    /// computed exactly and full tiles fused.
+    /// computed exactly and full tiles fused. A frozen model — every GEMM
+    /// over panels packed once, at every row count — must give the bits of
+    /// the unfrozen one, on one rank and on two (where every rank decodes
+    /// the whole batch and the experts are split), on every fp32 tier.
     #[test]
     fn wide_batched_rows_are_bit_identical_to_solo_rows_at_every_batch_size() {
         let cfg = wide_cfg();
@@ -386,28 +389,49 @@ mod tests {
                     .collect()
             })
             .collect();
-        for backend in [ComputeBackend::Tiled, ComputeBackend::TiledFma] {
-            let prompts = prompts.clone();
-            run_ranks_map(1, move |comm| {
-                let _backend = install_backend(backend.instantiate());
-                let mut m = DistTransformer::new(cfg, 513, 0, 1, A2aKind::Pairwise);
-                let solo = one_call_per_row(&mut m, &prompts, &comm);
-                for rows in 1..=prompts.len() {
-                    let mut kv = VecKvBatch::new(cfg.d_model, cfg.n_layers);
-                    let seqs: Vec<usize> = (0..rows).map(|_| kv.add_seq()).collect();
-                    for pos in 0..steps {
-                        let tokens: Vec<usize> = prompts[..rows].iter().map(|p| p[pos]).collect();
-                        let lg =
-                            decode_step(&mut m, &tokens, &vec![pos; rows], &seqs, &mut kv, &comm);
-                        for (i, got) in bits(&lg).into_iter().enumerate() {
-                            assert_eq!(
-                                got, solo[i][pos],
-                                "{backend}: sequence {i} of {rows} at position {pos}"
-                            );
+        for backend in [
+            ComputeBackend::Tiled,
+            ComputeBackend::TiledFma,
+            ComputeBackend::Reference,
+        ] {
+            let solo = {
+                let prompts = prompts.clone();
+                run_ranks_map(1, move |comm| {
+                    let _backend = install_backend(backend.instantiate());
+                    let mut m = DistTransformer::new(cfg, 513, 0, 1, A2aKind::Pairwise);
+                    one_call_per_row(&mut m, &prompts, &comm)
+                })
+                .remove(0)
+            };
+            for (nranks, frozen) in [(1, false), (1, true), (2, false), (2, true)] {
+                let (prompts, solo) = (prompts.clone(), solo.clone());
+                run_ranks_map(nranks, move |comm| {
+                    let _backend = install_backend(backend.instantiate());
+                    let rank = comm.rank();
+                    let mut m = DistTransformer::new(cfg, 513, rank, nranks, A2aKind::Pairwise);
+                    if frozen {
+                        m.freeze();
+                    }
+                    for rows in 1..=prompts.len() {
+                        let mut kv = VecKvBatch::new(cfg.d_model, cfg.n_layers);
+                        let seqs: Vec<usize> = (0..rows).map(|_| kv.add_seq()).collect();
+                        for pos in 0..steps {
+                            let tokens: Vec<usize> =
+                                prompts[..rows].iter().map(|p| p[pos]).collect();
+                            let positions = vec![pos; rows];
+                            let lg =
+                                decode_step(&mut m, &tokens, &positions, &seqs, &mut kv, &comm);
+                            for (i, got) in bits(&lg).into_iter().enumerate() {
+                                assert_eq!(
+                                    got, solo[i][pos],
+                                    "{backend}, rank {rank}/{nranks}, frozen {frozen}: \
+                                     sequence {i} of {rows} at position {pos}"
+                                );
+                            }
                         }
                     }
-                }
-            });
+                });
+            }
         }
     }
 

@@ -357,6 +357,25 @@ impl DistTransformer {
         }
     }
 
+    /// Freeze this replica for inference, for good: every `Linear` it holds
+    /// — attention `wqkv`/`wo`, dense FFN `fc1`/`fc2`, this rank's local
+    /// experts, the head — and every router keep their weights only as the
+    /// GEMM's packed panels, packed once here, and drop the row-major values
+    /// and all of their gradients. The decode path ([`crate::decode`]) reads
+    /// the panels at every row count and never packs; its bits do not
+    /// change. Training, `visit_params` (so checkpointing and `zero_grad`)
+    /// panic afterwards, naming the first frozen parameter they reach.
+    pub fn freeze(&mut self) {
+        for b in &mut self.blocks {
+            b.attn.freeze();
+            match &mut b.ffn {
+                DistFfn::Dense(ffn) => ffn.freeze(),
+                DistFfn::MoE(moe) => moe.freeze(),
+            }
+        }
+        self.head.freeze();
+    }
+
     /// The expert placement every MoE block uses (round-robin when the
     /// model has no MoE blocks).
     pub fn placement(&self) -> ExpertPlacement {

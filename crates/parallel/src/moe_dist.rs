@@ -190,18 +190,31 @@ impl DistMoELayer {
             .unwrap_or(0.0)
     }
 
+    /// Freeze the router and this rank's experts for inference
+    /// ([`Gate::freeze`], [`FeedForward::freeze`]) and drop the backward
+    /// cache: what [`forward_infer`](Self::forward_infer) reads is all that
+    /// is left.
+    pub fn freeze(&mut self) {
+        self.gate.freeze();
+        for e in &mut self.local_experts {
+            e.freeze();
+        }
+        self.cache = None;
+    }
+
     /// Forward over this rank's `[n_local, d]` micro-batch. Collective:
     /// every rank must call it in the same program position.
     pub fn forward<C: Communicator>(&mut self, x: &Tensor, comm: &C) -> Tensor {
         let routing = self.gate.forward(x);
-        let (y, cache) = self.exchange(x, routing, comm);
+        let (y, cache) = self.exchange(x, routing, comm, FeedForward::forward);
         self.cache = Some(cache);
         y
     }
 
     /// Inference forward: route droplessly via [`Gate::route_infer`], run
     /// the exact dispatch/compute/combine exchange of
-    /// [`forward`](Self::forward), and *discard* the backward cache. Collective —
+    /// [`forward`](Self::forward) with each expert's cache-free
+    /// [`FeedForward::apply`], and *discard* the backward cache. Collective —
     /// every rank must call it in the same program position, even with an
     /// empty `[0, d]` batch (a rank with no active sequences still joins
     /// the exchange so its peers' tokens can reach the experts it owns).
@@ -209,25 +222,24 @@ impl DistMoELayer {
     /// Used by the serving decode path: same placement, same wire format,
     /// same a2a algorithm and trace spans as training, so locality-biased
     /// placement cuts per-token decode bytes exactly as it cuts training
-    /// bytes. The gate cache, noise stream, and this layer's backward cache
-    /// are untouched (the experts' small activation caches are overwritten,
-    /// so do not interleave this between a training forward and backward).
+    /// bytes. Nothing a training backward reads is touched — the gate cache
+    /// and noise stream, this layer's cache, the experts' activation caches
+    /// — so it may run between a training forward and its backward.
     pub fn forward_infer<C: Communicator>(&mut self, x: &Tensor, comm: &C) -> Tensor {
         let routing = self.gate.route_infer(x);
-        let saved = self.cache.take();
-        let (y, _) = self.exchange(x, routing, comm);
-        self.cache = saved;
-        y
+        self.exchange(x, routing, comm, |e, x| e.apply(x)).0
     }
 
     /// The collective dispatch → expert-compute → combine exchange shared
-    /// by the training and inference forwards. Returns the combined output
-    /// and the backward cache describing the exchange.
+    /// by the training and inference forwards, running each local expert
+    /// over its rows through `expert`. Returns the combined output and the
+    /// backward cache describing the exchange.
     fn exchange<C: Communicator>(
         &mut self,
         x: &Tensor,
         routing: Routing,
         comm: &C,
+        expert: fn(&mut FeedForward, &Tensor) -> Tensor,
     ) -> (Tensor, Cache) {
         let d = x.cols();
         let r = comm.size();
@@ -292,7 +304,7 @@ impl DistMoELayer {
             for (row, &(src, pos)) in orig.iter().enumerate() {
                 xe.row_mut(row).copy_from_slice(datas[src].row(pos));
             }
-            slot_outputs.push(self.local_experts[slot].forward(&xe));
+            slot_outputs.push(expert(&mut self.local_experts[slot], &xe));
         }
 
         // ---- Combine: return results to their source ranks, in the
@@ -448,6 +460,7 @@ impl HasParams for DistMoELayer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bagualu_comm::harness::run_ranks_map;
     use bagualu_comm::shm::{CommFamily, World};
     use bagualu_model::moe::gate::GateKind;
     use bagualu_tensor::rng::Rng;
@@ -527,5 +540,58 @@ mod tests {
                 "{wire:?} seed {seed}: {crossed} cross-rank assignments"
             );
         }
+    }
+
+    /// An inference forward on other rows between a training forward and
+    /// its backward leaves every gradient — and `dx` — bit for bit what
+    /// forward → backward alone gives. It used to run the experts' training
+    /// forward, overwriting the activation caches the backward reads.
+    #[test]
+    fn forward_infer_between_forward_and_backward_changes_no_gradient() {
+        let (r, n_experts, d) = (2, 4, 16);
+        let grads = |interleave: bool| {
+            run_ranks_map(r, move |comm| {
+                let rank = comm.rank();
+                let placement = ExpertPlacement::RoundRobin;
+                let gate = Gate::new(
+                    "g",
+                    d,
+                    n_experts,
+                    GateKind::Top2,
+                    2.0,
+                    0.01,
+                    &mut Rng::seed_from(5),
+                );
+                let mut rng = Rng::seed_from(50 + rank as u64);
+                let experts = placement
+                    .local_experts(rank, n_experts, r)
+                    .into_iter()
+                    .map(|e| FeedForward::new(&format!("e{e}"), d, 2 * d, &mut rng))
+                    .collect();
+                let mut layer = DistMoELayer::new(
+                    gate,
+                    n_experts,
+                    experts,
+                    rank,
+                    r,
+                    A2aKind::Pairwise,
+                    placement,
+                );
+                let x = Tensor::randn(&[12, d], 1.0, &mut rng);
+                let other = Tensor::randn(&[5, d], 1.0, &mut rng);
+                let dy = Tensor::randn(&[12, d], 1.0, &mut rng);
+                layer.forward(&x, &comm);
+                if interleave {
+                    layer.forward_infer(&other, &comm);
+                }
+                let dx = layer.backward(&dy, &comm);
+                let mut bits: Vec<u32> = dx.as_slice().iter().map(|v| v.to_bits()).collect();
+                layer.visit_params(&mut |p| {
+                    bits.extend(p.grad.as_slice().iter().map(|v| v.to_bits()))
+                });
+                bits
+            })
+        };
+        assert_eq!(grads(true), grads(false));
     }
 }

@@ -131,12 +131,16 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Wrap a distributed model replica with a fresh queue and KV pool.
-    pub fn new(model: DistTransformer, cfg: EngineConfig) -> Engine {
+    /// Wrap a distributed model replica with a fresh queue and KV pool. An
+    /// engine's model never trains, so it is frozen here
+    /// ([`DistTransformer::freeze`]): each weight is packed once, kept only
+    /// as panels, and no gradient is kept — no GEMM of a served step packs.
+    pub fn new(mut model: DistTransformer, cfg: EngineConfig) -> Engine {
         assert!(
             cfg.max_batch > 0,
             "engine needs room for at least one sequence"
         );
+        model.freeze();
         let pool = KvBlockPool::new(
             cfg.kv_blocks,
             cfg.block_tokens,
@@ -560,6 +564,68 @@ mod tests {
         assert_eq!(multi[0], single[0], "expert-parallel decode diverged");
         for r in 1..4 {
             assert!(multi[r].is_empty(), "only rank 0 held requests");
+        }
+    }
+
+    /// A served step never packs. Traced on two ranks under the tiled
+    /// backend, at a width where a multi-tile GEMM — a prefill of eight
+    /// prompts, a decode batch of eight rows — would pack its weight, no
+    /// `compute.pack.*` count lands inside a `serve.prefill` or
+    /// `serve.decode_step` span; the one-time pack at engine start lands
+    /// outside them.
+    #[test]
+    fn no_served_step_packs() {
+        use bagualu_tensor::ops::{install_backend, ComputeBackend};
+        use bagualu_trace::{EventKind, TraceCollector};
+
+        let cfg = ModelConfig {
+            d_model: 128,
+            d_ff: 256,
+            vocab: 96,
+            ..ModelConfig::tiny()
+        };
+        let collector = TraceCollector::new();
+        run_ranks_map(2, |comm| {
+            let rank = comm.rank();
+            let _backend = install_backend(ComputeBackend::Tiled.instantiate());
+            let _lane = collector.install(rank);
+            let model = DistTransformer::new(cfg, 31, rank, 2, A2aKind::Pairwise);
+            let mut eng = Engine::new(
+                model,
+                EngineConfig {
+                    max_batch: 8,
+                    kv_blocks: 64,
+                    block_tokens: 4,
+                },
+            );
+            for i in 0..8 {
+                let prompt = (0..5).map(|p| (7 * i + p + rank) % cfg.vocab).collect();
+                eng.submit(Request::new(i as u64, prompt, 4)).unwrap();
+            }
+            eng.run_to_completion(&comm);
+            assert_eq!(eng.take_finished().len(), 8);
+        });
+        let trace = collector.finish();
+        let step = |name: &str| name == names::SERVE_PREFILL || name == names::SERVE_DECODE_STEP;
+        let pack = |name: &str| name == names::COMPUTE_PACK_BYTES || name == names::COMPUTE_PACK_NS;
+        for lane in &trace.ranks {
+            assert_eq!(lane.dropped, 0, "lane {}: the ring wrapped", lane.lane);
+            let (mut depth, mut inside, mut at_start) = (0usize, 0u64, 0u64);
+            for e in &lane.events {
+                match e.kind {
+                    EventKind::Enter if step(e.name) => depth += 1,
+                    EventKind::Exit if step(e.name) => depth -= 1,
+                    EventKind::Count(v) if pack(e.name) && depth > 0 => inside += v,
+                    EventKind::Count(v) if e.name == names::COMPUTE_PACK_BYTES => at_start += v,
+                    _ => {}
+                }
+            }
+            assert_eq!(inside, 0, "lane {}: packed inside a served step", lane.lane);
+            assert!(
+                at_start > 0,
+                "lane {}: the engine packed nothing",
+                lane.lane
+            );
         }
     }
 

@@ -27,9 +27,13 @@
 //! * `HalfCompute` rounds both operands through its 16-bit format before
 //!   multiplying and accumulates in `f32`; it is bit-identical to `Tiled`
 //!   run on pre-quantized operands (half×half products are exact in `f32`).
+//! * [`MatmulBackend::matmul_packed`] over a [`PackedB`] gives the bits
+//!   `matmul_bias_act` gives over the weight the panels were packed from,
+//!   on every backend.
 
 use crate::dtype::DType;
 use crate::ops::elementwise::{gelu_inplace, gelu_slice, relu_scalar};
+use crate::ops::tiled::PackedB;
 use crate::tensor::Tensor;
 use std::cell::RefCell;
 use std::fmt;
@@ -123,6 +127,26 @@ pub trait MatmulBackend: fmt::Debug + Send + Sync {
         }
         act.apply(&mut c);
         c
+    }
+
+    /// [`matmul_bias_act`](Self::matmul_bias_act) against a weight packed
+    /// once ([`PackedB::new`]) — the GEMM of a layer frozen for inference.
+    /// It never packs.
+    ///
+    /// The provided default runs the exact tiled micro-kernels over the
+    /// panels, which are bit-identical to [`Reference`] on the weight the
+    /// panels were packed from — so it is the answer of every exact tier.
+    /// Tiers that round differently override it.
+    ///
+    /// [`Reference`]: crate::ops::matmul::Reference
+    fn matmul_packed(
+        &self,
+        a: &Tensor,
+        w: &PackedB,
+        bias: Option<&[f32]>,
+        act: Activation,
+    ) -> Tensor {
+        crate::ops::tiled::tiled_nn_packed(a, w, bias, act, false)
     }
 }
 

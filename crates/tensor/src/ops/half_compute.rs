@@ -23,7 +23,7 @@
 
 use crate::dtype::DType;
 use crate::ops::backend::{Activation, MatmulBackend};
-use crate::ops::tiled::Tiled;
+use crate::ops::tiled::{PackedB, Tiled};
 use crate::pack::{pack_slice, unpack_slice};
 use crate::tensor::Tensor;
 
@@ -51,8 +51,11 @@ impl HalfCompute {
     /// native storage story: these are the bits a half-precision buffer
     /// would hold.
     fn quantize(&self, t: &Tensor) -> Tensor {
-        let bits = pack_slice(self.dtype, t.as_slice());
-        Tensor::from_vec(unpack_slice(self.dtype, &bits), t.shape())
+        Tensor::from_vec(self.round(t.as_slice()), t.shape())
+    }
+
+    fn round(&self, xs: &[f32]) -> Vec<f32> {
+        unpack_slice(self.dtype, &pack_slice(self.dtype, xs))
     }
 }
 
@@ -91,6 +94,20 @@ impl MatmulBackend for HalfCompute {
         act: Activation,
     ) -> Tensor {
         Tiled.matmul_bias_act(&self.quantize(a), &self.quantize(b), bias, act)
+    }
+
+    /// The panels are quantized per call, like every other operand: the
+    /// rounding is element-wise and maps the zero padding to itself, so
+    /// these are the panels of the quantized weight.
+    fn matmul_packed(
+        &self,
+        a: &Tensor,
+        w: &PackedB,
+        bias: Option<&[f32]>,
+        act: Activation,
+    ) -> Tensor {
+        let wq = w.map_elems(|panels| self.round(panels));
+        Tiled.matmul_packed(&self.quantize(a), &wq, bias, act)
     }
 }
 
@@ -155,11 +172,19 @@ mod tests {
         let a = Tensor::randn(&[20, 64], 1.0, &mut rng);
         let b = Tensor::randn(&[64, 12], 1.0, &mut rng);
         let exact = Reference.matmul(&a, &b);
+        let w = PackedB::new(&b);
         for (dt, tol) in [(DType::F16, 5e-2), (DType::BF16, 3e-1)] {
-            let c = HalfCompute::new(dt).matmul(&a, &b);
+            let hc = HalfCompute::new(dt);
+            let c = hc.matmul(&a, &b);
             for (x, y) in c.as_slice().iter().zip(exact.as_slice()) {
                 assert!((x - y).abs() <= tol * (1.0 + y.abs()), "{dt}: {x} vs {y}");
             }
+            // Quantizing the panels is quantizing the weight, then packing.
+            assert_bitwise(
+                &hc.matmul_packed(&a, &w, None, Activation::Identity),
+                &c,
+                &format!("{dt} prepacked"),
+            );
         }
     }
 

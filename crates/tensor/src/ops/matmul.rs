@@ -8,7 +8,8 @@
 //! * [`matmul_tn`] — `C[k,n]  = A[m,k]ᵀ · B[m,n]`         (dW = Xᵀ · dY)
 //!
 //! plus [`matmul_bias_act`], the fused `act(A·B + bias)` epilogue used by
-//! the linear/FFN layers. The free functions are thin dispatchers: they
+//! the linear/FFN layers, and [`matmul_packed`], the same against a weight
+//! packed once for inference. The free functions are thin dispatchers: they
 //! resolve the calling thread's [`MatmulBackend`] (see
 //! [`crate::ops::backend`]), record the `compute.matmul.{flops,ns}` trace
 //! counters when tracing is enabled, and delegate.
@@ -23,6 +24,7 @@
 //! in the hot loop.
 
 use crate::ops::backend::{current_backend, Activation, MatmulBackend};
+use crate::ops::tiled::PackedB;
 use crate::par;
 use crate::tensor::Tensor;
 use bagualu_trace::{self as trace, names};
@@ -77,6 +79,13 @@ pub fn matmul_tn(a: &Tensor, b: &Tensor) -> Tensor {
 pub fn matmul_bias_act(a: &Tensor, b: &Tensor, bias: Option<&[f32]>, act: Activation) -> Tensor {
     let flops = 2 * a.rows() as u64 * a.cols() as u64 * b.cols() as u64;
     traced(flops, || current_backend().matmul_bias_act(a, b, bias, act))
+}
+
+/// `C = act(A·W + bias)` against a weight packed once, on the calling
+/// thread's backend: [`MatmulBackend::matmul_packed`].
+pub fn matmul_packed(a: &Tensor, w: &PackedB, bias: Option<&[f32]>, act: Activation) -> Tensor {
+    let flops = 2 * a.rows() as u64 * a.cols() as u64 * w.cols() as u64;
+    traced(flops, || current_backend().matmul_packed(a, w, bias, act))
 }
 
 /// Four-chain dot product: independent accumulation chains the compiler can

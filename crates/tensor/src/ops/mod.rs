@@ -30,11 +30,11 @@ pub use backend::{
 };
 pub use elementwise::{gelu, gelu_backward, relu, relu_backward};
 pub use half_compute::HalfCompute;
-pub use matmul::{matmul, matmul_bias_act, matmul_nt, matmul_tn, Reference};
+pub use matmul::{matmul, matmul_bias_act, matmul_nt, matmul_packed, matmul_tn, Reference};
 pub use rowops::{
     adam_update, current_row_ops, install_row_ops, layernorm_rows, process_row_ops,
     set_process_row_ops, AdamStep, LayerNormOut, ReferenceRowOps, RowOpsBackend, RowOpsGuard,
     VectorizedRowOps,
 };
 pub use softmax::{log_softmax_rows, softmax_rows, softmax_rows_inplace};
-pub use tiled::{wide_kernel_available, Tiled, TiledFma};
+pub use tiled::{wide_kernel_available, PackedB, Tiled, TiledFma};

@@ -12,15 +12,23 @@
 //!   registers, broadcasts one A element per row, and multiply-adds an
 //!   NR-wide packed B row into each — zero C traffic inside the k-loop and
 //!   far fewer memory operations per FLOP than the reference axpy loop.
-//! * **Packed B**: before the row-block loop, B is repacked once into
-//!   KC-high, NR-wide column panels (zero-padded on the ragged right edge),
-//!   so the micro-kernel streams B contiguously regardless of `n`.
+//! * **Packed B** ([`PackedB`]): before the row-block loop, B is repacked
+//!   once into KC-high, NR-wide column panels (zero-padded on the ragged
+//!   right edge), so the micro-kernel streams B contiguously regardless of
+//!   `n`.
 //! * **Single-tile GEMMs skip the pack**: when all of A's rows fit one
 //!   register tile (`m ≤ MR` of the tier in use — the few-row GEMMs of
 //!   decoding and of a lightly loaded expert) each panel would be written
 //!   once and read once, so the same micro-kernels take B's own row stride
 //!   and run over row-major B at full `k`. One pass over the weight instead
 //!   of three; the rule is structural, there is nothing to tune.
+//! * **Weights that never change are packed once** ([`PackedB::new`], the
+//!   same routine and layout as the per-call pack): a layer frozen for
+//!   inference keeps only the panels and multiplies through
+//!   [`MatmulBackend::matmul_packed`], which feeds them to the same
+//!   micro-kernels at every row count — even `m ≤ MR`, where one
+//!   contiguous pass over the panels beats the strided pass over row-major
+//!   B. No call on that path packs.
 //!
 //! Two micro-kernel paths share this skeleton, chosen once per call:
 //!
@@ -131,70 +139,169 @@ fn avx512_available() -> bool {
     }
 }
 
-/// B repacked into KC-high, `nr`-wide, zero-padded column panels.
+/// Whether an NN GEMM with `n` output columns runs the wide micro-kernel:
+/// it only pays when at least one 64-wide panel is full.
+#[inline]
+fn wide_layout(n: usize) -> bool {
+    avx512_available() && n >= NR_W
+}
+
+/// Register-tile height of an NN GEMM: the wide kernel runs 6 rows exact
+/// and 5 fused (see [`MR_W_FMA`]), the portable one [`MR`].
+#[inline]
+fn tile_rows(wide: bool, fma: bool) -> usize {
+    match (wide, fma) {
+        (true, false) => MR_W,
+        (true, true) => MR_W_FMA,
+        (false, _) => MR,
+    }
+}
+
+/// `len` floats starting on a 64-byte boundary (one cache line, one zmm)
+/// inside a tensor's buffer: the storage of packed panels. A recycled
+/// buffer sits wherever `malloc` first put it, page-aligned from a fresh
+/// mmap but only 16-byte aligned out of a heap bin, and a 16-byte base makes
+/// three of every four 64-byte panel loads straddle a cache line. The
+/// arithmetic-bound exact kernels hide that; the load-bound FMA kernels
+/// measurably do not.
+#[derive(Debug)]
+struct Aligned {
+    data: Tensor,
+    /// Offset (in floats) of the first 64-byte-aligned element of `data`.
+    off: usize,
+    len: usize,
+}
+
+impl Aligned {
+    /// Over-allocate one cache line through `alloc` and skip to the aligned
+    /// start; a tensor's heap block never moves, so the offset stays valid.
+    fn new(len: usize, alloc: impl FnOnce(usize) -> Tensor) -> Aligned {
+        let data = alloc(len + 16);
+        let off = (data.as_slice().as_ptr() as usize).wrapping_neg() % 64 / 4;
+        Aligned { data, off, len }
+    }
+
+    fn as_slice(&self) -> &[f32] {
+        &self.data.as_slice()[self.off..self.off + self.len]
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [f32] {
+        &mut self.data.as_mut_slice()[self.off..self.off + self.len]
+    }
+}
+
+impl Clone for Aligned {
+    /// A copy aligned in its own buffer: the offset belongs to the address.
+    fn clone(&self) -> Aligned {
+        let mut copy = Aligned::new(self.len, |n| Tensor::zeros(&[n]));
+        copy.as_mut_slice().copy_from_slice(self.as_slice());
+        copy
+    }
+}
+
+/// A `[k, n]` right-hand NN operand repacked into the panels the
+/// micro-kernels read: KC-high, `nr`-wide, zero-padded column panels,
+/// 64-byte aligned. The layout is fixed by `n` and the host when the value
+/// is built and recorded in it — `NR_W × KC_W` where the wide kernel runs,
+/// `NR × KC` elsewhere — so the exact and FMA tiers, which differ only in
+/// tile height, read the same panels.
 ///
 /// Layout: KC-blocks in ascending `k0` order; within a block, `n_panels`
 /// panels of `kc·nr` contiguous floats. Offset arithmetic stays exact for
 /// the ragged final KC-block because every *preceding* block has full
 /// height: `block_base = k0 · n_panels · nr`.
 ///
-/// The buffer is scratch from the process-wide [`crate::reservoir`]
-/// ([`Tensor::scratch`]): whichever recycled buffer was used last and is big
-/// enough, so one GEMM call maps no memory of its own and consecutive calls
-/// pack into the same cache-warm block whatever their `n`, as they did at
-/// the top of `malloc`'s heap. The panels are explicitly aligned to
-/// 64 bytes (one cache line, one zmm) inside it — a recycled buffer sits
-/// wherever `malloc` first put it, page-aligned from a fresh mmap but only
-/// 16-byte aligned out of a heap bin, and a 16-byte base makes three of
-/// every four 64-byte panel loads straddle a cache line. The
-/// arithmetic-bound exact kernels hide that; the load-bound FMA kernel
-/// measurably does not.
-struct PackedB {
-    data: Tensor,
-    /// Offset (in floats) of the first 64-byte-aligned element of `data`.
-    align_off: usize,
-    n_panels: usize,
+/// A multi-tile GEMM packs B into scratch from the process-wide
+/// [`crate::reservoir`] (`Tensor::scratch`): whichever recycled buffer was
+/// used last and is big enough, so one call maps no memory of its own and
+/// consecutive calls pack into the same cache-warm block whatever their `n`.
+/// [`PackedB::new`] packs a weight that will not change, once, into a
+/// buffer of its own size, for [`MatmulBackend::matmul_packed`].
+#[derive(Debug, Clone)]
+pub struct PackedB {
+    panels: Aligned,
+    k: usize,
+    n: usize,
+    /// Panel width: [`NR_W`] exactly when the layout is the wide kernel's,
+    /// which [`wide_layout`] grants only on a host with AVX-512F.
     nr: usize,
+    /// KC-block height.
+    kcb: usize,
 }
 
 impl PackedB {
-    fn pack(bv: &[f32], k: usize, n: usize, nr: usize, kcb: usize) -> PackedB {
+    /// Pack `b` once for a lifetime of [`MatmulBackend::matmul_packed`]
+    /// calls, counted under `compute.pack.{bytes,ns}` when tracing is on.
+    pub fn new(b: &Tensor) -> PackedB {
+        PackedB::pack(b.as_slice(), b.rows(), b.cols(), |len| {
+            Tensor::zeros(&[len])
+        })
+    }
+
+    /// Rows of the packed operand (the GEMM's `k`).
+    pub fn rows(&self) -> usize {
+        self.k
+    }
+
+    /// Columns of the packed operand (the GEMM's `n`).
+    pub fn cols(&self) -> usize {
+        self.n
+    }
+
+    /// The one packing routine: row-major `[k, n]` `bv` into panels in
+    /// storage from `alloc`.
+    fn pack(bv: &[f32], k: usize, n: usize, alloc: impl FnOnce(usize) -> Tensor) -> PackedB {
+        let (nr, kcb) = if wide_layout(n) {
+            (NR_W, KC_W)
+        } else {
+            (NR, KC)
+        };
         let n_panels = n.div_ceil(nr);
         let len = k * n_panels * nr;
-        // Over-allocate one cache line and skip to the aligned start; the
-        // tensor's heap block never moves, so the offset stays valid.
-        let mut data = Tensor::scratch(len + 16);
-        let align_off = (data.as_slice().as_ptr() as usize).wrapping_neg() % 64 / 4;
-        let floats = &mut data.as_mut_slice()[align_off..align_off + len];
-        // kk-outer traversal: each B row is read once, sequentially, and
-        // scattered to its panels — sequential reads beat sequential
-        // writes once B outgrows L2.
-        for k0 in (0..k).step_by(kcb) {
-            let kc = (k0 + kcb).min(k) - k0;
-            let block_base = k0 * n_panels * nr;
-            for kk in 0..kc {
-                let src = &bv[(k0 + kk) * n..(k0 + kk + 1) * n];
-                for p in 0..n_panels {
-                    let j0 = p * nr;
-                    let width = nr.min(n - j0);
-                    let dst = block_base + p * kc * nr + kk * nr;
-                    floats[dst..dst + width].copy_from_slice(&src[j0..j0 + width]);
+        timed_pack(len, || {
+            let mut panels = Aligned::new(len, alloc);
+            let floats = panels.as_mut_slice();
+            // kk-outer traversal: each B row is read once, sequentially, and
+            // scattered to its panels — sequential reads beat sequential
+            // writes once B outgrows L2.
+            for k0 in (0..k).step_by(kcb) {
+                let kc = (k0 + kcb).min(k) - k0;
+                let block_base = k0 * n_panels * nr;
+                for kk in 0..kc {
+                    let src = &bv[(k0 + kk) * n..(k0 + kk + 1) * n];
+                    for p in 0..n_panels {
+                        let j0 = p * nr;
+                        let width = nr.min(n - j0);
+                        let dst = block_base + p * kc * nr + kk * nr;
+                        floats[dst..dst + width].copy_from_slice(&src[j0..j0 + width]);
+                    }
                 }
             }
-        }
-        PackedB {
-            data,
-            align_off,
-            n_panels,
-            nr,
-        }
+            PackedB {
+                panels,
+                k,
+                n,
+                nr,
+                kcb,
+            }
+        })
+    }
+
+    /// The same layout over `f` of every panel element, padding included:
+    /// for an element-wise map with `f(0) = 0` (operand quantization), the
+    /// packing of `f` applied to the source.
+    pub(crate) fn map_elems(&self, f: impl FnOnce(&[f32]) -> Vec<f32>) -> PackedB {
+        let mapped = f(self.panels.as_slice());
+        let mut panels = Aligned::new(mapped.len(), Tensor::scratch);
+        panels.as_mut_slice().copy_from_slice(&mapped);
+        PackedB { panels, ..*self }
     }
 
     /// The `kc`-row panel `p` of the KC-block starting at `k0`.
     #[inline]
     fn panel(&self, k0: usize, kc: usize, p: usize) -> &[f32] {
-        let base = self.align_off + k0 * self.n_panels * self.nr + p * kc * self.nr;
-        &self.data.as_slice()[base..base + kc * self.nr]
+        let base = k0 * self.n.div_ceil(self.nr) * self.nr + p * kc * self.nr;
+        &self.panels.as_slice()[base..base + kc * self.nr]
     }
 }
 
@@ -405,9 +512,39 @@ fn epilogue(cchunk: &mut [f32], n: usize, bias: Option<&[f32]>, act: Activation,
     }
 }
 
-/// The shared NN core: `C = act(A·B + bias)` with the epilogue applied per
-/// row-chunk while it is still cache-resident. `HalfCompute` reuses this on
-/// quantized operands.
+/// The NN result when there is nothing to multiply — an empty C, or C = 0
+/// through the epilogue for an empty reduction — and `None` otherwise.
+fn nn_degenerate(
+    a: &Tensor,
+    k: usize,
+    n: usize,
+    bias: Option<&[f32]>,
+    act: Activation,
+) -> Option<Tensor> {
+    let (m, ka) = (a.rows(), a.cols());
+    assert_eq!(ka, k, "matmul: inner dims {ka} vs {k}");
+    if m != 0 && n != 0 && k != 0 {
+        return None;
+    }
+    let mut c = Tensor::zeros(&[m, n]);
+    if m != 0 && n != 0 {
+        let gelu = GeluClock::start(act == Activation::Gelu);
+        epilogue(c.as_mut_slice(), n, bias, act, &gelu);
+        gelu.record(m * n);
+    }
+    Some(c)
+}
+
+/// Where the NN core reads B from.
+enum BSource<'a> {
+    /// Row-major B read in place: one `k`-block, B's own row stride.
+    InPlace(&'a Tensor),
+    Packed(&'a PackedB),
+}
+
+/// The shared NN entry point: `C = act(A·B + bias)` with the epilogue
+/// applied per row-chunk while it is still cache-resident. `HalfCompute`
+/// reuses this on quantized operands.
 ///
 /// B is packed once into panels — unless all of A's rows fit one register
 /// tile (`m ≤ mr` of the tier in use). Then every panel would be written
@@ -428,47 +565,71 @@ pub(crate) fn tiled_nn(
     act: Activation,
     fma: bool,
 ) -> Tensor {
+    let (k, n) = (b.rows(), b.cols());
+    if let Some(c) = nn_degenerate(a, k, n, bias, act) {
+        return c;
+    }
+    // C before the panels' scratch: the other way round the hot scratch
+    // takes the buffer C would have had, and the training workloads'
+    // memory moves.
+    let c = Tensor::zeros(&[a.rows(), n]);
+    if a.rows() <= tile_rows(wide_layout(n), fma) {
+        trace::count(names::COMPUTE_MATMUL_UNPACKED, 1);
+        nn_core(a, BSource::InPlace(b), c, bias, act, fma)
+    } else {
+        let packed = PackedB::pack(b.as_slice(), k, n, Tensor::scratch);
+        nn_core(a, BSource::Packed(&packed), c, bias, act, fma)
+    }
+}
+
+/// [`tiled_nn`] against panels packed once ([`PackedB::new`]): no pack, at
+/// any row count. The panels are B's, so the bits are those of `tiled_nn`
+/// over the weight they were packed from.
+pub(crate) fn tiled_nn_packed(
+    a: &Tensor,
+    w: &PackedB,
+    bias: Option<&[f32]>,
+    act: Activation,
+    fma: bool,
+) -> Tensor {
+    if let Some(c) = nn_degenerate(a, w.k, w.n, bias, act) {
+        return c;
+    }
+    let c = Tensor::zeros(&[a.rows(), w.n]);
+    nn_core(a, BSource::Packed(w), c, bias, act, fma)
+}
+
+/// The NN kernel proper over non-empty operands, into the zeroed `[m, n]`
+/// output `c`.
+fn nn_core(
+    a: &Tensor,
+    b: BSource,
+    mut c: Tensor,
+    bias: Option<&[f32]>,
+    act: Activation,
+    fma: bool,
+) -> Tensor {
     let (m, k) = (a.rows(), a.cols());
-    let (kb, n) = (b.rows(), b.cols());
-    assert_eq!(k, kb, "matmul: inner dims {k} vs {kb}");
-    let mut c = Tensor::zeros(&[m, n]);
-    if m == 0 || n == 0 {
-        return c;
-    }
-    let gelu = GeluClock::start(act == Activation::Gelu);
-    if k == 0 {
-        // Empty reduction: C is all zeros, but the epilogue still applies.
-        epilogue(c.as_mut_slice(), n, bias, act, &gelu);
-        gelu.record(m * n);
-        return c;
-    }
+    let n = c.cols();
     #[cfg(not(target_arch = "x86_64"))]
     let _ = fma;
-    // The wide tile only pays when at least one panel is full-width.
-    let wide = avx512_available() && n >= NR_W;
-    let (mc, mr, nr, kcb) = if wide {
-        (MC_W, MR_W, NR_W, KC_W)
-    } else {
-        (MC, MR, NR, KC)
+    // Unpacked: one `k`-block at B's own row stride. Packed: the layout the
+    // panels record. The FMA wide kernel runs 5-row tiles (see
+    // [`MR_W_FMA`]); blocking (`kcb`) is shared with the exact tier:
+    // measured on AVX-512 hosts, L1-resident B panels beat a
+    // register-resident C with full-`k` panels streaming from L2.
+    let (wide, nr, kcb, ldb) = match b {
+        BSource::InPlace(_) => {
+            let wide = wide_layout(n);
+            (wide, if wide { NR_W } else { NR }, k, n)
+        }
+        BSource::Packed(p) => (p.nr == NR_W, p.nr, p.kcb, p.nr),
     };
-    // The FMA wide kernel runs 5-row tiles (see [`MR_W_FMA`]). Blocking
-    // (`kcb`) is shared with the exact tier: measured on AVX-512 hosts,
-    // L1-resident B panels beat a register-resident C with full-`k` panels
-    // streaming from L2.
-    let mr = if wide && fma { MR_W_FMA } else { mr };
-    let (av, bv) = (a.as_slice(), b.as_slice());
+    let mc = if wide { MC_W } else { MC };
+    let mr = tile_rows(wide, fma);
+    let av = a.as_slice();
     let n_panels = n.div_ceil(nr);
-    let packed = if m <= mr {
-        trace::count(names::COMPUTE_MATMUL_UNPACKED, 1);
-        None
-    } else {
-        Some(timed_pack(k * n_panels * nr, || {
-            PackedB::pack(bv, k, n, nr, kcb)
-        }))
-    };
-    // Unpacked: one `k`-block, B's own row stride.
-    let (kcb, ldb) = if packed.is_some() { (kcb, nr) } else { (k, n) };
-    let packed = packed.as_ref();
+    let gelu = GeluClock::start(act == Activation::Gelu);
 
     let body = |chunk_idx: usize, cchunk: &mut [f32]| {
         let ia0 = chunk_idx * mc;
@@ -478,9 +639,9 @@ pub(crate) fn tiled_nn(
             for p in 0..n_panels {
                 let j0 = p * nr;
                 let width = nr.min(n - j0);
-                let bpanel = match packed {
-                    Some(packed) => packed.panel(k0, kc, p),
-                    None => &bv[k0 * n + j0..],
+                let bpanel = match &b {
+                    BSource::Packed(packed) => packed.panel(k0, kc, p),
+                    BSource::InPlace(b) => &b.as_slice()[k0 * n + j0..],
                 };
                 let mut r = 0;
                 while r < rows {
@@ -505,7 +666,12 @@ pub(crate) fn tiled_nn(
                                     )
                                 };
                             }
-                            // SAFETY: `wide` proves AVX-512F support; the
+                            // SAFETY: `wide` proves AVX-512F support — read
+                            // in place it was just checked, and a
+                            // `PackedB` takes the `NR_W` layout only where
+                            // `wide_layout` checked it (the fields are
+                            // private to this module; a CPU's features do
+                            // not change while a process runs); the
                             // loop bounds keep `ia0+r+rh` rows inside `av`;
                             // `bpanel` is either a packed panel, exactly
                             // `kc·NR_W` long at `ldb = NR_W`, or row-major
@@ -572,20 +738,14 @@ pub(crate) fn tiled_nn(
 /// across the whole reduction (they cannot round-trip through C without
 /// collapsing the chains), so there is no KC blocking to offset for. Only
 /// the `n / nr` full panels are packed; ragged edge columns take the plain
-/// [`dot4`] path over unpacked B rows.
-fn pack_bt(bv: &[f32], k: usize, n: usize, nr: usize) -> (Tensor, usize) {
+/// [`dot4`] path over unpacked B rows. Aligned like [`PackedB`], for the
+/// same reason: the wide NT kernel is load-bound.
+fn pack_bt(bv: &[f32], k: usize, n: usize, nr: usize) -> Aligned {
     let full_panels = n / nr;
-    let len = full_panels * k * nr;
-    // 64-byte-align the panels, exactly as [`PackedB::pack`] does and for
-    // the same reason: the wide NT kernel is load-bound, and a 16-byte
-    // buffer base would split most of its 64-byte panel loads across
-    // cache lines.
-    let mut data = Tensor::scratch(len + 16);
-    let align_off = (data.as_slice().as_ptr() as usize).wrapping_neg() % 64 / 4;
+    let mut data = Aligned::new(full_panels * k * nr, Tensor::scratch);
     // Lane-outer traversal: each B row is read once, sequentially, and
     // scattered down its panel column (stride `nr`).
-    for p in 0..full_panels {
-        let panel = &mut data.as_mut_slice()[align_off + p * k * nr..align_off + (p + 1) * k * nr];
+    for (p, panel) in data.as_mut_slice().chunks_exact_mut(k * nr).enumerate() {
         for lane in 0..nr {
             let src = &bv[(p * nr + lane) * k..(p * nr + lane + 1) * k];
             for (kk, &x) in src.iter().enumerate() {
@@ -593,7 +753,7 @@ fn pack_bt(bv: &[f32], k: usize, n: usize, nr: usize) -> (Tensor, usize) {
             }
         }
     }
-    (data, align_off)
+    data
 }
 
 /// Portable NT micro-kernel: one A row × [`NT_NR`] output columns, columns
@@ -717,7 +877,7 @@ pub(crate) fn tiled_nt(a: &Tensor, b: &Tensor, fma: bool) -> Tensor {
     let wide = avx512_available() && n >= NT_NR_W;
     let nr = if wide { NT_NR_W } else { NT_NR };
     let full_panels = n / nr;
-    let (packed, align_off) = timed_pack(full_panels * k * nr, || pack_bt(bv, k, n, nr));
+    let packed = timed_pack(full_panels * k * nr, || pack_bt(bv, k, n, nr));
     let packed = packed.as_slice();
 
     let body = |chunk_idx: usize, cchunk: &mut [f32]| {
@@ -725,7 +885,7 @@ pub(crate) fn tiled_nt(a: &Tensor, b: &Tensor, fma: bool) -> Tensor {
         let rows = cchunk.len() / n;
         for p in 0..full_panels {
             let j0 = p * nr;
-            let bpanel = &packed[align_off + p * k * nr..align_off + (p + 1) * k * nr];
+            let bpanel = &packed[p * k * nr..(p + 1) * k * nr];
             for r in 0..rows {
                 let arow = &av[(ia0 + r) * k..(ia0 + r + 1) * k];
                 let cseg = &mut cchunk[r * n + j0..r * n + j0 + nr];
@@ -843,6 +1003,16 @@ impl MatmulBackend for TiledFma {
         act: Activation,
     ) -> Tensor {
         tiled_nn(a, b, bias, act, true)
+    }
+
+    fn matmul_packed(
+        &self,
+        a: &Tensor,
+        w: &PackedB,
+        bias: Option<&[f32]>,
+        act: Activation,
+    ) -> Tensor {
+        tiled_nn_packed(a, w, bias, act, true)
     }
 }
 
@@ -1043,14 +1213,17 @@ mod tests {
             {
                 let b = Tensor::randn(&[k, n], 1.0, &mut rng);
                 let exact = Reference.matmul(&a, &b);
-                let fma = TiledFma.matmul(&a, &b);
                 let bound = abs_bound(&a, &b, false);
-                for i in 0..m * n {
-                    let d = (exact.as_slice()[i] - fma.as_slice()[i]).abs();
-                    assert!(
-                        d <= tol_of(bound.as_slice()[i], k),
-                        "nn {m}x{k}x{n} elem {i}: Δ={d}"
-                    );
+                let prepacked =
+                    TiledFma.matmul_packed(&a, &PackedB::new(&b), None, Activation::Identity);
+                for (path, fma) in [("nn", TiledFma.matmul(&a, &b)), ("prepacked nn", prepacked)] {
+                    for i in 0..m * n {
+                        let d = (exact.as_slice()[i] - fma.as_slice()[i]).abs();
+                        assert!(
+                            d <= tol_of(bound.as_slice()[i], k),
+                            "{path} {m}x{k}x{n} elem {i}: Δ={d}"
+                        );
+                    }
                 }
             }
             {
@@ -1135,6 +1308,60 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A weight packed once gives every call the bits of the per-call path —
+    /// which packs, or reads B in place at `m ≤ mr` — plain and through the
+    /// fused bias+GELU epilogue, on both tiers; on the exact tier those are
+    /// the reference's (and `Reference` inherits the exact tier's
+    /// `matmul_packed`).
+    #[test]
+    fn prepacked_matches_packed_per_call_and_reference() {
+        let mut rng = Rng::seed_from(18);
+        for (m, k, n) in shapes() {
+            let a = Tensor::randn(&[m, k], 1.0, &mut rng);
+            let b = Tensor::randn(&[k, n], 1.0, &mut rng);
+            let bias: Vec<f32> = (0..n).map(|j| (j as f32) * 0.01 - 1.0).collect();
+            let w = PackedB::new(&b);
+            assert_eq!((w.rows(), w.cols()), (k, n));
+            for (bias, act) in [
+                (None, Activation::Identity),
+                (Some(bias.as_slice()), Activation::Gelu),
+            ] {
+                let what = format!("{m}x{k}x{n} {act:?}");
+                let reference = Reference.matmul_bias_act(&a, &b, bias, act);
+                let per_call = Tiled.matmul_bias_act(&a, &b, bias, act);
+                assert_bitwise(&per_call, &reference, &format!("per call {what}"));
+                assert_bitwise(
+                    &Tiled.matmul_packed(&a, &w, bias, act),
+                    &reference,
+                    &format!("prepacked {what}"),
+                );
+                assert_bitwise(
+                    &TiledFma.matmul_packed(&a, &w, bias, act),
+                    &TiledFma.matmul_bias_act(&a, &b, bias, act),
+                    &format!("tiled:fma prepacked {what}"),
+                );
+            }
+        }
+    }
+
+    /// A cloned weight is aligned in its own buffer and multiplies the same.
+    #[test]
+    fn a_cloned_packed_weight_multiplies_the_same() {
+        let mut rng = Rng::seed_from(19);
+        let (a, b) = (
+            Tensor::randn(&[9, 300], 1.0, &mut rng),
+            Tensor::randn(&[300, 130], 1.0, &mut rng),
+        );
+        let w = PackedB::new(&b);
+        let copy = w.clone();
+        drop(w);
+        assert_bitwise(
+            &Tiled.matmul_packed(&a, &copy, None, Activation::Identity),
+            &Reference.matmul(&a, &b),
+            "clone",
+        );
     }
 
     #[test]
