@@ -1,8 +1,11 @@
 //! Collective-algorithm benchmarks over the shared-memory transport
 //! (backing experiment E3's functional half).
 
-use bagualu::comm::collectives::{allreduce, alltoallv, alltoallv_hierarchical, ReduceOp};
+use bagualu::comm::collectives::{
+    allreduce_wire, alltoallv_hierarchical_wire, alltoallv_wire, ReduceOp,
+};
 use bagualu::comm::harness::run_ranks;
+use bagualu::comm::WireDType;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 fn bench_allreduce(c: &mut Criterion) {
@@ -14,7 +17,7 @@ fn bench_allreduce(c: &mut Criterion) {
                 run_ranks(8, |c| {
                     use bagualu::comm::shm::Communicator;
                     let data = vec![c.rank() as f32; len];
-                    let out = allreduce(&c, data, ReduceOp::Sum);
+                    let out = allreduce_wire(&c, data, ReduceOp::Sum, WireDType::F32);
                     assert_eq!(out[0], 28.0);
                 });
             })
@@ -35,7 +38,7 @@ fn bench_alltoall(c: &mut Criterion) {
                 let parts: Vec<Vec<f32>> = (0..nranks)
                     .map(|_| vec![c.rank() as f32; per_pair])
                     .collect();
-                alltoallv(&c, parts);
+                alltoallv_wire(&c, parts, WireDType::F32);
             });
         })
     });
@@ -46,7 +49,7 @@ fn bench_alltoall(c: &mut Criterion) {
                 let parts: Vec<Vec<f32>> = (0..nranks)
                     .map(|_| vec![c.rank() as f32; per_pair])
                     .collect();
-                alltoallv_hierarchical(&c, parts, 4);
+                alltoallv_hierarchical_wire(&c, parts, 4, WireDType::F32);
             });
         })
     });

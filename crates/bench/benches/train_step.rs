@@ -2,12 +2,13 @@
 //! MoDa step (4 ranks), pairwise vs hierarchical all-to-all.
 
 use bagualu::comm::harness::run_ranks;
+use bagualu::comm::WireDType;
 use bagualu::model::config::ModelConfig;
 use bagualu::model::param::HasParams;
 use bagualu::model::transformer::Transformer;
 use bagualu::parallel::model_dist::DistTransformer;
 use bagualu::parallel::moe_dist::A2aKind;
-use bagualu::parallel::sync::sync_grads;
+use bagualu::parallel::sync::sync_grads_wire;
 use bagualu::tensor::rng::Rng;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
@@ -59,7 +60,7 @@ fn bench_dist_step(c: &mut Criterion) {
                         (0..4 * 16).map(|i| (i + comm.rank()) % cfg.vocab).collect();
                     let targets: Vec<usize> = (0..4 * 16).map(|i| (i + 1) % cfg.vocab).collect();
                     model.train_batch(&tokens, &targets, 4, 16, &comm);
-                    sync_grads(&mut model, &comm);
+                    sync_grads_wire(&mut model, &comm, WireDType::F32);
                 });
             })
         });

@@ -7,8 +7,9 @@
 //!   latency asymptotics actually separate the algorithms.
 
 use crate::table::Table;
-use bagualu::comm::collectives::{alltoallv, alltoallv_hierarchical};
+use bagualu::comm::collectives::{alltoallv_hierarchical_wire, alltoallv_wire};
 use bagualu::comm::harness::run_ranks_map;
+use bagualu::comm::WireDType;
 use bagualu::hw::MachineConfig;
 use bagualu::net::cost::CollectiveCost;
 use std::time::Instant;
@@ -22,17 +23,17 @@ fn time_functional(nranks: usize, supernode: usize, floats_per_pair: usize, hier
             .collect();
         // Warm up once, then time.
         let _ = if hier {
-            alltoallv_hierarchical(&c, parts.clone(), supernode)
+            alltoallv_hierarchical_wire(&c, parts.clone(), supernode, WireDType::F32)
         } else {
-            alltoallv(&c, parts.clone())
+            alltoallv_wire(&c, parts.clone(), WireDType::F32)
         };
         c.barrier();
         let start = Instant::now();
         for _ in 0..reps {
             let _ = if hier {
-                alltoallv_hierarchical(&c, parts.clone(), supernode)
+                alltoallv_hierarchical_wire(&c, parts.clone(), supernode, WireDType::F32)
             } else {
-                alltoallv(&c, parts.clone())
+                alltoallv_wire(&c, parts.clone(), WireDType::F32)
             };
         }
         c.barrier();

@@ -10,12 +10,13 @@
 use crate::table::Table;
 use bagualu::comm::shm::{Communicator, World};
 use bagualu::comm::timed::{TimedComm, TwoLevelCost};
+use bagualu::comm::WireDType;
 use bagualu::model::config::ModelConfig;
 use bagualu::model::loss::cross_entropy;
 use bagualu::model::param::HasParams;
 use bagualu::parallel::model_dist::DistTransformer;
 use bagualu::parallel::moe_dist::A2aKind;
-use bagualu::parallel::sync::sync_grads;
+use bagualu::parallel::sync::sync_grads_wire;
 use bagualu::tensor::rng::Rng;
 
 const NRANKS: usize = 16;
@@ -49,7 +50,7 @@ fn timed_step(a2a: A2aKind) -> (f64, f64) {
                     let (_, dlogits) = cross_entropy(&logits, &targets);
                     model.backward(&dlogits, comm);
                     let fwd_bwd_time = comm.virtual_makespan();
-                    sync_grads(&mut model, comm);
+                    sync_grads_wire(&mut model, comm, WireDType::F32);
                     model.zero_grad();
                     comm.barrier();
                     (fwd_bwd_time, comm.virtual_makespan())

@@ -28,6 +28,7 @@ use crate::table::Table;
 use bagualu::comm::harness::run_ranks_map;
 use bagualu::comm::shm::{CommStats, Communicator};
 use bagualu::comm::CommFamily;
+use bagualu::comm::WireDType;
 use bagualu::hw::MachineConfig;
 use bagualu::metrics::format_si;
 use bagualu::model::config::ModelConfig;
@@ -36,7 +37,7 @@ use bagualu::model::param::HasParams;
 use bagualu::net::cost::CollectiveCost;
 use bagualu::parallel::model_dist::DistTransformer;
 use bagualu::parallel::moe_dist::A2aKind;
-use bagualu::parallel::sync::sync_grads;
+use bagualu::parallel::sync::sync_grads_wire;
 use bagualu::parallel::ExpertPlacement;
 use bagualu::tensor::rng::Rng;
 use bagualu::trace::names;
@@ -89,7 +90,7 @@ fn measure(nranks: usize, s: usize, placement: ExpertPlacement, bias: f32) -> Co
         let tgt = targets_ref[lo..lo + per_rank * seq].to_vec();
         for _ in 0..6 {
             dist.train_batch(&tok, &tgt, per_rank, seq, &c);
-            sync_grads(&mut dist, &c);
+            sync_grads_wire(&mut dist, &c, WireDType::F32);
             dist.visit_params(&mut |p| {
                 let g = p.grad.clone();
                 p.value.axpy(-0.1, &g);

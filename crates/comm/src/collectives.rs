@@ -1,10 +1,13 @@
-//! Collective algorithms over any [`Communicator`].
-//!
-//! Implemented exactly as they would be over MPI point-to-point:
+//! Collective algorithms over any [`Communicator`], one entry point per
+//! collective and one body per algorithm, implemented exactly as they would
+//! be over MPI point-to-point. Tensor collectives take the [`WireDType`]
+//! their chunks travel in.
 //!
 //! * binomial-tree broadcast,
-//! * ring reduce-scatter and ring all-gather, composed into the bandwidth-
-//!   optimal ring all-reduce used for data-parallel gradient averaging,
+//! * the ring ([`RingAllreduce`]): reduce-scatter then all-gather, the
+//!   bandwidth-optimal all-reduce used for data-parallel gradient averaging,
+//! * recursive doubling, the latency-optimal all-reduce (blocking or
+//!   failure-aware),
 //! * pairwise-exchange all-to-all(v) — the naive baseline,
 //! * **hierarchical all-to-all(v)** — the two-phase, supernode-aware
 //!   algorithm: bundle by destination local index inside the supernode,
@@ -13,9 +16,12 @@
 //!   ones, which is the communication contribution this reproduction
 //!   studies (experiments E2/E3).
 
+use crate::fault::{CommError, FtCommunicator};
 use crate::payload::{Payload, WireDType};
 use crate::shm::Communicator;
 use bagualu_tensor::reservoir;
+use std::convert::Infallible;
+use std::time::Duration;
 
 /// Element-wise reduction applied by reduce collectives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,7 +73,8 @@ pub(crate) mod tags {
     pub const TAG_RD: u64 = 110;
     pub const TAG_A2A_U32: u64 = 111;
     /// Tag range for concurrently in-flight bucketed all-reduces; bucket
-    /// `i` uses `TAG_BUCKET_BASE + i % (TAG_BUCKET_END - TAG_BUCKET_BASE)`.
+    /// `i` uses `TAG_BUCKET_BASE + i`, so at most
+    /// `TAG_BUCKET_END - TAG_BUCKET_BASE` buckets may be in flight.
     pub const TAG_BUCKET_BASE: u64 = 0x1000;
     pub const TAG_BUCKET_END: u64 = 0x2000;
 }
@@ -130,13 +137,13 @@ pub fn broadcast<C: Communicator>(c: &C, root: usize, msg: Option<Vec<f32>>) -> 
 /// all-gather, `2(n-1)` steps, each moving `len/n` elements.
 ///
 /// The classic blocking loop is restructured as a stepper so callers can
-/// interleave useful work between steps: [`RingAllreduce::start`] launches
-/// step 0, [`RingAllreduce::poll`] advances through every step whose
-/// message has already arrived (never blocking), and
+/// interleave useful work between steps: [`RingAllreduce::start_wire`]
+/// launches step 0, [`RingAllreduce::poll`] advances through every step
+/// whose message has already arrived (never blocking), and
 /// [`RingAllreduce::finish`] blocks through the remaining steps. Several
 /// steppers with distinct tags may be in flight on one communicator — the
-/// basis of [`bucketed_allreduce`] and the trainer's overlapped gradient
-/// sync.
+/// basis of [`bucketed_allreduce_wire`] and the trainer's overlapped
+/// gradient sync.
 pub struct RingAllreduce<C: Communicator> {
     data: Vec<f32>,
     op: ReduceOp,
@@ -149,21 +156,16 @@ pub struct RingAllreduce<C: Communicator> {
     wire: WireDType,
     /// Steps completed so far, in `0..=total`.
     step: usize,
-    /// `2(n-1)` for `n > 1`, `0` for a single rank.
+    /// `2(n-1)` for an all-reduce (`n-1` when [`reduce_scatter`] stops it
+    /// after the first half), `0` for a single rank.
     total: usize,
     pending: Option<C::RecvReq>,
 }
 
 impl<C: Communicator> RingAllreduce<C> {
     /// Begin the all-reduce: sends this rank's first chunk and posts the
-    /// receive for step 0. Single-rank groups complete immediately.
-    /// Uncompressed (`f32`) wire; see [`RingAllreduce::start_wire`].
-    pub fn start(c: &C, data: Vec<f32>, op: ReduceOp, tag: u64) -> RingAllreduce<C> {
-        RingAllreduce::start_wire(c, data, op, tag, WireDType::F32)
-    }
-
-    /// [`RingAllreduce::start`] with an explicit wire format: chunks are
-    /// packed to `wire` before every send and expanded back to `f32` on
+    /// receive for step 0. Single-rank groups complete immediately. Chunks
+    /// are packed to `wire` before every send and expanded back to `f32` on
     /// receipt, halving bytes in flight for the 16-bit formats.
     pub fn start_wire(
         c: &C,
@@ -172,8 +174,7 @@ impl<C: Communicator> RingAllreduce<C> {
         tag: u64,
         wire: WireDType,
     ) -> RingAllreduce<C> {
-        let n = c.size();
-        let total = if n > 1 { 2 * (n - 1) } else { 0 };
+        let total = 2 * (c.size() - 1);
         let mut ring = RingAllreduce {
             data,
             op,
@@ -283,14 +284,9 @@ impl<C: Communicator> RingAllreduce<C> {
 }
 
 /// Ring all-reduce, blocking. Thin wrapper over [`RingAllreduce`];
-/// bandwidth-optimal, the data-parallel gradient path of the trainer.
-pub fn allreduce<C: Communicator>(c: &C, data: Vec<f32>, op: ReduceOp) -> Vec<f32> {
-    RingAllreduce::start(c, data, op, TAG_RING).finish(c)
-}
-
-/// [`allreduce`] with an explicit wire format — each of the `2(n-1)` hops
-/// rounds its chunk to `wire` in flight while the reduction accumulates in
-/// `f32`. `WireDType::F32` is bit-identical to [`allreduce`].
+/// bandwidth-optimal, the data-parallel gradient path of the trainer. Each
+/// of the `2(n-1)` hops rounds its chunk to `wire` in flight while the
+/// reduction accumulates in `f32`.
 pub fn allreduce_wire<C: Communicator>(
     c: &C,
     data: Vec<f32>,
@@ -300,34 +296,37 @@ pub fn allreduce_wire<C: Communicator>(
     RingAllreduce::start_wire(c, data, op, TAG_RING, wire).finish(c)
 }
 
-/// Tag for bucket index `i` (wraps within the reserved bucket range; the
-/// wrap is harmless because at most a handful of buckets are in flight and
-/// completion order within a tag is FIFO per sender).
+/// Tag for bucket index `i`, one per concurrently in-flight bucket. Panics
+/// past the reserved range instead of wrapping: the transport matches
+/// receives by post order per `(src, tag)`, so two rings in flight on one
+/// tag could be handed each other's chunks.
 pub fn bucket_tag(i: usize) -> u64 {
-    TAG_BUCKET_BASE + (i as u64) % (TAG_BUCKET_END - TAG_BUCKET_BASE)
+    let tag = TAG_BUCKET_BASE + i as u64;
+    assert!(
+        tag < TAG_BUCKET_END,
+        "bucket {i} is past the {} in-flight bucket tags",
+        TAG_BUCKET_END - TAG_BUCKET_BASE
+    );
+    tag
 }
 
 /// Reduce several independent buffers ("buckets") with concurrently
-/// in-flight ring all-reduces, each on its own tag. Equivalent to calling
-/// [`allreduce`] per bucket, but the rings progress together so one slow
-/// chunk does not serialize the rest. Returns reduced buckets in order.
-pub fn bucketed_allreduce<C: Communicator>(
-    c: &C,
-    buckets: Vec<Vec<f32>>,
-    op: ReduceOp,
-) -> Vec<Vec<f32>> {
-    bucketed_allreduce_wire(c, buckets, op, WireDType::F32)
-}
-
-/// [`bucketed_allreduce`] with an explicit wire format; every bucket's ring
-/// packs each hop to `wire`. `WireDType::F32` is bit-identical to the
-/// uncompressed path.
+/// in-flight ring all-reduces, each on its own tag and packing each hop to
+/// `wire`. Equivalent to calling [`allreduce_wire`] per bucket, but the
+/// rings progress together so one slow chunk does not serialize the rest.
+/// Returns reduced buckets in order.
 pub fn bucketed_allreduce_wire<C: Communicator>(
     c: &C,
     buckets: Vec<Vec<f32>>,
     op: ReduceOp,
     wire: WireDType,
 ) -> Vec<Vec<f32>> {
+    assert!(
+        buckets.len() as u64 <= TAG_BUCKET_END - TAG_BUCKET_BASE,
+        "bucketed all-reduce: {} buckets exceed the {} in-flight bucket tags",
+        buckets.len(),
+        TAG_BUCKET_END - TAG_BUCKET_BASE
+    );
     let mut rings: Vec<RingAllreduce<C>> = buckets
         .into_iter()
         .enumerate()
@@ -361,12 +360,36 @@ pub fn bucketed_allreduce_wire<C: Communicator>(
 /// are sent back to the folded ranks.
 pub fn allreduce_recursive_doubling<C: Communicator>(
     c: &C,
-    mut data: Vec<f32>,
+    data: Vec<f32>,
     op: ReduceOp,
 ) -> Vec<f32> {
+    let Ok(data) = recursive_doubling::<_, Infallible>(
+        c,
+        data,
+        op,
+        |to, v| {
+            c.send(to, TAG_RD, v.into());
+            Ok(())
+        },
+        |from| Ok(c.recv(from, TAG_RD).into_f32()),
+    );
+    data
+}
+
+/// The one recursive-doubling body (fold → doubling → unfold), over a
+/// send/receive pair on `TAG_RD` whose error type the caller picks:
+/// `Infallible` for the blocking path, [`CommError`] for the failure-aware
+/// one. The first error aborts the collective.
+fn recursive_doubling<C: Communicator, E>(
+    c: &C,
+    mut data: Vec<f32>,
+    op: ReduceOp,
+    send: impl Fn(usize, Vec<f32>) -> Result<(), E>,
+    recv: impl Fn(usize) -> Result<Vec<f32>, E>,
+) -> Result<Vec<f32>, E> {
     let n = c.size();
     if n == 1 {
-        return data;
+        return Ok(data);
     }
     let rank = c.rank();
     let r = n.next_power_of_two() >> if n.is_power_of_two() { 0 } else { 1 };
@@ -376,10 +399,10 @@ pub fn allreduce_recursive_doubling<C: Communicator>(
     // neighbour and sit out.
     let vrank = if rank < 2 * rem {
         if rank.is_multiple_of(2) {
-            c.send(rank + 1, TAG_RD, data.clone().into());
+            send(rank + 1, data.clone())?;
             None
         } else {
-            let got = c.recv(rank - 1, TAG_RD).into_f32();
+            let got = recv(rank - 1)?;
             op.apply(&mut data, &got);
             Some(rank / 2)
         }
@@ -392,8 +415,8 @@ pub fn allreduce_recursive_doubling<C: Communicator>(
         let mut mask = 1usize;
         while mask < r {
             let partner = real(v ^ mask);
-            c.send(partner, TAG_RD, data.clone().into());
-            let got = c.recv(partner, TAG_RD).into_f32();
+            send(partner, data.clone())?;
+            let got = recv(partner)?;
             op.apply(&mut data, &got);
             mask <<= 1;
         }
@@ -402,34 +425,26 @@ pub fn allreduce_recursive_doubling<C: Communicator>(
     // Unfold: odd ranks send the final result back to their even partner.
     if rank < 2 * rem {
         if rank.is_multiple_of(2) {
-            data = c.recv(rank + 1, TAG_RD).into_f32();
+            data = recv(rank + 1)?;
         } else {
-            c.send(rank - 1, TAG_RD, data.clone().into());
+            send(rank - 1, data.clone())?;
         }
     }
-    data
+    Ok(data)
 }
 
 /// Ring reduce-scatter: every rank contributes `data` (same length on all
 /// ranks); rank `r` returns the fully reduced chunk `r` (the `bound(len,n,r)`
-/// to `bound(len,n,r+1)` range).
-pub fn reduce_scatter<C: Communicator>(c: &C, mut data: Vec<f32>, op: ReduceOp) -> Vec<f32> {
-    let n = c.size();
-    let rank = c.rank();
+/// to `bound(len,n,r+1)` range). This is the first `n-1` steps of
+/// [`RingAllreduce`] on `TAG_RING`.
+pub fn reduce_scatter<C: Communicator>(c: &C, data: Vec<f32>, op: ReduceOp) -> Vec<f32> {
+    let (n, rank) = (c.size(), c.rank());
     let len = data.len();
-    if n == 1 {
-        return data;
-    }
-    let right = (rank + 1) % n;
-    let left = (rank + n - 1) % n;
-    for s in 0..n - 1 {
-        let cs = (rank + 2 * n - 1 - s) % n;
-        let cr = (rank + 2 * n - 2 - s) % n;
-        let send_chunk = data[bound(len, n, cs)..bound(len, n, cs + 1)].to_vec();
-        c.send(right, TAG_RING, send_chunk.into());
-        let got = c.recv(left, TAG_RING).into_f32();
-        op.apply(&mut data[bound(len, n, cr)..bound(len, n, cr + 1)], &got);
-    }
+    let mut ring = RingAllreduce::start_wire(c, data, op, TAG_RING, WireDType::F32);
+    // Stop before the all-gather half: after step n-2, rank r holds chunk r
+    // fully reduced. Only step 0 is in flight yet, so no later step launches.
+    ring.total = n - 1;
+    let data = ring.finish(c);
     data[bound(len, n, rank)..bound(len, n, rank + 1)].to_vec()
 }
 
@@ -461,46 +476,45 @@ pub fn allgather<C: Communicator>(c: &C, local: Vec<f32>) -> Vec<Vec<f32>> {
 
 /// Pairwise-exchange all-to-all(v). `parts[d]` is the buffer for rank `d`
 /// (lengths may differ). Returns the received buffers indexed by source.
-pub fn alltoallv<C: Communicator>(c: &C, parts: Vec<Vec<f32>>) -> Vec<Vec<f32>> {
-    alltoallv_wire(c, parts, WireDType::F32)
-}
-
-/// [`alltoallv`] with an explicit wire format: every sent part is packed to
-/// `wire` and expanded on receipt. The self-part never touches the wire and
-/// is returned unrounded, as on a real machine where local traffic stays in
-/// memory. `WireDType::F32` is bit-identical to [`alltoallv`].
+/// Every sent part is packed to `wire` and expanded on receipt. The
+/// self-part never touches the wire and is returned unrounded, as on a real
+/// machine where local traffic stays in memory.
 pub fn alltoallv_wire<C: Communicator>(
     c: &C,
-    mut parts: Vec<Vec<f32>>,
+    parts: Vec<Vec<f32>>,
     wire: WireDType,
 ) -> Vec<Vec<f32>> {
+    pairwise_exchange(
+        c,
+        parts,
+        TAG_A2A,
+        |p| Payload::pack(wire, p),
+        Payload::into_floats,
+    )
+}
+
+/// The one pairwise-exchange body: at step `s` every rank sends to
+/// `rank + s` and receives from `rank - s` (mod `n`), so each ordered pair
+/// exchanges once. `pack`/`unpack` wrap one part for the wire.
+fn pairwise_exchange<C: Communicator, T>(
+    c: &C,
+    mut parts: Vec<Vec<T>>,
+    tag: u64,
+    pack: impl Fn(Vec<T>) -> Payload,
+    unpack: impl Fn(Payload) -> Vec<T>,
+) -> Vec<Vec<T>> {
     let n = c.size();
-    assert_eq!(parts.len(), n, "alltoallv: need one part per rank");
+    assert_eq!(parts.len(), n, "all-to-all: need one part per rank");
     let rank = c.rank();
-    let mut out: Vec<Vec<f32>> = vec![Vec::new(); n];
+    let mut out: Vec<Vec<T>> = (0..n).map(|_| Vec::new()).collect();
     out[rank] = std::mem::take(&mut parts[rank]);
     for s in 1..n {
         let to = (rank + s) % n;
         let from = (rank + n - s) % n;
-        c.send(
-            to,
-            TAG_A2A,
-            Payload::pack(wire, std::mem::take(&mut parts[to])),
-        );
-        out[from] = c.recv(from, TAG_A2A).into_floats();
+        c.send(to, tag, pack(std::mem::take(&mut parts[to])));
+        out[from] = unpack(c.recv(from, tag));
     }
     out
-}
-
-/// All-to-all with equal-sized parts (asserts the invariant, then delegates
-/// to [`alltoallv`]).
-pub fn alltoall<C: Communicator>(c: &C, parts: Vec<Vec<f32>>) -> Vec<Vec<f32>> {
-    let len0 = parts.first().map(|p| p.len()).unwrap_or(0);
-    assert!(
-        parts.iter().all(|p| p.len() == len0),
-        "alltoall: unequal part sizes"
-    );
-    alltoallv(c, parts)
 }
 
 /// Hierarchical (two-phase, supernode-aware) all-to-all(v).
@@ -513,21 +527,11 @@ pub fn alltoall<C: Communicator>(c: &C, parts: Vec<Vec<f32>>) -> Vec<Vec<f32>> {
 /// number of cross-supernode messages per rank drops from `n - s` to
 /// `n/s - 1`.
 ///
-/// Semantics are identical to [`alltoallv`]: returns received buffers
-/// indexed by source rank.
-pub fn alltoallv_hierarchical<C: Communicator>(
-    c: &C,
-    parts: Vec<Vec<f32>>,
-    supernode_size: usize,
-) -> Vec<Vec<f32>> {
-    alltoallv_hierarchical_wire(c, parts, supernode_size, WireDType::F32)
-}
-
-/// [`alltoallv_hierarchical`] with an explicit wire format. Data bundles of
-/// *both* phases are packed per message, so a value that crosses supernodes
-/// is rounded twice (once per hop) — exactly what compressing each physical
-/// transfer implies; headers stay `u64` (they are counts, not tensors).
-/// `WireDType::F32` is bit-identical to [`alltoallv_hierarchical`].
+/// Semantics are identical to [`alltoallv_wire`]: returns received buffers
+/// indexed by source rank. Data bundles of *both* phases are packed to
+/// `wire` per message, so a value that crosses supernodes is rounded twice
+/// (once per hop) — exactly what compressing each physical transfer
+/// implies; headers stay `u64` (they are counts, not tensors).
 pub fn alltoallv_hierarchical_wire<C: Communicator>(
     c: &C,
     parts: Vec<Vec<f32>>,
@@ -620,38 +624,16 @@ pub fn alltoallv_hierarchical_wire<C: Communicator>(
 }
 
 /// Pairwise-exchange all-to-all(v) of `u64` metadata (routing tables,
-/// expert ids, counts). Same semantics as [`alltoallv`].
-pub fn alltoallv_u64<C: Communicator>(c: &C, mut parts: Vec<Vec<u64>>) -> Vec<Vec<u64>> {
-    let n = c.size();
-    assert_eq!(parts.len(), n, "alltoallv_u64: need one part per rank");
-    let rank = c.rank();
-    let mut out: Vec<Vec<u64>> = vec![Vec::new(); n];
-    out[rank] = std::mem::take(&mut parts[rank]);
-    for s in 1..n {
-        let to = (rank + s) % n;
-        let from = (rank + n - s) % n;
-        c.send(to, TAG_A2A_U64, std::mem::take(&mut parts[to]).into());
-        out[from] = c.recv(from, TAG_A2A_U64).into_u64();
-    }
-    out
+/// expert ids, counts). Same semantics as [`alltoallv_wire`].
+pub fn alltoallv_u64<C: Communicator>(c: &C, parts: Vec<Vec<u64>>) -> Vec<Vec<u64>> {
+    pairwise_exchange(c, parts, TAG_A2A_U64, Payload::from, Payload::into_u64)
 }
 
 /// Pairwise-exchange all-to-all(v) of `u32` metadata — the compact header
 /// channel for expert assignments and other ids that fit 4 bytes, halving
-/// header traffic vs [`alltoallv_u64`]. Same semantics as [`alltoallv`].
-pub fn alltoallv_u32<C: Communicator>(c: &C, mut parts: Vec<Vec<u32>>) -> Vec<Vec<u32>> {
-    let n = c.size();
-    assert_eq!(parts.len(), n, "alltoallv_u32: need one part per rank");
-    let rank = c.rank();
-    let mut out: Vec<Vec<u32>> = vec![Vec::new(); n];
-    out[rank] = std::mem::take(&mut parts[rank]);
-    for s in 1..n {
-        let to = (rank + s) % n;
-        let from = (rank + n - s) % n;
-        c.send(to, TAG_A2A_U32, std::mem::take(&mut parts[to]).into());
-        out[from] = c.recv(from, TAG_A2A_U32).into_u32();
-    }
-    out
+/// header traffic vs [`alltoallv_u64`]. Same semantics as [`alltoallv_wire`].
+pub fn alltoallv_u32<C: Communicator>(c: &C, parts: Vec<Vec<u32>>) -> Vec<Vec<u32>> {
+    pairwise_exchange(c, parts, TAG_A2A_U32, Payload::from, Payload::into_u32)
 }
 
 /// Sum-reduce a small `u64` vector across all ranks (every rank gets the
@@ -678,30 +660,7 @@ pub fn allreduce_u64<C: Communicator>(c: &C, data: Vec<u64>) -> Vec<u64> {
     out
 }
 
-/// Send `data` from every rank to rank `root`; root returns all buffers in
-/// rank order, others return an empty vec. (Linear gather — used for
-/// metrics collection, not on the training critical path.)
-pub fn gather<C: Communicator>(c: &C, root: usize, data: Vec<f32>) -> Vec<Vec<f32>> {
-    let n = c.size();
-    if c.rank() == root {
-        let mut out = vec![Vec::new(); n];
-        out[root] = data;
-        for (r, slot) in out.iter_mut().enumerate().take(n) {
-            if r != root {
-                *slot = c.recv(r, TAG_AG).into_f32();
-            }
-        }
-        out
-    } else {
-        c.send(root, TAG_AG, data.into());
-        Vec::new()
-    }
-}
-
 // ------------------------------------------------- failure-aware collectives
-
-use crate::fault::{CommError, FtCommunicator};
-use std::time::Duration;
 
 /// Recursive-doubling all-reduce that **detects silent peers** instead of
 /// hanging: every receive carries `timeout`, and a peer already known dead
@@ -716,102 +675,17 @@ use std::time::Duration;
 /// restart loop does.
 pub fn allreduce_ft<C: FtCommunicator>(
     c: &C,
-    mut data: Vec<f32>,
+    data: Vec<f32>,
     op: ReduceOp,
     timeout: Duration,
 ) -> Result<Vec<f32>, CommError> {
-    let n = c.size();
-    if n == 1 {
-        return Ok(data);
-    }
-    let rank = c.rank();
-    let r = n.next_power_of_two() >> if n.is_power_of_two() { 0 } else { 1 };
-    let rem = n - r;
-
-    // Fold (non-power-of-two): evens below 2·rem hand off and sit out.
-    let vrank = if rank < 2 * rem {
-        if rank.is_multiple_of(2) {
-            c.try_send(rank + 1, TAG_RD, data.clone().into())?;
-            None
-        } else {
-            let got = c.recv_timeout(rank - 1, TAG_RD, timeout)?.into_f32();
-            op.apply(&mut data, &got);
-            Some(rank / 2)
-        }
-    } else {
-        Some(rank - rem)
-    };
-
-    if let Some(v) = vrank {
-        let real = |v: usize| if v < rem { 2 * v + 1 } else { v + rem };
-        let mut mask = 1usize;
-        while mask < r {
-            let partner = real(v ^ mask);
-            c.try_send(partner, TAG_RD, data.clone().into())?;
-            let got = c.recv_timeout(partner, TAG_RD, timeout)?.into_f32();
-            op.apply(&mut data, &got);
-            mask <<= 1;
-        }
-    }
-
-    // Unfold: odd ranks return the result to their even partner.
-    if rank < 2 * rem {
-        if rank.is_multiple_of(2) {
-            data = c.recv_timeout(rank + 1, TAG_RD, timeout)?.into_f32();
-        } else {
-            c.try_send(rank - 1, TAG_RD, data.clone().into())?;
-        }
-    }
-    Ok(data)
-}
-
-/// Binomial-tree broadcast with dead/silent-peer detection, the
-/// failure-aware twin of [`broadcast`]. Same error contract as
-/// [`allreduce_ft`].
-pub fn broadcast_ft<C: FtCommunicator>(
-    c: &C,
-    root: usize,
-    msg: Option<Vec<f32>>,
-    timeout: Duration,
-) -> Result<Vec<f32>, CommError> {
-    let n = c.size();
-    let rank = c.rank();
-    assert_eq!(
-        rank == root,
-        msg.is_some(),
-        "msg must be Some exactly at root"
-    );
-    if n == 1 {
-        return Ok(msg.expect("single-rank broadcast has the message"));
-    }
-    let vrank = (rank + n - root) % n;
-    let real = |v: usize| (v + root) % n;
-
-    let mut buf = msg;
-    let mut mask = 1usize;
-    if vrank != 0 {
-        while mask < n {
-            if vrank & mask != 0 {
-                buf = Some(
-                    c.recv_timeout(real(vrank - mask), TAG_BCAST, timeout)?
-                        .into_f32(),
-                );
-                break;
-            }
-            mask <<= 1;
-        }
-    } else {
-        mask = n.next_power_of_two();
-    }
-    let buf = buf.expect("broadcast: no data received");
-    mask >>= 1;
-    while mask > 0 {
-        if vrank & mask == 0 && vrank + mask < n && vrank & (mask - 1) == 0 {
-            c.try_send(real(vrank + mask), TAG_BCAST, buf.clone().into())?;
-        }
-        mask >>= 1;
-    }
-    Ok(buf)
+    recursive_doubling(
+        c,
+        data,
+        op,
+        |to, v| c.try_send(to, TAG_RD, v.into()),
+        |from| Ok(c.recv_timeout(from, TAG_RD, timeout)?.into_f32()),
+    )
 }
 
 /// Failure-aware barrier: an [`allreduce_ft`] over one scalar. Unlike the
@@ -844,7 +718,7 @@ mod tests {
             let len = 23;
             run_ranks(n, |c| {
                 let data: Vec<f32> = (0..len).map(|i| (c.rank() * len + i) as f32).collect();
-                let out = allreduce(&c, data, ReduceOp::Sum);
+                let out = allreduce_wire(&c, data, ReduceOp::Sum, WireDType::F32);
                 for (i, &v) in out.iter().enumerate() {
                     let expect: f32 = (0..n).map(|r| (r * len + i) as f32).sum();
                     assert_eq!(v, expect, "n={n} i={i}");
@@ -857,9 +731,9 @@ mod tests {
     fn allreduce_max_and_min() {
         run_ranks(5, |c| {
             let data = vec![c.rank() as f32, -(c.rank() as f32)];
-            let mx = allreduce(&c, data.clone(), ReduceOp::Max);
+            let mx = allreduce_wire(&c, data.clone(), ReduceOp::Max, WireDType::F32);
             assert_eq!(mx, vec![4.0, 0.0]);
-            let mn = allreduce(&c, data, ReduceOp::Min);
+            let mn = allreduce_wire(&c, data, ReduceOp::Min, WireDType::F32);
             assert_eq!(mn, vec![0.0, -4.0]);
         });
     }
@@ -872,7 +746,7 @@ mod tests {
                 let data: Vec<f32> = (0..len)
                     .map(|i| ((c.rank() * 13 + i * 3) % 7) as f32)
                     .collect();
-                let ring = allreduce(&c, data.clone(), ReduceOp::Sum);
+                let ring = allreduce_wire(&c, data.clone(), ReduceOp::Sum, WireDType::F32);
                 let rd = allreduce_recursive_doubling(&c, data, ReduceOp::Sum);
                 for (a, b) in ring.iter().zip(&rd) {
                     assert!((a - b).abs() < 1e-4, "n={n}: {a} vs {b}");
@@ -893,7 +767,7 @@ mod tests {
     fn allreduce_short_buffer() {
         // len < n: some chunks are empty; the ring must still work.
         run_ranks(8, |c| {
-            let out = allreduce(&c, vec![1.0f32, 2.0], ReduceOp::Sum);
+            let out = allreduce_wire(&c, vec![1.0f32, 2.0], ReduceOp::Sum, WireDType::F32);
             assert_eq!(out, vec![8.0, 16.0]);
         });
     }
@@ -932,7 +806,7 @@ mod tests {
                 // parts[d] = [rank, d] so the receiver can verify both ends.
                 let parts: Vec<Vec<f32>> =
                     (0..n).map(|d| vec![c.rank() as f32, d as f32]).collect();
-                let got = alltoallv(&c, parts);
+                let got = alltoallv_wire(&c, parts, WireDType::F32);
                 for (src, buf) in got.iter().enumerate() {
                     assert_eq!(buf, &vec![src as f32, c.rank() as f32]);
                 }
@@ -953,7 +827,7 @@ mod tests {
                     }
                 })
                 .collect();
-            let got = alltoallv(&c, parts);
+            let got = alltoallv_wire(&c, parts, WireDType::F32);
             if c.rank() == 0 {
                 for (src, buf) in got.iter().enumerate() {
                     assert_eq!(buf, &vec![src as f32]);
@@ -975,8 +849,8 @@ mod tests {
                     vec![(c.rank() * 100 + d) as f32; len]
                 })
                 .collect();
-            let flat = alltoallv(&c, parts.clone());
-            let hier = alltoallv_hierarchical(&c, parts, 4);
+            let flat = alltoallv_wire(&c, parts.clone(), WireDType::F32);
+            let hier = alltoallv_hierarchical_wire(&c, parts, 4, WireDType::F32);
             assert_eq!(flat, hier, "rank {}", c.rank());
         });
     }
@@ -985,7 +859,7 @@ mod tests {
     fn hierarchical_single_supernode_degenerates() {
         run_ranks(4, |c| {
             let parts: Vec<Vec<f32>> = (0..4).map(|d| vec![d as f32]).collect();
-            let got = alltoallv_hierarchical(&c, parts, 4);
+            let got = alltoallv_hierarchical_wire(&c, parts, 4, WireDType::F32);
             for buf in got.iter() {
                 assert_eq!(buf, &vec![c.rank() as f32]);
             }
@@ -998,7 +872,7 @@ mod tests {
         let n = 12;
         run_ranks(n, |c| {
             let parts: Vec<Vec<f32>> = (0..n).map(|d| vec![(c.rank() * n + d) as f32]).collect();
-            let got = alltoallv_hierarchical(&c, parts, 2);
+            let got = alltoallv_hierarchical_wire(&c, parts, 2, WireDType::F32);
             for (src, buf) in got.iter().enumerate() {
                 assert_eq!(buf, &vec![(src * n + c.rank()) as f32]);
             }
@@ -1012,10 +886,10 @@ mod tests {
         let mk_parts =
             |rank: usize| -> Vec<Vec<f32>> { (0..n).map(|_| vec![rank as f32; 4]).collect() };
         let (_, flat_msgs) = run_ranks_counted(n, |c| {
-            alltoallv(&c, mk_parts(c.rank()));
+            alltoallv_wire(&c, mk_parts(c.rank()), WireDType::F32);
         });
         let (_, hier_msgs) = run_ranks_counted(n, |c| {
-            alltoallv_hierarchical(&c, mk_parts(c.rank()), 4);
+            alltoallv_hierarchical_wire(&c, mk_parts(c.rank()), 4, WireDType::F32);
         });
         // Flat: n*(n-1) = 240 payload messages. Hierarchical: n*(s + S) pairs
         // × 2 messages (header+data) = 16*8*2 = 256 — but only n*S = 64 of
@@ -1027,29 +901,21 @@ mod tests {
     }
 
     #[test]
-    fn gather_collects_at_root() {
-        run_ranks(6, |c| {
-            let out = gather(&c, 2, vec![c.rank() as f32]);
-            if c.rank() == 2 {
-                for (r, buf) in out.iter().enumerate() {
-                    assert_eq!(buf, &vec![r as f32]);
-                }
-            } else {
-                assert!(out.is_empty());
-            }
-        });
-    }
-
-    #[test]
     fn stepper_matches_blocking_allreduce() {
         for n in [1usize, 2, 3, 5, 8] {
             let len = 29;
             run_ranks(n, |c| {
                 let data: Vec<f32> = (0..len).map(|i| ((c.rank() * 7 + i) % 11) as f32).collect();
-                let blocking = allreduce(&c, data.clone(), ReduceOp::Sum);
+                let blocking = allreduce_wire(&c, data.clone(), ReduceOp::Sum, WireDType::F32);
                 // Drive the stepper purely through poll() to exercise the
                 // incremental path end to end.
-                let mut ring = RingAllreduce::start(&c, data, ReduceOp::Sum, bucket_tag(0));
+                let mut ring = RingAllreduce::start_wire(
+                    &c,
+                    data,
+                    ReduceOp::Sum,
+                    bucket_tag(0),
+                    WireDType::F32,
+                );
                 assert_eq!(ring.steps_total(), if n > 1 { 2 * (n - 1) } else { 0 });
                 while !ring.poll(&c) {
                     std::thread::yield_now();
@@ -1076,9 +942,9 @@ mod tests {
                     .collect();
                 let expect: Vec<Vec<f32>> = buckets
                     .iter()
-                    .map(|b| allreduce(&c, b.clone(), ReduceOp::Sum))
+                    .map(|b| allreduce_wire(&c, b.clone(), ReduceOp::Sum, WireDType::F32))
                     .collect();
-                let got = bucketed_allreduce(&c, buckets, ReduceOp::Sum);
+                let got = bucketed_allreduce_wire(&c, buckets, ReduceOp::Sum, WireDType::F32);
                 assert_eq!(got, expect, "n={n}");
             });
         }
@@ -1089,8 +955,10 @@ mod tests {
         run_ranks(4, |c| {
             let a: Vec<f32> = vec![c.rank() as f32; 16];
             let b: Vec<f32> = vec![(c.rank() * 10) as f32; 16];
-            let mut ra = RingAllreduce::start(&c, a, ReduceOp::Sum, bucket_tag(0));
-            let mut rb = RingAllreduce::start(&c, b, ReduceOp::Sum, bucket_tag(1));
+            let mut ra =
+                RingAllreduce::start_wire(&c, a, ReduceOp::Sum, bucket_tag(0), WireDType::F32);
+            let mut rb =
+                RingAllreduce::start_wire(&c, b, ReduceOp::Sum, bucket_tag(1), WireDType::F32);
             loop {
                 let da = ra.poll(&c);
                 let db = rb.poll(&c);
@@ -1132,20 +1000,29 @@ mod tests {
     #[test]
     fn ft_collectives_match_plain_ones_without_faults() {
         let t = Duration::from_secs(10);
-        for n in [1usize, 2, 3, 4, 7] {
+        for n in [1usize, 2, 3, 4, 5, 7, 8, 11, 16] {
             run_ranks(n, |c| {
-                let got = allreduce_ft(&c, vec![c.rank() as f32 + 1.0; 8], ReduceOp::Sum, t)
+                // Non-integer data: only the same fold and summation order
+                // reproduce the blocking result bit for bit.
+                let data: Vec<f32> = (0..9)
+                    .map(|i| (c.rank() as f32 + 1.0) / (i as f32 + 3.0))
+                    .collect();
+                let got = allreduce_ft(&c, data.clone(), ReduceOp::Sum, t)
                     .expect("no faults, must succeed");
-                let want = (n * (n + 1) / 2) as f32;
-                assert_eq!(got, vec![want; 8], "allreduce_ft n={n}");
-
-                let msg = (c.rank() == 0).then(|| vec![2.5f32; 4]);
-                let got = broadcast_ft(&c, 0, msg, t).expect("broadcast_ft");
-                assert_eq!(got, vec![2.5; 4]);
+                let want = allreduce_recursive_doubling(&c, data, ReduceOp::Sum);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "allreduce_ft n={n}");
 
                 barrier_ft(&c, t).expect("barrier_ft");
             });
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "bucket 4096 is past the 4096 in-flight bucket tags")]
+    fn bucket_tag_refuses_to_wrap() {
+        assert_eq!(bucket_tag(4095), TAG_BUCKET_END - 1);
+        bucket_tag(4096);
     }
 
     #[test]
@@ -1187,23 +1064,6 @@ mod tests {
     }
 
     #[test]
-    fn wire_f32_is_bit_identical_to_plain_paths() {
-        run_ranks(4, |c| {
-            let data: Vec<f32> = (0..33)
-                .map(|i| (c.rank() * 33 + i) as f32 * 0.013)
-                .collect();
-            let plain = allreduce(&c, data.clone(), ReduceOp::Sum);
-            let wired = allreduce_wire(&c, data, ReduceOp::Sum, WireDType::F32);
-            assert_eq!(plain, wired);
-
-            let parts: Vec<Vec<f32>> = (0..4).map(|d| vec![(c.rank() + d) as f32; d]).collect();
-            let a = alltoallv(&c, parts.clone());
-            let b = alltoallv_wire(&c, parts, WireDType::F32);
-            assert_eq!(a, b);
-        });
-    }
-
-    #[test]
     fn compressed_allreduce_tracks_f32_within_rounding() {
         // Values in [-2, 2): bf16 carries an 8-bit significand, so each of
         // the ≤ 2(n-1)+1 roundings a summand can see contributes ≲ 2^-8
@@ -1213,7 +1073,7 @@ mod tests {
                 let data: Vec<f32> = (0..50)
                     .map(|i| ((c.rank() * 7 + i * 3) % 32) as f32 / 8.0 - 2.0)
                     .collect();
-                let exact = allreduce(&c, data.clone(), ReduceOp::Sum);
+                let exact = allreduce_wire(&c, data.clone(), ReduceOp::Sum, WireDType::F32);
                 for wire in [WireDType::F16, WireDType::BF16] {
                     let approx = allreduce_wire(&c, data.clone(), ReduceOp::Sum, wire);
                     let eps = match wire {
@@ -1246,7 +1106,7 @@ mod tests {
             let parts: Vec<Vec<f32>> = (0..n)
                 .map(|d| vec![(c.rank() * 16 + d) as f32; (c.rank() + d) % 3])
                 .collect();
-            let exact = alltoallv(&c, parts.clone());
+            let exact = alltoallv_wire(&c, parts.clone(), WireDType::F32);
             let wired = alltoallv_hierarchical_wire(&c, parts, 4, WireDType::BF16);
             for (src, (e, w)) in exact.iter().zip(&wired).enumerate() {
                 assert_eq!(e.len(), w.len(), "src {src}");

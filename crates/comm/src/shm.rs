@@ -124,9 +124,9 @@ pub enum CommFamily {
     Allreduce,
     /// Binomial-tree broadcast.
     Broadcast,
-    /// All-gather and gather.
+    /// All-gather.
     Gather,
-    /// Pairwise and hierarchical all-to-all(v), f32 and u64.
+    /// Pairwise and hierarchical all-to-all(v), tensors and integer metadata.
     Alltoall,
     /// Virtual-time headers posted by `TimedComm`.
     Timing,
@@ -1071,7 +1071,8 @@ mod tests {
 
     #[test]
     fn stats_classify_families() {
-        use crate::collectives::{allreduce, broadcast, ReduceOp};
+        use crate::collectives::{allreduce_wire, broadcast, ReduceOp};
+        use crate::payload::WireDType;
         let world = World::new(2);
         let comms = world.comms();
         std::thread::scope(|s| {
@@ -1079,7 +1080,7 @@ mod tests {
                 s.spawn(move || {
                     let msg = (c.rank() == 0).then(|| vec![1.0f32; 8]);
                     broadcast(c, 0, msg);
-                    allreduce(c, vec![c.rank() as f32; 16], ReduceOp::Sum);
+                    allreduce_wire(c, vec![c.rank() as f32; 16], ReduceOp::Sum, WireDType::F32);
                 });
             }
         });
@@ -1098,7 +1099,8 @@ mod tests {
 
     #[test]
     fn supernode_split_attributes_a2a_bytes() {
-        use crate::collectives::alltoallv;
+        use crate::collectives::alltoallv_wire;
+        use crate::payload::WireDType;
         let world = World::new(4);
         let comms = world.comms();
         std::thread::scope(|s| {
@@ -1110,7 +1112,7 @@ mod tests {
                     // the wire, so each rank has 1 intra and 2 inter wire
                     // destinations.
                     let parts: Vec<Vec<f32>> = (0..c.size()).map(|d| vec![d as f32]).collect();
-                    alltoallv(c, parts);
+                    alltoallv_wire(c, parts, WireDType::F32);
                 });
             }
         });
@@ -1126,14 +1128,15 @@ mod tests {
 
     #[test]
     fn supernode_split_disabled_counts_nothing() {
-        use crate::collectives::alltoallv;
+        use crate::collectives::alltoallv_wire;
+        use crate::payload::WireDType;
         let world = World::new(2);
         let comms = world.comms();
         std::thread::scope(|s| {
             for c in &comms {
                 s.spawn(move || {
                     let parts: Vec<Vec<f32>> = (0..c.size()).map(|d| vec![d as f32]).collect();
-                    alltoallv(c, parts);
+                    alltoallv_wire(c, parts, WireDType::F32);
                 });
             }
         });

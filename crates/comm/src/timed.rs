@@ -333,7 +333,10 @@ pub(crate) const TIME_TAG_XOR: u64 = 1 << 62;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collectives::{allreduce, alltoallv, alltoallv_hierarchical, ReduceOp};
+    use crate::collectives::{
+        allreduce_wire, alltoallv_hierarchical_wire, alltoallv_wire, ReduceOp,
+    };
+    use crate::payload::WireDType;
     use crate::shm::World;
 
     fn run_timed<F, R>(n: usize, sn: usize, f: F) -> Vec<R>
@@ -397,7 +400,7 @@ mod tests {
     #[test]
     fn collectives_run_and_accumulate_makespan() {
         let makespans = run_timed(8, 4, |c| {
-            let out = allreduce(c, vec![c.rank() as f32; 64], ReduceOp::Sum);
+            let out = allreduce_wire(c, vec![c.rank() as f32; 64], ReduceOp::Sum, WireDType::F32);
             assert_eq!(out[0], 28.0);
             c.barrier();
             c.virtual_makespan()
@@ -417,12 +420,12 @@ mod tests {
         let n = 16;
         let mk = |rank: usize| -> Vec<Vec<f32>> { (0..n).map(|_| vec![rank as f32; 8]).collect() };
         let flat = run_timed(n, 4, |c| {
-            alltoallv(c, mk(c.rank()));
+            alltoallv_wire(c, mk(c.rank()), WireDType::F32);
             c.barrier();
             c.virtual_makespan()
         })[0];
         let hier = run_timed(n, 4, |c| {
-            alltoallv_hierarchical(c, mk(c.rank()), 4);
+            alltoallv_hierarchical_wire(c, mk(c.rank()), 4, WireDType::F32);
             c.barrier();
             c.virtual_makespan()
         })[0];

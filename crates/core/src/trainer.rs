@@ -750,7 +750,7 @@ impl RankState {
         let _step_span = trace::span(names::STEP);
         let cfg = self.cfg;
         let accum = cfg.grad_accum.max(1);
-        // Overlapped sync replaces backward + sync_grads on the *last*
+        // Overlapped sync replaces backward + sync_grads_wire on the *last*
         // micro-batch only: earlier micro-batches still accumulate, so their
         // dense gradients are not final and must not be reduced yet.
         let use_overlap = cfg.overlap && !cfg.zero_optimizer;

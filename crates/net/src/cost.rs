@@ -140,7 +140,7 @@ impl CollectiveCost {
     }
 
     /// Hierarchical (two-phase, aggregating) all-to-all, matching the
-    /// algorithm implemented in `bagualu_comm::alltoallv_hierarchical`:
+    /// algorithm implemented in `bagualu_comm::alltoallv_hierarchical_wire`:
     ///
     /// 1. intra-supernode exchange bundling messages by destination local
     ///    index — `s-1` rounds of `S·b`,

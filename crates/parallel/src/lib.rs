@@ -42,7 +42,6 @@ pub use model_dist::{DistBlock, DistFfn, DistTransformer};
 pub use moe_dist::{A2aKind, DistMoELayer};
 pub use placement::ExpertPlacement;
 pub use sync::{
-    backward_and_sync_overlapped, backward_and_sync_overlapped_wire, check_replica_consistency,
-    sync_grads, sync_grads_wire, SyncStats,
+    backward_and_sync_overlapped_wire, check_replica_consistency, sync_grads_wire, SyncStats,
 };
 pub use zero::ZeroAdam;

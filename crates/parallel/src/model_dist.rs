@@ -488,7 +488,7 @@ impl DistTransformer {
 
     /// One forward + loss + backward over this rank's micro-batch.
     /// Gradients are left unsynchronized — call
-    /// [`crate::sync::sync_grads`] before the optimizer step.
+    /// [`crate::sync::sync_grads_wire`] before the optimizer step.
     pub fn train_batch<C: Communicator>(
         &mut self,
         tokens: &[usize],

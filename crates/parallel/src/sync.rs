@@ -9,11 +9,12 @@
 //!   mean over its `1/R`-sized micro-batch while an expert accumulates
 //!   contributions from all ranks' tokens.
 //!
-//! Two dense paths exist:
+//! Two dense paths exist, both taking the [`WireDType`] the dense
+//! all-reduce travels in (`WireDType::F32` is lossless):
 //!
-//! * [`sync_grads`] — flatten everything after backward, one monolithic
+//! * [`sync_grads_wire`] — flatten everything after backward, one monolithic
 //!   blocking all-reduce (simple, zero overlap);
-//! * [`backward_and_sync_overlapped`] — a `GradBucketer` rides the
+//! * [`backward_and_sync_overlapped_wire`] — a `GradBucketer` rides the
 //!   backward pass via `backward_with_grad_ready`, fills fixed-size
 //!   buckets in reverse parameter-visit order, launches each bucket's
 //!   ring all-reduce the moment it fills, and polls in-flight rings from
@@ -34,16 +35,14 @@ use bagualu_comm::shm::Communicator;
 use bagualu_tensor::{reservoir, Tensor};
 use bagualu_trace::{self as trace, names};
 
-/// Synchronize gradients across the data-parallel group. Returns the number
-/// of dense gradient scalars reduced (for communication-volume accounting).
-pub fn sync_grads<C: Communicator>(model: &mut DistTransformer, comm: &C) -> usize {
-    sync_grads_wire(model, comm, WireDType::F32)
-}
+/// Bucket tags [`bucket_tag`] hands out, so the most buckets one backward
+/// pass may keep in flight.
+const MAX_BUCKETS: usize = 4096;
 
-/// [`sync_grads`] with an explicit wire format for the dense all-reduce:
-/// gradients are rounded to `wire` per ring hop while the reduction itself
-/// accumulates in `f32`. `WireDType::F32` is bit-identical to
-/// [`sync_grads`].
+/// Synchronize gradients across the data-parallel group with one blocking
+/// all-reduce of the dense gradients: they are rounded to `wire` per ring
+/// hop while the reduction itself accumulates in `f32`. Returns the number
+/// of dense gradient scalars reduced (for communication-volume accounting).
 pub fn sync_grads_wire<C: Communicator>(
     model: &mut DistTransformer,
     comm: &C,
@@ -130,7 +129,11 @@ impl<'a, C: Communicator> GradBucketer<'a, C> {
     ) -> GradBucketer<'a, C> {
         // `bucket_bytes` is a *wire* budget: a 16-bit wire fits twice the
         // scalars per bucket, so fewer rings move the same gradient stream.
-        let bucket_elems = (bucket_bytes / wire.size_bytes()).max(1);
+        // Every bucket stays in flight until the pass drains, so buckets
+        // widen past the budget rather than outnumber the bucket tags.
+        let bucket_elems = (bucket_bytes / wire.size_bytes())
+            .max(dense_scalars.div_ceil(MAX_BUCKETS))
+            .max(1);
         GradBucketer {
             comm,
             bucket_elems,
@@ -208,23 +211,13 @@ impl<'a, C: Communicator> GradBucketer<'a, C> {
 /// Backward pass with bucketed, overlapped dense-gradient synchronization.
 ///
 /// Equivalent to `model.backward(dlogits, comm)` followed by
-/// [`sync_grads`], up to all-reduce summation order (buckets partition the
-/// gradient stream differently than the monolithic flatten). Collective —
-/// every rank must call it with the same `bucket_bytes`.
-pub fn backward_and_sync_overlapped<C: Communicator>(
-    model: &mut DistTransformer,
-    dlogits: &Tensor,
-    comm: &C,
-    bucket_bytes: usize,
-) -> SyncStats {
-    backward_and_sync_overlapped_wire(model, dlogits, comm, bucket_bytes, WireDType::F32)
-}
-
-/// [`backward_and_sync_overlapped`] with an explicit wire format: every
+/// [`sync_grads_wire`], up to all-reduce summation order (buckets partition
+/// the gradient stream differently than the monolithic flatten). Every
 /// bucket's ring packs each hop to `wire` (reductions still accumulate in
 /// `f32`), and `bucket_bytes` budgets *wire* bytes — a 16-bit wire fits
-/// twice the scalars per bucket. `WireDType::F32` is bit-identical to
-/// [`backward_and_sync_overlapped`].
+/// twice the scalars per bucket. A pass never launches more than 4096
+/// buckets; past that, buckets grow beyond `bucket_bytes`. Collective —
+/// every rank must call it with the same `bucket_bytes`.
 pub fn backward_and_sync_overlapped_wire<C: Communicator>(
     model: &mut DistTransformer,
     dlogits: &Tensor,

@@ -71,7 +71,7 @@ impl ZeroAdam {
         self.expert_adam.set_lr(lr);
     }
 
-    /// One optimizer step. Replaces `sync_grads` + replicated step: call it
+    /// One optimizer step. Replaces `sync_grads_wire` + replicated step: call it
     /// directly after `backward` with *unsynchronized* gradients.
     /// Collective — every rank participates.
     pub fn step<C: Communicator>(&mut self, model: &mut DistTransformer, comm: &C) {
@@ -138,8 +138,9 @@ impl ZeroAdam {
 mod tests {
     use super::*;
     use crate::moe_dist::A2aKind;
-    use crate::sync::sync_grads;
+    use crate::sync::sync_grads_wire;
     use bagualu_comm::harness::run_ranks_map;
+    use bagualu_comm::payload::WireDType;
     use bagualu_model::config::ModelConfig;
     use bagualu_model::loss::cross_entropy;
     use bagualu_model::moe::GateKind;
@@ -192,7 +193,7 @@ mod tests {
                 if zero {
                     zopt.step(&mut model, &c);
                 } else {
-                    sync_grads(&mut model, &c);
+                    sync_grads_wire(&mut model, &c, WireDType::F32);
                     full.step(&mut model);
                 }
                 model.zero_grad();

@@ -7,6 +7,7 @@
 //! `MoELayer`-based `Transformer` as the oracle.
 
 use bagualu_comm::harness::{run_ranks, run_ranks_map};
+use bagualu_comm::payload::WireDType;
 use bagualu_comm::shm::Communicator;
 use bagualu_model::config::ModelConfig;
 use bagualu_model::moe::GateKind;
@@ -14,7 +15,7 @@ use bagualu_model::param::HasParams;
 use bagualu_model::transformer::Transformer;
 use bagualu_parallel::model_dist::DistTransformer;
 use bagualu_parallel::moe_dist::A2aKind;
-use bagualu_parallel::sync::{check_replica_consistency, sync_grads};
+use bagualu_parallel::sync::{check_replica_consistency, sync_grads_wire};
 use bagualu_tensor::rng::Rng;
 use bagualu_tensor::Tensor;
 
@@ -137,7 +138,7 @@ fn synced_gradients_match_local_model() {
         let tok = rank_shard(tokens_ref, c.rank(), per_rank, seq);
         let tgt = rank_shard(targets_ref, c.rank(), per_rank, seq);
         dist.train_batch(&tok, &tgt, per_rank, seq, &c);
-        sync_grads(&mut dist, &c);
+        sync_grads_wire(&mut dist, &c, WireDType::F32);
 
         // Every parameter this rank holds must now carry the oracle's
         // global-batch gradient.
@@ -176,7 +177,7 @@ fn multi_step_training_keeps_replicas_consistent_and_learns() {
         let mut last = 0.0f32;
         for step in 0..25 {
             let stats = dist.train_batch(&tok, &tgt, per_rank, seq, &c);
-            sync_grads(&mut dist, &c);
+            sync_grads_wire(&mut dist, &c, WireDType::F32);
             // Plain SGD, identical on every rank for dense params.
             dist.visit_params(&mut |p| {
                 let g = p.grad.clone();

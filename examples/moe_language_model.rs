@@ -12,6 +12,7 @@
 use bagualu::checkpoint::{load_params_sharded, save_params_sharded};
 use bagualu::comm::harness::run_ranks_map;
 use bagualu::comm::shm::Communicator;
+use bagualu::comm::WireDType;
 use bagualu::data::{SyntheticLM, TokenDistribution};
 use bagualu::model::config::ModelConfig;
 use bagualu::model::loss::{cross_entropy, perplexity};
@@ -20,7 +21,7 @@ use bagualu::optim::adam::AdamConfig;
 use bagualu::optim::mixed::MixedPrecision;
 use bagualu::parallel::model_dist::DistTransformer;
 use bagualu::parallel::moe_dist::A2aKind;
-use bagualu::parallel::sync::sync_grads;
+use bagualu::parallel::sync::sync_grads_wire;
 use bagualu::tensor::DType;
 
 const NRANKS: usize = 2;
@@ -59,7 +60,7 @@ fn main() {
             let (loss, mut dlogits) = cross_entropy(&logits, &targets);
             dlogits.scale(opt.loss_scale());
             model.backward(&dlogits, &comm);
-            sync_grads(&mut model, &comm);
+            sync_grads_wire(&mut model, &comm, WireDType::F32);
             opt.step(&mut model);
             model.zero_grad();
             last_loss = loss;

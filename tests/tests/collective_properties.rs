@@ -4,7 +4,7 @@
 //! semantically identical to the pairwise one.
 
 use bagualu_comm::collectives::{
-    allgather, allreduce, alltoallv, alltoallv_hierarchical, broadcast, bucketed_allreduce,
+    allgather, allreduce_wire, alltoallv_hierarchical_wire, alltoallv_wire, broadcast,
     bucketed_allreduce_wire, reduce_scatter, ReduceOp,
 };
 use bagualu_comm::harness::{run_ranks, run_ranks_map};
@@ -22,7 +22,7 @@ proptest! {
             let data: Vec<f32> = (0..len)
                 .map(|i| ((c.rank() * 31 + i * 7 + seed as usize) % 13) as f32 - 6.0)
                 .collect();
-            let out = allreduce(&c, data, ReduceOp::Sum);
+            let out = allreduce_wire(&c, data, ReduceOp::Sum, WireDType::F32);
             for (i, &v) in out.iter().enumerate() {
                 let expect: f32 = (0..n)
                     .map(|r| ((r * 31 + i * 7 + seed as usize) % 13) as f32 - 6.0)
@@ -36,7 +36,7 @@ proptest! {
     fn allreduce_max_matches_definition(n in 1usize..9, len in 1usize..20) {
         run_ranks(n, |c| {
             let data: Vec<f32> = (0..len).map(|i| (c.rank() * len + i) as f32).collect();
-            let out = allreduce(&c, data, ReduceOp::Max);
+            let out = allreduce_wire(&c, data, ReduceOp::Max, WireDType::F32);
             for (i, &v) in out.iter().enumerate() {
                 assert_eq!(v, ((n - 1) * len + i) as f32);
             }
@@ -58,8 +58,8 @@ proptest! {
                     (0..len).map(|i| (c.rank() * 1000 + d * 10 + i) as f32).collect()
                 })
                 .collect();
-            let flat = alltoallv(&c, parts.clone());
-            let hier = alltoallv_hierarchical(&c, parts, sn_size);
+            let flat = alltoallv_wire(&c, parts.clone(), WireDType::F32);
+            let hier = alltoallv_hierarchical_wire(&c, parts, sn_size, WireDType::F32);
             assert_eq!(flat, hier);
         });
     }
@@ -86,7 +86,7 @@ proptest! {
                         .collect()
                 }).collect()
             };
-            let exact = bucketed_allreduce(&c, mk(0.25), ReduceOp::Sum);
+            let exact = bucketed_allreduce_wire(&c, mk(0.25), ReduceOp::Sum, WireDType::F32);
             // The ring's reduce-scatter + all-gather rounds each value at
             // most 2(n-1) times; add slack for the final sum magnitude.
             for (wire, ulp) in [(WireDType::BF16, 1.0 / 256.0), (WireDType::F16, 1.0 / 2048.0)] {
@@ -107,14 +107,25 @@ proptest! {
     }
 
     #[test]
-    fn reduce_scatter_then_allgather_is_allreduce(n in 1usize..8, len in 1usize..50) {
+    fn reduce_scatter_then_allgather_is_allreduce(
+        n in 1usize..8,
+        len in 1usize..50,
+        seed in 0u64..1000,
+    ) {
         run_ranks(n, |c| {
-            let data: Vec<f32> = (0..len).map(|i| (c.rank() + i) as f32).collect();
-            let full = allreduce(&c, data.clone(), ReduceOp::Sum);
-            let chunk = reduce_scatter(&c, data, ReduceOp::Sum);
-            let gathered = allgather(&c, chunk);
-            let recomposed: Vec<f32> = gathered.into_iter().flatten().collect();
-            assert_eq!(full, recomposed);
+            // Small integers sum exactly in any order; the fractions match
+            // bit for bit only if reduce-scatter sums in the ring's order.
+            let ints: Vec<f32> = (0..len).map(|i| (c.rank() + i) as f32).collect();
+            let fracs: Vec<f32> = (0..len)
+                .map(|i| (c.rank() * len + i) as f32 / (seed as f32 + 3.0))
+                .collect();
+            for data in [ints, fracs] {
+                let full = allreduce_wire(&c, data.clone(), ReduceOp::Sum, WireDType::F32);
+                let chunk = reduce_scatter(&c, data, ReduceOp::Sum);
+                let gathered = allgather(&c, chunk);
+                let recomposed: Vec<f32> = gathered.into_iter().flatten().collect();
+                assert_eq!(full, recomposed);
+            }
         });
     }
 
@@ -139,7 +150,7 @@ fn alltoallv_total_volume_is_conserved() {
     let sums = run_ranks_map(n, |c| {
         let parts: Vec<Vec<f32>> = (0..n).map(|d| vec![1.0f32; (c.rank() + d) % 4]).collect();
         let sent: usize = parts.iter().map(|p| p.len()).sum();
-        let got = alltoallv(&c, parts);
+        let got = alltoallv_wire(&c, parts, WireDType::F32);
         let received: usize = got.iter().map(|p| p.len()).sum();
         (sent, received)
     });
@@ -157,7 +168,7 @@ fn collective_round_completes_under_deadline_watchdog() {
     use std::time::Duration;
 
     run_ranks_deadline(4, Duration::from_secs(30), |c| {
-        let summed = allreduce(&c, vec![c.rank() as f32; 16], ReduceOp::Sum);
+        let summed = allreduce_wire(&c, vec![c.rank() as f32; 16], ReduceOp::Sum, WireDType::F32);
         assert!(summed.iter().all(|&v| v == 6.0));
         let rows = allgather(&c, vec![c.rank() as f32]);
         assert_eq!(rows, vec![vec![0.0], vec![1.0], vec![2.0], vec![3.0]]);

@@ -10,6 +10,7 @@
 use bagualu::checkpoint::{load_params_sharded, save_params_sharded};
 use bagualu::comm::harness::run_ranks_map;
 use bagualu::comm::shm::Communicator;
+use bagualu::comm::WireDType;
 use bagualu::data::{SyntheticLM, TokenDistribution};
 use bagualu::model::config::ModelConfig;
 use bagualu::model::loss::cross_entropy;
@@ -17,7 +18,7 @@ use bagualu::model::param::HasParams;
 use bagualu::optim::adam::{Adam, AdamConfig};
 use bagualu::parallel::model_dist::DistTransformer;
 use bagualu::parallel::moe_dist::A2aKind;
-use bagualu::parallel::sync::sync_grads;
+use bagualu::parallel::sync::sync_grads_wire;
 use std::path::Path;
 
 const NRANKS: usize = 2;
@@ -48,7 +49,7 @@ fn train_phase(dir: &Path, restore: bool, start_step: usize, steps: usize) -> Ve
             let logits = model.forward(&tokens, BATCH, SEQ, &comm);
             let (loss, dlogits) = cross_entropy(&logits, &targets);
             model.backward(&dlogits, &comm);
-            sync_grads(&mut model, &comm);
+            sync_grads_wire(&mut model, &comm, WireDType::F32);
             opt.step(&mut model);
             model.zero_grad();
             losses.push(loss);
@@ -239,7 +240,7 @@ fn delayed_message_is_delivered_once_and_counted_once() {
 fn overlapped_sync_absorbs_a_delayed_message_under_the_watchdog() {
     use bagualu::comm::shm::World;
     use bagualu::comm::{run_ranks_ft, FaultPlan, FaultRuntime};
-    use bagualu::parallel::sync::backward_and_sync_overlapped;
+    use bagualu::parallel::sync::backward_and_sync_overlapped_wire;
     use std::sync::{mpsc, Arc};
     use std::time::Duration;
 
@@ -268,10 +269,16 @@ fn overlapped_sync_absorbs_a_delayed_message_under_the_watchdog() {
                 let logits = m.forward(&tokens, BATCH, SEQ, &c);
                 let (_, dlogits) = cross_entropy(&logits, &targets);
                 if overlapped {
-                    backward_and_sync_overlapped(&mut m, &dlogits, &c, 1 << 10);
+                    backward_and_sync_overlapped_wire(
+                        &mut m,
+                        &dlogits,
+                        &c,
+                        1 << 10,
+                        WireDType::F32,
+                    );
                 } else {
                     m.backward(&dlogits, &c);
-                    sync_grads(&mut m, &c);
+                    sync_grads_wire(&mut m, &c, WireDType::F32);
                 }
                 let mut dense = Vec::new();
                 m.visit_dense_params(&mut |p| dense.extend_from_slice(p.grad.as_slice()));

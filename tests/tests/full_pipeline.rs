@@ -6,6 +6,7 @@
 use bagualu::checkpoint::{load_params_from_files, save_params};
 use bagualu::comm::harness::run_ranks_map;
 use bagualu::comm::shm::Communicator;
+use bagualu::comm::WireDType;
 use bagualu::model::config::ModelConfig;
 use bagualu::model::loss::cross_entropy;
 use bagualu::model::param::HasParams;
@@ -15,7 +16,7 @@ use bagualu::optim::mixed::MixedPrecision;
 use bagualu::optim::schedule::LrSchedule;
 use bagualu::parallel::model_dist::DistTransformer;
 use bagualu::parallel::moe_dist::A2aKind;
-use bagualu::parallel::sync::sync_grads;
+use bagualu::parallel::sync::sync_grads_wire;
 use bagualu::tensor::rng::Rng;
 use bagualu::tensor::DType;
 use bagualu::tokenizer::Bpe;
@@ -92,7 +93,7 @@ fn tokenize_train_checkpoint_repartition_generate() {
             let (loss, mut dlogits) = cross_entropy(&logits, &targets);
             dlogits.scale(opt.loss_scale());
             model.backward(&dlogits, &comm);
-            sync_grads(&mut model, &comm);
+            sync_grads_wire(&mut model, &comm, WireDType::F32);
             opt.step(&mut model);
             model.zero_grad();
             if step == 0 {

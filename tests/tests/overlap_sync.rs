@@ -1,5 +1,5 @@
 //! Bucketed, overlapped gradient sync must be numerically equivalent to
-//! the monolithic blocking [`sync_grads`] — the property the nonblocking
+//! the monolithic blocking [`sync_grads_wire`] — the property the nonblocking
 //! communication refactor is not allowed to break.
 //!
 //! Equivalence is up to all-reduce summation order: buckets partition the
@@ -15,9 +15,7 @@ use bagualu_model::moe::GateKind;
 use bagualu_model::transformer::Transformer;
 use bagualu_parallel::model_dist::DistTransformer;
 use bagualu_parallel::moe_dist::A2aKind;
-use bagualu_parallel::sync::{
-    backward_and_sync_overlapped, backward_and_sync_overlapped_wire, sync_grads,
-};
+use bagualu_parallel::sync::{backward_and_sync_overlapped_wire, sync_grads_wire};
 use bagualu_tensor::rng::Rng;
 use proptest::prelude::*;
 
@@ -47,12 +45,12 @@ type GradFlats = (Vec<f32>, Vec<f32>, Vec<f32>, Vec<f32>);
 /// model — one synced monolithically, one synced bucketed/overlapped — and
 /// return the per-rank gradient flats.
 fn grads_both_ways(
+    cfg: ModelConfig,
     nranks: usize,
     bucket_bytes: usize,
     seed: u64,
     wire: WireDType,
 ) -> Vec<GradFlats> {
-    let cfg = cfg(nranks * 2);
     let per_rank = 2usize;
     let seq = 4usize;
     let mut data_rng = Rng::seed_from(seed);
@@ -82,9 +80,11 @@ fn grads_both_ways(
                 assert_eq!(stats.ring_steps, stats.buckets * 2 * (nranks - 1));
                 assert!(stats.ring_steps_overlapped <= stats.ring_steps);
                 assert!(stats.dense_scalars > 0);
+                // One tag per in-flight bucket, and there are 4096 of them.
+                assert!(stats.buckets <= 4096, "{} buckets in flight", stats.buckets);
             } else {
                 m.backward(&dlogits, &c);
-                sync_grads(&mut m, &c);
+                sync_grads_wire(&mut m, &c, WireDType::F32);
             }
             let mut dense = Vec::new();
             m.visit_dense_params(&mut |p| dense.extend_from_slice(p.grad.as_slice()));
@@ -123,7 +123,7 @@ proptest! {
         // 4 B; 64 B splits most tensors) up to "one bucket fits all".
         let bucket_bytes = [64usize, 1 << 10, 1 << 14, 1 << 22][bucket_sel];
         for (rank, (dense_a, dense_b, expert_a, expert_b)) in
-            grads_both_ways(nranks, bucket_bytes, seed, WireDType::F32).into_iter().enumerate()
+            grads_both_ways(cfg(nranks * 2), nranks, bucket_bytes, seed, WireDType::F32).into_iter().enumerate()
         {
             assert_close(&dense_a, &dense_b, 1e-5, "dense grad", rank);
             assert_close(&expert_a, &expert_b, 1e-6, "expert grad", rank);
@@ -145,7 +145,7 @@ proptest! {
         let hops = (2 * nranks.saturating_sub(1)).max(1) as f32;
         let tol = hops * (1.0 / 256.0);
         for (rank, (dense_a, dense_b, expert_a, expert_b)) in
-            grads_both_ways(nranks, bucket_bytes, seed, WireDType::BF16).into_iter().enumerate()
+            grads_both_ways(cfg(nranks * 2), nranks, bucket_bytes, seed, WireDType::BF16).into_iter().enumerate()
         {
             assert_close(&dense_a, &dense_b, tol, "dense grad (bf16 wire)", rank);
             assert_close(&expert_a, &expert_b, 1e-6, "expert grad (bf16 wire)", rank);
@@ -166,7 +166,7 @@ fn replica_consistency_check_is_clean_after_overlapped_sync() {
         let targets: Vec<usize> = (0..2 * 4).map(|_| rng.below(19)).collect();
         let logits = m.forward(&tokens, 2, 4, &c);
         let (_, dlogits) = cross_entropy(&logits, &targets);
-        backward_and_sync_overlapped(&mut m, &dlogits, &c, 1 << 10);
+        backward_and_sync_overlapped_wire(&mut m, &dlogits, &c, 1 << 10, WireDType::F32);
         // Apply a plain SGD update: deterministic on identical grads.
         m.visit_dense_params(&mut |p| {
             let g: Vec<f32> = p.grad.as_slice().to_vec();
@@ -187,5 +187,26 @@ fn replica_consistency_check_is_clean_after_overlapped_sync() {
     for (clean, dirty) in results {
         assert_eq!(clean, 0.0, "replicas diverged after overlapped sync");
         assert!(dirty >= 0.5, "perturbation not detected: {dirty}");
+    }
+}
+
+#[test]
+fn more_dense_scalars_than_bucket_tags_still_match_monolithic() {
+    // 4-byte buckets would give every dense scalar a ring of its own, more
+    // rings than there are bucket tags. The bucketer must widen its buckets
+    // instead: two rings in flight on one tag could swap chunks.
+    let wide = ModelConfig {
+        d_model: 32,
+        d_ff: 64,
+        ..cfg(4)
+    };
+    for (rank, (dense_a, dense_b, expert_a, expert_b)) in
+        grads_both_ways(wide, 2, 4, 11, WireDType::F32)
+            .into_iter()
+            .enumerate()
+    {
+        assert!(dense_a.len() > 4096, "{} dense scalars", dense_a.len());
+        assert_close(&dense_a, &dense_b, 1e-5, "dense grad", rank);
+        assert_close(&expert_a, &expert_b, 1e-6, "expert grad", rank);
     }
 }

@@ -5,6 +5,7 @@
 //! oracle — and distinct placements must agree with each other bit for bit.
 
 use bagualu_comm::harness::{run_ranks, run_ranks_map};
+use bagualu_comm::payload::WireDType;
 use bagualu_comm::shm::Communicator;
 use bagualu_model::config::ModelConfig;
 use bagualu_model::moe::GateKind;
@@ -13,7 +14,7 @@ use bagualu_model::transformer::Transformer;
 use bagualu_parallel::model_dist::DistTransformer;
 use bagualu_parallel::moe_dist::A2aKind;
 use bagualu_parallel::placement::ExpertPlacement;
-use bagualu_parallel::sync::sync_grads;
+use bagualu_parallel::sync::sync_grads_wire;
 use bagualu_tensor::rng::Rng;
 use bagualu_tensor::Tensor;
 use proptest::prelude::*;
@@ -45,7 +46,7 @@ fn batch(cfg: &ModelConfig, n: usize, seed: u64) -> (Vec<usize>, Vec<usize>) {
     (tokens, targets)
 }
 
-/// Gradient bits after `sync_grads`, keyed by the global parameter name
+/// Gradient bits after `sync_grads_wire`, keyed by the global parameter name
 /// (expert params keep the oracle's expert index in their name, so the map
 /// is placement-invariant).
 type GradBits = BTreeMap<String, Vec<u32>>;
@@ -75,7 +76,7 @@ fn step_under(
         let logits = dist.forward(&tok, per_rank, seq, &c);
         dist.zero_grad();
         dist.train_batch(&tok, &tgt, per_rank, seq, &c);
-        sync_grads(&mut dist, &c);
+        sync_grads_wire(&mut dist, &c, WireDType::F32);
         let mut grads = BTreeMap::new();
         dist.visit_params(&mut |p| {
             let bits: Vec<u32> = p.grad.as_slice().iter().map(|g| g.to_bits()).collect();
@@ -146,7 +147,7 @@ proptest! {
             );
             dist.zero_grad();
             dist.train_batch(&tok, &tgt, per_rank, seq, &c);
-            sync_grads(&mut dist, &c);
+            sync_grads_wire(&mut dist, &c, WireDType::F32);
             dist.visit_params(&mut |p| {
                 let want = &oracle_ref[&p.name];
                 assert!(
