@@ -35,32 +35,22 @@ where
     run_world(&World::new(n), f)
 }
 
-/// One thread per rank of `world`, each at its share of the cores; results
-/// in rank order, the first rank panic re-raised after all threads have
-/// been joined.
+/// [`run_ranks_ft`] over `world` with every rank's failure the caller's:
+/// results in rank order, the first rank panic re-raised (with its message)
+/// after all threads have been joined.
 fn run_world<F, R>(world: &World, f: F) -> Vec<R>
 where
     F: Fn(ShmComm) -> R + Send + Sync,
     R: Send,
 {
-    let comms = world.comms();
-    let lanes = par::rank_width(comms.len());
-    let f = &f;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = comms
-            .into_iter()
-            .map(|c| {
-                s.spawn(move || {
-                    let _lanes = par::scoped_width(lanes);
-                    f(c)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|e| resume_unwind(e)))
-            .collect()
-    })
+    run_ranks_ft(world, |c| Ok(f(c)))
+        .into_iter()
+        .map(|outcome| match outcome {
+            RankOutcome::Ok(r) => r,
+            RankOutcome::Crashed(msg) => panic!("{msg}"),
+            RankOutcome::TimedOut(e) => unreachable!("an infallible rank returned {e}"),
+        })
+        .collect()
 }
 
 /// Run `f` on `n` ranks and also return the world's traffic counters

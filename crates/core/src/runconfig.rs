@@ -477,20 +477,6 @@ impl RunConfig {
         }
     }
 
-    /// Copy `ft`'s knobs into the `[ft]` section (enabled).
-    pub fn with_ft(mut self, ft: &FtConfig) -> RunConfig {
-        self.ft = FtSection {
-            enabled: true,
-            ckpt_dir: ft.ckpt_dir.display().to_string(),
-            ckpt_every: ft.ckpt_every,
-            max_restarts: ft.max_restarts,
-            elastic: ft.elastic,
-            straggler_factor: ft.straggler_factor.unwrap_or(0.0),
-            straggler_window: ft.straggler_window,
-        };
-        self
-    }
-
     /// Recover the `RunConfig` a [`TrainConfig`] (plus optional
     /// [`FtConfig`]) was built from — the inverse of
     /// [`to_train_config`](Self::to_train_config), used to stamp reports
@@ -541,7 +527,7 @@ impl RunConfig {
             A2aKind::Pairwise => (false, 0),
             A2aKind::Hierarchical { supernode_size } => (true, supernode_size),
         };
-        let rc = RunConfig {
+        let mut rc = RunConfig {
             version: RUN_CONFIG_VERSION,
             model: ModelSection {
                 preset: preset_name.into(),
@@ -575,10 +561,18 @@ impl RunConfig {
             },
             ..RunConfig::default()
         };
-        Some(match ft {
-            Some(ft) => rc.with_ft(ft),
-            None => rc,
-        })
+        if let Some(ft) = ft {
+            rc.ft = FtSection {
+                enabled: true,
+                ckpt_dir: ft.ckpt_dir.display().to_string(),
+                ckpt_every: ft.ckpt_every,
+                max_restarts: ft.max_restarts,
+                elastic: ft.elastic,
+                straggler_factor: ft.straggler_factor.unwrap_or(0.0),
+                straggler_window: ft.straggler_window,
+            };
+        }
+        Some(rc)
     }
 
     // ---------------------------------------------------------------- TOML
@@ -1090,7 +1084,7 @@ mod tests {
     }
 
     #[test]
-    fn ft_round_trips_through_with_ft() {
+    fn ft_round_trips_through_reconstruct() {
         let rc = RunConfig {
             ft: FtSection {
                 enabled: true,
@@ -1103,9 +1097,10 @@ mod tests {
             },
             ..RunConfig::default()
         };
+        let cfg = rc.to_train_config().expect("valid");
         let ft = rc.to_ft_config().expect("enabled");
-        let back = RunConfig::default().with_ft(&ft);
-        assert_eq!(back.ft, rc.ft);
+        let back = RunConfig::reconstruct(&cfg, Some(&ft)).expect("expressible");
+        assert_eq!(back, rc);
     }
 
     #[test]

@@ -1,7 +1,9 @@
-//! The multi-rank functional trainer.
-//!
-//! One OS thread per rank, each holding a [`DistTransformer`] shard and its
-//! own mixed-precision optimizer. Per step, each rank:
+//! The multi-rank functional trainer: one driver and one per-rank loop
+//! behind every entry point, an [`FtConfig`] the only switch between
+//! [`Trainer::run`] and [`Trainer::run_ft`]. The driver runs attempts, one
+//! OS thread per rank, each holding a [`DistTransformer`] shard and its own
+//! mixed-precision optimizer; it splices the curves every attempt returns
+//! and assembles the report once. Per step, each rank:
 //!
 //! 1. generates its deterministic micro-batch,
 //! 2. forward → cross-entropy → loss-scaled backward,
@@ -10,14 +12,20 @@
 //! 4. optional global gradient-norm clip,
 //! 5. mixed-precision Adam step (skipped coherently on overflow — the
 //!    overflow flag is all-reduced so every replica stays in lockstep).
+//!
+//! With an [`FtConfig`] each rank also heartbeats before every step,
+//! checkpoints every `ckpt_every` steps and watches for stragglers, and the
+//! driver restarts a failed attempt (on a shrunk world, when elastic) and
+//! re-places a straggler's experts. Without one there is one attempt.
 
+use crate::checkpoint::{self, PlacementMeta};
 use crate::data::{SyntheticLM, TokenDistribution};
 use crate::runconfig::RunConfig;
 use bagualu_comm::collectives::{allreduce_recursive_doubling, barrier_ft, ReduceOp};
 use bagualu_comm::fault::{FaultPlan, FaultRuntime, FtCommunicator};
-use bagualu_comm::harness::{run_ranks_ft, run_ranks_map, RankOutcome};
+use bagualu_comm::harness::{run_ranks_ft, RankOutcome};
 use bagualu_comm::payload::WireDType;
-use bagualu_comm::shm::{CommStats, Communicator, World};
+use bagualu_comm::shm::{CommStats, Communicator, ShmComm, World};
 use bagualu_model::config::ModelConfig;
 use bagualu_model::loss::cross_entropy;
 use bagualu_model::param::HasParams;
@@ -32,7 +40,9 @@ use bagualu_parallel::sync::{backward_and_sync_overlapped_wire, sync_grads_wire}
 use bagualu_tensor::ops::{install_backend, install_row_ops, ComputeBackend};
 use bagualu_tensor::reservoir;
 use bagualu_tensor::DType;
-use bagualu_trace::{self as trace, names, HostUsage, Trace, TraceCollector, DRIVER_LANE};
+use bagualu_trace::{
+    self as trace, names, HostUsage, StragglerDetector, Trace, TraceCollector, DRIVER_LANE,
+};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -186,7 +196,8 @@ pub struct TrainReport {
     pub tokens_per_sec: f64,
     /// Steps skipped by the loss scaler (summed over ranks / ranks).
     pub skipped_steps: u64,
-    /// Global tokens processed.
+    /// Global tokens this call trained on: each step it ran counted once,
+    /// at the world size that step last ran on.
     pub total_tokens: usize,
     /// Held-out `(step, loss)` evaluations (empty unless `eval_every` set).
     pub eval_curve: Vec<(usize, f32)>,
@@ -357,33 +368,20 @@ impl Trainer {
         Trainer { cfg }
     }
 
-    /// Run to completion and aggregate the report (identical on every rank;
-    /// rank 0's copy is returned).
+    /// Run to completion and aggregate the report (rank 0's copy of what
+    /// the ranks pool). The driver of [`Trainer::run_ft`] without an
+    /// [`FtConfig`]: no heartbeat, no checkpoint, no straggler detection
+    /// and no restart, so a rank panic reaches the caller with its message.
     pub fn run(&self) -> TrainReport {
-        let cfg = self.cfg;
-        let start = Instant::now();
-        let collector = cfg.trace.then(TraceCollector::new);
-        let host = collector.as_ref().and_then(|_| HostUsage::now());
-        let col = collector.clone();
-        let mut reports = run_ranks_map(cfg.nranks, move |c| {
-            let _lane = col.as_ref().map(|col| col.install(c.rank()));
-            rank_main(cfg, &c)
-        });
-        let report = reports.swap_remove(0);
-        let elapsed = start.elapsed().as_secs_f64();
-        TrainReport {
-            tokens_per_sec: report.total_tokens as f64 / elapsed,
-            trace: collector.map(|c| finish_trace(c, host)),
-            ..report
-        }
+        self.drive::<ShmComm>(None, None)
     }
 
     /// One rank's share of [`Trainer::run`], for a caller that owns the
     /// rank threads itself (its own harness, a wrapped communicator): runs
     /// every step over `comm` and returns this rank's report, without the
-    /// wall-clock throughput and the trace that `run` fills in.
-    pub fn run_rank<C: Communicator>(&self, comm: &C) -> TrainReport {
-        rank_main(self.cfg, comm)
+    /// trace that `run` collects (the caller installs the lane).
+    pub fn run_rank<C: FtCommunicator>(&self, comm: &C) -> TrainReport {
+        self.drive(None, Some(comm))
     }
 
     /// Run with fault injection and checkpoint/restart recovery.
@@ -401,164 +399,151 @@ impl Trainer {
     /// With an empty [`FaultPlan`] and `ckpt_every: 0` this computes
     /// exactly what [`Trainer::run`] computes, plus the heartbeats.
     pub fn run_ft(&self, ft: &FtConfig) -> TrainReport {
+        self.drive::<ShmComm>(Some(ft), None)
+    }
+
+    /// The one driver (see the module docs): runs attempts until one
+    /// completes, one thread per rank, or only the caller's `own` rank.
+    fn drive<C: FtCommunicator>(&self, ft: Option<&FtConfig>, own: Option<&C>) -> TrainReport {
         let cfg = self.cfg;
         let start = Instant::now();
-        let faults = Arc::new(FaultRuntime::new(ft.plan.clone(), cfg.nranks));
+        // The transport is armed only when it has work to do: events to
+        // inject, or send occupancy to time for the straggler detector. An
+        // unarmed send takes no `Instant::now`. The runtime is shared across
+        // attempts: one-shot events (a crash at step N) stay consumed on the
+        // re-execution of N, and after an elastic shrink a crash scheduled
+        // for a rank id that no longer exists simply never fires.
+        let faults = ft
+            .filter(|ft| !ft.plan.is_empty() || ft.straggler_factor.is_some())
+            .map(|ft| Arc::new(FaultRuntime::new(ft.plan.clone(), cfg.nranks)));
         // One collector for the whole run: lanes from successive restart
         // attempts append to the same per-rank timeline.
-        let collector = cfg.trace.then(TraceCollector::new);
+        let collector = (cfg.trace && own.is_none()).then(TraceCollector::new);
         let host = collector.as_ref().and_then(|_| HostUsage::now());
-
+        let count = |name| {
+            if let Some(col) = &collector {
+                col.record_count(DRIVER_LANE, name, 1);
+            }
+        };
+        // Every step's metrics, spliced from the attempts that ran it (a
+        // re-executed step keeps its last run's), and the ranks it last ran
+        // on (0 for a step before `resume_step`, never run here).
         let mut loss = vec![f32::NAN; cfg.steps];
         let mut aux = vec![f32::NAN; cfg.steps];
         let mut imb = vec![f64::NAN; cfg.steps];
         let mut dropr = vec![f64::NAN; cfg.steps];
-        let mut eval: std::collections::BTreeMap<usize, f32> = Default::default();
-        let mut restarts = 0usize;
-        let mut lost_steps = 0usize;
-        let mut recovery_time_s = 0.0f64;
-        let mut resizes = 0usize;
-        let mut migrations = 0usize;
-        let mut world_size = cfg.nranks;
-        let mut placement = cfg.placement;
-        let mut start_step = ft.resume_step;
+        let mut eval = std::collections::BTreeMap::new();
+        let mut ranks = vec![0; cfg.steps];
+        let (mut restarts, mut lost_steps, mut resizes, mut migrations) = (0, 0, 0, 0);
+        let mut recovery_time_s = 0.0;
+        // The attempt's configuration (see `rank_loop`).
+        let mut cur = cfg;
+        let mut start_step = ft.map_or(0, |ft| ft.resume_step);
 
         loop {
-            let cur_cfg = TrainConfig {
-                nranks: world_size,
-                placement,
-                ..cfg
+            let meta = PlacementMeta {
+                placement: cur.resolved_placement(),
+                n_experts: cur.model.n_experts,
+                nranks: cur.nranks,
             };
-            // Straggler migration is a one-shot per run and only defined
-            // from a round-robin layout (Shed is itself the migrated state).
-            let allow_migration = ft.straggler_factor.is_some()
-                && migrations == 0
-                && world_size >= 2
-                && cur_cfg.resolved_placement() == ExpertPlacement::RoundRobin;
-            // Cross-layout restore (an R-rank shard set onto R−1 ranks, or a
-            // round-robin set onto a Shed layout) is only authorized by the
-            // degradation features; a plain run keeps the strict gate.
-            let allow_reshard = ft.elastic || migrations > 0 || resizes > 0;
-            // Pre-flight the restore on rank 0's shard: a mismatched restore
-            // is a configuration error, not a transient fault, so it must be
-            // a hard error here rather than a crash the restart loop retries
-            // into "giving up after N restarts".
-            let restore = if start_step == 0 {
-                Restore::Fresh
-            } else {
-                let shard0 = ft
-                    .ckpt_dir
-                    .join(format!("step{start_step}"))
-                    .join("rank0.bglu");
-                let current = crate::checkpoint::PlacementMeta {
-                    placement: cur_cfg.resolved_placement(),
-                    n_experts: cfg.model.n_experts,
-                    nranks: world_size,
-                };
-                // So is a step with no checkpoint behind it, whether the
-                // step came from `resume_step` or from the MANIFEST.
-                let saved = crate::checkpoint::read_placement(&shard0).unwrap_or_else(|e| {
-                    panic!("cannot resume from step {start_step}: checkpoint shard {shard0:?}: {e}")
-                });
-                match saved {
-                    Some(meta) if meta == current => Restore::Strict,
-                    Some(meta) if allow_reshard && meta.n_experts == current.n_experts => {
-                        Restore::Reshard {
-                            from_nranks: meta.nranks,
-                        }
-                    }
-                    Some(meta) if allow_reshard => panic!(
-                        "cannot re-shard checkpoint {shard0:?}: it holds {} experts but \
-                         this run has {}",
-                        meta.n_experts, current.n_experts
-                    ),
-                    _ => {
-                        placement_gate(saved, &shard0, current, 0);
-                        Restore::Strict
-                    }
-                }
-            };
+            let ft_at = ft.map(|ft| FtAttempt {
+                ft,
+                faults: faults.as_deref(),
+                restore: preflight(ft, start_step, meta, migrations + resizes > 0),
+                meta,
+                stamp: RunConfig::reconstruct(&cur, Some(ft)),
+                // Straggler migration is a one-shot per run and only defined
+                // from a round-robin layout (Shed is itself the migrated state).
+                straggler_factor: ft.straggler_factor.filter(|_| {
+                    migrations == 0
+                        && cur.nranks >= 2
+                        && meta.placement == ExpertPlacement::RoundRobin
+                }),
+            });
             let attempt_start = Instant::now();
             let attempt_t0_ns = collector.as_ref().map(|c| c.now_ns());
-            // The fault runtime is shared across attempts: one-shot events
-            // (a crash at step N) stay consumed on the re-execution of N,
-            // and after an elastic shrink a crash scheduled for a rank id
-            // that no longer exists simply never fires.
-            let world = World::new_with_faults(world_size, Arc::clone(&faults));
-            let ftc = ft.clone();
-            let frt = Arc::clone(&faults);
-            let col = collector.clone();
-            let outcomes = run_ranks_ft(&world, move |c| {
-                let _lane = col.as_ref().map(|col| col.install(c.rank()));
-                rank_main_ft(
-                    cur_cfg,
-                    &ftc,
+            let outcomes = match own {
+                Some(comm) => vec![RankOutcome::Ok(rank_loop(
+                    cur,
                     start_step,
-                    restore,
-                    allow_migration,
-                    &frt,
-                    &c,
-                )
-            });
+                    ft_at.as_ref(),
+                    comm,
+                ))],
+                None => {
+                    let world = match &faults {
+                        Some(faults) => World::new_with_faults(cur.nranks, Arc::clone(faults)),
+                        None => World::new(cur.nranks),
+                    };
+                    run_ranks_ft(&world, |c| {
+                        let _lane = collector.as_ref().map(|col| col.install(c.rank()));
+                        Ok(rank_loop(cur, start_step, ft_at.as_ref(), &c))
+                    })
+                }
+            };
 
-            let mut completed: Option<TrainReport> = None;
+            let mut totals = None;
             let mut failed = false;
-            let mut migrate_to: Option<(usize, usize)> = None;
+            let mut migrate_to = None;
             let mut through = start_step;
-            for o in outcomes {
-                match o {
-                    RankOutcome::Ok(Attempt::Completed(r)) => completed = Some(*r),
-                    RankOutcome::Ok(Attempt::Aborted(seg)) => {
-                        failed = true;
-                        through = through.max(seg.through);
+            for outcome in outcomes {
+                match outcome {
+                    RankOutcome::Ok((seg, end)) => {
+                        let ran_to = start_step + seg.loss.len();
+                        through = through.max(ran_to);
                         splice(start_step, &seg.loss, &mut loss);
                         splice(start_step, &seg.aux, &mut aux);
                         splice(start_step, &seg.imbalance, &mut imb);
                         splice(start_step, &seg.drop, &mut dropr);
-                        eval.extend(seg.eval.iter().copied());
+                        ranks[start_step..ran_to].fill(cur.nranks);
+                        eval.extend(seg.eval);
+                        match end {
+                            End::Completed(t) => {
+                                totals.get_or_insert(t);
+                            }
+                            End::Aborted => failed = true,
+                            End::Migrated { at, victim } => migrate_to = Some((at, victim)),
+                        }
                     }
-                    RankOutcome::Ok(Attempt::Migrated { at, victim, seg }) => {
-                        migrate_to = Some((at, victim));
-                        through = through.max(seg.through);
-                        splice(start_step, &seg.loss, &mut loss);
-                        splice(start_step, &seg.aux, &mut aux);
-                        splice(start_step, &seg.imbalance, &mut imb);
-                        splice(start_step, &seg.drop, &mut dropr);
-                        eval.extend(seg.eval.iter().copied());
-                    }
+                    // Without an FtConfig nothing restarts.
+                    RankOutcome::Crashed(msg) if ft.is_none() => panic!("{msg}"),
                     // A genuine panic (not an injected crash): recover from
                     // it like any other failure, up to max_restarts.
                     RankOutcome::Crashed(_) | RankOutcome::TimedOut(_) => failed = true,
                 }
             }
 
-            if let Some(report) = completed {
+            if let Some(totals) = totals {
                 assert!(!failed, "ranks disagreed on completion");
-                splice(start_step, &report.loss_curve, &mut loss);
-                splice(start_step, &report.aux_curve, &mut aux);
-                splice(start_step, &report.imbalance_curve, &mut imb);
-                splice(start_step, &report.drop_curve, &mut dropr);
-                eval.extend(report.eval_curve.iter().copied());
                 let elapsed = start.elapsed().as_secs_f64();
+                // Each step once, at the width it last ran on.
+                let total_tokens = ranks.iter().sum::<usize>()
+                    * cfg.batch_per_rank
+                    * cfg.seq
+                    * cfg.grad_accum.max(1);
                 return TrainReport {
                     loss_curve: loss,
                     aux_curve: aux,
                     imbalance_curve: imb,
                     drop_curve: dropr,
+                    tokens_per_sec: total_tokens as f64 / elapsed,
+                    skipped_steps: totals.skipped_steps,
+                    total_tokens,
                     eval_curve: eval.into_iter().collect(),
-                    tokens_per_sec: report.total_tokens as f64 / elapsed,
+                    overlap_fraction: totals.overlap_fraction,
+                    trace: collector.map(|c| finish_trace(c, host)),
+                    comm_stats: totals.comm_stats,
                     restarts,
                     lost_steps,
                     recovery_time_s,
                     resizes,
                     migrations,
-                    trace: collector.map(|c| finish_trace(c, host)),
-                    // The report's own reconstruction has no [ft] section
-                    // (finish() cannot see it); re-stamp with it included.
-                    run_config: RunConfig::reconstruct(&cfg, Some(ft)),
-                    ..report
+                    wire: cfg.wire,
+                    placement: meta.placement,
+                    compute: cfg.compute,
+                    run_config: RunConfig::reconstruct(&cfg, ft),
                 };
             }
+            let ft = ft.expect("only an attempt under an FtConfig stops early");
 
             if let (Some((at, victim)), false) = (migrate_to, failed) {
                 // Planned degradation, not a failure: every rank agreed (the
@@ -567,10 +552,8 @@ impl Trainer {
                 // Shift to the Shed layout and continue from that step —
                 // no restart counted, no recovery time charged.
                 migrations += 1;
-                if let Some(col) = &collector {
-                    col.record_count(DRIVER_LANE, names::STRAGGLER_MIGRATIONS, 1);
-                }
-                placement = ExpertPlacement::Shed { victim };
+                count(names::STRAGGLER_MIGRATIONS);
+                cur.placement = ExpertPlacement::Shed { victim };
                 start_step = at;
                 continue;
             }
@@ -584,8 +567,8 @@ impl Trainer {
                     attempt_t0_ns.unwrap(),
                     col.now_ns(),
                 );
-                col.record_count(DRIVER_LANE, names::RESTARTS, 1);
             }
+            count(names::RESTARTS);
             recovery_time_s += attempt_start.elapsed().as_secs_f64();
             restarts += 1;
             assert!(
@@ -609,36 +592,88 @@ impl Trainer {
             };
             lost_steps += through.saturating_sub(restored);
             start_step = restored;
-            if ft.elastic && world_size > 1 {
+            if ft.elastic && cur.nranks > 1 {
                 // Degrade, don't die: drop the crashed rank and continue on
                 // the survivors. The next attempt re-shards the full-width
                 // checkpoint across R−1 ranks; ZeRO state re-shards itself
                 // (optimizer moments are rebuilt from the restored master
                 // weights, exactly as on any restore).
-                world_size -= 1;
+                cur.nranks -= 1;
                 resizes += 1;
-                if let Some(col) = &collector {
-                    col.record_count(DRIVER_LANE, names::FT_RESIZES, 1);
-                }
+                count(names::FT_RESIZES);
                 // A Shed victim was named in the old world; fold back to the
                 // configured layout for the shrunk one.
-                if matches!(placement, ExpertPlacement::Shed { .. }) {
-                    placement = ExpertPlacement::RoundRobin;
+                if matches!(cur.placement, ExpertPlacement::Shed { .. }) {
+                    cur.placement = ExpertPlacement::RoundRobin;
                 }
-                let shrunk = TrainConfig {
-                    nranks: world_size,
-                    placement,
-                    ..cfg
-                };
-                shrunk
-                    .resolved_placement()
-                    .validate(world_size)
+                cur.resolved_placement()
+                    .validate(cur.nranks)
                     .unwrap_or_else(|e| {
-                        panic!("elastic resize to {world_size} ranks is impossible: {e}")
+                        panic!("elastic resize to {} ranks is impossible: {e}", cur.nranks)
                     });
             }
         }
     }
+}
+
+/// How an attempt restores model state, decided by [`preflight`].
+#[derive(Debug, Clone, Copy)]
+enum Restore {
+    /// The checkpoint's layout matches this attempt exactly: each rank
+    /// loads its own shard (the historical, bit-pinned path).
+    Strict,
+    /// The checkpoint was written under a different layout (different world
+    /// size after an elastic resize, or a different placement after a
+    /// migration): each rank reads all `from_nranks` shard files and pulls
+    /// out the parameters its new layout owns. Sound because expert
+    /// parameters are named by *global* expert id and dense parameters are
+    /// identical replicas in every shard.
+    Reshard {
+        /// World size the shard set on disk was written for.
+        from_nranks: usize,
+    },
+}
+
+/// Pre-flight the restore of an attempt starting at `start_step` under
+/// layout `current` on rank 0's shard: a mismatched restore is a
+/// configuration error, not a transient fault, so it must be a hard error
+/// here rather than a crash the restart loop retries into "giving up after
+/// N restarts". So is a step with no checkpoint behind it, whether the step
+/// came from `resume_step` or from the MANIFEST. Cross-layout restore (an
+/// R-rank shard set onto R−1 ranks, or a round-robin set onto a Shed
+/// layout) is only authorized by the degradation features — `elastic`, or
+/// a run already `degraded` — so a plain run keeps the strict gate.
+fn preflight(
+    ft: &FtConfig,
+    start_step: usize,
+    current: PlacementMeta,
+    degraded: bool,
+) -> Option<Restore> {
+    if start_step == 0 {
+        return None;
+    }
+    let allow_reshard = ft.elastic || degraded;
+    let shard0 = ft
+        .ckpt_dir
+        .join(format!("step{start_step}"))
+        .join("rank0.bglu");
+    let saved = checkpoint::read_placement(&shard0).unwrap_or_else(|e| {
+        panic!("cannot resume from step {start_step}: checkpoint shard {shard0:?}: {e}")
+    });
+    Some(match saved {
+        Some(meta) if meta == current => Restore::Strict,
+        Some(meta) if allow_reshard && meta.n_experts == current.n_experts => Restore::Reshard {
+            from_nranks: meta.nranks,
+        },
+        Some(meta) if allow_reshard => panic!(
+            "cannot re-shard checkpoint {shard0:?}: it holds {} experts but this run has {}",
+            meta.n_experts, current.n_experts
+        ),
+        _ => {
+            placement_gate(saved, &shard0, current, 0);
+            Restore::Strict
+        }
+    })
 }
 
 /// Close a run's trace: the process-wide rows only the driver can record
@@ -657,20 +692,15 @@ fn publish_reservoir<C: Communicator>(comm: &C) {
     }
 }
 
-/// Everything one rank needs to execute training steps, factored out of
-/// `rank_main` so the fault-tolerant driver can restore a checkpoint into
-/// it and resume from an arbitrary step.
+/// Everything one rank needs to execute training steps, built so that an
+/// attempt can restore a checkpoint into it and resume from any step.
 struct RankState {
     cfg: TrainConfig,
     model: DistTransformer,
     opt: MixedPrecision,
     zopt: bagualu_parallel::zero::ZeroAdam,
     task: SyntheticLM,
-    loss_curve: Vec<f32>,
-    aux_curve: Vec<f32>,
-    imbalance_curve: Vec<f64>,
-    drop_curve: Vec<f64>,
-    eval_curve: Vec<(usize, f32)>,
+    seg: Segment,
     ring_steps: u64,
     ring_steps_overlapped: u64,
 }
@@ -711,20 +741,15 @@ impl RankState {
         if cfg.locality_bias != 0.0 {
             model.set_locality_bias(cfg.locality_bias, sn);
         }
-        let mut opt = MixedPrecision::new(
-            AdamConfig {
-                lr: cfg.lr,
-                ..Default::default()
-            },
-            cfg.dtype,
-        );
+        let adam = AdamConfig {
+            lr: cfg.lr,
+            ..Default::default()
+        };
+        let mut opt = MixedPrecision::new(adam, cfg.dtype);
         if cfg.disable_loss_scaling {
             opt = opt.with_scaler(bagualu_optim::scaler::LossScaler::disabled());
         }
-        let zopt = bagualu_parallel::zero::ZeroAdam::new(AdamConfig {
-            lr: cfg.lr,
-            ..Default::default()
-        });
+        let zopt = bagualu_parallel::zero::ZeroAdam::new(adam);
         opt.quantize_model(&mut model);
         let task = SyntheticLM::new(cfg.model.vocab, cfg.data, cfg.seed);
         publish_reservoir(comm);
@@ -734,11 +759,7 @@ impl RankState {
             opt,
             zopt,
             task,
-            loss_curve: Vec::with_capacity(cfg.steps),
-            aux_curve: Vec::with_capacity(cfg.steps),
-            imbalance_curve: Vec::with_capacity(cfg.steps),
-            drop_curve: Vec::with_capacity(cfg.steps),
-            eval_curve: Vec::new(),
+            seg: Segment::default(),
             ring_steps: 0,
             ring_steps_overlapped: 0,
         }
@@ -848,10 +869,10 @@ impl RankState {
             ReduceOp::Sum,
         );
         let r = comm.size() as f32;
-        self.loss_curve.push(stats[0] / r);
-        self.aux_curve.push(stats[1] / r);
-        self.imbalance_curve.push((stats[2] / r) as f64);
-        self.drop_curve.push((stats[3] / r) as f64);
+        self.seg.loss.push(stats[0] / r);
+        self.seg.aux.push(stats[1] / r);
+        self.seg.imbalance.push((stats[2] / r) as f64);
+        self.seg.drop.push((stats[3] / r) as f64);
 
         // Held-out evaluation (forward only, no gradient contamination:
         // grads were just zeroed and the backward pass is never run).
@@ -867,15 +888,15 @@ impl RankState {
                     .forward(&tokens, cfg.batch_per_rank, cfg.seq, comm);
                 let (eval_ce, _) = cross_entropy(&logits, &targets);
                 let agg = allreduce_recursive_doubling(comm, vec![eval_ce], ReduceOp::Sum);
-                self.eval_curve.push((step, agg[0] / r));
+                self.seg.eval.push((step, agg[0] / r));
             }
         }
         publish_reservoir(comm);
     }
 
-    /// Pool run-wide counters and assemble the report. Uses blocking
-    /// collectives, so call only when every rank reached the end.
-    fn finish<C: Communicator>(self, comm: &C) -> TrainReport {
+    /// Pool run-wide counters and close the segment as completed. Uses
+    /// blocking collectives, so call only when every rank reached the end.
+    fn finish<C: Communicator>(self, comm: &C) -> (Segment, End) {
         let cfg = self.cfg;
         // Pool the overlap counters globally so the fraction reflects the
         // whole job, not just rank 0's slice of the rings.
@@ -902,55 +923,141 @@ impl RankState {
         let comm_stats = comm.stats();
         publish_reservoir(comm);
 
-        let total_tokens =
-            cfg.nranks * cfg.batch_per_rank * cfg.seq * cfg.steps * cfg.grad_accum.max(1);
-        TrainReport {
-            loss_curve: self.loss_curve,
-            aux_curve: self.aux_curve,
-            imbalance_curve: self.imbalance_curve,
-            drop_curve: self.drop_curve,
-            tokens_per_sec: 0.0, // filled in by Trainer::run
+        let totals = Totals {
             skipped_steps: self.opt.skipped_steps,
-            total_tokens,
-            eval_curve: self.eval_curve,
             overlap_fraction,
             comm_stats,
-            restarts: 0,
-            lost_steps: 0,
-            recovery_time_s: 0.0,
-            resizes: 0,
-            migrations: 0,
-            trace: None, // filled in by Trainer::run / run_ft
-            wire: cfg.wire,
-            placement: cfg.resolved_placement(),
-            compute: cfg.compute,
-            run_config: RunConfig::reconstruct(&cfg, None),
+        };
+        (self.seg, End::Completed(totals))
+    }
+}
+
+/// What an attempt under an [`FtConfig`] adds to every rank's loop.
+struct FtAttempt<'a> {
+    ft: &'a FtConfig,
+    /// The fault schedule, when the world is armed.
+    faults: Option<&'a FaultRuntime>,
+    restore: Option<Restore>,
+    /// The attempt's layout, gated on restore and recorded in every shard.
+    meta: PlacementMeta,
+    /// Embedded once per shard so every checkpoint is self-describing
+    /// (`None` — and no record — when the schema cannot express this run).
+    stamp: Option<RunConfig>,
+    /// [`FtConfig::straggler_factor`], when this attempt may migrate.
+    straggler_factor: Option<f64>,
+}
+
+impl FtAttempt<'_> {
+    /// Load the checkpoint for `start_step` into `st`, if the attempt
+    /// restores one.
+    fn restore<C: Communicator>(&self, st: &mut RankState, start_step: usize, comm: &C) {
+        let Some(restore) = self.restore else {
+            return;
+        };
+        let dir = self.ft.ckpt_dir.join(format!("step{start_step}"));
+        let loaded = match restore {
+            Restore::Strict => {
+                let path = dir.join(format!("rank{}.bglu", comm.rank()));
+                // One pass over the shard yields both the placement record
+                // to gate on and the parameters.
+                checkpoint::load_params_gated(&path, &mut st.model, |saved| {
+                    placement_gate(saved, &path, self.meta, comm.rank())
+                })
+            }
+            Restore::Reshard { from_nranks } => {
+                // Cross-layout restore: read every shard of the old world
+                // and pull out what this rank's new layout owns (the driver
+                // already gated compatibility on rank 0's shard).
+                let paths: Vec<PathBuf> = (0..from_nranks)
+                    .map(|r| dir.join(format!("rank{r}.bglu")))
+                    .collect();
+                checkpoint::load_params_from_files(&paths, &mut st.model)
+            }
+        };
+        loaded.unwrap_or_else(|e| {
+            panic!(
+                "rank {} of {}: cannot restore step-{start_step} checkpoint ({restore:?}): {e}",
+                comm.rank(),
+                comm.size()
+            )
+        });
+        // Restore the working-precision invariant (no-op for f32); the
+        // optimizer captures master weights lazily at its first step, so
+        // they come from these restored values.
+        st.opt.quantize_model(&mut st.model);
+    }
+
+    /// Publish `step` to the fault runtime, fire a crash injected for this
+    /// rank at it, and heartbeat. False when the rank must stop: it
+    /// crashed, or a peer stopped responding.
+    fn before_step<C: FtCommunicator>(&self, step: usize, comm: &C) -> bool {
+        if let Some(faults) = self.faults {
+            // Sustained (step-ranged) degradation windows open and close on
+            // the published step.
+            faults.set_step(step);
+            // Injected fail-stop crash: the rank flags itself dead and goes
+            // silent. Peers observe exactly what a real crash looks like —
+            // no more messages — while the harness still collects the
+            // metric segment this rank had already agreed on.
+            if faults.should_crash(comm.rank(), step) {
+                comm.mark_self_dead();
+                return false;
+            }
         }
+        self.heartbeat(comm)
+    }
+
+    /// Heartbeat ([`barrier_ft`]): detects dead peers within
+    /// `heartbeat_ms`. On failure, flag self dead too so detection
+    /// cascades instead of every survivor waiting out its own full timeout.
+    fn heartbeat<C: FtCommunicator>(&self, comm: &C) -> bool {
+        barrier_ft(comm, Duration::from_millis(self.ft.heartbeat_ms.max(1)))
+            .inspect_err(|_| comm.mark_self_dead())
+            .is_ok()
+    }
+
+    /// Write this rank's shard of the checkpoint for step `at`; once every
+    /// shard is durable, rank 0 publishes the step. False when a peer died
+    /// meanwhile.
+    fn checkpoint<C: FtCommunicator>(&self, st: &mut RankState, at: usize, comm: &C) -> bool {
+        let _span = trace::span(names::CHECKPOINT);
+        let dir = self.ft.ckpt_dir.join(format!("step{at}"));
+        std::fs::create_dir_all(&dir)
+            .unwrap_or_else(|e| panic!("cannot create checkpoint dir {dir:?}: {e}"));
+        let path = dir.join(format!("rank{}.bglu", comm.rank()));
+        checkpoint::save_params_with_meta(&path, &mut st.model, self.meta, self.stamp.as_ref())
+            .unwrap_or_else(|e| panic!("cannot write checkpoint {path:?}: {e}"));
+        // All shards must be durable before the manifest advances; then
+        // rank 0 publishes the step atomically.
+        if !self.heartbeat(comm) {
+            return false;
+        }
+        if comm.rank() == 0 {
+            write_manifest(&self.ft.ckpt_dir, at);
+        }
+        true
     }
 }
 
-fn rank_main<C: Communicator>(cfg: TrainConfig, comm: &C) -> TrainReport {
-    // Scope the configured compute backends to this rank's thread: every
-    // matmul below — model forward/backward, eval, optimizer-adjacent
-    // GEMMs — dispatches to the GEMM backend, and every softmax/layer-norm/
-    // Adam pass to the paired row-op tier; nothing outside this rank is
-    // affected.
-    let _backend = install_backend(cfg.compute.instantiate());
-    let _row_ops = install_row_ops(cfg.compute.instantiate_row_ops());
-    let mut st = RankState::new(cfg, comm, false);
-    for step in 0..cfg.steps {
-        st.step(step, comm);
-    }
-    st.finish(comm)
+/// The metrics of the steps one rank completed in an attempt, starting at
+/// the attempt's start step. They are all-reduced, so every rank's segment
+/// is a prefix of the same curves and the driver can splice any of them.
+#[derive(Default)]
+struct Segment {
+    loss: Vec<f32>,
+    aux: Vec<f32>,
+    imbalance: Vec<f64>,
+    drop: Vec<f64>,
+    eval: Vec<(usize, f32)>,
 }
 
-/// What one rank's restart attempt produced.
-enum Attempt {
-    /// Ran through step `cfg.steps - 1`.
-    Completed(Box<TrainReport>),
+/// How one rank's attempt ended.
+enum End {
+    /// Ran through step `cfg.steps - 1` and pooled the run's totals.
+    Completed(Totals),
     /// Stopped early — an injected crash on this rank, or a failed
     /// heartbeat because some peer stopped responding.
-    Aborted(Segment),
+    Aborted,
     /// Stopped deliberately at the published checkpoint for step `at` so
     /// the driver can re-place expert load away from the flagged straggler
     /// `victim` and continue. Every rank returns the same verdict — the
@@ -960,44 +1067,14 @@ enum Attempt {
         at: usize,
         /// The flagged straggler whose expert load is shed.
         victim: usize,
-        /// Metrics for the steps this attempt did complete.
-        seg: Segment,
     },
 }
 
-/// How a restart attempt restores model state, decided by the driver (which
-/// also pre-flights it against rank 0's shard so misconfiguration is a hard
-/// error, not a retried crash).
-#[derive(Debug, Clone, Copy)]
-enum Restore {
-    /// `start_step == 0`: nothing to restore.
-    Fresh,
-    /// The checkpoint's layout matches this attempt exactly: each rank
-    /// loads its own shard (the historical, bit-pinned path).
-    Strict,
-    /// The checkpoint was written under a different layout (different world
-    /// size after an elastic resize, or a different placement after a
-    /// migration): each rank reads all `from_nranks` shard files and pulls
-    /// out the parameters its new layout owns. Sound because expert
-    /// parameters are named by *global* expert id and dense parameters are
-    /// identical replicas in every shard.
-    Reshard {
-        /// World size the shard set on disk was written for.
-        from_nranks: usize,
-    },
-}
-
-/// Metrics for the steps an aborted attempt did complete, starting at the
-/// attempt's start step. Identical on every rank (they are all-reduced), so
-/// the driver can splice any one rank's segment into the global curves.
-struct Segment {
-    /// First step that did NOT execute.
-    through: usize,
-    loss: Vec<f32>,
-    aux: Vec<f32>,
-    imbalance: Vec<f64>,
-    drop: Vec<f64>,
-    eval: Vec<(usize, f32)>,
+/// What a rank that ran the last step reports besides its curves.
+struct Totals {
+    skipped_steps: u64,
+    overlap_fraction: Option<f64>,
+    comm_stats: Option<CommStats>,
 }
 
 /// Placement gate for checkpoint restore: a shard written under a different
@@ -1006,12 +1083,7 @@ struct Segment {
 /// (with rank 0's shard, so the mismatch surfaces as a hard error rather
 /// than a retried crash) and by every rank on its own shard. `saved` is the
 /// placement record read from `path` (`None`: the shard predates them).
-fn placement_gate(
-    saved: Option<crate::checkpoint::PlacementMeta>,
-    path: &Path,
-    current: crate::checkpoint::PlacementMeta,
-    rank: usize,
-) {
+fn placement_gate(saved: Option<PlacementMeta>, path: &Path, current: PlacementMeta, rank: usize) {
     match saved {
         Some(meta) if meta != current => panic!(
             "rank {rank}: placement mismatch — checkpoint {path:?} was written under \
@@ -1036,124 +1108,45 @@ fn placement_gate(
     }
 }
 
-fn segment(st: RankState, through: usize) -> Segment {
-    Segment {
-        through,
-        loss: st.loss_curve,
-        aux: st.aux_curve,
-        imbalance: st.imbalance_curve,
-        drop: st.drop_curve,
-        eval: st.eval_curve,
-    }
-}
-
-fn abort(st: RankState, through: usize) -> Attempt {
-    Attempt::Aborted(segment(st, through))
-}
-
-/// The fault-tolerant per-rank loop: heartbeat → step → periodic
-/// checkpoint, resuming from `start_step` when restarted. `cfg` is the
-/// *current* attempt's configuration — after an elastic resize or a
-/// straggler migration it differs from the run's original config in
-/// `nranks`/`placement`.
-fn rank_main_ft<C: FtCommunicator>(
+/// The one per-rank loop: install this rank's compute backends, build (and
+/// under an [`FtConfig`], restore) its state, and run steps
+/// `start_step..steps` — under an `FtConfig` with a heartbeat before each
+/// step, a checkpoint every `ckpt_every` steps and straggler detection.
+/// `cfg` is the attempt's: after an elastic resize or a straggler migration
+/// it differs from the run's in `nranks`/`placement`.
+fn rank_loop<C: FtCommunicator>(
     cfg: TrainConfig,
-    ft: &FtConfig,
     start_step: usize,
-    restore: Restore,
-    allow_migration: bool,
-    faults: &FaultRuntime,
+    ft: Option<&FtAttempt>,
     comm: &C,
-) -> Result<Attempt, bagualu_comm::fault::CommError> {
-    let hb = Duration::from_millis(ft.heartbeat_ms.max(1));
-    // Same per-rank backend scopes as `rank_main`; restart attempts run on
-    // fresh threads, so each attempt re-installs them.
+) -> (Segment, End) {
+    // Scope the configured compute backends to this rank's thread: every
+    // matmul below — model forward/backward, eval, optimizer-adjacent
+    // GEMMs — dispatches to the GEMM backend, and every softmax/layer-norm/
+    // Adam pass to the paired row-op tier; nothing outside this rank is
+    // affected. Restart attempts run on fresh threads, so each attempt
+    // re-installs them.
     let _backend = install_backend(cfg.compute.instantiate());
     let _row_ops = install_row_ops(cfg.compute.instantiate_row_ops());
-    let mut st = RankState::new(cfg, comm, !matches!(restore, Restore::Fresh));
-    let placement_meta = crate::checkpoint::PlacementMeta {
-        placement: cfg.resolved_placement(),
-        n_experts: cfg.model.n_experts,
-        nranks: comm.size(),
-    };
-    // Embedded once per shard so every checkpoint is self-describing
-    // (`None` — and no record — when the schema cannot express this run).
-    let run_config = RunConfig::reconstruct(&cfg, Some(ft));
-    match restore {
-        Restore::Fresh => {}
-        Restore::Strict => {
-            let path = ft
-                .ckpt_dir
-                .join(format!("step{start_step}"))
-                .join(format!("rank{}.bglu", comm.rank()));
-            // One pass over the shard yields both the placement record to
-            // gate on and the parameters.
-            crate::checkpoint::load_params_gated(&path, &mut st.model, |saved| {
-                placement_gate(saved, &path, placement_meta, comm.rank())
-            })
-            .unwrap_or_else(|e| {
-                panic!(
-                    "rank {}: cannot restore step-{start_step} checkpoint: {e}",
-                    comm.rank()
-                )
-            });
-            // Restore the working-precision invariant (no-op for f32); the
-            // optimizer captures master weights lazily at its first step, so
-            // they come from these restored values.
-            st.opt.quantize_model(&mut st.model);
-        }
-        Restore::Reshard { from_nranks } => {
-            // Cross-layout restore: read every shard of the old world and
-            // pull out what this rank's new layout owns (the driver already
-            // gated compatibility on rank 0's shard).
-            let dir = ft.ckpt_dir.join(format!("step{start_step}"));
-            let paths: Vec<PathBuf> = (0..from_nranks)
-                .map(|r| dir.join(format!("rank{r}.bglu")))
-                .collect();
-            crate::checkpoint::load_params_from_files(&paths, &mut st.model).unwrap_or_else(|e| {
-                panic!(
-                    "rank {}: cannot re-shard step-{start_step} checkpoint \
-                         ({from_nranks} shards onto {} ranks): {e}",
-                    comm.rank(),
-                    comm.size()
-                )
-            });
-            st.opt.quantize_model(&mut st.model);
-        }
+    let mut st = RankState::new(cfg, comm, ft.is_some_and(|ft| ft.restore.is_some()));
+    if let Some(ft) = ft {
+        ft.restore(&mut st, start_step, comm);
     }
 
     // Online straggler detection: every rank contributes its send-occupancy
     // delta (one-hot, summed by the all-reduce), so every rank sees the
     // same per-rank samples and the detector — a pure function of them —
     // reaches the same verdict everywhere with no extra coordination.
-    let mut detector = (allow_migration && comm.size() >= 2)
-        .then(|| {
-            ft.straggler_factor.map(|f| {
-                bagualu_trace::StragglerDetector::new(comm.size(), f, ft.straggler_window.max(1))
-            })
-        })
-        .flatten();
+    let mut detector = ft.and_then(|ft| {
+        let window = ft.ft.straggler_window.max(1);
+        (ft.straggler_factor).map(|f| StragglerDetector::new(comm.size(), f, window))
+    });
     let mut last_occupancy = comm.send_occupancy_ns().unwrap_or(0);
     let mut pending_victim: Option<usize> = None;
 
     for step in start_step..cfg.steps {
-        // Publish the step to the fault runtime so sustained (step-ranged)
-        // degradation windows open and close on schedule.
-        faults.set_step(step);
-        // Injected fail-stop crash: the rank flags itself dead and goes
-        // silent. Peers observe exactly what a real crash looks like —
-        // no more messages — while the harness still collects the metric
-        // segment this rank had already agreed on.
-        if faults.should_crash(comm.rank(), step) {
-            comm.mark_self_dead();
-            return Ok(abort(st, step));
-        }
-        // Step-boundary heartbeat: detects dead peers within `hb`. On
-        // failure, flag self dead too so detection cascades instead of
-        // every survivor waiting out its own full timeout.
-        if barrier_ft(comm, hb).is_err() {
-            comm.mark_self_dead();
-            return Ok(abort(st, step));
+        if ft.is_some_and(|ft| !ft.before_step(step, comm)) {
+            return (st.seg, End::Aborted);
         }
         st.step(step, comm);
 
@@ -1177,51 +1170,33 @@ fn rank_main_ft<C: FtCommunicator>(
             }
         }
 
-        if ft.ckpt_every > 0 && (step + 1) % ft.ckpt_every == 0 && step + 1 < cfg.steps {
-            let _span = trace::span(names::CHECKPOINT);
-            let next_step = step + 1;
-            let dir = ft.ckpt_dir.join(format!("step{next_step}"));
-            std::fs::create_dir_all(&dir)
-                .unwrap_or_else(|e| panic!("cannot create checkpoint dir {dir:?}: {e}"));
-            let path = dir.join(format!("rank{}.bglu", comm.rank()));
-            crate::checkpoint::save_params_with_meta(
-                &path,
-                &mut st.model,
-                placement_meta,
-                run_config.as_ref(),
-            )
-            .unwrap_or_else(|e| panic!("cannot write checkpoint {path:?}: {e}"));
-            // All shards must be durable before the manifest advances;
-            // then rank 0 publishes the step atomically.
-            if barrier_ft(comm, hb).is_err() {
-                comm.mark_self_dead();
-                return Ok(abort(st, next_step));
-            }
-            if comm.rank() == 0 {
-                write_manifest(&ft.ckpt_dir, next_step);
+        let next_step = step + 1;
+        if let Some(ft) =
+            ft.filter(|ft| next_step.is_multiple_of(ft.ft.ckpt_every) && next_step < cfg.steps)
+        {
+            if !ft.checkpoint(&mut st, next_step, comm) {
+                return (st.seg, End::Aborted);
             }
             // Migration is amortized to checkpoint boundaries: the shard
             // set for `next_step` is complete and the manifest published,
             // so the re-placed world can restore from it consistently.
             if let Some(victim) = pending_victim {
-                return Ok(Attempt::Migrated {
-                    at: next_step,
-                    victim,
-                    seg: segment(st, next_step),
-                });
+                return (
+                    st.seg,
+                    End::Migrated {
+                        at: next_step,
+                        victim,
+                    },
+                );
             }
         }
     }
-    Ok(Attempt::Completed(Box::new(st.finish(comm))))
+    st.finish(comm)
 }
 
 /// Copy a curve segment computed from step `at` into the global curve.
 fn splice<T: Copy>(at: usize, src: &[T], dst: &mut [T]) {
-    for (i, &v) in src.iter().enumerate() {
-        if at + i < dst.len() {
-            dst[at + i] = v;
-        }
-    }
+    dst[at..at + src.len()].copy_from_slice(src);
 }
 
 /// Publish `MANIFEST` naming the latest complete checkpoint step: staged,
@@ -1229,7 +1204,7 @@ fn splice<T: Copy>(at: usize, src: &[T], dst: &mut [T]) {
 /// partial manifest and a power loss never leaves one that names a step
 /// whose shards were not durable first.
 fn write_manifest(dir: &Path, step: usize) {
-    crate::checkpoint::publish_atomic(&dir.join("MANIFEST"), |f| {
+    checkpoint::publish_atomic(&dir.join("MANIFEST"), |f| {
         f.write_all(format!("{step}\n").as_bytes())
     })
     .expect("publish checkpoint manifest");
@@ -1604,13 +1579,7 @@ mod tests {
             ..Default::default()
         };
         let dir = ft_tmpdir("trace");
-        let ft = FtConfig {
-            plan: FaultPlan::new(7).crash(1, 6),
-            ckpt_every: 4,
-            heartbeat_ms: 200,
-            ..FtConfig::new(&dir)
-        };
-        let r = Trainer::new(TrainConfig { trace: true, ..cfg }).run_ft(&ft);
+        let r = Trainer::new(TrainConfig { trace: true, ..cfg }).run_ft(&crash_1_at_6(&dir));
         assert_eq!(r.restarts, 1);
         let trace = r.trace.as_ref().expect("trace requested");
         // Driver lane: one recovery span, one restart counted.
@@ -1640,6 +1609,26 @@ mod tests {
         let _ = std::fs::remove_dir_all(dir);
     }
 
+    /// Rank 1 crashes at step 6; checkpoints every 4 steps into `dir`.
+    fn crash_1_at_6(dir: &Path) -> FtConfig {
+        FtConfig {
+            plan: FaultPlan::new(7).crash(1, 6),
+            ckpt_every: 4,
+            heartbeat_ms: 200,
+            ..FtConfig::new(dir)
+        }
+    }
+
+    /// A fault-free `run_ft` of `cfg` into `dir`: a checkpoint every
+    /// `ckpt_every` steps (0: none), starting at `resume_step`.
+    fn ft_run(cfg: TrainConfig, dir: &Path, ckpt_every: usize, resume_step: usize) -> TrainReport {
+        Trainer::new(cfg).run_ft(&FtConfig {
+            ckpt_every,
+            resume_step,
+            ..FtConfig::new(dir)
+        })
+    }
+
     fn ft_tmpdir(tag: &str) -> std::path::PathBuf {
         let d = std::env::temp_dir().join(format!("bagualu-ft-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&d);
@@ -1655,15 +1644,71 @@ mod tests {
         };
         let plain = Trainer::new(cfg).run();
         let dir = ft_tmpdir("noop");
-        let ft = FtConfig {
-            ckpt_every: 0,
-            ..FtConfig::new(&dir)
-        };
-        let fault_free = Trainer::new(cfg).run_ft(&ft);
+        let fault_free = ft_run(cfg, &dir, 0, 0);
         assert_eq!(fault_free.restarts, 0);
         assert_eq!(fault_free.lost_steps, 0);
         assert_eq!(plain.loss_curve, fault_free.loss_curve);
         assert_eq!(plain.eval_curve, fault_free.eval_curve);
+        assert_eq!(plain.aux_curve, fault_free.aux_curve);
+        assert_eq!(plain.imbalance_curve, fault_free.imbalance_curve);
+        assert_eq!(plain.drop_curve, fault_free.drop_curve);
+        assert_eq!(plain.total_tokens, fault_free.total_tokens);
+        assert_eq!(plain.overlap_fraction, fault_free.overlap_fraction);
+        assert_eq!(plain.skipped_steps, fault_free.skipped_steps);
+        assert_eq!(plain.wire, fault_free.wire);
+        assert_eq!(plain.placement, fault_free.placement);
+        assert_eq!(plain.compute, fault_free.compute);
+
+        let (stamp, mut ft_stamp) = (plain.run_config.unwrap(), fault_free.run_config.unwrap());
+        assert_ne!(stamp.ft, ft_stamp.ft);
+        ft_stamp.ft = stamp.ft.clone();
+        assert_eq!(ft_stamp, stamp, "the stamps differ only in [ft]");
+
+        // `run` sends no heartbeat; `run_ft` sends one `barrier_ft` per step
+        // (at 2 ranks, one recursive-doubling exchange: 2 messages). The
+        // heartbeat rides the metric all-reduces' tag, so compare totals.
+        let (hb_bytes, hb_msgs) = bagualu_comm::harness::run_ranks_counted(cfg.nranks, |c| {
+            barrier_ft(&c, Duration::from_secs(5)).unwrap()
+        });
+        assert_eq!(hb_msgs, 2);
+        let steps = cfg.steps as u64;
+        let (p, f) = (plain.comm_stats.unwrap(), fault_free.comm_stats.unwrap());
+        assert_eq!(f.total_msgs, p.total_msgs + steps * hb_msgs);
+        assert_eq!(f.total_bytes, p.total_bytes + steps * hb_bytes);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn resumed_run_counts_only_the_steps_it_ran() {
+        let cfg = TrainConfig {
+            steps: 6,
+            ..Default::default()
+        };
+        let dir = ft_tmpdir("tokens-resume");
+        ft_run(cfg, &dir, 4, 0);
+        // Steps 4 and 5, on 2 ranks.
+        let (b, s) = (cfg.batch_per_rank, cfg.seq);
+        assert_eq!(ft_run(cfg, &dir, 0, 4).total_tokens, 2 * 2 * b * s);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn elastic_run_counts_each_step_at_the_width_it_last_ran_on() {
+        let (n, k) = (8, 4);
+        let cfg = TrainConfig {
+            steps: n,
+            ..Default::default()
+        };
+        let dir = ft_tmpdir("tokens-elastic");
+        // Rank 1 dies at step 6, after the step-4 checkpoint: steps 0..4
+        // ran last on 2 ranks, steps 4..8 (4 and 5 re-executed) on 1.
+        let r = Trainer::new(cfg).run_ft(&FtConfig {
+            elastic: true,
+            ..crash_1_at_6(&dir)
+        });
+        assert_eq!((r.restarts, r.resizes, r.lost_steps), (1, 1, 2));
+        let (b, s) = (cfg.batch_per_rank, cfg.seq);
+        assert_eq!(r.total_tokens, k * 2 * b * s + (n - k) * b * s);
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -1676,13 +1721,7 @@ mod tests {
         let dir = ft_tmpdir("crash");
 
         // Rank 1 crashes at step 6; checkpoints land at steps 4 and 8.
-        let ft = FtConfig {
-            plan: FaultPlan::new(7).crash(1, 6),
-            ckpt_every: 4,
-            heartbeat_ms: 200,
-            ..FtConfig::new(&dir)
-        };
-        let faulted = Trainer::new(cfg).run_ft(&ft);
+        let faulted = Trainer::new(cfg).run_ft(&crash_1_at_6(&dir));
         assert_eq!(faulted.restarts, 1, "one crash → one restart");
         assert_eq!(faulted.lost_steps, 2, "crash at 6, restored from 4");
         assert!(faulted.recovery_time_s > 0.0);
@@ -1692,11 +1731,7 @@ mod tests {
         // Reference: a fault-free run resumed from the same step-4
         // checkpoint must produce bit-identical steps 4..10 — recovery adds
         // nothing beyond what restart-from-checkpoint itself does.
-        let reference = Trainer::new(cfg).run_ft(&FtConfig {
-            ckpt_every: 0,
-            resume_step: 4,
-            ..FtConfig::new(&dir)
-        });
+        let reference = ft_run(cfg, &dir, 0, 4);
         assert_eq!(reference.restarts, 0);
         assert_eq!(faulted.loss_curve[4..], reference.loss_curve[4..]);
         assert_eq!(faulted.final_loss(), reference.final_loss());
@@ -2014,21 +2049,14 @@ mod tests {
             ..Default::default()
         };
         // Write a step-4 checkpoint under the default round-robin mapping…
-        Trainer::new(cfg).run_ft(&FtConfig {
-            ckpt_every: 4,
-            ..FtConfig::new(&dir)
-        });
+        ft_run(cfg, &dir, 4, 0);
         // …then try to resume it under block placement. The experts would
         // land on the wrong ranks, so this must die loudly instead.
-        let _ = Trainer::new(TrainConfig {
+        let block = TrainConfig {
             placement: ExpertPlacement::Block,
             ..cfg
-        })
-        .run_ft(&FtConfig {
-            ckpt_every: 0,
-            resume_step: 4,
-            ..FtConfig::new(&dir)
-        });
+        };
+        let _ = ft_run(block, &dir, 0, 4);
     }
 
     #[test]
@@ -2044,15 +2072,8 @@ mod tests {
             trace: true,
             ..Default::default()
         };
-        let fresh = Trainer::new(cfg).run_ft(&FtConfig {
-            ckpt_every: 4,
-            ..FtConfig::new(&dir)
-        });
-        let resumed = Trainer::new(cfg).run_ft(&FtConfig {
-            ckpt_every: 0,
-            resume_step: 4,
-            ..FtConfig::new(&dir)
-        });
+        let fresh = ft_run(cfg, &dir, 4, 0);
+        let resumed = ft_run(cfg, &dir, 0, 4);
         // Drawn weights are the matrices; biases and norms are constants.
         fn weights(m: &mut dyn HasParams) -> u64 {
             let mut n = 0;
@@ -2104,11 +2125,7 @@ mod tests {
             steps: 6,
             ..Default::default()
         };
-        let _ = Trainer::new(cfg).run_ft(&FtConfig {
-            ckpt_every: 0,
-            resume_step: 4,
-            ..FtConfig::new(&dir)
-        });
+        let _ = ft_run(cfg, &dir, 0, 4);
     }
 
     #[test]
@@ -2146,18 +2163,9 @@ mod tests {
             ..Default::default()
         };
         let dir = ft_tmpdir("crash-noisy");
-        let faulted = Trainer::new(cfg).run_ft(&FtConfig {
-            plan: FaultPlan::new(7).crash(1, 6),
-            ckpt_every: 4,
-            heartbeat_ms: 200,
-            ..FtConfig::new(&dir)
-        });
+        let faulted = Trainer::new(cfg).run_ft(&crash_1_at_6(&dir));
         assert_eq!(faulted.restarts, 1);
-        let reference = Trainer::new(cfg).run_ft(&FtConfig {
-            ckpt_every: 0,
-            resume_step: 4,
-            ..FtConfig::new(&dir)
-        });
+        let reference = ft_run(cfg, &dir, 0, 4);
         assert_eq!(reference.restarts, 0);
         assert_eq!(faulted.loss_curve[4..], reference.loss_curve[4..]);
         assert_eq!(faulted.aux_curve[4..], reference.aux_curve[4..]);
@@ -2346,11 +2354,7 @@ mod tests {
         // movement; the optimizer restarts lazily on any restore).
         let plain = Trainer::new(cfg).run();
         assert_eq!(r.loss_curve[..4], plain.loss_curve[..4]);
-        let reference = Trainer::new(cfg).run_ft(&FtConfig {
-            ckpt_every: 0,
-            resume_step: 4,
-            ..FtConfig::new(&dir)
-        });
+        let reference = ft_run(cfg, &dir, 0, 4);
         assert_eq!(
             r.loss_curve[4..],
             reference.loss_curve[4..],

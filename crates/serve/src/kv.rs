@@ -301,19 +301,19 @@ mod tests {
 
         let positions = 10; // spans 4 blocks of 3
         for pos in 0..positions {
-            for layer in 0..layers {
+            for (layer, cache) in oracle[0].iter_mut().enumerate() {
                 let k: Vec<f32> = (0..d).map(|_| rng.normal()).collect();
                 let v: Vec<f32> = (0..d).map(|_| rng.normal()).collect();
                 let mut store = pool.store(&seq, layer, pos);
                 store.append(&k, &v);
-                oracle[0][layer].append(&k, &v);
+                cache.append(&k, &v);
             }
         }
         for pos in 0..positions {
-            for layer in 0..layers {
+            for (layer, cache) in oracle[0].iter().enumerate() {
                 let store = pool.store(&seq, layer, positions);
-                assert_eq!(store.key(pos), KvStore::key(&oracle[0][layer], pos));
-                assert_eq!(store.value(pos), KvStore::value(&oracle[0][layer], pos));
+                assert_eq!(store.key(pos), KvStore::key(cache, pos));
+                assert_eq!(store.value(pos), KvStore::value(cache, pos));
             }
         }
     }
