@@ -623,6 +623,14 @@ fn install(mut records: HashMap<String, Tensor>, model: &mut dyn HasParams) -> i
 
 /// Save every parameter of `model` to one file (atomically: tmp + rename).
 /// Returns bytes written.
+///
+/// A served model has no parameters and is no checkpoint:
+///
+/// ```compile_fail
+/// fn save(m: &mut bagualu::parallel::ServedModel) {
+///     bagualu::checkpoint::save_params("served.bglu", m).unwrap();
+/// }
+/// ```
 pub fn save_params(path: impl AsRef<Path>, model: &mut dyn HasParams) -> io::Result<u64> {
     save_shard(path.as_ref(), model, &|_| true, &[])
 }
@@ -686,17 +694,6 @@ impl PlacementMeta {
     }
 }
 
-/// [`save_params`] plus a [`PLACEMENT_RECORD`] carrying `meta`. The record
-/// rides in the same file with the same CRC/trailer protection; loaders
-/// that only want parameters ignore it.
-pub fn save_params_with_placement(
-    path: impl AsRef<Path>,
-    model: &mut dyn HasParams,
-    meta: PlacementMeta,
-) -> io::Result<u64> {
-    save_params_with_meta(path, model, meta, None)
-}
-
 /// Read the placement metadata of a checkpoint file. `Ok(None)` means the
 /// file predates placement metadata (written by [`save_params`] or an older
 /// build) — callers must then only accept the historical round-robin
@@ -740,10 +737,12 @@ fn decode_text(record: &str, t: &Tensor) -> io::Result<String> {
     String::from_utf8(bytes).map_err(|e| bad(format!("malformed {record} record: {e}")))
 }
 
-/// [`save_params_with_placement`] plus a [`RUNCONFIG_RECORD`] embedding the
-/// run's full [`RunConfig`] as TOML, making the checkpoint self-describing:
-/// `bagualu train --config` can reproduce the run that wrote it from the
-/// shard alone.
+/// [`save_params`] plus a [`PLACEMENT_RECORD`] carrying `meta` and, given a
+/// `run_config`, a [`RUNCONFIG_RECORD`] embedding the run's full
+/// [`RunConfig`] as TOML, making the checkpoint self-describing: `bagualu
+/// train --config` can reproduce the run that wrote it from the shard
+/// alone. The records ride in the same file with the same CRC/trailer
+/// protection; loaders that only want parameters ignore them.
 pub fn save_params_with_meta(
     path: impl AsRef<Path>,
     model: &mut dyn HasParams,
@@ -1182,7 +1181,7 @@ mod tests {
             n_experts: 4,
             nranks: 4,
         };
-        save_params_with_placement(&path, &mut a, meta).unwrap();
+        save_params_with_meta(&path, &mut a, meta, None).unwrap();
         assert_eq!(read_placement(&path).unwrap(), Some(meta));
         // Parameter loading skips the metadata record.
         let mut b = Transformer::new(ModelConfig::tiny(), &mut Rng::seed_from(22));
@@ -1358,11 +1357,11 @@ mod tests {
             assert_eq!(std::fs::read(&path).unwrap(), with(&[]), "save_params");
             assert_eq!(n, std::fs::metadata(&path).unwrap().len());
 
-            save_params_with_placement(&path, model, meta).unwrap();
+            save_params_with_meta(&path, model, meta, None).unwrap();
             assert_eq!(
                 std::fs::read(&path).unwrap(),
                 with(&[(PLACEMENT_RECORD, meta.encode())]),
-                "save_params_with_placement"
+                "save_params_with_meta without a run config"
             );
 
             save_params_with_meta(&path, model, meta, Some(&rc)).unwrap();
@@ -1417,7 +1416,7 @@ mod tests {
         assert_eq!(read_run_config(&path).unwrap(), Some(rc));
 
         // Placement but no config; then neither (v2 and v1).
-        save_params_with_placement(&path, &mut bag, meta).unwrap();
+        save_params_with_meta(&path, &mut bag, meta, None).unwrap();
         assert_eq!(read_placement(&path).unwrap(), Some(meta));
         assert_eq!(read_run_config(&path).unwrap(), None);
         save_params(&path, &mut bag).unwrap();
@@ -1440,7 +1439,7 @@ mod tests {
             nranks: 2,
         };
         let mut bag = straddling_bag();
-        let len = save_params_with_placement(&path, &mut bag, meta).unwrap();
+        let len = save_params_with_meta(&path, &mut bag, meta, None).unwrap();
 
         // The walk reads a small fraction of the file…
         let col = trace::TraceCollector::new();

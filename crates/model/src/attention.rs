@@ -1,6 +1,6 @@
 //! Causal multi-head self-attention with manual backward.
 
-use crate::linear::Linear;
+use crate::linear::{Linear, PackedLinear};
 use crate::param::{HasParams, Param};
 use bagualu_tensor::ops::{matmul, matmul_nt, matmul_tn, softmax_rows_inplace, Activation};
 use bagualu_tensor::rng::Rng;
@@ -13,8 +13,8 @@ use bagualu_tensor::Tensor;
 ///
 /// [`KvCache`] is the growable in-memory implementation; `bagualu-serve`
 /// provides a paged implementation backed by a shared block pool. The
-/// attention math in [`MultiHeadAttention::attend`] is identical across
-/// stores, so swapping the store cannot change outputs.
+/// attention math over a store is identical across stores, so swapping the
+/// store cannot change outputs.
 pub trait KvStore {
     /// Number of cached positions.
     fn len(&self) -> usize;
@@ -123,9 +123,6 @@ pub struct MultiHeadAttention {
     /// Apply rotary position embeddings to queries and keys.
     pub rope: bool,
     cache: Option<Cache>,
-    /// One head's scores in [`attend`](Self::attend), kept between calls so
-    /// decoding allocates nothing per row.
-    scores: Vec<f32>,
 }
 
 #[derive(Debug, Clone)]
@@ -150,7 +147,6 @@ impl MultiHeadAttention {
             n_heads,
             rope: false,
             cache: None,
-            scores: Vec::new(),
         }
     }
 
@@ -168,14 +164,16 @@ impl MultiHeadAttention {
         self.wqkv.d_in()
     }
 
-    /// Freeze both projections for inference ([`Linear::freeze`]) and drop
-    /// the backward cache; the KV-cached path
-    /// ([`forward_incremental_store`](Self::forward_incremental_store) and
-    /// its parts) is all that still runs.
-    pub fn freeze(&mut self) {
-        self.wqkv.freeze();
-        self.wo.freeze();
-        self.cache = None;
+    /// Give both projections up to inference ([`Linear::freeze`]); the
+    /// backward cache goes with the layer.
+    pub fn freeze(self) -> ServedAttention {
+        ServedAttention {
+            wqkv: self.wqkv.freeze(),
+            wo: self.wo.freeze(),
+            n_heads: self.n_heads,
+            rope: self.rope,
+            scores: Vec::new(),
+        }
     }
 
     fn head_dim(&self) -> usize {
@@ -256,97 +254,17 @@ impl MultiHeadAttention {
     /// Incremental (KV-cached) forward for autoregressive decoding: append
     /// one position's `[1, d]` input; `kv` holds the per-layer key/value
     /// history and is extended in place. Returns the `[1, d]` output.
-    /// Inference-only — no backward cache is produced.
-    pub fn forward_incremental(&mut self, x: &Tensor, kv: &mut KvCache) -> Tensor {
-        self.forward_incremental_store(x, kv)
-    }
-
-    /// [`forward_incremental`](Self::forward_incremental) generalized over
-    /// any [`KvStore`] — the one-row composition of
-    /// [`project_qkv`](Self::project_qkv), [`attend`](Self::attend) and
-    /// [`project_out`](Self::project_out), which a batched decode step calls
-    /// over all its rows at once. The math (and therefore the bits) is
-    /// independent of the store.
-    pub fn forward_incremental_store(&mut self, x: &Tensor, kv: &mut dyn KvStore) -> Tensor {
+    /// Inference-only — no backward cache is produced. The served layer
+    /// ([`ServedAttention::forward`]) runs the same attention over its
+    /// batch, so this is its one-row oracle.
+    pub fn forward_incremental(&self, x: &Tensor, kv: &mut KvCache) -> Tensor {
         assert_eq!(x.shape(), &[1, self.d_model()]);
-        let mut qkv = self.project_qkv(x);
+        let mut qkv = self.wqkv.apply(x, Activation::Identity);
         let mut ctx = Tensor::zeros(x.shape());
-        self.attend(qkv.row_mut(0), kv, ctx.row_mut(0));
-        self.project_out(&ctx)
-    }
-
-    /// The fused QKV projection of `[n, d]` rows: `[n, 3d]`, each row
-    /// `q | k | v`. Rows are independent — on a bit-identical backend row
-    /// `i` has the bits of the one-row projection of row `i` — so a decode
-    /// step projects its whole batch in one GEMM. Inference-only.
-    pub fn project_qkv(&self, x: &Tensor) -> Tensor {
-        self.wqkv.apply(x, Activation::Identity)
-    }
-
-    /// One position of one sequence: rotate the row's queries and keys in
-    /// place (under RoPE, at the position `kv` is about to hold), append its
-    /// keys and values to `kv`, and write the attention context over the
-    /// whole history — this position included — into `ctx_row` (`[d]`, all
-    /// heads packed). `qkv_row` is one `[3d]` row of
-    /// [`project_qkv`](Self::project_qkv). Rows of one sequence must arrive
-    /// in position order; nothing is allocated per call.
-    pub fn attend(&mut self, qkv_row: &mut [f32], kv: &mut dyn KvStore, ctx_row: &mut [f32]) {
-        let d = self.d_model();
-        assert_eq!(qkv_row.len(), 3 * d);
-        assert_eq!(ctx_row.len(), d);
-        let hd = self.head_dim();
-        let scale = 1.0 / (hd as f32).sqrt();
-
-        let (q_all, kv_new) = qkv_row.split_at_mut(d);
-        let (k_new, v_new) = kv_new.split_at_mut(d);
-        if self.rope {
-            // Rotate per head at this absolute position; keys are stored
-            // rotated, matching the batched path's score math.
-            let this_pos = kv.len();
-            for h in 0..self.n_heads {
-                rope_rows(&mut q_all[h * hd..(h + 1) * hd], hd, this_pos, 1.0);
-                rope_rows(&mut k_new[h * hd..(h + 1) * hd], hd, this_pos, 1.0);
-            }
-        }
-        kv.append(k_new, v_new);
-        let t = kv.len();
-
-        let scores = &mut self.scores;
-        for h in 0..self.n_heads {
-            let q = &q_all[h * hd..(h + 1) * hd];
-            // Scores over all cached positions for this head.
-            scores.clear();
-            for pos in 0..t {
-                let k = &kv.key(pos)[h * hd..(h + 1) * hd];
-                let s: f32 = q.iter().zip(k).map(|(a, b)| a * b).sum();
-                scores.push(s * scale);
-            }
-            // Softmax.
-            let max = scores.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-            let mut sum = 0.0f32;
-            for s in scores.iter_mut() {
-                *s = (*s - max).exp();
-                sum += *s;
-            }
-            let inv = 1.0 / sum;
-            // Weighted value sum.
-            let out = &mut ctx_row[h * hd..(h + 1) * hd];
-            out.fill(0.0);
-            for (pos, s) in scores.iter().enumerate() {
-                let w = s * inv;
-                let v = &kv.value(pos)[h * hd..(h + 1) * hd];
-                for (o, &vv) in out.iter_mut().zip(v) {
-                    *o += w * vv;
-                }
-            }
-        }
-    }
-
-    /// The output projection that mixes heads, over `[n, d]` context rows.
-    /// Inference-only, row-independent like
-    /// [`project_qkv`](Self::project_qkv).
-    pub fn project_out(&self, ctx: &Tensor) -> Tensor {
-        self.wo.apply(ctx, Activation::Identity)
+        let mut scores = Vec::with_capacity(kv.len() + 1);
+        let (q, c) = (qkv.row_mut(0), ctx.row_mut(0));
+        attend(self.n_heads, self.rope, q, kv, c, &mut scores);
+        self.wo.apply(&ctx, Activation::Identity)
     }
 
     /// Backward; returns `dx`.
@@ -419,6 +337,108 @@ impl HasParams for MultiHeadAttention {
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         self.wqkv.visit_params(f);
         self.wo.visit_params(f);
+    }
+}
+
+/// Hands the closure it is given the KV store of row `i` of a decode batch:
+/// `with_store(i, f)` runs `f` against that row's store.
+pub type RowStores<'a> = dyn FnMut(usize, &mut dyn FnMut(&mut dyn KvStore)) + 'a;
+
+/// A [`MultiHeadAttention`] given up to inference
+/// ([`MultiHeadAttention::freeze`]): both projections as
+/// [`PackedLinear`]s, and one head's scores kept between rows so decoding
+/// allocates nothing per row.
+#[derive(Debug, Clone)]
+pub struct ServedAttention {
+    wqkv: PackedLinear,
+    wo: PackedLinear,
+    n_heads: usize,
+    rope: bool,
+    scores: Vec<f32>,
+}
+
+impl ServedAttention {
+    /// Decode attention over `[n, d]` rows, each the next position of some
+    /// sequence: one QKV GEMM over the batch, then each row `i` against the
+    /// KV store `with_store(i, ..)` hands over — rotating its queries and
+    /// keys under RoPE, appending its keys and values, attending over the
+    /// whole history — then one output GEMM. Rows of one sequence must
+    /// arrive in position order. Every step is per row, so a row's bits do
+    /// not depend on the rows beside it.
+    pub fn forward(&mut self, x: &Tensor, with_store: &mut RowStores) -> Tensor {
+        let mut qkv = self.wqkv.apply(x, Activation::Identity);
+        let mut ctx = Tensor::zeros(&[x.rows(), self.wqkv.d_in()]);
+        let (n_heads, rope, scores) = (self.n_heads, self.rope, &mut self.scores);
+        for i in 0..x.rows() {
+            let (qkv_row, ctx_row) = (qkv.row_mut(i), ctx.row_mut(i));
+            with_store(i, &mut |kv| {
+                attend(n_heads, rope, qkv_row, kv, ctx_row, scores)
+            });
+        }
+        self.wo.apply(&ctx, Activation::Identity)
+    }
+}
+
+/// One position of one sequence: rotate the row's queries and keys in place
+/// (under RoPE, at the position `kv` is about to hold), append its keys and
+/// values to `kv`, and write the attention context over the whole history —
+/// this position included — into `ctx_row` (`[d]`, all heads packed).
+/// `qkv_row` is one `[3d]` row of the QKV projection, `q | k | v`; `scores`
+/// is scratch for one head's scores.
+fn attend(
+    n_heads: usize,
+    rope: bool,
+    qkv_row: &mut [f32],
+    kv: &mut dyn KvStore,
+    ctx_row: &mut [f32],
+    scores: &mut Vec<f32>,
+) {
+    let d = ctx_row.len();
+    assert_eq!(qkv_row.len(), 3 * d);
+    let hd = d / n_heads;
+    let scale = 1.0 / (hd as f32).sqrt();
+
+    let (q_all, kv_new) = qkv_row.split_at_mut(d);
+    let (k_new, v_new) = kv_new.split_at_mut(d);
+    if rope {
+        // Rotate per head at this absolute position; keys are stored
+        // rotated, matching the batched path's score math.
+        let this_pos = kv.len();
+        for h in 0..n_heads {
+            rope_rows(&mut q_all[h * hd..(h + 1) * hd], hd, this_pos, 1.0);
+            rope_rows(&mut k_new[h * hd..(h + 1) * hd], hd, this_pos, 1.0);
+        }
+    }
+    kv.append(k_new, v_new);
+    let t = kv.len();
+
+    for h in 0..n_heads {
+        let q = &q_all[h * hd..(h + 1) * hd];
+        // Scores over all cached positions for this head.
+        scores.clear();
+        for pos in 0..t {
+            let k = &kv.key(pos)[h * hd..(h + 1) * hd];
+            let s: f32 = q.iter().zip(k).map(|(a, b)| a * b).sum();
+            scores.push(s * scale);
+        }
+        // Softmax.
+        let max = scores.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+        let mut sum = 0.0f32;
+        for s in scores.iter_mut() {
+            *s = (*s - max).exp();
+            sum += *s;
+        }
+        let inv = 1.0 / sum;
+        // Weighted value sum.
+        let out = &mut ctx_row[h * hd..(h + 1) * hd];
+        out.fill(0.0);
+        for (pos, s) in scores.iter().enumerate() {
+            let w = s * inv;
+            let v = &kv.value(pos)[h * hd..(h + 1) * hd];
+            for (o, &vv) in out.iter_mut().zip(v) {
+                *o += w * vv;
+            }
+        }
     }
 }
 

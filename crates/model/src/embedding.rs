@@ -31,15 +31,15 @@ impl Embedding {
         self.table.value.cols()
     }
 
-    /// Gather `[len(ids), d]`. Panics on out-of-vocab ids.
+    /// Give the table up to inference as a value for [`lookup`]; its
+    /// gradient and the cache go with the layer.
+    pub fn freeze(self) -> Tensor {
+        self.table.value
+    }
+
+    /// Gather `[len(ids), d]` ([`lookup`]), caching the ids for backward.
     pub fn forward(&mut self, ids: &[usize]) -> Tensor {
-        let d = self.dim();
-        let v = self.vocab();
-        let mut out = Tensor::zeros(&[ids.len(), d]);
-        for (i, &id) in ids.iter().enumerate() {
-            assert!(id < v, "token id {id} out of vocab {v}");
-            out.row_mut(i).copy_from_slice(self.table.value.row(id));
-        }
+        let out = lookup(&self.table.value, ids);
         self.cache_ids = Some(ids.to_vec());
         out
     }
@@ -66,6 +66,18 @@ impl HasParams for Embedding {
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         f(&mut self.table);
     }
+}
+
+/// Rows `ids` of a `[vocab, d]` table, as `[len(ids), d]`. Panics on
+/// out-of-vocab ids.
+pub fn lookup(table: &Tensor, ids: &[usize]) -> Tensor {
+    let v = table.rows();
+    let mut out = Tensor::zeros(&[ids.len(), table.cols()]);
+    for (i, &id) in ids.iter().enumerate() {
+        assert!(id < v, "token id {id} out of vocab {v}");
+        out.row_mut(i).copy_from_slice(table.row(id));
+    }
+    out
 }
 
 #[cfg(test)]

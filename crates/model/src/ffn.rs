@@ -1,6 +1,6 @@
 //! Position-wise feed-forward network — also the *expert* of an MoE layer.
 
-use crate::linear::Linear;
+use crate::linear::{Linear, PackedLinear};
 use crate::param::{HasParams, Param};
 use bagualu_tensor::ops::{gelu, gelu_backward, Activation};
 use bagualu_tensor::rng::Rng;
@@ -55,24 +55,13 @@ impl FeedForward {
             + self.fc2.cached_bytes()
     }
 
-    /// Freeze both projections for inference ([`Linear::freeze`]) and drop
-    /// the activation caches: what remains is what [`apply`](Self::apply)
-    /// reads.
-    pub fn freeze(&mut self) {
-        self.fc1.freeze();
-        self.fc2.freeze();
-        self.cache_h = None;
-        self.cache_x = None;
-    }
-
-    /// The inference forward over `[n, d_model]` (`n = 0` allowed): bias and
-    /// GELU fused into the `fc1` GEMM, then `fc2`, and no cache — so it
-    /// cannot disturb a training forward's pending backward. The fused
-    /// epilogue is bit-identical to the unfused sequence, so these are
-    /// [`forward`](Self::forward)'s bits.
-    pub fn apply(&self, x: &Tensor) -> Tensor {
-        let a = self.fc1.apply(x, Activation::Gelu);
-        self.fc2.apply(&a, Activation::Identity)
+    /// Give both projections up to inference ([`Linear::freeze`]); the
+    /// activation caches go with the layer.
+    pub fn freeze(self) -> ServedFfn {
+        ServedFfn {
+            fc1: self.fc1.freeze(),
+            fc2: self.fc2.freeze(),
+        }
     }
 
     /// Forward over `[n, d_model]`. Accepts `n = 0` (an expert that received
@@ -134,6 +123,25 @@ impl HasParams for FeedForward {
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         self.fc1.visit_params(f);
         self.fc2.visit_params(f);
+    }
+}
+
+/// A [`FeedForward`] given up to inference ([`FeedForward::freeze`]): two
+/// [`PackedLinear`]s and no cache.
+#[derive(Debug, Clone)]
+pub struct ServedFfn {
+    fc1: PackedLinear,
+    fc2: PackedLinear,
+}
+
+impl ServedFfn {
+    /// The forward over `[n, d_model]` (`n = 0` allowed): bias and GELU
+    /// fused into the `fc1` GEMM, then `fc2`. The fused epilogue is
+    /// bit-identical to the unfused sequence, so these are
+    /// [`FeedForward::forward`]'s bits.
+    pub fn apply(&self, x: &Tensor) -> Tensor {
+        let a = self.fc1.apply(x, Activation::Gelu);
+        self.fc2.apply(&a, Activation::Identity)
     }
 }
 
@@ -230,7 +238,7 @@ mod tests {
         assert_eq!(ckpt.cached_activation_bytes(), 4 * 10 * 8);
     }
 
-    /// `apply` is `forward`'s bits without its caches, frozen or not.
+    /// The served layer's `apply` is `forward`'s bits, with neither cache.
     #[test]
     fn apply_is_the_forward_without_the_caches() {
         let mut rng = Rng::seed_from(47);
@@ -238,12 +246,12 @@ mod tests {
         let x = Tensor::randn(&[7, 64], 1.0, &mut rng);
         let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         let want = bits(&ffn.forward(&x));
-        let cached = ffn.cached_activation_bytes();
-        assert_eq!(bits(&ffn.apply(&x)), want);
-        assert_eq!(ffn.cached_activation_bytes(), cached);
-        ffn.freeze();
-        assert_eq!(ffn.cached_activation_bytes(), 0);
-        assert_eq!(bits(&ffn.apply(&x)), want);
+        let served = ffn.freeze();
+        assert_eq!(bits(&served.apply(&x)), want);
+        assert_eq!(
+            bits(&served.apply(&Tensor::zeros(&[0, 64]))),
+            Vec::<u32>::new()
+        );
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! it is the model's hand-derived gradient, not a swappable kernel.
 
 use crate::param::{HasParams, Param};
-use bagualu_tensor::ops::layernorm_rows;
+use bagualu_tensor::ops::{layernorm_rows, LayerNormOut};
 use bagualu_tensor::Tensor;
 
 /// Row-wise layer norm: `y = γ ⊙ (x − μ)/√(σ² + ε) + β`.
@@ -34,18 +34,28 @@ impl LayerNorm {
         self.gamma.value.len()
     }
 
-    /// Forward over `[n, d]`, on the calling thread's row-op backend.
+    /// The forward over `[n, d]` without its cache, on the calling thread's
+    /// row-op backend: `y` with the per-row `(x̂, 1/σ)` backward reads.
+    pub fn apply(&self, x: &Tensor) -> LayerNormOut {
+        normalize(x, &self.gamma.value, &self.beta.value, self.eps)
+    }
+
+    /// [`apply`](Self::apply), caching what [`backward`](Self::backward)
+    /// reads.
     pub fn forward(&mut self, x: &Tensor) -> Tensor {
-        let d = self.dim();
-        assert_eq!(x.cols(), d);
-        let out = layernorm_rows(
-            x,
-            self.gamma.value.as_slice(),
-            self.beta.value.as_slice(),
-            self.eps,
-        );
+        let out = self.apply(x);
         self.cache = Some((out.xhat, out.inv_sigma));
         out.y
+    }
+
+    /// Give the norm up to inference: `γ` and `β` kept as values, their
+    /// gradients and the cache dropped.
+    pub fn freeze(self) -> ServedNorm {
+        ServedNorm {
+            gamma: self.gamma.value,
+            beta: self.beta.value,
+            eps: self.eps,
+        }
     }
 
     /// Backward: accumulates `dγ`, `dβ`; returns `dx`.
@@ -106,6 +116,27 @@ impl HasParams for LayerNorm {
         f(&mut self.gamma);
         f(&mut self.beta);
     }
+}
+
+/// A [`LayerNorm`] given up to inference ([`LayerNorm::freeze`]).
+#[derive(Debug, Clone)]
+pub struct ServedNorm {
+    gamma: Tensor,
+    beta: Tensor,
+    eps: f32,
+}
+
+impl ServedNorm {
+    /// [`LayerNorm::apply`]'s `y`.
+    pub fn apply(&self, x: &Tensor) -> Tensor {
+        normalize(x, &self.gamma, &self.beta, self.eps).y
+    }
+}
+
+/// The one layer-norm computation, over `[n, d]` rows.
+fn normalize(x: &Tensor, gamma: &Tensor, beta: &Tensor, eps: f32) -> LayerNormOut {
+    assert_eq!(x.cols(), gamma.len());
+    layernorm_rows(x, gamma.as_slice(), beta.as_slice(), eps)
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
-//! Fully connected layer with cached-input backward.
+//! Fully connected layer with cached-input backward, and its inference
+//! form.
 
-use crate::param::{frozen_panic, HasParams, Param};
+use crate::param::{HasParams, Param};
 use bagualu_tensor::ops::{
     matmul_bias_act, matmul_nt, matmul_packed, matmul_tn, Activation, PackedB,
 };
@@ -14,10 +15,6 @@ pub struct Linear {
     pub b: Param,
     /// Input cached by `forward` for the weight-gradient GEMM.
     cache_x: Option<Tensor>,
-    /// `W` as the GEMM's packed panels once [`Linear::freeze`] ran; `w` then
-    /// holds no value and neither parameter a gradient. Boxed: a trained
-    /// layer carries one pointer for it, not the panels' header.
-    frozen: Option<Box<PackedB>>,
 }
 
 impl Linear {
@@ -27,40 +24,29 @@ impl Linear {
             w: Param::new(format!("{name}.w"), Tensor::xavier(d_in, d_out, rng)),
             b: Param::new(format!("{name}.b"), Tensor::zeros(&[d_out])),
             cache_x: None,
-            frozen: None,
         }
     }
 
     pub fn d_in(&self) -> usize {
-        self.frozen
-            .as_ref()
-            .map_or_else(|| self.w.value.rows(), |w| w.rows())
+        self.w.value.rows()
     }
 
     pub fn d_out(&self) -> usize {
-        self.frozen
-            .as_ref()
-            .map_or_else(|| self.w.value.cols(), |w| w.cols())
+        self.w.value.cols()
     }
 
-    /// Freeze for inference: the weight is packed once into the panels
-    /// every later [`apply`](Self::apply) reads and kept only in that form;
-    /// both gradients and the forward cache go. From then on
-    /// [`forward_act`](Self::forward_act), [`backward`](Self::backward) and
-    /// [`visit_params`](HasParams::visit_params) panic, naming the weight.
-    /// The bits of `apply` do not change.
-    pub fn freeze(&mut self) {
-        if self.frozen.is_none() {
-            self.cache_x = None;
-            self.frozen = Some(Box::new(self.w.freeze()));
-            self.b.grad = Tensor::default();
-        }
-    }
-
-    /// Panic if frozen: the guard of every training entry point.
-    fn trainable(&self) {
-        if self.frozen.is_some() {
-            frozen_panic(&self.w.name);
+    /// Give the layer up to inference: the weight is packed once into the
+    /// panels every [`PackedLinear::apply`] reads and kept only in that
+    /// form; both gradients and the forward cache go. Both gradients are
+    /// dropped before the pack, so the panels can take a gradient's buffer
+    /// back from the tensor reservoir.
+    pub fn freeze(self) -> PackedLinear {
+        let Linear { w, b, .. } = self;
+        drop(b.grad);
+        drop(w.grad);
+        PackedLinear {
+            w: PackedB::new(&w.value),
+            b: b.value,
         }
     }
 
@@ -72,7 +58,7 @@ impl Linear {
     /// Install `x` as the cached forward input without running the GEMM:
     /// for a caller that replays a segment only to rebuild what
     /// [`Linear::backward`] reads and has no use for the product.
-    pub fn prime_cache(&mut self, x: Tensor) {
+    pub(crate) fn prime_cache(&mut self, x: Tensor) {
         assert_eq!(x.cols(), self.d_in());
         self.cache_x = Some(x);
     }
@@ -83,15 +69,10 @@ impl Linear {
     }
 
     /// `act(x·W + b)` over a `[n, d_in]` batch and nothing else: the GEMM
-    /// with its fused epilogue, no backward cache. What inference calls;
-    /// once [frozen](Self::freeze), over the packed panels.
+    /// with its fused epilogue, no backward cache.
     pub fn apply(&self, x: &Tensor, act: Activation) -> Tensor {
         assert_eq!(x.cols(), self.d_in());
-        let bias = Some(self.b.value.as_slice());
-        match &self.frozen {
-            Some(w) => matmul_packed(x, w, bias, act),
-            None => matmul_bias_act(x, &self.w.value, bias, act),
-        }
+        matmul_bias_act(x, &self.w.value, Some(self.b.value.as_slice()), act)
     }
 
     /// Forward over a `[n, d_in]` batch.
@@ -111,7 +92,6 @@ impl Linear {
     /// path deliberately never materializes. The FFN uses it exactly where
     /// that holds: the recompute forward, whose backward replays unfused.
     pub fn forward_act(&mut self, x: &Tensor, act: Activation) -> Tensor {
-        self.trainable();
         let y = self.apply(x, act);
         self.cache_x = Some(x.clone());
         y
@@ -120,7 +100,6 @@ impl Linear {
     /// Backward: accumulates `dW = xᵀ·dy`, `db = Σrows dy`; returns
     /// `dx = dy·Wᵀ`.
     pub fn backward(&mut self, dy: &Tensor) -> Tensor {
-        self.trainable();
         let x = self
             .cache_x
             .take()
@@ -141,9 +120,35 @@ impl Linear {
 
 impl HasParams for Linear {
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.trainable();
         f(&mut self.w);
         f(&mut self.b);
+    }
+}
+
+/// A [`Linear`] given up to inference ([`Linear::freeze`]): the weight as
+/// the GEMM's packed panels, the bias as a value, and nothing a training
+/// step reads. It has no forward cache, no backward and no parameters to
+/// visit, so it cannot be trained or checkpointed.
+#[derive(Debug, Clone)]
+pub struct PackedLinear {
+    w: PackedB,
+    b: Tensor,
+}
+
+impl PackedLinear {
+    pub fn d_in(&self) -> usize {
+        self.w.rows()
+    }
+
+    pub fn d_out(&self) -> usize {
+        self.w.cols()
+    }
+
+    /// `act(x·W + b)` over a `[n, d_in]` batch, over the packed panels at
+    /// every row count: the bits of [`Linear::apply`] before the freeze.
+    pub fn apply(&self, x: &Tensor, act: Activation) -> Tensor {
+        assert_eq!(x.cols(), self.d_in());
+        matmul_packed(x, &self.w, Some(self.b.as_slice()), act)
     }
 }
 
@@ -229,50 +234,19 @@ mod tests {
         lin.backward(&Tensor::zeros(&[1, 2]));
     }
 
-    /// Frozen, a layer keeps its weight only as panels — no row-major value,
-    /// no gradient — and `apply` gives the bits it gave before.
+    /// Frozen, a layer keeps its weight only as panels and `apply` gives
+    /// the bits it gave before.
     #[test]
     fn frozen_apply_keeps_the_bits_and_drops_the_training_state() {
         let mut rng = Rng::seed_from(16);
         let mut lin = Linear::new("t", 70, 130, &mut rng);
         lin.b.value = Tensor::randn(&[130], 1.0, &mut rng);
         let x = Tensor::randn(&[9, 70], 1.0, &mut rng);
-        let bits = |lin: &Linear| -> Vec<u32> {
-            let y = lin.apply(&x, Activation::Gelu);
-            y.as_slice().iter().map(|v| v.to_bits()).collect()
-        };
-        let before = bits(&lin);
-        lin.freeze();
-        lin.freeze();
-        assert_eq!((lin.d_in(), lin.d_out()), (70, 130));
-        assert!(lin.w.value.is_empty() && lin.w.grad.is_empty() && lin.b.grad.is_empty());
-        assert_eq!(bits(&lin), before);
-    }
-
-    fn frozen() -> Linear {
-        let mut lin = Linear::new("t", 2, 2, &mut Rng::seed_from(17));
-        lin.freeze();
-        lin
-    }
-
-    #[test]
-    #[should_panic(expected = "t.w is frozen for inference")]
-    fn a_frozen_layer_has_no_training_forward() {
-        frozen().forward_act(&Tensor::zeros(&[1, 2]), Activation::Identity);
-    }
-
-    #[test]
-    #[should_panic(expected = "t.w is frozen for inference")]
-    fn a_frozen_layer_has_no_backward() {
-        frozen().backward(&Tensor::zeros(&[1, 2]));
-    }
-
-    /// Checkpoint save, `zero_grad` and the optimizer all visit parameters:
-    /// a frozen layer must stop them, not hand them empty tensors.
-    #[test]
-    #[should_panic(expected = "t.w is frozen for inference")]
-    fn a_frozen_layer_has_no_parameters_to_visit() {
-        frozen().zero_grad();
+        let bits = |y: Tensor| -> Vec<u32> { y.as_slice().iter().map(|v| v.to_bits()).collect() };
+        let before = bits(lin.apply(&x, Activation::Gelu));
+        let packed = lin.freeze();
+        assert_eq!((packed.d_in(), packed.d_out()), (70, 130));
+        assert_eq!(bits(packed.apply(&x, Activation::Gelu)), before);
     }
 
     #[test]

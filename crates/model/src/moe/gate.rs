@@ -1,6 +1,6 @@
 //! The MoE router: expert selection, capacity limiting, balance loss.
 
-use crate::param::{frozen_panic, HasParams, Param};
+use crate::param::{HasParams, Param};
 use bagualu_tensor::ops::{
     matmul, matmul_nt, matmul_packed, matmul_tn, softmax_rows, Activation, PackedB,
 };
@@ -136,9 +136,6 @@ pub struct Gate {
     /// Per-expert locality flags (empty until [`Gate::set_locality`]).
     locality: Vec<bool>,
     cache: Option<GateCache>,
-    /// `wg` as the GEMM's packed panels once [`Gate::freeze`] ran; `wg`
-    /// then holds no value and no gradient.
-    frozen: Option<PackedB>,
 }
 
 #[derive(Debug, Clone)]
@@ -174,26 +171,34 @@ impl Gate {
             locality_bias: 0.0,
             locality: Vec::new(),
             cache: None,
-            frozen: None,
         }
     }
 
-    /// Freeze the router for inference, like [`crate::Linear::freeze`]:
-    /// `wg` is kept only as packed panels, for [`Gate::route_infer`], and
-    /// the training [`forward`](Self::forward) and
-    /// [`visit_params`](HasParams::visit_params) panic from then on.
-    pub fn freeze(&mut self) {
-        if self.frozen.is_none() {
-            self.cache = None;
-            self.frozen = Some(self.wg.freeze());
+    /// Give the router up to inference: `wg` packed once into the GEMM's
+    /// panels, its gradient dropped first (as in [`crate::Linear::freeze`]),
+    /// and the locality bonus built once. The noise stream and the backward
+    /// cache go with the gate.
+    pub fn freeze(self) -> ServedRouter {
+        let bonus = self.locality_bonus();
+        let Param { value, grad, .. } = self.wg;
+        drop(grad);
+        ServedRouter {
+            wg: PackedB::new(&value),
+            kind: self.kind,
+            bonus,
         }
     }
 
-    /// Panic if frozen: the guard of the training entry points.
-    fn trainable(&self) {
-        if self.frozen.is_some() {
-            frozen_panic(&self.wg.name);
-        }
+    /// Per-expert selection bonus; `None` when the locality bias is off, in
+    /// which case every selection loop runs its original, bit-identical
+    /// path on the raw probabilities.
+    fn locality_bonus(&self) -> Option<Vec<f32>> {
+        (self.locality_bias != 0.0).then(|| {
+            self.locality
+                .iter()
+                .map(|&l| if l { self.locality_bias } else { 0.0 })
+                .collect()
+        })
     }
 
     /// Bias expert *selection* toward the experts flagged in `mask` (e.g.
@@ -219,9 +224,7 @@ impl Gate {
     }
 
     pub fn n_experts(&self) -> usize {
-        self.frozen
-            .as_ref()
-            .map_or_else(|| self.wg.value.cols(), PackedB::cols)
+        self.wg.value.cols()
     }
 
     /// Capacity for `n` tokens.
@@ -233,7 +236,6 @@ impl Gate {
 
     /// Route a batch `[n, d]`; returns the dispatch plan.
     pub fn forward(&mut self, x: &Tensor) -> Routing {
-        self.trainable();
         let n = x.rows();
         let e = self.n_experts();
         let logits = matmul(x, &self.wg.value);
@@ -245,19 +247,7 @@ impl Gate {
         let mut raw_load = vec![0usize; e];
         let mut dropped = 0usize;
 
-        // Per-expert selection bonus; `None` when the locality bias is off,
-        // in which case every selection loop below runs its original,
-        // bit-identical path on the raw probabilities.
-        let bias_vec: Option<Vec<f32>> = if self.locality_bias != 0.0 {
-            Some(
-                self.locality
-                    .iter()
-                    .map(|&l| if l { self.locality_bias } else { 0.0 })
-                    .collect(),
-            )
-        } else {
-            None
-        };
+        let bias_vec = self.locality_bonus();
 
         match self.kind {
             GateKind::Top1 => {
@@ -413,97 +403,6 @@ impl Gate {
         }
     }
 
-    /// Inference-mode routing: route a batch `[n, d]` droplessly and
-    /// deterministically, without touching the backward cache or the noise
-    /// stream.
-    ///
-    /// Differences from the training-path [`Gate::forward`]:
-    /// - **No capacity, no drops.** Capacity limiting makes a token's fate
-    ///   depend on the rest of the batch (and on arrival order within it),
-    ///   which would break the serving invariant that continuous-batched
-    ///   decode is bit-identical to sequential decode. Dropless routing is
-    ///   per-row pure, so batching cannot change any token's experts.
-    /// - **No noise.** [`GateKind::NoisyTop1`] jitter is a training-time
-    ///   exploration device; at decode time the gate uses its deterministic
-    ///   mean (plain top-1 on the clean probabilities).
-    /// - **No side effects.** Takes `&self`: the backward cache, the noise
-    ///   RNG, and the aux-loss statistics are untouched, so interleaving
-    ///   decode with training steps cannot perturb either.
-    ///
-    /// Locality bias still applies (selection on biased scores, clean
-    /// combine weights), because the serving path wants the same
-    /// intra-supernode traffic shaping as training. `Routing::capacity` is
-    /// reported as `usize::MAX` (none applied) and `aux_loss` as 0.
-    pub fn route_infer(&self, x: &Tensor) -> Routing {
-        let n = x.rows();
-        let e = self.n_experts();
-        let logits = match &self.frozen {
-            Some(wg) => matmul_packed(x, wg, None, Activation::Identity),
-            None => matmul(x, &self.wg.value),
-        };
-        let probs = softmax_rows(&logits);
-
-        let bias_vec: Option<Vec<f32>> = if self.locality_bias != 0.0 {
-            Some(
-                self.locality
-                    .iter()
-                    .map(|&l| if l { self.locality_bias } else { 0.0 })
-                    .collect(),
-            )
-        } else {
-            None
-        };
-
-        let k = self.kind.k();
-        let mut assignments = Vec::with_capacity(n * k);
-        let mut load = vec![0usize; e];
-        let mut raw_load = vec![0usize; e];
-        for t in 0..n {
-            let row = probs.row(t);
-            let scored;
-            let sel: &[f32] = match &bias_vec {
-                None => row,
-                Some(bv) => {
-                    scored = biased_scores(row, bv);
-                    &scored
-                }
-            };
-            match self.kind {
-                GateKind::Top1 | GateKind::Balanced | GateKind::NoisyTop1 => {
-                    let (best, _) = argmax(sel);
-                    raw_load[best] += 1;
-                    load[best] += 1;
-                    assignments.push(Assignment {
-                        token: t,
-                        expert: best,
-                        weight: row[best],
-                    });
-                }
-                GateKind::Top2 => {
-                    let (e1, e2) = top2(sel);
-                    raw_load[e1] += 1;
-                    for &ex in &[e1, e2] {
-                        load[ex] += 1;
-                        assignments.push(Assignment {
-                            token: t,
-                            expert: ex,
-                            weight: row[ex],
-                        });
-                    }
-                }
-            }
-        }
-
-        Routing {
-            assignments,
-            load,
-            raw_load,
-            dropped: 0,
-            capacity: usize::MAX,
-            aux_loss: 0.0,
-        }
-    }
-
     /// Backward. `dweights[i]` is `∂L/∂assignments[i].weight` — supplied by
     /// the MoE layer as `⟨dy_token, expert_out⟩`. Adds the auxiliary-loss
     /// gradient, pushes everything through the softmax and the routing
@@ -551,8 +450,93 @@ impl Gate {
 
 impl HasParams for Gate {
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.trainable();
         f(&mut self.wg);
+    }
+}
+
+/// A [`Gate`] given up to inference ([`Gate::freeze`]): the routing weights
+/// as the GEMM's packed panels, the policy, and the locality bonus.
+#[derive(Debug, Clone)]
+pub struct ServedRouter {
+    wg: PackedB,
+    kind: GateKind,
+    bonus: Option<Vec<f32>>,
+}
+
+impl ServedRouter {
+    pub fn n_experts(&self) -> usize {
+        self.wg.cols()
+    }
+
+    /// Route a batch `[n, d]` droplessly and deterministically.
+    ///
+    /// Differences from the training-path [`Gate::forward`]:
+    /// - **No capacity, no drops.** Capacity limiting makes a token's fate
+    ///   depend on the rest of the batch (and on arrival order within it),
+    ///   which would break the serving invariant that continuous-batched
+    ///   decode is bit-identical to sequential decode. Dropless routing is
+    ///   per-row pure, so batching cannot change any token's experts.
+    /// - **No noise.** [`GateKind::NoisyTop1`] jitter is a training-time
+    ///   exploration device; at decode time the gate uses its deterministic
+    ///   mean (plain top-1 on the clean probabilities).
+    ///
+    /// Locality bias still applies (selection on biased scores, clean
+    /// combine weights), because the serving path wants the same
+    /// intra-supernode traffic shaping as training. `Routing::capacity` is
+    /// reported as `usize::MAX` (none applied) and `aux_loss` as 0.
+    pub fn route(&self, x: &Tensor) -> Routing {
+        let n = x.rows();
+        let e = self.n_experts();
+        let probs = softmax_rows(&matmul_packed(x, &self.wg, None, Activation::Identity));
+
+        let k = self.kind.k();
+        let mut assignments = Vec::with_capacity(n * k);
+        let mut load = vec![0usize; e];
+        let mut raw_load = vec![0usize; e];
+        for t in 0..n {
+            let row = probs.row(t);
+            let scored;
+            let sel: &[f32] = match &self.bonus {
+                None => row,
+                Some(bv) => {
+                    scored = biased_scores(row, bv);
+                    &scored
+                }
+            };
+            match self.kind {
+                GateKind::Top1 | GateKind::Balanced | GateKind::NoisyTop1 => {
+                    let (best, _) = argmax(sel);
+                    raw_load[best] += 1;
+                    load[best] += 1;
+                    assignments.push(Assignment {
+                        token: t,
+                        expert: best,
+                        weight: row[best],
+                    });
+                }
+                GateKind::Top2 => {
+                    let (e1, e2) = top2(sel);
+                    raw_load[e1] += 1;
+                    for &ex in &[e1, e2] {
+                        load[ex] += 1;
+                        assignments.push(Assignment {
+                            token: t,
+                            expert: ex,
+                            weight: row[ex],
+                        });
+                    }
+                }
+            }
+        }
+
+        Routing {
+            assignments,
+            load,
+            raw_load,
+            dropped: 0,
+            capacity: usize::MAX,
+            aux_loss: 0.0,
+        }
     }
 }
 
@@ -881,10 +865,17 @@ mod tests {
         );
     }
 
+    /// The served router is dropless and per-row pure, and where the
+    /// training gate keeps every assignment (loose capacity, no noise) it
+    /// routes to the same experts with the same weight bits.
     #[test]
     fn route_infer_is_per_row_pure_and_dropless() {
         let mut rng = Rng::seed_from(71);
         let x = Tensor::randn(&[12, 8], 1.0, &mut rng);
+        let plan = |r: &Routing| -> Vec<(usize, usize, u32)> {
+            let a = r.assignments.iter();
+            a.map(|a| (a.token, a.expert, a.weight.to_bits())).collect()
+        };
         for kind in [
             GateKind::Top1,
             GateKind::Top2,
@@ -892,24 +883,20 @@ mod tests {
             GateKind::NoisyTop1,
         ] {
             // Tight capacity: the training path would drop; inference not.
-            let g = gate(kind, 4, 0.25);
-            let full = g.route_infer(&x);
+            let g = gate(kind, 4, 0.25).freeze();
+            assert_eq!(g.n_experts(), 4);
+            let full = g.route(&x);
             assert_eq!(full.dropped, 0, "{kind:?}");
             assert_eq!(full.assignments.len(), 12 * kind.k(), "{kind:?}");
             assert_eq!(full.aux_loss, 0.0);
-            // Frozen, the router routes to the same experts, same bits.
-            let mut frozen = g.clone();
-            frozen.freeze();
-            assert_eq!(frozen.n_experts(), 4);
-            let plan = |r: &Routing| -> Vec<(usize, usize, u32)> {
-                let a = r.assignments.iter();
-                a.map(|a| (a.token, a.expert, a.weight.to_bits())).collect()
-            };
-            assert_eq!(plan(&frozen.route_infer(&x)), plan(&full), "{kind:?}");
+            if kind != GateKind::NoisyTop1 {
+                let mut loose = gate(kind, 4, 8.0);
+                assert_eq!(plan(&loose.forward(&x)), plan(&full), "{kind:?}");
+            }
             // Row-wise purity: routing each token alone gives the same
             // expert and the bit-identical weight.
             for t in 0..12 {
-                let solo = g.route_infer(&x.slice_rows(t, t + 1));
+                let solo = g.route(&x.slice_rows(t, t + 1));
                 let batch: Vec<_> = full.assignments.iter().filter(|a| a.token == t).collect();
                 assert_eq!(solo.assignments.len(), batch.len());
                 for (s, b) in solo.assignments.iter().zip(&batch) {
@@ -921,28 +908,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "g.wg is frozen for inference")]
-    fn a_frozen_router_has_no_training_forward() {
-        let mut g = gate(GateKind::Top2, 4, 1.0);
-        g.freeze();
-        g.forward(&Tensor::ones(&[2, 8]));
-    }
-
-    #[test]
-    fn route_infer_takes_no_side_effects() {
-        // Routing between two noisy forwards must not perturb the noise
-        // stream: the second forward sees the same jitter either way.
-        let x = Tensor::ones(&[16, 8]);
-        let experts = |r: &Routing| r.assignments.iter().map(|a| a.expert).collect::<Vec<_>>();
-        let mut a = gate(GateKind::NoisyTop1, 4, 8.0);
-        let mut b = gate(GateKind::NoisyTop1, 4, 8.0);
-        a.forward(&x);
-        b.forward(&x);
-        b.route_infer(&x);
-        assert_eq!(experts(&a.forward(&x)), experts(&b.forward(&x)));
-    }
-
-    #[test]
     fn route_infer_honors_locality_bias() {
         let mut rng = Rng::seed_from(72);
         let x = Tensor::randn(&[64, 8], 0.05, &mut rng);
@@ -950,10 +915,11 @@ mod tests {
             let local = r.assignments.iter().filter(|a| a.expert < 2).count() as f64;
             local / r.assignments.len() as f64
         };
-        let plain = gate(GateKind::Top1, 4, 8.0);
+        let plain = gate(GateKind::Top1, 4, 8.0).freeze();
         let mut biased = gate(GateKind::Top1, 4, 8.0);
         biased.set_locality(2.0, vec![true, true, false, false]);
-        assert!(local_frac(&biased.route_infer(&x)) > local_frac(&plain.route_infer(&x)));
+        let biased = biased.freeze();
+        assert!(local_frac(&biased.route(&x)) > local_frac(&plain.route(&x)));
     }
 
     #[test]

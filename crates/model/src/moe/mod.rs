@@ -9,7 +9,8 @@
 //!   limiting** (an expert accepts at most `ceil(cf·n·k/E)` tokens; the
 //!   rest are dropped and ride the residual connection). The gate is fully
 //!   differentiable through the combine weights and carries the switch-style
-//!   auxiliary load-balancing loss.
+//!   auxiliary load-balancing loss. [`Gate::freeze`] gives it up to
+//!   inference as a [`ServedRouter`], which routes droplessly.
 //! * [`Routing`] — the dispatch plan a gate produces: token→expert
 //!   assignments with combine weights, per-expert loads, drop counts, and
 //!   balance statistics. This is also exactly what the expert-parallel
@@ -22,6 +23,6 @@ pub mod gate;
 pub mod layer;
 pub mod router;
 
-pub use gate::{Assignment, Gate, GateKind, Routing};
+pub use gate::{Assignment, Gate, GateKind, Routing, ServedRouter};
 pub use layer::MoELayer;
 pub use router::{Router, TwoLevelGate};

@@ -1,6 +1,5 @@
 //! Trainable parameters: value + gradient accumulator.
 
-use bagualu_tensor::ops::PackedB;
 use bagualu_tensor::Tensor;
 
 /// One trainable tensor with its gradient accumulator.
@@ -32,28 +31,6 @@ impl Param {
     pub fn zero_grad(&mut self) {
         self.grad.fill(0.0);
     }
-
-    /// Give this `[d_in, d_out]` weight up to inference for good: drop the
-    /// gradient, pack the value once into the GEMM's panels and drop the
-    /// value too, returning the panels. The gradient goes first so the pack
-    /// can take its buffer back from the tensor reservoir. What is left is a
-    /// name over two empty tensors; the owning layer must keep it away from
-    /// everything that visits parameters (its `visit_params` panics).
-    pub fn freeze(&mut self) -> PackedB {
-        self.grad = Tensor::default();
-        let packed = PackedB::new(&self.value);
-        self.value = Tensor::default();
-        packed
-    }
-}
-
-/// What every training, gradient or checkpoint entry point of a layer
-/// frozen for inference does: it has no row-major value and no gradient for
-/// an optimizer, `zero_grad` or a checkpoint to see, so any of them reaching
-/// it is a bug, never a silently empty tensor.
-#[track_caller]
-pub(crate) fn frozen_panic(name: &str) -> ! {
-    panic!("{name} is frozen for inference: it has no value or gradient to train or checkpoint")
 }
 
 /// Anything that exposes its parameters to an optimizer, in a stable order.

@@ -1,15 +1,18 @@
 //! Batched expert-parallel decode: one continuous-batching step over a
-//! [`DistTransformer`].
+//! [`ServedModel`].
 //!
 //! Training runs `[batch·seq, d]` forwards; serving runs *decode steps*: a
 //! batch of single positions, one per in-flight sequence, each attending to
 //! its own KV history. [`decode_step`] is that forward: [`decode_hidden`],
 //! the walk through the blocks, then [`logits`] over the rows the caller
-//! samples from. Three properties make it the serving workhorse:
+//! samples from. It runs on a [`ServedModel`] only — the inference form
+//! [`DistTransformer::freeze`](crate::DistTransformer::freeze) returns —
+//! so decoding can never touch a training replica's caches. Three
+//! properties make it the serving workhorse:
 //!
 //! * **Row-wise purity.** Embedding lookup, LayerNorm, the attention
 //!   projections, the FFN/expert GEMMs, the LM head, and dropless inference
-//!   routing (`Gate::route_infer`) are all per-row operations — each layer
+//!   routing (`ServedRouter::route`) are all per-row operations — each layer
 //!   projects the whole batch in one QKV GEMM and one output GEMM, and row
 //!   `i` of a GEMM has the bits of the one-row GEMM of row `i` — and the
 //!   attention between them runs per row against that row's own history.
@@ -17,10 +20,10 @@
 //!   therefore cannot change any other row's bits — the invariant that
 //!   makes continuous batching safe.
 //! * **Collective alignment.** Each call runs exactly one
-//!   `DistMoELayer::forward_infer` per MoE block, whatever the local row
-//!   count — ranks with *zero* active sequences pass an empty batch and
-//!   still join every dispatch/combine exchange, so expert parallelism
-//!   never deadlocks under skewed load.
+//!   [`ServedMoE::forward`] per MoE block, whatever the local row count —
+//!   ranks with *zero* active sequences pass an empty batch and still join
+//!   every dispatch/combine exchange, so expert parallelism never
+//!   deadlocks under skewed load.
 //! * **Store independence.** KV history is read through the
 //!   [`KvStore`] trait, so the growable [`KvCache`] and the paged
 //!   block-pool store of `bagualu-serve` produce identical bits.
@@ -29,11 +32,74 @@
 //! `decode_step` asks it for the store of (sequence, layer) pairs as it
 //! walks the blocks. [`VecKvBatch`] is the naive reference provider.
 
-use crate::model_dist::{DistFfn, DistTransformer};
+use crate::moe_dist::ServedMoE;
 use bagualu_comm::shm::Communicator;
-use bagualu_model::attention::{KvCache, KvStore};
+use bagualu_model::attention::{KvCache, KvStore, ServedAttention};
+use bagualu_model::config::ModelConfig;
+use bagualu_model::embedding::lookup;
+use bagualu_model::ffn::ServedFfn;
+use bagualu_model::layernorm::ServedNorm;
+use bagualu_model::linear::PackedLinear;
 use bagualu_tensor::ops::Activation;
 use bagualu_tensor::Tensor;
+
+/// One rank's replica given up to inference
+/// ([`DistTransformer::freeze`](crate::DistTransformer::freeze)): the
+/// weights GEMMs read as packed panels, the embedding tables and norm
+/// parameters as values, and nothing a training step reads. It decodes
+/// ([`decode_hidden`], [`decode_step`], [`logits`]) and does nothing else:
+/// it has no training forward,
+///
+/// ```compile_fail
+/// # use bagualu_parallel::ServedModel;
+/// fn train(m: &mut ServedModel, comm: &bagualu_comm::shm::ShmComm) {
+///     m.forward(&[1, 2], 1, 2, comm);
+/// }
+/// ```
+///
+/// no backward,
+///
+/// ```compile_fail
+/// # use bagualu_parallel::ServedModel;
+/// fn train(m: &mut ServedModel, comm: &bagualu_comm::shm::ShmComm, dy: &bagualu_tensor::Tensor) {
+///     m.backward(dy, comm);
+/// }
+/// ```
+///
+/// and no parameters for `zero_grad`, an optimizer or a checkpoint to visit:
+///
+/// ```compile_fail
+/// # use bagualu_model::param::HasParams;
+/// fn train(m: &mut bagualu_parallel::ServedModel) {
+///     m.zero_grad();
+/// }
+/// ```
+#[derive(Debug, Clone)]
+pub struct ServedModel {
+    pub cfg: ModelConfig,
+    pub(crate) tok: Tensor,
+    /// The learned position table; `None` under RoPE, which never reads it.
+    pub(crate) pos: Option<Tensor>,
+    pub(crate) blocks: Vec<ServedBlock>,
+    pub(crate) ln_f: ServedNorm,
+    pub(crate) head: PackedLinear,
+}
+
+/// One decoder block of a [`ServedModel`].
+#[derive(Debug, Clone)]
+pub(crate) struct ServedBlock {
+    pub(crate) ln1: ServedNorm,
+    pub(crate) attn: ServedAttention,
+    pub(crate) ln2: ServedNorm,
+    pub(crate) ffn: ServedBlockFfn,
+}
+
+/// FFN of a served block.
+#[derive(Debug, Clone)]
+pub(crate) enum ServedBlockFfn {
+    Dense(ServedFfn),
+    MoE(ServedMoE),
+}
 
 /// Source of per-(sequence, layer) KV stores for a decode batch.
 ///
@@ -115,7 +181,7 @@ impl KvProvider for VecKvBatch {
 /// call it in the same program position each step, with `n = 0` when it has
 /// no active rows.
 pub fn decode_step<C: Communicator>(
-    model: &mut DistTransformer,
+    model: &mut ServedModel,
     tokens: &[usize],
     positions: &[usize],
     seqs: &[usize],
@@ -138,7 +204,7 @@ pub fn decode_step<C: Communicator>(
 /// of the ≤ 2 expert contributions per token is commutative) any rank count
 /// produces the same bits as one rank.
 pub fn decode_hidden<C: Communicator>(
-    model: &mut DistTransformer,
+    model: &mut ServedModel,
     tokens: &[usize],
     positions: &[usize],
     seqs: &[usize],
@@ -155,31 +221,23 @@ pub fn decode_hidden<C: Communicator>(
             model.cfg.max_seq
         );
     }
-    let d = model.cfg.d_model;
-
-    let mut x = model.tok.forward(tokens);
-    if !model.cfg.rope {
-        x.add_assign(&model.pos.forward(positions));
+    let mut x = lookup(&model.tok, tokens);
+    if let Some(pos) = &model.pos {
+        x.add_assign(&lookup(pos, positions));
     }
     for (li, b) in model.blocks.iter_mut().enumerate() {
-        let a = b.ln1.forward(&x);
+        let a = b.ln1.apply(&x);
         // One QKV GEMM over the batch, then each row against its own KV
         // history, then one output GEMM.
-        let mut qkv = b.attn.project_qkv(&a);
-        let mut ctx = Tensor::zeros(&[n, d]);
-        for i in 0..n {
-            let (qkv_row, ctx_row) = (qkv.row_mut(i), ctx.row_mut(i));
-            let attn = &mut b.attn;
-            kv.with_store(seqs[i], li, positions[i], &mut |store| {
-                attn.attend(qkv_row, store, ctx_row)
-            });
-        }
+        let a = b
+            .attn
+            .forward(&a, &mut |i, f| kv.with_store(seqs[i], li, positions[i], f));
         let mut h = x;
-        h.add_assign(&b.attn.project_out(&ctx));
-        let f = b.ln2.forward(&h);
-        let f = match &mut b.ffn {
-            DistFfn::Dense(ffn) => ffn.apply(&f),
-            DistFfn::MoE(moe) => moe.forward_infer(&f, comm),
+        h.add_assign(&a);
+        let f = b.ln2.apply(&h);
+        let f = match &b.ffn {
+            ServedBlockFfn::Dense(ffn) => ffn.apply(&f),
+            ServedBlockFfn::MoE(moe) => moe.forward(&f, comm),
         };
         x = h;
         x.add_assign(&f);
@@ -191,17 +249,17 @@ pub fn decode_hidden<C: Communicator>(
 /// a decode step, each prompt's last for a prefill. Both are per-row, so a
 /// row's logits do not depend on which rows are asked for with it. Local:
 /// no communication.
-pub fn logits(model: &mut DistTransformer, rows: &Tensor) -> Tensor {
-    let xf = model.ln_f.forward(rows);
+pub fn logits(model: &ServedModel, rows: &Tensor) -> Tensor {
+    let xf = model.ln_f.apply(rows);
     model.head.apply(&xf, Activation::Identity)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model_dist::DistTransformer;
     use crate::moe_dist::A2aKind;
     use bagualu_comm::harness::run_ranks_map;
-    use bagualu_model::config::ModelConfig;
     use bagualu_model::transformer::Transformer;
     use bagualu_tensor::ops::{install_backend, ComputeBackend};
     use bagualu_tensor::rng::Rng;
@@ -209,12 +267,12 @@ mod tests {
     /// Greedy KV-cached generation driven through `decode_step`, one
     /// position per step.
     fn generate_via_decode_step<C: Communicator>(
-        model: &mut DistTransformer,
+        model: &mut ServedModel,
         prompt: &[usize],
         n: usize,
         comm: &C,
     ) -> Vec<usize> {
-        let mut kv = VecKvBatch::new(model.cfg.d_model, model.blocks.len());
+        let mut kv = VecKvBatch::new(model.cfg.d_model, model.cfg.n_layers);
         let s = kv.add_seq();
         let mut seq = prompt.to_vec();
         let total = prompt.len() + n;
@@ -237,7 +295,7 @@ mod tests {
         let got = run_ranks_map(1, move |comm| {
             let mut rng = Rng::seed_from(510);
             let local = Transformer::new(cfg, &mut rng);
-            let mut dist = DistTransformer::from_local(&local, 0, 1, A2aKind::Pairwise);
+            let mut dist = DistTransformer::from_local(&local, 0, 1, A2aKind::Pairwise).freeze();
             generate_via_decode_step(&mut dist, &[3, 7, 1], 8, &comm)
         });
         assert_eq!(got[0], expected, "decode_step diverged from the oracle");
@@ -248,7 +306,7 @@ mod tests {
         let cfg = ModelConfig::tiny();
         let prompt = [5usize, 2, 9];
         let single = run_ranks_map(1, move |comm| {
-            let mut dist = DistTransformer::new(cfg, 511, 0, 1, A2aKind::Pairwise);
+            let mut dist = DistTransformer::new(cfg, 511, 0, 1, A2aKind::Pairwise).freeze();
             generate_via_decode_step(&mut dist, &prompt, 8, &comm)
         });
         // 4 ranks: the sequence lives on rank 0; other ranks join every
@@ -261,7 +319,8 @@ mod tests {
                 rank,
                 4,
                 A2aKind::Hierarchical { supernode_size: 2 },
-            );
+            )
+            .freeze();
             let mut kv = VecKvBatch::new(cfg.d_model, cfg.n_layers);
             let s = kv.add_seq();
             let mut seq = prompt.to_vec();
@@ -289,7 +348,7 @@ mod tests {
             // Solo: each sequence decoded alone.
             let mut solo_logits: Vec<Vec<Vec<u32>>> = Vec::new();
             for p in prompts {
-                let mut m = DistTransformer::new(cfg, 512, 0, 1, A2aKind::Pairwise);
+                let mut m = DistTransformer::new(cfg, 512, 0, 1, A2aKind::Pairwise).freeze();
                 let mut kv = VecKvBatch::new(cfg.d_model, cfg.n_layers);
                 let s = kv.add_seq();
                 let mut rows = Vec::new();
@@ -301,7 +360,7 @@ mod tests {
             }
             // Batched: all three advance together; shorter ones drop out of
             // the batch when exhausted (continuous-batching shape).
-            let mut m = DistTransformer::new(cfg, 512, 0, 1, A2aKind::Pairwise);
+            let mut m = DistTransformer::new(cfg, 512, 0, 1, A2aKind::Pairwise).freeze();
             let mut kv = VecKvBatch::new(cfg.d_model, cfg.n_layers);
             let ids: Vec<usize> = prompts.iter().map(|_| kv.add_seq()).collect();
             let max_len = prompts.iter().map(|p| p.len()).max().unwrap();
@@ -352,11 +411,11 @@ mod tests {
     /// One `decode_step` per row, each sequence in a provider of its own
     /// order: the logits every batched shape must reproduce.
     fn one_call_per_row<C: Communicator>(
-        model: &mut DistTransformer,
+        model: &mut ServedModel,
         prompts: &[Vec<usize>],
         comm: &C,
     ) -> Vec<Vec<Vec<u32>>> {
-        let mut kv = VecKvBatch::new(model.cfg.d_model, model.blocks.len());
+        let mut kv = VecKvBatch::new(model.cfg.d_model, model.cfg.n_layers);
         prompts
             .iter()
             .map(|p| {
@@ -371,13 +430,12 @@ mod tests {
             .collect()
     }
 
-    /// Thirteen sequences cover, on both wide tiers, the single-tile
-    /// unpacked GEMM (≤ 6 or ≤ 5 rows), full register tiles and every
-    /// remainder height. Under `tiled:fma` this failed while remainder rows
-    /// computed exactly and full tiles fused. A frozen model — every GEMM
-    /// over panels packed once, at every row count — must give the bits of
-    /// the unfrozen one, on one rank and on two (where every rank decodes
-    /// the whole batch and the experts are split), on every fp32 tier.
+    /// Thirteen sequences cover, on both wide tiers, full register tiles
+    /// and every remainder height of the packed panels. Under `tiled:fma`
+    /// this failed while remainder rows computed exactly and full tiles
+    /// fused. A batch must give the bits of one served row per call, on
+    /// one rank and on two (where every rank decodes the whole batch and
+    /// the experts are split), on every fp32 tier.
     #[test]
     fn wide_batched_rows_are_bit_identical_to_solo_rows_at_every_batch_size() {
         let cfg = wide_cfg();
@@ -398,20 +456,18 @@ mod tests {
                 let prompts = prompts.clone();
                 run_ranks_map(1, move |comm| {
                     let _backend = install_backend(backend.instantiate());
-                    let mut m = DistTransformer::new(cfg, 513, 0, 1, A2aKind::Pairwise);
+                    let mut m = DistTransformer::new(cfg, 513, 0, 1, A2aKind::Pairwise).freeze();
                     one_call_per_row(&mut m, &prompts, &comm)
                 })
                 .remove(0)
             };
-            for (nranks, frozen) in [(1, false), (1, true), (2, false), (2, true)] {
+            for nranks in [1, 2] {
                 let (prompts, solo) = (prompts.clone(), solo.clone());
                 run_ranks_map(nranks, move |comm| {
                     let _backend = install_backend(backend.instantiate());
                     let rank = comm.rank();
-                    let mut m = DistTransformer::new(cfg, 513, rank, nranks, A2aKind::Pairwise);
-                    if frozen {
-                        m.freeze();
-                    }
+                    let mut m =
+                        DistTransformer::new(cfg, 513, rank, nranks, A2aKind::Pairwise).freeze();
                     for rows in 1..=prompts.len() {
                         let mut kv = VecKvBatch::new(cfg.d_model, cfg.n_layers);
                         let seqs: Vec<usize> = (0..rows).map(|_| kv.add_seq()).collect();
@@ -424,13 +480,46 @@ mod tests {
                             for (i, got) in bits(&lg).into_iter().enumerate() {
                                 assert_eq!(
                                     got, solo[i][pos],
-                                    "{backend}, rank {rank}/{nranks}, frozen {frozen}: \
+                                    "{backend}, rank {rank}/{nranks}: \
                                      sequence {i} of {rows} at position {pos}"
                                 );
                             }
                         }
                     }
                 });
+            }
+        }
+    }
+
+    /// At the width where the wide kernels run, served greedy decode —
+    /// every GEMM over panels packed once — gives the tokens of
+    /// `Transformer::generate_cached`, whose GEMMs are the training
+    /// layers', on one rank and on two, on every fp32 tier.
+    #[test]
+    fn wide_served_decode_matches_generate_cached() {
+        let cfg = wide_cfg();
+        let (prompt, n) = ([5usize, 17, 2, 90], 12);
+        for backend in [
+            ComputeBackend::Tiled,
+            ComputeBackend::TiledFma,
+            ComputeBackend::Reference,
+        ] {
+            let want = run_ranks_map(1, move |_| {
+                let _backend = install_backend(backend.instantiate());
+                Transformer::new(cfg, &mut Rng::seed_from(516)).generate_cached(&prompt, n)
+            })
+            .remove(0);
+            for nranks in [1, 2] {
+                let got = run_ranks_map(nranks, move |comm| {
+                    let _backend = install_backend(backend.instantiate());
+                    let rank = comm.rank();
+                    let mut m =
+                        DistTransformer::new(cfg, 516, rank, nranks, A2aKind::Pairwise).freeze();
+                    generate_via_decode_step(&mut m, &prompt, n, &comm)
+                });
+                for (rank, got) in got.iter().enumerate() {
+                    assert_eq!(got, &want, "{backend}, rank {rank}/{nranks}");
+                }
             }
         }
     }
@@ -444,7 +533,7 @@ mod tests {
         let prompts = vec![vec![5usize, 17, 2, 90, 33, 8, 61], vec![44usize, 3, 3, 70]];
         run_ranks_map(1, move |comm| {
             let _backend = install_backend(ComputeBackend::Tiled.instantiate());
-            let mut m = DistTransformer::new(cfg, 514, 0, 1, A2aKind::Pairwise);
+            let mut m = DistTransformer::new(cfg, 514, 0, 1, A2aKind::Pairwise).freeze();
             let solo = one_call_per_row(&mut m, &prompts, &comm);
 
             let mut kv = VecKvBatch::new(cfg.d_model, cfg.n_layers);
@@ -477,7 +566,8 @@ mod tests {
             run_ranks_map(nranks, move |comm| {
                 let _backend = install_backend(ComputeBackend::Tiled.instantiate());
                 let rank = comm.rank();
-                let mut m = DistTransformer::new(cfg, 515, rank, nranks, A2aKind::Pairwise);
+                let mut m =
+                    DistTransformer::new(cfg, 515, rank, nranks, A2aKind::Pairwise).freeze();
                 let mut kv = VecKvBatch::new(cfg.d_model, cfg.n_layers);
                 let seqs: Vec<usize> = (0..3).map(|_| kv.add_seq()).collect();
                 let mut out = Vec::new();

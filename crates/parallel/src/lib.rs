@@ -20,8 +20,10 @@
 //!
 //! Modules:
 //!
-//! * [`decode`] — the batched expert-parallel decode step the serving
-//!   path (`bagualu-serve`) builds continuous batching on,
+//! * [`decode`] — the served model ([`ServedModel`], what
+//!   [`DistTransformer::freeze`] returns) and the batched expert-parallel
+//!   decode step the serving path (`bagualu-serve`) builds continuous
+//!   batching on,
 //! * [`moe_dist`] — the distributed MoE layer (dispatch → expert compute →
 //!   combine, with the exact mirror in backward),
 //! * [`model_dist`] — the distributed transformer assembled from replicated
@@ -37,9 +39,9 @@ pub mod placement;
 pub mod sync;
 pub mod zero;
 
-pub use decode::{decode_hidden, decode_step, logits, KvProvider, VecKvBatch};
+pub use decode::{decode_hidden, decode_step, logits, KvProvider, ServedModel, VecKvBatch};
 pub use model_dist::{DistBlock, DistFfn, DistTransformer};
-pub use moe_dist::{A2aKind, DistMoELayer};
+pub use moe_dist::{A2aKind, DistMoELayer, ServedMoE};
 pub use placement::ExpertPlacement;
 pub use sync::{
     backward_and_sync_overlapped_wire, check_replica_consistency, sync_grads_wire, SyncStats,

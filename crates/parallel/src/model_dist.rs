@@ -18,6 +18,7 @@
 //! layer mixes, so a single-rank run and an `R`-rank run still start from
 //! bit-identical weights, which the semantic-equivalence tests rely on.
 
+use crate::decode::{ServedBlock, ServedBlockFfn, ServedModel};
 use crate::moe_dist::{A2aKind, DistMoELayer};
 use crate::placement::ExpertPlacement;
 use bagualu_comm::shm::Communicator;
@@ -357,35 +358,41 @@ impl DistTransformer {
         }
     }
 
-    /// Freeze this replica for inference, for good: every `Linear` it holds
-    /// — attention `wqkv`/`wo`, dense FFN `fc1`/`fc2`, this rank's local
-    /// experts, the head — and every router keep their weights only as the
-    /// GEMM's packed panels, packed once here, and drop the row-major values
-    /// and all of their gradients. The decode path ([`crate::decode`]) reads
-    /// the panels at every row count and never packs; its bits do not
-    /// change. Training, `visit_params` (so checkpointing and `zero_grad`)
-    /// panic afterwards, naming the first frozen parameter they reach.
-    pub fn freeze(&mut self) {
-        for b in &mut self.blocks {
-            b.attn.freeze();
-            match &mut b.ffn {
-                DistFfn::Dense(ffn) => ffn.freeze(),
-                DistFfn::MoE(moe) => moe.freeze(),
-            }
-        }
-        self.head.freeze();
-    }
-
-    /// The expert placement every MoE block uses (round-robin when the
-    /// model has no MoE blocks).
-    pub fn placement(&self) -> ExpertPlacement {
-        self.blocks
-            .iter()
-            .find_map(|b| match &b.ffn {
-                DistFfn::MoE(m) => Some(m.placement),
-                DistFfn::Dense(_) => None,
+    /// Give this replica up to inference, for good: the [`ServedModel`]
+    /// keeps every `Linear` — attention `wqkv`/`wo`, dense FFN `fc1`/`fc2`,
+    /// this rank's local experts, the head — and every router only as the
+    /// GEMM's packed panels, packed once here, and the embedding tables and
+    /// norm parameters as values. Every gradient, backward cache and gate
+    /// noise stream is dropped; the position table too under RoPE, which
+    /// never reads it. The decode path ([`crate::decode`]) reads the panels
+    /// at every row count and never packs; its bits are the training
+    /// layers' bits.
+    pub fn freeze(self) -> ServedModel {
+        // Embedding gradients go first, so the packs below can take their
+        // buffers back from the tensor reservoir.
+        let tok = self.tok.freeze();
+        let pos = self.pos.freeze();
+        let blocks = self
+            .blocks
+            .into_iter()
+            .map(|b| ServedBlock {
+                ln1: b.ln1.freeze(),
+                attn: b.attn.freeze(),
+                ln2: b.ln2.freeze(),
+                ffn: match b.ffn {
+                    DistFfn::Dense(ffn) => ServedBlockFfn::Dense(ffn.freeze()),
+                    DistFfn::MoE(moe) => ServedBlockFfn::MoE(moe.freeze()),
+                },
             })
-            .unwrap_or(ExpertPlacement::RoundRobin)
+            .collect();
+        ServedModel {
+            cfg: self.cfg,
+            tok,
+            pos: (!self.cfg.rope).then_some(pos),
+            blocks,
+            ln_f: self.ln_f.freeze(),
+            head: self.head.freeze(),
+        }
     }
 
     /// Give every MoE block's gate a supernode-locality bias: selection
@@ -398,9 +405,10 @@ impl DistTransformer {
         let rank = self.rank;
         for b in &mut self.blocks {
             if let DistFfn::MoE(moe) = &mut b.ffn {
-                let mask = moe
+                let e = moe.exchange;
+                let mask = e
                     .placement
-                    .local_mask(rank, moe.n_experts, nranks, supernode_size);
+                    .local_mask(rank, e.n_experts, nranks, supernode_size);
                 moe.gate.set_locality(bias, mask);
             }
         }
@@ -412,7 +420,7 @@ impl DistTransformer {
     pub fn set_wire_dtype(&mut self, wire: bagualu_comm::WireDType) {
         for b in &mut self.blocks {
             if let DistFfn::MoE(moe) = &mut b.ffn {
-                moe.set_wire(wire);
+                moe.exchange.wire = wire;
             }
         }
     }

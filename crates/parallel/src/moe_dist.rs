@@ -6,14 +6,16 @@
 //! [`crate::placement`] — round-robin, block-contiguous, or
 //! supernode-aware). The backward pass mirrors the forward exchanges
 //! exactly (the dispatch plan is cached), so each expert runs one forward
-//! and one backward per step regardless of how many ranks fed it.
+//! and one backward per step regardless of how many ranks fed it. The
+//! served layer ([`ServedMoE`]) runs the same exchange over its served
+//! experts.
 
 use crate::placement::ExpertPlacement;
 use bagualu_comm::collectives::{alltoallv_hierarchical_wire, alltoallv_u32, alltoallv_wire};
 use bagualu_comm::payload::WireDType;
 use bagualu_comm::shm::Communicator;
-use bagualu_model::ffn::FeedForward;
-use bagualu_model::moe::gate::{Gate, Routing};
+use bagualu_model::ffn::{FeedForward, ServedFfn};
+use bagualu_model::moe::gate::{Gate, Routing, ServedRouter};
 use bagualu_model::param::{HasParams, Param};
 use bagualu_tensor::Tensor;
 use bagualu_trace::{self as trace, names};
@@ -92,154 +94,50 @@ impl A2aKind {
     }
 }
 
-/// A mixture-of-experts layer whose experts are sharded across ranks.
-#[derive(Debug, Clone)]
-pub struct DistMoELayer {
-    /// The (replicated, data-parallel) router.
-    pub gate: Gate,
+/// Where each expert lives and how tokens travel to it: everything the
+/// dispatch → expert → combine exchange reads besides the experts
+/// themselves. The training layer and the served one run the same exchange
+/// over it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Exchange {
     /// Global expert count.
-    pub n_experts: usize,
-    /// Experts resident on this rank: slot `l` holds global expert
-    /// `placement.local_experts(rank, ..)[l]`.
-    pub local_experts: Vec<FeedForward>,
-    pub rank: usize,
-    pub nranks: usize,
-    pub a2a: A2aKind,
+    pub(crate) n_experts: usize,
+    rank: usize,
+    nranks: usize,
+    a2a: A2aKind,
     /// Which rank owns which global expert (and at which local slot).
-    pub placement: ExpertPlacement,
+    pub(crate) placement: ExpertPlacement,
     /// Wire format for dispatch/combine token payloads (headers always
-    /// travel as `u32` ids). `F32` by default; set via
-    /// [`DistMoELayer::set_wire`] or `DistTransformer::set_wire_dtype`.
-    pub wire: WireDType,
-    cache: Option<Cache>,
+    /// travel as `u32` ids). `F32` by default; set for a whole model by
+    /// `DistTransformer::set_wire_dtype`.
+    pub(crate) wire: WireDType,
 }
 
-#[derive(Debug, Clone)]
-struct Cache {
-    routing: Routing,
-    /// Per destination rank: assignment indices, in send order.
-    send_idx: Vec<Vec<usize>>,
-    /// Per local expert slot: origin `(src_rank, position_in_src_batch)` of
-    /// each row it processed, in row order.
-    origin: Vec<Vec<(usize, usize)>>,
-    /// Tokens received from each source rank in the forward dispatch.
-    recv_counts: Vec<usize>,
-    /// Expert outputs as seen by this (source) rank, one row per assignment.
-    assign_out: Tensor,
-    x_shape: Vec<usize>,
-}
-
-impl DistMoELayer {
-    /// Wrap a gate and this rank's expert shard. `local_experts[l]` must be
-    /// the global expert `placement.local_experts(rank, n_experts, nranks)[l]`.
-    pub fn new(
-        gate: Gate,
-        n_experts: usize,
-        local_experts: Vec<FeedForward>,
-        rank: usize,
-        nranks: usize,
-        a2a: A2aKind,
-        placement: ExpertPlacement,
-    ) -> DistMoELayer {
-        assert_eq!(gate.n_experts(), n_experts);
-        a2a.validate(nranks).expect("invalid a2a configuration");
-        placement
-            .validate(nranks)
-            .expect("invalid expert placement");
-        let expected = placement.local_count(rank, n_experts, nranks);
-        assert_eq!(local_experts.len(), expected, "wrong expert shard size");
-        DistMoELayer {
-            gate,
-            n_experts,
-            local_experts,
-            rank,
-            nranks,
-            a2a,
-            placement,
-            wire: WireDType::F32,
-            cache: None,
-        }
-    }
-
-    /// Select the wire format for this layer's dispatch/combine traffic.
-    pub fn set_wire(&mut self, wire: WireDType) {
-        self.wire = wire;
-    }
-
+impl Exchange {
     /// Owner rank of a global expert (consults the placement policy).
-    pub fn owner(&self, expert: usize) -> usize {
+    fn owner(&self, expert: usize) -> usize {
         self.placement.owner(expert, self.n_experts, self.nranks)
     }
 
     /// Local slot of a global expert on its owner (consults the placement
     /// policy).
-    pub fn slot(&self, expert: usize) -> usize {
+    fn slot(&self, expert: usize) -> usize {
         self.placement.slot(expert, self.n_experts, self.nranks)
     }
 
-    /// Routing statistics of the last forward (this rank's local view).
-    pub fn last_routing(&self) -> Option<&Routing> {
-        self.cache.as_ref().map(|c| &c.routing)
-    }
-
-    /// Auxiliary balance loss of the last forward.
-    pub fn last_aux_loss(&self) -> f32 {
-        self.cache
-            .as_ref()
-            .map(|c| c.routing.aux_loss)
-            .unwrap_or(0.0)
-    }
-
-    /// Freeze the router and this rank's experts for inference
-    /// ([`Gate::freeze`], [`FeedForward::freeze`]) and drop the backward
-    /// cache: what [`forward_infer`](Self::forward_infer) reads is all that
-    /// is left.
-    pub fn freeze(&mut self) {
-        self.gate.freeze();
-        for e in &mut self.local_experts {
-            e.freeze();
-        }
-        self.cache = None;
-    }
-
-    /// Forward over this rank's `[n_local, d]` micro-batch. Collective:
-    /// every rank must call it in the same program position.
-    pub fn forward<C: Communicator>(&mut self, x: &Tensor, comm: &C) -> Tensor {
-        let routing = self.gate.forward(x);
-        let (y, cache) = self.exchange(x, routing, comm, FeedForward::forward);
-        self.cache = Some(cache);
-        y
-    }
-
-    /// Inference forward: route droplessly via [`Gate::route_infer`], run
-    /// the exact dispatch/compute/combine exchange of
-    /// [`forward`](Self::forward) with each expert's cache-free
-    /// [`FeedForward::apply`], and *discard* the backward cache. Collective —
-    /// every rank must call it in the same program position, even with an
-    /// empty `[0, d]` batch (a rank with no active sequences still joins
-    /// the exchange so its peers' tokens can reach the experts it owns).
-    ///
-    /// Used by the serving decode path: same placement, same wire format,
-    /// same a2a algorithm and trace spans as training, so locality-biased
-    /// placement cuts per-token decode bytes exactly as it cuts training
-    /// bytes. Nothing a training backward reads is touched — the gate cache
-    /// and noise stream, this layer's cache, the experts' activation caches
-    /// — so it may run between a training forward and its backward.
-    pub fn forward_infer<C: Communicator>(&mut self, x: &Tensor, comm: &C) -> Tensor {
-        let routing = self.gate.route_infer(x);
-        self.exchange(x, routing, comm, |e, x| e.apply(x)).0
-    }
-
-    /// The collective dispatch → expert-compute → combine exchange shared
-    /// by the training and inference forwards, running each local expert
-    /// over its rows through `expert`. Returns the combined output and the
-    /// backward cache describing the exchange.
-    fn exchange<C: Communicator>(
-        &mut self,
+    /// The collective dispatch → expert-compute → combine exchange: send
+    /// each assignment's row of `x` to the rank owning its expert, run each
+    /// of this rank's `n_slots` expert slots over the rows it received
+    /// through `expert(slot, rows)`, return the results along the same
+    /// plan, and sum them per token under the combine weights. Returns the
+    /// combined output and the backward cache describing the exchange.
+    fn run<C: Communicator>(
+        &self,
         x: &Tensor,
         routing: Routing,
         comm: &C,
-        expert: fn(&mut FeedForward, &Tensor) -> Tensor,
+        n_slots: usize,
+        mut expert: impl FnMut(usize, &Tensor) -> Tensor,
     ) -> (Tensor, Cache) {
         let d = x.cols();
         let r = comm.size();
@@ -279,7 +177,6 @@ impl DistMoELayer {
         };
 
         // ---- Group received tokens by local expert slot.
-        let n_slots = self.local_experts.len();
         let mut origin: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n_slots];
         let mut recv_counts = vec![0usize; r];
         for src in 0..r {
@@ -304,7 +201,7 @@ impl DistMoELayer {
             for (row, &(src, pos)) in orig.iter().enumerate() {
                 xe.row_mut(row).copy_from_slice(datas[src].row(pos));
             }
-            slot_outputs.push(expert(&mut self.local_experts[slot], &xe));
+            slot_outputs.push(expert(slot, &xe));
         }
 
         // ---- Combine: return results to their source ranks, in the
@@ -350,6 +247,111 @@ impl DistMoELayer {
         };
         (y, cache)
     }
+}
+
+/// A mixture-of-experts layer whose experts are sharded across ranks.
+#[derive(Debug, Clone)]
+pub struct DistMoELayer {
+    /// The (replicated, data-parallel) router.
+    pub gate: Gate,
+    /// Experts resident on this rank: slot `l` holds global expert
+    /// `placement.local_experts(rank, ..)[l]`.
+    pub local_experts: Vec<FeedForward>,
+    /// Where every expert lives and how tokens reach it.
+    pub(crate) exchange: Exchange,
+    cache: Option<Cache>,
+}
+
+#[derive(Debug, Clone)]
+struct Cache {
+    routing: Routing,
+    /// Per destination rank: assignment indices, in send order.
+    send_idx: Vec<Vec<usize>>,
+    /// Per local expert slot: origin `(src_rank, position_in_src_batch)` of
+    /// each row it processed, in row order.
+    origin: Vec<Vec<(usize, usize)>>,
+    /// Tokens received from each source rank in the forward dispatch.
+    recv_counts: Vec<usize>,
+    /// Expert outputs as seen by this (source) rank, one row per assignment.
+    assign_out: Tensor,
+    x_shape: Vec<usize>,
+}
+
+impl DistMoELayer {
+    /// Wrap a gate and this rank's expert shard. `local_experts[l]` must be
+    /// the global expert `placement.local_experts(rank, n_experts, nranks)[l]`.
+    pub fn new(
+        gate: Gate,
+        n_experts: usize,
+        local_experts: Vec<FeedForward>,
+        rank: usize,
+        nranks: usize,
+        a2a: A2aKind,
+        placement: ExpertPlacement,
+    ) -> DistMoELayer {
+        assert_eq!(gate.n_experts(), n_experts);
+        a2a.validate(nranks).expect("invalid a2a configuration");
+        placement
+            .validate(nranks)
+            .expect("invalid expert placement");
+        let expected = placement.local_count(rank, n_experts, nranks);
+        assert_eq!(local_experts.len(), expected, "wrong expert shard size");
+        DistMoELayer {
+            gate,
+            local_experts,
+            exchange: Exchange {
+                n_experts,
+                rank,
+                nranks,
+                a2a,
+                placement,
+                wire: WireDType::F32,
+            },
+            cache: None,
+        }
+    }
+
+    /// Routing statistics of the last forward (this rank's local view).
+    pub fn last_routing(&self) -> Option<&Routing> {
+        self.cache.as_ref().map(|c| &c.routing)
+    }
+
+    /// Auxiliary balance loss of the last forward.
+    pub fn last_aux_loss(&self) -> f32 {
+        self.cache
+            .as_ref()
+            .map(|c| c.routing.aux_loss)
+            .unwrap_or(0.0)
+    }
+
+    /// Give the router and this rank's experts up to inference
+    /// ([`Gate::freeze`], [`FeedForward::freeze`]); the backward cache goes
+    /// with the layer.
+    pub fn freeze(self) -> ServedMoE {
+        ServedMoE {
+            router: self.gate.freeze(),
+            experts: self
+                .local_experts
+                .into_iter()
+                .map(FeedForward::freeze)
+                .collect(),
+            exchange: self.exchange,
+        }
+    }
+
+    /// Forward over this rank's `[n_local, d]` micro-batch. Collective:
+    /// every rank must call it in the same program position.
+    pub fn forward<C: Communicator>(&mut self, x: &Tensor, comm: &C) -> Tensor {
+        let routing = self.gate.forward(x);
+        let experts = &mut self.local_experts;
+        let (y, cache) = self
+            .exchange
+            .run(x, routing, comm, experts.len(), |slot, xe| {
+                experts[slot].forward(xe)
+            });
+        self.cache = Some(cache);
+        y
+    }
 
     /// Backward over this rank's `[n_local, d]` upstream gradient.
     /// Collective, mirroring the forward exchanges.
@@ -389,7 +391,7 @@ impl DistMoELayer {
             // Same direction as the forward dispatch: dY rows travel to the
             // expert owners.
             let _span = trace::span(names::A2A_DISPATCH);
-            self.a2a.run_wire(comm, dsend, self.wire)
+            self.exchange.a2a.run_wire(comm, dsend, self.exchange.wire)
         };
 
         // ---- Expert backward, rows in forward order.
@@ -410,7 +412,7 @@ impl DistMoELayer {
         }
         let dxs = {
             let _span = trace::span(names::A2A_COMBINE);
-            self.a2a.run_wire(comm, dreply, self.wire)
+            self.exchange.a2a.run_wire(comm, dreply, self.exchange.wire)
         };
 
         // ---- Scatter input gradients back to tokens (weights already
@@ -457,10 +459,40 @@ impl HasParams for DistMoELayer {
     }
 }
 
+/// A [`DistMoELayer`] given up to inference ([`DistMoELayer::freeze`]):
+/// the served router, this rank's served experts and the training layer's
+/// exchange.
+#[derive(Debug, Clone)]
+pub struct ServedMoE {
+    router: ServedRouter,
+    experts: Vec<ServedFfn>,
+    exchange: Exchange,
+}
+
+impl ServedMoE {
+    /// Route droplessly ([`ServedRouter::route`]) and run the training
+    /// layer's exchange with each expert's [`ServedFfn::apply`]: same
+    /// placement, same wire format, same a2a algorithm and trace spans, so
+    /// locality-biased placement cuts per-token decode bytes exactly as it
+    /// cuts training bytes. Collective — every rank must call it in the
+    /// same program position, even with an empty `[0, d]` batch (a rank
+    /// with no active sequences still joins the exchange so its peers'
+    /// tokens can reach the experts it owns).
+    pub fn forward<C: Communicator>(&self, x: &Tensor, comm: &C) -> Tensor {
+        let routing = self.router.route(x);
+        let experts = &self.experts;
+        let run = self
+            .exchange
+            .run(x, routing, comm, experts.len(), |slot, xe| {
+                experts[slot].apply(xe)
+            });
+        run.0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bagualu_comm::harness::run_ranks_map;
     use bagualu_comm::shm::{CommFamily, World};
     use bagualu_model::moe::gate::GateKind;
     use bagualu_tensor::rng::Rng;
@@ -516,7 +548,7 @@ mod tests {
                                 A2aKind::Pairwise,
                                 placement,
                             );
-                            layer.set_wire(wire);
+                            layer.exchange.wire = wire;
                             let x = Tensor::randn(&[n_local, d], 1.0, &mut rng);
                             layer.forward(&x, &comm);
                             let cache = layer.cache.as_ref().unwrap();
@@ -540,58 +572,5 @@ mod tests {
                 "{wire:?} seed {seed}: {crossed} cross-rank assignments"
             );
         }
-    }
-
-    /// An inference forward on other rows between a training forward and
-    /// its backward leaves every gradient — and `dx` — bit for bit what
-    /// forward → backward alone gives. It used to run the experts' training
-    /// forward, overwriting the activation caches the backward reads.
-    #[test]
-    fn forward_infer_between_forward_and_backward_changes_no_gradient() {
-        let (r, n_experts, d) = (2, 4, 16);
-        let grads = |interleave: bool| {
-            run_ranks_map(r, move |comm| {
-                let rank = comm.rank();
-                let placement = ExpertPlacement::RoundRobin;
-                let gate = Gate::new(
-                    "g",
-                    d,
-                    n_experts,
-                    GateKind::Top2,
-                    2.0,
-                    0.01,
-                    &mut Rng::seed_from(5),
-                );
-                let mut rng = Rng::seed_from(50 + rank as u64);
-                let experts = placement
-                    .local_experts(rank, n_experts, r)
-                    .into_iter()
-                    .map(|e| FeedForward::new(&format!("e{e}"), d, 2 * d, &mut rng))
-                    .collect();
-                let mut layer = DistMoELayer::new(
-                    gate,
-                    n_experts,
-                    experts,
-                    rank,
-                    r,
-                    A2aKind::Pairwise,
-                    placement,
-                );
-                let x = Tensor::randn(&[12, d], 1.0, &mut rng);
-                let other = Tensor::randn(&[5, d], 1.0, &mut rng);
-                let dy = Tensor::randn(&[12, d], 1.0, &mut rng);
-                layer.forward(&x, &comm);
-                if interleave {
-                    layer.forward_infer(&other, &comm);
-                }
-                let dx = layer.backward(&dy, &comm);
-                let mut bits: Vec<u32> = dx.as_slice().iter().map(|v| v.to_bits()).collect();
-                layer.visit_params(&mut |p| {
-                    bits.extend(p.grad.as_slice().iter().map(|v| v.to_bits()))
-                });
-                bits
-            })
-        };
-        assert_eq!(grads(true), grads(false));
     }
 }

@@ -29,8 +29,8 @@
 //!
 //! # Bit-identity
 //!
-//! Decoding is greedy argmax over `forward_infer` logits, and every
-//! per-row operation in [`decode_hidden`] and [`logits`] is
+//! Decoding is greedy argmax over [`logits`] of a [`ServedModel`], and
+//! every per-row operation in [`decode_hidden`] and [`logits`] is
 //! row-independent (inference routing is dropless, so no capacity
 //! coupling). A sequence therefore produces **bit-identical tokens** no
 //! matter which sequences share its batch, when they arrive, or when they
@@ -44,7 +44,7 @@ use bagualu_comm::collectives;
 use bagualu_comm::Communicator;
 use bagualu_model::attention::KvStore;
 use bagualu_parallel::decode::KvProvider;
-use bagualu_parallel::{decode_hidden, logits, DistTransformer};
+use bagualu_parallel::{decode_hidden, logits, DistTransformer, ServedModel};
 use bagualu_tensor::Tensor;
 use bagualu_trace::{self as trace, names};
 use std::collections::VecDeque;
@@ -118,10 +118,10 @@ impl KvProvider for ActiveProvider<'_> {
 }
 
 /// One rank's serving engine: queue, KV pool, in-flight batch, and the
-/// distributed model replica (expert-parallel over the communicator passed
-/// to [`Engine::step`]).
+/// served model replica (expert-parallel over the communicator passed to
+/// [`Engine::step`]).
 pub struct Engine {
-    model: DistTransformer,
+    model: ServedModel,
     pool: KvBlockPool,
     cfg: EngineConfig,
     queue: VecDeque<Request>,
@@ -132,15 +132,16 @@ pub struct Engine {
 
 impl Engine {
     /// Wrap a distributed model replica with a fresh queue and KV pool. An
-    /// engine's model never trains, so it is frozen here
-    /// ([`DistTransformer::freeze`]): each weight is packed once, kept only
-    /// as panels, and no gradient is kept — no GEMM of a served step packs.
-    pub fn new(mut model: DistTransformer, cfg: EngineConfig) -> Engine {
+    /// engine's model never trains, so the replica is given up to inference
+    /// here ([`DistTransformer::freeze`]): each weight is packed once and
+    /// kept only as panels, and no gradient is kept — no GEMM of a served
+    /// step packs.
+    pub fn new(model: DistTransformer, cfg: EngineConfig) -> Engine {
         assert!(
             cfg.max_batch > 0,
             "engine needs room for at least one sequence"
         );
-        model.freeze();
+        let model = model.freeze();
         let pool = KvBlockPool::new(
             cfg.kv_blocks,
             cfg.block_tokens,
@@ -159,15 +160,20 @@ impl Engine {
     }
 
     /// Queue a request, or reject it permanently if it can never run
-    /// (empty prompt, zero budget, longer than `max_seq`, or a KV
-    /// footprint larger than the whole pool). Transient pool pressure is
-    /// *not* a submit error — the request waits in the queue.
+    /// (empty prompt, zero budget, a token outside the vocabulary, longer
+    /// than `max_seq`, or a KV footprint larger than the whole pool).
+    /// Transient pool pressure is *not* a submit error — the request waits
+    /// in the queue.
     pub fn submit(&mut self, req: Request) -> Result<(), SubmitError> {
         if req.prompt.is_empty() {
             return Err(SubmitError::EmptyPrompt);
         }
         if req.max_new == 0 {
             return Err(SubmitError::NothingToGenerate);
+        }
+        let vocab = self.model.cfg.vocab;
+        if let Some(&token) = req.prompt.iter().find(|&&t| t >= vocab) {
+            return Err(SubmitError::TokenOutOfVocab { token, vocab });
         }
         let needed = req.prompt.len() + req.max_new;
         if needed > self.model.cfg.max_seq {
@@ -283,7 +289,7 @@ impl Engine {
                 end += self.active[i].prompt_len;
                 last.row_mut(r).copy_from_slice(hidden.row(end - 1));
             }
-            let picks = logits(&mut self.model, &last).argmax_rows();
+            let picks = logits(&self.model, &last).argmax_rows();
             let now = Instant::now();
             for (&i, pick) in newly.iter().zip(picks) {
                 let a = &mut self.active[i];
@@ -311,7 +317,7 @@ impl Engine {
             trace::count(names::SERVE_BATCH_OCCUPANCY, seqs.len() as u64);
             trace::count(names::SERVE_DECODE_TOKENS, seqs.len() as u64);
             let hidden = self.phase_hidden(&tokens, &positions, &seqs, comm);
-            let picks = logits(&mut self.model, &hidden).argmax_rows();
+            let picks = logits(&self.model, &hidden).argmax_rows();
             for (r, &i) in seqs.iter().enumerate() {
                 let a = &mut self.active[i];
                 a.kv.len += 1;
@@ -470,6 +476,13 @@ mod tests {
                 Err(SubmitError::ExceedsPool {
                     needed: 4,
                     total: 2
+                })
+            );
+            assert_eq!(
+                eng.submit(Request::new(5, vec![1, cfg.vocab], 2)),
+                Err(SubmitError::TokenOutOfVocab {
+                    token: cfg.vocab,
+                    vocab: cfg.vocab
                 })
             );
             // A feasible request still goes through and completes.
@@ -663,7 +676,7 @@ mod tests {
         let prompts: [&[usize]; 3] = [&[4, 90, 17, 17, 8, 52, 3], &[61, 2], &[33, 33, 70, 9, 5]];
         run_ranks_map(1, |comm| {
             let _backend = install_backend(ComputeBackend::Tiled.instantiate());
-            let mut model = DistTransformer::new(cfg, 77, 0, 1, A2aKind::Pairwise);
+            let mut model = DistTransformer::new(cfg, 77, 0, 1, A2aKind::Pairwise).freeze();
             let mut pool = KvBlockPool::new(12, 3, cfg.n_layers, cfg.d_model);
             let mut paged = Paged {
                 seqs: prompts

@@ -40,6 +40,13 @@ pub enum SubmitError {
     EmptyPrompt,
     /// `max_new` is zero; there is nothing to generate.
     NothingToGenerate,
+    /// A prompt token is not an id of the model's vocabulary.
+    TokenOutOfVocab {
+        /// The first such token.
+        token: usize,
+        /// The model's vocabulary size.
+        vocab: usize,
+    },
     /// `prompt.len() + max_new` exceeds the model's maximum sequence
     /// length.
     ExceedsMaxSeq {
@@ -63,6 +70,12 @@ impl fmt::Display for SubmitError {
         match *self {
             SubmitError::EmptyPrompt => write!(f, "empty prompt"),
             SubmitError::NothingToGenerate => write!(f, "max_new must be at least 1"),
+            SubmitError::TokenOutOfVocab { token, vocab } => {
+                write!(
+                    f,
+                    "prompt token {token} is outside the vocabulary of {vocab}"
+                )
+            }
             SubmitError::ExceedsMaxSeq { needed, max_seq } => write!(
                 f,
                 "prompt + max_new needs {needed} positions but the model caps at {max_seq}"

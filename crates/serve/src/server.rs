@@ -354,5 +354,24 @@ mod tests {
             client.submit(vec![], 4).wait()
         });
         assert_eq!(report.output, Err(SubmitError::EmptyPrompt));
+
+        // A token outside the vocabulary used to kill a rank thread in
+        // prefill and leave every ticket waiting; the ranks keep serving.
+        let vocab = ModelConfig::tiny().vocab;
+        let report = run(opts(2, false), build(2), |client| {
+            let bad = client.submit(vec![1, vocab], 4).wait();
+            let good = client.submit(vec![1, 2], 4).wait();
+            (bad, good.map(|r| r.generated().len()))
+        });
+        assert_eq!(
+            report.output,
+            (
+                Err(SubmitError::TokenOutOfVocab {
+                    token: vocab,
+                    vocab
+                }),
+                Ok(4)
+            )
+        );
     }
 }
