@@ -9,9 +9,10 @@
 //! 2. forward → cross-entropy → loss-scaled backward,
 //! 3. [`sync_grads_wire`] (dense all-reduce average + expert rescale,
 //!    optionally compressed to 16 bits on the wire),
-//! 4. optional global gradient-norm clip,
-//! 5. mixed-precision Adam step (skipped coherently on overflow — the
-//!    overflow flag is all-reduced so every replica stays in lockstep).
+//! 4. mixed-precision Adam step, with the optional gradient-norm clip
+//!    inside it (skipped coherently on overflow — the overflow flag is
+//!    all-reduced so every replica stays in lockstep); the step consumes
+//!    the gradients.
 //!
 //! With an [`FtConfig`] each rank also heartbeats before every step,
 //! checkpoints every `ckpt_every` steps and watches for stragglers, and the
@@ -30,7 +31,6 @@ use bagualu_model::config::ModelConfig;
 use bagualu_model::loss::cross_entropy;
 use bagualu_model::param::HasParams;
 use bagualu_optim::adam::AdamConfig;
-use bagualu_optim::clip::clip_grad_norm;
 use bagualu_optim::mixed::{MixedPrecision, StepOutcome};
 use bagualu_optim::schedule::LrSchedule;
 use bagualu_parallel::model_dist::DistTransformer;
@@ -364,6 +364,12 @@ impl Trainer {
             "locality bias must be >= 0, got {}",
             cfg.locality_bias
         );
+        if let Some(max_norm) = cfg.clip {
+            assert!(
+                max_norm.is_finite() && max_norm > 0.0,
+                "clip must be finite and > 0, got {max_norm}"
+            );
+        }
         cfg.compute.validate().expect("invalid compute backend");
         Trainer { cfg }
     }
@@ -749,6 +755,9 @@ impl RankState {
         if cfg.disable_loss_scaling {
             opt = opt.with_scaler(bagualu_optim::scaler::LossScaler::disabled());
         }
+        if let Some(max_norm) = cfg.clip {
+            opt = opt.with_clip(max_norm);
+        }
         let zopt = bagualu_parallel::zero::ZeroAdam::new(adam);
         opt.quantize_model(&mut model);
         let task = SyntheticLM::new(cfg.model.vocab, cfg.data, cfg.seed);
@@ -828,24 +837,14 @@ impl RankState {
             // replacing both the grad sync and the replicated step.
             let _span = trace::span(names::OPTIMIZER);
             self.zopt.step(&mut self.model, comm);
+            self.model.zero_grad();
         } else {
             if !use_overlap {
                 sync_grads_wire(&mut self.model, comm, cfg.wire);
             }
             let _span = trace::span(names::OPTIMIZER);
-            if let Some(max_norm) = cfg.clip {
-                // Unscale before measuring the norm so clipping thresholds
-                // mean the same thing at every loss scale (at scale 1.0 both
-                // passes would multiply by exactly 1.0 and are skipped).
-                let scale = self.opt.loss_scale();
-                if scale != 1.0 {
-                    self.model.visit_params(&mut |p| p.grad.scale(1.0 / scale));
-                }
-                clip_grad_norm(&mut self.model, max_norm);
-                if scale != 1.0 {
-                    self.model.visit_params(&mut |p| p.grad.scale(scale));
-                }
-            }
+            // Unscales, clips (`cfg.clip`, via `with_clip`), updates and
+            // zeroes every gradient, one parameter at a time.
             let outcome = self.opt.step(&mut self.model);
             // Keep replicas in lockstep: if any rank overflowed, all did —
             // the gradients are identical post-allreduce for dense params,
@@ -859,7 +858,6 @@ impl RankState {
             let agreed = allreduce_recursive_doubling(comm, vec![flag], ReduceOp::Max);
             debug_assert!(agreed[0] == flag || cfg.dtype != DType::F32);
         }
-        self.model.zero_grad();
 
         // Aggregate the step metrics across ranks.
         // Control-path scalars ride the latency-optimal collective (E16).
@@ -1394,6 +1392,26 @@ mod tests {
     }
 
     #[test]
+    fn rejects_a_clip_that_cannot_clip() {
+        // −1 would scale every gradient by −1/norm (gradient ascent), 0
+        // would zero them all, and NaN would never clip.
+        for max_norm in [-1.0, 0.0, f32::NAN] {
+            let built = std::panic::catch_unwind(|| {
+                Trainer::new(TrainConfig {
+                    clip: Some(max_norm),
+                    ..Default::default()
+                })
+            });
+            let msg = *built
+                .err()
+                .unwrap_or_else(|| panic!("clip {max_norm} was accepted"))
+                .downcast::<String>()
+                .unwrap();
+            assert!(msg.contains("clip must be finite and > 0"), "{msg}");
+        }
+    }
+
+    #[test]
     fn zero_optimizer_matches_replicated_training() {
         let base = TrainConfig {
             steps: 12,
@@ -1821,15 +1839,19 @@ mod tests {
     /// (whose bits Rust leaves unspecified) to the in-crate
     /// `tensor::ops::elementwise::tanh`: the loss moved by at most 2 in the
     /// last place (`0x40700852` → `0x40700850` at step 8), the aux loss by
-    /// at most 10.
+    /// at most 10. Re-recorded once more when Box–Muller moved from the
+    /// host's f64 `ln`/`sin`/`cos` to the in-crate `tensor::math`, which
+    /// moved 36 % of the initial weights by at most 3 in the last place
+    /// (4.8e-7 absolute): the loss moved by at most 1 in the last place
+    /// (`0x40700850` → `0x40700851` at step 8), the aux loss by at most 14.
     const PIN_LOSS_BITS: [u32; 8] = [
-        0x408e3732, 0x408c4066, 0x408da970, 0x4083e0bb, 0x408334eb, 0x407d9cef, 0x4075d912,
-        0x40700850,
+        0x408e3732, 0x408c4066, 0x408da970, 0x4083e0ba, 0x408334ec, 0x407d9cee, 0x4075d911,
+        0x40700851,
     ];
     /// Aux-loss bits of the same run (see [`PIN_LOSS_BITS`]).
     const PIN_AUX_BITS: [u32; 8] = [
-        0x3cb2accb, 0x3c7c26ba, 0x3c90ffec, 0x3c9d6ac5, 0x3c6a33fa, 0x3c595323, 0x3c41c2c3,
-        0x3c609b36,
+        0x3cb2acca, 0x3c7c26ba, 0x3c90ffe8, 0x3c9d6ac0, 0x3c6a33f6, 0x3c595331, 0x3c41c2c6,
+        0x3c609b2b,
     ];
 
     /// Final loss of `TrainConfig::default()` (2 ranks, 10 steps) at the
@@ -2291,10 +2313,12 @@ mod tests {
         // the all-reduced send-occupancy deltas, and at the next checkpoint
         // boundary the driver re-places experts under `Shed { victim: 1 }`.
         //
-        // `clip: None` because global grad-norm clipping sums squared
-        // gradients per *rank* before the all-reduce: an unbalanced layout
-        // regroups that sum, which is a reassociation at rounding level —
-        // the one place placement is not pure data movement.
+        // `clip: None` because the gradient norm is rank-local: each rank
+        // sums the squares of the replicated dense gradients and of the
+        // experts *it* holds, with no all-reduce. Re-placing experts
+        // changes which expert gradients each rank's norm covers, so with
+        // clipping on, placement would not be pure data movement (ROADMAP
+        // item 1 makes the norm global).
         let dir = ft_tmpdir("straggler");
         let cfg = TrainConfig {
             steps: 12,

@@ -66,9 +66,20 @@ impl Adam {
     /// Apply one update from the accumulated gradients, on the calling
     /// thread's row-op backend.
     pub fn step(&mut self, model: &mut dyn HasParams) {
+        let step = self.next_step();
+        let mut i = 0usize;
+        model.visit_params(&mut |p| {
+            self.update(i, &mut p.value, &p.grad, &step);
+            i += 1;
+        });
+    }
+
+    /// Count one step and return its element rule; [`Adam::update`] then
+    /// applies it to each parameter in visit order.
+    pub(crate) fn next_step(&mut self) -> AdamStep {
         self.t += 1;
         let c = self.cfg;
-        let step = AdamStep {
+        AdamStep {
             lr: c.lr,
             beta1: c.beta1,
             beta2: c.beta2,
@@ -76,28 +87,29 @@ impl Adam {
             weight_decay: c.weight_decay,
             bc1: 1.0 - c.beta1.powi(self.t),
             bc2: 1.0 - c.beta2.powi(self.t),
-        };
-        let (ms, vs) = (&mut self.m, &mut self.v);
-        let mut i = 0usize;
-        model.visit_params(&mut |p| {
-            if ms.len() == i {
-                ms.push(Tensor::zeros(p.value.shape()));
-                vs.push(Tensor::zeros(p.value.shape()));
-            }
-            assert_eq!(
-                ms[i].shape(),
-                p.value.shape(),
-                "parameter {i} changed shape"
-            );
-            adam_update(
-                p.value.as_mut_slice(),
-                p.grad.as_slice(),
-                ms[i].as_mut_slice(),
-                vs[i].as_mut_slice(),
-                &step,
-            );
-            i += 1;
-        });
+        }
+    }
+
+    /// Update parameter `i` — `value` is the FP32 copy the rule moves: the
+    /// parameter's own value, or its master weight — from `grad`. The first
+    /// step creates the parameter's moments.
+    pub(crate) fn update(&mut self, i: usize, value: &mut Tensor, grad: &Tensor, step: &AdamStep) {
+        if self.m.len() == i {
+            self.m.push(Tensor::zeros(value.shape()));
+            self.v.push(Tensor::zeros(value.shape()));
+        }
+        assert_eq!(
+            self.m[i].shape(),
+            value.shape(),
+            "parameter {i} changed shape"
+        );
+        adam_update(
+            value.as_mut_slice(),
+            grad.as_slice(),
+            self.m[i].as_mut_slice(),
+            self.v[i].as_mut_slice(),
+            step,
+        );
     }
 }
 

@@ -1,4 +1,7 @@
 //! Global gradient-norm clipping.
+//!
+//! The norm is rank-local: on a distributed model it covers the replicated
+//! dense gradients and this rank's experts only, with no all-reduce.
 
 use bagualu_model::param::HasParams;
 
@@ -6,14 +9,28 @@ use bagualu_model::param::HasParams;
 /// Returns the pre-clip norm. Non-finite norms leave gradients untouched
 /// (the loss scaler handles that case by skipping the step).
 pub fn clip_grad_norm(model: &mut dyn HasParams, max_norm: f32) -> f32 {
-    let mut sq = 0.0f64;
-    model.visit_params(&mut |p| sq += p.grad.sq_norm() as f64);
-    let norm = (sq.sqrt()) as f32;
-    if norm.is_finite() && norm > max_norm {
-        let scale = max_norm / norm;
+    let norm = grad_sq_sum(model).sqrt() as f32;
+    if let Some(scale) = clip_scale(norm, max_norm) {
         model.visit_params(&mut |p| p.grad.scale(scale));
     }
     norm
+}
+
+/// The squared global gradient norm: each gradient's `sq_norm`, summed in
+/// `f64` in visit order. The one read pass of both [`clip_grad_norm`] and
+/// [`MixedPrecision::step`](crate::MixedPrecision::step). It is finite
+/// exactly when every gradient is finite and no tensor's sum of squares
+/// overflows `f32`.
+pub(crate) fn grad_sq_sum(model: &mut dyn HasParams) -> f64 {
+    let mut sq = 0.0f64;
+    model.visit_params(&mut |p| sq += p.grad.sq_norm() as f64);
+    sq
+}
+
+/// The factor that brings a gradient of norm `norm` down to `max_norm`, or
+/// `None` when it is already within it or the norm is not finite.
+pub(crate) fn clip_scale(norm: f32, max_norm: f32) -> Option<f32> {
+    (norm.is_finite() && norm > max_norm).then(|| max_norm / norm)
 }
 
 #[cfg(test)]

@@ -12,8 +12,10 @@
 //! * [`LossScaler`] — dynamic loss scaling (grow on a streak of good steps,
 //!   halve on overflow),
 //! * [`MixedPrecision`] — the master-weight wrapper: working parameters are
-//!   round-tripped through the configured half format after every update,
-//!   gradients are unscaled and checked for overflow before the FP32 step.
+//!   round-tripped through the configured half format after every update;
+//!   one read pass over the gradients gives the norm and the overflow
+//!   check, then each parameter is unscaled, clipped, updated and its
+//!   gradient zeroed in one visit.
 
 pub mod adafactor;
 pub mod adam;

@@ -23,6 +23,7 @@
 //! kernels simple while making the numerics faithful.
 
 pub mod dtype;
+pub mod math;
 pub mod ops;
 pub mod pack;
 pub mod par;

@@ -1,7 +1,8 @@
 //! Element-wise activation kernels and their backward passes.
 //!
-//! GELU is the FFN/expert activation, and its `tanh` is the one
-//! transcendental this crate computes itself: [`tanh`] is a branch-free
+//! GELU is the FFN/expert activation, and its `tanh` is computed in this
+//! crate (as are Box–Muller's `ln` and `sin`/`cos`, in [`crate::math`],
+//! on the same terms): [`tanh`] is a branch-free
 //! `f32` routine made only of `+ − × ÷`, `abs`, a compare-select and
 //! integer bit operations, so the slice loops below vectorize at the
 //! target's baseline (SSE2 on x86-64) and produce the same bits in scalar
@@ -19,6 +20,7 @@
 //! row. All of them record `compute.gelu.{elems,ns}` through one
 //! `GeluClock`.
 
+use crate::math::ROUND_MAGIC;
 use crate::par::{self, work};
 use crate::tensor::Tensor;
 use bagualu_trace::{self as trace, names};
@@ -26,10 +28,6 @@ use std::f32::consts::LOG2_E;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// `1.5 · 2²³`: adding it to a value in `(−2²², 2²²)` rounds that value to
-/// the nearest integer (ties to even) and leaves the integer in the low
-/// mantissa bits of the sum, two's complement.
-const ROUND_MAGIC: f32 = 12_582_912.0;
 /// `ln 2` split so that `n · LN2_HI` is exact for every `|n| < 2¹⁵`:
 /// `LN2_HI` is 355/512, nine significant bits.
 const LN2_HI: f32 = 0.693_359_4;

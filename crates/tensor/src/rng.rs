@@ -5,8 +5,27 @@
 //! regardless of thread scheduling. We wrap `rand`'s `StdRng` and add the few
 //! distributions training needs (normal via Box–Muller, Zipf for skewed token
 //! streams) so no extra distribution crate is required.
+//!
+//! Box–Muller runs on the repository's own [`ln`] and [`sin_cos`] (see
+//! [`crate::math`]), never on the host's libm, so the initial weights are
+//! the same bits on every host.
 
+use crate::math::{ln, sin_cos};
 use rand::{Rng as _, RngCore, SeedableRng};
+
+/// Pairs of uniforms [`Rng::fill_normals`] draws before transforming them.
+const NORMAL_BLOCK: usize = 256;
+
+/// One Box–Muller transform: `u₁ ∈ (0, 1]` and `u₂ ∈ [0, 1)` to the pair
+/// `(r·cos θ, r·sin θ)` with `r = √(−2 ln u₁)` and `θ = 2π·u₂`. The body
+/// both [`Rng::normal`] and [`Rng::fill_normals`] evaluate, so a scalar draw
+/// and a vectorized block give the same bits.
+#[inline]
+fn box_muller(u1: f32, u2: f32) -> (f32, f32) {
+    let r = (-2.0 * ln(u1)).sqrt();
+    let (sin, cos) = sin_cos(u2);
+    (r * cos, r * sin)
+}
 
 /// What the bulk tensor fills (`Tensor::randn`, `xavier`, `uniform`) do with
 /// a stream inside [`Rng::with_fills`]. Ordered: of two nested scopes the
@@ -84,13 +103,58 @@ impl Rng {
         if let Some(v) = self.spare_normal.take() {
             return v;
         }
-        // Avoid ln(0) by drawing u1 from (0, 1].
+        let (u1, u2) = self.box_muller_uniforms();
+        let (z, spare) = box_muller(u1, u2);
+        self.spare_normal = Some(spare);
+        z
+    }
+
+    /// The two uniforms of one Box–Muller pair, in stream order. `u₁` is
+    /// drawn from `(0, 1]` so that `ln u₁` is finite; `1 − u` is exact for
+    /// every `u = k/2²⁴`.
+    #[inline]
+    fn box_muller_uniforms(&mut self) -> (f32, f32) {
         let u1 = 1.0 - self.uniform();
-        let u2 = self.uniform();
-        let r = (-2.0 * (u1 as f64).ln()).sqrt();
-        let theta = 2.0 * std::f64::consts::PI * u2 as f64;
-        self.spare_normal = Some((r * theta.sin()) as f32);
-        (r * theta.cos()) as f32
+        (u1, self.uniform())
+    }
+
+    /// Fill `out` with standard normals scaled by `std`: bit for bit what
+    /// `out.len()` calls of `normal() * std` return, and the stream and
+    /// spare are left where those calls leave them — a cached spare is used
+    /// first, and an odd tail leaves one cached. In between, pairs are drawn
+    /// in blocks: the uniforms of a block come off the sequential generator
+    /// first, then one loop transforms the block, which vectorizes.
+    pub fn fill_normals(&mut self, out: &mut [f32], std: f32) {
+        let mut out = out;
+        if !out.is_empty() {
+            if let Some(v) = self.spare_normal.take() {
+                out[0] = v * std;
+                out = &mut out[1..];
+            }
+        }
+        let (paired, tail) = out.split_at_mut(out.len() / 2 * 2);
+        // One array per operand and per result, so the transform loop reads
+        // and writes whole vectors; interleaving is a separate, cheap pass.
+        let mut u1s = [0.0f32; NORMAL_BLOCK];
+        let mut u2s = [0.0f32; NORMAL_BLOCK];
+        let mut z0s = [0.0f32; NORMAL_BLOCK];
+        let mut z1s = [0.0f32; NORMAL_BLOCK];
+        for block in paired.chunks_mut(2 * NORMAL_BLOCK) {
+            let n = block.len() / 2;
+            for (u1, u2) in u1s[..n].iter_mut().zip(&mut u2s[..n]) {
+                (*u1, *u2) = self.box_muller_uniforms();
+            }
+            for i in 0..n {
+                (z0s[i], z1s[i]) = box_muller(u1s[i], u2s[i]);
+            }
+            for (pair, (z0, z1)) in block.chunks_exact_mut(2).zip(z0s.iter().zip(&z1s)) {
+                pair[0] = z0 * std;
+                pair[1] = z1 * std;
+            }
+        }
+        if let [last] = tail {
+            *last = self.normal() * std;
+        }
     }
 
     /// Advance the stream exactly as `n` calls of [`Rng::normal`] would,
@@ -98,7 +162,7 @@ impl Rng {
     /// Box–Muller pair costs its two raw generator steps, and an odd tail
     /// evaluates one pair so its second half is left cached. Generator state
     /// and spare afterwards are bit for bit what the draws leave behind, for
-    /// `O(n)` generator steps and at most one `ln`/`sin`/`cos`.
+    /// `O(n)` generator steps and at most one Box–Muller transform.
     pub fn skip_normals(&mut self, mut n: usize) {
         if n > 0 && self.spare_normal.take().is_some() {
             n -= 1;
@@ -280,6 +344,58 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn filling_normals_is_drawing_them_one_at_a_time() {
+        // Every length to past one block (256 pairs), from every Box–Muller
+        // state — fresh, spare cached, spare just consumed — and with a skip
+        // in between: the block fill must return `normal() * std` bit for
+        // bit and leave the stream and spare where those draws do.
+        for n in 0..=600 {
+            for warm in 0..3 {
+                let mut filled = Rng::seed_from(29 + n as u64);
+                for _ in 0..warm {
+                    filled.normal();
+                }
+                let mut drawn = filled.clone();
+                let mut out = vec![f32::NAN; n];
+                filled.fill_normals(&mut out, 0.5);
+                let want: Vec<u32> = (0..n).map(|_| (drawn.normal() * 0.5).to_bits()).collect();
+                let got: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want, "warm {warm}, n {n}");
+                filled.skip_normals(n % 3);
+                drawn.skip_normals(n % 3);
+                let mut again = [0.0f32; 5];
+                filled.fill_normals(&mut again, 1.0);
+                for (i, v) in again.iter().enumerate() {
+                    assert_eq!(v.to_bits(), drawn.normal().to_bits(), "n {n}: {i}");
+                }
+                assert_eq!(filled.next_u64(), drawn.next_u64(), "warm {warm}, n {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn box_muller_tracks_the_f64_libm_form() {
+        // Every `u₁` the generator can produce, each paired with a different
+        // `u₂` (an odd multiplier permutes the 2²⁴ values), against the f64
+        // libm formula this transform replaced, rounded to f32.
+        let unit = 1.0 / 16_777_216.0;
+        let mut worst = 0.0f32;
+        for k in 0u32..1 << 24 {
+            let u1 = 1.0 - k as f32 * unit;
+            let u2 = (k.wrapping_mul(0x9E37_79B9) & 0xff_ffff) as f32 * unit;
+            let r = (-2.0 * (u1 as f64).ln()).sqrt();
+            let theta = std::f64::consts::TAU * u2 as f64;
+            let (z0, z1) = box_muller(u1, u2);
+            let err = (z0 - (r * theta.cos()) as f32)
+                .abs()
+                .max((z1 - (r * theta.sin()) as f32).abs());
+            assert!(err <= 1e-6, "box_muller({u1}, {u2}) is {err:e} off");
+            worst = worst.max(err);
+        }
+        assert!(worst > 0.0, "the sweep measured nothing");
     }
 
     #[test]

@@ -112,22 +112,23 @@ impl Tensor {
         }
     }
 
-    /// The random initializers' shared body: `n` samples from `draw` — or,
-    /// inside a skipping [`Rng::with_fills`] scope, the stream advanced by
-    /// `skip` and what the [`Fills`] variant says to return. Either way the
-    /// elements are counted, drawn or skipped.
+    /// The random initializers' shared body: `n` samples written by `draw`
+    /// — or, inside a skipping [`Rng::with_fills`] scope, the stream
+    /// advanced by `skip` and what the [`Fills`] variant says to return.
+    /// Either way the elements are counted, drawn or skipped.
     fn random_fill(
         shape: &[usize],
         rng: &mut Rng,
         skip: impl FnOnce(&mut Rng, usize),
-        mut draw: impl FnMut(&mut Rng) -> f32,
+        draw: impl FnOnce(&mut Rng, &mut [f32]),
     ) -> Tensor {
         let n: usize = shape.iter().product();
         let returned: &[usize] = match rng.fills() {
             Fills::Draw => {
                 trace::count(names::INIT_DRAWN_ELEMS, n as u64);
                 let mut data = buffer(n);
-                data.extend((0..n).map(|_| draw(rng)));
+                data.resize(n, 0.0);
+                draw(rng, &mut data);
                 return Tensor {
                     data,
                     shape: shape.to_vec(),
@@ -141,15 +142,19 @@ impl Tensor {
         Tensor::zeros(returned)
     }
 
-    /// Standard-normal initialization scaled by `std`.
+    /// Standard-normal initialization scaled by `std`: the elements of
+    /// [`Rng::fill_normals`].
     pub fn randn(shape: &[usize], std: f32, rng: &mut Rng) -> Tensor {
-        Tensor::random_fill(shape, rng, Rng::skip_normals, |r| r.normal() * std)
+        Tensor::random_fill(shape, rng, Rng::skip_normals, |r, xs| {
+            r.fill_normals(xs, std)
+        })
     }
 
     /// Uniform initialization on `[lo, hi)`.
     pub fn uniform(shape: &[usize], lo: f32, hi: f32, rng: &mut Rng) -> Tensor {
-        Tensor::random_fill(shape, rng, Rng::skip_uniforms, |r| {
-            lo + (hi - lo) * r.uniform()
+        Tensor::random_fill(shape, rng, Rng::skip_uniforms, |r, xs| {
+            xs.iter_mut()
+                .for_each(|x| *x = lo + (hi - lo) * r.uniform())
         })
     }
 
@@ -678,5 +683,14 @@ mod tests {
         assert!(t.mean().abs() < 0.1);
         let var = t.sq_norm() / t.len() as f32 - t.mean() * t.mean();
         assert!((var - 4.0).abs() < 0.3, "var = {var}");
+    }
+
+    #[test]
+    fn randn_tails_have_the_normal_mass() {
+        // P(|z| > 3) = 0.0026998; over 10⁶ draws the count's standard
+        // deviation is ≈ 52, so ±300 is a six-sigma band.
+        let t = Tensor::randn(&[1_000_000], 1.0, &mut Rng::seed_from(43));
+        let beyond = t.as_slice().iter().filter(|z| z.abs() > 3.0).count();
+        assert!((beyond as i64 - 2700).abs() < 300, "{beyond} beyond 3σ");
     }
 }
