@@ -8,7 +8,7 @@
 use crate::table::Table;
 use bagualu::metrics::{format_params, format_si};
 use bagualu::model::config::ModelConfig;
-use bagualu::perfmodel::{project, PerfInput};
+use bagualu::perfmodel::{project, A2aAlgo, PerfInput};
 
 /// The preset family used for scaling: experts grow with the machine.
 pub fn model_for_nodes(nodes: usize) -> ModelConfig {
@@ -33,12 +33,13 @@ pub fn run() {
     let mut base_per_node = None;
     for &nodes in &node_counts {
         let model = model_for_nodes(nodes);
-        let hier = project(&PerfInput::sunway_nodes(model, nodes));
+        let hier = project(&PerfInput::sunway_nodes(model, nodes)).unwrap();
         let flat = project(&PerfInput {
-            hierarchical_a2a: false,
+            a2a: A2aAlgo::Pairwise,
             hierarchical_allreduce: false,
             ..PerfInput::sunway_nodes(model, nodes)
-        });
+        })
+        .unwrap();
         let per_node = hier.tokens_per_sec / nodes as f64;
         let base = *base_per_node.get_or_insert(per_node);
         t.row(&[

@@ -2,7 +2,7 @@
 
 use crate::table::Table;
 use bagualu::model::config::ModelConfig;
-use bagualu::perfmodel::{project, PerfInput};
+use bagualu::perfmodel::{project, A2aAlgo, PerfInput};
 
 pub fn run() {
     println!("== E6: step-time breakdown, 14.5T preset, hierarchical collectives ==\n");
@@ -20,7 +20,8 @@ pub fn run() {
         let p = project(&PerfInput::sunway_nodes(
             ModelConfig::bagualu_14_5t(),
             nodes,
-        ));
+        ))
+        .unwrap();
         let b = p.breakdown;
         t.row(&[
             format!("{nodes}"),
@@ -39,10 +40,11 @@ pub fn run() {
     let mut t = Table::new(&["nodes", "a2a (s)", "allreduce (s)", "total (s)", "comm %"]);
     for &nodes in &[1024usize, 8192, 49152, 96_000] {
         let p = project(&PerfInput {
-            hierarchical_a2a: false,
+            a2a: A2aAlgo::Pairwise,
             hierarchical_allreduce: false,
             ..PerfInput::sunway_nodes(ModelConfig::bagualu_14_5t(), nodes)
-        });
+        })
+        .unwrap();
         let b = p.breakdown;
         t.row(&[
             format!("{nodes}"),

@@ -23,10 +23,13 @@ pub fn run() {
         ("174T", ModelConfig::bagualu_174t()),
     ] {
         for (pname, prec) in [("fp32", Precision::FP32), ("half", Precision::Half)] {
+            // Activations cross the all-to-all at the compute precision.
             let p = project(&PerfInput {
                 precision: prec,
+                a2a_bytes: prec.bytes(),
                 ..PerfInput::sunway_full(cfg)
-            });
+            })
+            .unwrap();
             t.row(&[
                 name.into(),
                 pname.into(),

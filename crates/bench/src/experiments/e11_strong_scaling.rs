@@ -27,7 +27,7 @@ pub fn run() {
             tokens_per_node: (global_tokens / nodes).max(1),
             ..PerfInput::sunway_nodes(ModelConfig::bagualu_1_93t(), nodes)
         };
-        let p = project(&input);
+        let p = project(&input).unwrap();
         let (n0, t0) = *base.get_or_insert((nodes, p.step_time));
         let speedup = t0 / p.step_time;
         let ideal = nodes as f64 / n0 as f64;

@@ -12,7 +12,6 @@
 use crate::table::Table;
 use bagualu::metrics::format_si;
 use bagualu::model::config::ModelConfig;
-use bagualu::model::moe::TwoLevelGate;
 use bagualu::model::param::HasParams;
 use bagualu::model::transformer::Transformer;
 use bagualu::optim::adam::{Adam, AdamConfig};
@@ -76,13 +75,14 @@ pub fn run() {
         let p = project(&PerfInput {
             two_level_gate: two_level,
             ..PerfInput::sunway_full(cfg)
-        });
-        let gate_flops = if two_level {
-            TwoLevelGate::flops_per_token(cfg.d_model, cfg.n_experts, 329)
-                * cfg.n_moe_blocks() as f64
+        })
+        .unwrap();
+        let routed = if two_level {
+            cfg.two_level_router()
         } else {
-            2.0 * cfg.d_model as f64 * cfg.n_experts as f64 * cfg.n_moe_blocks() as f64
+            cfg
         };
+        let gate_flops = routed.flops_per_token_split().gate;
         t.row(&[
             label.into(),
             format_si(gate_flops, "F"),

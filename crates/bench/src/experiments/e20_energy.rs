@@ -9,12 +9,10 @@ use crate::table::Table;
 use bagualu::hw::{PowerModel, Precision};
 use bagualu::metrics::format_si;
 use bagualu::model::config::ModelConfig;
-use bagualu::perfmodel::{project, PerfInput, Projection};
+use bagualu::perfmodel::{project, A2aAlgo, PerfInput, Projection};
 
 fn util(p: &Projection) -> f64 {
-    let b = p.breakdown;
-    let compute = b.dense_compute + b.gate_compute + b.expert_compute;
-    (compute / p.step_time).clamp(0.0, 1.0)
+    (p.breakdown.compute() / p.step_time).clamp(0.0, 1.0)
 }
 
 pub fn run() {
@@ -33,7 +31,8 @@ pub fn run() {
             "naive collectives, fp32",
             PerfInput {
                 precision: Precision::FP32,
-                hierarchical_a2a: false,
+                a2a_bytes: Precision::FP32.bytes(),
+                a2a: A2aAlgo::Pairwise,
                 hierarchical_allreduce: false,
                 ..PerfInput::sunway_full(ModelConfig::bagualu_14_5t())
             },
@@ -41,7 +40,7 @@ pub fn run() {
         (
             "naive collectives, half",
             PerfInput {
-                hierarchical_a2a: false,
+                a2a: A2aAlgo::Pairwise,
                 hierarchical_allreduce: false,
                 ..PerfInput::sunway_full(ModelConfig::bagualu_14_5t())
             },
@@ -51,15 +50,15 @@ pub fn run() {
             PerfInput::sunway_full(ModelConfig::bagualu_14_5t()),
         ),
         (
-            "hierarchical + overlap, half",
+            "hierarchical + 256 MiB overlapped buckets, half",
             PerfInput {
-                overlap: 1.0,
+                bucket_bytes: Some(256 << 20),
                 ..PerfInput::sunway_full(ModelConfig::bagualu_14_5t())
             },
         ),
     ];
     for (label, input) in configs {
-        let p = project(&input);
+        let p = project(&input).unwrap();
         let u = util(&p);
         let joules_per_token = power.energy_per_token(nodes, p.step_time, u, p.global_tokens);
         let mwh_tokens = 3.6e9 / joules_per_token; // tokens per MWh
@@ -73,7 +72,7 @@ pub fn run() {
     }
     t.print();
     println!(
-        "\nShape check: the optimization ladder cuts energy per token ~10x end to\n\
+        "\nShape check: the optimization ladder cuts energy per token ~9x end to\n\
          end. Note the power column barely moves — the machine burns its idle\n\
          floor regardless, so every second of communication stall is almost\n\
          pure energy waste. Faster is greener at this scale.\n"

@@ -9,9 +9,9 @@
 //!    cross-checked against the per-dtype `comm.wire.*` trace counters.
 //!    The run *fails* if a 16-bit wire does not cut those bytes by ≥45%
 //!    (CI runs this experiment as a regression gate).
-//! 2. **modeled step comm time** — α–β cost-model projection of one step's
-//!    hierarchical allreduce + dispatch/combine a2a at 256 → 96,000 nodes
-//!    for 4- vs 2-byte elements. Compression halves the β term only, so
+//! 2. **modeled step comm time** — the step model (`perfmodel::project`)
+//!    prices one step's hierarchical all-reduce and its four all-to-alls
+//!    per MoE block at 256 → 96,000 nodes for 4- vs 2-byte elements. Compression halves the β term only, so
 //!    the win is largest where bandwidth dominates (the dense gradient
 //!    volume) and fades where latency does (tiny per-pair a2a payloads at
 //!    full machine scale — exactly the regime the hierarchical a2a exists
@@ -27,11 +27,10 @@
 
 use crate::table::Table;
 use bagualu::comm::{CommFamily, WireDType};
-use bagualu::hw::MachineConfig;
 use bagualu::metrics::format_si;
 use bagualu::model::config::ModelConfig;
 use bagualu::model::moe::GateKind;
-use bagualu::net::cost::CollectiveCost;
+use bagualu::perfmodel::{project, PerfInput};
 use bagualu::tensor::DType;
 use bagualu::trace::names;
 use bagualu::trainer::{TrainConfig, TrainReport, Trainer};
@@ -156,9 +155,6 @@ pub fn run() {
 
     // ---- 2. Modeled step comm time from the α–β cost model.
     println!("-- modeled step comm time (14.5T preset, hierarchical collectives) --");
-    let cfg = ModelConfig::bagualu_14_5t();
-    let dense = cfg.dense_params() as usize;
-    let tokens_per_node = 2048usize;
     let mut t = Table::new(&[
         "nodes",
         "f32 allreduce",
@@ -168,19 +164,25 @@ pub fn run() {
         "step speedup",
     ]);
     for nodes in [256usize, 1024, 6144, 24_576, 96_000] {
-        let cc = CollectiveCost::new(MachineConfig::sunway_subset(nodes));
-        // Top-2 routing: every token row crosses the a2a twice (dispatch +
-        // combine), spread over all peers.
-        let per_pair = |elem: usize| tokens_per_node * 2 * cfg.d_model * elem / nodes;
-        let ar = |elem: usize| cc.allreduce_hierarchical(nodes, dense * elem);
-        let a2a = |elem: usize| 2.0 * cc.alltoall_hierarchical(nodes, per_pair(elem));
-        let speedup = (ar(4) + a2a(4)) / (ar(2) + a2a(2));
+        // The one step model, with the wire format setting the bytes of
+        // both the gradient all-reduce and every MoE all-to-all.
+        let at = |wire: WireDType| {
+            let elem = wire.size_bytes() as f64;
+            let input = PerfInput {
+                a2a_bytes: elem,
+                grad_bytes: elem,
+                ..PerfInput::sunway_nodes(ModelConfig::bagualu_14_5t(), nodes)
+            };
+            project(&input).unwrap().breakdown
+        };
+        let (full, half) = (at(WireDType::F32), at(WireDType::BF16));
+        let speedup = (full.allreduce + full.a2a) / (half.allreduce + half.a2a);
         t.row(&[
             format!("{nodes}"),
-            format!("{:.3}s", ar(4)),
-            format!("{:.3}s", ar(2)),
-            format!("{:.3}s", a2a(4)),
-            format!("{:.3}s", a2a(2)),
+            format!("{:.3}s", full.allreduce),
+            format!("{:.3}s", half.allreduce),
+            format!("{:.3}s", full.a2a),
+            format!("{:.3}s", half.a2a),
             format!("{speedup:.2}x"),
         ]);
         assert!(

@@ -14,7 +14,6 @@ pub mod e11_strong_scaling;
 pub mod e12_capacity;
 pub mod e13_simnet;
 pub mod e14_overlap;
-pub mod e15_placement;
 pub mod e16_allreduce;
 pub mod e17_multimodal;
 pub mod e18_two_level_gate;
@@ -31,10 +30,9 @@ pub mod e28_serving;
 pub mod e29_tuning;
 
 /// All experiment ids, in order.
-pub const ALL: [&str; 29] = [
-    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15",
-    "e16", "e17", "e18", "e19", "e20", "e21", "e22", "e23", "e24", "e25", "e26", "e27", "e28",
-    "e29",
+pub const ALL: [&str; 28] = [
+    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e16",
+    "e17", "e18", "e19", "e20", "e21", "e22", "e23", "e24", "e25", "e26", "e27", "e28", "e29",
 ];
 
 /// Run one experiment by id. Returns false for an unknown id.
@@ -54,7 +52,6 @@ pub fn run(id: &str) -> bool {
         "e12" => e12_capacity::run(),
         "e13" => e13_simnet::run(),
         "e14" => e14_overlap::run(),
-        "e15" => e15_placement::run(),
         "e16" => e16_allreduce::run(),
         "e17" => e17_multimodal::run(),
         "e18" => e18_two_level_gate::run(),

@@ -21,7 +21,7 @@ use bagualu::model::param::HasParams;
 use bagualu::model::transformer::Transformer;
 use bagualu::optim::adam::{Adam, AdamConfig};
 use bagualu::parallel::moe_dist::A2aKind;
-use bagualu::perfmodel::{project, PerfInput};
+use bagualu::perfmodel::{project, A2aAlgo, PerfInput};
 use bagualu::tensor::par;
 use bagualu::tensor::rng::Rng;
 use bagualu::trainer::Trainer;
@@ -89,7 +89,8 @@ fn print_help() {
     eprintln!("            --straggler-window N (samples averaged before flagging; default 3)");
     eprintln!("  project   performance projection on the simulated machine");
     eprintln!("            --preset 1.93t|14.5t|174t --nodes N --precision fp32|half");
-    eprintln!("            --naive (collectives) --overlap F --tokens-per-node N --two-level-gate");
+    eprintln!("            --naive (collectives) --bucket-kib N (overlapped grad-sync buckets)");
+    eprintln!("            --tokens-per-node N --two-level-gate");
     eprintln!("  generate  train a tiny model and decode from it");
     eprintln!("            --steps N --prompt a,b,c --tokens N");
     eprintln!("  tune      auto-tune the comm knobs against the cost model (see docs/TUNING.md)");
@@ -390,11 +391,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let seed = args.get_parse("seed", 42u64)?;
     let locality_bias = rc.placement.locality_bias;
     let engine = rc.to_engine_config();
-    let model_cfg = ModelConfig {
-        n_experts: rc.model.experts,
-        gate: rc.model.gate,
-        ..bagualu::runconfig::preset(&rc.model.preset)?
-    };
+    let model_cfg = rc.model_config()?;
     let a2a = rc.a2a();
     let placement = rc.placement.policy;
     if requests == 0 || prompt_len == 0 {
@@ -543,27 +540,38 @@ fn cmd_project(args: &Args) -> Result<(), String> {
         "nodes",
         "precision",
         "naive",
-        "overlap",
+        "bucket-kib",
         "tokens-per-node",
         "two-level-gate",
     ])?;
     let model = preset(&args.get("preset", "14.5t"))?;
     let nodes = args.get_parse("nodes", 96_000usize)?;
     let naive = args.switch("naive");
+    let precision = match args.get("precision", "half").as_str() {
+        "half" => Precision::Half,
+        "fp32" => Precision::FP32,
+        other => return Err(format!("unknown precision: {other}")),
+    };
+    // Absent: one blocking all-reduce. Present: the overlapped pipeline.
+    let bucket_bytes = match args.get("bucket-kib", "").as_str() {
+        "" => None,
+        _ => Some(args.get_parse("bucket-kib", 0usize)?.saturating_mul(1024)),
+    };
     let input = PerfInput {
-        precision: match args.get("precision", "half").as_str() {
-            "half" => Precision::Half,
-            "fp32" => Precision::FP32,
-            other => return Err(format!("unknown precision: {other}")),
+        precision,
+        a2a: if naive {
+            A2aAlgo::Pairwise
+        } else {
+            A2aAlgo::Hierarchical
         },
-        hierarchical_a2a: !naive,
+        a2a_bytes: precision.bytes(),
         hierarchical_allreduce: !naive,
-        overlap: args.get_parse("overlap", 0.0f64)?,
+        bucket_bytes,
         tokens_per_node: args.get_parse("tokens-per-node", 2048usize)?,
         two_level_gate: args.switch("two-level-gate"),
         ..PerfInput::sunway_nodes(model, nodes)
     };
-    let p = project(&input);
+    let p = project(&input).map_err(|e| format!("cannot project this run: {e}"))?;
     let b = p.breakdown;
     println!(
         "{} params on {} nodes ({} cores):",
@@ -571,8 +579,13 @@ fn cmd_project(args: &Args) -> Result<(), String> {
         nodes,
         nodes * 390
     );
+    let hidden = if bucket_bytes.is_some() {
+        format!(" - hidden {:.3}", p.hidden_comm)
+    } else {
+        String::new()
+    };
     println!(
-        "  step {:.3}s = dense {:.3} + gate {:.3} + experts {:.3} + a2a {:.3} + allreduce {:.3}",
+        "  step {:.3}s = dense {:.3} + gate {:.3} + experts {:.3} + a2a {:.3} + allreduce {:.3}{hidden}",
         p.step_time, b.dense_compute, b.gate_compute, b.expert_compute, b.a2a, b.allreduce
     );
     println!(
@@ -630,4 +643,32 @@ fn cmd_generate(args: &Args) -> Result<(), String> {
             .join(" ")
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn project_with(flags: &str) -> Result<(), String> {
+        cmd_project(&Args::parse(
+            format!("project {flags}")
+                .split_whitespace()
+                .map(String::from),
+        )?)
+    }
+
+    #[test]
+    fn project_rejects_what_it_cannot_price() {
+        assert!(project_with("--bucket-kib 256").is_ok());
+        for (flags, why) in [
+            ("--nodes 0", "at least 1 node"),
+            ("--tokens-per-node 0", "tokens per node"),
+            ("--bucket-kib 0", "below 1 KiB"),
+            ("--bucket-kib nan", "invalid value for --bucket-kib"),
+            ("--overlap 0.5", "unknown flag --overlap"),
+        ] {
+            let e = project_with(flags).unwrap_err();
+            assert!(e.contains(why), "{flags}: {e}");
+        }
+    }
 }

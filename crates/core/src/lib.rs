@@ -23,9 +23,9 @@
 //! * [`data`] — synthetic workload generators (learnable next-token tasks,
 //!   Zipf-skewed token streams that stress gate load balancing),
 //! * [`checkpoint`] — sharded binary checkpointing,
-//! * [`perfmodel`] — the performance projection to the full 96,000-node /
-//!   37-million-core machine that regenerates the paper-style scaling
-//!   tables and figures,
+//! * [`perfmodel`] — the one step-time model: the projection to the full
+//!   96,000-node / 37-million-core machine that regenerates the paper-style
+//!   scaling tables and figures and that the auto-tuner scores with,
 //! * [`metrics`] — formatting and throughput bookkeeping.
 //!
 //! # Quickstart
@@ -56,7 +56,8 @@ pub use checkpoint::{
     load_params, load_params_from_files, load_params_sharded, save_params, save_params_sharded,
 };
 pub use perfmodel::{
-    checkpoint_waste_fraction, young_daly_tau_opt, PerfInput, Projection, StepBreakdown,
+    checkpoint_waste_fraction, young_daly_tau_opt, A2aAlgo, PerfInput, PerfInputError, Projection,
+    StepBreakdown,
 };
 pub use runconfig::{RunConfig, RUN_CONFIG_VERSION};
 pub use tokenizer::Bpe;

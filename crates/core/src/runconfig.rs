@@ -396,19 +396,25 @@ impl RunConfig {
         }
     }
 
+    /// The model this config describes: the `[model]` preset with its
+    /// expert count and gate overridden. The one place a preset name
+    /// becomes a [`ModelConfig`].
+    pub fn model_config(&self) -> Result<ModelConfig, String> {
+        Ok(ModelConfig {
+            n_experts: self.model.experts,
+            gate: self.model.gate,
+            ..preset(&self.model.preset)?
+        })
+    }
+
     /// Build the trainer's config. Fails on anything
     /// [`validate`](Self::validate) rejects. The `trace` flag (an
     /// observation artifact, not a run description) starts `false`; callers
     /// that want a trace set it on the result.
     pub fn to_train_config(&self) -> Result<TrainConfig, String> {
         self.validate()?;
-        let model = ModelConfig {
-            n_experts: self.model.experts,
-            gate: self.model.gate,
-            ..preset(&self.model.preset)?
-        };
         Ok(TrainConfig {
-            model,
+            model: self.model_config()?,
             nranks: self.train.ranks,
             batch_per_rank: self.train.batch,
             seq: self.train.seq,

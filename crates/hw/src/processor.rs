@@ -15,6 +15,17 @@ pub enum Precision {
     Half,
 }
 
+impl Precision {
+    /// Bytes per element.
+    pub fn bytes(self) -> f64 {
+        match self {
+            Precision::FP64 => 8.0,
+            Precision::FP32 => 4.0,
+            Precision::Half => 2.0,
+        }
+    }
+}
+
 /// Static description of one core group.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoreGroup {

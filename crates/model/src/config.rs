@@ -10,7 +10,22 @@
 //! which these configs preserve.
 
 use crate::ffn::FeedForward;
-use crate::moe::GateKind;
+use crate::moe::{GateKind, TwoLevelGate};
+
+/// Per-token forward FLOPs of a [`ModelConfig`]: attention, dense FFNs
+/// and LM head; the MoE routers; the `k` active experts per MoE block.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct FlopsSplit {
+    pub dense: f64,
+    pub gate: f64,
+    pub expert: f64,
+}
+
+impl FlopsSplit {
+    pub fn total(&self) -> f64 {
+        self.dense + self.gate + self.expert
+    }
+}
 
 /// Hyperparameters of a (possibly MoE) decoder transformer.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -176,26 +191,46 @@ impl ModelConfig {
         self.n_moe_blocks() as u128 * self.n_experts as u128 * expert
     }
 
+    /// This config with the two-level router at its FLOPs-optimal group
+    /// count `round(√E)`, where `d·(G + E/G)` is smallest.
+    pub fn two_level_router(self) -> ModelConfig {
+        ModelConfig {
+            router_groups: ((self.n_experts as f64).sqrt().round() as usize).max(1),
+            ..self
+        }
+    }
+
     /// Forward FLOPs per token (the standard 2·params-activated estimate,
-    /// broken out so MoE activates only `k` experts, not all of them).
-    pub fn flops_per_token_forward(&self) -> f64 {
+    /// broken out so MoE activates only `k` experts, not all of them),
+    /// split into the terms a step's compute is charged by.
+    pub fn flops_per_token_split(&self) -> FlopsSplit {
         let d = self.d_model as f64;
         let expert = FeedForward::param_count(self.d_model, self.d_ff) as f64;
-        let mut fl = 0.0;
+        let gate = if self.router_groups > 0 {
+            TwoLevelGate::flops_per_token(self.d_model, self.n_experts, self.router_groups)
+        } else {
+            2.0 * d * self.n_experts as f64
+        };
+        let mut fl = FlopsSplit::default();
         for i in 0..self.n_layers {
-            fl += 2.0 * (self.attn_params() as f64);
-            // Attention score/context FLOPs: 2·2·seq·d per token at full
-            // context; use max_seq/2 as the average causal context.
-            fl += 2.0 * 2.0 * (self.max_seq as f64 / 2.0) * d;
+            // Projections, plus score/context FLOPs 2·2·seq·d at the
+            // average causal context max_seq/2.
+            fl.dense += 2.0 * (self.attn_params() as f64);
+            fl.dense += 2.0 * 2.0 * (self.max_seq as f64 / 2.0) * d;
             if self.is_moe_block(i) {
-                fl += 2.0 * d * self.n_experts as f64; // gate projection
-                fl += 2.0 * expert * self.gate.k() as f64; // k active experts
+                fl.gate += gate;
+                fl.expert += 2.0 * expert * self.gate.k() as f64; // k active experts
             } else {
-                fl += 2.0 * expert;
+                fl.dense += 2.0 * expert;
             }
         }
-        fl += 2.0 * d * self.vocab as f64; // LM head
+        fl.dense += 2.0 * d * self.vocab as f64; // LM head
         fl
+    }
+
+    /// Forward FLOPs per token: the sum of [`flops_per_token_split`](Self::flops_per_token_split).
+    pub fn flops_per_token_forward(&self) -> f64 {
+        self.flops_per_token_split().total()
     }
 
     /// Training FLOPs per token (forward + 2× backward).

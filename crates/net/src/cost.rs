@@ -175,7 +175,7 @@ impl CollectiveCost {
     ///
     /// Round-robin placement gives `local_frac ≈ s/n`; topology-aware
     /// placement/gating raises it, shrinking the expensive inter-supernode
-    /// phase. Backs the placement ablation (experiment E15).
+    /// phase. Backs the placement ablation (experiment E25).
     pub fn alltoall_with_locality(&self, n: usize, bytes_per_rank: usize, local_frac: f64) -> f64 {
         if n <= 1 {
             return 0.0;

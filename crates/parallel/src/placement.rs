@@ -3,7 +3,7 @@
 //! The MoDa runtime shards the expert pool across ranks. *Where* each global
 //! expert lives decides how much of the dispatch/combine all-to-all stays
 //! inside a supernode (cheap links) versus crossing the global fabric —
-//! `net::cost::alltoall_with_locality` and experiment E15 model exactly this
+//! `net::cost::alltoall_with_locality` and experiment E25 model exactly this
 //! trade. [`ExpertPlacement`] makes the mapping a single consultable policy
 //! so no call site hard-codes `e mod R` arithmetic:
 //!

@@ -7,12 +7,12 @@
 //!    all-to-all topology, expert placement + locality bias, overlap
 //!    bucket size — as concrete [`RunConfig`] candidates, each one already
 //!    validated (contradictory combinations never reach the objective);
-//! 2. **scores** each candidate against the calibrated α–β network model
-//!    (`bagualu_net::cost::CollectiveCost`) at a target machine scale,
-//!    folding compute, exposed communication, and the Young/Daly
-//!    checkpoint waste (`bagualu::perfmodel::{young_daly_tau_opt,
-//!    checkpoint_waste_fraction}` — the same math E22 plots) into **one
-//!    modeled step time** ([`objective::ModeledCost`]);
+//! 2. **scores** each candidate with the one step model,
+//!    `bagualu::perfmodel::project` (the α–β collective and roofline
+//!    model behind the scaling experiments), at a target machine scale,
+//!    folding in the Young/Daly checkpoint waste
+//!    (`bagualu::perfmodel::checkpoint_waste_fraction` — the same math E22
+//!    plots) to get **one modeled step time** ([`objective::ModeledCost`]);
 //! 3. annotates every candidate with its **distance from the
 //!    data-movement roofline** (how far modeled time sits above the
 //!    bandwidth-bound floor) and the **scale at which it goes comm-bound**

@@ -69,12 +69,14 @@ pub struct Candidate {
 
 impl SearchSpace {
     /// Number of raw grid points (before validity filtering and dedup).
+    /// The bucket axis only multiplies the overlapped points.
     pub fn grid_points(&self) -> usize {
-        self.wire_dtypes.len()
-            * self.hierarchical.len()
-            * self.placements.len()
-            * self.overlap.len()
-            * self.bucket_kibs.len()
+        let sync: usize = self
+            .overlap
+            .iter()
+            .map(|&on| if on { self.bucket_kibs.len() } else { 1 })
+            .sum();
+        self.wire_dtypes.len() * self.hierarchical.len() * self.placements.len() * sync
     }
 
     /// Overlay every grid combination on `base`, keeping only configs
@@ -93,7 +95,16 @@ impl SearchSpace {
             for &hier in &self.hierarchical {
                 for &place in &self.placements {
                     for &overlap in &self.overlap {
-                        for &bucket_kib in &self.bucket_kibs {
+                        // The trainer reads the bucket size only on its
+                        // overlapped path, so a blocking sync keeps the
+                        // base's instead of fanning out into relabelled
+                        // copies of one run.
+                        let buckets = if overlap && !base.train.zero {
+                            &self.bucket_kibs[..]
+                        } else {
+                            std::slice::from_ref(&base.comm.bucket_kib)
+                        };
+                        for &bucket_kib in buckets {
                             let mut rc = base.clone();
                             rc.comm.wire_dtype = wire;
                             rc.comm.hierarchical = hier;
@@ -127,11 +138,13 @@ impl SearchSpace {
                                     }
                                 }
                             };
-                            let name = format!(
-                                "wire={wire} a2a={} place={place_name} overlap={} bucket={bucket_kib}KiB",
-                                if hier { "hier" } else { "pairwise" },
-                                if overlap { "on" } else { "off" },
-                            );
+                            let a2a = if hier { "hier" } else { "pairwise" };
+                            let sync = if overlap {
+                                format!("overlap=on bucket={bucket_kib}KiB")
+                            } else {
+                                "overlap=off".to_string()
+                            };
+                            let name = format!("wire={wire} a2a={a2a} place={place_name} {sync}");
                             push(name, rc);
                         }
                     }
@@ -171,6 +184,34 @@ mod tests {
         // healthy majority of the grid survives.
         assert!(cands.len() > space.grid_points() / 3, "{}", cands.len());
         assert!(cands.len() <= space.grid_points() + 1);
+    }
+
+    #[test]
+    fn no_two_candidates_train_the_same_run() {
+        let cands = SearchSpace::default().enumerate(&RunConfig::default());
+        let runs: Vec<_> = cands
+            .iter()
+            .map(|c| {
+                let mut cfg = c.rc.to_train_config().unwrap();
+                // The blocking sync never reads the bucket size.
+                if !cfg.overlap || cfg.zero_optimizer {
+                    cfg.bucket_bytes = 0;
+                }
+                cfg
+            })
+            .collect();
+        for (i, a) in runs.iter().enumerate() {
+            for (j, b) in runs.iter().enumerate().skip(i + 1) {
+                assert_ne!(
+                    a, b,
+                    "{} and {} train one run",
+                    cands[i].name, cands[j].name
+                );
+            }
+        }
+        // 3 wires × (1 pairwise + 3 hierarchical placements) × (3 overlapped
+        // buckets + 1 blocking sync).
+        assert_eq!(cands.len(), 48);
     }
 
     #[test]

@@ -158,7 +158,8 @@ fn knob_deviations(rc: &RunConfig, base: &RunConfig) -> usize {
 /// `base` fixes everything outside the search axes (model shape, world
 /// size, steps, …); candidates only vary the communication-side knobs.
 /// Fails if the space yields no valid candidate (e.g. the base config
-/// itself is contradictory) or a measured run cannot be built.
+/// itself is contradictory), the model cannot price the environment, or a
+/// measured run cannot be built.
 pub fn tune(
     base: &RunConfig,
     space: &SearchSpace,
@@ -175,15 +176,14 @@ pub fn tune(
     let mut scored: Vec<ScoredCandidate> = candidates
         .into_iter()
         .map(|Candidate { name, rc }| {
-            let cost = model_cost(&rc, env);
-            ScoredCandidate {
+            Ok(ScoredCandidate {
+                cost: model_cost(&rc, env)?,
                 name,
                 rc,
-                cost,
                 measured_step_s: None,
-            }
+            })
         })
-        .collect();
+        .collect::<Result<_, String>>()?;
     // Deterministic ranking: modeled step time first. Ties are broken by
     // parsimony — fewest knobs changed from the base config — because
     // when the model is indifferent, the candidate that deviates less is

@@ -10,7 +10,7 @@
 use bagualu::hw::Precision;
 use bagualu::metrics::{format_flops, format_params, format_si};
 use bagualu::model::config::ModelConfig;
-use bagualu::perfmodel::{project, PerfInput};
+use bagualu::perfmodel::{project, A2aAlgo, PerfInput};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -44,7 +44,7 @@ fn main() {
         (
             "naive collectives, half precision",
             PerfInput {
-                hierarchical_a2a: false,
+                a2a: A2aAlgo::Pairwise,
                 hierarchical_allreduce: false,
                 ..PerfInput::sunway_nodes(model, nodes)
             },
@@ -53,11 +53,12 @@ fn main() {
             "hierarchical collectives, fp32",
             PerfInput {
                 precision: Precision::FP32,
+                a2a_bytes: Precision::FP32.bytes(),
                 ..PerfInput::sunway_nodes(model, nodes)
             },
         ),
     ] {
-        let p = project(&input);
+        let p = project(&input).expect("the presets are priceable");
         let b = p.breakdown;
         println!("— {label} —");
         println!(

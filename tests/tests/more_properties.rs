@@ -130,3 +130,28 @@ fn tied_and_untied_models_share_everything_but_the_head() {
     let filtered: Vec<&String> = na.iter().filter(|n| !n.starts_with("head")).collect();
     assert_eq!(filtered.len(), nb.len());
 }
+
+/// `TwoLevelCost::sunway_like` hand-copies `NetworkParams::sunway()`
+/// (2.5 µs = 1.0 + 1.5 intra, 4.5 µs = 1.0 + 3.5 inter, 16 / 4 GB/s), so
+/// the virtual clock of `TimedComm` must price every link exactly as the
+/// α–β model does.
+#[test]
+fn timed_comm_link_cost_matches_the_network_model() {
+    use bagualu::hw::NetworkParams;
+    let net = NetworkParams::sunway();
+    let s = 4;
+    let cost = TwoLevelCost::sunway_like(s);
+    for bytes in [0usize, 1, 4096, 1 << 20, 1 << 30] {
+        for (a, b) in [(0usize, 3usize), (5, 6), (0, 4), (3, 9), (7, 0)] {
+            let same = a / s == b / s;
+            let bw = if same { net.intra_bw } else { net.inter_bw };
+            let want = net.latency(same) + bytes as f64 / bw;
+            let got = cost.cost(a, b, bytes);
+            assert!(
+                (got - want).abs() <= 1e-12 * want,
+                "{a}->{b} at {bytes} B: timed {got:e}, model {want:e}"
+            );
+            assert_eq!(net.p2p_time(bytes, same), want);
+        }
+    }
+}

@@ -40,7 +40,7 @@ proptest! {
         let p = project(&PerfInput {
             tokens_per_node: tokens,
             ..PerfInput::sunway_nodes(ModelConfig::bagualu_1_93t(), nodes)
-        });
+        }).unwrap();
         prop_assert!(p.step_time > 0.0);
         let b = p.breakdown;
         let sum = b.dense_compute + b.gate_compute + b.expert_compute + b.a2a + b.allreduce;
@@ -54,11 +54,11 @@ proptest! {
         let small = project(&PerfInput {
             tokens_per_node: 128,
             ..PerfInput::sunway_nodes(ModelConfig::bagualu_1_93t(), nodes)
-        });
+        }).unwrap();
         let big = project(&PerfInput {
             tokens_per_node: 4096,
             ..PerfInput::sunway_nodes(ModelConfig::bagualu_1_93t(), nodes)
-        });
+        }).unwrap();
         // Throughput per token improves with batch (fixed costs amortized).
         prop_assert!(big.tokens_per_sec > small.tokens_per_sec);
     }
@@ -99,7 +99,7 @@ fn full_machine_headline_is_stable() {
     // Pin the headline projection so accidental cost-model regressions are
     // caught: sustained half-precision compute on the 14.5T preset at the
     // full machine must stay EFLOPS-order.
-    let p = project(&PerfInput::sunway_full(ModelConfig::bagualu_14_5t()));
+    let p = project(&PerfInput::sunway_full(ModelConfig::bagualu_14_5t())).unwrap();
     assert!(
         p.sustained_flops > 5e17 && p.sustained_flops < 5e18,
         "headline drifted: {:.3e}",
@@ -114,6 +114,7 @@ fn precision_ladder_orders_throughput() {
             precision: prec,
             ..PerfInput::sunway_full(ModelConfig::bagualu_14_5t())
         })
+        .unwrap()
         .tokens_per_sec
     };
     let half = mk(Precision::Half);
