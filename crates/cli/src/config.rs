@@ -1,28 +1,16 @@
 //! Flags → [`RunConfig`]: the CLI's half of the unified config layer.
 //!
-//! Every flag default here is *derived from* [`RunConfig::default`] — the
-//! CLI holds no default literals of its own, so the flag surface and the
-//! TOML schema can never drift (a test below pins this). Precedence is
+//! Every flag is a row of [`KEYS`], read like its TOML value, and every
+//! default is *derived from* [`RunConfig::default`] — the CLI holds no
+//! key names or default literals of its own, so the flag surface and the
+//! TOML schema can never drift (tests below pin this). Precedence is
 //! `RunConfig::default()` < `--config FILE` < explicit flags, which makes
 //! a config file a named set of overrides and a flag a one-off tweak on
 //! top of it.
 
 use crate::args::Args;
-use bagualu::runconfig::RunConfig;
+use bagualu::runconfig::{Flag, RunConfig, KEYS};
 use bagualu::tensor::{ComputeBackend, DType};
-
-/// Parse a flag through its knob's own `FromStr`, keeping the knob's
-/// error text (which lists the accepted spellings) but naming the flag.
-fn flag<T: std::str::FromStr<Err = String>>(
-    args: &Args,
-    key: &str,
-    current: T,
-) -> Result<T, String> {
-    match args.get(key, "") {
-        s if s.is_empty() => Ok(current),
-        s => s.parse().map_err(|e: String| format!("--{key}: {e}")),
-    }
-}
 
 /// Read `--config FILE` into a [`RunConfig`], or start from defaults.
 fn base(args: &Args) -> Result<RunConfig, String> {
@@ -34,100 +22,50 @@ fn base(args: &Args) -> Result<RunConfig, String> {
     RunConfig::from_toml(&text).map_err(|e| format!("--config {path}: {e}"))
 }
 
-/// The flags [`train_run_config`] consumes (for `assert_known`).
-pub const TRAIN_CONFIG_FLAGS: &[&str] = &[
-    "config",
-    "dump-config",
-    "preset",
-    "experts",
-    "gate",
-    "ranks",
-    "steps",
-    "batch",
-    "seq",
-    "lr",
-    "dtype",
-    "seed",
-    "skew",
-    "zero",
-    "wire-dtype",
-    "hierarchical",
-    "supernode-size",
-    "no-overlap",
-    "bucket-kib",
-    "placement",
-    "locality-bias",
-    "compute-backend",
-    "compute-dtype",
-    "ckpt-dir",
-    "ckpt-every",
-    "max-restarts",
-    "elastic",
-    "straggler-factor",
-    "straggler-window",
-];
+/// The recovery-side flags that also opt the run into the fault-tolerant
+/// driver (`ft.enabled`, which has no flag of its own).
+const FT_FLAGS: [&str; 3] = ["ckpt-dir", "elastic", "straggler-factor"];
 
-/// The flags [`serve_run_config`] consumes.
-pub const SERVE_CONFIG_FLAGS: &[&str] = &[
-    "config",
-    "dump-config",
-    "ranks",
-    "experts",
-    "hierarchical",
-    "supernode-size",
-    "placement",
-    "locality-bias",
-    "max-batch",
-    "kv-blocks",
-    "block-tokens",
-];
+/// The flags [`train_run_config`] (or, with `serve`,
+/// [`serve_run_config`]) consumes, for `assert_known`.
+pub fn config_flags(serve: bool) -> Vec<&'static str> {
+    let mut flags = vec!["config", "dump-config"];
+    flags.extend(
+        KEYS.iter()
+            .filter(|k| k.takes(serve))
+            .filter_map(|k| k.flag.name()),
+    );
+    if !serve {
+        flags.push("compute-dtype");
+    }
+    flags
+}
+
+/// Overlay the subcommand's key flags onto `--config`/defaults. A value
+/// flag reads like its TOML value; an error names the flag.
+fn overlay(args: &Args, serve: bool) -> Result<RunConfig, String> {
+    let mut rc = base(args)?;
+    for key in KEYS.iter().filter(|k| k.takes(serve)) {
+        let (flag, value) = match key.flag {
+            Flag::Value(f) => (f, args.get(f, "")),
+            Flag::Switch(f) if args.switch(f) => (f, "true".into()),
+            Flag::Off(f) if args.switch(f) => (f, "false".into()),
+            _ => continue,
+        };
+        if !value.is_empty() {
+            (key.set)(&mut rc, &value).map_err(|e| format!("--{flag} {value}: {e}"))?;
+        }
+    }
+    Ok(rc)
+}
 
 /// Overlay the training-side flags onto `--config`/defaults. The result
 /// is *not* yet validated — `RunConfig::to_train_config` validates, so
 /// `--dump-config` can still print a config the user is mid-way through
 /// assembling.
 pub fn train_run_config(args: &Args) -> Result<RunConfig, String> {
-    let mut rc = base(args)?;
-
-    // [model]
-    let p = args.get("preset", "");
-    if !p.is_empty() {
-        bagualu::runconfig::preset(&p).map_err(|e| format!("--preset: {e}"))?;
-        rc.model.preset = p;
-    }
-    rc.model.experts = args.get_parse("experts", rc.model.experts)?;
-    rc.model.gate = flag(args, "gate", rc.model.gate)?;
-
-    // [train]
-    rc.train.ranks = args.get_parse("ranks", rc.train.ranks)?;
-    rc.train.steps = args.get_parse("steps", rc.train.steps)?;
-    rc.train.batch = args.get_parse("batch", rc.train.batch)?;
-    rc.train.seq = args.get_parse("seq", rc.train.seq)?;
-    rc.train.lr = args.get_parse("lr", rc.train.lr)?;
-    rc.train.dtype = flag(args, "dtype", rc.train.dtype)?;
-    rc.train.seed = args.get_parse("seed", rc.train.seed)?;
-    rc.train.skew = args.get_parse("skew", rc.train.skew)?;
-    if args.switch("zero") {
-        rc.train.zero = true;
-    }
-
-    // [comm]
-    rc.comm.wire_dtype = flag(args, "wire-dtype", rc.comm.wire_dtype)?;
-    if args.switch("hierarchical") {
-        rc.comm.hierarchical = true;
-    }
-    rc.comm.supernode_size = args.get_parse("supernode-size", rc.comm.supernode_size)?;
-    if args.switch("no-overlap") {
-        rc.comm.overlap = false;
-    }
-    rc.comm.bucket_kib = args.get_parse("bucket-kib", rc.comm.bucket_kib)?;
-
-    // [placement]
-    rc.placement.policy = flag(args, "placement", rc.placement.policy)?;
-    rc.placement.locality_bias = args.get_parse("locality-bias", rc.placement.locality_bias)?;
-
-    // [compute] — `--compute-dtype` refines a `half` backend in place.
-    rc.compute.backend = flag(args, "compute-backend", rc.compute.backend)?;
+    let mut rc = overlay(args, false)?;
+    // `--compute-dtype` refines a `half` backend in place.
     let compute_dtype = args.get("compute-dtype", "");
     if !compute_dtype.is_empty() {
         let dt: DType = compute_dtype
@@ -147,49 +85,21 @@ pub fn train_run_config(args: &Args) -> Result<RunConfig, String> {
             }
         }
     }
-
-    // [ft] — any recovery-side flag opts the run into the fault-tolerant
-    // driver, matching the historical CLI behavior.
-    let ckpt_dir = args.get("ckpt-dir", "");
-    if !ckpt_dir.is_empty() {
-        rc.ft.ckpt_dir = ckpt_dir;
+    if FT_FLAGS
+        .iter()
+        .any(|f| args.switch(f) || !args.get(f, "").is_empty())
+    {
         rc.ft.enabled = true;
     }
-    rc.ft.ckpt_every = args.get_parse("ckpt-every", rc.ft.ckpt_every)?;
-    rc.ft.max_restarts = args.get_parse("max-restarts", rc.ft.max_restarts)?;
-    if args.switch("elastic") {
-        rc.ft.elastic = true;
-        rc.ft.enabled = true;
-    }
-    let sf = args.get("straggler-factor", "");
-    if !sf.is_empty() {
-        rc.ft.straggler_factor = sf
-            .parse()
-            .map_err(|_| format!("bad --straggler-factor: {sf}"))?;
-        rc.ft.enabled = true;
-    }
-    rc.ft.straggler_window = args.get_parse("straggler-window", rc.ft.straggler_window)?;
-
     Ok(rc)
 }
 
 /// Overlay the serving-side flags onto `--config`/defaults. Serving uses
-/// `[model]`, `[serve]`, the comm topology, and placement; `[train]`'s
-/// `ranks` doubles as the serving world size (one world size per run).
+/// `[model]`, `[serve]`, the comm topology, placement and the seed;
+/// `[train]`'s `ranks` doubles as the serving world size (one world size
+/// per run).
 pub fn serve_run_config(args: &Args) -> Result<RunConfig, String> {
-    let mut rc = base(args)?;
-    rc.train.ranks = args.get_parse("ranks", rc.train.ranks)?;
-    rc.model.experts = args.get_parse("experts", rc.model.experts)?;
-    if args.switch("hierarchical") {
-        rc.comm.hierarchical = true;
-    }
-    rc.comm.supernode_size = args.get_parse("supernode-size", rc.comm.supernode_size)?;
-    rc.placement.policy = flag(args, "placement", rc.placement.policy)?;
-    rc.placement.locality_bias = args.get_parse("locality-bias", rc.placement.locality_bias)?;
-    rc.serve.max_batch = args.get_parse("max-batch", rc.serve.max_batch)?;
-    rc.serve.kv_blocks = args.get_parse("kv-blocks", rc.serve.kv_blocks)?;
-    rc.serve.block_tokens = args.get_parse("block-tokens", rc.serve.block_tokens)?;
-    Ok(rc)
+    overlay(args, true)
 }
 
 #[cfg(test)]
@@ -275,15 +185,143 @@ mod tests {
         assert!(e.contains("--config"), "{e}");
     }
 
+    /// A value each value flag's key does not default to, valid next to
+    /// the context below.
+    fn sample(flag: &str) -> &'static str {
+        match flag {
+            "preset" => "1.93t",
+            "experts" => "8",
+            "gate" => "balanced",
+            "ranks" => "4",
+            "steps" => "7",
+            "batch" => "3",
+            "seq" => "16",
+            "lr" => "0.5",
+            "dtype" => "bf16",
+            "seed" => "7",
+            "skew" => "1.1",
+            "wire-dtype" => "bf16",
+            "supernode-size" => "2",
+            "bucket-kib" => "64",
+            "placement" => "block",
+            "locality-bias" => "0.5",
+            "compute-backend" => "reference",
+            "ckpt-dir" => "/tmp/ck",
+            "ckpt-every" => "4",
+            "max-restarts" => "7",
+            "straggler-factor" => "1.5",
+            "straggler-window" => "2",
+            "max-batch" => "3",
+            "kv-blocks" => "17",
+            "block-tokens" => "8",
+            other => panic!("no sample value for --{other}"),
+        }
+    }
+
+    /// The table-driven pin on the key table: for every key with a flag,
+    /// the flag and the key's TOML line build equal configs, on every
+    /// subcommand that takes the flag, and the result is a `to_toml` →
+    /// `from_toml` fixed point. Keys that only validate next to another
+    /// (`supernode_size` needs `hierarchical`, the `[ft]` knobs need
+    /// `enabled`) get that context on both sides, from one `--config` file.
     #[test]
-    fn config_flag_surface_matches_the_flag_lists() {
-        // Every flag the builders read must be declared, or `assert_known`
-        // would reject it at the command layer.
-        for f in ["config", "supernode-size", "preset", "dump-config"] {
-            assert!(TRAIN_CONFIG_FLAGS.contains(&f), "{f} missing");
+    fn every_key_flag_sets_what_its_toml_line_sets() {
+        let dir = std::env::temp_dir().join(format!("bagualu-cli-keys-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let context = [("comm", "hierarchical"), ("ft", "enabled")];
+        let mut tested = 0;
+        for key in KEYS {
+            let Some(flag) = key.flag.name() else {
+                continue;
+            };
+            let ctx: String = context
+                .iter()
+                .filter(|&&(section, name)| (section, name) != (key.section, key.name))
+                .map(|(section, name)| format!("[{section}]\n{name} = true\n"))
+                .collect();
+            let ctx_path = dir.join(format!("{flag}.toml"));
+            std::fs::write(&ctx_path, &ctx).unwrap();
+            let (value, argv) = match key.flag {
+                Flag::Value(_) => (sample(flag), format!("--{flag} {}", sample(flag))),
+                Flag::Switch(_) => ("true", format!("--{flag}")),
+                Flag::Off(_) => ("false", format!("--{flag}")),
+                Flag::None => unreachable!(),
+            };
+            let literal = match key.kind {
+                bagualu::runconfig::Kind::Str => format!("\"{value}\""),
+                _ => value.to_string(),
+            };
+            let line = format!("{ctx}[{}]\n{} = {literal}\n", key.section, key.name);
+            let via_toml = RunConfig::from_toml(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
+            assert_ne!(
+                via_toml,
+                RunConfig::from_toml(&ctx).unwrap(),
+                "{flag}: a default"
+            );
+            let text = via_toml.to_toml();
+            assert_eq!(RunConfig::from_toml(&text).unwrap(), via_toml, "{flag}");
+            assert_eq!(
+                RunConfig::from_toml(&text).unwrap().to_toml(),
+                text,
+                "{flag}"
+            );
+            for (serve, build) in [
+                (
+                    false,
+                    train_run_config as fn(&Args) -> Result<RunConfig, String>,
+                ),
+                (true, serve_run_config),
+            ] {
+                if key.takes(serve) {
+                    let cmd = if serve { "serve" } else { "train" };
+                    let args = parse(&format!("{cmd} --config {} {argv}", ctx_path.display()));
+                    assert_eq!(build(&args).unwrap(), via_toml, "{cmd} {argv}");
+                    tested += 1;
+                }
+            }
         }
-        for f in ["config", "max-batch", "kv-blocks", "block-tokens"] {
-            assert!(SERVE_CONFIG_FLAGS.contains(&f), "{f} missing");
+        let _ = std::fs::remove_dir_all(&dir);
+        // The derived flag lists are the flagged rows plus the file flags.
+        let flagged = |serve| KEYS.iter().filter(|k| k.takes(serve)).count();
+        assert_eq!(tested, flagged(false) + flagged(true));
+        assert_eq!(
+            config_flags(false).len(),
+            flagged(false) + 3,
+            "+ config, dump-config, compute-dtype"
+        );
+        assert_eq!(
+            config_flags(true).len(),
+            flagged(true) + 2,
+            "+ config, dump-config"
+        );
+    }
+
+    #[test]
+    fn non_finite_and_out_of_range_flags_name_the_flag() {
+        for (argv, flag) in [
+            ("train --lr 1e39", "--lr"),
+            ("train --locality-bias inf", "--locality-bias"),
+            ("train --straggler-factor NaN", "--straggler-factor"),
+            ("train --skew nan", "--skew"),
+        ] {
+            let e = train_run_config(&parse(argv)).unwrap_err();
+            assert!(e.contains(flag) && e.contains("finite"), "{argv}: {e}");
         }
+        let e = train_run_config(&parse("train --ranks -1")).unwrap_err();
+        assert!(e.contains("--ranks"), "{e}");
+    }
+
+    /// `--seed` is the `[train] seed` key for serving too: the flag and a
+    /// config file's seed both reach the served model.
+    #[test]
+    fn serve_reads_the_configured_seed() {
+        assert_eq!(
+            serve_run_config(&parse("serve --seed 7"))
+                .unwrap()
+                .train
+                .seed,
+            7
+        );
+        assert!(config_flags(true).contains(&"seed"));
     }
 }

@@ -100,22 +100,11 @@ fn print_help() {
     eprintln!("            --measure-steps N (steps per validation run) --no-measure (model only)");
     eprintln!("            --out FILE (write the winning config TOML; feed to train --config)");
     eprintln!("  serve     continuous-batching expert-parallel inference (see docs/SERVING.md)");
-    eprintln!("            --ranks N --max-batch N --kv-blocks N --block-tokens N");
+    eprintln!("            --ranks N --seed N --max-batch N --kv-blocks N --block-tokens N");
     eprintln!("            --requests N --qps F (0 = all at once) --prompt-len N --tokens N");
+    eprintln!("            --config FILE --dump-config (as for train; see docs/TUNING.md)");
     eprintln!("            --experts N --hierarchical --placement roundrobin|block|supernode[:S]");
     eprintln!("            --locality-bias B (trades exact logits for intra-supernode a2a)");
-}
-
-fn preset(name: &str) -> Result<ModelConfig, String> {
-    match name {
-        "tiny" => Ok(ModelConfig::tiny()),
-        "1.93t" => Ok(ModelConfig::bagualu_1_93t()),
-        "14.5t" => Ok(ModelConfig::bagualu_14_5t()),
-        "174t" => Ok(ModelConfig::bagualu_174t()),
-        other => Err(format!(
-            "unknown preset: {other} (tiny | 1.93t | 14.5t | 174t)"
-        )),
-    }
 }
 
 fn cmd_info(args: &Args) -> Result<(), String> {
@@ -152,8 +141,8 @@ fn cmd_info(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_train(args: &Args) -> Result<(), String> {
-    let mut known = vec!["csv", "trace", "crash", "slow"];
-    known.extend_from_slice(config::TRAIN_CONFIG_FLAGS);
+    let mut known = config::config_flags(false);
+    known.extend(["csv", "trace", "crash", "slow"]);
     args.assert_known(&known)?;
     // Defaults < --config FILE < explicit flags, all through one
     // RunConfig: the run is fully described by `--dump-config`'s output.
@@ -318,8 +307,8 @@ fn cmd_train(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_tune(args: &Args) -> Result<(), String> {
-    let mut known = vec!["scale-nodes", "top-k", "measure-steps", "no-measure", "out"];
-    known.extend_from_slice(config::TRAIN_CONFIG_FLAGS);
+    let mut known = config::config_flags(false);
+    known.extend(["scale-nodes", "top-k", "measure-steps", "no-measure", "out"]);
     args.assert_known(&known)?;
     // Every train flag works here and fixes the base config the tuner
     // anchors to; the tuner only searches the communication-side axes.
@@ -370,8 +359,8 @@ fn cmd_tune(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_serve(args: &Args) -> Result<(), String> {
-    let mut known = vec!["requests", "qps", "prompt-len", "tokens", "seed"];
-    known.extend_from_slice(config::SERVE_CONFIG_FLAGS);
+    let mut known = config::config_flags(true);
+    known.extend(["requests", "qps", "prompt-len", "tokens"]);
     args.assert_known(&known)?;
     use bagualu::serve::run;
     use bagualu::trace::names;
@@ -382,18 +371,15 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         print!("{}", rc.to_toml());
         return Ok(());
     }
-    rc.validate()?;
-    let nranks = rc.train.ranks;
+    let cfg = rc.to_train_config()?;
+    let nranks = cfg.nranks;
     let requests = args.get_parse("requests", 32usize)?;
     let qps: f64 = args.get_parse("qps", 0.0f64)?;
     let prompt_len = args.get_parse("prompt-len", 4usize)?;
     let max_new = args.get_parse("tokens", 8usize)?;
-    let seed = args.get_parse("seed", 42u64)?;
-    let locality_bias = rc.placement.locality_bias;
+    let (model_cfg, seed, a2a, locality_bias) = (cfg.model, cfg.seed, cfg.a2a, cfg.locality_bias);
+    let placement = cfg.resolved_placement();
     let engine = rc.to_engine_config();
-    let model_cfg = rc.model_config()?;
-    let a2a = rc.a2a();
-    let placement = rc.placement.policy;
     if requests == 0 || prompt_len == 0 {
         return Err("--requests and --prompt-len must both be >= 1".into());
     }
@@ -544,7 +530,7 @@ fn cmd_project(args: &Args) -> Result<(), String> {
         "tokens-per-node",
         "two-level-gate",
     ])?;
-    let model = preset(&args.get("preset", "14.5t"))?;
+    let model = bagualu::runconfig::preset(&args.get("preset", "14.5t"))?;
     let nodes = args.get_parse("nodes", 96_000usize)?;
     let naive = args.switch("naive");
     let precision = match args.get("precision", "half").as_str() {

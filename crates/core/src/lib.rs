@@ -44,6 +44,15 @@
 //! assert_eq!(report.loss_curve.len(), 5);
 //! ```
 
+/// `ensure!(ok, "fmt", args…)`: return `Err(format!(…))` unless `ok`.
+macro_rules! ensure {
+    ($ok:expr, $($msg:tt)+) => {
+        if !$ok {
+            return Err(format!($($msg)+));
+        }
+    };
+}
+
 pub mod checkpoint;
 pub mod data;
 pub mod metrics;

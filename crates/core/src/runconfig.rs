@@ -19,6 +19,11 @@
 //!   and emits its winner as a TOML that feeds straight back into
 //!   `bagualu train --config`.
 //!
+//! Each key is declared once, as a row of [`KEYS`]: its section and name,
+//! its command-line flag, the subcommands that take the flag, and a get/set
+//! pair through the field type's own `Display`/`FromStr`. The TOML writer,
+//! the TOML reader and the CLI's flag overlay are loops over that table.
+//!
 //! The TOML dialect is the small subset the hand-rolled reader/writer here
 //! agree on (no external dependency): `[section]` tables, `key = value`
 //! lines with string / integer / float / boolean values, `#` comments.
@@ -80,7 +85,7 @@ pub struct TrainSection {
     pub lr: f32,
     /// Working precision of parameters.
     pub dtype: DType,
-    /// Master RNG seed (data, init, fault schedules).
+    /// Master RNG seed (data, init, fault schedules, served prompts).
     pub seed: u64,
     /// Zipf skew of the token stream (0 = uniform).
     pub skew: f64,
@@ -227,6 +232,216 @@ impl Default for RunConfig {
     }
 }
 
+// ------------------------------------------------------------ the key table
+
+/// How a key's value is spelled in TOML; the reader checks it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// A quoted string (also every enum-valued knob).
+    Str,
+    /// A non-negative integer.
+    Int,
+    /// A finite number (an integer literal is accepted).
+    Float,
+    /// `true` or `false`.
+    Bool,
+}
+
+impl Kind {
+    fn name(self) -> &'static str {
+        match self {
+            Kind::Str => "a string",
+            Kind::Int => "an integer",
+            Kind::Float => "a float",
+            Kind::Bool => "a boolean",
+        }
+    }
+}
+
+/// A key's command-line spelling.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Flag {
+    /// No flag: the key is set from a file (or, for `ft.enabled`, by the
+    /// recovery-side flags).
+    None,
+    /// `--name VALUE`, read like the TOML value.
+    Value(&'static str),
+    /// A bare `--name` sets the key to `true`.
+    Switch(&'static str),
+    /// A bare `--name` sets the key to `false` (`--no-overlap`).
+    Off(&'static str),
+}
+
+impl Flag {
+    /// The flag's name without the leading `--`.
+    pub fn name(self) -> Option<&'static str> {
+        match self {
+            Flag::None => None,
+            Flag::Value(f) | Flag::Switch(f) | Flag::Off(f) => Some(f),
+        }
+    }
+}
+
+/// One schema key: where it lives, how the CLI spells it, and how to read
+/// and write it. See [`KEYS`].
+pub struct Key {
+    /// The `[section]` (`""` for the top level).
+    pub section: &'static str,
+    /// The key within its section.
+    pub name: &'static str,
+    /// The value's TOML kind.
+    pub kind: Kind,
+    /// The command-line flag.
+    pub flag: Flag,
+    /// Whether `bagualu train` (and `tune`) take the flag.
+    pub train: bool,
+    /// Whether `bagualu serve` takes the flag.
+    pub serve: bool,
+    /// The value in a config, as its TOML literal (unquoted), through the
+    /// field type's `Display` (`Debug` for floats, which keeps the `.0`).
+    pub get: fn(&RunConfig) -> String,
+    /// Parse a literal through the field type's `FromStr` into a config.
+    /// Floats must be finite; integers must fit the field.
+    pub set: fn(&mut RunConfig, &str) -> Result<(), String>,
+}
+
+impl Key {
+    /// `section.name`, or `name` at the top level.
+    pub fn path(&self) -> String {
+        if self.section.is_empty() {
+            self.name.to_string()
+        } else {
+            format!("{}.{}", self.section, self.name)
+        }
+    }
+
+    /// Whether the subcommand takes this key's flag (`serve`, or `train`
+    /// and `tune`).
+    pub fn takes(&self, serve: bool) -> bool {
+        if serve {
+            self.serve
+        } else {
+            self.train
+        }
+    }
+}
+
+/// A field type the table reads and writes.
+trait Scalar: std::str::FromStr<Err: std::fmt::Display> + std::fmt::Display {
+    const KIND: Kind;
+
+    fn read(text: &str) -> Result<Self, String> {
+        text.parse().map_err(|e| format!("{e}"))
+    }
+
+    fn write(&self) -> String {
+        self.to_string()
+    }
+}
+
+macro_rules! scalar {
+    ($kind:ident: $($t:ty),+) => {
+        $(impl Scalar for $t {
+            const KIND: Kind = Kind::$kind;
+        })+
+    };
+}
+
+scalar!(Int: u32, u64, usize);
+scalar!(Bool: bool);
+scalar!(Str: String, GateKind, DType, WireDType, ExpertPlacement, ComputeBackend);
+
+macro_rules! float_scalar {
+    ($($t:ty),+) => {
+        $(impl Scalar for $t {
+            const KIND: Kind = Kind::Float;
+
+            fn read(text: &str) -> Result<Self, String> {
+                match text.parse::<$t>() {
+                    Ok(v) if !v.is_finite() => Err("not a finite number".into()),
+                    parsed => parsed.map_err(|e| format!("{e}")),
+                }
+            }
+
+            fn write(&self) -> String {
+                format!("{self:?}")
+            }
+        })+
+    };
+}
+
+float_scalar!(f32, f64);
+
+const fn kind_of<T: Scalar>(_: fn(&RunConfig) -> &T) -> Kind {
+    T::KIND
+}
+
+/// One [`Key`] row: `key!(section.name)` has no flag,
+/// `key!(section.name, Flag::…, train | serve | both)` has one.
+macro_rules! key {
+    (@on train) => { (true, false) };
+    (@on serve) => { (false, true) };
+    (@on both) => { (true, true) };
+    ($($path:ident).+) => { key!(@row Flag::None, (false, false), $($path).+) };
+    ($($path:ident).+, $flag:expr, $on:ident) => { key!(@row $flag, key!(@on $on), $($path).+) };
+    (@row $flag:expr, $on:expr, $($path:ident).+) => {
+        Key {
+            section: key!(@section $($path).+),
+            name: key!(@name $($path).+),
+            kind: kind_of(|rc| &rc.$($path).+),
+            flag: $flag,
+            train: $on.0,
+            serve: $on.1,
+            get: |rc| Scalar::write(&rc.$($path).+),
+            set: |rc, text| {
+                rc.$($path).+ = Scalar::read(text)?;
+                Ok(())
+            },
+        }
+    };
+    (@section $name:ident) => { "" };
+    (@section $section:ident . $name:ident) => { stringify!($section) };
+    (@name $name:ident) => { stringify!($name) };
+    (@name $section:ident . $name:ident) => { stringify!($name) };
+}
+
+/// Every schema key, in file order. `to_toml`, `from_toml` and the CLI's
+/// flags (`crates/cli/src/config.rs`) are loops over this table;
+/// docs/TUNING.md lists it (a test pins the two).
+pub const KEYS: &[Key] = &[
+    key!(version),
+    key!(model.preset, Flag::Value("preset"), train),
+    key!(model.experts, Flag::Value("experts"), both),
+    key!(model.gate, Flag::Value("gate"), train),
+    key!(train.ranks, Flag::Value("ranks"), both),
+    key!(train.steps, Flag::Value("steps"), train),
+    key!(train.batch, Flag::Value("batch"), train),
+    key!(train.seq, Flag::Value("seq"), train),
+    key!(train.lr, Flag::Value("lr"), train),
+    key!(train.dtype, Flag::Value("dtype"), train),
+    key!(train.seed, Flag::Value("seed"), both),
+    key!(train.skew, Flag::Value("skew"), train),
+    key!(train.zero, Flag::Switch("zero"), train),
+    key!(comm.wire_dtype, Flag::Value("wire-dtype"), train),
+    key!(comm.hierarchical, Flag::Switch("hierarchical"), both),
+    key!(comm.supernode_size, Flag::Value("supernode-size"), both),
+    key!(comm.overlap, Flag::Off("no-overlap"), train),
+    key!(comm.bucket_kib, Flag::Value("bucket-kib"), train),
+    key!(placement.policy, Flag::Value("placement"), both),
+    key!(placement.locality_bias, Flag::Value("locality-bias"), both),
+    key!(compute.backend, Flag::Value("compute-backend"), train),
+    key!(ft.enabled),
+    key!(ft.ckpt_dir, Flag::Value("ckpt-dir"), train),
+    key!(ft.ckpt_every, Flag::Value("ckpt-every"), train),
+    key!(ft.max_restarts, Flag::Value("max-restarts"), train),
+    key!(ft.elastic, Flag::Switch("elastic"), train),
+    key!(ft.straggler_factor, Flag::Value("straggler-factor"), train),
+    key!(ft.straggler_window, Flag::Value("straggler-window"), train),
+    key!(serve.max_batch, Flag::Value("max-batch"), serve),
+    key!(serve.kv_blocks, Flag::Value("kv-blocks"), serve),
+    key!(serve.block_tokens, Flag::Value("block-tokens"), serve),
+];
+
 impl RunConfig {
     /// The all-to-all topology this config names (supernode size 0 infers
     /// `ranks/2`, the CLI's historical `--hierarchical` behavior).
@@ -244,156 +459,71 @@ impl RunConfig {
         }
     }
 
-    /// Cross-knob validation: reject contradictory or meaningless settings
-    /// with the fix spelled out. Individual field formats are validated at
-    /// parse time; this checks the combinations.
+    /// Reject contradictory or meaningless settings with the fix spelled
+    /// out. The rules on the run itself live in [`TrainConfig::validate`],
+    /// which this calls on the config it builds; the rules here are about
+    /// the file: its version and preset, keys that only mean something
+    /// next to another (`supernode_size`, the `[ft]` knobs), and `[serve]`.
     pub fn validate(&self) -> Result<(), String> {
-        if self.version != RUN_CONFIG_VERSION {
-            return Err(format!(
-                "unsupported config version {} (this build reads version {RUN_CONFIG_VERSION})",
-                self.version
-            ));
-        }
-        preset(&self.model.preset)?;
-        if self.train.ranks == 0 {
-            return Err("train.ranks must be >= 1".into());
-        }
-        if self.train.steps == 0 || self.train.batch == 0 || self.train.seq == 0 {
-            return Err("train.steps, train.batch, and train.seq must all be >= 1".into());
-        }
-        if self.train.lr.is_nan() || self.train.lr <= 0.0 {
-            return Err(format!("train.lr must be positive, got {}", self.train.lr));
-        }
-        if self.train.skew < 0.0 {
-            return Err(format!(
-                "train.skew must be >= 0 (0 = uniform), got {}",
-                self.train.skew
-            ));
-        }
-        if self.model.experts > 0 && !self.model.experts.is_multiple_of(self.train.ranks) {
-            return Err(format!(
-                "model.experts = {} must divide evenly over train.ranks = {} \
-                 (every rank hosts the same number of experts)",
-                self.model.experts, self.train.ranks
-            ));
-        }
-        if self.train.zero && self.train.dtype != DType::F32 {
-            return Err(format!(
-                "train.zero shards an fp32 optimizer; it cannot run with train.dtype = \
-                 \"{}\" — set dtype = \"fp32\" or drop zero",
-                self.train.dtype
-            ));
-        }
-        if self.comm.supernode_size > 0 && !self.comm.hierarchical {
-            return Err(
-                "comm.supernode_size only shapes the hierarchical all-to-all; set \
-                 comm.hierarchical = true or drop it (a supernode *placement* carries \
-                 its own size as placement.policy = \"supernode:S\")"
-                    .into(),
-            );
-        }
-        if self.placement.policy == (ExpertPlacement::Supernode { supernode_size: 0 })
-            && !self.comm.hierarchical
-        {
-            return Err(
-                "placement.policy = \"supernode\" needs an explicit size (\"supernode:S\") \
-                 unless comm.hierarchical = true gives it a topology to infer one from"
-                    .into(),
-            );
-        }
-        self.a2a()
-            .validate(self.train.ranks)
-            .map_err(|e| format!("comm: {e}"))?;
-        self.resolved_placement()
-            .validate(self.train.ranks)
-            .map_err(|e| format!("placement.policy: {e}"))?;
-        if self.placement.locality_bias.is_nan() || self.placement.locality_bias < 0.0 {
-            return Err(format!(
-                "placement.locality_bias must be >= 0, got {}",
-                self.placement.locality_bias
-            ));
-        }
-        self.compute
-            .backend
-            .validate()
-            .map_err(|e| format!("compute.backend: {e}"))?;
-        if self.comm.bucket_kib == 0 {
-            return Err("comm.bucket_kib must be >= 1 (the overlap bucket cannot be empty)".into());
-        }
+        ensure!(
+            self.version == RUN_CONFIG_VERSION,
+            "unsupported config version {} (this build reads version {RUN_CONFIG_VERSION})",
+            self.version
+        );
+        ensure!(
+            self.comm.supernode_size == 0 || self.comm.hierarchical,
+            "comm.supernode_size only shapes the hierarchical all-to-all; set \
+             comm.hierarchical = true or drop it (a supernode *placement* carries its own \
+             size as placement.policy = \"supernode:S\")"
+        );
         // [ft]: knobs that only mean something under the recovery driver
         // must not be set while it is off — a config that silently ignores
         // half its keys is worse than an error.
-        if !self.ft.enabled {
-            if self.ft.elastic {
-                return Err(
-                    "ft.elastic = true but ft.enabled = false — the elastic resize only \
-                     exists inside the fault-tolerant driver; set ft.enabled = true or \
-                     drop elastic"
-                        .into(),
-                );
-            }
-            if self.ft.straggler_factor != 0.0 {
-                return Err(
-                    "ft.straggler_factor is set but ft.enabled = false — straggler \
-                     detection runs inside the fault-tolerant driver; set ft.enabled = \
-                     true or drop it"
-                        .into(),
-                );
-            }
-        } else {
-            if self.ft.elastic && !self.compute.backend.bit_identical() {
-                return Err(format!(
-                    "ft.elastic verifies its resume against a fresh shrunk run bit for \
-                     bit, but compute.backend = \"{}\" only promises a tolerance band; \
-                     use \"tiled\" (same kernels, bit-identical) or drop elastic",
-                    self.compute.backend
-                ));
-            }
-            if self.ft.elastic && self.train.ranks < 2 {
-                return Err(
-                    "ft.elastic needs train.ranks >= 2: a 1-rank world has no survivors \
-                     to continue on"
-                        .into(),
-                );
-            }
-            if self.ft.ckpt_every == 0 && (self.ft.elastic || self.ft.straggler_factor != 0.0) {
-                return Err(
-                    "ft.ckpt_every = 0 disables checkpoints, but ft.elastic re-shards \
-                     from the last checkpoint and straggler migration re-places experts \
-                     at checkpoint boundaries; give ckpt_every a positive interval"
-                        .into(),
-                );
-            }
-            if self.ft.straggler_factor != 0.0 && self.ft.straggler_factor <= 1.0 {
-                return Err(format!(
-                    "ft.straggler_factor {} would flag healthy ranks on noise alone; it \
-                     must exceed 1.0 (e.g. 1.5), or be 0 to disable detection",
-                    self.ft.straggler_factor
-                ));
-            }
-            if self.ft.straggler_window == 0 {
-                return Err("ft.straggler_window must be >= 1".into());
-            }
-        }
-        if self.serve.max_batch == 0 || self.serve.kv_blocks == 0 || self.serve.block_tokens == 0 {
-            return Err(
-                "serve.max_batch, serve.kv_blocks, and serve.block_tokens must all be >= 1".into(),
-            );
-        }
-        Ok(())
-    }
-
-    /// The placement policy with inferred supernode sizes resolved (mirrors
-    /// [`TrainConfig::resolved_placement`], but total — unresolvable
-    /// configs are caught by [`validate`](Self::validate) instead of
-    /// panicking).
-    pub fn resolved_placement(&self) -> ExpertPlacement {
-        match self.placement.policy {
-            ExpertPlacement::Supernode { supernode_size: 0 } => ExpertPlacement::Supernode {
-                supernode_size: self.a2a().supernode_size(),
-            },
-            p => p,
-        }
+        let ft = &self.ft;
+        ensure!(
+            ft.enabled || !ft.elastic,
+            "ft.elastic = true but ft.enabled = false — the elastic resize only exists \
+             inside the fault-tolerant driver; set ft.enabled = true or drop elastic"
+        );
+        ensure!(
+            ft.enabled || ft.straggler_factor == 0.0,
+            "ft.straggler_factor is set but ft.enabled = false — straggler detection runs \
+             inside the fault-tolerant driver; set ft.enabled = true or drop it"
+        );
+        ensure!(
+            !ft.elastic || self.compute.backend.bit_identical(),
+            "ft.elastic verifies its resume against a fresh shrunk run bit for bit, but \
+             compute.backend = \"{}\" only promises a tolerance band; use \"tiled\" (same \
+             kernels, bit-identical) or drop elastic",
+            self.compute.backend
+        );
+        ensure!(
+            !ft.elastic || self.train.ranks >= 2,
+            "ft.elastic needs train.ranks >= 2: a 1-rank world has no survivors to continue on"
+        );
+        ensure!(
+            ft.ckpt_every > 0 || !(ft.elastic || ft.straggler_factor != 0.0),
+            "ft.ckpt_every = 0 disables checkpoints, but ft.elastic re-shards from the last \
+             checkpoint and straggler migration re-places experts at checkpoint boundaries; \
+             give ckpt_every a positive interval"
+        );
+        ensure!(
+            ft.straggler_factor == 0.0
+                || (ft.straggler_factor > 1.0 && ft.straggler_factor.is_finite()),
+            "ft.straggler_factor {} would flag healthy ranks on noise alone; it must exceed \
+             1.0 (e.g. 1.5), or be 0 to disable detection",
+            ft.straggler_factor
+        );
+        ensure!(
+            !ft.enabled || ft.straggler_window > 0,
+            "ft.straggler_window must be >= 1"
+        );
+        let serve = &self.serve;
+        ensure!(
+            serve.max_batch > 0 && serve.kv_blocks > 0 && serve.block_tokens > 0,
+            "serve.max_batch, serve.kv_blocks, and serve.block_tokens must all be >= 1"
+        );
+        self.train_config()?.validate()
     }
 
     /// The model this config describes: the `[model]` preset with its
@@ -413,6 +543,11 @@ impl RunConfig {
     /// that want a trace set it on the result.
     pub fn to_train_config(&self) -> Result<TrainConfig, String> {
         self.validate()?;
+        self.train_config()
+    }
+
+    /// [`to_train_config`](Self::to_train_config) without the validation.
+    fn train_config(&self) -> Result<TrainConfig, String> {
         Ok(TrainConfig {
             model: self.model_config()?,
             nranks: self.train.ranks,
@@ -424,14 +559,19 @@ impl RunConfig {
             a2a: self.a2a(),
             clip: if self.train.zero { None } else { Some(1.0) },
             seed: self.train.seed,
-            data: if self.train.skew > 0.0 {
-                TokenDistribution::Zipf(self.train.skew)
-            } else {
+            data: if self.train.skew == 0.0 {
                 TokenDistribution::Uniform
+            } else {
+                TokenDistribution::Zipf(self.train.skew)
             },
             zero_optimizer: self.train.zero,
             overlap: self.comm.overlap,
-            bucket_bytes: self.comm.bucket_kib << 10,
+            bucket_bytes: self.comm.bucket_kib.checked_mul(1 << 10).ok_or_else(|| {
+                format!(
+                    "comm.bucket_kib = {} does not fit in a byte count",
+                    self.comm.bucket_kib
+                )
+            })?,
             wire: self.comm.wire_dtype,
             placement: self.placement.policy,
             compute: self.compute.backend,
@@ -583,50 +723,25 @@ impl RunConfig {
 
     // ---------------------------------------------------------------- TOML
 
-    /// Serialize to the canonical TOML form.
+    /// Serialize to the canonical TOML form, one line per [`KEYS`] row.
     /// [`from_toml`](Self::from_toml) parses it back to an equal value.
     pub fn to_toml(&self) -> String {
-        let mut s = String::new();
-        let _ = writeln!(s, "# bagualu run configuration (docs/TUNING.md)");
-        let _ = writeln!(s, "# reproduce with: bagualu train --config <this file>");
-        let _ = writeln!(s, "version = {}", self.version);
-        let _ = writeln!(s, "\n[model]");
-        let _ = writeln!(s, "preset = \"{}\"", self.model.preset);
-        let _ = writeln!(s, "experts = {}", self.model.experts);
-        let _ = writeln!(s, "gate = \"{}\"", self.model.gate);
-        let _ = writeln!(s, "\n[train]");
-        let _ = writeln!(s, "ranks = {}", self.train.ranks);
-        let _ = writeln!(s, "steps = {}", self.train.steps);
-        let _ = writeln!(s, "batch = {}", self.train.batch);
-        let _ = writeln!(s, "seq = {}", self.train.seq);
-        let _ = writeln!(s, "lr = {:?}", self.train.lr);
-        let _ = writeln!(s, "dtype = \"{}\"", self.train.dtype);
-        let _ = writeln!(s, "seed = {}", self.train.seed);
-        let _ = writeln!(s, "skew = {:?}", self.train.skew);
-        let _ = writeln!(s, "zero = {}", self.train.zero);
-        let _ = writeln!(s, "\n[comm]");
-        let _ = writeln!(s, "wire_dtype = \"{}\"", self.comm.wire_dtype);
-        let _ = writeln!(s, "hierarchical = {}", self.comm.hierarchical);
-        let _ = writeln!(s, "supernode_size = {}", self.comm.supernode_size);
-        let _ = writeln!(s, "overlap = {}", self.comm.overlap);
-        let _ = writeln!(s, "bucket_kib = {}", self.comm.bucket_kib);
-        let _ = writeln!(s, "\n[placement]");
-        let _ = writeln!(s, "policy = \"{}\"", self.placement.policy);
-        let _ = writeln!(s, "locality_bias = {:?}", self.placement.locality_bias);
-        let _ = writeln!(s, "\n[compute]");
-        let _ = writeln!(s, "backend = \"{}\"", self.compute.backend);
-        let _ = writeln!(s, "\n[ft]");
-        let _ = writeln!(s, "enabled = {}", self.ft.enabled);
-        let _ = writeln!(s, "ckpt_dir = \"{}\"", self.ft.ckpt_dir);
-        let _ = writeln!(s, "ckpt_every = {}", self.ft.ckpt_every);
-        let _ = writeln!(s, "max_restarts = {}", self.ft.max_restarts);
-        let _ = writeln!(s, "elastic = {}", self.ft.elastic);
-        let _ = writeln!(s, "straggler_factor = {:?}", self.ft.straggler_factor);
-        let _ = writeln!(s, "straggler_window = {}", self.ft.straggler_window);
-        let _ = writeln!(s, "\n[serve]");
-        let _ = writeln!(s, "max_batch = {}", self.serve.max_batch);
-        let _ = writeln!(s, "kv_blocks = {}", self.serve.kv_blocks);
-        let _ = writeln!(s, "block_tokens = {}", self.serve.block_tokens);
+        let mut s = String::from(
+            "# bagualu run configuration (docs/TUNING.md)\n\
+             # reproduce with: bagualu train --config <this file>\n",
+        );
+        let mut section = "";
+        for key in KEYS {
+            if key.section != section {
+                section = key.section;
+                let _ = writeln!(s, "\n[{section}]");
+            }
+            let value = (key.get)(self);
+            let _ = match key.kind {
+                Kind::Str => writeln!(s, "{} = \"{value}\"", key.name),
+                _ => writeln!(s, "{} = {value}", key.name),
+            };
+        }
         s
     }
 
@@ -638,11 +753,11 @@ impl RunConfig {
     /// [`validate`](Self::validate)d.
     pub fn from_toml(text: &str) -> Result<RunConfig, String> {
         let mut rc = RunConfig::default();
-        let mut section = String::new();
+        let mut section = "";
         let mut seen: Vec<String> = Vec::new();
         for (i, raw) in text.lines().enumerate() {
             let line_no = i + 1;
-            let line = strip_comment(raw).trim().to_string();
+            let line = strip_comment(raw).trim();
             if line.is_empty() {
                 continue;
             }
@@ -651,212 +766,62 @@ impl RunConfig {
                     .strip_suffix(']')
                     .ok_or_else(|| format!("line {line_no}: malformed section header: {raw}"))?
                     .trim();
-                if !SECTIONS.contains(&name) {
+                // KEYS lists each section's rows together.
+                let mut sections: Vec<&'static str> = KEYS.iter().map(|k| k.section).collect();
+                sections.dedup();
+                sections.retain(|s| !s.is_empty());
+                let Some(&found) = sections.iter().find(|&&s| s == name) else {
                     return Err(format!(
                         "line {line_no}: unknown section [{name}] (valid sections: {})",
-                        SECTIONS.join(", ")
+                        sections.join(", ")
                     ));
-                }
-                section = name.to_string();
+                };
+                section = found;
                 continue;
             }
-            let (key, value) = line.split_once('=').ok_or_else(|| {
+            let (name, value) = line.split_once('=').ok_or_else(|| {
                 format!("line {line_no}: expected `key = value` or `[section]`, got: {raw}")
             })?;
-            let key = key.trim();
-            let val = parse_value(value.trim())
-                .map_err(|e| format!("line {line_no}: value for {key}: {e}"))?;
-            let path = if section.is_empty() {
-                key.to_string()
-            } else {
-                format!("{section}.{key}")
+            let name = name.trim();
+            let (kind, value) = parse_value(value.trim())
+                .map_err(|e| format!("line {line_no}: value for {name}: {e}"))?;
+            let Some(key) = KEYS.iter().find(|k| k.section == section && k.name == name) else {
+                let valid: Vec<&str> = KEYS
+                    .iter()
+                    .filter(|k| k.section == section)
+                    .map(|k| k.name)
+                    .collect();
+                return Err(format!(
+                    "line {line_no}: unknown key '{name}' in {} (valid keys: {})",
+                    if section.is_empty() {
+                        "the top level".to_string()
+                    } else {
+                        format!("[{section}]")
+                    },
+                    valid.join(", ")
+                ));
             };
-            if seen.contains(&path) {
-                return Err(format!("line {line_no}: duplicate key {path}"));
-            }
+            let path = key.path();
+            ensure!(
+                !seen.contains(&path),
+                "line {line_no}: duplicate key {path}"
+            );
+            ensure!(
+                kind == key.kind || (key.kind, kind) == (Kind::Float, Kind::Int),
+                "line {line_no}: {path} wants {}, got {}",
+                key.kind.name(),
+                kind.name()
+            );
+            ensure!(
+                key.kind != Kind::Int || !value.starts_with('-'),
+                "line {line_no}: {path} must be >= 0, got {value}"
+            );
+            (key.set)(&mut rc, value)
+                .map_err(|e| format!("line {line_no}: {path} = {value}: {e}"))?;
             seen.push(path);
-            rc.apply(&section, key, &val, line_no)?;
         }
         rc.validate()?;
         Ok(rc)
-    }
-
-    /// Set one `section.key` from a parsed value.
-    fn apply(&mut self, section: &str, key: &str, val: &Val, line: usize) -> Result<(), String> {
-        let unknown = |valid: &[&str]| {
-            format!(
-                "line {line}: unknown key '{key}' in {} (valid keys: {})",
-                if section.is_empty() {
-                    "the top level".to_string()
-                } else {
-                    format!("[{section}]")
-                },
-                valid.join(", ")
-            )
-        };
-        let at = |e: String| format!("line {line}: {section}.{key}: {e}");
-        match section {
-            "" => match key {
-                "version" => self.version = val.as_u64(line, key)? as u32,
-                _ => return Err(unknown(&["version"])),
-            },
-            "model" => match key {
-                "preset" => {
-                    let p = val.as_str(line, key)?;
-                    preset(&p).map_err(at)?;
-                    self.model.preset = p;
-                }
-                "experts" => self.model.experts = val.as_usize(line, key)?,
-                "gate" => self.model.gate = val.as_str(line, key)?.parse().map_err(at)?,
-                _ => return Err(unknown(&["preset", "experts", "gate"])),
-            },
-            "train" => match key {
-                "ranks" => self.train.ranks = val.as_usize(line, key)?,
-                "steps" => self.train.steps = val.as_usize(line, key)?,
-                "batch" => self.train.batch = val.as_usize(line, key)?,
-                "seq" => self.train.seq = val.as_usize(line, key)?,
-                "lr" => self.train.lr = val.as_f64(line, key)? as f32,
-                "dtype" => self.train.dtype = val.as_str(line, key)?.parse().map_err(at)?,
-                "seed" => self.train.seed = val.as_u64(line, key)?,
-                "skew" => self.train.skew = val.as_f64(line, key)?,
-                "zero" => self.train.zero = val.as_bool(line, key)?,
-                _ => {
-                    return Err(unknown(&[
-                        "ranks", "steps", "batch", "seq", "lr", "dtype", "seed", "skew", "zero",
-                    ]))
-                }
-            },
-            "comm" => match key {
-                "wire_dtype" => {
-                    self.comm.wire_dtype = val.as_str(line, key)?.parse().map_err(at)?
-                }
-                "hierarchical" => self.comm.hierarchical = val.as_bool(line, key)?,
-                "supernode_size" => self.comm.supernode_size = val.as_usize(line, key)?,
-                "overlap" => self.comm.overlap = val.as_bool(line, key)?,
-                "bucket_kib" => self.comm.bucket_kib = val.as_usize(line, key)?,
-                _ => {
-                    return Err(unknown(&[
-                        "wire_dtype",
-                        "hierarchical",
-                        "supernode_size",
-                        "overlap",
-                        "bucket_kib",
-                    ]))
-                }
-            },
-            "placement" => match key {
-                "policy" => self.placement.policy = val.as_str(line, key)?.parse().map_err(at)?,
-                "locality_bias" => self.placement.locality_bias = val.as_f64(line, key)? as f32,
-                _ => return Err(unknown(&["policy", "locality_bias"])),
-            },
-            "compute" => match key {
-                "backend" => self.compute.backend = val.as_str(line, key)?.parse().map_err(at)?,
-                _ => return Err(unknown(&["backend"])),
-            },
-            "ft" => match key {
-                "enabled" => self.ft.enabled = val.as_bool(line, key)?,
-                "ckpt_dir" => self.ft.ckpt_dir = val.as_str(line, key)?,
-                "ckpt_every" => self.ft.ckpt_every = val.as_usize(line, key)?,
-                "max_restarts" => self.ft.max_restarts = val.as_usize(line, key)?,
-                "elastic" => self.ft.elastic = val.as_bool(line, key)?,
-                "straggler_factor" => self.ft.straggler_factor = val.as_f64(line, key)?,
-                "straggler_window" => self.ft.straggler_window = val.as_usize(line, key)?,
-                _ => {
-                    return Err(unknown(&[
-                        "enabled",
-                        "ckpt_dir",
-                        "ckpt_every",
-                        "max_restarts",
-                        "elastic",
-                        "straggler_factor",
-                        "straggler_window",
-                    ]))
-                }
-            },
-            "serve" => match key {
-                "max_batch" => self.serve.max_batch = val.as_usize(line, key)?,
-                "kv_blocks" => self.serve.kv_blocks = val.as_usize(line, key)?,
-                "block_tokens" => self.serve.block_tokens = val.as_usize(line, key)?,
-                _ => return Err(unknown(&["max_batch", "kv_blocks", "block_tokens"])),
-            },
-            other => unreachable!("section [{other}] passed the header check"),
-        }
-        Ok(())
-    }
-}
-
-const SECTIONS: [&str; 7] = [
-    "model",
-    "train",
-    "comm",
-    "placement",
-    "compute",
-    "ft",
-    "serve",
-];
-
-/// A scalar value from the TOML subset.
-enum Val {
-    Str(String),
-    Int(i64),
-    Float(f64),
-    Bool(bool),
-}
-
-impl Val {
-    fn type_name(&self) -> &'static str {
-        match self {
-            Val::Str(_) => "a string",
-            Val::Int(_) => "an integer",
-            Val::Float(_) => "a float",
-            Val::Bool(_) => "a boolean",
-        }
-    }
-
-    fn as_str(&self, line: usize, key: &str) -> Result<String, String> {
-        match self {
-            Val::Str(s) => Ok(s.clone()),
-            v => Err(format!(
-                "line {line}: {key} wants a quoted string, got {}",
-                v.type_name()
-            )),
-        }
-    }
-
-    fn as_bool(&self, line: usize, key: &str) -> Result<bool, String> {
-        match self {
-            Val::Bool(b) => Ok(*b),
-            v => Err(format!(
-                "line {line}: {key} wants true or false, got {}",
-                v.type_name()
-            )),
-        }
-    }
-
-    fn as_u64(&self, line: usize, key: &str) -> Result<u64, String> {
-        match self {
-            Val::Int(i) if *i >= 0 => Ok(*i as u64),
-            Val::Int(i) => Err(format!("line {line}: {key} must be >= 0, got {i}")),
-            v => Err(format!(
-                "line {line}: {key} wants an integer, got {}",
-                v.type_name()
-            )),
-        }
-    }
-
-    fn as_usize(&self, line: usize, key: &str) -> Result<usize, String> {
-        Ok(self.as_u64(line, key)? as usize)
-    }
-
-    fn as_f64(&self, line: usize, key: &str) -> Result<f64, String> {
-        match self {
-            Val::Float(f) => Ok(*f),
-            Val::Int(i) => Ok(*i as f64),
-            v => Err(format!(
-                "line {line}: {key} wants a number, got {}",
-                v.type_name()
-            )),
-        }
     }
 }
 
@@ -873,7 +838,8 @@ fn strip_comment(line: &str) -> &str {
     line
 }
 
-fn parse_value(s: &str) -> Result<Val, String> {
+/// A scalar from the TOML subset: its kind and its text (unquoted).
+fn parse_value(s: &str) -> Result<(Kind, &str), String> {
     if let Some(rest) = s.strip_prefix('"') {
         let inner = rest
             .strip_suffix('"')
@@ -881,23 +847,17 @@ fn parse_value(s: &str) -> Result<Val, String> {
         if inner.contains('"') {
             return Err(format!("embedded quotes are not supported: {s}"));
         }
-        return Ok(Val::Str(inner.to_string()));
+        return Ok((Kind::Str, inner));
     }
     match s {
-        "true" => return Ok(Val::Bool(true)),
-        "false" => return Ok(Val::Bool(false)),
-        "" => return Err("empty value".into()),
-        _ => {}
+        "true" | "false" => Ok((Kind::Bool, s)),
+        "" => Err("empty value".into()),
+        _ if s.parse::<i64>().is_ok() => Ok((Kind::Int, s)),
+        _ if s.parse::<f64>().is_ok() => Ok((Kind::Float, s)),
+        _ => Err(format!(
+            "cannot parse {s:?} (want a quoted string, integer, float, or true/false)"
+        )),
     }
-    if let Ok(i) = s.parse::<i64>() {
-        return Ok(Val::Int(i));
-    }
-    if let Ok(f) = s.parse::<f64>() {
-        return Ok(Val::Float(f));
-    }
-    Err(format!(
-        "cannot parse {s:?} (want a quoted string, integer, float, or true/false)"
-    ))
 }
 
 #[cfg(test)]
@@ -1026,6 +986,60 @@ mod tests {
         rc.compute.backend = ComputeBackend::TiledFma;
         let e = rc.validate().unwrap_err();
         assert!(e.contains("bit"), "{e}");
+    }
+
+    #[test]
+    fn non_finite_floats_are_rejected_naming_the_key() {
+        for (text, key) in [
+            ("[train]\nskew = nan\n", "train.skew"),
+            ("[train]\nlr = 1e39\n", "train.lr"),
+            (
+                "[placement]\nlocality_bias = inf\n",
+                "placement.locality_bias",
+            ),
+            (
+                "[ft]\nenabled = true\nstraggler_factor = inf\n",
+                "ft.straggler_factor",
+            ),
+        ] {
+            let e = RunConfig::from_toml(text).unwrap_err();
+            assert!(e.contains(key) && e.contains("finite"), "{text}: {e}");
+        }
+    }
+
+    #[test]
+    fn integers_must_fit_their_field() {
+        // 2^32 + 1 would wrap to version 1.
+        let e = RunConfig::from_toml("version = 4294967297\n").unwrap_err();
+        assert!(e.contains("version") && e.contains("4294967297"), "{e}");
+        // 2^54 KiB is 2^64 bytes, which would wrap to an empty bucket.
+        let e = RunConfig::from_toml("[comm]\nbucket_kib = 18014398509481984\n").unwrap_err();
+        assert!(e.contains("bucket_kib"), "{e}");
+        let mut rc = RunConfig::default();
+        rc.comm.bucket_kib = 1 << 54;
+        assert!(rc.to_train_config().is_err());
+    }
+
+    /// docs/TUNING.md's key ↔ flag table lists exactly the rows of
+    /// [`KEYS`], in order, with their flags and subcommands.
+    #[test]
+    fn the_documented_key_table_is_the_code_table() {
+        let doc = include_str!("../../../docs/TUNING.md");
+        let rows: Vec<Vec<&str>> = doc
+            .lines()
+            .filter(|l| l.starts_with("| `"))
+            .map(|l| l.trim_matches('|').split(" | ").map(str::trim).collect())
+            .collect();
+        assert_eq!(rows.len(), KEYS.len(), "one documented row per key");
+        for (row, key) in rows.iter().zip(KEYS) {
+            assert_eq!(row[0], format!("`{}`", key.path()));
+            let flag = row[1]
+                .strip_prefix("`--")
+                .map(|f| f.split([' ', '`']).next().unwrap());
+            assert_eq!(flag, key.flag.name(), "{}", key.path());
+            let taken = (row[2].contains("train"), row[2].contains("serve"));
+            assert_eq!(taken, (key.train, key.serve), "{}", key.path());
+        }
     }
 
     #[test]

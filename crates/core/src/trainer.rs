@@ -138,6 +138,73 @@ impl TrainConfig {
         }
     }
 
+    /// Every rule a run must satisfy, each error with the fix spelled out.
+    /// [`Trainer::new`] panics with the message;
+    /// [`RunConfig::validate`] returns it for the config a file builds.
+    pub fn validate(&self) -> Result<(), String> {
+        let (n, steps, batch, seq) = (self.nranks, self.steps, self.batch_per_rank, self.seq);
+        ensure!(
+            n > 0 && steps > 0 && batch > 0 && seq > 0,
+            "ranks, steps, batch and seq must all be >= 1 (got {n}, {steps}, {batch}, {seq})"
+        );
+        ensure!(
+            self.lr.is_finite() && self.lr > 0.0,
+            "learning rate must be finite and > 0, got {}",
+            self.lr
+        );
+        if let TokenDistribution::Zipf(s) = self.data {
+            ensure!(
+                s.is_finite() && s >= 0.0,
+                "data skew must be finite and >= 0 (0 = uniform), got {s}"
+            );
+        }
+        let experts = self.model.n_experts;
+        ensure!(
+            experts == 0 || experts.is_multiple_of(n),
+            "expert count {experts} must divide evenly over {n} ranks (every rank hosts the \
+             same number of experts)"
+        );
+        ensure!(
+            !self.zero_optimizer || (self.dtype == DType::F32 && self.clip.is_none()),
+            "the zero optimizer shards fp32 master state and does not clip; it cannot run \
+             with dtype {} — use fp32, or drop zero",
+            self.dtype
+        );
+        ensure!(
+            self.model.router_groups == 0,
+            "the distributed trainer requires the flat gate (two-level routing is a \
+             single-rank feature; see MoELayer::new_two_level)"
+        );
+        if let Some(max_norm) = self.clip {
+            ensure!(
+                max_norm.is_finite() && max_norm > 0.0,
+                "clip must be finite and > 0, got {max_norm}"
+            );
+        }
+        self.a2a
+            .validate(n)
+            .map_err(|e| format!("invalid a2a configuration: {e}"))?;
+        ensure!(
+            self.placement != (ExpertPlacement::Supernode { supernode_size: 0 })
+                || self.a2a.supernode_size() > 0,
+            "supernode placement needs an explicit size (supernode:S) or a hierarchical a2a \
+             to infer one from"
+        );
+        self.resolved_placement()
+            .validate(n)
+            .map_err(|e| format!("invalid expert placement: {e}"))?;
+        ensure!(
+            self.locality_bias.is_finite() && self.locality_bias >= 0.0,
+            "locality bias must be finite and >= 0, got {}",
+            self.locality_bias
+        );
+        self.compute
+            .validate()
+            .map_err(|e| format!("invalid compute backend: {e}"))?;
+        ensure!(self.bucket_bytes > 0, "the overlap bucket cannot be empty");
+        Ok(())
+    }
+
     /// Supernode size used for locality accounting and the gate bias: the
     /// placement's own, else the hierarchical a2a's, else 0 (disabled).
     pub fn effective_supernode_size(&self) -> usize {
@@ -334,43 +401,12 @@ pub struct Trainer {
 }
 
 impl Trainer {
+    /// Panics with [`TrainConfig::validate`]'s message on a config it
+    /// rejects.
     pub fn new(cfg: TrainConfig) -> Trainer {
-        assert!(cfg.nranks > 0 && cfg.steps > 0);
-        assert!(
-            cfg.model.n_experts == 0 || cfg.model.n_experts.is_multiple_of(cfg.nranks),
-            "expert count {} must divide evenly over {} ranks",
-            cfg.model.n_experts,
-            cfg.nranks
-        );
-        if cfg.zero_optimizer {
-            assert!(
-                cfg.dtype == DType::F32 && cfg.clip.is_none(),
-                "zero_optimizer requires fp32 and no clipping"
-            );
+        if let Err(e) = cfg.validate() {
+            panic!("{e}");
         }
-        assert_eq!(
-            cfg.model.router_groups, 0,
-            "the distributed trainer requires the flat gate (two-level routing \
-             is a single-rank feature; see MoELayer::new_two_level)"
-        );
-        cfg.a2a
-            .validate(cfg.nranks)
-            .expect("invalid a2a configuration");
-        cfg.resolved_placement()
-            .validate(cfg.nranks)
-            .expect("invalid expert placement");
-        assert!(
-            cfg.locality_bias >= 0.0,
-            "locality bias must be >= 0, got {}",
-            cfg.locality_bias
-        );
-        if let Some(max_norm) = cfg.clip {
-            assert!(
-                max_norm.is_finite() && max_norm > 0.0,
-                "clip must be finite and > 0, got {max_norm}"
-            );
-        }
-        cfg.compute.validate().expect("invalid compute backend");
         Trainer { cfg }
     }
 

@@ -68,14 +68,20 @@ pub struct ServerReport<T> {
     pub trace: Option<Trace>,
 }
 
+/// Where a request's answer goes.
+type Responder = mpsc::Sender<Result<Response, SubmitError>>;
+
 /// State shared between the client and the rank loops.
 struct Shared {
     /// One submission queue per rank; requests are routed round-robin.
     queues: Mutex<Vec<VecDeque<Request>>>,
     /// Wakes idle rank loops when a request arrives or shutdown begins.
     cv: Condvar,
-    /// Per-request response channels, keyed by request id.
-    responders: Mutex<HashMap<u64, mpsc::Sender<Result<Response, SubmitError>>>>,
+    /// Per-request response channels, keyed by request id. `None` once a
+    /// rank thread has unwound: the world can no longer step, so pending
+    /// and later tickets are dropped and their `wait` panics instead of
+    /// blocking.
+    responders: Mutex<Option<HashMap<u64, Responder>>>,
     next_id: AtomicU64,
     next_rank: AtomicUsize,
     /// Flipped once the driver returns; must be read *before* draining
@@ -97,7 +103,9 @@ impl Client<'_> {
     pub fn submit(&self, prompt: Vec<usize>, max_new: usize) -> Ticket {
         let id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = mpsc::channel();
-        self.shared.responders.lock().unwrap().insert(id, tx);
+        if let Some(responders) = self.shared.responders.lock().unwrap().as_mut() {
+            responders.insert(id, tx);
+        }
         let rank = self.shared.next_rank.fetch_add(1, Ordering::Relaxed) % self.nranks;
         {
             let mut queues = self.shared.queues.lock().unwrap();
@@ -150,7 +158,7 @@ where
     let shared = Shared {
         queues: Mutex::new((0..opts.nranks).map(|_| VecDeque::new()).collect()),
         cv: Condvar::new(),
-        responders: Mutex::new(HashMap::new()),
+        responders: Mutex::new(Some(HashMap::new())),
         next_id: AtomicU64::new(0),
         next_rank: AtomicUsize::new(0),
         stop: AtomicBool::new(false),
@@ -167,6 +175,7 @@ where
             let collector = collector.as_ref();
             scope.spawn(move || {
                 let _lanes = par::scoped_width(lanes);
+                let _unwinding = DropRespondersOnUnwind(shared);
                 let _lane = collector.map(|c| c.install(rank));
                 // The tensor reservoir is process-wide: rank 0's lane
                 // carries what every thread did between here and shutdown.
@@ -253,9 +262,29 @@ impl Drop for StopGuard<'_> {
     }
 }
 
+/// Drops every responder when its rank thread unwinds, so a driver waiting
+/// on a ticket panics instead of blocking forever. A rank that panics
+/// while its peers live leaves them inside a collective; this covers the
+/// world dying whole (a model every rank fails to build, say).
+struct DropRespondersOnUnwind<'a>(&'a Shared);
+
+impl Drop for DropRespondersOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            *self.0.responders.lock().unwrap_or_else(|e| e.into_inner()) = None;
+        }
+    }
+}
+
 /// Deliver a result to the waiting ticket, if it is still around.
 fn respond(shared: &Shared, id: u64, result: Result<Response, SubmitError>) {
-    if let Some(tx) = shared.responders.lock().unwrap().remove(&id) {
+    let tx = shared
+        .responders
+        .lock()
+        .unwrap()
+        .as_mut()
+        .and_then(|r| r.remove(&id));
+    if let Some(tx) = tx {
         let _ = tx.send(result);
     }
 }
@@ -346,6 +375,16 @@ mod tests {
             );
             assert_eq!(par::current_num_threads(), cores);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "serving ranks exited without answering this ticket")]
+    fn a_world_that_dies_building_fails_the_ticket_instead_of_hanging() {
+        run(
+            opts(2, false),
+            |_| -> DistTransformer { panic!("cannot build this model") },
+            |client| client.submit(vec![1, 2], 4).wait(),
+        );
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub struct ModeledCost {
 pub fn perf_input(rc: &RunConfig, env: &CostEnv) -> Result<PerfInput, String> {
     let nodes = env.machine.nodes;
     let wire_bytes = rc.comm.wire_dtype.size_bytes() as f64;
-    let a2a = match rc.resolved_placement() {
+    let a2a = match rc.placement.policy {
         // A gate locality bias keeps a fraction of dispatch traffic inside
         // the supernode that saturates from the unbiased s/n toward 1.
         ExpertPlacement::Supernode { .. } if rc.placement.locality_bias > 0.0 => {
