@@ -89,7 +89,7 @@ pub struct TrainSection {
     pub seed: u64,
     /// Zipf skew of the token stream (0 = uniform).
     pub skew: f64,
-    /// ZeRO-style sharded dense optimizer (requires fp32, disables clip).
+    /// ZeRO-style sharded dense optimizer (any dtype; disables clip).
     pub zero: bool,
 }
 
@@ -863,6 +863,7 @@ fn parse_value(s: &str) -> Result<(Kind, &str), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn default_validates_and_round_trips() {
@@ -870,6 +871,22 @@ mod tests {
         rc.validate().expect("default config is valid");
         let parsed = RunConfig::from_toml(&rc.to_toml()).expect("canonical TOML parses");
         assert_eq!(parsed, rc);
+    }
+
+    #[test]
+    fn zero_at_half_precision_validates_and_round_trips() {
+        // The sharded step is the same mixed-precision step, loss scaling
+        // included, so ZeRO composes with every dtype.
+        for dtype in [DType::F16, DType::BF16] {
+            let mut rc = RunConfig::default();
+            rc.train.zero = true;
+            rc.train.dtype = dtype;
+            let cfg = rc
+                .to_train_config()
+                .expect("zero at half precision is valid");
+            assert_eq!(RunConfig::from_toml(&rc.to_toml()).unwrap(), rc);
+            assert_eq!(RunConfig::reconstruct(&cfg, None), Some(rc));
+        }
     }
 
     #[test]
@@ -962,10 +979,9 @@ mod tests {
         assert!(e.contains("hierarchical"), "{e}");
 
         let mut rc = RunConfig::default();
-        rc.train.zero = true;
-        rc.train.dtype = DType::BF16;
+        rc.ft.straggler_factor = 1.5; // without ft.enabled
         let e = rc.validate().unwrap_err();
-        assert!(e.contains("fp32"), "{e}");
+        assert!(e.contains("ft.straggler_factor"), "{e}");
 
         let mut rc = RunConfig::default();
         rc.ft.enabled = true;
@@ -1131,5 +1147,72 @@ mod tests {
         let e = rc.to_engine_config();
         assert_eq!((e.max_batch, e.kv_blocks, e.block_tokens), (3, 17, 4));
         assert_eq!(rc.to_server_options(true).nranks, rc.train.ranks);
+    }
+
+    /// Literals at the edges of every field type: zero, the largest u64,
+    /// one past u32, huge and tiny floats, empty strings, and placements
+    /// naming absurd ranks and supernodes.
+    const EXTREME_LITERALS: &[&str] = &[
+        "0",
+        "-1",
+        "18446744073709551615",
+        "18446744073709551616",
+        "4294967297",
+        "18014398509481984",
+        "1e308",
+        "-1e308",
+        "1e-320",
+        "0.0",
+        "nan",
+        "true",
+        "\"\"",
+        "\"shed:18446744073709551615\"",
+        "\"shed:0\"",
+        "\"supernode:18446744073709551615\"",
+        "\"supernode:0\"",
+        "\"supernode\"",
+        "\"half:fp16\"",
+        "\"fp16\"",
+        "\"174t\"",
+    ];
+
+    /// Headers a row can land under: the top level and every section.
+    const SECTIONS: &[&str] = &[
+        "",
+        "model",
+        "train",
+        "comm",
+        "placement",
+        "compute",
+        "ft",
+        "serve",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 2000, ..ProptestConfig::default() })]
+
+        // Any mix of schema keys set to extreme literals, each under its
+        // own section or a random one (top level included), parses to a
+        // config or to an error — never to a panic.
+        #[test]
+        fn from_toml_never_panics_on_extreme_literals(
+            rows in proptest::collection::vec(
+                (0..KEYS.len(), 0..EXTREME_LITERALS.len(), 0..SECTIONS.len() * 2),
+                1..8,
+            ),
+        ) {
+            let mut text = String::new();
+            for (key, literal, section) in rows {
+                let key = &KEYS[key];
+                // Half the draws keep the key's own section.
+                let section = SECTIONS.get(section).copied().unwrap_or(key.section);
+                if !section.is_empty() {
+                    text.push_str(&format!("[{section}]\n"));
+                }
+                text.push_str(&format!("{} = {}\n", key.name, EXTREME_LITERALS[literal]));
+            }
+            let parsed = std::panic::catch_unwind(|| RunConfig::from_toml(&text));
+            prop_assert!(parsed.is_ok(), "from_toml panicked on:\n{text}");
+        }
     }
 }

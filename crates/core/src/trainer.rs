@@ -7,12 +7,11 @@
 //!
 //! 1. generates its deterministic micro-batch,
 //! 2. forward → cross-entropy → loss-scaled backward,
-//! 3. [`sync_grads_wire`] (dense all-reduce average + expert rescale,
-//!    optionally compressed to 16 bits on the wire),
-//! 4. mixed-precision Adam step, with the optional gradient-norm clip
-//!    inside it (skipped coherently on overflow — the overflow flag is
-//!    all-reduced so every replica stays in lockstep); the step consumes
-//!    the gradients.
+//! 3. [`sync_and_step`]: the run's [`DenseSync`] (all-reduce, optionally
+//!    16-bit on the wire, or ZeRO's reduce-scatter), then one mixed-precision
+//!    Adam step with the optional clip inside it, its overflow skip agreed
+//!    *before* anything is applied so replicas stay in lockstep. The step
+//!    consumes the gradients.
 //!
 //! With an [`FtConfig`] each rank also heartbeats before every step,
 //! checkpoints every `ckpt_every` steps and watches for stragglers, and the
@@ -29,14 +28,13 @@ use bagualu_comm::payload::WireDType;
 use bagualu_comm::shm::{CommStats, Communicator, ShmComm, World};
 use bagualu_model::config::ModelConfig;
 use bagualu_model::loss::cross_entropy;
-use bagualu_model::param::HasParams;
 use bagualu_optim::adam::AdamConfig;
-use bagualu_optim::mixed::{MixedPrecision, StepOutcome};
+use bagualu_optim::mixed::MixedPrecision;
 use bagualu_optim::schedule::LrSchedule;
 use bagualu_parallel::model_dist::DistTransformer;
 use bagualu_parallel::moe_dist::A2aKind;
 use bagualu_parallel::placement::ExpertPlacement;
-use bagualu_parallel::sync::{backward_and_sync_overlapped_wire, sync_grads_wire};
+use bagualu_parallel::sync::{backward_and_sync_overlapped_wire, sync_and_step, DenseSync};
 use bagualu_tensor::ops::{install_backend, install_row_ops, ComputeBackend};
 use bagualu_tensor::reservoir;
 use bagualu_tensor::DType;
@@ -74,9 +72,9 @@ pub struct TrainConfig {
     pub schedule: Option<LrSchedule>,
     /// Micro-batches accumulated per optimizer step (≥ 1).
     pub grad_accum: usize,
-    /// Use the ZeRO-style sharded dense optimizer instead of replicated
-    /// Adam. Requires `dtype == F32` and `clip == None` (sharded clipping
-    /// and sharded loss scaling are not implemented).
+    /// Shard the dense optimizer state ZeRO-style ([`DenseSync::Sharded`])
+    /// instead of replicating it. Any `dtype`; requires `clip == None` (the
+    /// step sees one shard of the dense gradients, not their global norm).
     pub zero_optimizer: bool,
     /// Evaluate on held-out data every `eval_every` steps (None = never).
     pub eval_every: Option<usize>,
@@ -165,10 +163,9 @@ impl TrainConfig {
              same number of experts)"
         );
         ensure!(
-            !self.zero_optimizer || (self.dtype == DType::F32 && self.clip.is_none()),
-            "the zero optimizer shards fp32 master state and does not clip; it cannot run \
-             with dtype {} — use fp32, or drop zero",
-            self.dtype
+            !self.zero_optimizer || self.clip.is_none(),
+            "the zero optimizer sees one shard of the dense gradients, not their global norm, \
+             so it cannot clip — set clip to None, or drop zero"
         );
         ensure!(
             self.model.router_groups == 0,
@@ -203,6 +200,17 @@ impl TrainConfig {
             .map_err(|e| format!("invalid compute backend: {e}"))?;
         ensure!(self.bucket_bytes > 0, "the overlap bucket cannot be empty");
         Ok(())
+    }
+
+    /// How this run's dense gradients cross ranks.
+    pub fn dense_sync(&self) -> DenseSync {
+        if self.zero_optimizer {
+            DenseSync::Sharded
+        } else if self.overlap {
+            DenseSync::Overlapped
+        } else {
+            DenseSync::Blocking(self.wire)
+        }
     }
 
     /// Supernode size used for locality accounting and the gate bias: the
@@ -740,7 +748,6 @@ struct RankState {
     cfg: TrainConfig,
     model: DistTransformer,
     opt: MixedPrecision,
-    zopt: bagualu_parallel::zero::ZeroAdam,
     task: SyntheticLM,
     seg: Segment,
     ring_steps: u64,
@@ -794,7 +801,6 @@ impl RankState {
         if let Some(max_norm) = cfg.clip {
             opt = opt.with_clip(max_norm);
         }
-        let zopt = bagualu_parallel::zero::ZeroAdam::new(adam);
         opt.quantize_model(&mut model);
         let task = SyntheticLM::new(cfg.model.vocab, cfg.data, cfg.seed);
         publish_reservoir(comm);
@@ -802,7 +808,6 @@ impl RankState {
             cfg,
             model,
             opt,
-            zopt,
             task,
             seg: Segment::default(),
             ring_steps: 0,
@@ -816,14 +821,13 @@ impl RankState {
         let _step_span = trace::span(names::STEP);
         let cfg = self.cfg;
         let accum = cfg.grad_accum.max(1);
-        // Overlapped sync replaces backward + sync_grads_wire on the *last*
-        // micro-batch only: earlier micro-batches still accumulate, so their
-        // dense gradients are not final and must not be reduced yet.
-        let use_overlap = cfg.overlap && !cfg.zero_optimizer;
+        // Overlapped sync replaces backward + sync on the *last* micro-batch
+        // only: earlier micro-batches still accumulate, so their dense
+        // gradients are not final and must not be reduced yet.
+        let sync = cfg.dense_sync();
 
         if let Some(schedule) = cfg.schedule {
             self.opt.set_lr(schedule.at(step));
-            self.zopt.set_lr(schedule.at(step));
         }
 
         // Accumulate gradients over `accum` micro-batches before syncing.
@@ -852,7 +856,7 @@ impl RankState {
             imb = i;
             dropr = d;
             dlogits.scale(self.opt.loss_scale() / accum as f32);
-            if use_overlap && micro + 1 == accum {
+            if sync == DenseSync::Overlapped && micro + 1 == accum {
                 let s = backward_and_sync_overlapped_wire(
                     &mut self.model,
                     &dlogits,
@@ -868,32 +872,9 @@ impl RankState {
             }
         }
 
-        if cfg.zero_optimizer {
-            // ZeRO path: reduce-scatter + sharded update + all-gather,
-            // replacing both the grad sync and the replicated step.
-            let _span = trace::span(names::OPTIMIZER);
-            self.zopt.step(&mut self.model, comm);
-            self.model.zero_grad();
-        } else {
-            if !use_overlap {
-                sync_grads_wire(&mut self.model, comm, cfg.wire);
-            }
-            let _span = trace::span(names::OPTIMIZER);
-            // Unscales, clips (`cfg.clip`, via `with_clip`), updates and
-            // zeroes every gradient, one parameter at a time.
-            let outcome = self.opt.step(&mut self.model);
-            // Keep replicas in lockstep: if any rank overflowed, all did —
-            // the gradients are identical post-allreduce for dense params,
-            // and expert overflow is local; force agreement by reducing the
-            // flag.
-            let flag = if outcome == StepOutcome::SkippedOverflow {
-                1.0
-            } else {
-                0.0
-            };
-            let agreed = allreduce_recursive_doubling(comm, vec![flag], ReduceOp::Max);
-            debug_assert!(agreed[0] == flag || cfg.dtype != DType::F32);
-        }
+        // Sync or scatter, the step every rank agreed to apply or skip
+        // (clip via `with_clip`), then the gather under ZeRO.
+        sync_and_step(&mut self.model, &mut self.opt, sync, comm);
 
         // Aggregate the step metrics across ranks.
         // Control-path scalars ride the latency-optimal collective (E16).
@@ -941,7 +922,7 @@ impl RankState {
         );
         // Divide in f64: the f32 sums are exact (small integer counts), so
         // this matches the trace-derived u64 ratio bit for bit.
-        let overlap_fraction = if cfg.overlap && !cfg.zero_optimizer {
+        let overlap_fraction = if cfg.dense_sync() == DenseSync::Overlapped {
             Some(if pooled[1] > 0.0 {
                 pooled[0] as f64 / pooled[1] as f64
             } else {
@@ -1285,6 +1266,7 @@ fn routing_stats(model: &DistTransformer) -> (f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bagualu_model::param::HasParams;
 
     #[test]
     fn trains_and_learns_on_synthetic_task() {
@@ -1449,19 +1431,25 @@ mod tests {
 
     #[test]
     fn zero_optimizer_matches_replicated_training() {
-        let base = TrainConfig {
-            steps: 12,
-            clip: None,
-            ..Default::default()
-        };
-        let rep = Trainer::new(base).run();
-        let zero = Trainer::new(TrainConfig {
-            zero_optimizer: true,
-            ..base
-        })
-        .run();
-        for (a, b) in rep.loss_curve.iter().zip(&zero.loss_curve) {
-            assert!((a - b).abs() < 1e-3, "ZeRO changed training: {a} vs {b}");
+        for dtype in [DType::F32, DType::F16, DType::BF16] {
+            let base = TrainConfig {
+                steps: 12,
+                clip: None,
+                dtype,
+                ..Default::default()
+            };
+            let rep = Trainer::new(base).run();
+            let zero = Trainer::new(TrainConfig {
+                zero_optimizer: true,
+                ..base
+            })
+            .run();
+            for (a, b) in rep.loss_curve.iter().zip(&zero.loss_curve) {
+                assert!(
+                    (a - b).abs() < 1e-3,
+                    "{dtype:?}: ZeRO changed training: {a} vs {b}"
+                );
+            }
         }
     }
 

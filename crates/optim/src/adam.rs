@@ -3,8 +3,9 @@
 //! The element-wise update dispatches through the pluggable
 //! [`RowOpsBackend`](bagualu_tensor::ops::RowOpsBackend) (reference or
 //! vectorized tier, bit-identical to each other), which also records the
-//! `compute.adam.{flops,ns}` trace counters. Mixed precision and ZeRO both
-//! delegate to this optimizer, so the routing covers every training mode.
+//! `compute.adam.{flops,ns}` trace counters. Mixed precision delegates to
+//! this optimizer, and replicated and ZeRO-sharded training both step
+//! through mixed precision, so the routing covers every training mode.
 
 use bagualu_model::param::HasParams;
 use bagualu_tensor::ops::{adam_update, AdamStep};
@@ -61,6 +62,11 @@ impl Adam {
     /// Change the learning rate (for schedules).
     pub fn set_lr(&mut self, lr: f32) {
         self.cfg.lr = lr;
+    }
+
+    /// Elements of every parameter updated so far.
+    pub(crate) fn moment_elems(&self) -> usize {
+        self.m.iter().map(Tensor::len).sum()
     }
 
     /// Apply one update from the accumulated gradients, on the calling

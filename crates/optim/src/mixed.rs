@@ -4,16 +4,21 @@
 //!
 //! 1. scale the loss gradient by [`MixedPrecision::loss_scale`] before
 //!    `backward`,
-//! 2. call [`MixedPrecision::step`]. It consumes the gradients: it skips
-//!    the update on overflow (shrinking the scale), otherwise unscales and
-//!    clips each gradient and runs the FP32 Adam update on the master
-//!    weights, writing half-rounded copies back into the model (in FP32 the
-//!    model's weights are the masters and nothing is copied); either way
-//!    every gradient is zero afterwards, ready for the next `backward`.
+//! 2. call [`MixedPrecision::step`] (one rank) or
+//!    [`MixedPrecision::step_agreed`] (a world of ranks). It consumes the
+//!    gradients: it skips the update on overflow (shrinking the scale),
+//!    otherwise unscales and clips each gradient and runs the FP32 Adam
+//!    update on the master weights, writing half-rounded copies back into
+//!    the model (in FP32 the model's weights are the masters and nothing is
+//!    copied); either way every gradient is zero afterwards, ready for the
+//!    next `backward`.
 //!
-//! A step reads every gradient once, for the norm, and then visits each
+//! A step reads every gradient once, for the norm and the overflow check,
+//! settles with the other ranks whether to skip, and then visits each
 //! parameter once: unscale and clip its gradient, update it, zero the
-//! gradient, while it is still in cache.
+//! gradient, while it is still in cache. Nothing is applied before the
+//! world has agreed, so replicas skip together and their loss scales never
+//! split.
 //!
 //! The model's working parameters therefore always carry the configured
 //! half format's rounding, reproducing the numerics of storing weights in
@@ -47,7 +52,6 @@ pub struct MixedPrecision {
     masters: Vec<Tensor>,
     /// Steps skipped due to overflow (telemetry for experiments).
     pub skipped_steps: u64,
-    pub applied_steps: u64,
 }
 
 impl MixedPrecision {
@@ -66,7 +70,6 @@ impl MixedPrecision {
             clip: None,
             masters: Vec::new(),
             skipped_steps: 0,
-            applied_steps: 0,
         }
     }
 
@@ -109,13 +112,31 @@ impl MixedPrecision {
         model.visit_params(&mut |p| p.value.quantize(dt));
     }
 
-    /// One optimizer step. Returns whether the update was applied; either
-    /// way every gradient is zero afterwards.
+    /// FP32 state bytes from the first step on: 12 B per updated scalar —
+    /// its master (the parameter itself in FP32) and Adam's two moments.
+    pub fn state_bytes(&self) -> usize {
+        12 * self.adam.moment_elems()
+    }
+
+    /// [`MixedPrecision::step_agreed`] for one rank: its verdict is final.
     pub fn step(&mut self, model: &mut dyn HasParams) -> StepOutcome {
+        self.step_agreed(model, |overflow| overflow)
+    }
+
+    /// One optimizer step. The read pass finds whether this rank holds a
+    /// non-finite gradient; `agree` turns that into the world's verdict
+    /// (called once per step, so it may be a collective), and only then is
+    /// anything unscaled, clipped or applied. Returns whether the update
+    /// was applied; either way every gradient is zero afterwards.
+    pub fn step_agreed(
+        &mut self,
+        model: &mut dyn HasParams,
+        agree: impl FnOnce(bool) -> bool,
+    ) -> StepOutcome {
         // The one read pass. A finite sum means every gradient is finite,
         // so the exact scan runs only when the sum is not.
         let sq = grad_sq_sum(model);
-        if !sq.is_finite() && has_non_finite_grad(model) {
+        if agree(!sq.is_finite() && has_non_finite_grad(model)) {
             model.zero_grad();
             self.scaler.update(true);
             self.skipped_steps += 1;
@@ -167,7 +188,6 @@ impl MixedPrecision {
         });
 
         self.scaler.update(false);
-        self.applied_steps += 1;
         StepOutcome::Applied
     }
 }
@@ -257,6 +277,27 @@ mod tests {
         );
         assert!(opt.loss_scale() < s0);
         assert_eq!(opt.skipped_steps, 1);
+    }
+
+    #[test]
+    fn a_world_verdict_of_overflow_skips_a_finite_step() {
+        // This rank's gradients are finite, but another rank's were not:
+        // the agreed verdict decides, and nothing is applied.
+        let mut m = One {
+            p: Param::new("x", Tensor::from_vec(vec![1.0, -2.0], &[2])),
+        };
+        let mut opt = MixedPrecision::new(AdamConfig::default(), DType::F16);
+        let s0 = opt.loss_scale();
+        m.p.grad = Tensor::from_vec(vec![0.5, 0.25], &[2]);
+        let outcome = opt.step_agreed(&mut m, |overflow| {
+            assert!(!overflow, "this rank's gradients are finite");
+            true
+        });
+        assert_eq!(outcome, StepOutcome::SkippedOverflow);
+        assert_eq!(m.p.value.as_slice(), &[1.0, -2.0]);
+        assert_eq!(m.p.grad.as_slice(), &[0.0, 0.0]);
+        assert!(opt.loss_scale() < s0);
+        assert_eq!((opt.adam.steps(), opt.skipped_steps), (0, 1));
     }
 
     #[test]

@@ -29,21 +29,22 @@
 //! * [`model_dist`] — the distributed transformer assembled from replicated
 //!   dense layers and distributed MoE layers,
 //! * [`placement`] — the expert↔rank mapping policies,
-//! * [`sync`] — gradient synchronization (dense all-reduce averaging,
-//!   expert gradient rescaling) and replica-consistency checks.
+//! * [`sync`] — how dense gradients cross ranks (blocking or overlapped
+//!   all-reduce, or the ZeRO reduce-scatter into a sharded optimizer view),
+//!   expert gradient rescaling, the optimizer step every rank agrees on, and
+//!   replica-consistency checks.
 
 pub mod decode;
 pub mod model_dist;
 pub mod moe_dist;
 pub mod placement;
 pub mod sync;
-pub mod zero;
 
 pub use decode::{decode_hidden, decode_step, logits, KvProvider, ServedModel, VecKvBatch};
 pub use model_dist::{DistBlock, DistFfn, DistTransformer};
 pub use moe_dist::{A2aKind, DistMoELayer, ServedMoE};
 pub use placement::ExpertPlacement;
 pub use sync::{
-    backward_and_sync_overlapped_wire, check_replica_consistency, sync_grads_wire, SyncStats,
+    backward_and_sync_overlapped_wire, check_replica_consistency, sync_and_step, sync_grads_wire,
+    DenseSync, SyncStats,
 };
-pub use zero::ZeroAdam;

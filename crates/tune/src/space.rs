@@ -229,13 +229,13 @@ mod tests {
 
     #[test]
     fn an_invalid_base_still_yields_valid_grid_points() {
-        // A base that itself fails validation (zero + half dtype is
-        // contradictory) is skipped, but its overlays can still be valid
-        // ... here they are not (the contradiction is outside the axes),
-        // so enumerate returns nothing rather than junk.
+        // A base that itself fails validation (an elastic resize with the
+        // fault-tolerant driver off is contradictory) is skipped, but its
+        // overlays can still be valid ... here they are not (the
+        // contradiction is outside the axes), so enumerate returns nothing
+        // rather than junk.
         let mut base = RunConfig::default();
-        base.train.zero = true;
-        base.train.dtype = bagualu::tensor::DType::F16;
+        base.ft.elastic = true;
         assert!(base.validate().is_err());
         assert!(SearchSpace::default().enumerate(&base).is_empty());
     }

@@ -300,8 +300,7 @@ mod tests {
     #[test]
     fn contradictory_base_fails_with_its_own_validation_error() {
         let mut base = quick_base();
-        base.train.zero = true;
-        base.train.dtype = bagualu::tensor::DType::F16;
+        base.ft.elastic = true; // without ft.enabled
         let e = tune(
             &base,
             &quick_space(),
@@ -312,6 +311,6 @@ mod tests {
             },
         )
         .unwrap_err();
-        assert!(e.contains("zero"), "{e}");
+        assert!(e.contains("ft.elastic"), "{e}");
     }
 }

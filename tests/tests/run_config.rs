@@ -6,7 +6,6 @@
 
 use bagualu::checkpoint::read_run_config;
 use bagualu::runconfig::RunConfig;
-use bagualu::tensor::DType;
 use bagualu::trainer::{FtConfig, Trainer};
 use bagualu_comm::fault::FaultPlan;
 use bagualu_comm::WireDType;
@@ -76,12 +75,11 @@ fn unknown_and_duplicate_keys_are_rejected_with_line_numbers() {
 
 #[test]
 fn contradictory_configs_fail_validation_not_later() {
-    // ZeRO shards fp32 master state; a half-precision model contradicts it.
+    // A supernode size only shapes the hierarchical all-to-all.
     let mut rc = RunConfig::default();
-    rc.train.zero = true;
-    rc.train.dtype = DType::F16;
+    rc.comm.supernode_size = 2;
     let err = rc.validate().unwrap_err();
-    assert!(err.contains("zero"), "{err}");
+    assert!(err.contains("comm.supernode_size"), "{err}");
 
     // Supernode-aware placement is meaningless without a hierarchical a2a.
     let mut rc = RunConfig::default();
@@ -93,8 +91,7 @@ fn contradictory_configs_fail_validation_not_later() {
     // from_toml applies the same gate, so a hand-edited file cannot smuggle
     // a contradiction past the CLI.
     let mut bad = RunConfig::default();
-    bad.train.zero = true;
-    bad.train.dtype = DType::F16;
+    bad.comm.supernode_size = 2;
     assert!(RunConfig::from_toml(&bad.to_toml()).is_err());
 }
 
