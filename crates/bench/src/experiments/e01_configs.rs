@@ -6,7 +6,7 @@ use bagualu::hw::{MachineConfig, Precision};
 use bagualu::metrics::{format_flops, format_params, format_si};
 use bagualu::model::config::ModelConfig;
 
-pub fn run() {
+pub(crate) fn run() {
     println!("== E1: machine configuration (New Generation Sunway model) ==\n");
     let m = MachineConfig::new_generation_sunway();
     let mut t = Table::new(&["property", "value"]);

@@ -11,14 +11,14 @@ use bagualu::model::config::ModelConfig;
 use bagualu::perfmodel::{project, A2aAlgo, PerfInput};
 
 /// The preset family used for scaling: experts grow with the machine.
-pub fn model_for_nodes(nodes: usize) -> ModelConfig {
+pub(crate) fn model_for_nodes(nodes: usize) -> ModelConfig {
     ModelConfig {
         n_experts: nodes * 9 / 8,
         ..ModelConfig::bagualu_174t()
     }
 }
 
-pub fn run() {
+pub(crate) fn run() {
     println!("== E2: weak scaling (model grows with machine, fixed per-node batch) ==\n");
     let node_counts = [256usize, 1024, 4096, 16384, 49152, 96_000];
 

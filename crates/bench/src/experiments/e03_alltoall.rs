@@ -42,7 +42,7 @@ fn time_functional(nranks: usize, supernode: usize, floats_per_pair: usize, hier
     times.iter().cloned().fold(0.0, f64::max)
 }
 
-pub fn run() {
+pub(crate) fn run() {
     println!("== E3a: functional all-to-all, 64 thread-ranks, supernodes of 8 ==\n");
     let mut t = Table::new(&["floats/pair", "pairwise (ms)", "hierarchical (ms)", "ratio"]);
     for &n in &[64usize, 1024, 16384] {

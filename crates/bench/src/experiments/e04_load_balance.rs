@@ -31,7 +31,7 @@ fn routing_for(kind: GateKind, skew: f64, cf: f32) -> (f64, f64, f64) {
     (r.imbalance(), r.drop_rate(), hot)
 }
 
-pub fn run() {
+pub(crate) fn run() {
     println!("== E4: expert load balance (64 experts, 4096 tokens, capacity factor 1.25) ==\n");
     let mut t = Table::new(&[
         "token skew",

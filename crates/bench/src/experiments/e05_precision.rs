@@ -33,7 +33,7 @@ fn run_one(dtype: DType, disable_scaling: bool) -> (f32, f32, u64) {
     )
 }
 
-pub fn run() {
+pub(crate) fn run() {
     println!("== E5: precision ablation (tiny MoE LM, 120 steps, 2 ranks) ==\n");
     let mut t = Table::new(&[
         "regime",

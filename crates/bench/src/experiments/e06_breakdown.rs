@@ -4,7 +4,7 @@ use crate::table::Table;
 use bagualu::model::config::ModelConfig;
 use bagualu::perfmodel::{project, A2aAlgo, PerfInput};
 
-pub fn run() {
+pub(crate) fn run() {
     println!("== E6: step-time breakdown, 14.5T preset, hierarchical collectives ==\n");
     let mut t = Table::new(&[
         "nodes",

@@ -11,7 +11,7 @@ use bagualu::hw::{MachineConfig, MemoryBudget};
 use bagualu::metrics::format_params;
 use bagualu::model::config::ModelConfig;
 
-pub fn run() {
+pub(crate) fn run() {
     println!("== E7: per-node memory on 96,000 nodes (96 GiB/node budget) ==\n");
     let machine = MachineConfig::new_generation_sunway();
     let nodes = machine.nodes;
@@ -94,9 +94,9 @@ pub fn run() {
     t.print();
     println!(
         "\nShape check: expert parallelism already shards the dominant state; dense\n\
-         optimizer sharding removes the remaining replicated gigabytes, and\n\
-         Adafactor (implemented in bagualu-optim, tested to train comparably)\n\
-         cuts the per-parameter optimizer state ~3x further. The 174T brain-\n\
-         scale preset fits only because experts are never replicated.\n"
+         optimizer sharding removes the remaining replicated gigabytes, and a\n\
+         factored second moment (Adafactor's memory formula, a modeled row)\n\
+         would cut the per-parameter optimizer state ~3x further. The 174T\n\
+         brain-scale preset fits only because experts are never replicated.\n"
     );
 }

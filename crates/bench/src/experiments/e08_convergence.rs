@@ -26,7 +26,7 @@ fn train(model: ModelConfig, steps: usize) -> TrainReport {
     .run()
 }
 
-pub fn run() {
+pub(crate) fn run() {
     println!("== E8: convergence, MoE vs FLOPs-matched dense (300 steps) ==\n");
     let steps = 300;
     let moe = train(ModelConfig::tiny(), steps);

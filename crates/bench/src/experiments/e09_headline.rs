@@ -7,7 +7,7 @@ use bagualu::metrics::{format_flops, format_si};
 use bagualu::model::config::ModelConfig;
 use bagualu::perfmodel::{project, PerfInput};
 
-pub fn run() {
+pub(crate) fn run() {
     println!("== E9: sustained performance on the full machine (96,000 nodes) ==\n");
     let mut t = Table::new(&[
         "preset",

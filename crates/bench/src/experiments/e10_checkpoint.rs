@@ -31,7 +31,7 @@ fn paired_ratio(pair: impl FnMut() -> f64) -> [f64; 3] {
     [ratios[RATIO_PAIRS / 2], ratios[0], ratios[RATIO_PAIRS - 1]]
 }
 
-pub fn run() {
+pub(crate) fn run() {
     println!("== E10: checkpoint throughput (functional model, system temp dir) ==\n");
     // A model big enough to measure (~20M params ≈ 80 MB of f32).
     let cfg = ModelConfig {

@@ -10,7 +10,7 @@ use bagualu::metrics::format_si;
 use bagualu::model::config::ModelConfig;
 use bagualu::perfmodel::{project, PerfInput};
 
-pub fn run() {
+pub(crate) fn run() {
     println!("== E11: strong scaling, 1.93T preset, 16M-token global batch ==\n");
     let global_tokens: usize = 16 * 1024 * 1024;
     let mut t = Table::new(&[

@@ -10,7 +10,7 @@ use bagualu::model::embedding::Embedding;
 use bagualu::model::moe::{Gate, GateKind};
 use bagualu::tensor::rng::{Rng, Zipf};
 
-pub fn run() {
+pub(crate) fn run() {
     println!("== E12: capacity-factor sweep (top-2, 64 experts, zipf-1.0 tokens) ==\n");
     const D: usize = 32;
     const EXPERTS: usize = 64;

@@ -97,7 +97,7 @@ fn sim_hierarchical(machine: MachineConfig, bytes: usize) -> f64 {
     net.makespan(&phase2)
 }
 
-pub fn run() {
+pub(crate) fn run() {
     println!("== E13: cost model vs discrete-event simulation (512 nodes) ==\n");
     let machine = MachineConfig::sunway_subset(NODES);
     let cc = CollectiveCost::new(machine);

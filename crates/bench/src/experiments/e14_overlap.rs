@@ -16,7 +16,7 @@ use bagualu::model::moe::GateKind;
 use bagualu::perfmodel::{project, A2aAlgo, PerfInput};
 use bagualu::trainer::{TrainConfig, Trainer};
 
-pub fn run() {
+pub(crate) fn run() {
     println!("== E14: bucketed gradient-sync overlap, 14.5T preset, 96,000 nodes ==\n");
     let hier = PerfInput::sunway_full(ModelConfig::bagualu_14_5t());
     let naive = PerfInput {

@@ -20,7 +20,7 @@ fn fmt(t: f64) -> String {
     }
 }
 
-pub fn run() {
+pub(crate) fn run() {
     println!("== E16: all-reduce algorithm selection, 96,000 nodes ==\n");
     let cc = CollectiveCost::new(MachineConfig::new_generation_sunway());
     let n = 96_000;

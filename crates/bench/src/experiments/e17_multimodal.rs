@@ -53,7 +53,7 @@ fn modality_shares(
         .collect()
 }
 
-pub fn run() {
+pub(crate) fn run() {
     println!("== E17: expert modality specialization (image+text stream, 8 experts) ==\n");
     let cfg = ModelConfig {
         vocab: 64,

@@ -38,7 +38,7 @@ fn train_local(cfg: ModelConfig, steps: usize) -> Vec<f32> {
     losses
 }
 
-pub fn run() {
+pub(crate) fn run() {
     println!("== E18a: functional — flat vs two-level router, 16 experts, 200 steps ==\n");
     let base = ModelConfig {
         n_experts: 16,

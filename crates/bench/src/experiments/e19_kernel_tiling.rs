@@ -11,7 +11,7 @@ use crate::table::Table;
 use bagualu::hw::cpesim::{best_tiling, simulate_gemm, Tiling};
 use bagualu::hw::ProcessorSpec;
 
-pub fn run() {
+pub(crate) fn run() {
     let cg = ProcessorSpec::sw26010_pro().cg;
 
     println!("== E19a: best-found tiling per GEMM shape (one core group) ==\n");

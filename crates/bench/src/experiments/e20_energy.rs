@@ -15,7 +15,7 @@ fn util(p: &Projection) -> f64 {
     (p.breakdown.compute() / p.step_time).clamp(0.0, 1.0)
 }
 
-pub fn run() {
+pub(crate) fn run() {
     println!("== E20: energy accounting, 14.5T preset, 96,000 nodes ==\n");
     let power = PowerModel::sunway();
     let nodes = 96_000;

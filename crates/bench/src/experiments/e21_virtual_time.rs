@@ -64,7 +64,7 @@ fn timed_step(a2a: A2aKind) -> (f64, f64) {
     })
 }
 
-pub fn run() {
+pub(crate) fn run() {
     println!(
         "== E21: virtual comm time of one functional MoDa step \
          (16 ranks, supernodes of 4) ==\n"

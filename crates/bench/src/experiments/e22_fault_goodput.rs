@@ -41,7 +41,7 @@ fn exp_arrivals(seed: u64, mtbf_steps: f64, horizon: usize) -> Vec<usize> {
     out
 }
 
-pub fn run() {
+pub(crate) fn run() {
     println!("== E22: goodput under faults, MTBF x checkpoint interval ==\n");
     let cfg = TrainConfig {
         nranks: 2,

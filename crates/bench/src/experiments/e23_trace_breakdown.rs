@@ -46,7 +46,7 @@ fn model() -> ModelConfig {
     }
 }
 
-pub fn run() {
+pub(crate) fn run() {
     println!("== E23: step-time breakdown from trace data alone ==\n");
     let dir = std::env::temp_dir().join(format!("bagualu-e23-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

@@ -80,7 +80,7 @@ fn comm_bytes(r: &TrainReport) -> u64 {
     stats.family(CommFamily::Allreduce).bytes + stats.family(CommFamily::Alltoall).bytes
 }
 
-pub fn run() {
+pub(crate) fn run() {
     println!("== E24: half-precision wire compression ==\n");
     let mut artifact = String::new();
 

@@ -102,7 +102,7 @@ fn measure(nranks: usize, s: usize, placement: ExpertPlacement, bias: f32) -> Co
     stats.swap_remove(0)
 }
 
-pub fn run() {
+pub(crate) fn run() {
     println!("== E25: measured expert-placement locality ==\n");
     let mut artifact = String::new();
 

@@ -83,40 +83,40 @@ const JSON_OUT: &str = "BENCH_kernels.json";
 /// NN gate where the wide (AVX-512) micro-kernel runs: the 6×64 register
 /// tile keeps C out of the k-loop entirely and runs 16-lane multiply+add
 /// against packed B panels, so 3× over the reference holds with margin.
-pub const NN_TILED_MIN_SPEEDUP: f64 = 3.0;
+pub(crate) const NN_TILED_MIN_SPEEDUP: f64 = 3.0;
 /// NT gate where the wide kernel runs: the packed dot4-order kernel keeps
 /// 4 chain accumulators × 4 ZMM columns in registers against full-k packed
 /// Bᵀ panels; 2× over the scalar reference is conservative.
-pub const NT_TILED_MIN_SPEEDUP: f64 = 2.0;
+pub(crate) const NT_TILED_MIN_SPEEDUP: f64 = 2.0;
 /// FMA gate where the wide kernel runs: fusing multiply+add halves the
 /// arithmetic µops of the inner loops, so the opt-in tier must show at
 /// least 1.5× over the exact tiled backend to justify giving up
 /// bit-identity.
-pub const FMA_MIN_SPEEDUP: f64 = 1.5;
+pub(crate) const FMA_MIN_SPEEDUP: f64 = 1.5;
 /// The floor applied to every gate when only the portable micro-kernel is
 /// available (no AVX-512): strictly not-slower, honestly labelled.
-pub const PORTABLE_MIN_SPEEDUP: f64 = 1.0;
+pub(crate) const PORTABLE_MIN_SPEEDUP: f64 = 1.0;
 /// Floor of the two intra-op gates: the fanned-out side against the
 /// sequential side of the same work. Not slower, with 2 % of timer noise:
 /// on one core both sides run the same loops, on more the fanned-out one
 /// must turn the extra lanes into speed rather than dispatch cost.
-pub const NOT_SLOWER: f64 = 0.98;
+pub(crate) const NOT_SLOWER: f64 = 0.98;
 /// Floor of `gelu_over_libm`. The vectorized kernel reads ≈ 2 ns per
 /// element on the 2-core reference box against 20–24 for glibc 2.36's
 /// `tanhf`; 4× leaves room for a faster libm or a narrower vector unit.
-pub const GELU_OVER_LIBM_MIN: f64 = 4.0;
+pub(crate) const GELU_OVER_LIBM_MIN: f64 = 4.0;
 /// Floor of `nn_bias_gelu_over_nn`: with libm's `tanhf` in the epilogue the
 /// ratio was 0.30.
-pub const FUSED_GELU_OVER_NN_MIN: f64 = 0.7;
+pub(crate) const FUSED_GELU_OVER_NN_MIN: f64 = 0.7;
 /// Floor of `nn_single_tile_over_two_tile` where the wide kernel runs
 /// (3.6–4.6 on the reference box; ≈ 1.5 when every call packed the weight).
-pub const SINGLE_TILE_MIN: f64 = 2.0;
+pub(crate) const SINGLE_TILE_MIN: f64 = 2.0;
 /// Floor of `nn_prepacked_over_packed` where the wide kernel runs: tiled
 /// `[8×256]·[256×1024]` against the weight packed per call over the same
 /// against panels packed once. Five runs on the reference box read
 /// 2.31–2.66; the floor sits 30 % under the lowest, and a prepacked call
 /// that packed again would read ≈ 1.
-pub const PREPACKED_MIN: f64 = 1.6;
+pub(crate) const PREPACKED_MIN: f64 = 1.6;
 /// The decode shape: `[m×256]·[256×1024]`, the `serve_decode` model's FFN
 /// up-projection. `m` is one row, the exact tier's one-tile limit, the
 /// first two-tile count, and the engine's batch.
@@ -131,7 +131,7 @@ const STATIONARY_ROWS: [usize; 3] = [8, 32, 256];
 /// in the same state of the machine — which is what `BENCH_kernels.json`
 /// recorded while every fresh GEMM output was page-faulted in (sweep rows
 /// of 5.2–5.3 ms beside a paired 2.1 ms for the same tiled call).
-pub const SWEEP_VS_GATE_MAX: f64 = 1.5;
+pub(crate) const SWEEP_VS_GATE_MAX: f64 = 1.5;
 /// The gate shape: large enough that B (1 MiB) falls out of L1/L2 and the
 /// reference kernel's streaming cost shows.
 const GATE_DIM: usize = 512;
@@ -144,7 +144,7 @@ const GATE_DIM: usize = 512;
 /// to fp32 and compute fp32, so their sustained rate is the same; fp64
 /// halves the lanes; ~12 GB/s single-core DRAM stream; zero launch
 /// overhead for in-process calls.
-pub fn host_roofline() -> Roofline {
+pub(crate) fn host_roofline() -> Roofline {
     Roofline::from_rates(64.0e9, 64.0e9, 32.0e9, 12.0e9, 0.0)
 }
 
@@ -404,7 +404,7 @@ fn precheck() {
     );
 }
 
-pub fn run() {
+pub(crate) fn run() {
     println!("== E26: compute floor — GEMM + row-op throughput per backend ==\n");
     precheck();
 

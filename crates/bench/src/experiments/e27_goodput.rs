@@ -47,7 +47,7 @@ struct PolicyRow {
     goodput: f64,
 }
 
-pub fn run() {
+pub(crate) fn run() {
     println!("== E27: elastic goodput vs restart baseline ==\n");
     let cfg = TrainConfig {
         nranks: 4,

@@ -107,7 +107,7 @@ fn percentile_ms(responses: &[Response], p: f64) -> f64 {
     ms[((ms.len() - 1) as f64 * p).round() as usize]
 }
 
-pub fn run() {
+pub(crate) fn run() {
     println!("== E28: continuous-batching serving ==\n");
 
     // ---- 1. Bit-identity gates.

@@ -43,7 +43,7 @@ fn base_config() -> RunConfig {
     rc
 }
 
-pub fn run() {
+pub(crate) fn run() {
     println!("== E29: cost-model-driven auto-tuning ==\n");
 
     let base = base_config();

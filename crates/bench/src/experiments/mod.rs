@@ -1,33 +1,33 @@
 //! One module per experiment (see DESIGN.md's experiment index).
 
-pub mod e01_configs;
-pub mod e02_weak_scaling;
-pub mod e03_alltoall;
-pub mod e04_load_balance;
-pub mod e05_precision;
-pub mod e06_breakdown;
-pub mod e07_memory;
-pub mod e08_convergence;
-pub mod e09_headline;
-pub mod e10_checkpoint;
-pub mod e11_strong_scaling;
-pub mod e12_capacity;
-pub mod e13_simnet;
-pub mod e14_overlap;
-pub mod e16_allreduce;
-pub mod e17_multimodal;
-pub mod e18_two_level_gate;
-pub mod e19_kernel_tiling;
-pub mod e20_energy;
-pub mod e21_virtual_time;
-pub mod e22_fault_goodput;
-pub mod e23_trace_breakdown;
-pub mod e24_wire_compression;
-pub mod e25_placement;
-pub mod e26_kernel_bench;
-pub mod e27_goodput;
-pub mod e28_serving;
-pub mod e29_tuning;
+pub(crate) mod e01_configs;
+pub(crate) mod e02_weak_scaling;
+pub(crate) mod e03_alltoall;
+pub(crate) mod e04_load_balance;
+pub(crate) mod e05_precision;
+pub(crate) mod e06_breakdown;
+pub(crate) mod e07_memory;
+pub(crate) mod e08_convergence;
+pub(crate) mod e09_headline;
+pub(crate) mod e10_checkpoint;
+pub(crate) mod e11_strong_scaling;
+pub(crate) mod e12_capacity;
+pub(crate) mod e13_simnet;
+pub(crate) mod e14_overlap;
+pub(crate) mod e16_allreduce;
+pub(crate) mod e17_multimodal;
+pub(crate) mod e18_two_level_gate;
+pub(crate) mod e19_kernel_tiling;
+pub(crate) mod e20_energy;
+pub(crate) mod e21_virtual_time;
+pub(crate) mod e22_fault_goodput;
+pub(crate) mod e23_trace_breakdown;
+pub(crate) mod e24_wire_compression;
+pub(crate) mod e25_placement;
+pub(crate) mod e26_kernel_bench;
+pub(crate) mod e27_goodput;
+pub(crate) mod e28_serving;
+pub(crate) mod e29_tuning;
 
 /// All experiment ids, in order.
 pub const ALL: [&str; 28] = [

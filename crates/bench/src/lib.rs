@@ -5,6 +5,4 @@
 //! the experiment index and EXPERIMENTS.md for recorded outputs.
 
 pub mod experiments;
-pub mod table;
-
-pub use table::Table;
+pub(crate) mod table;

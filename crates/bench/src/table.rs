@@ -1,27 +1,27 @@
 //! Minimal fixed-width table printer for experiment output.
 
 /// A text table with a header row and aligned columns.
-pub struct Table {
+pub(crate) struct Table {
     header: Vec<String>,
     rows: Vec<Vec<String>>,
 }
 
 impl Table {
-    pub fn new(header: &[&str]) -> Table {
+    pub(crate) fn new(header: &[&str]) -> Table {
         Table {
             header: header.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
         }
     }
 
-    pub fn row(&mut self, cells: &[String]) -> &mut Self {
+    pub(crate) fn row(&mut self, cells: &[String]) -> &mut Self {
         assert_eq!(cells.len(), self.header.len(), "row width mismatch");
         self.rows.push(cells.to_vec());
         self
     }
 
     /// Render with every column padded to its widest cell.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let ncols = self.header.len();
         let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
         for row in &self.rows {
@@ -49,7 +49,7 @@ impl Table {
         out
     }
 
-    pub fn print(&self) {
+    pub(crate) fn print(&self) {
         print!("{}", self.render());
     }
 }

@@ -4,8 +4,8 @@ use std::collections::HashMap;
 
 /// Parsed command line: a subcommand plus `--key value` flags.
 #[derive(Debug, Clone, Default)]
-pub struct Args {
-    pub command: String,
+pub(crate) struct Args {
+    pub(crate) command: String,
     flags: HashMap<String, String>,
     /// `--key` with no value (boolean switches).
     switches: Vec<String>,
@@ -14,7 +14,7 @@ pub struct Args {
 impl Args {
     /// Parse `argv[1..]`. The first non-flag token is the subcommand; flags
     /// are `--key value` or bare `--switch`.
-    pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, String> {
+    pub(crate) fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, String> {
         let mut out = Args::default();
         let mut it = argv.into_iter().peekable();
         while let Some(tok) = it.next() {
@@ -41,7 +41,7 @@ impl Args {
     }
 
     /// String flag with a default.
-    pub fn get(&self, key: &str, default: &str) -> String {
+    pub(crate) fn get(&self, key: &str, default: &str) -> String {
         self.flags
             .get(key)
             .cloned()
@@ -49,7 +49,11 @@ impl Args {
     }
 
     /// Parsed flag with a default; errors name the flag.
-    pub fn get_parse<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
+    pub(crate) fn get_parse<T: std::str::FromStr>(
+        &self,
+        key: &str,
+        default: T,
+    ) -> Result<T, String> {
         match self.flags.get(key) {
             None => Ok(default),
             Some(v) => v
@@ -59,12 +63,12 @@ impl Args {
     }
 
     /// True when `--key` was passed bare.
-    pub fn switch(&self, key: &str) -> bool {
+    pub(crate) fn switch(&self, key: &str) -> bool {
         self.switches.iter().any(|s| s == key)
     }
 
     /// Flags the program never consumed (typo detection).
-    pub fn assert_known(&self, known: &[&str]) -> Result<(), String> {
+    pub(crate) fn assert_known(&self, known: &[&str]) -> Result<(), String> {
         for k in self.flags.keys().chain(self.switches.iter()) {
             if !known.contains(&k.as_str()) {
                 return Err(format!("unknown flag --{k}"));

@@ -28,7 +28,7 @@ const FT_FLAGS: [&str; 3] = ["ckpt-dir", "elastic", "straggler-factor"];
 
 /// The flags [`train_run_config`] (or, with `serve`,
 /// [`serve_run_config`]) consumes, for `assert_known`.
-pub fn config_flags(serve: bool) -> Vec<&'static str> {
+pub(crate) fn config_flags(serve: bool) -> Vec<&'static str> {
     let mut flags = vec!["config", "dump-config"];
     flags.extend(
         KEYS.iter()
@@ -63,7 +63,7 @@ fn overlay(args: &Args, serve: bool) -> Result<RunConfig, String> {
 /// is *not* yet validated — `RunConfig::to_train_config` validates, so
 /// `--dump-config` can still print a config the user is mid-way through
 /// assembling.
-pub fn train_run_config(args: &Args) -> Result<RunConfig, String> {
+pub(crate) fn train_run_config(args: &Args) -> Result<RunConfig, String> {
     let mut rc = overlay(args, false)?;
     // `--compute-dtype` refines a `half` backend in place.
     let compute_dtype = args.get("compute-dtype", "");
@@ -98,7 +98,7 @@ pub fn train_run_config(args: &Args) -> Result<RunConfig, String> {
 /// `[model]`, `[serve]`, the comm topology, placement and the seed;
 /// `[train]`'s `ranks` doubles as the serving world size (one world size
 /// per run).
-pub fn serve_run_config(args: &Args) -> Result<RunConfig, String> {
+pub(crate) fn serve_run_config(args: &Args) -> Result<RunConfig, String> {
     overlay(args, true)
 }
 

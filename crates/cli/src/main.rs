@@ -386,13 +386,12 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     if max_new == 0 {
         return Err("--tokens must be >= 1 (there is nothing to decode otherwise)".into());
     }
-    if prompt_len + max_new > model_cfg.max_seq {
-        return Err(format!(
-            "--prompt-len {prompt_len} + --tokens {max_new} exceeds the model's max_seq \
-             ({}); shorten one of them",
-            model_cfg.max_seq
-        ));
-    }
+    fits_max_seq(
+        &format!("--prompt-len {prompt_len}"),
+        prompt_len,
+        max_new,
+        model_cfg.max_seq,
+    )?;
     let supernode_size = match a2a {
         A2aKind::Hierarchical { supernode_size } => supernode_size,
         A2aKind::Pairwise => nranks,
@@ -584,6 +583,23 @@ fn cmd_project(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// A prompt and the tokens decoded after it must fit the model's context;
+/// `prompt` names the prompt's flag in the error.
+fn fits_max_seq(
+    prompt: &str,
+    prompt_len: usize,
+    tokens: usize,
+    max_seq: usize,
+) -> Result<(), String> {
+    if prompt_len.saturating_add(tokens) > max_seq {
+        return Err(format!(
+            "{prompt} + --tokens {tokens} exceeds the model's max_seq ({max_seq}); \
+             shorten one of them"
+        ));
+    }
+    Ok(())
+}
+
 fn cmd_generate(args: &Args) -> Result<(), String> {
     args.assert_known(&["steps", "prompt", "tokens", "seed"])?;
     let steps = args.get_parse("steps", 300usize)?;
@@ -604,6 +620,8 @@ fn cmd_generate(args: &Args) -> Result<(), String> {
     if prompt.iter().any(|&t| t >= cfg.vocab) {
         return Err(format!("prompt tokens must be < {}", cfg.vocab));
     }
+    let label = format!("--prompt of {} tokens", prompt.len());
+    fits_max_seq(&label, prompt.len(), n, cfg.max_seq)?;
 
     let mut rng = Rng::seed_from(args.get_parse("seed", 7u64)?);
     let mut model = Transformer::new(cfg, &mut rng);
@@ -619,7 +637,7 @@ fn cmd_generate(args: &Args) -> Result<(), String> {
         opt.step(&mut model);
         model.zero_grad();
     }
-    let out = model.generate_cached(&prompt, n.min(cfg.max_seq - prompt.len()));
+    let out = model.generate_cached(&prompt, n);
     println!(
         "prompt {:?} → {}",
         prompt,

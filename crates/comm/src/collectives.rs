@@ -36,7 +36,7 @@ pub enum ReduceOp {
 
 impl ReduceOp {
     /// `acc[i] = op(acc[i], other[i])`.
-    pub fn apply(self, acc: &mut [f32], other: &[f32]) {
+    pub(crate) fn apply(self, acc: &mut [f32], other: &[f32]) {
         assert_eq!(acc.len(), other.len());
         match self {
             ReduceOp::Sum => {
@@ -61,22 +61,22 @@ impl ReduceOp {
 /// Reserved tags, one per collective family. The transport classifies
 /// traffic by these for [`crate::shm::CommStats`].
 pub(crate) mod tags {
-    pub const TAG_BCAST: u64 = 101;
-    pub const TAG_RING: u64 = 102;
-    pub const TAG_AG: u64 = 103;
-    pub const TAG_A2A: u64 = 104;
-    pub const TAG_H1_HDR: u64 = 105;
-    pub const TAG_H1_DAT: u64 = 106;
-    pub const TAG_H2_HDR: u64 = 107;
-    pub const TAG_H2_DAT: u64 = 108;
-    pub const TAG_A2A_U64: u64 = 109;
-    pub const TAG_RD: u64 = 110;
-    pub const TAG_A2A_U32: u64 = 111;
+    pub(crate) const TAG_BCAST: u64 = 101;
+    pub(crate) const TAG_RING: u64 = 102;
+    pub(crate) const TAG_AG: u64 = 103;
+    pub(crate) const TAG_A2A: u64 = 104;
+    pub(crate) const TAG_H1_HDR: u64 = 105;
+    pub(crate) const TAG_H1_DAT: u64 = 106;
+    pub(crate) const TAG_H2_HDR: u64 = 107;
+    pub(crate) const TAG_H2_DAT: u64 = 108;
+    pub(crate) const TAG_A2A_U64: u64 = 109;
+    pub(crate) const TAG_RD: u64 = 110;
+    pub(crate) const TAG_A2A_U32: u64 = 111;
     /// Tag range for concurrently in-flight bucketed all-reduces; bucket
     /// `i` uses `TAG_BUCKET_BASE + i`, so at most
     /// `TAG_BUCKET_END - TAG_BUCKET_BASE` buckets may be in flight.
-    pub const TAG_BUCKET_BASE: u64 = 0x1000;
-    pub const TAG_BUCKET_END: u64 = 0x2000;
+    pub(crate) const TAG_BUCKET_BASE: u64 = 0x1000;
+    pub(crate) const TAG_BUCKET_END: u64 = 0x2000;
 }
 
 use tags::*;
@@ -140,7 +140,7 @@ pub fn broadcast<C: Communicator>(c: &C, root: usize, msg: Option<Vec<f32>>) -> 
 /// interleave useful work between steps: [`RingAllreduce::start_wire`]
 /// launches step 0, [`RingAllreduce::poll`] advances through every step
 /// whose message has already arrived (never blocking), and
-/// [`RingAllreduce::finish`] blocks through the remaining steps. Several
+/// `RingAllreduce::finish` blocks through the remaining steps. Several
 /// steppers with distinct tags may be in flight on one communicator — the
 /// basis of [`bucketed_allreduce_wire`] and the trainer's overlapped
 /// gradient sync.
@@ -191,7 +191,7 @@ impl<C: Communicator> RingAllreduce<C> {
     }
 
     /// All steps completed; `into_data` may be called.
-    pub fn is_done(&self) -> bool {
+    pub(crate) fn is_done(&self) -> bool {
         self.step == self.total
     }
 
@@ -267,7 +267,7 @@ impl<C: Communicator> RingAllreduce<C> {
     }
 
     /// Block through the remaining steps and return the reduced buffer.
-    pub fn finish(mut self, c: &C) -> Vec<f32> {
+    pub(crate) fn finish(mut self, c: &C) -> Vec<f32> {
         while let Some(req) = self.pending.take() {
             let got = c.wait(req).into_floats();
             self.complete(c, got);
@@ -625,13 +625,13 @@ pub fn alltoallv_hierarchical_wire<C: Communicator>(
 
 /// Pairwise-exchange all-to-all(v) of `u64` metadata (routing tables,
 /// expert ids, counts). Same semantics as [`alltoallv_wire`].
-pub fn alltoallv_u64<C: Communicator>(c: &C, parts: Vec<Vec<u64>>) -> Vec<Vec<u64>> {
+pub(crate) fn alltoallv_u64<C: Communicator>(c: &C, parts: Vec<Vec<u64>>) -> Vec<Vec<u64>> {
     pairwise_exchange(c, parts, TAG_A2A_U64, Payload::from, Payload::into_u64)
 }
 
 /// Pairwise-exchange all-to-all(v) of `u32` metadata — the compact header
 /// channel for expert assignments and other ids that fit 4 bytes, halving
-/// header traffic vs [`alltoallv_u64`]. Same semantics as [`alltoallv_wire`].
+/// header traffic vs `alltoallv_u64`. Same semantics as [`alltoallv_wire`].
 pub fn alltoallv_u32<C: Communicator>(c: &C, parts: Vec<Vec<u32>>) -> Vec<Vec<u32>> {
     pairwise_exchange(c, parts, TAG_A2A_U32, Payload::from, Payload::into_u32)
 }

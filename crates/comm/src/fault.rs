@@ -11,8 +11,8 @@
 //!   deterministic given the plan (per-rank message counters and per-rank
 //!   seeded RNG streams), so a failing schedule replays exactly.
 //! * [`CommError`] — what failure-aware operations return instead of
-//!   hanging: a receive that exceeded its deadline, a peer known to be
-//!   dead, or a malformed communicator split.
+//!   hanging: a receive that exceeded its deadline or a peer known to be
+//!   dead.
 //! * [`FtCommunicator`] — the failure-aware extension of
 //!   [`crate::shm::Communicator`]: `recv_timeout`, `try_send`, and dead-rank
 //!   bookkeeping. `ShmComm` implements it natively; `TimedComm` forwards
@@ -118,7 +118,7 @@ pub enum FaultSpec {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
     /// Seed for the probabilistic events' per-rank RNG streams.
-    pub seed: u64,
+    pub(crate) seed: u64,
     events: Vec<FaultSpec>,
 }
 
@@ -141,11 +141,6 @@ impl FaultPlan {
         self.events.is_empty()
     }
 
-    /// The scheduled fault events, in insertion order.
-    pub fn events(&self) -> &[FaultSpec] {
-        &self.events
-    }
-
     /// Crash `rank` at the start of step `at_step` (fires once).
     pub fn crash(mut self, rank: usize, at_step: usize) -> FaultPlan {
         self.events.push(FaultSpec::Crash { rank, at_step });
@@ -161,19 +156,6 @@ impl FaultPlan {
     /// Delay the `nth` message `from` sends by `millis`.
     pub fn delay_nth(mut self, from: usize, nth: u64, millis: u64) -> FaultPlan {
         self.events.push(FaultSpec::DelayNth { from, nth, millis });
-        self
-    }
-
-    /// Flip one bit in the `nth` message `from` sends.
-    pub fn corrupt_nth(mut self, from: usize, nth: u64) -> FaultPlan {
-        self.events.push(FaultSpec::CorruptNth { from, nth });
-        self
-    }
-
-    /// Drop each of `from`'s messages with probability `prob`.
-    pub fn drop_prob(mut self, from: usize, prob: f64) -> FaultPlan {
-        assert!((0.0..=1.0).contains(&prob), "probability out of range");
-        self.events.push(FaultSpec::DropProb { from, prob });
         self
     }
 
@@ -194,40 +176,6 @@ impl FaultPlan {
             delay_us,
         });
         self
-    }
-
-    /// Drop each of `from`'s messages with probability `drop_prob` while the
-    /// armed step is in `[from_step, to_step)`.
-    pub fn flaky_link(
-        mut self,
-        from: usize,
-        from_step: usize,
-        to_step: usize,
-        drop_prob: f64,
-    ) -> FaultPlan {
-        assert!(from_step < to_step, "empty flaky-link step range");
-        assert!((0.0..=1.0).contains(&drop_prob), "probability out of range");
-        self.events.push(FaultSpec::FlakyLink {
-            from,
-            from_step,
-            to_step,
-            drop_prob,
-        });
-        self
-    }
-
-    /// Steps at which any rank is scheduled to crash, ascending.
-    pub fn crash_steps(&self) -> Vec<usize> {
-        let mut steps: Vec<usize> = self
-            .events
-            .iter()
-            .filter_map(|e| match e {
-                FaultSpec::Crash { at_step, .. } => Some(*at_step),
-                _ => None,
-            })
-            .collect();
-        steps.sort_unstable();
-        steps
     }
 }
 
@@ -250,11 +198,11 @@ pub struct FaultStats {
     /// Messages held back by a sustained [`FaultSpec::SlowRank`] window.
     /// Kept separate from `delayed` so tests can pin "the one-shot delay
     /// fired exactly once" independently of sustained degradation.
-    pub slowed: u64,
+    pub(crate) slowed: u64,
     /// Messages that had a bit flipped.
     pub corrupted: u64,
     /// Crash events that actually fired (one-shot latches claimed).
-    pub crashes_fired: u64,
+    pub(crate) crashes_fired: u64,
 }
 
 /// Live state of an armed [`FaultPlan`]: per-rank send counters and RNG
@@ -317,16 +265,6 @@ impl FaultRuntime {
     /// test steps the runtime explicitly. Cheap enough to call every step.
     pub fn set_step(&self, step: usize) {
         self.step.fetch_max(step as u64, Ordering::Relaxed);
-    }
-
-    /// The last step armed via [`FaultRuntime::set_step`] (0 before any call).
-    pub fn current_step(&self) -> usize {
-        self.step.load(Ordering::Relaxed) as usize
-    }
-
-    /// The plan this runtime was armed with.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
     }
 
     /// Counters of faults injected so far.
@@ -516,13 +454,6 @@ pub enum CommError {
         /// Group rank of the dead peer.
         peer: usize,
     },
-    /// A communicator split was malformed (inconsistent colors/ordering).
-    InvalidSplit {
-        /// Group rank that observed the malformed split.
-        rank: usize,
-        /// Human-readable description of the inconsistency.
-        detail: String,
-    },
 }
 
 impl std::fmt::Display for CommError {
@@ -537,9 +468,6 @@ impl std::fmt::Display for CommError {
                 "receive from rank {src} (tag {tag}) timed out after {waited_ms} ms"
             ),
             CommError::PeerDead { peer } => write!(f, "peer rank {peer} is dead"),
-            CommError::InvalidSplit { rank, detail } => {
-                write!(f, "invalid communicator split at rank {rank}: {detail}")
-            }
         }
     }
 }
@@ -572,6 +500,48 @@ pub trait FtCommunicator: Communicator {
 mod tests {
     use super::*;
 
+    impl FaultPlan {
+        /// Flip one bit in the `nth` message `from` sends.
+        fn corrupt_nth(mut self, from: usize, nth: u64) -> FaultPlan {
+            self.events.push(FaultSpec::CorruptNth { from, nth });
+            self
+        }
+
+        /// Drop each of `from`'s messages with probability `prob`.
+        fn drop_prob(mut self, from: usize, prob: f64) -> FaultPlan {
+            assert!((0.0..=1.0).contains(&prob), "probability out of range");
+            self.events.push(FaultSpec::DropProb { from, prob });
+            self
+        }
+
+        /// Drop each of `from`'s messages with probability `drop_prob` while the
+        /// armed step is in `[from_step, to_step)`.
+        fn flaky_link(
+            mut self,
+            from: usize,
+            from_step: usize,
+            to_step: usize,
+            drop_prob: f64,
+        ) -> FaultPlan {
+            assert!(from_step < to_step, "empty flaky-link step range");
+            assert!((0.0..=1.0).contains(&drop_prob), "probability out of range");
+            self.events.push(FaultSpec::FlakyLink {
+                from,
+                from_step,
+                to_step,
+                drop_prob,
+            });
+            self
+        }
+    }
+
+    impl FaultRuntime {
+        /// The last step armed via [`FaultRuntime::set_step`] (0 before any call).
+        fn current_step(&self) -> usize {
+            self.step.load(Ordering::Relaxed) as usize
+        }
+    }
+
     #[test]
     fn plan_builder_accumulates_events() {
         let p = FaultPlan::new(7)
@@ -580,8 +550,7 @@ mod tests {
             .delay_nth(2, 5, 20)
             .corrupt_nth(1, 8)
             .drop_prob(0, 0.5);
-        assert_eq!(p.events().len(), 5);
-        assert_eq!(p.crash_steps(), vec![10]);
+        assert_eq!(p.events.len(), 5);
         assert!(!p.is_empty());
         assert!(FaultPlan::none().is_empty());
     }

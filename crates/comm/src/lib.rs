@@ -21,16 +21,16 @@
 //!   [`Communicator`]: one entry point per collective, each algorithm
 //!   written once, tensor collectives taking the [`WireDType`] they travel
 //!   in (`WireDType::F32` is lossless). The ring all-reduce
-//!   ([`allreduce_wire`], the [`RingAllreduce`] stepper,
-//!   [`bucketed_allreduce_wire`]) and its first half [`reduce_scatter`];
-//!   [`allgather`]; binomial [`broadcast`]; recursive doubling, blocking
-//!   ([`allreduce_recursive_doubling`]) and failure-aware
-//!   ([`allreduce_ft`], [`barrier_ft`]); pairwise ([`alltoallv_wire`],
-//!   [`alltoallv_u64`], [`alltoallv_u32`]) and hierarchical
-//!   ([`alltoallv_hierarchical_wire`]) all-to-all; and
+//!   (`allreduce_wire`, the `RingAllreduce` stepper,
+//!   `bucketed_allreduce_wire`) and its first half `reduce_scatter`;
+//!   `allgather`; binomial `broadcast`; recursive doubling, blocking
+//!   (`allreduce_recursive_doubling`) and failure-aware
+//!   ([`allreduce_ft`], `barrier_ft`); pairwise (`alltoallv_wire`,
+//!   `alltoallv_u64`, `alltoallv_u32`) and hierarchical
+//!   (`alltoallv_hierarchical_wire`) all-to-all; and
 //!   [`collectives::allreduce_u64`] for exact integer control vectors,
-//! * [`timed`] — [`TimedComm`], a wrapper that charges an analytical link
-//!   cost ([`LinkCost`] / [`TwoLevelCost`]) to a virtual clock, for
+//! * [`timed`] — `TimedComm`, a wrapper that charges an analytical link
+//!   cost (`LinkCost` / `TwoLevelCost`) to a virtual clock, for
 //!   topology studies without real network hardware,
 //! * [`harness`] — `run_ranks`, which spawns one thread per rank and joins
 //!   them, propagating panics,
@@ -54,15 +54,10 @@ pub mod payload;
 pub mod shm;
 pub mod timed;
 
-pub use collectives::{
-    allgather, allreduce_ft, allreduce_recursive_doubling, allreduce_wire,
-    alltoallv_hierarchical_wire, alltoallv_u32, alltoallv_u64, alltoallv_wire, barrier_ft,
-    broadcast, bucket_tag, bucketed_allreduce_wire, reduce_scatter, ReduceOp, RingAllreduce,
-};
+pub use collectives::{allreduce_ft, ReduceOp};
 pub use fault::{CommError, FaultPlan, FaultRuntime, FaultSpec, FaultStats, FtCommunicator};
 pub use harness::{run_ranks, run_ranks_deadline, run_ranks_ft, RankOutcome};
-pub use payload::{Payload, WireDType};
+pub use payload::WireDType;
 pub use shm::{
     CommFamily, CommStats, Communicator, FamilyStats, SendRequest, ShmComm, ShmRecv, World,
 };
-pub use timed::{LinkCost, TimedComm, TimedRecv, TwoLevelCost};

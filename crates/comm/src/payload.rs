@@ -6,10 +6,10 @@
 //! receive side.
 //!
 //! Comm-bound tensor traffic can additionally be *compressed on the wire*:
-//! [`Payload::pack`] rounds `f32` data to 16-bit FP16/BF16 bit patterns
+//! `Payload::pack` rounds `f32` data to 16-bit FP16/BF16 bit patterns
 //! (via the bit-exact conversions in `bagualu_tensor`) and the receiver
-//! expands back to `f32` with [`Payload::into_floats`]. Because
-//! [`Payload::wire_bytes`] reports the *stored* representation, every byte
+//! expands back to `f32` with `Payload::into_floats`. Because
+//! `Payload::wire_bytes` reports the *stored* representation, every byte
 //! consumer downstream — `TimedComm`'s α–β cost, `CommStats`, fault-
 //! injection accounting, trace counters — automatically sees the true
 //! 2-byte elements.
@@ -47,7 +47,7 @@ impl WireDType {
     }
 
     /// The 16-bit storage dtype, or `None` for the uncompressed wire.
-    pub const fn half_dtype(self) -> Option<DType> {
+    pub(crate) const fn half_dtype(self) -> Option<DType> {
         match self {
             WireDType::F32 => None,
             WireDType::F16 => Some(DType::F16),
@@ -101,7 +101,7 @@ impl Payload {
     /// without copying; `F16`/`BF16` round each element to 16 bits and hand
     /// the `f32` buffer to the tensor reservoir, where the receiving side's
     /// [`Payload::into_floats`] finds one to expand into.
-    pub fn pack(wire: WireDType, v: Vec<f32>) -> Payload {
+    pub(crate) fn pack(wire: WireDType, v: Vec<f32>) -> Payload {
         match wire.half_dtype() {
             None => Payload::F32(v),
             Some(dt) => {
@@ -115,7 +115,7 @@ impl Payload {
     /// Unwrap tensor data back to `f32`, expanding a compressed payload if
     /// needed; panics on metadata variants. The counterpart of
     /// [`Payload::pack`] — use it wherever the sender may compress.
-    pub fn into_floats(self) -> Vec<f32> {
+    pub(crate) fn into_floats(self) -> Vec<f32> {
         match self {
             Payload::F32(v) => v,
             Payload::Half(dt, bits) => unpack_slice(dt, &bits),
@@ -133,7 +133,7 @@ impl Payload {
     }
 
     /// Unwrap as `u64` metadata; panics if the message was something else.
-    pub fn into_u64(self) -> Vec<u64> {
+    pub(crate) fn into_u64(self) -> Vec<u64> {
         match self {
             Payload::U64(v) => v,
             other => panic!("expected U64 payload, got {}", other.variant_name()),
@@ -141,7 +141,7 @@ impl Payload {
     }
 
     /// Unwrap as `u32` metadata; panics if the message was something else.
-    pub fn into_u32(self) -> Vec<u32> {
+    pub(crate) fn into_u32(self) -> Vec<u32> {
         match self {
             Payload::U32(v) => v,
             other => panic!("expected U32 payload, got {}", other.variant_name()),
@@ -149,7 +149,7 @@ impl Payload {
     }
 
     /// Size in bytes of the payload body (what a wire would carry).
-    pub fn wire_bytes(&self) -> usize {
+    pub(crate) fn wire_bytes(&self) -> usize {
         match self {
             Payload::F32(v) => v.len() * 4,
             Payload::Half(_, v) => v.len() * 2,
@@ -160,7 +160,7 @@ impl Payload {
 
     /// Canonical label of the element format in flight ("fp32", "fp16",
     /// "bf16", "u64", "u32") — keys the per-dtype wire-byte trace counters.
-    pub fn wire_label(&self) -> &'static str {
+    pub(crate) fn wire_label(&self) -> &'static str {
         match self {
             Payload::F32(_) => "fp32",
             Payload::Half(DType::F16, _) => "fp16",

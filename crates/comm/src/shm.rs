@@ -1,4 +1,4 @@
-//! Shared-memory transport: mailboxes, communicators, and splitting.
+//! Shared-memory transport: mailboxes and communicators.
 //!
 //! One OS thread per rank. Point-to-point semantics mirror MPI:
 //!
@@ -9,14 +9,9 @@
 //!   overlapped gradient sync is built on. `recv` ≡ `wait(irecv(..))`,
 //! * messages between a fixed `(sender, tag)` pair are **non-overtaking**
 //!   (FIFO per key), which is what makes tag reuse across consecutive
-//!   collectives safe; requests waited in post order preserve this,
-//! * `split(color)` builds sub-communicators (expert-parallel and
-//!   data-parallel groups), with message isolation via a per-group context
-//!   id baked into the mailbox key.
+//!   collectives safe; requests waited in post order preserve this.
 
-use crate::fault::{
-    corrupt_payload, CommError, FaultRuntime, FaultStats, FtCommunicator, SendAction,
-};
+use crate::fault::{corrupt_payload, CommError, FaultRuntime, FtCommunicator, SendAction};
 use crate::payload::Payload;
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
@@ -36,11 +31,6 @@ pub struct SendRequest {
 impl SendRequest {
     pub(crate) fn completed() -> SendRequest {
         SendRequest { _private: () }
-    }
-
-    /// Eager sends complete at initiation.
-    pub fn is_complete(&self) -> bool {
-        true
     }
 }
 
@@ -130,7 +120,7 @@ pub enum CommFamily {
     Alltoall,
     /// Virtual-time headers posted by `TimedComm`.
     Timing,
-    /// Internal control traffic (communicator splits).
+    /// Internal control traffic (the reserved `CTRL_TAG` bit).
     Control,
     /// Application point-to-point traffic outside the reserved tag ranges.
     Other,
@@ -151,19 +141,6 @@ impl CommFamily {
 
     fn index(self) -> usize {
         CommFamily::ALL.iter().position(|&f| f == self).unwrap()
-    }
-
-    /// Lower-case family label, used in reports and trace counter names.
-    pub fn label(self) -> &'static str {
-        match self {
-            CommFamily::Allreduce => "allreduce",
-            CommFamily::Broadcast => "broadcast",
-            CommFamily::Gather => "gather",
-            CommFamily::Alltoall => "alltoall",
-            CommFamily::Timing => "timing",
-            CommFamily::Control => "control",
-            CommFamily::Other => "other",
-        }
     }
 
     /// Trace counter names for traffic *sent* under this family:
@@ -197,7 +174,7 @@ impl CommFamily {
 
     /// Attribute a tag to a family (see the tag constants in
     /// `collectives.rs` and the reserved high bits below / in `timed.rs`).
-    pub fn of_tag(tag: u64) -> CommFamily {
+    pub(crate) fn of_tag(tag: u64) -> CommFamily {
         use crate::collectives::tags;
         if tag & CTRL_TAG != 0 {
             return CommFamily::Control;
@@ -359,7 +336,6 @@ struct FamilyCounters {
 struct Shared {
     boxes: Vec<Mailbox>,
     barriers: Mutex<HashMap<u64, Arc<BarrierState>>>,
-    next_ctx: AtomicU64,
     total_bytes: AtomicU64,
     total_msgs: AtomicU64,
     families: FamilyCounters,
@@ -442,7 +418,6 @@ impl World {
             shared: Arc::new(Shared {
                 boxes,
                 barriers: Mutex::new(HashMap::new()),
-                next_ctx: AtomicU64::new(1),
                 total_bytes: AtomicU64::new(0),
                 total_msgs: AtomicU64::new(0),
                 families: FamilyCounters::default(),
@@ -459,22 +434,12 @@ impl World {
 
     /// Mark a world rank dead and wake every blocked receiver so waits on
     /// the dead rank resolve to [`CommError::PeerDead`] promptly.
-    pub fn mark_dead(&self, world_rank: usize) {
+    pub(crate) fn mark_dead(&self, world_rank: usize) {
         self.shared.dead[world_rank].store(true, Ordering::SeqCst);
         for mbox in &self.shared.boxes {
             let _guard = mbox.state.lock();
             mbox.arrived.notify_all();
         }
-    }
-
-    /// Is the given world rank marked dead?
-    pub fn is_dead(&self, world_rank: usize) -> bool {
-        self.shared.dead[world_rank].load(Ordering::SeqCst)
-    }
-
-    /// Counters of faults injected so far, when a plan is armed.
-    pub fn fault_stats(&self) -> Option<FaultStats> {
-        self.shared.faults.as_ref().map(|f| f.stats())
     }
 
     /// One communicator handle per rank, in rank order.
@@ -486,18 +451,17 @@ impl World {
                 ctx: 0,
                 rank: r,
                 members: members.clone(),
-                split_seq: AtomicU64::new(0),
             })
             .collect()
     }
 
     /// Total payload bytes sent through this world so far (all groups).
-    pub fn bytes_sent(&self) -> u64 {
+    pub(crate) fn bytes_sent(&self) -> u64 {
         self.shared.total_bytes.load(Ordering::Relaxed)
     }
 
     /// Total messages sent through this world so far (all groups).
-    pub fn messages_sent(&self) -> u64 {
+    pub(crate) fn messages_sent(&self) -> u64 {
         self.shared.total_msgs.load(Ordering::Relaxed)
     }
 
@@ -507,7 +471,7 @@ impl World {
     }
 }
 
-/// Reserved tag bit for internal control traffic (split).
+/// Reserved tag bit for internal control traffic.
 const CTRL_TAG: u64 = 1 << 63;
 
 /// A rank's handle on a (sub-)communicator.
@@ -517,82 +481,11 @@ pub struct ShmComm {
     rank: usize,
     /// Group rank → world rank.
     members: Arc<Vec<usize>>,
-    /// Per-handle counter so repeated `split` calls use distinct tags.
-    split_seq: AtomicU64,
 }
 
 impl ShmComm {
-    /// Split into sub-communicators by `color`: ranks sharing a color form a
-    /// new group, ordered by their rank in `self`. Collective — every rank
-    /// of `self` must call it, in the same program order.
-    pub fn split(&self, color: u64) -> ShmComm {
-        let n = self.size();
-        let seq = self.split_seq.fetch_add(1, Ordering::Relaxed);
-        let tag = CTRL_TAG | seq;
-
-        // Gather colors at rank 0, which assigns one fresh context per
-        // distinct color and replies with (ctx, group rank, members).
-        if self.rank == 0 {
-            let mut colors = vec![0u64; n];
-            colors[0] = color;
-            for (r, slot) in colors.iter_mut().enumerate().take(n).skip(1) {
-                *slot = self.recv(r, tag).into_u64()[0];
-            }
-            // Deterministic: contexts assigned in order of first appearance.
-            let mut ctx_of: HashMap<u64, u64> = HashMap::new();
-            let mut groups: HashMap<u64, Vec<usize>> = HashMap::new();
-            for (r, &c) in colors.iter().enumerate() {
-                ctx_of
-                    .entry(c)
-                    .or_insert_with(|| self.shared.next_ctx.fetch_add(1, Ordering::Relaxed));
-                groups.entry(c).or_default().push(r);
-            }
-            let mut my_new = None;
-            for (r, &c) in colors.iter().enumerate() {
-                let grp = &groups[&c];
-                let grank = grp.iter().position(|&x| x == r).unwrap_or_else(|| {
-                    panic!("split: rank {r} is missing from its own color-{c} group {grp:?}")
-                }) as u64;
-                // members as world ranks
-                let mut msg = vec![ctx_of[&c], grank, grp.len() as u64];
-                msg.extend(grp.iter().map(|&p| self.members[p] as u64));
-                if r == 0 {
-                    my_new = Some(msg);
-                } else {
-                    self.send(r, tag, msg.into());
-                }
-            }
-            Self::from_split_msg(self, my_new.unwrap())
-        } else {
-            self.send(0, tag, vec![color].into());
-            let msg = self.recv(0, tag).into_u64();
-            Self::from_split_msg(self, msg)
-        }
-    }
-
-    fn from_split_msg(parent: &ShmComm, msg: Vec<u64>) -> ShmComm {
-        assert!(
-            msg.len() >= 3 && msg.len() == 3 + msg[2] as usize,
-            "split: malformed group message at rank {} ({} words: {:?})",
-            parent.rank,
-            msg.len(),
-            &msg[..msg.len().min(8)],
-        );
-        let ctx = msg[0];
-        let rank = msg[1] as usize;
-        let len = msg[2] as usize;
-        let members: Vec<usize> = msg[3..3 + len].iter().map(|&x| x as usize).collect();
-        ShmComm {
-            shared: parent.shared.clone(),
-            ctx,
-            rank,
-            members: Arc::new(members),
-            split_seq: AtomicU64::new(0),
-        }
-    }
-
     /// World rank of a group rank.
-    pub fn world_rank_of(&self, group_rank: usize) -> usize {
+    pub(crate) fn world_rank_of(&self, group_rank: usize) -> usize {
         self.members[group_rank]
     }
 
@@ -906,6 +799,25 @@ mod tests {
     use super::*;
     use crate::harness::run_ranks;
 
+    impl SendRequest {
+        /// Eager sends complete at initiation.
+        fn is_complete(&self) -> bool {
+            true
+        }
+    }
+
+    impl World {
+        /// Is the given world rank marked dead?
+        pub(crate) fn is_dead(&self, world_rank: usize) -> bool {
+            self.shared.dead[world_rank].load(Ordering::SeqCst)
+        }
+
+        /// Counters of faults injected so far, when a plan is armed.
+        pub(crate) fn fault_stats(&self) -> Option<crate::FaultStats> {
+            self.shared.faults.as_ref().map(|f| f.stats())
+        }
+    }
+
     #[test]
     fn ping_pong() {
         run_ranks(2, |c| {
@@ -976,50 +888,6 @@ mod tests {
             for _ in 0..50 {
                 c.barrier();
             }
-        });
-    }
-
-    #[test]
-    fn split_forms_consistent_groups() {
-        run_ranks(8, |c| {
-            // Even/odd split.
-            let sub = c.split((c.rank() % 2) as u64);
-            assert_eq!(sub.size(), 4);
-            assert_eq!(sub.rank(), c.rank() / 2);
-            // Message within the subgroup: ring neighbor exchange.
-            let right = (sub.rank() + 1) % sub.size();
-            let left = (sub.rank() + sub.size() - 1) % sub.size();
-            sub.send(right, 3, vec![c.rank() as f32].into());
-            let got = sub.recv(left, 3).into_f32();
-            // Left neighbor in the subgroup has world rank = mine - 2 (mod 8,
-            // same parity).
-            let expect = ((c.rank() + 8 - 2) % 8) as f32;
-            assert_eq!(got, vec![expect]);
-        });
-    }
-
-    #[test]
-    fn split_groups_are_isolated() {
-        run_ranks(4, |c| {
-            let sub = c.split((c.rank() % 2) as u64);
-            // Same tag in both groups; contexts must keep them apart.
-            let peer = 1 - sub.rank();
-            sub.send(peer, 9, vec![c.rank() as f32].into());
-            let got = sub.recv(peer, 9).into_f32()[0] as usize;
-            assert_eq!(got % 2, c.rank() % 2, "crossed group boundary!");
-        });
-    }
-
-    #[test]
-    fn nested_split_works() {
-        run_ranks(8, |c| {
-            let half = c.split((c.rank() / 4) as u64); // two groups of 4
-            let pair = half.split((half.rank() / 2) as u64); // four groups of 2
-            assert_eq!(pair.size(), 2);
-            pair.send(1 - pair.rank(), 1, vec![c.rank() as u64].into());
-            let got = pair.recv(1 - pair.rank(), 1).into_u64()[0] as usize;
-            // Partner differs by exactly 1 in world rank.
-            assert_eq!(got ^ c.rank(), 1);
         });
     }
 

@@ -28,15 +28,15 @@ pub trait LinkCost: Send + Sync {
 #[derive(Debug, Clone, Copy)]
 pub struct TwoLevelCost {
     /// Ranks per supernode block (intra-block links are the fast ones).
-    pub supernode_size: usize,
+    pub(crate) supernode_size: usize,
     /// Intra-block latency, seconds.
-    pub alpha_intra: f64,
+    pub(crate) alpha_intra: f64,
     /// Intra-block inverse bandwidth, seconds per byte.
-    pub beta_intra: f64,
+    pub(crate) beta_intra: f64,
     /// Inter-block latency, seconds.
-    pub alpha_inter: f64,
+    pub(crate) alpha_inter: f64,
     /// Inter-block inverse bandwidth, seconds per byte.
-    pub beta_inter: f64,
+    pub(crate) beta_inter: f64,
 }
 
 impl TwoLevelCost {
@@ -100,11 +100,6 @@ impl<C: Communicator, L: LinkCost> TimedComm<C, L> {
                 clocks: clocks.clone(),
             })
             .collect()
-    }
-
-    /// This rank's virtual communication time so far, seconds.
-    pub fn virtual_time(&self) -> f64 {
-        self.clocks.now.lock()[self.inner.rank()]
     }
 
     /// Maximum virtual time across all ranks (the collective's makespan).
@@ -338,6 +333,13 @@ mod tests {
     };
     use crate::payload::WireDType;
     use crate::shm::World;
+
+    impl<C: Communicator, L: LinkCost> TimedComm<C, L> {
+        /// This rank's virtual communication time so far, seconds.
+        fn virtual_time(&self) -> f64 {
+            self.clocks.now.lock()[self.inner.rank()]
+        }
+    }
 
     fn run_timed<F, R>(n: usize, sn: usize, f: F) -> Vec<R>
     where

@@ -642,7 +642,7 @@ pub fn save_params(path: impl AsRef<Path>, model: &mut dyn HasParams) -> io::Res
 /// constructors and contain no underscore-only prefixes), and loaders that
 /// predate placement metadata skip unknown records, so the record is
 /// backward- and forward-compatible.
-pub const PLACEMENT_RECORD: &str = "__placement__";
+pub(crate) const PLACEMENT_RECORD: &str = "__placement__";
 
 /// The expert↔rank mapping a checkpoint shard was written under. Persisted
 /// so a restart under a *different* mapping fails loudly instead of
@@ -653,9 +653,9 @@ pub struct PlacementMeta {
     /// The placement policy in force when the shard was written.
     pub placement: bagualu_parallel::ExpertPlacement,
     /// Global expert count of the sharded model.
-    pub n_experts: usize,
+    pub(crate) n_experts: usize,
     /// World size the shard set was written for.
-    pub nranks: usize,
+    pub(crate) nranks: usize,
 }
 
 impl PlacementMeta {
@@ -710,7 +710,7 @@ pub fn read_placement(path: impl AsRef<Path>) -> io::Result<Option<PlacementMeta
 /// Reserved record name for the embedded [`RunConfig`] TOML. Like
 /// [`PLACEMENT_RECORD`], the name can never collide with a parameter and
 /// older loaders skip it.
-pub const RUNCONFIG_RECORD: &str = "__runconfig__";
+pub(crate) const RUNCONFIG_RECORD: &str = "__runconfig__";
 
 /// Encode UTF-8 text as a tensor record, one byte per element (every byte
 /// value is exact in `f32`). Wasteful by 4× but reuses the checkpoint
@@ -743,7 +743,7 @@ fn decode_text(record: &str, t: &Tensor) -> io::Result<String> {
 /// train --config` can reproduce the run that wrote it from the shard
 /// alone. The records ride in the same file with the same CRC/trailer
 /// protection; loaders that only want parameters ignore them.
-pub fn save_params_with_meta(
+pub(crate) fn save_params_with_meta(
     path: impl AsRef<Path>,
     model: &mut dyn HasParams,
     meta: PlacementMeta,

@@ -26,8 +26,8 @@ pub enum TokenDistribution {
 /// near-zero loss. Inputs are drawn from the configured distribution.
 #[derive(Debug, Clone)]
 pub struct SyntheticLM {
-    pub vocab: usize,
-    pub dist: TokenDistribution,
+    pub(crate) vocab: usize,
+    pub(crate) dist: TokenDistribution,
     a: usize,
     b: usize,
     zipf: Option<Zipf>,
@@ -115,9 +115,9 @@ pub enum Modality {
 #[derive(Debug, Clone)]
 pub struct MultimodalLM {
     /// Image patch tokens occupy `[0, image_vocab)`.
-    pub image_vocab: usize,
+    pub(crate) image_vocab: usize,
     /// Text tokens occupy `[image_vocab, image_vocab + text_vocab)`.
-    pub text_vocab: usize,
+    pub(crate) text_vocab: usize,
     image_task: SyntheticLM,
     text_task: SyntheticLM,
 }
@@ -147,7 +147,7 @@ impl MultimodalLM {
     }
 
     /// The within-modality next-token target.
-    pub fn target_of(&self, token: usize) -> usize {
+    pub(crate) fn target_of(&self, token: usize) -> usize {
         match self.modality_of(token) {
             Modality::Image => self.image_task.target_of(token),
             Modality::Text => self.image_vocab + self.text_task.target_of(token - self.image_vocab),

@@ -61,17 +61,6 @@ pub mod runconfig;
 pub mod tokenizer;
 pub mod trainer;
 
-pub use checkpoint::{
-    load_params, load_params_from_files, load_params_sharded, save_params, save_params_sharded,
-};
-pub use perfmodel::{
-    checkpoint_waste_fraction, young_daly_tau_opt, A2aAlgo, PerfInput, PerfInputError, Projection,
-    StepBreakdown,
-};
-pub use runconfig::{RunConfig, RUN_CONFIG_VERSION};
-pub use tokenizer::Bpe;
-pub use trainer::{FtConfig, TrainConfig, TrainReport, Trainer};
-
 // Re-export the sub-crates under one roof for downstream users.
 pub use bagualu_comm as comm;
 pub use bagualu_hw as hw;

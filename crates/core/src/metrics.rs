@@ -43,40 +43,6 @@ pub fn format_params(params: u128) -> String {
     }
 }
 
-/// Model FLOPs utilization: the fraction of a machine's peak that the
-/// model's *useful* arithmetic sustains — the standard cross-system
-/// efficiency metric for large-model training.
-pub fn mfu(tokens_per_sec: f64, flops_per_token_train: f64, machine_peak_flops: f64) -> f64 {
-    assert!(machine_peak_flops > 0.0);
-    (tokens_per_sec * flops_per_token_train / machine_peak_flops).clamp(0.0, 1.0)
-}
-
-/// Online mean/max accumulator for per-step statistics.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Stat {
-    pub count: u64,
-    pub sum: f64,
-    pub max: f64,
-}
-
-impl Stat {
-    pub fn push(&mut self, v: f64) {
-        self.count += 1;
-        self.sum += v;
-        if v > self.max || self.count == 1 {
-            self.max = v;
-        }
-    }
-
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,24 +67,5 @@ mod tests {
         assert_eq!(format_params(2_600_000_000), "2.60B");
         assert_eq!(format_params(125_000_000), "125.0M");
         assert_eq!(format_params(123), "123");
-    }
-
-    #[test]
-    fn mfu_is_a_fraction() {
-        // 1M tok/s at 1 GF/token on a 10 PF machine = 10% MFU.
-        assert!((mfu(1e6, 1e9, 1e16) - 0.1).abs() < 1e-12);
-        assert_eq!(mfu(1e20, 1e9, 1e16), 1.0); // clamped
-        assert_eq!(mfu(0.0, 1e9, 1e16), 0.0);
-    }
-
-    #[test]
-    fn stat_accumulates() {
-        let mut s = Stat::default();
-        s.push(1.0);
-        s.push(3.0);
-        s.push(2.0);
-        assert_eq!(s.mean(), 2.0);
-        assert_eq!(s.max, 3.0);
-        assert_eq!(s.count, 3);
     }
 }

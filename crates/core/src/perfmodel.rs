@@ -119,7 +119,7 @@ impl PerfInput {
 
     /// Reject inputs the model cannot price (they would print NaN or a
     /// step of zero tokens).
-    pub fn validate(&self) -> Result<(), PerfInputError> {
+    pub(crate) fn validate(&self) -> Result<(), PerfInputError> {
         let imbalance = self.imbalance;
         match self.bucket_bytes {
             _ if self.machine.nodes == 0 => Err(PerfInputError::NoNodes),
@@ -150,7 +150,7 @@ pub struct StepBreakdown {
 
 impl StepBreakdown {
     /// Sum of the terms (the step time when nothing is hidden).
-    pub fn total(&self) -> f64 {
+    pub(crate) fn total(&self) -> f64 {
         self.dense_compute + self.gate_compute + self.expert_compute + self.a2a + self.allreduce
     }
 

@@ -44,7 +44,7 @@ use bagualu_tensor::DType;
 use std::fmt::Write as _;
 
 /// The config-schema version this build reads and writes.
-pub const RUN_CONFIG_VERSION: u32 = 1;
+pub(crate) const RUN_CONFIG_VERSION: u32 = 1;
 
 /// Resolve a model preset name (`tiny | 1.93t | 14.5t | 174t`).
 pub fn preset(name: &str) -> Result<ModelConfig, String> {
@@ -67,7 +67,7 @@ pub struct ModelSection {
     /// Global expert count (overrides the preset's).
     pub experts: usize,
     /// Gating policy.
-    pub gate: GateKind,
+    pub(crate) gate: GateKind,
 }
 
 /// `[train]` — workload shape and optimizer basics.
@@ -84,7 +84,7 @@ pub struct TrainSection {
     /// Learning rate.
     pub lr: f32,
     /// Working precision of parameters.
-    pub dtype: DType,
+    pub(crate) dtype: DType,
     /// Master RNG seed (data, init, fault schedules, served prompts).
     pub seed: u64,
     /// Zipf skew of the token stream (0 = uniform).
@@ -134,31 +134,31 @@ pub struct FtSection {
     /// Checkpoint every this many steps.
     pub ckpt_every: usize,
     /// Give up after this many restarts.
-    pub max_restarts: usize,
+    pub(crate) max_restarts: usize,
     /// Continue on R−1 ranks after a crash instead of full restore.
     pub elastic: bool,
     /// Straggler flag threshold (× median send occupancy); 0 = off.
     pub straggler_factor: f64,
     /// Samples averaged before the straggler detector may flag.
-    pub straggler_window: usize,
+    pub(crate) straggler_window: usize,
 }
 
 /// `[serve]` — the inference engine's admission and memory limits.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ServeSection {
+pub(crate) struct ServeSection {
     /// Maximum in-flight sequences per rank.
-    pub max_batch: usize,
+    pub(crate) max_batch: usize,
     /// KV pool size in blocks.
-    pub kv_blocks: usize,
+    pub(crate) kv_blocks: usize,
     /// Positions per KV block.
-    pub block_tokens: usize,
+    pub(crate) block_tokens: usize,
 }
 
 /// The full, versioned description of a run. See the module docs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunConfig {
     /// Schema version ([`RUN_CONFIG_VERSION`]).
-    pub version: u32,
+    pub(crate) version: u32,
     /// `[model]`.
     pub model: ModelSection,
     /// `[train]`.
@@ -172,7 +172,7 @@ pub struct RunConfig {
     /// `[ft]`.
     pub ft: FtSection,
     /// `[serve]`.
-    pub serve: ServeSection,
+    pub(crate) serve: ServeSection,
 }
 
 impl Default for RunConfig {
@@ -294,12 +294,12 @@ pub struct Key {
     /// The command-line flag.
     pub flag: Flag,
     /// Whether `bagualu train` (and `tune`) take the flag.
-    pub train: bool,
+    pub(crate) train: bool,
     /// Whether `bagualu serve` takes the flag.
-    pub serve: bool,
+    pub(crate) serve: bool,
     /// The value in a config, as its TOML literal (unquoted), through the
     /// field type's `Display` (`Debug` for floats, which keeps the `.0`).
-    pub get: fn(&RunConfig) -> String,
+    pub(crate) get: fn(&RunConfig) -> String,
     /// Parse a literal through the field type's `FromStr` into a config.
     /// Floats must be finite; integers must fit the field.
     pub set: fn(&mut RunConfig, &str) -> Result<(), String>,
@@ -307,7 +307,7 @@ pub struct Key {
 
 impl Key {
     /// `section.name`, or `name` at the top level.
-    pub fn path(&self) -> String {
+    pub(crate) fn path(&self) -> String {
         if self.section.is_empty() {
             self.name.to_string()
         } else {
@@ -445,7 +445,7 @@ pub const KEYS: &[Key] = &[
 impl RunConfig {
     /// The all-to-all topology this config names (supernode size 0 infers
     /// `ranks/2`, the CLI's historical `--hierarchical` behavior).
-    pub fn a2a(&self) -> A2aKind {
+    pub(crate) fn a2a(&self) -> A2aKind {
         if self.comm.hierarchical {
             A2aKind::Hierarchical {
                 supernode_size: if self.comm.supernode_size == 0 {
@@ -460,7 +460,7 @@ impl RunConfig {
     }
 
     /// Reject contradictory or meaningless settings with the fix spelled
-    /// out. The rules on the run itself live in [`TrainConfig::validate`],
+    /// out. The rules on the run itself live in `TrainConfig::validate`,
     /// which this calls on the config it builds; the rules here are about
     /// the file: its version and preset, keys that only mean something
     /// next to another (`supernode_size`, the `[ft]` knobs), and `[serve]`.

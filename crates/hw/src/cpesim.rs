@@ -1,6 +1,6 @@
 //! Kernel-level simulation of a core group executing a tiled GEMM.
 //!
-//! The roofline model in [`crate::roofline`] assumes a sustained fraction
+//! The roofline model in `crate::roofline` assumes a sustained fraction
 //! of peak (`gemm_efficiency ≈ 0.6`). This module *derives* that number
 //! instead of asserting it, by simulating how an SW26010-Pro core group
 //! actually runs a GEMM — the way the hand-written SWDNN kernels do:
@@ -31,8 +31,6 @@ pub struct Tiling {
 /// Result of simulating one GEMM on one core group.
 #[derive(Debug, Clone, Copy)]
 pub struct GemmSim {
-    /// Wall time, seconds.
-    pub time: f64,
     /// Fraction of the core group's peak achieved.
     pub efficiency: f64,
     /// Whether DMA (true) or compute (false) dominated the steady state.
@@ -61,7 +59,7 @@ fn elem_bytes(half: bool) -> usize {
 
 /// LDM footprint of a tiling (A-panel + B-panel double-buffered, C-tile
 /// resident once).
-pub fn ldm_footprint(t: Tiling, half: bool) -> usize {
+pub(crate) fn ldm_footprint(t: Tiling, half: bool) -> usize {
     let e = elem_bytes(half);
     2 * (t.mc * t.kc + t.kc * t.nc) * e + t.mc * t.nc * 4 // C accumulates in FP32
 }
@@ -120,7 +118,6 @@ pub fn simulate_gemm(
 
     let useful = 2.0 * m as f64 * k as f64 * n as f64;
     Some(GemmSim {
-        time,
         efficiency: useful / peak / time,
         dma_bound: t_dma > t_compute,
         ldm_bytes: ldm,
@@ -225,11 +222,17 @@ mod tests {
         };
         let f32_sim = simulate_gemm(&cg(), 2048, 2048, 2048, t, false, true).unwrap();
         let half_sim = simulate_gemm(&cg(), 2048, 2048, 2048, t, true, true).unwrap();
-        assert!(half_sim.time <= f32_sim.time);
+        // Wall time from the efficiency against each precision's peak.
+        let time = |s: GemmSim, peak: f64| 2.0 * 2048f64.powi(3) / peak / s.efficiency;
+        let (f32_time, half_time) = (
+            time(f32_sim, cg().peak_fp32),
+            time(half_sim, cg().peak_half),
+        );
+        assert!(half_time <= f32_time);
         if !f32_sim.dma_bound {
             // Whenever fp32 was compute-bound, half either stays faster or
             // flips to DMA-bound.
-            assert!(half_sim.dma_bound || half_sim.time < f32_sim.time);
+            assert!(half_sim.dma_bound || half_time < f32_time);
         }
     }
 

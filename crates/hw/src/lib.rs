@@ -16,15 +16,14 @@
 //! reproduction of testbed numbers.
 
 pub mod cpesim;
-pub mod machine;
-pub mod memory;
-pub mod power;
-pub mod processor;
-pub mod roofline;
+pub(crate) mod machine;
+pub(crate) mod memory;
+pub(crate) mod power;
+pub(crate) mod processor;
+pub(crate) mod roofline;
 
-pub use cpesim::{best_tiling, simulate_gemm, GemmSim, Tiling};
 pub use machine::{MachineConfig, NetworkParams};
 pub use memory::MemoryBudget;
 pub use power::PowerModel;
-pub use processor::{CoreGroup, Precision, ProcessorSpec};
-pub use roofline::{KernelCost, Roofline};
+pub use processor::{Precision, ProcessorSpec};
+pub use roofline::Roofline;

@@ -15,9 +15,9 @@ pub struct NetworkParams {
     /// Per-node share of inter-supernode bandwidth, bytes/s (taper applied).
     pub inter_bw: f64,
     /// One-way latency between nodes in the same supernode, seconds.
-    pub intra_lat: f64,
+    pub(crate) intra_lat: f64,
     /// One-way latency between nodes in different supernodes, seconds.
-    pub inter_lat: f64,
+    pub(crate) inter_lat: f64,
     /// Fixed per-message software overhead (MPI stack), seconds.
     pub sw_overhead: f64,
 }
@@ -118,16 +118,6 @@ impl MachineConfig {
     pub fn sustained(&self, p: Precision) -> f64 {
         self.peak(p) * self.gemm_efficiency
     }
-
-    /// Total DRAM capacity, bytes.
-    pub fn total_memory(&self) -> usize {
-        self.nodes * self.processor.mem_capacity
-    }
-
-    /// Ranks when running one process per core group (BaGuaLu's layout).
-    pub fn ranks(&self) -> usize {
-        self.nodes * self.processor.core_groups
-    }
 }
 
 #[cfg(test)]
@@ -178,6 +168,6 @@ mod tests {
         let a = MachineConfig::sunway_subset(1000);
         let b = MachineConfig::sunway_subset(2000);
         assert!((b.peak(Precision::FP32) / a.peak(Precision::FP32) - 2.0).abs() < 1e-9);
-        assert_eq!(a.ranks(), 6000);
+        assert_eq!(a.nodes * a.processor.core_groups, 6000);
     }
 }

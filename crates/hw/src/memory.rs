@@ -16,7 +16,7 @@ pub struct MemoryBudget {
     /// FP32 master weights + Adam first/second moments.
     pub optimizer: f64,
     /// Activations for one micro-batch (checkpointed).
-    pub activations: f64,
+    pub(crate) activations: f64,
 }
 
 impl MemoryBudget {

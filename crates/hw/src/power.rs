@@ -11,11 +11,11 @@
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerModel {
     /// Static node power (DRAM refresh, MPEs, leakage).
-    pub node_idle_w: f64,
+    pub(crate) node_idle_w: f64,
     /// Additional dynamic power at 100% CPE compute utilization.
-    pub node_compute_w: f64,
+    pub(crate) node_compute_w: f64,
     /// Per-node share of the interconnect + cooling overhead.
-    pub infra_w: f64,
+    pub(crate) infra_w: f64,
 }
 
 impl PowerModel {
@@ -31,7 +31,7 @@ impl PowerModel {
     }
 
     /// Node power at a given compute utilization ∈ [0, 1].
-    pub fn node_power(&self, compute_util: f64) -> f64 {
+    pub(crate) fn node_power(&self, compute_util: f64) -> f64 {
         assert!(
             (0.0..=1.0).contains(&compute_util),
             "utilization out of range"
@@ -45,7 +45,7 @@ impl PowerModel {
     }
 
     /// Energy for one training step, joules.
-    pub fn step_energy(&self, nodes: usize, step_time: f64, compute_util: f64) -> f64 {
+    pub(crate) fn step_energy(&self, nodes: usize, step_time: f64, compute_util: f64) -> f64 {
         self.machine_power(nodes, compute_util) * step_time
     }
 

@@ -30,22 +30,22 @@ impl Precision {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoreGroup {
     /// Compute processing elements per core group (8×8 mesh).
-    pub cpes: usize,
+    pub(crate) cpes: usize,
     /// Software-managed local data memory per CPE, in bytes.
     pub ldm_bytes: usize,
     /// Peak FP64 rate of the whole core group, in FLOP/s.
-    pub peak_fp64: f64,
+    pub(crate) peak_fp64: f64,
     /// Peak FP32 rate, FLOP/s.
-    pub peak_fp32: f64,
+    pub(crate) peak_fp32: f64,
     /// Peak FP16/BF16 rate, FLOP/s.
-    pub peak_half: f64,
+    pub(crate) peak_half: f64,
     /// Main-memory bandwidth available to this core group, bytes/s.
-    pub mem_bw: f64,
+    pub(crate) mem_bw: f64,
 }
 
 impl CoreGroup {
     /// Peak rate for a given precision.
-    pub fn peak(&self, p: Precision) -> f64 {
+    pub(crate) fn peak(&self, p: Precision) -> f64 {
         match p {
             Precision::FP64 => self.peak_fp64,
             Precision::FP32 => self.peak_fp32,
@@ -60,7 +60,7 @@ pub struct ProcessorSpec {
     /// Core groups per processor (one processor per node).
     pub core_groups: usize,
     /// MPEs per core group (always 1 on SW26010-Pro).
-    pub mpes_per_cg: usize,
+    pub(crate) mpes_per_cg: usize,
     pub cg: CoreGroup,
     /// DRAM capacity per node, bytes.
     pub mem_capacity: usize,
@@ -96,11 +96,6 @@ impl ProcessorSpec {
     pub fn peak(&self, p: Precision) -> f64 {
         self.cg.peak(p) * self.core_groups as f64
     }
-
-    /// Aggregate DRAM bandwidth of the node, bytes/s.
-    pub fn mem_bw(&self) -> f64 {
-        self.cg.mem_bw * self.core_groups as f64
-    }
 }
 
 #[cfg(test)]
@@ -118,7 +113,8 @@ mod tests {
         let p = ProcessorSpec::sw26010_pro();
         assert!((p.peak(Precision::FP32) - 6.0 * 2.3e12).abs() < 1.0);
         assert!(p.peak(Precision::Half) > p.peak(Precision::FP32) * 3.9);
-        assert!((p.mem_bw() - 6.0 * 51.2e9).abs() < 1.0);
+        assert_eq!(p.core_groups, 6);
+        assert!((p.cg.mem_bw - 51.2e9).abs() < 1.0);
     }
 
     #[test]

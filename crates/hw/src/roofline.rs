@@ -7,7 +7,6 @@
 //! launch overhead. The same accounting the original system's performance
 //! section relies on.
 
-use crate::machine::MachineConfig;
 use crate::processor::Precision;
 
 /// Cost summary of one kernel invocation on one core group.
@@ -16,20 +15,9 @@ pub struct KernelCost {
     /// Floating-point operations executed.
     pub flops: f64,
     /// Bytes moved between DRAM and the core group.
-    pub bytes: f64,
+    pub(crate) bytes: f64,
     /// Estimated wall time, seconds.
     pub time: f64,
-}
-
-impl KernelCost {
-    /// Aggregate two kernel costs executed back to back.
-    pub fn then(self, other: KernelCost) -> KernelCost {
-        KernelCost {
-            flops: self.flops + other.flops,
-            bytes: self.bytes + other.bytes,
-            time: self.time + other.time,
-        }
-    }
 }
 
 /// Roofline evaluator for one core group of a machine.
@@ -42,22 +30,10 @@ pub struct Roofline {
     /// DRAM bytes/s available to the core group.
     mem_bw: f64,
     /// Fixed kernel launch/synchronization overhead, seconds.
-    pub launch_overhead: f64,
+    pub(crate) launch_overhead: f64,
 }
 
 impl Roofline {
-    /// Build from a machine config (per core group — the unit a rank owns).
-    pub fn per_core_group(m: &MachineConfig) -> Roofline {
-        let cg = m.processor.cg;
-        Roofline {
-            sustained_fp32: cg.peak_fp32 * m.gemm_efficiency,
-            sustained_half: cg.peak_half * m.gemm_efficiency,
-            sustained_fp64: cg.peak_fp64 * m.gemm_efficiency,
-            mem_bw: cg.mem_bw,
-            launch_overhead: 5.0e-6,
-        }
-    }
-
     /// Build from explicit sustained rates, for hosts that are not any
     /// `MachineConfig` — e.g. the E26 kernel bench reporting
     /// percent-of-roofline against an approximate model of the CI runner.
@@ -80,7 +56,7 @@ impl Roofline {
     }
 
     /// Sustained rate for a precision, FLOP/s.
-    pub fn sustained(&self, p: Precision) -> f64 {
+    pub(crate) fn sustained(&self, p: Precision) -> f64 {
         match p {
             Precision::FP64 => self.sustained_fp64,
             Precision::FP32 => self.sustained_fp32,
@@ -98,44 +74,44 @@ impl Roofline {
             time: self.launch_overhead + t_compute.max(t_memory),
         }
     }
-
-    /// Cost of a GEMM `[m,k]·[k,n]` at precision `p`: `2mkn` FLOPs and the
-    /// streaming traffic of both operands plus the output.
-    pub fn gemm(&self, m: usize, k: usize, n: usize, p: Precision) -> KernelCost {
-        let flops = 2.0 * m as f64 * k as f64 * n as f64;
-        let elt = match p {
-            Precision::Half => 2.0,
-            Precision::FP32 => 4.0,
-            Precision::FP64 => 8.0,
-        };
-        let bytes = elt * (m * k + k * n + m * n) as f64;
-        self.kernel(flops, bytes, p)
-    }
-
-    /// Cost of an element-wise pass over `n` elements (memory bound by
-    /// construction: read + write).
-    pub fn elementwise(&self, n: usize, p: Precision) -> KernelCost {
-        let elt = match p {
-            Precision::Half => 2.0,
-            Precision::FP32 => 4.0,
-            Precision::FP64 => 8.0,
-        };
-        self.kernel(n as f64, 2.0 * elt * n as f64, p)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::machine::MachineConfig;
 
+    /// One core group of the new-generation Sunway machine.
     fn rl() -> Roofline {
-        Roofline::per_core_group(&MachineConfig::new_generation_sunway())
+        let m = MachineConfig::new_generation_sunway();
+        let cg = m.processor.cg;
+        Roofline {
+            sustained_fp32: cg.peak_fp32 * m.gemm_efficiency,
+            sustained_half: cg.peak_half * m.gemm_efficiency,
+            sustained_fp64: cg.peak_fp64 * m.gemm_efficiency,
+            mem_bw: cg.mem_bw,
+            launch_overhead: 5.0e-6,
+        }
+    }
+
+    fn elt(p: Precision) -> f64 {
+        match p {
+            Precision::Half => 2.0,
+            Precision::FP32 => 4.0,
+            Precision::FP64 => 8.0,
+        }
+    }
+
+    /// An `m×k · k×n` GEMM reading both operands and writing the product.
+    fn gemm(r: &Roofline, m: usize, k: usize, n: usize, p: Precision) -> KernelCost {
+        let bytes = elt(p) * (m * k + k * n + m * n) as f64;
+        r.kernel(2.0 * m as f64 * k as f64 * n as f64, bytes, p)
     }
 
     #[test]
     fn big_gemm_is_compute_bound() {
         let r = rl();
-        let c = r.gemm(4096, 4096, 4096, Precision::FP32);
+        let c = gemm(&r, 4096, 4096, 4096, Precision::FP32);
         let t_compute = c.flops / r.sustained(Precision::FP32);
         // Within 10% of pure compute time (launch overhead is negligible).
         assert!(
@@ -149,7 +125,13 @@ mod tests {
     #[test]
     fn elementwise_is_memory_bound() {
         let r = rl();
-        let c = r.elementwise(1 << 24, Precision::FP32);
+        // One read and one write of each element.
+        let n = 1 << 24;
+        let c = r.kernel(
+            n as f64,
+            2.0 * elt(Precision::FP32) * n as f64,
+            Precision::FP32,
+        );
         let t_mem = c.bytes / 51.2e9;
         assert!((c.time - r.launch_overhead - t_mem).abs() / t_mem < 1e-6);
     }
@@ -157,8 +139,8 @@ mod tests {
     #[test]
     fn half_precision_gemm_is_faster() {
         let r = rl();
-        let full = r.gemm(2048, 2048, 2048, Precision::FP32);
-        let half = r.gemm(2048, 2048, 2048, Precision::Half);
+        let full = gemm(&r, 2048, 2048, 2048, Precision::FP32);
+        let half = gemm(&r, 2048, 2048, 2048, Precision::Half);
         assert!(
             full.time / half.time > 3.0,
             "{} vs {}",
@@ -170,7 +152,7 @@ mod tests {
     #[test]
     fn tiny_kernel_pays_launch_overhead() {
         let r = rl();
-        let c = r.gemm(4, 4, 4, Precision::FP32);
+        let c = gemm(&r, 4, 4, 4, Precision::FP32);
         assert!(c.time >= r.launch_overhead);
         assert!(c.time < 2.0 * r.launch_overhead);
     }
@@ -187,15 +169,5 @@ mod tests {
         // Memory-bound kernel: 100e9 bytes at 10 GB/s = 10 s.
         let c = r.kernel(1.0, 100.0e9, Precision::FP32);
         assert!((c.time - 10.0).abs() < 1e-9, "time {}", c.time);
-    }
-
-    #[test]
-    fn then_accumulates() {
-        let r = rl();
-        let a = r.gemm(128, 128, 128, Precision::FP32);
-        let b = r.elementwise(1024, Precision::FP32);
-        let c = a.then(b);
-        assert!((c.time - (a.time + b.time)).abs() < 1e-12);
-        assert!((c.flops - (a.flops + b.flops)).abs() < 1.0);
     }
 }

@@ -49,11 +49,11 @@ impl KvCache {
     }
 
     /// Cached positions.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.keys.len().checked_div(self.d).unwrap_or(0)
     }
 
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.keys.is_empty()
     }
 }
@@ -111,17 +111,17 @@ fn rope_rows(rows: &mut [f32], hd: usize, start: usize, sign: f32) {
 ///
 /// A fused QKV projection feeds per-`(batch, head)` score/softmax/context
 /// kernels; a final output projection mixes heads. The causal mask sets
-/// future positions to `−∞` before the softmax. With [`rope`](Self::rope)
+/// future positions to `−∞` before the softmax. With `rope`
 /// enabled, queries and keys carry rotary position embeddings (scores then
 /// depend only on *relative* distance, and no learned position table is
 /// needed).
 #[derive(Debug, Clone)]
 pub struct MultiHeadAttention {
-    pub wqkv: Linear,
-    pub wo: Linear,
-    pub n_heads: usize,
+    pub(crate) wqkv: Linear,
+    pub(crate) wo: Linear,
+    pub(crate) n_heads: usize,
     /// Apply rotary position embeddings to queries and keys.
-    pub rope: bool,
+    pub(crate) rope: bool,
     cache: Option<Cache>,
 }
 
@@ -160,7 +160,7 @@ impl MultiHeadAttention {
         self
     }
 
-    pub fn d_model(&self) -> usize {
+    pub(crate) fn d_model(&self) -> usize {
         self.wqkv.d_in()
     }
 
@@ -342,7 +342,7 @@ impl HasParams for MultiHeadAttention {
 
 /// Hands the closure it is given the KV store of row `i` of a decode batch:
 /// `with_store(i, f)` runs `f` against that row's store.
-pub type RowStores<'a> = dyn FnMut(usize, &mut dyn FnMut(&mut dyn KvStore)) + 'a;
+pub(crate) type RowStores<'a> = dyn FnMut(usize, &mut dyn FnMut(&mut dyn KvStore)) + 'a;
 
 /// A [`MultiHeadAttention`] given up to inference
 /// ([`MultiHeadAttention::freeze`]): both projections as

@@ -227,16 +227,6 @@ impl ModelConfig {
         fl.dense += 2.0 * d * self.vocab as f64; // LM head
         fl
     }
-
-    /// Forward FLOPs per token: the sum of [`flops_per_token_split`](Self::flops_per_token_split).
-    pub fn flops_per_token_forward(&self) -> f64 {
-        self.flops_per_token_split().total()
-    }
-
-    /// Training FLOPs per token (forward + 2× backward).
-    pub fn flops_per_token_train(&self) -> f64 {
-        3.0 * self.flops_per_token_forward()
-    }
 }
 
 #[cfg(test)]
@@ -291,7 +281,7 @@ mod tests {
     fn moe_flops_do_not_scale_with_expert_count() {
         let small = ModelConfig::bagualu_1_93t();
         let big = ModelConfig::bagualu_174t();
-        let ratio = big.flops_per_token_forward() / small.flops_per_token_forward();
+        let ratio = big.flops_per_token_split().total() / small.flops_per_token_split().total();
         // 90× the parameters, but only the gate projection grows.
         assert!(ratio < 3.0, "FLOPs ratio {ratio}");
         let params_ratio = big.count_params() as f64 / small.count_params() as f64;
@@ -305,11 +295,5 @@ mod tests {
         let moe = ModelConfig::tiny().count_params();
         let dense = ModelConfig::tiny_dense().count_params();
         assert!(moe > dense);
-    }
-
-    #[test]
-    fn train_flops_are_3x_forward() {
-        let c = ModelConfig::tiny();
-        assert!((c.flops_per_token_train() / c.flops_per_token_forward() - 3.0).abs() < 1e-9);
     }
 }

@@ -23,11 +23,7 @@ impl Embedding {
         }
     }
 
-    pub fn vocab(&self) -> usize {
-        self.table.value.rows()
-    }
-
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.table.value.cols()
     }
 

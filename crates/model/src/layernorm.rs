@@ -13,9 +13,9 @@ use bagualu_tensor::Tensor;
 /// Row-wise layer norm: `y = γ ⊙ (x − μ)/√(σ² + ε) + β`.
 #[derive(Debug, Clone)]
 pub struct LayerNorm {
-    pub gamma: Param,
-    pub beta: Param,
-    pub eps: f32,
+    pub(crate) gamma: Param,
+    pub(crate) beta: Param,
+    pub(crate) eps: f32,
     /// Cached `(x̂, 1/σ)` per row from the forward pass.
     cache: Option<(Tensor, Vec<f32>)>,
 }
@@ -30,17 +30,17 @@ impl LayerNorm {
         }
     }
 
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.gamma.value.len()
     }
 
     /// The forward over `[n, d]` without its cache, on the calling thread's
     /// row-op backend: `y` with the per-row `(x̂, 1/σ)` backward reads.
-    pub fn apply(&self, x: &Tensor) -> LayerNormOut {
+    pub(crate) fn apply(&self, x: &Tensor) -> LayerNormOut {
         normalize(x, &self.gamma.value, &self.beta.value, self.eps)
     }
 
-    /// [`apply`](Self::apply), caching what [`backward`](Self::backward)
+    /// `apply`, caching what [`backward`](Self::backward)
     /// reads.
     pub fn forward(&mut self, x: &Tensor) -> Tensor {
         let out = self.apply(x);
@@ -127,7 +127,7 @@ pub struct ServedNorm {
 }
 
 impl ServedNorm {
-    /// [`LayerNorm::apply`]'s `y`.
+    /// `LayerNorm::apply`'s `y`.
     pub fn apply(&self, x: &Tensor) -> Tensor {
         normalize(x, &self.gamma, &self.beta, self.eps).y
     }

@@ -14,14 +14,13 @@
 //! parameter gradients, and returns the input gradient. A step is
 //! `zero_grad → forward → loss → backward → optimizer`. The layers serving
 //! uses also have `freeze(self)`, which consumes the layer and returns its
-//! inference form ([`PackedLinear`], [`ServedFfn`], [`ServedAttention`],
-//! [`ServedNorm`], [`ServedRouter`]): weights packed once, no gradient, no
+//! inference form (`PackedLinear`, `ServedFfn`, `ServedAttention`,
+//! `ServedNorm`, `ServedRouter`): weights packed once, no gradient, no
 //! cache, and only the cache-free `apply`/`forward` decoding calls — so a
 //! served layer cannot be trained, visited or checkpointed.
 
 pub mod attention;
 pub mod config;
-pub mod dropout;
 pub mod embedding;
 pub mod ffn;
 pub mod layernorm;
@@ -30,15 +29,3 @@ pub mod loss;
 pub mod moe;
 pub mod param;
 pub mod transformer;
-
-pub use attention::{MultiHeadAttention, ServedAttention};
-pub use config::ModelConfig;
-pub use dropout::Dropout;
-pub use embedding::Embedding;
-pub use ffn::{FeedForward, ServedFfn};
-pub use layernorm::{LayerNorm, ServedNorm};
-pub use linear::{Linear, PackedLinear};
-pub use loss::{cross_entropy, cross_entropy_smoothed};
-pub use moe::{Gate, GateKind, MoELayer, ServedRouter};
-pub use param::Param;
-pub use transformer::{Block, Transformer};

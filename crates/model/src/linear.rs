@@ -11,8 +11,8 @@ use bagualu_tensor::Tensor;
 /// `y = x·W + b` with `W: [in, out]`, `b: [out]`.
 #[derive(Debug, Clone)]
 pub struct Linear {
-    pub w: Param,
-    pub b: Param,
+    pub(crate) w: Param,
+    pub(crate) b: Param,
     /// Input cached by `forward` for the weight-gradient GEMM.
     cache_x: Option<Tensor>,
 }
@@ -27,11 +27,11 @@ impl Linear {
         }
     }
 
-    pub fn d_in(&self) -> usize {
+    pub(crate) fn d_in(&self) -> usize {
         self.w.value.rows()
     }
 
-    pub fn d_out(&self) -> usize {
+    pub(crate) fn d_out(&self) -> usize {
         self.w.value.cols()
     }
 
@@ -50,49 +50,17 @@ impl Linear {
         }
     }
 
-    /// Drop the cached forward input (activation checkpointing).
-    pub fn clear_cache(&mut self) {
-        self.cache_x = None;
-    }
-
-    /// Install `x` as the cached forward input without running the GEMM:
-    /// for a caller that replays a segment only to rebuild what
-    /// [`Linear::backward`] reads and has no use for the product.
-    pub(crate) fn prime_cache(&mut self, x: Tensor) {
-        assert_eq!(x.cols(), self.d_in());
-        self.cache_x = Some(x);
-    }
-
-    /// Bytes currently held in the forward cache.
-    pub fn cached_bytes(&self) -> usize {
-        4 * self.cache_x.as_ref().map(|t| t.len()).unwrap_or(0)
-    }
-
     /// `act(x·W + b)` over a `[n, d_in]` batch and nothing else: the GEMM
     /// with its fused epilogue, no backward cache.
-    pub fn apply(&self, x: &Tensor, act: Activation) -> Tensor {
+    pub(crate) fn apply(&self, x: &Tensor, act: Activation) -> Tensor {
         assert_eq!(x.cols(), self.d_in());
         matmul_bias_act(x, &self.w.value, Some(self.b.value.as_slice()), act)
     }
 
-    /// Forward over a `[n, d_in]` batch.
+    /// Forward over a `[n, d_in]` batch, caching the input
+    /// [`Linear::backward`] reads.
     pub fn forward(&mut self, x: &Tensor) -> Tensor {
-        self.forward_act(x, Activation::Identity)
-    }
-
-    /// [`apply`](Self::apply) plus the input cache [`Linear::backward`]
-    /// reads: `act(x·W + b)` in one kernel pass, applying bias and
-    /// activation while the output tile is still cache-resident on tiled
-    /// backends.
-    ///
-    /// Only for callers that do not need the pre-activation in backward:
-    /// [`Linear::backward`] expects `dy` with respect to the *pre*-activation
-    /// output, so a caller fusing a non-identity `act` must backprop through
-    /// the activation itself — which requires the pre-activation, which this
-    /// path deliberately never materializes. The FFN uses it exactly where
-    /// that holds: the recompute forward, whose backward replays unfused.
-    pub fn forward_act(&mut self, x: &Tensor, act: Activation) -> Tensor {
-        let y = self.apply(x, act);
+        let y = self.apply(x, Activation::Identity);
         self.cache_x = Some(x.clone());
         y
     }
@@ -136,16 +104,12 @@ pub struct PackedLinear {
 }
 
 impl PackedLinear {
-    pub fn d_in(&self) -> usize {
+    pub(crate) fn d_in(&self) -> usize {
         self.w.rows()
     }
 
-    pub fn d_out(&self) -> usize {
-        self.w.cols()
-    }
-
     /// `act(x·W + b)` over a `[n, d_in]` batch, over the packed panels at
-    /// every row count: the bits of [`Linear::apply`] before the freeze.
+    /// every row count: the bits of `Linear::apply` before the freeze.
     pub fn apply(&self, x: &Tensor, act: Activation) -> Tensor {
         assert_eq!(x.cols(), self.d_in());
         matmul_packed(x, &self.w, Some(self.b.as_slice()), act)
@@ -245,7 +209,7 @@ mod tests {
         let bits = |y: Tensor| -> Vec<u32> { y.as_slice().iter().map(|v| v.to_bits()).collect() };
         let before = bits(lin.apply(&x, Activation::Gelu));
         let packed = lin.freeze();
-        assert_eq!((packed.d_in(), packed.d_out()), (70, 130));
+        assert_eq!(packed.d_in(), 70);
         assert_eq!(bits(packed.apply(&x, Activation::Gelu)), before);
     }
 

@@ -36,48 +36,6 @@ pub fn perplexity(loss: f32) -> f32 {
     loss.exp()
 }
 
-/// Label-smoothed cross-entropy: the target distribution puts `1 − ε` on
-/// the gold token and `ε/(V−1)` on every other token — the standard
-/// regularizer for large-vocabulary pretraining. Returns `(loss, dlogits)`.
-pub fn cross_entropy_smoothed(logits: &Tensor, targets: &[usize], epsilon: f32) -> (f32, Tensor) {
-    assert!((0.0..1.0).contains(&epsilon), "epsilon must be in [0, 1)");
-    if epsilon == 0.0 {
-        return cross_entropy(logits, targets);
-    }
-    let n = logits.rows();
-    let v = logits.cols();
-    assert!(v >= 2, "smoothing needs at least two classes");
-    assert_eq!(targets.len(), n);
-    let ls = log_softmax_rows(logits);
-    let on = 1.0 - epsilon;
-    let off = epsilon / (v as f32 - 1.0);
-
-    let mut loss = 0.0f32;
-    for (i, &t) in targets.iter().enumerate() {
-        assert!(t < v);
-        let row = ls.row(i);
-        let mut l = 0.0f32;
-        for (j, &lp) in row.iter().enumerate() {
-            let q = if j == t { on } else { off };
-            l -= q * lp;
-        }
-        loss += l;
-    }
-    loss /= n as f32;
-
-    // dlogits = (softmax − q) / n.
-    let mut dlogits = softmax_rows(logits);
-    let scale = 1.0 / n as f32;
-    for (i, &t) in targets.iter().enumerate() {
-        let row = dlogits.row_mut(i);
-        for (j, g) in row.iter_mut().enumerate() {
-            let q = if j == t { on } else { off };
-            *g = (*g - q) * scale;
-        }
-    }
-    (loss, dlogits)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,53 +88,6 @@ mod tests {
         for i in 0..2 {
             let s: f32 = d.row(i).iter().sum();
             assert!(s.abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn smoothing_zero_matches_plain_ce() {
-        let logits = Tensor::from_vec(vec![0.5, -1.0, 2.0, 0.0, 1.0, -0.5], &[2, 3]);
-        let (a, da) = cross_entropy(&logits, &[2, 0]);
-        let (b, db) = cross_entropy_smoothed(&logits, &[2, 0], 0.0);
-        assert_eq!(a, b);
-        assert!(da.approx_eq(&db, 0.0));
-    }
-
-    #[test]
-    fn smoothing_raises_loss_floor_and_softens_gradient() {
-        // A perfectly confident correct prediction has ~0 plain CE but a
-        // positive smoothed CE (the model is *too* confident for the
-        // smoothed target).
-        let mut logits = Tensor::zeros(&[1, 4]);
-        logits.set(0, 1, 25.0);
-        let (plain, _) = cross_entropy(&logits, &[1]);
-        let (smooth, d) = cross_entropy_smoothed(&logits, &[1], 0.1);
-        assert!(plain < 1e-3);
-        assert!(smooth > plain + 0.1);
-        // Gradient pushes the confident logit *down*.
-        assert!(d.at(0, 1) > 0.0);
-    }
-
-    #[test]
-    fn smoothed_gradient_matches_finite_differences() {
-        let mut logits = Tensor::from_vec(vec![0.3, -0.7, 1.1, 0.2], &[1, 4]);
-        let targets = [2usize];
-        let eps_s = 0.15f32;
-        let (_, d) = cross_entropy_smoothed(&logits, &targets, eps_s);
-        let h = 1e-3f32;
-        for j in 0..4 {
-            let orig = logits.at(0, j);
-            logits.set(0, j, orig + h);
-            let (lp, _) = cross_entropy_smoothed(&logits, &targets, eps_s);
-            logits.set(0, j, orig - h);
-            let (lm, _) = cross_entropy_smoothed(&logits, &targets, eps_s);
-            logits.set(0, j, orig);
-            let fd = (lp - lm) / (2.0 * h);
-            assert!(
-                (fd - d.at(0, j)).abs() < 1e-3,
-                "j={j}: fd={fd} an={}",
-                d.at(0, j)
-            );
         }
     }
 

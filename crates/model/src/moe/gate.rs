@@ -19,7 +19,7 @@ pub enum GateKind {
     /// expert *among those still under capacity* — trades routing fidelity
     /// for a balanced dispatch, eliminating drops whenever `cf ≥ 1`.
     Balanced,
-    /// Noisy top-1: Gaussian jitter (scale [`Gate::noise_std`]) is added to
+    /// Noisy top-1: Gaussian jitter (scale `Gate::noise_std`) is added to
     /// the logits before selection, spreading near-tie tokens across
     /// experts; the combine weight is the *clean* router probability.
     NoisyTop1,
@@ -119,14 +119,14 @@ impl Routing {
 #[derive(Debug, Clone)]
 pub struct Gate {
     /// Routing weights `[d_model, n_experts]`.
-    pub wg: Param,
-    pub kind: GateKind,
+    pub(crate) wg: Param,
+    pub(crate) kind: GateKind,
     /// Capacity factor `cf`: per-expert capacity is `ceil(cf·n·k/E)`.
-    pub capacity_factor: f32,
+    pub(crate) capacity_factor: f32,
     /// Weight of the auxiliary balance loss added to the training loss.
-    pub aux_weight: f32,
+    pub(crate) aux_weight: f32,
     /// Logit jitter scale for [`GateKind::NoisyTop1`].
-    pub noise_std: f32,
+    pub(crate) noise_std: f32,
     /// Private noise stream (deterministic per construction seed).
     noise_rng: Rng,
     /// Log-space selection bonus granted to experts flagged local in
@@ -175,7 +175,7 @@ impl Gate {
     }
 
     /// Give the router up to inference: `wg` packed once into the GEMM's
-    /// panels, its gradient dropped first (as in [`crate::Linear::freeze`]),
+    /// panels, its gradient dropped first (as in `crate::Linear::freeze`),
     /// and the locality bonus built once. The noise stream and the backward
     /// cache go with the gate.
     pub fn freeze(self) -> ServedRouter {
@@ -228,7 +228,7 @@ impl Gate {
     }
 
     /// Capacity for `n` tokens.
-    pub fn capacity(&self, n: usize) -> usize {
+    pub(crate) fn capacity(&self, n: usize) -> usize {
         let e = self.n_experts();
         ((self.capacity_factor as f64 * n as f64 * self.kind.k() as f64 / e as f64).ceil() as usize)
             .max(1)
@@ -464,7 +464,7 @@ pub struct ServedRouter {
 }
 
 impl ServedRouter {
-    pub fn n_experts(&self) -> usize {
+    pub(crate) fn n_experts(&self) -> usize {
         self.wg.cols()
     }
 

@@ -63,7 +63,7 @@ impl MoELayer {
     /// `n_experts`). Single-rank only — the distributed runtime requires a
     /// flat gate.
     #[allow(clippy::too_many_arguments)]
-    pub fn new_two_level(
+    pub(crate) fn new_two_level(
         name: &str,
         d_model: usize,
         d_ff: usize,
@@ -90,19 +90,12 @@ impl MoELayer {
         }
     }
 
-    /// The flat gate; panics when the layer uses the two-level router.
-    pub fn gate_mut(&mut self) -> &mut Gate {
-        self.router
-            .as_flat_mut()
-            .expect("layer uses the two-level router")
-    }
-
     pub fn n_experts(&self) -> usize {
         self.experts.len()
     }
 
     /// Auxiliary balance loss of the most recent forward pass.
-    pub fn last_aux_loss(&self) -> f32 {
+    pub(crate) fn last_aux_loss(&self) -> f32 {
         self.cache
             .as_ref()
             .map(|c| c.routing.aux_loss)
@@ -221,6 +214,13 @@ impl HasParams for MoELayer {
 mod tests {
     use super::*;
 
+    fn flat_gate(m: &mut MoELayer) -> &mut Gate {
+        match &mut m.router {
+            Router::Flat(g) => g,
+            Router::TwoLevel(_) => panic!("layer uses the two-level router"),
+        }
+    }
+
     fn layer(kind: GateKind, e: usize, cf: f32) -> MoELayer {
         let mut rng = Rng::seed_from(71);
         MoELayer::new("m", 8, 16, e, kind, cf, 0.0, &mut rng)
@@ -253,9 +253,9 @@ mod tests {
     fn dropped_tokens_produce_zero_output() {
         let mut m = layer(GateKind::Top1, 2, 1.0);
         // Skew the gate to expert 0 so late tokens get dropped.
-        m.gate_mut().wg.value = Tensor::zeros(&[8, 2]);
+        flat_gate(&mut m).wg.value = Tensor::zeros(&[8, 2]);
         for i in 0..8 {
-            m.gate_mut().wg.value.set(i, 0, 4.0);
+            flat_gate(&mut m).wg.value.set(i, 0, 4.0);
         }
         let x = Tensor::ones(&[8, 8]);
         let y = m.forward(&x);
@@ -348,17 +348,17 @@ mod tests {
         );
 
         // Gate weight.
-        let orig = m.gate_mut().wg.value.at(1, 1);
+        let orig = flat_gate(&mut m).wg.value.at(1, 1);
         m.zero_grad();
         let y = m.forward(&x);
         m.backward(&y);
-        m.gate_mut().wg.value.set(1, 1, orig + eps);
+        flat_gate(&mut m).wg.value.set(1, 1, orig + eps);
         let lp = loss(&mut m, &x);
-        m.gate_mut().wg.value.set(1, 1, orig - eps);
+        flat_gate(&mut m).wg.value.set(1, 1, orig - eps);
         let lm = loss(&mut m, &x);
-        m.gate_mut().wg.value.set(1, 1, orig);
+        flat_gate(&mut m).wg.value.set(1, 1, orig);
         let fd = (lp - lm) / (2.0 * eps);
-        let an = m.gate_mut().wg.grad.at(1, 1);
+        let an = flat_gate(&mut m).wg.grad.at(1, 1);
         assert!(
             (fd - an).abs() < 5e-2 * (1.0 + fd.abs()),
             "gate wg: fd={fd} an={an}"
@@ -381,7 +381,7 @@ mod tests {
         let mut m1 = layer(GateKind::Top1, 4, 8.0);
         let mut m2 = layer(GateKind::Top2, 4, 8.0);
         // Same weights.
-        m2.gate_mut().wg.value = m1.gate_mut().wg.value.clone();
+        flat_gate(&mut m2).wg.value = flat_gate(&mut m1).wg.value.clone();
         for (a, b) in m2.experts.iter_mut().zip(&m1.experts) {
             a.fc1.w.value = b.fc1.w.value.clone();
             a.fc1.b.value = b.fc1.b.value.clone();

@@ -20,9 +20,9 @@
 //!   distributed implementation in `bagualu-parallel` must match.
 
 pub mod gate;
-pub mod layer;
-pub mod router;
+pub(crate) mod layer;
+pub(crate) mod router;
 
 pub use gate::{Assignment, Gate, GateKind, Routing, ServedRouter};
 pub use layer::MoELayer;
-pub use router::{Router, TwoLevelGate};
+pub use router::TwoLevelGate;

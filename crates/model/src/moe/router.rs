@@ -19,13 +19,13 @@ use bagualu_tensor::Tensor;
 #[derive(Debug, Clone)]
 pub struct TwoLevelGate {
     /// Group projection `[d, G]`.
-    pub wg_group: Param,
+    pub(crate) wg_group: Param,
     /// Expert projection `[d, E]` — only the chosen group's `E/G` columns
     /// are evaluated per token.
-    pub wg_expert: Param,
-    pub groups: usize,
-    pub capacity_factor: f32,
-    pub aux_weight: f32,
+    pub(crate) wg_expert: Param,
+    pub(crate) groups: usize,
+    pub(crate) capacity_factor: f32,
+    pub(crate) aux_weight: f32,
     cache: Option<TwoLevelCache>,
 }
 
@@ -41,7 +41,7 @@ struct TwoLevelCache {
 }
 
 impl TwoLevelGate {
-    pub fn new(
+    pub(crate) fn new(
         name: &str,
         d_model: usize,
         n_experts: usize,
@@ -70,7 +70,7 @@ impl TwoLevelGate {
         }
     }
 
-    pub fn n_experts(&self) -> usize {
+    pub(crate) fn n_experts(&self) -> usize {
         self.wg_expert.value.cols()
     }
 
@@ -79,7 +79,7 @@ impl TwoLevelGate {
     }
 
     /// Per-expert capacity for `n` tokens (top-1 semantics: k = 1).
-    pub fn capacity(&self, n: usize) -> usize {
+    pub(crate) fn capacity(&self, n: usize) -> usize {
         let e = self.n_experts();
         ((self.capacity_factor as f64 * n as f64 / e as f64).ceil() as usize).max(1)
     }
@@ -90,7 +90,7 @@ impl TwoLevelGate {
     }
 
     /// Route a `[n, d]` batch.
-    pub fn forward(&mut self, x: &Tensor) -> Routing {
+    pub(crate) fn forward(&mut self, x: &Tensor) -> Routing {
         let n = x.rows();
         let d = x.cols();
         let e = self.n_experts();
@@ -191,7 +191,7 @@ impl TwoLevelGate {
 
     /// Backward: `dweights[i] = ∂L/∂assignments[i].weight`. Returns the
     /// gate's `dx` contribution and accumulates both projections' grads.
-    pub fn backward(&mut self, routing: &Routing, dweights: &[f32]) -> Tensor {
+    pub(crate) fn backward(&mut self, routing: &Routing, dweights: &[f32]) -> Tensor {
         let cache = self
             .cache
             .take()
@@ -283,21 +283,14 @@ pub enum Router {
 }
 
 impl Router {
-    pub fn n_experts(&self) -> usize {
-        match self {
-            Router::Flat(g) => g.n_experts(),
-            Router::TwoLevel(g) => g.n_experts(),
-        }
-    }
-
-    pub fn forward(&mut self, x: &Tensor) -> Routing {
+    pub(crate) fn forward(&mut self, x: &Tensor) -> Routing {
         match self {
             Router::Flat(g) => g.forward(x),
             Router::TwoLevel(g) => g.forward(x),
         }
     }
 
-    pub fn backward(&mut self, routing: &Routing, dweights: &[f32]) -> Tensor {
+    pub(crate) fn backward(&mut self, routing: &Routing, dweights: &[f32]) -> Tensor {
         match self {
             Router::Flat(g) => g.backward(routing, dweights),
             Router::TwoLevel(g) => g.backward(routing, dweights),
@@ -307,13 +300,6 @@ impl Router {
     /// The flat gate, if this router is flat (the distributed runtime
     /// currently requires it).
     pub fn as_flat(&self) -> Option<&Gate> {
-        match self {
-            Router::Flat(g) => Some(g),
-            Router::TwoLevel(_) => None,
-        }
-    }
-
-    pub fn as_flat_mut(&mut self) -> Option<&mut Gate> {
         match self {
             Router::Flat(g) => Some(g),
             Router::TwoLevel(_) => None,
@@ -498,8 +484,6 @@ mod tests {
             &mut rng,
         ));
         let mut two = Router::TwoLevel(gate(4, 2));
-        assert_eq!(flat.n_experts(), 4);
-        assert_eq!(two.n_experts(), 4);
         assert!(flat.as_flat().is_some());
         assert!(two.as_flat().is_none());
         let r1 = flat.forward(&x);

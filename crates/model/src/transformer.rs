@@ -30,7 +30,7 @@ pub struct Block {
 }
 
 impl Block {
-    pub fn new(name: &str, cfg: &ModelConfig, moe: bool, rng: &mut Rng) -> Block {
+    pub(crate) fn new(name: &str, cfg: &ModelConfig, moe: bool, rng: &mut Rng) -> Block {
         let ffn = if moe {
             BlockFfn::MoE(if cfg.router_groups > 0 {
                 MoELayer::new_two_level(
@@ -76,7 +76,7 @@ impl Block {
         }
     }
 
-    pub fn forward(&mut self, x: &Tensor, batch: usize, seq: usize) -> Tensor {
+    pub(crate) fn forward(&mut self, x: &Tensor, batch: usize, seq: usize) -> Tensor {
         let a = self.ln1.forward(x);
         let a = self.attn.forward(&a, batch, seq);
         let mut h = x.clone();
@@ -92,7 +92,7 @@ impl Block {
         y
     }
 
-    pub fn backward(&mut self, dy: &Tensor) -> Tensor {
+    pub(crate) fn backward(&mut self, dy: &Tensor) -> Tensor {
         // FFN path.
         let df = match &mut self.ffn {
             BlockFfn::Dense(ffn) => ffn.backward(dy),
@@ -109,7 +109,7 @@ impl Block {
     }
 
     /// Incremental (KV-cached) forward of one position. Inference-only.
-    pub fn forward_incremental(
+    pub(crate) fn forward_incremental(
         &mut self,
         x: &Tensor,
         kv: &mut crate::attention::KvCache,
@@ -129,7 +129,7 @@ impl Block {
     }
 
     /// Auxiliary balance loss of the last forward (0 for dense blocks).
-    pub fn aux_loss(&self) -> f32 {
+    pub(crate) fn aux_loss(&self) -> f32 {
         match &self.ffn {
             BlockFfn::Dense(_) => 0.0,
             BlockFfn::MoE(moe) => moe.last_aux_loss(),
@@ -158,13 +158,6 @@ pub struct StepStats {
     pub aux_loss: f32,
     /// Tokens processed.
     pub tokens: usize,
-}
-
-impl StepStats {
-    /// Total loss the optimizer descends.
-    pub fn total(&self) -> f32 {
-        self.ce_loss + self.aux_loss
-    }
 }
 
 /// A GPT-style decoder language model whose alternate blocks may carry MoE
@@ -250,7 +243,7 @@ impl Transformer {
     }
 
     /// Backward from `dlogits` all the way to the embeddings.
-    pub fn backward(&mut self, dlogits: &Tensor) {
+    pub(crate) fn backward(&mut self, dlogits: &Tensor) {
         let dx = self.head_backward(dlogits);
         let mut dx = self.ln_f.backward(&dx);
         for b in self.blocks.iter_mut().rev() {
@@ -265,7 +258,7 @@ impl Transformer {
     }
 
     /// Sum of the auxiliary balance losses of the last forward pass.
-    pub fn aux_loss(&self) -> f32 {
+    pub(crate) fn aux_loss(&self) -> f32 {
         self.blocks.iter().map(|b| b.aux_loss()).sum()
     }
 
@@ -324,44 +317,6 @@ impl Transformer {
         seq
     }
 
-    /// Stochastic generation with temperature and top-k filtering (KV
-    /// cached). `temperature → 0` and `top_k = 1` both recover greedy
-    /// decoding; higher temperatures flatten the distribution.
-    pub fn generate_sampled(
-        &mut self,
-        prompt: &[usize],
-        n: usize,
-        temperature: f32,
-        top_k: usize,
-        rng: &mut Rng,
-    ) -> Vec<usize> {
-        assert!(!prompt.is_empty());
-        assert!(temperature >= 0.0);
-        assert!(top_k >= 1);
-        assert!(prompt.len() + n <= self.cfg.max_seq, "exceeds max_seq");
-        let mut caches: Vec<crate::attention::KvCache> = (0..self.blocks.len())
-            .map(|_| crate::attention::KvCache::new(self.cfg.d_model))
-            .collect();
-        let total = prompt.len() + n;
-        let mut seq = prompt.to_vec();
-        for pos in 0..total - 1 {
-            let token = seq[pos];
-            let mut x = self.tok.forward(&[token]);
-            if !self.cfg.rope {
-                x.add_assign(&self.pos.forward(&[pos]));
-            }
-            for (b, kv) in self.blocks.iter_mut().zip(caches.iter_mut()) {
-                x = b.forward_incremental(&x, kv);
-            }
-            let x = self.ln_f.forward(&x);
-            let logits = self.head_apply(&x);
-            if pos + 1 >= prompt.len() {
-                seq.push(sample_logits(logits.row(0), temperature, top_k, rng));
-            }
-        }
-        seq
-    }
-
     /// One full forward + loss + backward (no optimizer step). Gradients
     /// accumulate into the parameters; caller zeroes them between steps.
     pub fn train_batch(
@@ -381,35 +336,6 @@ impl Transformer {
             tokens: tokens.len(),
         }
     }
-}
-
-/// Sample a token id from `logits` at `temperature`, restricted to the
-/// `top_k` highest-probability candidates. Zero temperature is greedy.
-fn sample_logits(logits: &[f32], temperature: f32, top_k: usize, rng: &mut Rng) -> usize {
-    // Greedy shortcut (also covers temperature == 0).
-    let argmax = || {
-        let mut best = 0usize;
-        for i in 1..logits.len() {
-            if logits[i] > logits[best] {
-                best = i;
-            }
-        }
-        best
-    };
-    if temperature <= 1e-6 || top_k == 1 {
-        return argmax();
-    }
-    // Top-k candidate set.
-    let mut idx: Vec<usize> = (0..logits.len()).collect();
-    idx.sort_unstable_by(|&a, &b| logits[b].partial_cmp(&logits[a]).unwrap());
-    idx.truncate(top_k.min(logits.len()));
-    // Softmax over the candidates at the given temperature.
-    let max = logits[idx[0]];
-    let weights: Vec<f64> = idx
-        .iter()
-        .map(|&i| (((logits[i] - max) / temperature) as f64).exp())
-        .collect();
-    idx[rng.weighted(&weights)]
 }
 
 impl HasParams for Transformer {
@@ -523,35 +449,6 @@ mod tests {
     }
 
     #[test]
-    fn sampled_generation_behaves() {
-        let mut rng = Rng::seed_from(95);
-        let cfg = ModelConfig::tiny();
-        let mut m = Transformer::new(cfg, &mut rng);
-        // top_k = 1 recovers greedy exactly.
-        let greedy = m.generate_cached(&[2, 3], 6);
-        let mut srng = Rng::seed_from(1);
-        let det = m.generate_sampled(&[2, 3], 6, 1.0, 1, &mut srng);
-        assert_eq!(greedy, det);
-        // Zero temperature too.
-        let mut srng = Rng::seed_from(2);
-        assert_eq!(m.generate_sampled(&[2, 3], 6, 0.0, 5, &mut srng), greedy);
-        // High temperature with a wide candidate set diversifies across
-        // seeds; all outputs stay in vocab.
-        let mut a_rng = Rng::seed_from(3);
-        let mut b_rng = Rng::seed_from(4);
-        let a = m.generate_sampled(&[2, 3], 8, 2.0, cfg.vocab, &mut a_rng);
-        let b = m.generate_sampled(&[2, 3], 8, 2.0, cfg.vocab, &mut b_rng);
-        assert_ne!(a, b, "high-temperature samples should differ across seeds");
-        assert!(a.iter().chain(&b).all(|&t| t < cfg.vocab));
-        // Same seed → same sample.
-        let mut c_rng = Rng::seed_from(3);
-        assert_eq!(
-            a,
-            m.generate_sampled(&[2, 3], 8, 2.0, cfg.vocab, &mut c_rng)
-        );
-    }
-
-    #[test]
     fn tied_embeddings_train_and_count() {
         let mut rng = Rng::seed_from(94);
         let cfg = ModelConfig {
@@ -559,6 +456,7 @@ mod tests {
             ..ModelConfig::tiny()
         };
         let mut m = Transformer::new(cfg, &mut rng);
+        let total = |s: StepStats| s.ce_loss + s.aux_loss;
         assert_eq!(m.num_params() as u128, cfg.count_params());
         // Tying removes the whole head: d·vocab + vocab parameters.
         assert_eq!(
@@ -576,10 +474,10 @@ mod tests {
         let orig = m.tok.table.value.at(3, 2);
         m.zero_grad();
         m.tok.table.value.set(3, 2, orig + eps);
-        let lp = m.train_batch(&tokens, &targets, 1, 8).total();
+        let lp = total(m.train_batch(&tokens, &targets, 1, 8));
         m.tok.table.value.set(3, 2, orig - eps);
         m.zero_grad();
-        let lm = m.train_batch(&tokens, &targets, 1, 8).total();
+        let lm = total(m.train_batch(&tokens, &targets, 1, 8));
         m.tok.table.value.set(3, 2, orig);
         let fd = (lp - lm) / (2.0 * eps);
         assert!(

@@ -22,7 +22,7 @@ use bagualu_hw::MachineConfig;
 /// Cost evaluator bound to a machine configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct CollectiveCost {
-    pub machine: MachineConfig,
+    pub(crate) machine: MachineConfig,
 }
 
 impl CollectiveCost {
@@ -44,22 +44,6 @@ impl CollectiveCost {
     }
 
     // ------------------------------------------------------------ broadcast
-
-    /// Binomial-tree broadcast of `bytes` to `n` ranks.
-    pub fn broadcast_tree(&self, n: usize, bytes: usize) -> f64 {
-        if n <= 1 {
-            return 0.0;
-        }
-        let rounds = (n as f64).log2().ceil();
-        // Conservatively charge inter-supernode constants once the tree
-        // spans supernodes.
-        let (alpha, bw) = if n as f64 > self.s() {
-            (self.alpha_inter(), self.machine.network.inter_bw)
-        } else {
-            (self.alpha_intra(), self.machine.network.intra_bw)
-        };
-        rounds * (alpha + bytes as f64 / bw)
-    }
 
     // ------------------------------------------------------------ allreduce
 
@@ -197,19 +181,6 @@ impl CollectiveCost {
                 + (1.0 - local_frac) * v / (sn - 1.0) / self.machine.network.inter_bw);
         t_local + t_cross
     }
-
-    /// All-gather of `bytes` per rank over `n` ranks (ring).
-    pub fn allgather_ring(&self, n: usize, bytes: usize) -> f64 {
-        if n <= 1 {
-            return 0.0;
-        }
-        let (alpha, bw) = if n as f64 > self.s() {
-            (self.alpha_inter(), self.machine.network.inter_bw)
-        } else {
-            (self.alpha_intra(), self.machine.network.intra_bw)
-        };
-        (n as f64 - 1.0) * (alpha + bytes as f64 / bw)
-    }
 }
 
 #[cfg(test)]
@@ -226,7 +197,6 @@ mod tests {
         assert_eq!(c.allreduce_ring(1, 1 << 20), 0.0);
         assert_eq!(c.alltoall_pairwise(0, 1024), 0.0);
         assert_eq!(c.alltoall_hierarchical(1, 1024), 0.0);
-        assert_eq!(c.broadcast_tree(1, 1024), 0.0);
     }
 
     #[test]
@@ -283,7 +253,6 @@ mod tests {
         assert!(c.alltoall_pairwise(4096, 1024) > c.alltoall_pairwise(2048, 1024));
         assert!(c.allreduce_ring(4096, 2 << 20) > c.allreduce_ring(4096, 1 << 20));
         assert!(c.allreduce_hierarchical(4096, 2 << 20) > c.allreduce_hierarchical(4096, 1 << 20));
-        assert!(c.broadcast_tree(1024, 1 << 20) > c.broadcast_tree(64, 1 << 20));
     }
 
     #[test]
@@ -343,12 +312,5 @@ mod tests {
             let speedup = t(b) / t(b / 2);
             assert!(speedup > 1.0 && speedup < 2.0, "{name}: speedup {speedup}");
         }
-    }
-
-    #[test]
-    fn allgather_ring_scales_with_ranks() {
-        let c = cc(1024);
-        assert!(c.allgather_ring(1024, 1 << 16) > c.allgather_ring(128, 1 << 16));
-        assert_eq!(c.allgather_ring(1, 1 << 16), 0.0);
     }
 }

@@ -6,7 +6,7 @@ use std::collections::BinaryHeap;
 /// Simulated time in seconds, wrapped so it can live in a `BinaryHeap`
 /// (total order; NaN is forbidden by construction).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SimTime(pub f64);
+pub(crate) struct SimTime(pub f64);
 
 impl Eq for SimTime {}
 
@@ -28,7 +28,7 @@ impl Ord for SimTime {
 ///
 /// Events scheduled at equal times pop in insertion order (a stable
 /// tie-break keeps simulations deterministic).
-pub struct EventQueue<E> {
+pub(crate) struct EventQueue<E> {
     heap: BinaryHeap<Reverse<(SimTime, u64, usize)>>,
     payloads: Vec<Option<E>>,
     seq: u64,
@@ -43,7 +43,7 @@ impl<E> Default for EventQueue<E> {
 
 impl<E> EventQueue<E> {
     /// An empty queue at time zero.
-    pub fn new() -> EventQueue<E> {
+    pub(crate) fn new() -> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::new(),
             payloads: Vec::new(),
@@ -52,14 +52,9 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Current simulated time: the timestamp of the last popped event.
-    pub fn now(&self) -> f64 {
-        self.now
-    }
-
     /// Schedule `event` at absolute time `at` (seconds). Panics if `at` is
     /// NaN or in the past — discrete-event time never rewinds.
-    pub fn schedule(&mut self, at: f64, event: E) {
+    pub(crate) fn schedule(&mut self, at: f64, event: E) {
         assert!(at.is_finite(), "event time must be finite");
         assert!(
             at >= self.now,
@@ -73,23 +68,13 @@ impl<E> EventQueue<E> {
     }
 
     /// Pop the earliest event, advancing the clock to its timestamp.
-    pub fn pop(&mut self) -> Option<(f64, E)> {
+    pub(crate) fn pop(&mut self) -> Option<(f64, E)> {
         let Reverse((t, _, idx)) = self.heap.pop()?;
         self.now = t.0;
         let e = self.payloads[idx]
             .take()
             .expect("event payload already taken");
         Some((t.0, e))
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 }
 
@@ -124,9 +109,9 @@ mod tests {
     fn clock_advances() {
         let mut q = EventQueue::new();
         q.schedule(5.0, ());
-        assert_eq!(q.now(), 0.0);
+        assert_eq!(q.now, 0.0);
         q.pop();
-        assert_eq!(q.now(), 5.0);
+        assert_eq!(q.now, 5.0);
     }
 
     #[test]
@@ -141,11 +126,11 @@ mod tests {
     #[test]
     fn len_tracks_pending() {
         let mut q: EventQueue<()> = EventQueue::new();
-        assert!(q.is_empty());
+        assert!(q.heap.is_empty());
         q.schedule(1.0, ());
         q.schedule(2.0, ());
-        assert_eq!(q.len(), 2);
+        assert_eq!(q.heap.len(), 2);
         q.pop();
-        assert_eq!(q.len(), 1);
+        assert_eq!(q.heap.len(), 1);
     }
 }

@@ -17,9 +17,5 @@
 //! Both consume the topology constants from [`bagualu_hw::MachineConfig`].
 
 pub mod cost;
-pub mod event;
+pub(crate) mod event;
 pub mod simnet;
-
-pub use cost::CollectiveCost;
-pub use event::EventQueue;
-pub use simnet::{Message, SimNet};

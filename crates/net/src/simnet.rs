@@ -36,7 +36,7 @@ pub struct Message {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Completion {
     /// Time the message started moving.
-    pub start: f64,
+    pub(crate) start: f64,
     /// Time the last byte arrived.
     pub finish: f64,
 }
@@ -148,29 +148,6 @@ impl SimNet {
     /// Convenience: simulate and return the makespan (max finish time).
     pub fn makespan(&mut self, messages: &[Message]) -> f64 {
         self.run(messages).iter().fold(0.0, |a, c| a.max(c.finish))
-    }
-
-    /// Utilization of supernode `sn`'s uplink over a window of `duration`
-    /// seconds (busy time / duration).
-    pub fn uplink_utilization(&self, sn: usize, duration: f64) -> f64 {
-        assert!(duration > 0.0);
-        self.up_busy[sn] / duration
-    }
-
-    /// Mean injection-port utilization across all nodes over `duration`.
-    pub fn injection_utilization(&self, duration: f64) -> f64 {
-        assert!(duration > 0.0);
-        self.inj_busy / (self.machine.nodes as f64 * duration)
-    }
-
-    /// Reset all resource availability to time zero.
-    pub fn reset(&mut self) {
-        self.inj_free.iter_mut().for_each(|x| *x = 0.0);
-        self.ej_free.iter_mut().for_each(|x| *x = 0.0);
-        self.up_free.iter_mut().for_each(|x| *x = 0.0);
-        self.down_free.iter_mut().for_each(|x| *x = 0.0);
-        self.up_busy.iter_mut().for_each(|x| *x = 0.0);
-        self.inj_busy = 0.0;
     }
 }
 
@@ -306,54 +283,5 @@ mod tests {
             release: 0.0,
         }]);
         assert!(c[0].finish < 1e-5);
-    }
-
-    #[test]
-    fn utilization_accounting() {
-        // Saturating cross-supernode traffic drives uplink utilization to
-        // ~100% of the makespan; sparse traffic leaves it low.
-        let m = machine(512);
-        let mut net = SimNet::new(m);
-        let bytes = 4 << 20;
-        let msgs: Vec<Message> = (0..256)
-            .map(|i| Message {
-                src: i,
-                dst: 256 + i,
-                bytes,
-                release: 0.0,
-            })
-            .collect();
-        let makespan = net.makespan(&msgs);
-        let u = net.uplink_utilization(0, makespan);
-        // The makespan includes the final port-drain tail, so a fully
-        // saturated uplink reads just under 1.
-        assert!(u > 0.75, "saturated uplink utilization {u}");
-        // One lonely message: utilization is far below 1.
-        net.reset();
-        let makespan = net.makespan(&[Message {
-            src: 0,
-            dst: 300,
-            bytes,
-            release: 0.0,
-        }]);
-        let u = net.uplink_utilization(0, makespan);
-        assert!(u < 0.5, "sparse uplink utilization {u}");
-        assert!(net.injection_utilization(makespan) < 0.1);
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let m = machine(4);
-        let mut net = SimNet::new(m);
-        let msg = Message {
-            src: 0,
-            dst: 1,
-            bytes: 1 << 20,
-            release: 0.0,
-        };
-        let a = net.makespan(&[msg]);
-        net.reset();
-        let b = net.makespan(&[msg]);
-        assert!((a - b).abs() < 1e-12);
     }
 }

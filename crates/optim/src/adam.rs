@@ -38,7 +38,7 @@ impl Default for AdamConfig {
 /// `bagualu-hw` charges (plus the 4-byte master weight when wrapped by
 /// mixed precision).
 pub struct Adam {
-    pub cfg: AdamConfig,
+    pub(crate) cfg: AdamConfig,
     m: Vec<Tensor>,
     v: Vec<Tensor>,
     t: i32,
@@ -52,11 +52,6 @@ impl Adam {
             v: Vec::new(),
             t: 0,
         }
-    }
-
-    /// Current step count.
-    pub fn steps(&self) -> i32 {
-        self.t
     }
 
     /// Change the learning rate (for schedules).
@@ -123,6 +118,13 @@ impl Adam {
 mod tests {
     use super::*;
     use bagualu_model::param::Param;
+
+    impl Adam {
+        /// Current step count.
+        pub(crate) fn steps(&self) -> i32 {
+            self.t
+        }
+    }
 
     struct One {
         p: Param,

@@ -7,28 +7,18 @@
 //! (Adam) whose state never leaves full precision. This crate implements
 //! that recipe over any [`bagualu_model::param::HasParams`] model:
 //!
-//! * [`Sgd`], [`Adam`] — plain FP32 optimizers,
-//! * [`clip_grad_norm`] — global gradient-norm clipping,
-//! * [`LossScaler`] — dynamic loss scaling (grow on a streak of good steps,
+//! * `Adam` — the plain FP32 optimizer (Adam/AdamW),
+//! * `clip_grad_norm` — global gradient-norm clipping,
+//! * `LossScaler` — dynamic loss scaling (grow on a streak of good steps,
 //!   halve on overflow),
-//! * [`MixedPrecision`] — the master-weight wrapper: working parameters are
+//! * `MixedPrecision` — the master-weight wrapper: working parameters are
 //!   round-tripped through the configured half format after every update;
 //!   one read pass over the gradients gives the norm and the overflow
 //!   check, then each parameter is unscaled, clipped, updated and its
 //!   gradient zeroed in one visit.
 
-pub mod adafactor;
 pub mod adam;
 pub mod clip;
 pub mod mixed;
 pub mod scaler;
 pub mod schedule;
-pub mod sgd;
-
-pub use adafactor::Adafactor;
-pub use adam::{Adam, AdamConfig};
-pub use clip::clip_grad_norm;
-pub use mixed::{MixedPrecision, StepOutcome};
-pub use scaler::LossScaler;
-pub use schedule::LrSchedule;
-pub use sgd::Sgd;

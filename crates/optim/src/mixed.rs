@@ -42,8 +42,8 @@ pub enum StepOutcome {
 
 /// FP32-master-weight optimizer wrapper.
 pub struct MixedPrecision {
-    pub dtype: DType,
-    pub scaler: LossScaler,
+    pub(crate) dtype: DType,
+    pub(crate) scaler: LossScaler,
     adam: Adam,
     /// Global gradient-norm clip applied inside [`MixedPrecision::step`]
     /// ([`MixedPrecision::with_clip`]; `None` = off).
@@ -82,7 +82,7 @@ impl MixedPrecision {
 
     /// Clip the global gradient norm to `max_norm` in every step, measured
     /// on the unscaled gradients so the threshold means the same at every
-    /// loss scale: what [`clip_grad_norm`](crate::clip_grad_norm) on the
+    /// loss scale: what `clip_grad_norm` on the
     /// unscaled gradients would do. Panics unless `max_norm` is finite and
     /// positive.
     pub fn with_clip(mut self, max_norm: f32) -> MixedPrecision {

@@ -12,13 +12,13 @@
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LossScaler {
     scale: f32,
-    pub growth_factor: f32,
-    pub backoff_factor: f32,
+    pub(crate) growth_factor: f32,
+    pub(crate) backoff_factor: f32,
     /// Clean steps required before the scale grows.
-    pub growth_interval: u32,
+    pub(crate) growth_interval: u32,
     good_steps: u32,
-    pub min_scale: f32,
-    pub max_scale: f32,
+    pub(crate) min_scale: f32,
+    pub(crate) max_scale: f32,
 }
 
 impl Default for LossScaler {
@@ -28,7 +28,7 @@ impl Default for LossScaler {
 }
 
 impl LossScaler {
-    pub fn new(initial_scale: f32) -> LossScaler {
+    pub(crate) fn new(initial_scale: f32) -> LossScaler {
         assert!(initial_scale > 0.0);
         LossScaler {
             scale: initial_scale,
@@ -50,14 +50,14 @@ impl LossScaler {
     }
 
     /// The current multiplier to apply to the loss gradient.
-    pub fn scale(&self) -> f32 {
+    pub(crate) fn scale(&self) -> f32 {
         self.scale
     }
 
     /// Record the outcome of a step: `overflowed = true` when any gradient
     /// was non-finite after unscaling (that step must be skipped by the
     /// caller).
-    pub fn update(&mut self, overflowed: bool) {
+    pub(crate) fn update(&mut self, overflowed: bool) {
         if overflowed {
             self.scale = (self.scale * self.backoff_factor).max(self.min_scale);
             self.good_steps = 0;

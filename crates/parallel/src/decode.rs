@@ -20,7 +20,7 @@
 //!   therefore cannot change any other row's bits — the invariant that
 //!   makes continuous batching safe.
 //! * **Collective alignment.** Each call runs exactly one
-//!   [`ServedMoE::forward`] per MoE block, whatever the local row count —
+//!   `ServedMoE::forward` per MoE block, whatever the local row count —
 //!   ranks with *zero* active sequences pass an empty batch and still join
 //!   every dispatch/combine exchange, so expert parallelism never
 //!   deadlocks under skewed load.
@@ -149,11 +149,6 @@ impl VecKvBatch {
         );
         self.caches.len() - 1
     }
-
-    /// Cached positions of sequence `seq` (layer 0's view).
-    pub fn seq_len(&self, seq: usize) -> usize {
-        self.caches[seq][0].len()
-    }
 }
 
 impl KvProvider for VecKvBatch {
@@ -263,6 +258,13 @@ mod tests {
     use bagualu_model::transformer::Transformer;
     use bagualu_tensor::ops::{install_backend, ComputeBackend};
     use bagualu_tensor::rng::Rng;
+
+    impl VecKvBatch {
+        /// Cached positions of sequence `seq` (layer 0's view).
+        fn seq_len(&self, seq: usize) -> usize {
+            self.caches[seq][0].len()
+        }
+    }
 
     /// Greedy KV-cached generation driven through `decode_step`, one
     /// position per step.

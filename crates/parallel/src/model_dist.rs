@@ -52,7 +52,7 @@ pub struct DistBlock {
 }
 
 impl DistBlock {
-    pub fn forward<C: Communicator>(
+    pub(crate) fn forward<C: Communicator>(
         &mut self,
         x: &Tensor,
         batch: usize,
@@ -74,15 +74,11 @@ impl DistBlock {
         y
     }
 
-    pub fn backward<C: Communicator>(&mut self, dy: &Tensor, comm: &C) -> Tensor {
-        self.backward_with_grad_ready(dy, comm, &mut |_| {})
-    }
-
     /// Backward that fires `on_ready` on each replicated parameter as soon
     /// as its gradient is final — the hook the overlapped bucketed
     /// all-reduce hangs off. Expert parameters are *not* announced (they
     /// are sharded, never all-reduced).
-    pub fn backward_with_grad_ready<C: Communicator>(
+    pub(crate) fn backward_with_grad_ready<C: Communicator>(
         &mut self,
         dy: &Tensor,
         comm: &C,
@@ -112,7 +108,7 @@ impl DistBlock {
         dx
     }
 
-    pub fn aux_loss(&self) -> f32 {
+    pub(crate) fn aux_loss(&self) -> f32 {
         match &self.ffn {
             DistFfn::Dense(_) => 0.0,
             DistFfn::MoE(moe) => moe.last_aux_loss(),
@@ -124,8 +120,8 @@ impl DistBlock {
 #[derive(Debug, Clone)]
 pub struct DistTransformer {
     pub cfg: ModelConfig,
-    pub rank: usize,
-    pub nranks: usize,
+    pub(crate) rank: usize,
+    pub(crate) nranks: usize,
     pub tok: Embedding,
     pub pos: Embedding,
     pub blocks: Vec<DistBlock>,
@@ -468,7 +464,7 @@ impl DistTransformer {
     /// embeddings last). [`Self::visit_dense_params_ready_order`] replays
     /// exactly this sequence, which is what lets the overlapped sync
     /// scatter reduced buckets back without bookkeeping per parameter.
-    pub fn backward_with_grad_ready<C: Communicator>(
+    pub(crate) fn backward_with_grad_ready<C: Communicator>(
         &mut self,
         dlogits: &Tensor,
         comm: &C,
@@ -540,7 +536,7 @@ impl DistTransformer {
     /// order [`Self::backward_with_grad_ready`] announces them (reverse of
     /// [`Self::visit_dense_params`] at the unit level). Identical on every
     /// rank.
-    pub fn visit_dense_params_ready_order(&mut self, f: &mut dyn FnMut(&mut Param)) {
+    pub(crate) fn visit_dense_params_ready_order(&mut self, f: &mut dyn FnMut(&mut Param)) {
         self.head.visit_params(f);
         self.ln_f.visit_params(f);
         for b in self.blocks.iter_mut().rev() {

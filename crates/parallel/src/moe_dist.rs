@@ -256,7 +256,7 @@ pub struct DistMoELayer {
     pub gate: Gate,
     /// Experts resident on this rank: slot `l` holds global expert
     /// `placement.local_experts(rank, ..)[l]`.
-    pub local_experts: Vec<FeedForward>,
+    pub(crate) local_experts: Vec<FeedForward>,
     /// Where every expert lives and how tokens reach it.
     pub(crate) exchange: Exchange,
     cache: Option<Cache>,
@@ -280,7 +280,7 @@ struct Cache {
 impl DistMoELayer {
     /// Wrap a gate and this rank's expert shard. `local_experts[l]` must be
     /// the global expert `placement.local_experts(rank, n_experts, nranks)[l]`.
-    pub fn new(
+    pub(crate) fn new(
         gate: Gate,
         n_experts: usize,
         local_experts: Vec<FeedForward>,
@@ -317,7 +317,7 @@ impl DistMoELayer {
     }
 
     /// Auxiliary balance loss of the last forward.
-    pub fn last_aux_loss(&self) -> f32 {
+    pub(crate) fn last_aux_loss(&self) -> f32 {
         self.cache
             .as_ref()
             .map(|c| c.routing.aux_loss)
@@ -327,7 +327,7 @@ impl DistMoELayer {
     /// Give the router and this rank's experts up to inference
     /// ([`Gate::freeze`], [`FeedForward::freeze`]); the backward cache goes
     /// with the layer.
-    pub fn freeze(self) -> ServedMoE {
+    pub(crate) fn freeze(self) -> ServedMoE {
         ServedMoE {
             router: self.gate.freeze(),
             experts: self
@@ -437,7 +437,7 @@ impl DistMoELayer {
 
     /// Visit only the expert parameters (sharded — excluded from the dense
     /// all-reduce, rescaled instead).
-    pub fn visit_expert_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+    pub(crate) fn visit_expert_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         for e in &mut self.local_experts {
             e.visit_params(f);
         }
@@ -445,7 +445,7 @@ impl DistMoELayer {
 
     /// Visit only the gate parameters (replicated — part of the dense
     /// all-reduce).
-    pub fn visit_gate_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+    pub(crate) fn visit_gate_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         self.gate.visit_params(f);
     }
 }
@@ -459,7 +459,7 @@ impl HasParams for DistMoELayer {
     }
 }
 
-/// A [`DistMoELayer`] given up to inference ([`DistMoELayer::freeze`]):
+/// A [`DistMoELayer`] given up to inference (`DistMoELayer::freeze`):
 /// the served router, this rank's served experts and the training layer's
 /// exchange.
 #[derive(Debug, Clone)]
@@ -478,7 +478,7 @@ impl ServedMoE {
     /// same program position, even with an empty `[0, d]` batch (a rank
     /// with no active sequences still joins the exchange so its peers'
     /// tokens can reach the experts it owns).
-    pub fn forward<C: Communicator>(&self, x: &Tensor, comm: &C) -> Tensor {
+    pub(crate) fn forward<C: Communicator>(&self, x: &Tensor, comm: &C) -> Tensor {
         let routing = self.router.route(x);
         let experts = &self.experts;
         let run = self

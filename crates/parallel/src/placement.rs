@@ -98,7 +98,7 @@ impl ExpertPlacement {
     }
 
     /// Rank that owns global expert `expert`.
-    pub fn owner(&self, expert: usize, n_experts: usize, nranks: usize) -> usize {
+    pub(crate) fn owner(&self, expert: usize, n_experts: usize, nranks: usize) -> usize {
         debug_assert!(expert < n_experts, "expert {expert} out of {n_experts}");
         match *self {
             ExpertPlacement::RoundRobin => expert % nranks,
@@ -151,7 +151,7 @@ impl ExpertPlacement {
     /// Local slot of global expert `expert` on its owning rank. Slots are
     /// dense: the owner's experts occupy slots `0..local_count(owner)` in
     /// ascending global-id order.
-    pub fn slot(&self, expert: usize, n_experts: usize, nranks: usize) -> usize {
+    pub(crate) fn slot(&self, expert: usize, n_experts: usize, nranks: usize) -> usize {
         debug_assert!(expert < n_experts, "expert {expert} out of {n_experts}");
         match *self {
             ExpertPlacement::RoundRobin => expert / nranks,
@@ -179,7 +179,7 @@ impl ExpertPlacement {
 
     /// Global ids of the experts rank `rank` owns, in slot order (the slot
     /// of `local_experts(..)[i]` is `i`).
-    pub fn local_experts(&self, rank: usize, n_experts: usize, nranks: usize) -> Vec<usize> {
+    pub(crate) fn local_experts(&self, rank: usize, n_experts: usize, nranks: usize) -> Vec<usize> {
         let mut out: Vec<usize> = (0..n_experts)
             .filter(|&e| self.owner(e, n_experts, nranks) == rank)
             .collect();
@@ -207,7 +207,7 @@ impl ExpertPlacement {
     /// the same supernode (of `supernode_size` ranks) as `rank`. With
     /// `supernode_size == 0` (locality accounting disabled) every expert is
     /// considered remote.
-    pub fn local_mask(
+    pub(crate) fn local_mask(
         &self,
         rank: usize,
         n_experts: usize,

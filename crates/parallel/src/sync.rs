@@ -91,18 +91,6 @@ pub struct SyncStats {
     pub ring_steps_overlapped: usize,
 }
 
-impl SyncStats {
-    /// Fraction of all-reduce progress hidden under backward, in `[0, 1]`.
-    /// `0` when nothing could overlap (single rank, or no steps).
-    pub fn overlap_fraction(&self) -> f64 {
-        if self.ring_steps == 0 {
-            0.0
-        } else {
-            self.ring_steps_overlapped as f64 / self.ring_steps as f64
-        }
-    }
-}
-
 /// Fills fixed-size buckets with ready gradients and drives their ring
 /// all-reduces incrementally. One instance lives for one backward pass.
 struct GradBucketer<'a, C: Communicator> {

@@ -40,7 +40,6 @@
 
 use crate::kv::{KvBlockPool, SeqKv};
 use crate::request::{Request, Response, SubmitError};
-use bagualu_comm::collectives;
 use bagualu_comm::Communicator;
 use bagualu_model::attention::KvStore;
 use bagualu_parallel::decode::KvProvider;
@@ -199,21 +198,6 @@ impl Engine {
         (self.queue.len() + self.active.len()) as u64
     }
 
-    /// Engine steps executed so far.
-    pub fn steps(&self) -> u64 {
-        self.steps
-    }
-
-    /// Requests currently queued (not yet admitted).
-    pub fn queued(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Sequences currently in the in-flight batch.
-    pub fn in_flight(&self) -> usize {
-        self.active.len()
-    }
-
     /// The KV pool (observability and tests).
     pub fn pool(&self) -> &KvBlockPool {
         &self.pool
@@ -329,19 +313,6 @@ impl Engine {
         self.detach();
     }
 
-    /// Drive steps until no rank has queued or in-flight work. Safe on any
-    /// world size: the loop condition is an all-reduce, so every rank
-    /// executes the same number of steps.
-    pub fn run_to_completion<C: Communicator>(&mut self, comm: &C) {
-        loop {
-            let total = collectives::allreduce_u64(comm, vec![self.local_work()])[0];
-            if total == 0 {
-                break;
-            }
-            self.step(comm);
-        }
-    }
-
     /// One batched walk through the blocks of the shared decode path.
     fn phase_hidden<C: Communicator>(
         &mut self,
@@ -396,6 +367,22 @@ mod tests {
     use bagualu_model::transformer::Transformer;
     use bagualu_parallel::A2aKind;
     use bagualu_tensor::rng::Rng;
+
+    impl Engine {
+        /// Drive steps until no rank has queued or in-flight work. Safe on any
+        /// world size: the loop condition is an all-reduce, so every rank
+        /// executes the same number of steps.
+        fn run_to_completion<C: Communicator>(&mut self, comm: &C) {
+            loop {
+                let total =
+                    bagualu_comm::collectives::allreduce_u64(comm, vec![self.local_work()])[0];
+                if total == 0 {
+                    break;
+                }
+                self.step(comm);
+            }
+        }
+    }
 
     fn engine_cfg() -> EngineConfig {
         EngineConfig {

@@ -32,7 +32,7 @@ use std::fmt;
 /// sees (unless the request can never fit, which [`crate::Engine::submit`]
 /// rejects up front).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AdmissionError {
+pub(crate) enum AdmissionError {
     /// The pool's free list is shorter than the request's worst-case block
     /// need. Retry after an in-flight sequence detaches.
     OutOfKvBlocks {
@@ -60,22 +60,22 @@ impl std::error::Error for AdmissionError {}
 /// positions committed so far. Owned by the engine's per-sequence state;
 /// the pool itself holds no per-sequence bookkeeping.
 #[derive(Debug, Clone)]
-pub struct SeqKv {
+pub(crate) struct SeqKv {
     /// Pool block indices, in position order (`blocks[p / block_tokens]`
     /// holds position `p`).
-    pub blocks: Vec<usize>,
+    pub(crate) blocks: Vec<usize>,
     /// Positions committed (appended by a completed engine phase).
-    pub len: usize,
+    pub(crate) len: usize,
 }
 
 impl SeqKv {
     /// Wrap a freshly reserved block table.
-    pub fn new(blocks: Vec<usize>) -> SeqKv {
+    pub(crate) fn new(blocks: Vec<usize>) -> SeqKv {
         SeqKv { blocks, len: 0 }
     }
 
     /// Positions this table can hold.
-    pub fn capacity(&self, block_tokens: usize) -> usize {
+    pub(crate) fn capacity(&self, block_tokens: usize) -> usize {
         self.blocks.len() * block_tokens
     }
 }
@@ -96,7 +96,7 @@ pub struct KvBlockPool {
 impl KvBlockPool {
     /// An arena of `n_blocks` blocks of `block_tokens` positions each, for
     /// a model with `n_layers` attention layers of width `d_model`.
-    pub fn new(
+    pub(crate) fn new(
         n_blocks: usize,
         block_tokens: usize,
         n_layers: usize,
@@ -119,18 +119,8 @@ impl KvBlockPool {
     }
 
     /// Total blocks in the arena.
-    pub fn n_blocks(&self) -> usize {
+    pub(crate) fn n_blocks(&self) -> usize {
         self.n_blocks
-    }
-
-    /// Positions per block.
-    pub fn block_tokens(&self) -> usize {
-        self.block_tokens
-    }
-
-    /// Blocks currently on the free list.
-    pub fn free_blocks(&self) -> usize {
-        self.free.len()
     }
 
     /// Blocks currently reserved by sequences.
@@ -139,13 +129,13 @@ impl KvBlockPool {
     }
 
     /// Blocks needed to hold `positions` cached positions.
-    pub fn blocks_for(&self, positions: usize) -> usize {
+    pub(crate) fn blocks_for(&self, positions: usize) -> usize {
         positions.div_ceil(self.block_tokens).max(1)
     }
 
     /// Reserve `n` blocks, or fail with the typed admission error (the
     /// free list is untouched on failure — reservation is all-or-nothing).
-    pub fn try_reserve(&mut self, n: usize) -> Result<Vec<usize>, AdmissionError> {
+    pub(crate) fn try_reserve(&mut self, n: usize) -> Result<Vec<usize>, AdmissionError> {
         if self.free.len() < n {
             return Err(AdmissionError::OutOfKvBlocks {
                 needed: n,
@@ -156,7 +146,7 @@ impl KvBlockPool {
     }
 
     /// Return a detached sequence's blocks to the free list.
-    pub fn release(&mut self, blocks: Vec<usize>) {
+    pub(crate) fn release(&mut self, blocks: Vec<usize>) {
         for b in blocks {
             debug_assert!(b < self.n_blocks);
             debug_assert!(!self.free.contains(&b), "double release of block {b}");
@@ -179,7 +169,12 @@ impl KvBlockPool {
     /// A [`KvStore`] view of `seq` at `layer`, currently holding exactly
     /// `len` positions. Views are ephemeral — the engine creates one per
     /// (row, layer) during a decode phase and commits lengths afterwards.
-    pub fn store<'a>(&'a mut self, seq: &'a SeqKv, layer: usize, len: usize) -> PagedStore<'a> {
+    pub(crate) fn store<'a>(
+        &'a mut self,
+        seq: &'a SeqKv,
+        layer: usize,
+        len: usize,
+    ) -> PagedStore<'a> {
         assert!(layer < self.n_layers);
         assert!(
             len < seq.capacity(self.block_tokens),
@@ -201,7 +196,7 @@ impl KvBlockPool {
 /// block table; bits read back exactly as written, so swapping this in for
 /// the growable `KvCache` cannot change any attention output.
 #[derive(Debug)]
-pub struct PagedStore<'a> {
+pub(crate) struct PagedStore<'a> {
     pool: &'a mut KvBlockPool,
     blocks: &'a [usize],
     layer: usize,
@@ -252,13 +247,13 @@ mod tests {
     fn exhaustion_is_a_typed_error_and_reservation_is_atomic() {
         let mut pool = KvBlockPool::new(4, 2, 1, 4);
         let a = pool.try_reserve(3).unwrap();
-        assert_eq!(pool.free_blocks(), 1);
+        assert_eq!(pool.free.len(), 1);
         let err = pool.try_reserve(2).unwrap_err();
         assert_eq!(err, AdmissionError::OutOfKvBlocks { needed: 2, free: 1 });
         // Failure must not leak blocks.
-        assert_eq!(pool.free_blocks(), 1);
+        assert_eq!(pool.free.len(), 1);
         pool.release(a);
-        assert_eq!(pool.free_blocks(), 4);
+        assert_eq!(pool.free.len(), 4);
         assert!(pool.try_reserve(2).is_ok());
     }
 

@@ -4,19 +4,19 @@
 //! checkpoint to answering requests — the paper's "millions of users"
 //! endpoint. Three ideas, each in its own module:
 //!
-//! * **Continuous batching** ([`engine`]) — requests join the in-flight
+//! * **Continuous batching** (`engine`) — requests join the in-flight
 //!   batch at step boundaries and leave the moment they finish; the GPU
 //!   analogue never drains to rebuild a static batch. Decoding is greedy
 //!   and every per-row operation is row-independent, so batch composition
 //!   cannot change any sequence's tokens (pinned bit-identical to
 //!   [`Transformer::generate_cached`](bagualu_model::transformer::Transformer::generate_cached)
 //!   by the integration tests).
-//! * **Paged KV cache** ([`kv`]) — fixed-size blocks, a LIFO free list,
+//! * **Paged KV cache** (`kv`) — fixed-size blocks, a LIFO free list,
 //!   and per-sequence block tables; worst-case blocks are reserved at
 //!   admission, so an admitted sequence can never fail mid-decode, and a
 //!   request that does not fit is re-queued (typed
-//!   [`AdmissionError`]), never dropped.
-//! * **Expert-parallel decode** ([`server`]) — each rank hosts its expert
+//!   `AdmissionError`), never dropped.
+//! * **Expert-parallel decode** (`server`) — each rank hosts its expert
 //!   shard and decode rows travel through the same all-to-all
 //!   dispatch/combine as training. The rank loop keeps collective calls
 //!   aligned via an exact integer all-reduce consensus even though
@@ -50,12 +50,11 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod engine;
-pub mod kv;
-pub mod request;
-pub mod server;
+pub(crate) mod engine;
+pub(crate) mod kv;
+pub(crate) mod request;
+pub(crate) mod server;
 
 pub use engine::{Engine, EngineConfig};
-pub use kv::{AdmissionError, KvBlockPool, PagedStore, SeqKv};
 pub use request::{Request, Response, SubmitError};
 pub use server::{run, Client, ServerOptions, ServerReport, Ticket};

@@ -7,15 +7,15 @@ use std::time::Instant;
 #[derive(Debug, Clone)]
 pub struct Request {
     /// Caller-assigned identifier, echoed on the [`Response`].
-    pub id: u64,
+    pub(crate) id: u64,
     /// Prompt token ids (non-empty).
-    pub prompt: Vec<usize>,
+    pub(crate) prompt: Vec<usize>,
     /// Number of tokens to generate (≥ 1). Greedy decoding runs for
     /// exactly this many tokens — the toy vocabulary has no stop token.
-    pub max_new: usize,
+    pub(crate) max_new: usize,
     /// When the request entered the system; queue-wait accounting starts
     /// here.
-    pub arrival: Instant,
+    pub(crate) arrival: Instant,
 }
 
 impl Request {
@@ -33,7 +33,7 @@ impl Request {
 /// Why a request can *never* run against this engine. These are permanent
 /// rejections raised at submit time; transient resource pressure is not an
 /// error the caller sees — it re-queues internally (see
-/// [`crate::AdmissionError`]).
+/// `crate::AdmissionError`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubmitError {
     /// The prompt has no tokens; there is nothing to prefill.
@@ -98,7 +98,7 @@ pub struct Response {
     /// Prompt followed by the generated tokens.
     pub tokens: Vec<usize>,
     /// Length of the prompt prefix of [`Response::tokens`].
-    pub prompt_len: usize,
+    pub(crate) prompt_len: usize,
     /// Nanoseconds between arrival and admission into the running batch.
     pub queue_wait_ns: u64,
     /// Nanoseconds between admission and the end of the prefill phase that

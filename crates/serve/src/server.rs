@@ -112,23 +112,17 @@ impl Client<'_> {
             queues[rank].push_back(Request::new(id, prompt, max_new));
         }
         self.shared.cv.notify_all();
-        Ticket { id, rx }
+        Ticket { rx }
     }
 }
 
 /// A pending response. Dropping it abandons the request's answer (the
 /// request itself still runs to completion).
 pub struct Ticket {
-    id: u64,
     rx: mpsc::Receiver<Result<Response, SubmitError>>,
 }
 
 impl Ticket {
-    /// The id the response will carry.
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
     /// Block until the request completes (or was rejected at submit
     /// validation with a permanent [`SubmitError`]).
     pub fn wait(self) -> Result<Response, SubmitError> {

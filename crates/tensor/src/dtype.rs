@@ -23,14 +23,6 @@ pub enum DType {
 }
 
 impl DType {
-    /// Size in bytes of one element in this format.
-    pub const fn size_bytes(self) -> usize {
-        match self {
-            DType::F32 => 4,
-            DType::F16 | DType::BF16 => 2,
-        }
-    }
-
     /// Round an `f32` value through this format and back.
     #[inline]
     pub fn round_trip(self, x: f32) -> f32 {
@@ -42,7 +34,7 @@ impl DType {
     }
 
     /// Round every element of a slice through this format in place.
-    pub fn round_trip_slice(self, xs: &mut [f32]) {
+    pub(crate) fn round_trip_slice(self, xs: &mut [f32]) {
         match self {
             DType::F32 => {}
             DType::F16 => {
@@ -55,24 +47,6 @@ impl DType {
                     *x = BF16::from_f32(*x).to_f32();
                 }
             }
-        }
-    }
-
-    /// Largest finite positive value representable in this format.
-    pub fn max_finite(self) -> f32 {
-        match self {
-            DType::F32 => f32::MAX,
-            DType::F16 => 65504.0,
-            DType::BF16 => BF16(0x7F7F).to_f32(),
-        }
-    }
-
-    /// Smallest positive *normal* value representable in this format.
-    pub fn min_positive_normal(self) -> f32 {
-        match self {
-            DType::F32 => f32::MIN_POSITIVE,
-            DType::F16 => 6.103_515_6e-5, // rounds to exactly 2^-14 in f32
-            DType::BF16 => f32::MIN_POSITIVE,
         }
     }
 }
@@ -107,13 +81,6 @@ impl std::str::FromStr for DType {
 pub struct F16(pub u16);
 
 impl F16 {
-    pub const ZERO: F16 = F16(0);
-    pub const ONE: F16 = F16(0x3C00);
-    pub const INFINITY: F16 = F16(0x7C00);
-    pub const NEG_INFINITY: F16 = F16(0xFC00);
-    /// Largest finite value, 65504.
-    pub const MAX: F16 = F16(0x7BFF);
-
     /// Convert from `f32` with round-to-nearest-even, handling subnormals,
     /// overflow to infinity, and NaN payloads.
     pub fn from_f32(value: f32) -> F16 {
@@ -198,9 +165,6 @@ impl F16 {
 pub struct BF16(pub u16);
 
 impl BF16 {
-    pub const ZERO: BF16 = BF16(0);
-    pub const ONE: BF16 = BF16(0x3F80);
-
     /// Convert from `f32` with round-to-nearest-even.
     pub fn from_f32(value: f32) -> BF16 {
         let bits = value.to_bits();
@@ -225,6 +189,16 @@ impl BF16 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl F16 {
+        const ONE: F16 = F16(0x3C00);
+        const INFINITY: F16 = F16(0x7C00);
+        const NEG_INFINITY: F16 = F16(0xFC00);
+    }
+
+    impl BF16 {
+        const ONE: BF16 = BF16(0x3F80);
+    }
 
     #[test]
     fn f16_exact_values() {
@@ -308,12 +282,5 @@ mod tests {
         assert_eq!(xs[1], 0.0); // underflow
         assert!(xs[2].is_infinite()); // overflow
         assert_eq!(xs[3], -3.25);
-    }
-
-    #[test]
-    fn dtype_sizes() {
-        assert_eq!(DType::F32.size_bytes(), 4);
-        assert_eq!(DType::F16.size_bytes(), 2);
-        assert_eq!(DType::BF16.size_bytes(), 2);
     }
 }

@@ -22,26 +22,22 @@
 //! system would store or communicate half-precision values. This keeps the
 //! kernels simple while making the numerics faithful.
 
-pub mod dtype;
-pub mod math;
+pub(crate) mod dtype;
+pub(crate) mod math;
 pub mod ops;
 pub mod pack;
 pub mod par;
 pub mod reservoir;
 pub mod rng;
-pub mod tensor;
+pub(crate) mod tensor;
 
 pub use dtype::{DType, BF16, F16};
 pub use ops::{
     current_backend, install_backend, process_backend, set_process_backend, Activation,
-    BackendGuard, ComputeBackend, MatmulBackend,
+    ComputeBackend,
 };
 pub use pack::{pack_bf16, pack_f16, pack_slice, unpack_bf16, unpack_f16, unpack_slice};
 pub use tensor::Tensor;
 
 /// Commonly used items, for glob import in downstream crates.
-pub mod prelude {
-    pub use crate::dtype::{DType, BF16, F16};
-    pub use crate::ops::{Activation, ComputeBackend, MatmulBackend};
-    pub use crate::tensor::Tensor;
-}
+pub(crate) mod prelude {}

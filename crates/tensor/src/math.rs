@@ -40,7 +40,7 @@ const LN_POLY: [f32; 4] = [0.666_666_6, 0.400_009_72, 0.284_987_87, 0.242_790_79
 /// Sterbenz — carries the result near `x = 1`; and `ln x = k·ln2 +
 /// ln(1 + f)` with `ln2` in two parts.
 #[inline]
-pub fn ln(x: f32) -> f32 {
+pub(crate) fn ln(x: f32) -> f32 {
     // Re-bias so that a mantissa of √2/2 or more rounds the exponent up:
     // the field then holds `k + 127` and the low bits `1 + f − √2/2`.
     let ix = x.to_bits().wrapping_add(0x3f80_0000 - 0x3f35_04f3);
@@ -85,7 +85,7 @@ const COS_POLY: [f32; 5] = [
 /// Two short polynomials give `sin(π/2·r)` and `cos(π/2·r)`, and the
 /// quadrant `n mod 4` swaps them and flips signs by bit operations.
 #[inline]
-pub fn sin_cos(t: f32) -> (f32, f32) {
+pub(crate) fn sin_cos(t: f32) -> (f32, f32) {
     let q = 4.0 * t;
     let m = q + ROUND_MAGIC;
     let n = m.to_bits();

@@ -238,14 +238,6 @@ impl ComputeBackend {
         }
     }
 
-    /// The format operands are rounded through ([`DType::F32`] = none).
-    pub fn compute_dtype(self) -> DType {
-        match self {
-            ComputeBackend::Half(dt) => dt,
-            _ => DType::F32,
-        }
-    }
-
     /// Whether this backend reproduces its tier's pinned bits exactly.
     ///
     /// `Reference` and `Tiled` are bit-identical to each other;

@@ -57,7 +57,7 @@ const EXPM1_POLY: [f32; 5] = [
 /// as `(1 ∓ 2ⁿ) ∓ 2ⁿ·p`, one rounding each; and for `n = 0` the numerator
 /// is `−p`, which keeps small `|x|` accurate to the last bits.
 #[inline]
-pub fn tanh(x: f32) -> f32 {
+pub(crate) fn tanh(x: f32) -> f32 {
     let v = -2.0 * x.abs();
     // Not `f32::max`, which returns the non-NaN operand: a NaN fails the
     // comparison and stays.
@@ -83,13 +83,13 @@ const GELU_CUBIC: f32 = 0.044715;
 /// GELU activation (tanh approximation, as used by GPT-style pretrained
 /// models): `0.5·x·(1 + tanh(√(2/π)·(x + 0.044715·x³)))`.
 #[inline]
-pub fn gelu_scalar(x: f32) -> f32 {
+pub(crate) fn gelu_scalar(x: f32) -> f32 {
     0.5 * x * (1.0 + tanh(SQRT_2_OVER_PI * (x + GELU_CUBIC * x * x * x)))
 }
 
 /// Derivative of [`gelu_scalar`] with respect to its input.
 #[inline]
-pub fn gelu_grad_scalar(x: f32) -> f32 {
+pub(crate) fn gelu_grad_scalar(x: f32) -> f32 {
     let x3 = x * x * x;
     let inner = SQRT_2_OVER_PI * (x + GELU_CUBIC * x3);
     let t = tanh(inner);
@@ -100,7 +100,7 @@ pub fn gelu_grad_scalar(x: f32) -> f32 {
 /// ReLU of one value. Not `x.max(0.0)`, which turns a NaN into `0.0` and
 /// hides it from the overflow detector that drives dynamic loss scaling.
 #[inline]
-pub fn relu_scalar(x: f32) -> f32 {
+pub(crate) fn relu_scalar(x: f32) -> f32 {
     if x < 0.0 {
         0.0
     } else {
@@ -206,26 +206,6 @@ pub fn gelu_backward(dy: &Tensor, x: &Tensor) -> Tensor {
     );
     clock.record(elems);
     dx
-}
-
-/// Element-wise ReLU.
-pub fn relu(x: &Tensor) -> Tensor {
-    x.map(relu_scalar)
-}
-
-/// Backward of ReLU: the gradient where the input was positive, zero where
-/// it was not, NaN where it was NaN.
-pub fn relu_backward(dy: &Tensor, x: &Tensor) -> Tensor {
-    assert_eq!(dy.shape(), x.shape());
-    let mut out = dy.clone();
-    for (g, &xi) in out.as_mut_slice().iter_mut().zip(x.as_slice()) {
-        if xi <= 0.0 {
-            *g = 0.0;
-        } else if xi.is_nan() {
-            *g = f32::NAN;
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -424,25 +404,13 @@ mod tests {
     }
 
     #[test]
-    fn relu_and_backward() {
-        let x = Tensor::from_vec(vec![-1.0, 0.0, 2.0], &[3]);
-        assert_eq!(relu(&x).as_slice(), &[0.0, 0.0, 2.0]);
-        let dy = Tensor::ones(&[3]);
-        assert_eq!(relu_backward(&dy, &x).as_slice(), &[0.0, 0.0, 1.0]);
-    }
-
-    #[test]
     fn activations_do_not_swallow_nan() {
         let x = Tensor::from_vec(vec![f32::NAN, -1.0, 1.0], &[3]);
         let dy = Tensor::ones(&[3]);
-        for (name, fwd, bwd) in [
-            ("relu", relu(&x), relu_backward(&dy, &x)),
-            ("gelu", gelu(&x), gelu_backward(&dy, &x)),
-        ] {
-            assert!(fwd.as_slice()[0].is_nan(), "{name} forward");
-            assert!(bwd.as_slice()[0].is_nan(), "{name} backward");
-            assert!(!fwd.as_slice()[1].is_nan() && !bwd.as_slice()[2].is_nan());
-        }
+        let (fwd, bwd) = (gelu(&x), gelu_backward(&dy, &x));
+        assert!(fwd.as_slice()[0].is_nan(), "gelu forward");
+        assert!(bwd.as_slice()[0].is_nan(), "gelu backward");
+        assert!(!fwd.as_slice()[1].is_nan() && !bwd.as_slice()[2].is_nan());
     }
 
     #[test]

@@ -30,14 +30,14 @@ use crate::tensor::Tensor;
 /// Tiled kernels over operands stored and multiplied in a 16-bit format,
 /// accumulating in `f32`.
 #[derive(Debug, Clone, Copy)]
-pub struct HalfCompute {
+pub(crate) struct HalfCompute {
     dtype: DType,
 }
 
 impl HalfCompute {
     /// # Panics
     /// Panics on [`DType::F32`] — half compute needs a 16-bit format.
-    pub fn new(dtype: DType) -> HalfCompute {
+    pub(crate) fn new(dtype: DType) -> HalfCompute {
         assert_ne!(
             dtype,
             DType::F32,

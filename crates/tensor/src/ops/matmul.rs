@@ -11,7 +11,7 @@
 //! the linear/FFN layers, and [`matmul_packed`], the same against a weight
 //! packed once for inference. The free functions are thin dispatchers: they
 //! resolve the calling thread's [`MatmulBackend`] (see
-//! [`crate::ops::backend`]), record the `compute.matmul.{flops,ns}` trace
+//! `crate::ops::backend`), record the `compute.matmul.{flops,ns}` trace
 //! counters when tracing is enabled, and delegate.
 //!
 //! [`Reference`] holds the original blocked kernels — the correctness

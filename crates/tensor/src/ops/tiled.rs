@@ -119,7 +119,7 @@ const NT_NR: usize = NR;
 const NT_NR_W: usize = NR_W;
 
 /// Whether this host runs the wide (AVX-512) micro-kernel. Benchmarks use
-/// this to decide which performance floor to hold [`Tiled`] to — results
+/// this to decide which performance floor to hold `Tiled` to — results
 /// are bit-identical on both paths, only the throughput differs.
 pub fn wide_kernel_available() -> bool {
     avx512_available()
@@ -922,7 +922,7 @@ pub(crate) fn tiled_nt(a: &Tensor, b: &Tensor, fma: bool) -> Tensor {
 /// Cache-blocked, packed, register-tiled kernels — bit-identical to
 /// [`Reference`](crate::ops::matmul::Reference) on every f32 input.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Tiled;
+pub(crate) struct Tiled;
 
 impl MatmulBackend for Tiled {
     fn name(&self) -> &'static str {
@@ -969,7 +969,7 @@ impl MatmulBackend for Tiled {
 /// via `--compute-backend tiled:fma`; rejected wherever a run promises
 /// bit-pinned comparisons.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct TiledFma;
+pub(crate) struct TiledFma;
 
 impl MatmulBackend for TiledFma {
     fn name(&self) -> &'static str {

@@ -5,7 +5,7 @@
 //! compress each hop to FP16 or BF16 before sending and expand back to
 //! `f32` on receipt. These kernels are the hot path of that compression:
 //! they reuse the bit-exact [`F16`]/[`BF16`] conversions from
-//! [`crate::dtype`] (round-to-nearest-even, FP16 gradual underflow,
+//! `crate::dtype` (round-to-nearest-even, FP16 gradual underflow,
 //! saturation to ±∞, NaN preservation), so a pack/unpack round trip is
 //! bit-for-bit identical to [`DType::round_trip`].
 //!
@@ -42,22 +42,22 @@ where
 }
 
 /// Pack `f32` values to FP16 bit patterns into a reused buffer.
-pub fn pack_f16_into(src: &[f32], dst: &mut Vec<u16>) {
+pub(crate) fn pack_f16_into(src: &[f32], dst: &mut Vec<u16>) {
     convert_into(src, dst, |x| F16::from_f32(x).0);
 }
 
 /// Pack `f32` values to BF16 bit patterns into a reused buffer.
-pub fn pack_bf16_into(src: &[f32], dst: &mut Vec<u16>) {
+pub(crate) fn pack_bf16_into(src: &[f32], dst: &mut Vec<u16>) {
     convert_into(src, dst, |x| BF16::from_f32(x).0);
 }
 
 /// Expand FP16 bit patterns back to `f32` into a reused buffer.
-pub fn unpack_f16_into(bits: &[u16], dst: &mut Vec<f32>) {
+pub(crate) fn unpack_f16_into(bits: &[u16], dst: &mut Vec<f32>) {
     convert_into(bits, dst, |b| F16(b).to_f32());
 }
 
 /// Expand BF16 bit patterns back to `f32` into a reused buffer.
-pub fn unpack_bf16_into(bits: &[u16], dst: &mut Vec<f32>) {
+pub(crate) fn unpack_bf16_into(bits: &[u16], dst: &mut Vec<f32>) {
     convert_into(bits, dst, |b| BF16(b).to_f32());
 }
 

@@ -5,11 +5,11 @@
 //! step. Handed to glibc, each of them is unmapped (or trimmed off the top
 //! of the heap) on the way down the backward pass and page-faulted in again
 //! on the way up the next forward pass. The reservoir keeps them mapped:
-//! [`crate::Tensor`]'s `Drop` [`give`](Reservoir::give)s its buffer back,
-//! the constructors [`take`](Reservoir::take) one, and a buffer that enters
+//! [`crate::Tensor`]'s `Drop` `give`s its buffer back,
+//! the constructors `take` one, and a buffer that enters
 //! or leaves a tensor by value ([`crate::Tensor::from_vec`] /
-//! [`crate::Tensor::into_vec`]) is [`adopt`](Reservoir::adopt)ed into or
-//! [`release`](Reservoir::release)d from the accounting. Code that moves
+//! [`crate::Tensor::into_vec`]) is `adopt`ed into or
+//! `release`d from the accounting. Code that moves
 //! bare `Vec<f32>`s — the wire — [`lend`](Reservoir::lend)s and
 //! [`recycle`](Reservoir::recycle)s, so a payload packed on one rank is
 //! expanded into the buffer another rank just finished with.
@@ -62,7 +62,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 /// lock. Measured (DESIGN.md): at 64 KiB every activation of `serve_decode`'s
 /// decode loop stays out while every tensor `train_compute` was faulting
 /// back in each step is in; 16 KiB moved nothing on `train_route`.
-pub const CUTOFF_ELEMS: usize = (64 << 10) / std::mem::size_of::<f32>();
+pub(crate) const CUTOFF_ELEMS: usize = (64 << 10) / std::mem::size_of::<f32>();
 
 /// Capacity classes per octave: a class boundary every 1/8 of a power of
 /// two, so a buffer is allocated at most 12.5 % larger than the request —
@@ -112,15 +112,15 @@ pub struct Stats {
     /// On the free lists right now.
     pub retained_bytes: u64,
     /// The most `live_bytes` has ever been.
-    pub high_water_bytes: u64,
+    pub(crate) high_water_bytes: u64,
     /// The most `retained_bytes` has ever been.
-    pub retained_peak_bytes: u64,
+    pub(crate) retained_peak_bytes: u64,
     /// Served from a free list.
-    pub hit_bytes: u64,
+    pub(crate) hit_bytes: u64,
     /// Served by a fresh allocation.
-    pub miss_bytes: u64,
+    pub(crate) miss_bytes: u64,
     /// Freed to the allocator to restore the bound.
-    pub released_bytes: u64,
+    pub(crate) released_bytes: u64,
 }
 
 impl Stats {
@@ -280,7 +280,7 @@ impl Default for Reservoir {
 
 impl Reservoir {
     /// An empty reservoir.
-    pub const fn new() -> Reservoir {
+    pub(crate) const fn new() -> Reservoir {
         Reservoir {
             state: Mutex::new(State {
                 free: BTreeMap::new(),
@@ -300,7 +300,7 @@ impl Reservoir {
     /// An empty buffer (`len() == 0`) with room for at least `n` elements,
     /// counted as live. Below [`CUTOFF_ELEMS`] it is a plain allocation the
     /// reservoir never sees again.
-    pub fn take(&self, n: usize) -> Vec<f32> {
+    pub(crate) fn take(&self, n: usize) -> Vec<f32> {
         self.take_as(n, Want::Fit, true)
     }
 
@@ -310,11 +310,11 @@ impl Reservoir {
     /// cache and is not kept from anyone for long. Decode-shaped GEMMs, whose
     /// cost is the packing, run 7–14 % slower when every panel size cycles
     /// through a buffer of its own instead.
-    pub fn take_scratch(&self, n: usize) -> Vec<f32> {
+    pub(crate) fn take_scratch(&self, n: usize) -> Vec<f32> {
         self.take_as(n, Want::Hot, true)
     }
 
-    /// [`take`](Self::take) for a buffer that leaves as a bare `Vec` (a wire
+    /// `take` for a buffer that leaves as a bare `Vec` (a wire
     /// payload): not counted as live, so whoever ends up with it either
     /// builds a tensor around it or [`recycle`](Self::recycle)s it.
     pub fn lend(&self, n: usize) -> Vec<f32> {
@@ -352,7 +352,7 @@ impl Reservoir {
     /// Hand a live buffer back: at or above the cutoff it leaves the live
     /// count and is retained for the next [`take`](Self::take); below, it is
     /// freed.
-    pub fn give(&self, buf: Vec<f32>) {
+    pub(crate) fn give(&self, buf: Vec<f32>) {
         self.put_back(buf, true);
     }
 
@@ -379,7 +379,7 @@ impl Reservoir {
 
     /// Count a buffer of this capacity, allocated elsewhere, as live from
     /// now on (a tensor was built around it).
-    pub fn adopt(&self, capacity: usize) {
+    pub(crate) fn adopt(&self, capacity: usize) {
         if capacity >= CUTOFF_ELEMS {
             let mut st = self.lock();
             st.went_live(capacity);
@@ -391,7 +391,7 @@ impl Reservoir {
 
     /// Stop counting a buffer of this capacity: it leaves by value (its
     /// tensor gave the `Vec` away).
-    pub fn release(&self, capacity: usize) {
+    pub(crate) fn release(&self, capacity: usize) {
         if capacity >= CUTOFF_ELEMS {
             self.lock().went_out(capacity);
         }

@@ -6,8 +6,8 @@
 //! distributions training needs (normal via Box–Muller, Zipf for skewed token
 //! streams) so no extra distribution crate is required.
 //!
-//! Box–Muller runs on the repository's own [`ln`] and [`sin_cos`] (see
-//! [`crate::math`]), never on the host's libm, so the initial weights are
+//! Box–Muller runs on the repository's own `ln` and `sin_cos` (see
+//! `crate::math`), never on the host's libm, so the initial weights are
 //! the same bits on every host.
 
 use crate::math::{ln, sin_cos};
@@ -34,8 +34,8 @@ fn box_muller(u1: f32, u2: f32) -> (f32, f32) {
 pub enum Fills {
     /// Draw every element — how a stream starts.
     Draw,
-    /// Step the stream past the elements ([`Rng::skip_normals`] /
-    /// [`Rng::skip_uniforms`]) and return zeros of the right shape, straight
+    /// Step the stream past the elements (`Rng::skip_normals` /
+    /// `Rng::skip_uniforms`) and return zeros of the right shape, straight
     /// from `calloc` and never touched: for a layer whose values a
     /// checkpoint load will supply.
     SkipToZeros,
@@ -124,7 +124,7 @@ impl Rng {
     /// first, and an odd tail leaves one cached. In between, pairs are drawn
     /// in blocks: the uniforms of a block come off the sequential generator
     /// first, then one loop transforms the block, which vectorizes.
-    pub fn fill_normals(&mut self, out: &mut [f32], std: f32) {
+    pub(crate) fn fill_normals(&mut self, out: &mut [f32], std: f32) {
         let mut out = out;
         if !out.is_empty() {
             if let Some(v) = self.spare_normal.take() {
@@ -163,7 +163,7 @@ impl Rng {
     /// evaluates one pair so its second half is left cached. Generator state
     /// and spare afterwards are bit for bit what the draws leave behind, for
     /// `O(n)` generator steps and at most one Box–Muller transform.
-    pub fn skip_normals(&mut self, mut n: usize) {
+    pub(crate) fn skip_normals(&mut self, mut n: usize) {
         if n > 0 && self.spare_normal.take().is_some() {
             n -= 1;
         }
@@ -175,7 +175,7 @@ impl Rng {
 
     /// Advance the stream as `n` calls of [`Rng::uniform`] would (one raw
     /// generator step each).
-    pub fn skip_uniforms(&mut self, n: usize) {
+    pub(crate) fn skip_uniforms(&mut self, n: usize) {
         for _ in 0..n {
             self.inner.next_u64();
         }
@@ -197,16 +197,8 @@ impl Rng {
 
     /// What bulk tensor fills currently do with this stream.
     #[inline]
-    pub fn fills(&self) -> Fills {
+    pub(crate) fn fills(&self) -> Fills {
         self.fills
-    }
-
-    /// Shuffle a slice in place (Fisher–Yates).
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.below(i + 1);
-            xs.swap(i, j);
-        }
     }
 
     /// Sample an index from explicit (not necessarily normalized) weights.
@@ -260,15 +252,6 @@ impl Zipf {
             Err(i) => i,
         }
         .min(self.cdf.len() - 1)
-    }
-
-    /// The probability mass of rank `k`.
-    pub fn pmf(&self, k: usize) -> f64 {
-        if k == 0 {
-            self.cdf[0]
-        } else {
-            self.cdf[k] - self.cdf[k - 1]
-        }
     }
 }
 
@@ -425,17 +408,6 @@ mod tests {
     }
 
     #[test]
-    fn shuffle_is_permutation() {
-        let mut rng = Rng::seed_from(2);
-        let mut xs: Vec<usize> = (0..100).collect();
-        rng.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        assert_ne!(xs, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn weighted_respects_weights() {
         let mut rng = Rng::seed_from(3);
         let mut counts = [0usize; 3];
@@ -477,12 +449,5 @@ mod tests {
             "head share {}",
             head as f64 / n as f64
         );
-    }
-
-    #[test]
-    fn zipf_pmf_sums_to_one() {
-        let z = Zipf::new(50, 0.8);
-        let total: f64 = (0..50).map(|k| z.pmf(k)).sum();
-        assert!((total - 1.0).abs() < 1e-9);
     }
 }

@@ -12,7 +12,7 @@ use bagualu_trace::{self as trace, names};
 
 /// An owned, contiguous, row-major tensor of `f32` values.
 ///
-/// Storage at or above [`reservoir::CUTOFF_ELEMS`] is recycled through the
+/// Storage at or above `reservoir::CUTOFF_ELEMS` is recycled through the
 /// process-wide [`reservoir`]: dropping a tensor hands its buffer back and
 /// every constructor here draws from it, overwriting the whole buffer, so
 /// what a recycled tensor holds never depends on what the buffer held.
@@ -143,18 +143,10 @@ impl Tensor {
     }
 
     /// Standard-normal initialization scaled by `std`: the elements of
-    /// [`Rng::fill_normals`].
+    /// `Rng::fill_normals`.
     pub fn randn(shape: &[usize], std: f32, rng: &mut Rng) -> Tensor {
         Tensor::random_fill(shape, rng, Rng::skip_normals, |r, xs| {
             r.fill_normals(xs, std)
-        })
-    }
-
-    /// Uniform initialization on `[lo, hi)`.
-    pub fn uniform(shape: &[usize], lo: f32, hi: f32, rng: &mut Rng) -> Tensor {
-        Tensor::random_fill(shape, rng, Rng::skip_uniforms, |r, xs| {
-            xs.iter_mut()
-                .for_each(|x| *x = lo + (hi - lo) * r.uniform())
         })
     }
 
@@ -263,20 +255,6 @@ impl Tensor {
 
     // ----------------------------------------------------------- reshaping
 
-    /// Reinterpret with a new shape of the same element count.
-    pub fn reshape(mut self, shape: &[usize]) -> Tensor {
-        let n: usize = shape.iter().product();
-        assert_eq!(
-            n,
-            self.data.len(),
-            "reshape {:?} -> {:?}",
-            self.shape,
-            shape
-        );
-        self.shape = shape.to_vec();
-        self
-    }
-
     /// Copy of rows `lo..hi` of a 2-D tensor.
     pub fn slice_rows(&self, lo: usize, hi: usize) -> Tensor {
         let c = self.cols();
@@ -338,14 +316,6 @@ impl Tensor {
         }
     }
 
-    /// `self -= other`, element-wise.
-    pub fn sub_assign(&mut self, other: &Tensor) {
-        assert_eq!(self.shape, other.shape);
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a -= b;
-        }
-    }
-
     /// `self *= other`, element-wise (Hadamard).
     pub fn mul_assign(&mut self, other: &Tensor) {
         assert_eq!(self.shape, other.shape);
@@ -378,11 +348,6 @@ impl Tensor {
         }
     }
 
-    /// Apply `f` to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        self.data.iter_mut().for_each(|x| *x = f(*x));
-    }
-
     /// New tensor with `f` applied to every element.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
         let mut data = buffer(self.data.len());
@@ -401,7 +366,7 @@ impl Tensor {
     // ------------------------------------------------------------ reductions
 
     /// Sum of all elements.
-    pub fn sum(&self) -> f32 {
+    pub(crate) fn sum(&self) -> f32 {
         self.data.iter().sum()
     }
 
@@ -422,12 +387,6 @@ impl Tensor {
     /// Euclidean norm.
     pub fn norm(&self) -> f32 {
         self.sq_norm().sqrt()
-    }
-
-    /// Dot product of two same-shaped tensors viewed as flat vectors.
-    pub fn dot(&self, other: &Tensor) -> f32 {
-        assert_eq!(self.shape, other.shape);
-        self.data.iter().zip(&other.data).map(|(a, b)| a * b).sum()
     }
 
     /// Index of the maximum element of each row of a 2-D tensor, ignoring
@@ -515,7 +474,7 @@ mod tests {
         let b = Tensor::from_vec(vec![10.0, 20.0, 30.0], &[3]);
         a.add_assign(&b);
         assert_eq!(a.as_slice(), &[11.0, 22.0, 33.0]);
-        a.sub_assign(&b);
+        a.axpy(-1.0, &b);
         assert_eq!(a.as_slice(), &[1.0, 2.0, 3.0]);
         a.mul_assign(&b);
         assert_eq!(a.as_slice(), &[10.0, 40.0, 90.0]);
@@ -540,7 +499,6 @@ mod tests {
         assert_eq!(t.mean(), 3.5);
         assert_eq!(t.sq_norm(), 25.0);
         assert_eq!(t.norm(), 5.0);
-        assert_eq!(t.dot(&t), 25.0);
     }
 
     #[test]
@@ -587,7 +545,7 @@ mod tests {
             assert!(bits(&Tensor::zeros(&[n])).iter().all(|&b| b == 0));
             let fives = Tensor::full(&[n], 5.0);
             assert!(fives.as_slice().iter().all(|&v| v == 5.0));
-            let part = reference.clone().reshape(&[3, same / 3]);
+            let part = Tensor::from_vec(reference.as_slice().to_vec(), &[3, same / 3]);
             assert_eq!(bits(&part), bits(&reference));
             assert_eq!(bits(&part.slice_rows(0, 3)), bits(&reference));
             assert_eq!(bits(&part.transposed().transposed()), bits(&reference));
@@ -648,10 +606,9 @@ mod tests {
         // Odd lengths, so the Box–Muller spare crosses every boundary
         // between a skipped fill and the drawn one after it.
         type Fill = fn(&mut Rng) -> Tensor;
-        let fills: [(Fill, &[usize]); 3] = [
+        let fills: [(Fill, &[usize]); 2] = [
             (|r| Tensor::randn(&[3, 5], 0.5, r), &[3, 5]),
             (|r| Tensor::xavier(7, 3, r), &[7, 3]),
-            (|r| Tensor::uniform(&[5], -1.0, 1.0, r), &[5]),
         ];
         let mut drawn = Rng::seed_from(13);
         let mut zeros = drawn.clone();

@@ -17,9 +17,9 @@ const TICKS_PER_SEC: u64 = 100;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HostUsage {
     /// Minor page faults so far (field 10).
-    pub minor_faults: u64,
+    pub(crate) minor_faults: u64,
     /// System CPU time so far, ms (field 15).
-    pub sys_ms: u64,
+    pub(crate) sys_ms: u64,
 }
 
 impl HostUsage {

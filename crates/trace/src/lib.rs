@@ -19,7 +19,7 @@
 //! * [`Trace`] — the merged result ([`TraceCollector::finish`]): per-rank
 //!   event logs plus analysis helpers ([`Trace::counter_total`],
 //!   [`Trace::span_total_ns`], [`Trace::overlap_fraction`]),
-//! * [`host`] — page faults and kernel time of the whole process per run,
+//! * `host` — page faults and kernel time of the whole process per run,
 //!   the cost no span inside the program can see,
 //! * [`chrome`] — export as Chrome trace-event JSON (loadable in
 //!   `chrome://tracing` / Perfetto) and as a per-rank text summary table.
@@ -33,15 +33,14 @@
 #![warn(missing_docs)]
 
 pub mod chrome;
-pub mod host;
+pub(crate) mod host;
 pub mod names;
-pub mod ring;
-pub mod straggler;
-pub mod trace;
-pub mod tracer;
+pub(crate) mod ring;
+pub(crate) mod straggler;
+pub(crate) mod trace;
+pub(crate) mod tracer;
 
 pub use host::HostUsage;
-pub use ring::Ring;
 pub use straggler::StragglerDetector;
 pub use trace::{Event, EventKind, RankTrace, Trace};
 pub use tracer::{count, enabled, span, InstallGuard, SpanGuard, TraceCollector, DRIVER_LANE};

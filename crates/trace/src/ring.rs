@@ -4,7 +4,7 @@
 /// are counted, so a runaway trace degrades gracefully (newest events win)
 /// instead of growing without bound.
 #[derive(Debug, Clone)]
-pub struct Ring<T> {
+pub(crate) struct Ring<T> {
     buf: Vec<T>,
     /// Index of the logical first element once the ring has wrapped.
     head: usize,
@@ -15,7 +15,7 @@ pub struct Ring<T> {
 
 impl<T> Ring<T> {
     /// An empty ring holding at most `capacity` elements (min 1).
-    pub fn new(capacity: usize) -> Ring<T> {
+    pub(crate) fn new(capacity: usize) -> Ring<T> {
         let capacity = capacity.max(1);
         Ring {
             buf: Vec::new(),
@@ -26,7 +26,7 @@ impl<T> Ring<T> {
     }
 
     /// Append, evicting the oldest element when full.
-    pub fn push(&mut self, item: T) {
+    pub(crate) fn push(&mut self, item: T) {
         if self.buf.len() < self.capacity {
             self.buf.push(item);
         } else {
@@ -36,24 +36,14 @@ impl<T> Ring<T> {
         }
     }
 
-    /// Elements currently held.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when nothing has been recorded (or everything was drained).
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// How many pushes evicted an older element.
-    pub fn overwritten(&self) -> u64 {
+    pub(crate) fn overwritten(&self) -> u64 {
         self.overwritten
     }
 
     /// Drain into a `Vec` in logical (oldest-first) order, resetting the
     /// ring to empty while keeping the eviction count.
-    pub fn drain_ordered(&mut self) -> Vec<T> {
+    pub(crate) fn drain_ordered(&mut self) -> Vec<T> {
         let head = std::mem::take(&mut self.head);
         let mut buf = std::mem::take(&mut self.buf);
         if head > 0 {
@@ -73,10 +63,10 @@ mod tests {
         for i in 0..5 {
             r.push(i);
         }
-        assert_eq!(r.len(), 3);
+        assert_eq!(r.buf.len(), 3);
         assert_eq!(r.overwritten(), 2);
         assert_eq!(r.drain_ordered(), vec![2, 3, 4]);
-        assert!(r.is_empty());
+        assert!(r.buf.is_empty());
         assert_eq!(r.overwritten(), 2, "eviction count survives the drain");
     }
 
@@ -93,7 +83,7 @@ mod tests {
         let mut r = Ring::new(0);
         r.push(1);
         r.push(2);
-        assert_eq!(r.len(), 1);
+        assert_eq!(r.buf.len(), 1);
         assert_eq!(r.drain_ordered(), vec![2]);
     }
 }

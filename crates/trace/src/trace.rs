@@ -118,7 +118,7 @@ impl RankTrace {
     }
 
     /// Distinct span names seen on this lane, in first-appearance order.
-    pub fn span_names(&self) -> Vec<&'static str> {
+    pub(crate) fn span_names(&self) -> Vec<&'static str> {
         let mut out = Vec::new();
         for e in &self.events {
             if matches!(e.kind, EventKind::Enter) && !out.contains(&e.name) {
@@ -129,7 +129,7 @@ impl RankTrace {
     }
 
     /// Distinct counter names seen on this lane, sorted.
-    pub fn counter_names(&self) -> Vec<&'static str> {
+    pub(crate) fn counter_names(&self) -> Vec<&'static str> {
         let mut out: Vec<&'static str> = Vec::new();
         for e in &self.events {
             if matches!(e.kind, EventKind::Count(_)) && !out.contains(&e.name) {

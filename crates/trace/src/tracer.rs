@@ -33,7 +33,7 @@ pub fn enabled() -> bool {
 /// Default per-lane ring capacity, in events. A training step records on
 /// the order of tens of span events and a few hundred counter events per
 /// rank, so this holds thousands of steps before wrapping.
-pub const DEFAULT_CAPACITY: usize = 1 << 20;
+pub(crate) const DEFAULT_CAPACITY: usize = 1 << 20;
 
 struct Lane {
     lane: usize,
@@ -70,7 +70,7 @@ impl TraceCollector {
     }
 
     /// A collector whose per-lane rings hold `capacity` events each.
-    pub fn with_capacity(capacity: usize) -> TraceCollector {
+    pub(crate) fn with_capacity(capacity: usize) -> TraceCollector {
         TraceCollector {
             shared: Arc::new(Shared {
                 epoch: Instant::now(),

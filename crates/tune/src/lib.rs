@@ -1,11 +1,11 @@
-//! `bagualu-tune` — cost-model-driven auto-tuning over the [`RunConfig`]
+//! `bagualu-tune` — cost-model-driven auto-tuning over the `RunConfig`
 //! space (the ROADMAP's "close the loop" axis; see `docs/TUNING.md`).
 //!
 //! Humans stop picking the knobs. The tuner:
 //!
 //! 1. **enumerates** the knob space ([`space::SearchSpace`]) — wire dtype,
 //!    all-to-all topology, expert placement + locality bias, overlap
-//!    bucket size — as concrete [`RunConfig`] candidates, each one already
+//!    bucket size — as concrete `RunConfig` candidates, each one already
 //!    validated (contradictory combinations never reach the objective);
 //! 2. **scores** each candidate with the one step model,
 //!    `bagualu::perfmodel::project` (the α–β collective and roofline
@@ -29,9 +29,8 @@
 
 pub mod objective;
 pub mod space;
-pub mod tuner;
+pub(crate) mod tuner;
 
-pub use bagualu::runconfig::RunConfig;
-pub use objective::{CostEnv, ModeledCost};
+pub use objective::CostEnv;
 pub use space::{Candidate, SearchSpace};
-pub use tuner::{tune, ScoredCandidate, TuneOptions, TuneReport};
+pub use tuner::{tune, TuneOptions};

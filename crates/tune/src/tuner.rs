@@ -60,8 +60,6 @@ pub struct TuneReport {
     pub default_index: usize,
     /// Index (into `scored`) of the winner.
     pub winner_index: usize,
-    /// The environment the model scored against.
-    pub env: CostEnv,
 }
 
 impl TuneReport {
@@ -230,7 +228,6 @@ pub fn tune(
         scored,
         default_index,
         winner_index,
-        env: *env,
     })
 }
 

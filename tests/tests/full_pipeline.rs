@@ -131,10 +131,5 @@ fn tokenize_train_checkpoint_repartition_generate() {
         "restored model generated off-corpus text: {text:?}"
     );
 
-    // ---- 5. Sampled generation stays in vocabulary.
-    let mut srng = Rng::seed_from(5);
-    let sampled = local.generate_sampled(&prompt, 8, 0.8, 10, &mut srng);
-    assert!(sampled.iter().all(|&t| t < cfg.vocab));
-
     let _ = std::fs::remove_dir_all(&dir);
 }

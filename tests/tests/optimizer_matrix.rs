@@ -1,14 +1,12 @@
 //! Every optimizer in the crate trains the same model on the same data —
-//! the cross-cutting sanity matrix (SGD, momentum, Adam, Adafactor, and
+//! the cross-cutting sanity matrix (Adam, AdamW, and
 //! the mixed-precision wrapper in all three dtypes).
 
 use bagualu::model::config::ModelConfig;
 use bagualu::model::param::HasParams;
 use bagualu::model::transformer::Transformer;
-use bagualu::optim::adafactor::Adafactor;
 use bagualu::optim::adam::{Adam, AdamConfig};
 use bagualu::optim::mixed::MixedPrecision;
-use bagualu::optim::sgd::Sgd;
 use bagualu::tensor::rng::Rng;
 use bagualu::tensor::DType;
 
@@ -45,20 +43,6 @@ fn assert_learned(name: &str, first: f32, last: f32) {
 }
 
 #[test]
-fn sgd_learns() {
-    let mut opt = Sgd::new(0.5);
-    let (f, l) = train(|m| opt.step(m));
-    assert_learned("sgd", f, l);
-}
-
-#[test]
-fn sgd_momentum_learns() {
-    let mut opt = Sgd::with_momentum(0.1, 0.9);
-    let (f, l) = train(|m| opt.step(m));
-    assert_learned("sgd+momentum", f, l);
-}
-
-#[test]
 fn adam_learns() {
     let mut opt = Adam::new(AdamConfig {
         lr: 1e-2,
@@ -77,23 +61,6 @@ fn adamw_learns() {
     });
     let (f, l) = train(|m| opt.step(m));
     assert_learned("adamw", f, l);
-}
-
-#[test]
-fn adafactor_learns_with_sublinear_state() {
-    let mut opt = Adafactor::new(0.05);
-    let (f, l) = train(|m| opt.step(m));
-    assert_learned("adafactor", f, l);
-    // State must be far below Adam's 8 B/param.
-    let cfg = ModelConfig::tiny();
-    let mut model = Transformer::new(cfg, &mut Rng::seed_from(1));
-    let n_params = model.num_params();
-    assert!(
-        opt.state_bytes() < n_params * 3,
-        "adafactor state {} vs {} params",
-        opt.state_bytes(),
-        n_params
-    );
 }
 
 #[test]
