@@ -16,9 +16,9 @@
 //!   ones, which is the communication contribution this reproduction
 //!   studies (experiments E2/E3).
 
-use crate::fault::{CommError, FtCommunicator};
+use crate::fault::CommError;
 use crate::payload::{Payload, WireDType};
-use crate::shm::Communicator;
+use crate::shm::{Communicator, ShmComm};
 use bagualu_tensor::reservoir;
 use std::convert::Infallible;
 use std::time::Duration;
@@ -363,30 +363,23 @@ pub fn allreduce_recursive_doubling<C: Communicator>(
     data: Vec<f32>,
     op: ReduceOp,
 ) -> Vec<f32> {
-    let Ok(data) = recursive_doubling::<_, Infallible>(
-        c,
-        data,
-        op,
-        |to, v| {
-            c.send(to, TAG_RD, v.into());
-            Ok(())
-        },
-        |from| Ok(c.recv(from, TAG_RD).into_f32()),
-    );
+    let Ok(data) = recursive_doubling::<_, Infallible>(c, data, op, |from| {
+        Ok(c.recv(from, TAG_RD).into_f32())
+    });
     data
 }
 
-/// The one recursive-doubling body (fold → doubling → unfold), over a
-/// send/receive pair on `TAG_RD` whose error type the caller picks:
-/// `Infallible` for the blocking path, [`CommError`] for the failure-aware
-/// one. The first error aborts the collective.
+/// The one recursive-doubling body (fold → doubling → unfold) on `TAG_RD`,
+/// over a receive whose error type the caller picks: `Infallible` for the
+/// blocking path, [`CommError`] for the failure-aware one. The first error
+/// aborts the collective.
 fn recursive_doubling<C: Communicator, E>(
     c: &C,
     mut data: Vec<f32>,
     op: ReduceOp,
-    send: impl Fn(usize, Vec<f32>) -> Result<(), E>,
     recv: impl Fn(usize) -> Result<Vec<f32>, E>,
 ) -> Result<Vec<f32>, E> {
+    let send = |to: usize, v: Vec<f32>| c.send(to, TAG_RD, v.into());
     let n = c.size();
     if n == 1 {
         return Ok(data);
@@ -399,7 +392,7 @@ fn recursive_doubling<C: Communicator, E>(
     // neighbour and sit out.
     let vrank = if rank < 2 * rem {
         if rank.is_multiple_of(2) {
-            send(rank + 1, data.clone())?;
+            send(rank + 1, data.clone());
             None
         } else {
             let got = recv(rank - 1)?;
@@ -415,7 +408,7 @@ fn recursive_doubling<C: Communicator, E>(
         let mut mask = 1usize;
         while mask < r {
             let partner = real(v ^ mask);
-            send(partner, data.clone())?;
+            send(partner, data.clone());
             let got = recv(partner)?;
             op.apply(&mut data, &got);
             mask <<= 1;
@@ -427,7 +420,7 @@ fn recursive_doubling<C: Communicator, E>(
         if rank.is_multiple_of(2) {
             data = recv(rank + 1)?;
         } else {
-            send(rank - 1, data.clone())?;
+            send(rank - 1, data.clone());
         }
     }
     Ok(data)
@@ -663,34 +656,32 @@ pub fn allreduce_u64<C: Communicator>(c: &C, data: Vec<u64>) -> Vec<u64> {
 // ------------------------------------------------- failure-aware collectives
 
 /// Recursive-doubling all-reduce that **detects silent peers** instead of
-/// hanging: every receive carries `timeout`, and a peer already known dead
-/// fails fast with [`CommError::PeerDead`]. Latency-optimal, so it doubles
-/// as the per-step heartbeat of the fault-tolerant trainer — a returned
-/// error is the signal to abandon the step and recover from a checkpoint.
+/// hanging: every receive carries `timeout`, and a dead peer is returned
+/// as [`CommError::PeerDead`] instead of unwinding the rank.
+/// Latency-optimal, so it doubles as the per-step heartbeat of the
+/// fault-tolerant trainer — a returned error is the signal to abandon the
+/// step and recover from a checkpoint.
 ///
 /// The failure mode is detection, not completion: once any receive errors
 /// the collective gives up (other ranks either also error or already have
 /// their result). Callers must treat an `Err` as "this communicator is
 /// compromised" and tear the world down — exactly what the checkpoint
 /// restart loop does.
-pub fn allreduce_ft<C: FtCommunicator>(
-    c: &C,
+pub fn allreduce_ft(
+    c: &ShmComm,
     data: Vec<f32>,
     op: ReduceOp,
     timeout: Duration,
 ) -> Result<Vec<f32>, CommError> {
-    recursive_doubling(
-        c,
-        data,
-        op,
-        |to, v| c.try_send(to, TAG_RD, v.into()),
-        |from| Ok(c.recv_timeout(from, TAG_RD, timeout)?.into_f32()),
-    )
+    recursive_doubling(c, data, op, |from| {
+        Ok(c.recv_timeout(from, TAG_RD, timeout)?.into_f32())
+    })
 }
 
 /// Failure-aware barrier: an [`allreduce_ft`] over one scalar. Unlike the
-/// transport barrier this cannot hang on a dead rank — it errors.
-pub fn barrier_ft<C: FtCommunicator>(c: &C, timeout: Duration) -> Result<(), CommError> {
+/// transport barrier it returns an error instead of unwinding, and it also
+/// notices a rank that is alive but silent.
+pub fn barrier_ft(c: &ShmComm, timeout: Duration) -> Result<(), CommError> {
     allreduce_ft(c, vec![1.0], ReduceOp::Sum, timeout).map(|_| ())
 }
 
@@ -881,16 +872,24 @@ mod tests {
 
     #[test]
     fn hierarchical_sends_fewer_cross_messages() {
-        use crate::harness::run_ranks_counted;
+        use crate::harness::run_ranks_ft;
+        use crate::shm::World;
         let n = 16;
         let mk_parts =
             |rank: usize| -> Vec<Vec<f32>> { (0..n).map(|_| vec![rank as f32; 4]).collect() };
-        let (_, flat_msgs) = run_ranks_counted(n, |c| {
-            alltoallv_wire(&c, mk_parts(c.rank()), WireDType::F32);
-        });
-        let (_, hier_msgs) = run_ranks_counted(n, |c| {
-            alltoallv_hierarchical_wire(&c, mk_parts(c.rank()), 4, WireDType::F32);
-        });
+        let msgs = |hierarchical: bool| {
+            let world = World::new(n);
+            run_ranks_ft(&world, |c| {
+                let parts = mk_parts(c.rank());
+                Ok(if hierarchical {
+                    alltoallv_hierarchical_wire(&c, parts, 4, WireDType::F32)
+                } else {
+                    alltoallv_wire(&c, parts, WireDType::F32)
+                })
+            });
+            world.stats().total_msgs
+        };
+        let (flat_msgs, hier_msgs) = (msgs(false), msgs(true));
         // Flat: n*(n-1) = 240 payload messages. Hierarchical: n*(s + S) pairs
         // × 2 messages (header+data) = 16*8*2 = 256 — but only n*S = 64 of
         // those transfers cross supernodes vs n*(n-s) = 192 for flat.
@@ -1135,7 +1134,7 @@ mod tests {
             });
             // 2(n-1) hops per rank, len/n elements per hop.
             let expect = (n as u64) * 2 * (n as u64 - 1) * (len as u64 / n as u64) * per_elem;
-            assert_eq!(world.bytes_sent(), expect, "wire={wire}");
+            assert_eq!(world.stats().total_bytes, expect, "wire={wire}");
         }
     }
 

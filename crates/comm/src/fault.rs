@@ -10,25 +10,23 @@
 //!   a [`crate::shm::World`] consults on every send. Every decision is
 //!   deterministic given the plan (per-rank message counters and per-rank
 //!   seeded RNG streams), so a failing schedule replays exactly.
-//! * [`CommError`] — what failure-aware operations return instead of
+//! * [`CommError`] — why a communication operation gave up instead of
 //!   hanging: a receive that exceeded its deadline or a peer known to be
 //!   dead.
-//! * [`FtCommunicator`] — the failure-aware extension of
-//!   [`crate::shm::Communicator`]: `recv_timeout`, `try_send`, and dead-rank
-//!   bookkeeping. `ShmComm` implements it natively; `TimedComm` forwards
-//!   and keeps charging virtual time on the successful paths.
 //!
-//! Detection semantics: a *crashed* rank is marked dead (by the harness's
-//! panic trap or by the rank itself before aborting), which wakes every
-//! blocked receiver; `recv_timeout` then fails fast with
-//! [`CommError::PeerDead`]. A *silent* fault (dropped message, stalled
-//! sender) is detected only by the timeout. Payload corruption is silent at
-//! the transport level by design — it is caught downstream by the
+//! Detection semantics: a *crashed* rank is marked dead (as its
+//! [`crate::ShmComm`] drops during the unwind, by the harness when its
+//! closure returns an error, or by the rank itself before it stops), which
+//! wakes every blocked receiver and barrier. A blocking receive, `wait`,
+//! `test` or `barrier` that can then never complete unwinds with a
+//! [`CommError::PeerDead`] payload; [`crate::ShmComm::recv_timeout`]
+//! returns it. A *silent* fault (dropped message, stalled sender) is
+//! detected only by `recv_timeout`'s deadline. Payload corruption is silent
+//! at the transport level by design — it is caught downstream by the
 //! checkpoint CRC or by divergence checks, mirroring how real networks
 //! deliver bit flips past the NIC.
 
 use crate::payload::Payload;
-use crate::shm::Communicator;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -435,13 +433,15 @@ pub(crate) fn corrupt_payload(p: &mut Payload) {
     }
 }
 
-/// Why a failure-aware communication operation gave up.
+/// Why a communication operation gave up: the error of
+/// [`crate::ShmComm::recv_timeout`] and the failure-aware collectives, and
+/// the panic payload of a blocking operation on a dead peer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CommError {
     /// No matching message arrived within the deadline. The peer may be
     /// dead, stalled, or the message may have been dropped in flight.
     Timeout {
-        /// Group rank the receive was posted against.
+        /// Rank the receive was posted against.
         src: usize,
         /// Tag the receive was posted under.
         tag: u64,
@@ -451,7 +451,7 @@ pub enum CommError {
     /// The peer is known dead (its thread panicked or aborted); no message
     /// can ever arrive from it.
     PeerDead {
-        /// Group rank of the dead peer.
+        /// Rank of the dead peer.
         peer: usize,
     },
 }
@@ -473,28 +473,6 @@ impl std::fmt::Display for CommError {
 }
 
 impl std::error::Error for CommError {}
-
-/// Failure-aware extension of [`Communicator`]: deadline receives, sends
-/// that refuse dead destinations, and dead-rank bookkeeping. Collectives
-/// built on this trait (e.g. [`crate::collectives::allreduce_ft`]) return
-/// [`CommError`] instead of hanging on a lost peer.
-pub trait FtCommunicator: Communicator {
-    /// Like [`Communicator::recv`] but gives up after `timeout`, and fails
-    /// fast with [`CommError::PeerDead`] when `src` is marked dead and no
-    /// matching message is already queued.
-    fn recv_timeout(&self, src: usize, tag: u64, timeout: Duration) -> Result<Payload, CommError>;
-
-    /// Like [`Communicator::send`] but returns [`CommError::PeerDead`]
-    /// instead of silently writing into a dead rank's mailbox.
-    fn try_send(&self, dst: usize, tag: u64, payload: Payload) -> Result<(), CommError>;
-
-    /// Mark this rank dead and wake every blocked receiver in the world.
-    /// Called by the harness when a rank panics or aborts.
-    fn mark_self_dead(&self);
-
-    /// Is the given **group** rank marked dead?
-    fn is_dead(&self, group_rank: usize) -> bool;
-}
 
 #[cfg(test)]
 mod tests {

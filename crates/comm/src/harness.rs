@@ -5,11 +5,12 @@
 //! owns one core group: kernels inside a rank fan out over that many lanes
 //! and no further, so ranks never contend for each other's cores.
 //!
-//! Fault-aware variants: [`run_ranks_ft`] traps per-rank panics and comm
-//! errors into [`RankOutcome`]s (marking the failed rank dead so survivors'
-//! timeout receives resolve instead of hanging), and [`run_ranks_deadline`]
-//! is the deadlock watchdog for tests — a mismatched-tag hang fails within
-//! the deadline with a diagnostic instead of stalling CI.
+//! A rank that fails is dead to its peers, so their waits on it end
+//! instead of hanging. [`run_ranks_ft`] traps per-rank panics and comm
+//! errors into [`RankOutcome`]s, and [`run_ranks_deadline`] is the
+//! deadlock watchdog for tests — a mismatched-tag hang (a live peer that
+//! never sends) fails within the deadline with a diagnostic instead of
+//! stalling CI.
 
 use crate::fault::CommError;
 use crate::shm::{ShmComm, World};
@@ -36,32 +37,28 @@ where
 }
 
 /// [`run_ranks_ft`] over `world` with every rank's failure the caller's:
-/// results in rank order, the first rank panic re-raised (with its message)
-/// after all threads have been joined.
+/// results in rank order, or, after all threads have been joined, the
+/// first rank panic re-raised with its message. A crash is the root cause;
+/// the [`CommError`]s it set off in its peers are reported only when no
+/// rank crashed.
 fn run_world<F, R>(world: &World, f: F) -> Vec<R>
 where
     F: Fn(ShmComm) -> R + Send + Sync,
     R: Send,
 {
-    run_ranks_ft(world, |c| Ok(f(c)))
-        .into_iter()
-        .map(|outcome| match outcome {
-            RankOutcome::Ok(r) => r,
+    let mut results = Vec::new();
+    let mut lost = None;
+    for outcome in run_ranks_ft(world, |c| Ok(f(c))) {
+        match outcome {
+            RankOutcome::Ok(r) => results.push(r),
             RankOutcome::Crashed(msg) => panic!("{msg}"),
-            RankOutcome::TimedOut(e) => unreachable!("an infallible rank returned {e}"),
-        })
-        .collect()
-}
-
-/// Run `f` on `n` ranks and also return the world's traffic counters
-/// `(bytes_sent, messages_sent)` — used by communication-volume experiments.
-pub fn run_ranks_counted<F>(n: usize, f: F) -> (u64, u64)
-where
-    F: Fn(ShmComm) + Send + Sync,
-{
-    let world = World::new(n);
-    run_world(&world, f);
-    (world.bytes_sent(), world.messages_sent())
+            RankOutcome::TimedOut(e) => lost = lost.or(Some(e)),
+        }
+    }
+    if let Some(e) = lost {
+        panic!("{e}");
+    }
+    results
 }
 
 /// How one rank of a fault-tolerant run ended.
@@ -73,7 +70,8 @@ pub enum RankOutcome<R> {
     /// the panic message.
     Crashed(String),
     /// The rank aborted on a communication error — a deadline receive
-    /// timed out or a peer was found dead.
+    /// timed out or a peer was found dead — whether returned or unwound
+    /// with.
     TimedOut(CommError),
 }
 
@@ -95,9 +93,9 @@ impl<R> RankOutcome<R> {
 /// Run `f` on every rank of `world`, trapping failures per rank instead of
 /// propagating them. A rank that panics or returns `Err` is marked **dead**
 /// in the world before its thread exits, which wakes every blocked
-/// receiver: survivors' `recv_timeout`/failure-aware collectives resolve
-/// with [`CommError::PeerDead`] promptly instead of waiting out their full
-/// deadline. Returns one [`RankOutcome`] per rank, in rank order.
+/// receiver: survivors' waits on it resolve with [`CommError::PeerDead`]
+/// promptly instead of hanging or waiting out their full deadline.
+/// Returns one [`RankOutcome`] per rank, in rank order.
 pub fn run_ranks_ft<F, R>(world: &World, f: F) -> Vec<RankOutcome<R>>
 where
     F: Fn(ShmComm) -> Result<R, CommError> + Send + Sync,
@@ -113,27 +111,26 @@ where
             .map(|(rank, c)| {
                 s.spawn(move || {
                     let _lanes = par::scoped_width(lanes);
-                    let world_rank = c.world_rank_of(rank);
-                    let result = catch_unwind(AssertUnwindSafe(|| f(c)));
-                    let outcome = match result {
+                    // A rank that unwinds was marked dead as its `ShmComm`
+                    // dropped; one that returns an error is marked here,
+                    // before any join.
+                    match catch_unwind(AssertUnwindSafe(|| f(c))) {
                         Ok(Ok(r)) => RankOutcome::Ok(r),
-                        Ok(Err(e)) => RankOutcome::TimedOut(e),
-                        Err(payload) => {
-                            let msg = payload
-                                .downcast_ref::<&str>()
-                                .map(|s| s.to_string())
-                                .or_else(|| payload.downcast_ref::<String>().cloned())
-                                .unwrap_or_else(|| "<non-string panic payload>".into());
-                            RankOutcome::Crashed(msg)
+                        Ok(Err(e)) => {
+                            world.mark_dead(rank);
+                            RankOutcome::TimedOut(e)
                         }
-                    };
-                    // Mark death from inside the failing thread, before any
-                    // join: survivors blocked on this rank wake immediately
-                    // with `PeerDead` instead of waiting out their timeout.
-                    if !outcome.is_ok() {
-                        world.mark_dead(world_rank);
+                        Err(payload) => match payload.downcast::<CommError>() {
+                            Ok(e) => RankOutcome::TimedOut(*e),
+                            Err(payload) => RankOutcome::Crashed(
+                                payload
+                                    .downcast_ref::<&str>()
+                                    .map(|s| s.to_string())
+                                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                                    .unwrap_or_else(|| "<non-string panic payload>".into()),
+                            ),
+                        },
                     }
-                    outcome
                 })
             })
             .collect();
@@ -203,7 +200,6 @@ mod tests {
                 run_ranks_map(n, |_| par::current_num_threads()),
                 vec![want; n]
             );
-            run_ranks_counted(n, |_| assert_eq!(par::current_num_threads(), want));
             for outcome in run_ranks_ft(&World::new(n), |_| Ok(par::current_num_threads())) {
                 assert!(matches!(outcome, RankOutcome::Ok(w) if w == want));
             }
@@ -238,7 +234,6 @@ mod tests {
 
     #[test]
     fn ft_collects_outcomes_instead_of_propagating() {
-        use crate::fault::FtCommunicator;
         let world = World::new(3);
         let outcomes = run_ranks_ft(&world, |c| {
             match c.rank() {
@@ -297,15 +292,16 @@ mod tests {
 
     #[test]
     fn counted_reports_traffic() {
-        use crate::shm::Communicator;
-        let (bytes, msgs) = run_ranks_counted(2, |c| {
+        let world = World::new(2);
+        run_ranks_ft(&world, |c| {
             if c.rank() == 0 {
                 c.send(1, 1, vec![0u64; 4].into());
             } else {
                 c.recv(0, 1);
             }
+            Ok(())
         });
-        assert_eq!(bytes, 32);
-        assert_eq!(msgs, 1);
+        let stats = world.stats();
+        assert_eq!((stats.total_bytes, stats.total_msgs), (32, 1));
     }
 }

@@ -15,8 +15,11 @@
 //! * [`payload`] — typed message payloads (`f32` tensors, integer
 //!   metadata) plus the [`WireDType`] knob that compresses tensor traffic
 //!   to 16-bit FP16/BF16 elements in flight,
-//! * [`shm`] — the mailbox transport, [`ShmComm`], and communicator
-//!   splitting into sub-groups,
+//! * [`shm`] — the mailbox transport: one [`World`] of ranks, one
+//!   [`ShmComm`] per rank, and one claim loop behind every receive, which
+//!   ends once the source is dead (the rank unwinds with
+//!   [`CommError::PeerDead`]) or, for [`ShmComm::recv_timeout`], once its
+//!   deadline passes,
 //! * [`collectives`] — the collective algorithms, generic over any
 //!   [`Communicator`]: one entry point per collective, each algorithm
 //!   written once, tensor collectives taking the [`WireDType`] they travel
@@ -24,7 +27,7 @@
 //!   (`allreduce_wire`, the `RingAllreduce` stepper,
 //!   `bucketed_allreduce_wire`) and its first half `reduce_scatter`;
 //!   `allgather`; binomial `broadcast`; recursive doubling, blocking
-//!   (`allreduce_recursive_doubling`) and failure-aware
+//!   (`allreduce_recursive_doubling`) and failure-aware over a [`ShmComm`]
 //!   ([`allreduce_ft`], `barrier_ft`); pairwise (`alltoallv_wire`,
 //!   `alltoallv_u64`, `alltoallv_u32`) and hierarchical
 //!   (`alltoallv_hierarchical_wire`) all-to-all; and
@@ -33,11 +36,12 @@
 //!   cost (`LinkCost` / `TwoLevelCost`) to a virtual clock, for
 //!   topology studies without real network hardware,
 //! * [`harness`] — `run_ranks`, which spawns one thread per rank and joins
-//!   them, propagating panics,
-//! * [`fault`] — deterministic fault injection ([`FaultPlan`]) and the
-//!   error-carrying surface ([`CommError`], [`FtCommunicator`]) that turns
-//!   dead/silent peers into prompt errors instead of hangs; the harness's
-//!   [`harness::run_ranks_ft`] collects per-rank [`harness::RankOutcome`]s.
+//!   them, re-raising the panic of the rank that crashed first, and
+//!   [`harness::run_ranks_ft`], which collects per-rank
+//!   [`harness::RankOutcome`]s instead,
+//! * [`fault`] — deterministic fault injection ([`FaultPlan`]) and
+//!   [`CommError`], what a wait on a dead or silent peer ends with instead
+//!   of a hang.
 //!
 //! Observability: the transport reports per-family traffic through
 //! [`CommStats`] and, when a `bagualu-trace` collector is installed on the
@@ -55,7 +59,7 @@ pub mod shm;
 pub mod timed;
 
 pub use collectives::{allreduce_ft, ReduceOp};
-pub use fault::{CommError, FaultPlan, FaultRuntime, FaultSpec, FaultStats, FtCommunicator};
+pub use fault::{CommError, FaultPlan, FaultRuntime, FaultSpec, FaultStats};
 pub use harness::{run_ranks, run_ranks_deadline, run_ranks_ft, RankOutcome};
 pub use payload::WireDType;
 pub use shm::{

@@ -9,9 +9,12 @@
 //!   overlapped gradient sync is built on. `recv` ≡ `wait(irecv(..))`,
 //! * messages between a fixed `(sender, tag)` pair are **non-overtaking**
 //!   (FIFO per key), which is what makes tag reuse across consecutive
-//!   collectives safe; requests waited in post order preserve this.
+//!   collectives safe; requests waited in post order preserve this,
+//! * a rank whose thread unwinds is **dead**: every receive from it that
+//!   has no message left to claim, and every barrier, then unwinds with a
+//!   [`CommError::PeerDead`] payload instead of blocking for good.
 
-use crate::fault::{corrupt_payload, CommError, FaultRuntime, FtCommunicator, SendAction};
+use crate::fault::{corrupt_payload, CommError, FaultRuntime, SendAction};
 use crate::payload::Payload;
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
@@ -46,8 +49,11 @@ pub trait Communicator {
     /// Asynchronously send `payload` to group rank `dst` under `tag`.
     fn send(&self, dst: usize, tag: u64, payload: Payload);
     /// Block until a message from group rank `src` under `tag` arrives.
+    /// Unwinds with a [`CommError::PeerDead`] payload once `src` is dead and
+    /// none of its messages is left for this receive.
     fn recv(&self, src: usize, tag: u64) -> Payload;
     /// Block until every rank in the group has entered the barrier.
+    /// Unwinds with a [`CommError::PeerDead`] payload once any rank is dead.
     fn barrier(&self);
 
     /// Initiate a send; the returned request is already complete (sends
@@ -64,10 +70,12 @@ pub trait Communicator {
 
     /// Poll a request; returns `true` once the message has arrived (after
     /// which [`Communicator::wait`] returns without blocking). Completion
-    /// latches: once `test` returns `true` it stays `true`.
+    /// latches: once `test` returns `true` it stays `true`. Unwinds like
+    /// [`Communicator::recv`] when the request can never complete.
     fn test(&self, req: &mut Self::RecvReq) -> bool;
 
-    /// Block until the request completes and return its payload.
+    /// Block until the request completes and return its payload. Unwinds
+    /// like [`Communicator::recv`] on a dead source.
     fn wait(&self, req: Self::RecvReq) -> Payload;
 
     /// Wait on several requests, returning payloads in request order.
@@ -120,13 +128,11 @@ pub enum CommFamily {
     Alltoall,
     /// Virtual-time headers posted by `TimedComm`.
     Timing,
-    /// Internal control traffic (the reserved `CTRL_TAG` bit).
-    Control,
     /// Application point-to-point traffic outside the reserved tag ranges.
     Other,
 }
 
-pub(crate) const N_FAMILIES: usize = 7;
+pub(crate) const N_FAMILIES: usize = 6;
 
 impl CommFamily {
     pub(crate) const ALL: [CommFamily; N_FAMILIES] = [
@@ -135,7 +141,6 @@ impl CommFamily {
         CommFamily::Gather,
         CommFamily::Alltoall,
         CommFamily::Timing,
-        CommFamily::Control,
         CommFamily::Other,
     ];
 
@@ -153,7 +158,6 @@ impl CommFamily {
             CommFamily::Gather => ("comm.sent.gather.bytes", "comm.sent.gather.msgs"),
             CommFamily::Alltoall => ("comm.sent.alltoall.bytes", "comm.sent.alltoall.msgs"),
             CommFamily::Timing => ("comm.sent.timing.bytes", "comm.sent.timing.msgs"),
-            CommFamily::Control => ("comm.sent.control.bytes", "comm.sent.control.msgs"),
             CommFamily::Other => ("comm.sent.other.bytes", "comm.sent.other.msgs"),
         }
     }
@@ -167,18 +171,14 @@ impl CommFamily {
             CommFamily::Gather => ("comm.recv.gather.bytes", "comm.recv.gather.msgs"),
             CommFamily::Alltoall => ("comm.recv.alltoall.bytes", "comm.recv.alltoall.msgs"),
             CommFamily::Timing => ("comm.recv.timing.bytes", "comm.recv.timing.msgs"),
-            CommFamily::Control => ("comm.recv.control.bytes", "comm.recv.control.msgs"),
             CommFamily::Other => ("comm.recv.other.bytes", "comm.recv.other.msgs"),
         }
     }
 
     /// Attribute a tag to a family (see the tag constants in
-    /// `collectives.rs` and the reserved high bits below / in `timed.rs`).
+    /// `collectives.rs` and the reserved high bit in `timed.rs`).
     pub(crate) fn of_tag(tag: u64) -> CommFamily {
         use crate::collectives::tags;
-        if tag & CTRL_TAG != 0 {
-            return CommFamily::Control;
-        }
         if tag & crate::timed::TIME_TAG_XOR != 0 {
             return CommFamily::Timing;
         }
@@ -279,51 +279,29 @@ fn trace_recv(tag: u64, payload: &Payload) {
     }
 }
 
-/// Mailbox key: (group context, sender's group rank, tag).
-type Key = (u64, usize, u64);
+/// Mailbox key: (sender's rank, tag).
+type Key = (usize, u64);
 
-/// Post-order matching state for one `(ctx, src, tag)` key: requests take
-/// a ticket at post time and may only claim a queued message when every
-/// earlier ticket has claimed — MPI's posted-receive ordering, which keeps
-/// FIFO intact even when requests are `test`ed out of order.
-#[derive(Default, Clone, Copy)]
-struct Tickets {
+/// One key's queued messages and its post-order matching state: requests
+/// take a ticket at post time and may only claim a queued message when
+/// every earlier ticket has claimed — MPI's posted-receive ordering, which
+/// keeps FIFO intact even when requests are `test`ed out of order.
+#[derive(Default)]
+struct Channel {
+    queue: VecDeque<Payload>,
     posted: u64,
     claimed: u64,
 }
 
-#[derive(Default)]
-struct MailboxState {
-    queues: HashMap<Key, VecDeque<Payload>>,
-    tickets: HashMap<Key, Tickets>,
-}
-
 struct Mailbox {
-    state: Mutex<MailboxState>,
+    channels: Mutex<HashMap<Key, Channel>>,
     arrived: Condvar,
 }
 
+#[derive(Default)]
 struct BarrierState {
     inner: Mutex<(usize, u64)>, // (arrived, generation)
     released: Condvar,
-    size: usize,
-}
-
-impl BarrierState {
-    fn wait(&self) {
-        let mut g = self.inner.lock();
-        let generation = g.1;
-        g.0 += 1;
-        if g.0 == self.size {
-            g.0 = 0;
-            g.1 += 1;
-            self.released.notify_all();
-        } else {
-            while g.1 == generation {
-                self.released.wait(&mut g);
-            }
-        }
-    }
 }
 
 /// Lock-free per-family counters (indexed by `CommFamily::index`).
@@ -335,24 +313,25 @@ struct FamilyCounters {
 
 struct Shared {
     boxes: Vec<Mailbox>,
-    barriers: Mutex<HashMap<u64, Arc<BarrierState>>>,
+    barrier: BarrierState,
     total_bytes: AtomicU64,
     total_msgs: AtomicU64,
     families: FamilyCounters,
     /// Supernode size for intra/inter all-to-all byte attribution
     /// (0 = split disabled).
     supernode_size: AtomicU64,
-    /// All-to-all bytes between world ranks of the same supernode.
+    /// All-to-all bytes between ranks of the same supernode.
     a2a_intra_bytes: AtomicU64,
     /// All-to-all bytes crossing a supernode boundary.
     a2a_inter_bytes: AtomicU64,
     /// Armed fault schedule, consulted on every send (None = no faults).
     faults: Option<Arc<FaultRuntime>>,
-    /// Per-world-rank nanoseconds spent inside `send` (the straggler
-    /// signal; accounted only while `faults` is armed).
+    /// Per-rank nanoseconds spent inside `send` (the straggler signal;
+    /// accounted only while `faults` is armed).
     send_ns: Vec<AtomicU64>,
-    /// Per-world-rank dead flags; set once a rank's thread panics or
-    /// aborts, after which receives from it fail fast instead of hanging.
+    /// Per-rank dead flags; set once a rank's thread unwinds or aborts,
+    /// after which receives from it and barriers fail fast instead of
+    /// hanging.
     dead: Vec<AtomicBool>,
 }
 
@@ -372,24 +351,45 @@ impl Shared {
         stats
     }
 
-    fn barrier_for(&self, ctx: u64, size: usize) -> Arc<BarrierState> {
-        let mut map = self.barriers.lock();
-        let b = map.entry(ctx).or_insert_with(|| {
-            Arc::new(BarrierState {
-                inner: Mutex::new((0, 0)),
-                released: Condvar::new(),
-                size,
-            })
-        });
-        assert_eq!(b.size, size, "barrier size mismatch for ctx {ctx}");
-        b.clone()
+    /// Mark `rank` dead and wake every blocked receiver and barrier waiter,
+    /// so their waits on it resolve to [`CommError::PeerDead`] promptly.
+    fn mark_dead(&self, rank: usize) {
+        self.dead[rank].store(true, Ordering::SeqCst);
+        for mbox in &self.boxes {
+            let _guard = mbox.channels.lock();
+            mbox.arrived.notify_all();
+        }
+        let _guard = self.barrier.inner.lock();
+        self.barrier.released.notify_all();
+    }
+
+    fn is_dead(&self, rank: usize) -> bool {
+        self.dead[rank].load(Ordering::SeqCst)
+    }
+
+    fn barrier(&self) {
+        let b = &self.barrier;
+        let mut g = b.inner.lock();
+        let generation = g.1;
+        g.0 += 1;
+        if g.0 == self.boxes.len() {
+            g.0 = 0;
+            g.1 += 1;
+            b.released.notify_all();
+            return;
+        }
+        while g.1 == generation {
+            if let Some(peer) = (0..self.dead.len()).find(|&r| self.is_dead(r)) {
+                unwind(CommError::PeerDead { peer });
+            }
+            b.released.wait(&mut g);
+        }
     }
 }
 
 /// The world: owns the shared mailboxes; hands out one [`ShmComm`] per rank.
 pub struct World {
     shared: Arc<Shared>,
-    size: usize,
 }
 
 impl World {
@@ -410,14 +410,14 @@ impl World {
         assert!(n > 0, "world must have at least one rank");
         let boxes = (0..n)
             .map(|_| Mailbox {
-                state: Mutex::new(MailboxState::default()),
+                channels: Mutex::new(HashMap::new()),
                 arrived: Condvar::new(),
             })
             .collect();
         World {
             shared: Arc::new(Shared {
                 boxes,
-                barriers: Mutex::new(HashMap::new()),
+                barrier: BarrierState::default(),
                 total_bytes: AtomicU64::new(0),
                 total_msgs: AtomicU64::new(0),
                 families: FamilyCounters::default(),
@@ -428,119 +428,154 @@ impl World {
                 send_ns: (0..n).map(|_| AtomicU64::new(0)).collect(),
                 dead: (0..n).map(|_| AtomicBool::new(false)).collect(),
             }),
-            size: n,
         }
     }
 
-    /// Mark a world rank dead and wake every blocked receiver so waits on
-    /// the dead rank resolve to [`CommError::PeerDead`] promptly.
-    pub(crate) fn mark_dead(&self, world_rank: usize) {
-        self.shared.dead[world_rank].store(true, Ordering::SeqCst);
-        for mbox in &self.shared.boxes {
-            let _guard = mbox.state.lock();
-            mbox.arrived.notify_all();
-        }
+    /// Mark `rank` dead (see [`ShmComm::mark_self_dead`]).
+    pub(crate) fn mark_dead(&self, rank: usize) {
+        self.shared.mark_dead(rank);
     }
 
     /// One communicator handle per rank, in rank order.
     pub fn comms(&self) -> Vec<ShmComm> {
-        let members: Arc<Vec<usize>> = Arc::new((0..self.size).collect());
-        (0..self.size)
-            .map(|r| ShmComm {
+        (0..self.shared.boxes.len())
+            .map(|rank| ShmComm {
                 shared: self.shared.clone(),
-                ctx: 0,
-                rank: r,
-                members: members.clone(),
+                rank,
             })
             .collect()
     }
 
-    /// Total payload bytes sent through this world so far (all groups).
-    pub(crate) fn bytes_sent(&self) -> u64 {
-        self.shared.total_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Total messages sent through this world so far (all groups).
-    pub(crate) fn messages_sent(&self) -> u64 {
-        self.shared.total_msgs.load(Ordering::Relaxed)
-    }
-
-    /// Traffic snapshot, total and per collective family (all groups).
+    /// Traffic snapshot, total and per collective family.
     pub fn stats(&self) -> CommStats {
         self.shared.snapshot_stats()
     }
 }
 
-/// Reserved tag bit for internal control traffic.
-const CTRL_TAG: u64 = 1 << 63;
-
-/// A rank's handle on a (sub-)communicator.
+/// A rank's handle on the world. Dropping it while its thread unwinds
+/// marks the rank dead, so a rank that panics anywhere — under the
+/// harness or on a thread of the caller's own — never leaves its peers
+/// blocked on it.
 pub struct ShmComm {
     shared: Arc<Shared>,
-    ctx: u64,
     rank: usize,
-    /// Group rank → world rank.
-    members: Arc<Vec<usize>>,
+}
+
+impl Drop for ShmComm {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.mark_self_dead();
+        }
+    }
 }
 
 impl ShmComm {
-    /// World rank of a group rank.
-    pub(crate) fn world_rank_of(&self, group_rank: usize) -> usize {
-        self.members[group_rank]
+    /// Like [`Communicator::recv`], but returns [`CommError::PeerDead`]
+    /// instead of unwinding, and [`CommError::Timeout`] once `timeout` has
+    /// passed without a message — the only way to notice a peer that is
+    /// alive but silent (a dropped message, a stalled sender). A failed
+    /// receive is retracted, so later receives on the same key are not
+    /// queued behind it.
+    pub fn recv_timeout(
+        &self,
+        src: usize,
+        tag: u64,
+        timeout: Duration,
+    ) -> Result<Payload, CommError> {
+        let req = self.irecv(src, tag);
+        self.claim(&req, Some(timeout))
+            .inspect_err(|_| self.cancel_recv(&req))
+    }
+
+    /// Mark this rank dead and wake every blocked receiver and barrier in
+    /// the world. A rank that stops on purpose calls this; one that unwinds
+    /// is marked as its `ShmComm` drops.
+    pub fn mark_self_dead(&self) {
+        self.shared.mark_dead(self.rank);
     }
 
     fn my_mailbox(&self) -> &Mailbox {
-        &self.shared.boxes[self.members[self.rank]]
+        &self.shared.boxes[self.rank]
     }
 
     /// Charge the elapsed time since `t0` (when accounting is armed) to
     /// this rank's send-occupancy counter.
     fn note_send_time(&self, t0: Option<Instant>) {
         if let Some(t0) = t0 {
-            self.shared.send_ns[self.members[self.rank]]
+            self.shared.send_ns[self.rank]
                 .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         }
     }
 
-    /// Claim the queued message for `req` if it is `req`'s turn (its ticket
-    /// is the oldest unclaimed for the key) and a message is available.
-    fn try_claim(&self, req: &ShmRecv) -> Option<Payload> {
+    /// The one claim loop. Takes `req`'s message once it is `req`'s turn
+    /// (its ticket is the oldest unclaimed on the key) and one is queued,
+    /// waiting up to `timeout` (`None`: without limit) for it to arrive.
+    /// `test`, `wait` and [`ShmComm::recv_timeout`] all claim through it.
+    /// Queued messages drain first: the receive fails with
+    /// [`CommError::PeerDead`] only once its source is dead and the message
+    /// its ticket would claim is not queued.
+    fn claim(&self, req: &ShmRecv, timeout: Option<Duration>) -> Result<Payload, CommError> {
         let mbox = self.my_mailbox();
-        let key = (self.ctx, req.src, req.tag);
-        let mut state = mbox.state.lock();
-        let tickets = state.tickets.entry(key).or_default();
-        if tickets.claimed != req.ticket {
-            return None;
+        let (src, tag) = (req.src, req.tag);
+        // A zero timeout is a poll: it reads no clock.
+        let deadline = timeout.filter(|t| !t.is_zero()).map(|t| Instant::now() + t);
+        let mut channels = mbox.channels.lock();
+        loop {
+            let ch = channels
+                .get_mut(&(src, tag))
+                .expect("a posted receive has a channel");
+            if ch.claimed == req.ticket {
+                if let Some(p) = ch.queue.pop_front() {
+                    ch.claimed += 1;
+                    // A claim may unblock a later-ticket waiter on the key.
+                    mbox.arrived.notify_all();
+                    drop(channels);
+                    trace_recv(tag, &p);
+                    return Ok(p);
+                }
+            }
+            let ahead = req.ticket - ch.claimed;
+            if ch.queue.len() as u64 <= ahead && self.shared.is_dead(src) {
+                return Err(CommError::PeerDead { peer: src });
+            }
+            let Some(t) = timeout else {
+                mbox.arrived.wait(&mut channels);
+                continue;
+            };
+            let left = deadline.map_or(Duration::ZERO, |d| {
+                d.saturating_duration_since(Instant::now())
+            });
+            if left.is_zero() {
+                return Err(CommError::Timeout {
+                    src,
+                    tag,
+                    waited_ms: t.as_millis() as u64,
+                });
+            }
+            mbox.arrived.wait_for(&mut channels, left);
         }
-        let state = &mut *state;
-        let payload = state.queues.get_mut(&key)?.pop_front()?;
-        state
-            .tickets
-            .get_mut(&key)
-            .unwrap_or_else(|| {
-                panic!(
-                    "claim: ticket entry vanished for (ctx {}, src {}, tag {})",
-                    key.0, key.1, key.2
-                )
-            })
-            .claimed += 1;
-        // A claim may unblock a later-ticket waiter on the same key.
-        mbox.arrived.notify_all();
-        Some(payload)
     }
 
-    /// Retract an abandoned (timed-out) receive so later receives on the
-    /// same key are not blocked behind a ghost ticket. Receives are posted
-    /// only by this rank's own thread, so an abandoned synchronous receive
-    /// is always the newest ticket on its key.
-    fn cancel_recv(&self, state: &mut MailboxState, req: &ShmRecv) {
-        let key = (self.ctx, req.src, req.tag);
-        if let Some(t) = state.tickets.get_mut(&key) {
-            if t.posted == req.ticket + 1 && t.claimed <= req.ticket {
-                t.posted -= 1;
+    /// Retract an abandoned (failed) receive so later receives on the same
+    /// key are not blocked behind a ghost ticket. Receives are posted only
+    /// by this rank's own thread, so an abandoned synchronous receive is
+    /// always the newest ticket on its key.
+    fn cancel_recv(&self, req: &ShmRecv) {
+        let mut channels = self.my_mailbox().channels.lock();
+        if let Some(ch) = channels.get_mut(&(req.src, req.tag)) {
+            if ch.posted == req.ticket + 1 && ch.claimed <= req.ticket {
+                ch.posted -= 1;
             }
         }
     }
+}
+
+/// Unwind with a [`CommError`] payload: a blocking operation that can
+/// never complete. The panic hook stays quiet (a crash that caused it
+/// reported itself), and the harness reports such a rank as
+/// [`crate::RankOutcome::TimedOut`].
+fn unwind(e: CommError) -> ! {
+    std::panic::resume_unwind(Box::new(e))
 }
 
 /// A pending receive on a [`ShmComm`]. Holds the match key and post-order
@@ -562,7 +597,7 @@ impl Communicator for ShmComm {
     }
 
     fn size(&self) -> usize {
-        self.members.len()
+        self.shared.boxes.len()
     }
 
     fn send(&self, dst: usize, tag: u64, payload: Payload) {
@@ -572,7 +607,7 @@ impl Communicator for ShmComm {
         // path takes no `Instant::now` calls.
         let t0 = self.shared.faults.as_ref().map(|_| Instant::now());
         if let Some(f) = &self.shared.faults {
-            match f.on_send(self.members[self.rank]) {
+            match f.on_send(self.rank) {
                 SendAction::Deliver => {}
                 // Dropped in flight: never enqueued, never counted as sent.
                 SendAction::Drop => {
@@ -588,7 +623,6 @@ impl Communicator for ShmComm {
                 }
             }
         }
-        let world_dst = self.members[dst];
         let bytes = payload.wire_bytes() as u64;
         self.shared.total_bytes.fetch_add(bytes, Ordering::Relaxed);
         self.shared.total_msgs.fetch_add(1, Ordering::Relaxed);
@@ -596,17 +630,12 @@ impl Communicator for ShmComm {
         let fam = family.index();
         self.shared.families.bytes[fam].fetch_add(bytes, Ordering::Relaxed);
         self.shared.families.msgs[fam].fetch_add(1, Ordering::Relaxed);
-        // Intra/inter-supernode split of all-to-all traffic, by *world*
-        // rank (supernodes are a physical-topology property, so sub-group
-        // communicators still attribute against the machine layout).
+        // Intra/inter-supernode split of all-to-all traffic.
         if family == CommFamily::Alltoall {
             let s = self.shared.supernode_size.load(Ordering::Relaxed) as usize;
-            let world_src = self.members[self.rank];
             // `s == 0` means the split is disarmed; checked_div folds that
             // case into `None` without a separate zero guard.
-            if let (Some(src_sn), Some(dst_sn)) =
-                (world_src.checked_div(s), world_dst.checked_div(s))
-            {
+            if let (Some(src_sn), Some(dst_sn)) = (self.rank.checked_div(s), dst.checked_div(s)) {
                 let intra = src_sn == dst_sn;
                 if intra {
                     self.shared
@@ -628,15 +657,15 @@ impl Communicator for ShmComm {
             }
         }
         trace_sent(tag, &payload, bytes);
-        let mbox = &self.shared.boxes[world_dst];
-        let mut state = mbox.state.lock();
-        state
-            .queues
-            .entry((self.ctx, self.rank, tag))
+        let mbox = &self.shared.boxes[dst];
+        let mut channels = mbox.channels.lock();
+        channels
+            .entry((self.rank, tag))
             .or_default()
+            .queue
             .push_back(payload);
         mbox.arrived.notify_all();
-        drop(state);
+        drop(channels);
         self.note_send_time(t0);
     }
 
@@ -648,11 +677,10 @@ impl Communicator for ShmComm {
     }
 
     fn irecv(&self, src: usize, tag: u64) -> ShmRecv {
-        let key = (self.ctx, src, tag);
-        let mut state = self.my_mailbox().state.lock();
-        let tickets = state.tickets.entry(key).or_default();
-        let ticket = tickets.posted;
-        tickets.posted += 1;
+        let mut channels = self.my_mailbox().channels.lock();
+        let ch = channels.entry((src, tag)).or_default();
+        let ticket = ch.posted;
+        ch.posted += 1;
         ShmRecv {
             src,
             tag,
@@ -663,51 +691,24 @@ impl Communicator for ShmComm {
 
     fn test(&self, req: &mut ShmRecv) -> bool {
         if req.done.is_none() {
-            req.done = self.try_claim(req);
-            if let Some(p) = &req.done {
-                trace_recv(req.tag, p);
+            match self.claim(req, Some(Duration::ZERO)) {
+                Ok(p) => req.done = Some(p),
+                Err(CommError::Timeout { .. }) => {}
+                Err(e) => unwind(e),
             }
         }
         req.done.is_some()
     }
 
-    fn wait(&self, mut req: ShmRecv) -> Payload {
-        if let Some(p) = req.done.take() {
-            return p;
-        }
-        let mbox = self.my_mailbox();
-        let key = (self.ctx, req.src, req.tag);
-        let mut state = mbox.state.lock();
-        loop {
-            let turn = state
-                .tickets
-                .get(&key)
-                .is_some_and(|t| t.claimed == req.ticket);
-            if turn {
-                let s = &mut *state;
-                if let Some(p) = s.queues.get_mut(&key).and_then(|q| q.pop_front()) {
-                    s.tickets
-                        .get_mut(&key)
-                        .unwrap_or_else(|| {
-                            panic!(
-                                "wait: ticket entry vanished for (ctx {}, src {}, tag {})",
-                                key.0, key.1, key.2
-                            )
-                        })
-                        .claimed += 1;
-                    mbox.arrived.notify_all();
-                    drop(state);
-                    trace_recv(req.tag, &p);
-                    return p;
-                }
-            }
-            mbox.arrived.wait(&mut state);
+    fn wait(&self, req: ShmRecv) -> Payload {
+        match req.done {
+            Some(p) => p,
+            None => self.claim(&req, None).unwrap_or_else(|e| unwind(e)),
         }
     }
 
     fn barrier(&self) {
-        let b = self.shared.barrier_for(self.ctx, self.size());
-        b.wait();
+        self.shared.barrier();
     }
 
     fn stats(&self) -> Option<CommStats> {
@@ -724,73 +725,7 @@ impl Communicator for ShmComm {
         self.shared
             .faults
             .as_ref()
-            .map(|_| self.shared.send_ns[self.members[self.rank]].load(Ordering::Relaxed))
-    }
-}
-
-impl FtCommunicator for ShmComm {
-    fn recv_timeout(&self, src: usize, tag: u64, timeout: Duration) -> Result<Payload, CommError> {
-        let deadline = Instant::now() + timeout;
-        let world_src = self.members[src];
-        let req = self.irecv(src, tag);
-        let mbox = self.my_mailbox();
-        let key = (self.ctx, req.src, req.tag);
-        let mut state = mbox.state.lock();
-        loop {
-            // Claim like `wait`: only at our ticket's turn, FIFO preserved.
-            let turn = state
-                .tickets
-                .get(&key)
-                .is_some_and(|t| t.claimed == req.ticket);
-            if turn {
-                let s = &mut *state;
-                if let Some(p) = s.queues.get_mut(&key).and_then(|q| q.pop_front()) {
-                    s.tickets
-                        .get_mut(&key)
-                        .expect("ticket entry exists while claiming")
-                        .claimed += 1;
-                    mbox.arrived.notify_all();
-                    drop(state);
-                    trace_recv(req.tag, &p);
-                    return Ok(p);
-                }
-            }
-            // Queued messages drain first; only then does death fail fast.
-            if self.shared.dead[world_src].load(Ordering::SeqCst) {
-                self.cancel_recv(&mut state, &req);
-                return Err(CommError::PeerDead { peer: src });
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                self.cancel_recv(&mut state, &req);
-                return Err(CommError::Timeout {
-                    src,
-                    tag,
-                    waited_ms: timeout.as_millis() as u64,
-                });
-            }
-            mbox.arrived.wait_for(&mut state, deadline - now);
-        }
-    }
-
-    fn try_send(&self, dst: usize, tag: u64, payload: Payload) -> Result<(), CommError> {
-        if self.shared.dead[self.members[dst]].load(Ordering::SeqCst) {
-            return Err(CommError::PeerDead { peer: dst });
-        }
-        self.send(dst, tag, payload);
-        Ok(())
-    }
-
-    fn mark_self_dead(&self) {
-        self.shared.dead[self.members[self.rank]].store(true, Ordering::SeqCst);
-        for mbox in &self.shared.boxes {
-            let _guard = mbox.state.lock();
-            mbox.arrived.notify_all();
-        }
-    }
-
-    fn is_dead(&self, group_rank: usize) -> bool {
-        self.shared.dead[self.members[group_rank]].load(Ordering::SeqCst)
+            .map(|_| self.shared.send_ns[self.rank].load(Ordering::Relaxed))
     }
 }
 
@@ -807,9 +742,9 @@ mod tests {
     }
 
     impl World {
-        /// Is the given world rank marked dead?
-        pub(crate) fn is_dead(&self, world_rank: usize) -> bool {
-            self.shared.dead[world_rank].load(Ordering::SeqCst)
+        /// Is `rank` marked dead?
+        pub(crate) fn is_dead(&self, rank: usize) -> bool {
+            self.shared.is_dead(rank)
         }
 
         /// Counters of faults injected so far, when a plan is armed.
@@ -1029,7 +964,7 @@ mod tests {
                 c1.recv(0, 1);
             });
         });
-        assert_eq!(world.bytes_sent(), 1024);
-        assert_eq!(world.messages_sent(), 1);
+        let stats = world.stats();
+        assert_eq!((stats.total_bytes, stats.total_msgs), (1024, 1));
     }
 }

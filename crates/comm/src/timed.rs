@@ -11,7 +11,6 @@
 //! implements (in practice from `bagualu_hw::NetworkParams`; this crate
 //! stays independent of the hardware crate).
 
-use crate::fault::{CommError, FtCommunicator};
 use crate::payload::Payload;
 use crate::shm::{CommStats, Communicator};
 use parking_lot::Mutex;
@@ -267,60 +266,6 @@ impl<C: Communicator, L: LinkCost> Communicator for TimedComm<C, L> {
     }
 }
 
-impl<C: FtCommunicator, L: LinkCost> FtCommunicator for TimedComm<C, L> {
-    /// Deadline receive that still charges virtual time on success. The
-    /// deadline is wall-clock (failure detection runs on the host), the
-    /// charge on success is virtual (the modeled machine).
-    fn recv_timeout(
-        &self,
-        src: usize,
-        tag: u64,
-        timeout: std::time::Duration,
-    ) -> Result<Payload, CommError> {
-        let posted_at = self.clocks.now.lock()[self.inner.rank()];
-        let start = std::time::Instant::now();
-        // Report the caller's logical tag in errors, not the header tag.
-        let logical_tag = |e| match e {
-            CommError::Timeout { src, waited_ms, .. } => CommError::Timeout {
-                src,
-                tag,
-                waited_ms,
-            },
-            other => other,
-        };
-        let hdr = self
-            .inner
-            .recv_timeout(src, tag ^ TIME_TAG_XOR, timeout)
-            .map_err(logical_tag)?
-            .into_u64();
-        let send_time = f64::from_bits(hdr[0]);
-        let bytes = hdr[1] as usize;
-        let remaining = timeout.saturating_sub(start.elapsed());
-        let payload = self.inner.recv_timeout(src, tag, remaining)?;
-        let me = self.inner.rank();
-        let arrival = send_time.max(posted_at) + self.cost.cost(src, me, bytes);
-        let mut clocks = self.clocks.now.lock();
-        clocks[me] = clocks[me].max(arrival);
-        Ok(payload)
-    }
-
-    fn try_send(&self, dst: usize, tag: u64, payload: Payload) -> Result<(), CommError> {
-        if self.inner.is_dead(dst) {
-            return Err(CommError::PeerDead { peer: dst });
-        }
-        self.send(dst, tag, payload);
-        Ok(())
-    }
-
-    fn mark_self_dead(&self) {
-        self.inner.mark_self_dead();
-    }
-
-    fn is_dead(&self, group_rank: usize) -> bool {
-        self.inner.is_dead(group_rank)
-    }
-}
-
 /// Tag-space split for the timing headers (flips a high bit that the
 /// collectives' tag constants never use).
 pub(crate) const TIME_TAG_XOR: u64 = 1 << 62;
@@ -494,43 +439,6 @@ mod tests {
         let cost = TwoLevelCost::sunway_like(2);
         let expect = cost.alpha_intra + 2000.0 * cost.beta_intra;
         assert!((t - expect).abs() < 1e-12, "{t} vs {expect}");
-    }
-
-    #[test]
-    fn recv_timeout_charges_virtual_time_on_success() {
-        use std::time::Duration;
-        let times = run_timed(2, 2, |c| {
-            if c.rank() == 0 {
-                c.send(1, 5, vec![0.0f32; 1000].into());
-                0.0
-            } else {
-                c.recv_timeout(0, 5, Duration::from_secs(10))
-                    .expect("message was sent");
-                c.virtual_time()
-            }
-        });
-        let cost = TwoLevelCost::sunway_like(2);
-        let expect = cost.alpha_intra + 4000.0 * cost.beta_intra;
-        assert!(
-            (times[1] - expect).abs() < 1e-12,
-            "{} vs {expect}",
-            times[1]
-        );
-    }
-
-    #[test]
-    fn recv_timeout_times_out_when_nothing_is_sent() {
-        use std::time::Duration;
-        run_timed(2, 2, |c| {
-            if c.rank() == 1 {
-                let err = c
-                    .recv_timeout(0, 5, Duration::from_millis(50))
-                    .expect_err("nothing was sent");
-                assert!(matches!(err, CommError::Timeout { src: 0, tag: 5, .. }));
-                // The failed wait must not advance the virtual clock.
-                assert_eq!(c.virtual_time(), 0.0);
-            }
-        });
     }
 
     #[test]

@@ -22,7 +22,7 @@ use crate::checkpoint::{self, PlacementMeta};
 use crate::data::{SyntheticLM, TokenDistribution};
 use crate::runconfig::RunConfig;
 use bagualu_comm::collectives::{allreduce_recursive_doubling, barrier_ft, ReduceOp};
-use bagualu_comm::fault::{FaultPlan, FaultRuntime, FtCommunicator};
+use bagualu_comm::fault::{FaultPlan, FaultRuntime};
 use bagualu_comm::harness::{run_ranks_ft, RankOutcome};
 use bagualu_comm::payload::WireDType;
 use bagualu_comm::shm::{CommStats, Communicator, ShmComm, World};
@@ -409,14 +409,15 @@ impl Trainer {
     /// [`FtConfig`]: no heartbeat, no checkpoint, no straggler detection
     /// and no restart, so a rank panic reaches the caller with its message.
     pub fn run(&self) -> TrainReport {
-        self.drive::<ShmComm>(None, None)
+        self.drive(None, None)
     }
 
     /// One rank's share of [`Trainer::run`], for a caller that owns the
-    /// rank threads itself (its own harness, a wrapped communicator): runs
-    /// every step over `comm` and returns this rank's report, without the
-    /// trace that `run` collects (the caller installs the lane).
-    pub fn run_rank<C: FtCommunicator>(&self, comm: &C) -> TrainReport {
+    /// rank threads itself: runs every step over `comm` and returns this
+    /// rank's report, without the trace that `run` collects (the caller
+    /// installs the lane). A peer that dies unwinds this rank with a
+    /// [`bagualu_comm::CommError::PeerDead`] payload.
+    pub fn run_rank(&self, comm: &ShmComm) -> TrainReport {
         self.drive(None, Some(comm))
     }
 
@@ -435,12 +436,12 @@ impl Trainer {
     /// With an empty [`FaultPlan`] and `ckpt_every: 0` this computes
     /// exactly what [`Trainer::run`] computes, plus the heartbeats.
     pub fn run_ft(&self, ft: &FtConfig) -> TrainReport {
-        self.drive::<ShmComm>(Some(ft), None)
+        self.drive(Some(ft), None)
     }
 
     /// The one driver (see the module docs): runs attempts until one
     /// completes, one thread per rank, or only the caller's `own` rank.
-    fn drive<C: FtCommunicator>(&self, ft: Option<&FtConfig>, own: Option<&C>) -> TrainReport {
+    fn drive(&self, ft: Option<&FtConfig>, own: Option<&ShmComm>) -> TrainReport {
         let cfg = self.cfg;
         let start = Instant::now();
         // The transport is armed only when it has work to do: events to
@@ -988,7 +989,7 @@ impl FtAttempt<'_> {
     /// Publish `step` to the fault runtime, fire a crash injected for this
     /// rank at it, and heartbeat. False when the rank must stop: it
     /// crashed, or a peer stopped responding.
-    fn before_step<C: FtCommunicator>(&self, step: usize, comm: &C) -> bool {
+    fn before_step(&self, step: usize, comm: &ShmComm) -> bool {
         if let Some(faults) = self.faults {
             // Sustained (step-ranged) degradation windows open and close on
             // the published step.
@@ -1008,7 +1009,7 @@ impl FtAttempt<'_> {
     /// Heartbeat ([`barrier_ft`]): detects dead peers within
     /// `heartbeat_ms`. On failure, flag self dead too so detection
     /// cascades instead of every survivor waiting out its own full timeout.
-    fn heartbeat<C: FtCommunicator>(&self, comm: &C) -> bool {
+    fn heartbeat(&self, comm: &ShmComm) -> bool {
         barrier_ft(comm, Duration::from_millis(self.ft.heartbeat_ms.max(1)))
             .inspect_err(|_| comm.mark_self_dead())
             .is_ok()
@@ -1017,7 +1018,7 @@ impl FtAttempt<'_> {
     /// Write this rank's shard of the checkpoint for step `at`; once every
     /// shard is durable, rank 0 publishes the step. False when a peer died
     /// meanwhile.
-    fn checkpoint<C: FtCommunicator>(&self, st: &mut RankState, at: usize, comm: &C) -> bool {
+    fn checkpoint(&self, st: &mut RankState, at: usize, comm: &ShmComm) -> bool {
         let _span = trace::span(names::CHECKPOINT);
         let dir = self.ft.ckpt_dir.join(format!("step{at}"));
         std::fs::create_dir_all(&dir)
@@ -1112,11 +1113,11 @@ fn placement_gate(saved: Option<PlacementMeta>, path: &Path, current: PlacementM
 /// step, a checkpoint every `ckpt_every` steps and straggler detection.
 /// `cfg` is the attempt's: after an elastic resize or a straggler migration
 /// it differs from the run's in `nranks`/`placement`.
-fn rank_loop<C: FtCommunicator>(
+fn rank_loop(
     cfg: TrainConfig,
     start_step: usize,
     ft: Option<&FtAttempt>,
-    comm: &C,
+    comm: &ShmComm,
 ) -> (Segment, End) {
     // Scope the configured compute backends to this rank's thread: every
     // matmul below — model forward/backward, eval, optimizer-adjacent
@@ -1684,9 +1685,10 @@ mod tests {
         // `run` sends no heartbeat; `run_ft` sends one `barrier_ft` per step
         // (at 2 ranks, one recursive-doubling exchange: 2 messages). The
         // heartbeat rides the metric all-reduces' tag, so compare totals.
-        let (hb_bytes, hb_msgs) = bagualu_comm::harness::run_ranks_counted(cfg.nranks, |c| {
-            barrier_ft(&c, Duration::from_secs(5)).unwrap()
-        });
+        let world = World::new(cfg.nranks);
+        run_ranks_ft(&world, |c| barrier_ft(&c, Duration::from_secs(5)));
+        let hb = world.stats();
+        let (hb_bytes, hb_msgs) = (hb.total_bytes, hb.total_msgs);
         assert_eq!(hb_msgs, 2);
         let steps = cfg.steps as u64;
         let (p, f) = (plain.comm_stats.unwrap(), fault_free.comm_stats.unwrap());

@@ -258,8 +258,8 @@ impl Drop for StopGuard<'_> {
 
 /// Drops every responder when its rank thread unwinds, so a driver waiting
 /// on a ticket panics instead of blocking forever. A rank that panics
-/// while its peers live leaves them inside a collective; this covers the
-/// world dying whole (a model every rank fails to build, say).
+/// unwinds its peers too: its `ShmComm` marks it dead as it drops, and
+/// their next collective on it ends.
 struct DropRespondersOnUnwind<'a>(&'a Shared);
 
 impl Drop for DropRespondersOnUnwind<'_> {

@@ -189,9 +189,7 @@ fn dropped_message_times_out_under_watchdog() {
 #[test]
 fn delayed_message_is_delivered_once_and_counted_once() {
     use bagualu::comm::shm::World;
-    use bagualu::comm::{
-        run_ranks_ft, CommError, FaultPlan, FaultRuntime, FtCommunicator, RankOutcome,
-    };
+    use bagualu::comm::{run_ranks_ft, CommError, FaultPlan, FaultRuntime, RankOutcome};
     use std::sync::Arc;
     use std::time::Duration;
 

@@ -239,3 +239,35 @@ fn world_sizes_agree_with_each_other() {
     assert_eq!(serve_on(2), one, "2-rank serving diverged from 1-rank");
     assert_eq!(serve_on(4), one, "4-rank serving diverged from 1-rank");
 }
+
+#[test]
+fn one_dead_rank_fails_the_server_instead_of_hanging() {
+    // Rank 1 cannot build its shard. Rank 0 must not wait for it in the
+    // per-step consensus for good: `run` panics, within the watchdog.
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let served = std::panic::catch_unwind(|| {
+            run(
+                ServerOptions {
+                    nranks: 2,
+                    engine: EngineConfig {
+                        max_batch: 2,
+                        kv_blocks: 16,
+                        block_tokens: 2,
+                    },
+                    trace: false,
+                },
+                |rank| {
+                    assert_ne!(rank, 1, "rank 1 cannot build its shard");
+                    DistTransformer::new(cfg(), 55, rank, 2, A2aKind::Pairwise)
+                },
+                |client| client.submit(vec![6, 2], 3).wait().map(|r| r.tokens),
+            )
+        });
+        let _ = tx.send(served.is_err());
+    });
+    let panicked = rx
+        .recv_timeout(std::time::Duration::from_secs(30))
+        .expect("serve::run still blocked 30 s after a rank died");
+    assert!(panicked, "serve::run returned although a rank died");
+}
