@@ -190,7 +190,7 @@ impl<C: Communicator> RingAllreduce<C> {
         ring
     }
 
-    /// All steps completed; `into_data` may be called.
+    /// All steps completed.
     pub(crate) fn is_done(&self) -> bool {
         self.step == self.total
     }
@@ -266,19 +266,14 @@ impl<C: Communicator> RingAllreduce<C> {
         self.is_done()
     }
 
-    /// Block through the remaining steps and return the reduced buffer.
-    pub(crate) fn finish(mut self, c: &C) -> Vec<f32> {
+    /// Block through the remaining steps and return the reduced buffer:
+    /// a rank waiting here sleeps on the mailbox instead of spinning.
+    pub fn finish(mut self, c: &C) -> Vec<f32> {
         while let Some(req) = self.pending.take() {
             let got = c.wait(req).into_floats();
             self.complete(c, got);
         }
         debug_assert!(self.is_done());
-        self.data
-    }
-
-    /// Extract the result of a completed all-reduce.
-    pub fn into_data(self) -> Vec<f32> {
-        assert!(self.is_done(), "ring all-reduce still has steps pending");
         self.data
     }
 }
@@ -312,8 +307,10 @@ pub fn bucket_tag(i: usize) -> u64 {
 
 /// Reduce several independent buffers ("buckets") with concurrently
 /// in-flight ring all-reduces, each on its own tag and packing each hop to
-/// `wire`. Equivalent to calling [`allreduce_wire`] per bucket, but the
-/// rings progress together so one slow chunk does not serialize the rest.
+/// `wire`. Equivalent to calling [`allreduce_wire`] per bucket, but every
+/// ring is launched before any is waited on, so each bucket's first hop is
+/// in flight at once; the rings then finish in index order, blocking on the
+/// mailbox rather than spinning.
 /// Returns reduced buckets in order.
 pub fn bucketed_allreduce_wire<C: Communicator>(
     c: &C,
@@ -327,26 +324,15 @@ pub fn bucketed_allreduce_wire<C: Communicator>(
         buckets.len(),
         TAG_BUCKET_END - TAG_BUCKET_BASE
     );
-    let mut rings: Vec<RingAllreduce<C>> = buckets
+    let rings: Vec<RingAllreduce<C>> = buckets
         .into_iter()
         .enumerate()
         .map(|(i, b)| RingAllreduce::start_wire(c, b, op, bucket_tag(i), wire))
         .collect();
-    // Round-robin until everything has drained; yield between sweeps so
-    // peer rank threads get scheduled.
-    loop {
-        let mut all_done = true;
-        for ring in rings.iter_mut() {
-            if !ring.poll(c) {
-                all_done = false;
-            }
-        }
-        if all_done {
-            break;
-        }
-        std::thread::yield_now();
-    }
-    rings.into_iter().map(|r| r.into_data()).collect()
+    // Every ring is in flight; finish them in index order. Every rank
+    // launched the same rings in the same order, so blocking on ring `i`
+    // while later rings queue up cannot deadlock.
+    rings.into_iter().map(|r| r.finish(c)).collect()
 }
 
 /// Recursive-doubling all-reduce: `⌈log₂ n⌉` rounds in which partners
@@ -920,7 +906,7 @@ mod tests {
                     std::thread::yield_now();
                 }
                 assert_eq!(ring.steps_done(), ring.steps_total());
-                assert_eq!(ring.into_data(), blocking, "n={n}");
+                assert_eq!(ring.finish(&c), blocking, "n={n}");
             });
         }
     }
@@ -949,6 +935,36 @@ mod tests {
         }
     }
 
+    /// CPU time the calling thread has used, in scheduler ticks: `utime +
+    /// stime`, fields 14 and 15 of `/proc/thread-self/stat`. `None` where
+    /// that file does not exist.
+    fn thread_cpu_ticks() -> Option<u64> {
+        let stat = std::fs::read_to_string("/proc/thread-self/stat").ok()?;
+        // Fields after the parenthesised command name start at field 3.
+        let fields: Vec<&str> = stat[stat.rfind(')')? + 2..].split(' ').collect();
+        Some(fields[11].parse::<u64>().ok()? + fields[12].parse::<u64>().ok()?)
+    }
+
+    /// A rank whose peer arrives 300 ms late waits for its buckets asleep
+    /// on the mailbox: a spinning wait reads ≈ 30 ticks here, a sleeping
+    /// one 0.
+    #[test]
+    fn bucketed_allreduce_waits_for_a_slow_peer_asleep() {
+        let ticks = run_ranks_map(2, |c| {
+            let buckets = vec![vec![c.rank() as f32 + 1.0; 64]; 4];
+            if c.rank() == 1 {
+                std::thread::sleep(Duration::from_millis(300));
+            }
+            let before = thread_cpu_ticks();
+            let got = bucketed_allreduce_wire(&c, buckets, ReduceOp::Sum, WireDType::F32);
+            assert_eq!(got, vec![vec![3.0; 64]; 4]);
+            Some(thread_cpu_ticks()? - before?)
+        });
+        if let Some(waited) = ticks[0] {
+            assert!(waited < 5, "rank 0 used {waited} ticks waiting 300 ms");
+        }
+    }
+
     #[test]
     fn concurrent_rings_on_distinct_tags_do_not_cross_talk() {
         run_ranks(4, |c| {
@@ -966,8 +982,8 @@ mod tests {
                 }
                 std::thread::yield_now();
             }
-            assert_eq!(ra.into_data(), vec![6.0; 16]);
-            assert_eq!(rb.into_data(), vec![60.0; 16]);
+            assert_eq!(ra.finish(&c), vec![6.0; 16]);
+            assert_eq!(rb.finish(&c), vec![60.0; 16]);
         });
     }
 

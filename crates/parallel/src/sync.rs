@@ -175,15 +175,11 @@ impl<'a, C: Communicator> GradBucketer<'a, C> {
         ));
     }
 
-    /// Advance every in-flight ring without blocking; true when all done.
-    fn poll(&mut self) -> bool {
-        let mut all_done = true;
+    /// Advance every in-flight ring without blocking.
+    fn poll(&mut self) {
         for ring in self.rings.iter_mut() {
-            if !ring.poll(self.comm) {
-                all_done = false;
-            }
+            ring.poll(self.comm);
         }
-        all_done
     }
 
     /// Ring steps completed so far, across all buckets.
@@ -229,9 +225,6 @@ pub fn backward_and_sync_overlapped_wire<C: Communicator>(
     // it behind, so its steps are exposed by construction.
     let _sync_span = trace::span(names::GRAD_SYNC);
     bucketer.flush();
-    while !bucketer.poll() {
-        std::thread::yield_now();
-    }
 
     let mut stats = SyncStats {
         dense_scalars: 0,
@@ -248,14 +241,17 @@ pub fn backward_and_sync_overlapped_wire<C: Communicator>(
         trace::count(names::OVERLAP_POLL_NS, bucketer.poll_ns);
     }
 
-    // Scatter the reduced stream back in the exact ready order it was
-    // gathered in; parameters may straddle bucket boundaries.
-    let inv = 1.0 / r;
+    // Every bucket is launched: finish the rings in index order, blocking
+    // on the mailbox. Every rank launches the same buckets in the same
+    // order, so this cannot deadlock, and no ring's reduction order moves.
     let mut buckets: Vec<Vec<f32>> = bucketer
         .rings
         .into_iter()
-        .map(|ring| ring.into_data())
+        .map(|ring| ring.finish(comm))
         .collect();
+    // Scatter the reduced stream back in the exact ready order it was
+    // gathered in; parameters may straddle bucket boundaries.
+    let inv = 1.0 / r;
     for b in &mut buckets {
         stats.dense_scalars += b.len();
         for g in b.iter_mut() {
