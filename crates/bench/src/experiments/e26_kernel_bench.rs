@@ -389,8 +389,8 @@ fn precheck() {
     let vec_ops = ComputeBackend::Tiled.instantiate_row_ops();
     let x = Tensor::randn(&[65, 130], 2.0, &mut rng);
     let (mut xa, mut xb) = (x.clone(), x.clone());
-    ref_ops.softmax_rows_inplace(&mut xa);
-    vec_ops.softmax_rows_inplace(&mut xb);
+    ref_ops.softmax_rows_inplace(&mut xa, &mut []);
+    vec_ops.softmax_rows_inplace(&mut xb, &mut []);
     assert_bits(&xa, &xb, "vectorized softmax vs reference");
     let gamma: Vec<f32> = (0..130).map(|i| 1.0 + i as f32 * 1e-3).collect();
     let beta: Vec<f32> = (0..130).map(|i| i as f32 * 1e-2).collect();
@@ -514,8 +514,8 @@ pub(crate) fn run() {
             if !softmax.passing() {
                 let (f, g) = paired_best(
                     11,
-                    || ref_ops.softmax_rows_inplace(&mut soft.borrow_mut()),
-                    || vec_ops.softmax_rows_inplace(&mut soft.borrow_mut()),
+                    || ref_ops.softmax_rows_inplace(&mut soft.borrow_mut(), &mut []),
+                    || vec_ops.softmax_rows_inplace(&mut soft.borrow_mut(), &mut []),
                 );
                 softmax.absorb(f, g);
             }
@@ -808,7 +808,7 @@ pub(crate) fn run() {
 
         let x = Tensor::randn(&[rn, rc], 1.0, &mut rng);
         let mut buf = x.clone();
-        let ns = best_ns(5, || ops.softmax_rows_inplace(&mut buf));
+        let ns = best_ns(5, || ops.softmax_rows_inplace(&mut buf, &mut []));
         let gel = (rn * rc) as f64 / ns as f64;
         cells.push(format!("{gel:.3}"));
         rowop_rows.push(RowOpRow {

@@ -235,7 +235,7 @@ impl MultiHeadAttention {
                         scores.set(i, j, f32::NEG_INFINITY);
                     }
                 }
-                softmax_rows_inplace(&mut scores);
+                softmax_rows_inplace(&mut scores, &mut []);
                 let ctx = matmul(&scores, &v);
                 Self::scatter_block(&mut ctx_all, &ctx, r0, h * hd);
                 probs.push(scores);

@@ -1,25 +1,27 @@
 //! Softmax cross-entropy loss with fused backward.
 
-use bagualu_tensor::ops::log_softmax_rows;
-use bagualu_tensor::ops::softmax_rows;
+use bagualu_tensor::ops::softmax_rows_inplace;
 use bagualu_tensor::Tensor;
 
 /// Mean softmax cross-entropy over `[n, vocab]` logits against integer
 /// targets. Returns `(loss, dlogits)` — the gradient is the fused
-/// `softmax − onehot` scaled by `1/n`, the numerically stable form.
+/// `softmax − onehot` scaled by `1/n`, the numerically stable form. One
+/// softmax pass yields both: each loss term is the log-softmax
+/// `x_t − lse` of its row's log-sum-exp.
 pub fn cross_entropy(logits: &Tensor, targets: &[usize]) -> (f32, Tensor) {
     let n = logits.rows();
     let v = logits.cols();
     assert_eq!(targets.len(), n, "one target per row");
-    let ls = log_softmax_rows(logits);
+    let mut dlogits = logits.clone();
+    let mut lse = vec![0.0f32; n];
+    softmax_rows_inplace(&mut dlogits, &mut lse);
     let mut loss = 0.0f32;
     for (i, &t) in targets.iter().enumerate() {
         assert!(t < v, "target {t} out of vocab {v}");
-        loss -= ls.at(i, t);
+        loss -= logits.at(i, t) - lse[i];
     }
     loss /= n as f32;
 
-    let mut dlogits = softmax_rows(logits);
     let scale = 1.0 / n as f32;
     for (i, &t) in targets.iter().enumerate() {
         let row = dlogits.row_mut(i);
@@ -89,6 +91,24 @@ mod tests {
             let s: f32 = d.row(i).iter().sum();
             assert!(s.abs() < 1e-6);
         }
+    }
+
+    /// The loss read from the softmax pass's log-sum-exp has the bits of
+    /// the separate log-softmax pass it replaced.
+    #[test]
+    fn one_pass_loss_has_the_bits_of_the_log_softmax_pass() {
+        let mut rng = bagualu_tensor::rng::Rng::seed_from(5);
+        let logits = Tensor::randn(&[37, 131], 3.0, &mut rng);
+        let targets: Vec<usize> = (0..37).map(|i| (i * 7) % 131).collect();
+        let mut loss = 0.0f32;
+        for (i, &t) in targets.iter().enumerate() {
+            let row = logits.row(i);
+            let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+            let lse = row.iter().map(|v| (v - max).exp()).sum::<f32>().ln() + max;
+            loss -= row[t] - lse;
+        }
+        loss /= 37.0;
+        assert_eq!(cross_entropy(&logits, &targets).0.to_bits(), loss.to_bits());
     }
 
     #[test]

@@ -35,5 +35,5 @@ pub use rowops::{
     set_process_row_ops, AdamStep, LayerNormOut, ReferenceRowOps, RowOpsBackend, RowOpsGuard,
     VectorizedRowOps,
 };
-pub use softmax::{log_softmax_rows, softmax_rows, softmax_rows_inplace};
+pub use softmax::{softmax_rows, softmax_rows_inplace};
 pub use tiled::{wide_kernel_available, PackedB};

@@ -81,11 +81,10 @@ pub trait RowOpsBackend: fmt::Debug + Send + Sync {
     fn name(&self) -> &'static str;
 
     /// Row-wise softmax of a 2-D tensor, in place (max-subtracted for
-    /// stability).
-    fn softmax_rows_inplace(&self, x: &mut Tensor);
-
-    /// Row-wise log-softmax, returning a new tensor.
-    fn log_softmax_rows(&self, x: &Tensor) -> Tensor;
+    /// stability). `lse` is empty, or holds one slot per row that receives
+    /// the row's log-sum-exp `ln Σⱼ exp(xⱼ − max) + max` from the same pass:
+    /// `x − lse` is the row's log-softmax.
+    fn softmax_rows_inplace(&self, x: &mut Tensor, lse: &mut [f32]);
 
     /// Row-wise layer norm `y = γ ⊙ (x − μ)/√(σ² + ε) + β` over `[n, d]`,
     /// returning `y` plus the backward cache.
@@ -134,20 +133,9 @@ impl RowOpsBackend for ReferenceRowOps {
         "reference"
     }
 
-    fn softmax_rows_inplace(&self, x: &mut Tensor) {
+    fn softmax_rows_inplace(&self, x: &mut Tensor, lse: &mut [f32]) {
         let c = x.cols();
-        for row in x.as_mut_slice().chunks_exact_mut(c) {
-            softmax_row(row);
-        }
-    }
-
-    fn log_softmax_rows(&self, x: &Tensor) -> Tensor {
-        let c = x.cols();
-        let mut out = x.clone();
-        for row in out.as_mut_slice().chunks_exact_mut(c) {
-            log_softmax_row(row);
-        }
-        out
+        softmax_block(x.as_mut_slice(), c, lse);
     }
 
     fn layernorm_rows(&self, x: &Tensor, gamma: &[f32], beta: &[f32], eps: f32) -> LayerNormOut {
@@ -186,10 +174,10 @@ impl RowOpsBackend for ReferenceRowOps {
 }
 
 /// One row of softmax — the exact historical three-step sequence: max,
-/// exp-and-sum, scale. Shared by both tiers (rows are independent, so the
-/// vectorized tier reuses it under row parallelism).
+/// exp-and-sum, scale — returning the row's max and its sum of
+/// exponentials.
 #[inline]
-fn softmax_row(row: &mut [f32]) {
+fn softmax_row(row: &mut [f32]) -> (f32, f32) {
     let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
     let mut sum = 0.0f32;
     for v in row.iter_mut() {
@@ -200,15 +188,19 @@ fn softmax_row(row: &mut [f32]) {
     for v in row.iter_mut() {
         *v *= inv;
     }
+    (max, sum)
 }
 
-/// One row of log-softmax (see [`softmax_row`]).
-#[inline]
-fn log_softmax_row(row: &mut [f32]) {
-    let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-    let lse = row.iter().map(|v| (v - max).exp()).sum::<f32>().ln() + max;
-    for v in row.iter_mut() {
-        *v -= lse;
+/// [`softmax_row`] over every `cols`-wide row of `x`, writing each row's
+/// log-sum-exp to its slot of `lse` unless `lse` is empty. Shared by both
+/// tiers (rows are independent, so the vectorized tier runs it per block of
+/// rows).
+fn softmax_block(x: &mut [f32], cols: usize, lse: &mut [f32]) {
+    for (r, row) in x.chunks_exact_mut(cols).enumerate() {
+        let (max, sum) = softmax_row(row);
+        if let Some(l) = lse.get_mut(r) {
+            *l = sum.ln() + max;
+        }
     }
 }
 
@@ -217,37 +209,31 @@ fn log_softmax_row(row: &mut [f32]) {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct VectorizedRowOps;
 
-/// Apply `row` to every `cols`-wide row of `x`, blocks of rows claimed by
-/// the intra-op lanes when the whole call clears the work cutoff.
-fn softmax_family_rows(x: &mut [f32], cols: usize, row: impl Fn(&mut [f32]) + Sync) {
-    let rows = par::rows_per_task(work::EXP_ELEM * cols as u64);
-    let work = work::EXP_ELEM * x.len() as u64;
-    par::for_each_chunk(x, rows * cols, work, |_, block| {
-        block.chunks_exact_mut(cols).for_each(&row);
-    });
-}
-
 impl RowOpsBackend for VectorizedRowOps {
     fn name(&self) -> &'static str {
         "vectorized"
     }
 
-    fn softmax_rows_inplace(&self, x: &mut Tensor) {
+    /// Blocks of rows claimed by the intra-op lanes when the whole call
+    /// clears the work cutoff.
+    fn softmax_rows_inplace(&self, x: &mut Tensor, lse: &mut [f32]) {
         let c = x.cols();
         if c == 0 {
             return;
         }
-        softmax_family_rows(x.as_mut_slice(), c, softmax_row);
-    }
-
-    fn log_softmax_rows(&self, x: &Tensor) -> Tensor {
-        let c = x.cols();
-        let mut out = x.clone();
-        if c == 0 {
-            return out;
+        let x = x.as_mut_slice();
+        if !par::dispatch(work::EXP_ELEM * x.len() as u64) {
+            return softmax_block(x, c, lse);
         }
-        softmax_family_rows(out.as_mut_slice(), c, log_softmax_row);
-        out
+        let rows = par::rows_per_task(work::EXP_ELEM * c as u64);
+        let blocks = x.par_chunks_mut(rows * c);
+        if lse.is_empty() {
+            blocks.for_each(|b| softmax_block(b, c, &mut []));
+        } else {
+            blocks
+                .zip(lse.par_chunks_mut(rows))
+                .for_each(|(b, l)| softmax_block(b, c, l));
+        }
     }
 
     /// Fused single pass per row (mean, variance, then normalize+scale+
@@ -481,16 +467,11 @@ mod tests {
             let x = Tensor::randn(&[n, d], 2.0, &mut rng);
             let mut a = x.clone();
             let mut b = x.clone();
-            ReferenceRowOps.softmax_rows_inplace(&mut a);
-            VectorizedRowOps.softmax_rows_inplace(&mut b);
+            let (mut la, mut lb) = (vec![0.0; n], vec![0.0; n]);
+            ReferenceRowOps.softmax_rows_inplace(&mut a, &mut la);
+            VectorizedRowOps.softmax_rows_inplace(&mut b, &mut lb);
             assert_bitwise(a.as_slice(), b.as_slice(), &format!("softmax {n}x{d}"));
-            let la = ReferenceRowOps.log_softmax_rows(&x);
-            let lb = VectorizedRowOps.log_softmax_rows(&x);
-            assert_bitwise(
-                la.as_slice(),
-                lb.as_slice(),
-                &format!("log_softmax {n}x{d}"),
-            );
+            assert_bitwise(&la, &lb, &format!("log-sum-exp {n}x{d}"));
         }
     }
 
@@ -555,7 +536,7 @@ mod tests {
     #[test]
     fn degenerate_shapes_are_fine() {
         let mut empty = Tensor::zeros(&[0, 4]);
-        VectorizedRowOps.softmax_rows_inplace(&mut empty);
+        VectorizedRowOps.softmax_rows_inplace(&mut empty, &mut []);
         let out =
             VectorizedRowOps.layernorm_rows(&Tensor::zeros(&[0, 4]), &[1.0; 4], &[0.0; 4], 1e-5);
         assert_eq!(out.y.shape(), &[0, 4]);

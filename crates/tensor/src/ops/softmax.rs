@@ -14,36 +14,25 @@ use bagualu_trace::names;
 
 /// Row-wise softmax of a 2-D tensor, in place, on the calling thread's
 /// row-op backend. Uses the max-subtraction trick so
-/// half-precision-scale logits cannot overflow the exponentials.
-pub fn softmax_rows_inplace(x: &mut Tensor) {
+/// half-precision-scale logits cannot overflow the exponentials. `lse` is
+/// empty, or one slot per row that receives the row's log-sum-exp from the
+/// same pass (`x − lse` is the log-softmax a cross-entropy loss reads;
+/// see [`RowOpsBackend::softmax_rows_inplace`](crate::ops::rowops::RowOpsBackend::softmax_rows_inplace)).
+pub fn softmax_rows_inplace(x: &mut Tensor, lse: &mut [f32]) {
     let flops = SOFTMAX_FLOPS_PER_ELEM * x.len() as u64;
     traced_rowop(
         names::COMPUTE_SOFTMAX_NS,
         names::COMPUTE_SOFTMAX_FLOPS,
         flops,
-        || current_row_ops().softmax_rows_inplace(x),
+        || current_row_ops().softmax_rows_inplace(x, lse),
     )
 }
 
 /// Row-wise softmax, returning a new tensor.
 pub fn softmax_rows(x: &Tensor) -> Tensor {
     let mut out = x.clone();
-    softmax_rows_inplace(&mut out);
+    softmax_rows_inplace(&mut out, &mut []);
     out
-}
-
-/// Row-wise log-softmax, returning a new tensor, on the calling thread's
-/// row-op backend. More accurate than taking `ln` of [`softmax_rows`] for
-/// cross-entropy losses. Counted under the `compute.softmax.*` counters —
-/// it is the same pass shape over the same logits.
-pub fn log_softmax_rows(x: &Tensor) -> Tensor {
-    let flops = SOFTMAX_FLOPS_PER_ELEM * x.len() as u64;
-    traced_rowop(
-        names::COMPUTE_SOFTMAX_NS,
-        names::COMPUTE_SOFTMAX_FLOPS,
-        flops,
-        || current_row_ops().log_softmax_rows(x),
-    )
 }
 
 #[cfg(test)]
@@ -79,10 +68,12 @@ mod tests {
     #[test]
     fn log_softmax_matches_ln_of_softmax() {
         let x = Tensor::from_vec(vec![0.3, -1.2, 2.5, 0.0], &[2, 2]);
-        let ls = log_softmax_rows(&x);
-        let s = softmax_rows(&x);
+        let mut s = x.clone();
+        let mut lse = vec![0.0; 2];
+        softmax_rows_inplace(&mut s, &mut lse);
         for i in 0..x.len() {
-            assert!((ls.as_slice()[i] - s.as_slice()[i].ln()).abs() < 1e-5);
+            let log_softmax = x.as_slice()[i] - lse[i / 2];
+            assert!((log_softmax - s.as_slice()[i].ln()).abs() < 1e-5);
         }
     }
 

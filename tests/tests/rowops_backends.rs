@@ -45,12 +45,11 @@ proptest! {
         let mut rng = Rng::seed_from(seed);
         let x = Tensor::randn(&[rows, cols], 2.0, &mut rng);
         let (mut a, mut b) = (x.clone(), x.clone());
-        ReferenceRowOps.softmax_rows_inplace(&mut a);
-        VectorizedRowOps.softmax_rows_inplace(&mut b);
+        let (mut la, mut lb) = (vec![0.0; rows], vec![0.0; rows]);
+        ReferenceRowOps.softmax_rows_inplace(&mut a, &mut la);
+        VectorizedRowOps.softmax_rows_inplace(&mut b, &mut lb);
         prop_assert!(bitwise_eq(a.as_slice(), b.as_slice()), "softmax {rows}x{cols}");
-        let la = ReferenceRowOps.log_softmax_rows(&x);
-        let lb = VectorizedRowOps.log_softmax_rows(&x);
-        prop_assert!(bitwise_eq(la.as_slice(), lb.as_slice()), "log_softmax {rows}x{cols}");
+        prop_assert!(bitwise_eq(&la, &lb), "log-sum-exp {rows}x{cols}");
     }
 
     // LayerNorm: all three outputs (y, x̂, 1/σ) must match, since the
@@ -119,17 +118,17 @@ proptest! {
         let xs = Tensor::randn(&[around_cutoff(work::EXP_ELEM, t) / cols, cols], 2.0, &mut rng);
         let xl = Tensor::randn(&[around_cutoff(work::STREAM_ELEM, t) / cols, cols], 1.0, &mut rng);
         let mut soft = xs.clone();
-        ReferenceRowOps.softmax_rows_inplace(&mut soft);
-        let log_soft = ReferenceRowOps.log_softmax_rows(&xs);
+        let mut lse = vec![0.0; xs.rows()];
+        ReferenceRowOps.softmax_rows_inplace(&mut soft, &mut lse);
         let ln = ReferenceRowOps.layernorm_rows(&xl, &gamma, &beta, 1e-5);
         for width in widths() {
             let _lanes = par::scoped_width(width);
             let what = format!("{:?} / {:?} at width {width}", xs.shape(), xl.shape());
             let mut got = xs.clone();
-            VectorizedRowOps.softmax_rows_inplace(&mut got);
+            let mut got_lse = vec![0.0; xs.rows()];
+            VectorizedRowOps.softmax_rows_inplace(&mut got, &mut got_lse);
             prop_assert!(bitwise_eq(got.as_slice(), soft.as_slice()), "softmax {what}");
-            let got = VectorizedRowOps.log_softmax_rows(&xs);
-            prop_assert!(bitwise_eq(got.as_slice(), log_soft.as_slice()), "log_softmax {what}");
+            prop_assert!(bitwise_eq(&got_lse, &lse), "log-sum-exp {what}");
             let got = VectorizedRowOps.layernorm_rows(&xl, &gamma, &beta, 1e-5);
             prop_assert!(bitwise_eq(got.y.as_slice(), ln.y.as_slice()), "ln y {what}");
             prop_assert!(bitwise_eq(got.xhat.as_slice(), ln.xhat.as_slice()), "ln xhat {what}");
@@ -197,7 +196,7 @@ proptest! {
         let mut rng = Rng::seed_from(seed);
         let x = Tensor::randn(&[rows, cols], 1.0, &mut rng);
         let mut want = x.clone();
-        ReferenceRowOps.softmax_rows_inplace(&mut want);
+        ReferenceRowOps.softmax_rows_inplace(&mut want, &mut []);
         for cb in [
             ComputeBackend::Reference,
             ComputeBackend::Tiled,
@@ -205,7 +204,7 @@ proptest! {
         ] {
             let ops = cb.instantiate_row_ops();
             let mut got = x.clone();
-            ops.softmax_rows_inplace(&mut got);
+            ops.softmax_rows_inplace(&mut got, &mut []);
             prop_assert!(
                 bitwise_eq(got.as_slice(), want.as_slice()),
                 "{cb} ({}) {rows}x{cols}", ops.name(),
