@@ -83,7 +83,119 @@ pub struct F16(pub u16);
 impl F16 {
     /// Convert from `f32` with round-to-nearest-even, handling subnormals,
     /// overflow to infinity, and NaN payloads.
+    ///
+    /// Select-only: all three candidates are computed and the magnitude
+    /// picks one, so a loop over a slice has no data-dependent branch.
+    /// * subnormal results (`|x| < 2⁻¹⁴`): adding `0.5` puts the f16
+    ///   subnormal's bits in the low mantissa, and the hardware add rounds
+    ///   them to nearest-even;
+    /// * normal results: re-bias the exponent and round the 13 dropped
+    ///   mantissa bits to nearest-even (a carry into the exponent is
+    ///   correct rounding, up to infinity);
+    /// * `|x| ≥ 65536`: infinity, or a quiet NaN keeping the top payload
+    ///   bits with the low one set.
+    #[inline]
     pub fn from_f32(value: f32) -> F16 {
+        // 0.5 as f32: the subnormal magic, `(127 − 15 + 23 − 10 + 1) << 23`.
+        const SUBNORMAL_MAGIC: u32 = 126 << 23;
+        let bits = value.to_bits();
+        let sign = (bits >> 16) & 0x8000;
+        let abs = bits & 0x7FFF_FFFF;
+
+        let subnormal = (f32::from_bits(abs) + f32::from_bits(SUBNORMAL_MAGIC))
+            .to_bits()
+            .wrapping_sub(SUBNORMAL_MAGIC);
+        let odd = (abs >> 13) & 1;
+        let normal = abs
+            .wrapping_sub((127 - 15) << 23)
+            .wrapping_add(0x0FFF + odd)
+            >> 13;
+        let inf_nan = if abs > 0x7F80_0000 {
+            0x7C00 | 0x0200 | (abs >> 13) & 0x03FF | 0x0001
+        } else {
+            0x7C00
+        };
+        let out = if abs >= (127 + 16) << 23 {
+            inf_nan
+        } else if abs < (127 - 14) << 23 {
+            subnormal
+        } else {
+            normal
+        };
+        F16((sign | out) as u16)
+    }
+
+    /// Convert to `f32` exactly (every f16 is representable in f32).
+    ///
+    /// Select-only, like [`F16::from_f32`]: shift the exponent and mantissa
+    /// into place and re-bias; an all-ones exponent re-biases once more to
+    /// f32's infinity/NaN; a zero exponent (zero or subnormal) gets the
+    /// smallest normal's exponent and has `2⁻¹⁴` subtracted, which is exact.
+    #[inline]
+    pub fn to_f32(self) -> f32 {
+        const EXP_MASK: u32 = 0x7C00 << 13;
+        // 2⁻¹⁴ as f32.
+        const MIN_NORMAL: u32 = (127 - 14) << 23;
+        let h = self.0 as u32;
+        let shifted = (h & 0x7FFF) << 13;
+        let exp = shifted & EXP_MASK;
+        let normal = shifted + ((127 - 15) << 23);
+        let inf_nan = normal + ((128 - 16) << 23);
+        let subnormal = (f32::from_bits(normal + (1 << 23)) - f32::from_bits(MIN_NORMAL)).to_bits();
+        let out = if exp == EXP_MASK {
+            inf_nan
+        } else if exp == 0 {
+            subnormal
+        } else {
+            normal
+        };
+        f32::from_bits(out | (h & 0x8000) << 16)
+    }
+}
+
+/// bfloat16 value stored as its raw bit pattern (the top 16 bits of an f32).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct BF16(pub u16);
+
+impl BF16 {
+    /// Convert from `f32` with round-to-nearest-even.
+    pub fn from_f32(value: f32) -> BF16 {
+        let bits = value.to_bits();
+        if value.is_nan() {
+            // Quiet NaN, preserving sign.
+            return BF16(((bits >> 16) as u16) | 0x0040 | 0x0001);
+        }
+        let rest = bits & 0xFFFF;
+        let mut top = (bits >> 16) as u16;
+        if rest > 0x8000 || (rest == 0x8000 && (top & 1) == 1) {
+            top = top.wrapping_add(1);
+        }
+        BF16(top)
+    }
+
+    /// Convert to `f32` exactly.
+    pub fn to_f32(self) -> f32 {
+        f32::from_bits((self.0 as u32) << 16)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    impl F16 {
+        const ONE: F16 = F16(0x3C00);
+        const INFINITY: F16 = F16(0x7C00);
+        const NEG_INFINITY: F16 = F16(0xFC00);
+    }
+
+    impl BF16 {
+        const ONE: BF16 = BF16(0x3F80);
+    }
+
+    /// The branching f32 → f16 conversion the select-only one replaced:
+    /// the oracle it is checked against.
+    fn from_f32_branching(value: f32) -> F16 {
         let bits = value.to_bits();
         let sign = ((bits >> 16) & 0x8000) as u16;
         let exp = ((bits >> 23) & 0xFF) as i32;
@@ -134,11 +246,11 @@ impl F16 {
         F16(sign)
     }
 
-    /// Convert to `f32` exactly (every f16 is representable in f32).
-    pub fn to_f32(self) -> f32 {
-        let sign = ((self.0 & 0x8000) as u32) << 16;
-        let exp = ((self.0 >> 10) & 0x1F) as u32;
-        let mant = (self.0 & 0x03FF) as u32;
+    /// The branching f16 → f32 conversion the select-only one replaced.
+    fn to_f32_branching(h: F16) -> f32 {
+        let sign = ((h.0 & 0x8000) as u32) << 16;
+        let exp = ((h.0 >> 10) & 0x1F) as u32;
+        let mant = (h.0 & 0x03FF) as u32;
 
         let bits = if exp == 0 {
             if mant == 0 {
@@ -158,46 +270,53 @@ impl F16 {
         };
         f32::from_bits(bits)
     }
-}
 
-/// bfloat16 value stored as its raw bit pattern (the top 16 bits of an f32).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct BF16(pub u16);
-
-impl BF16 {
-    /// Convert from `f32` with round-to-nearest-even.
-    pub fn from_f32(value: f32) -> BF16 {
-        let bits = value.to_bits();
-        if value.is_nan() {
-            // Quiet NaN, preserving sign.
-            return BF16(((bits >> 16) as u16) | 0x0040 | 0x0001);
+    /// Check `F16::from_f32` against the branching oracle on every f32 bit
+    /// pattern `step` apart (and the last one).
+    fn sweep_from_f32(step: usize) {
+        for bits in (0..=u32::MAX).step_by(step).chain([u32::MAX]) {
+            let x = f32::from_bits(bits);
+            assert_eq!(
+                F16::from_f32(x),
+                from_f32_branching(x),
+                "f32 bits {bits:#010x}"
+            );
         }
-        let rest = bits & 0xFFFF;
-        let mut top = (bits >> 16) as u16;
-        if rest > 0x8000 || (rest == 0x8000 && (top & 1) == 1) {
-            top = top.wrapping_add(1);
+    }
+
+    /// A strided sweep over all 2³² f32 inputs (every exponent, both signs,
+    /// NaN payloads) and every one of the 2¹⁶ f16 inputs, and every f32
+    /// within a few ulps of each f16 value and rounding midpoint.
+    #[test]
+    fn select_only_converters_match_the_branching_ones() {
+        sweep_from_f32(4099);
+        for h in 0..=u16::MAX {
+            let got = F16(h).to_f32();
+            assert_eq!(
+                got.to_bits(),
+                to_f32_branching(F16(h)).to_bits(),
+                "f16 {h:#06x}"
+            );
+            let exact = got.to_bits();
+            let midpoint = exact.wrapping_add(1 << 12);
+            for centre in [exact, midpoint] {
+                for d in 0..8u32 {
+                    for bits in [centre.wrapping_add(d), centre.wrapping_sub(d)] {
+                        let x = f32::from_bits(bits);
+                        assert_eq!(F16::from_f32(x), from_f32_branching(x), "{bits:#010x}");
+                    }
+                }
+            }
         }
-        BF16(top)
     }
 
-    /// Convert to `f32` exactly.
-    pub fn to_f32(self) -> f32 {
-        f32::from_bits((self.0 as u32) << 16)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    impl F16 {
-        const ONE: F16 = F16(0x3C00);
-        const INFINITY: F16 = F16(0x7C00);
-        const NEG_INFINITY: F16 = F16(0xFC00);
-    }
-
-    impl BF16 {
-        const ONE: BF16 = BF16(0x3F80);
+    /// Every one of the 2³² f32 inputs: ≈ 30 s in a release build, far
+    /// longer in a debug one, so it runs on request
+    /// (`cargo test --release -p bagualu-tensor dtype -- --ignored`).
+    #[test]
+    #[ignore = "all 2^32 inputs; run in a release build"]
+    fn select_only_from_f32_matches_on_every_input() {
+        sweep_from_f32(1);
     }
 
     #[test]
