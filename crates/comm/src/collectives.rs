@@ -508,9 +508,13 @@ fn pairwise_exchange<C: Communicator, T>(
 ///
 /// Semantics are identical to [`alltoallv_wire`]: returns received buffers
 /// indexed by source rank. Data bundles of *both* phases are packed to
-/// `wire` per message, so a value that crosses supernodes is rounded twice
-/// (once per hop) — exactly what compressing each physical transfer
-/// implies; headers stay `u64` (they are counts, not tensors).
+/// `wire` per message — exactly what compressing each physical transfer
+/// implies; headers stay `u64` (they are counts, not tensors). Nothing is
+/// sent to this rank itself: its phase-1 bundle stays in memory, and its
+/// phase-2 chunk is rounded to `wire` in place, so every value returned has
+/// passed through `wire`, including this rank's own part. Rounding is
+/// idempotent, so a value has the bits of one rounding however many hops
+/// it took, and at `supernode_size = 1` phase 1 moves nothing.
 pub fn alltoallv_hierarchical_wire<C: Communicator>(
     c: &C,
     parts: Vec<Vec<f32>>,
@@ -534,31 +538,48 @@ pub fn alltoallv_hierarchical_wire<C: Communicator>(
 
     // ---- Phase 1: intra-supernode exchange, bundled by destination local
     // index. To local peer j send concat(parts[t*s + j] for t in 0..S),
-    // with a u64 header of the S lengths.
+    // with a u64 header of the S lengths; the bundle for this rank itself
+    // stays in memory.
+    let mut own: Option<(Vec<u64>, Vec<f32>)> = None;
     for j in 0..s {
         let peer = g * s + j;
         let bundle = (0..big_s).map(|t| &parts[t * s + j]);
         let header: Vec<u64> = bundle.clone().map(|p| p.len() as u64).collect();
         let mut data = reservoir::global().lend(header.iter().sum::<u64>() as usize);
         bundle.for_each(|p| data.extend_from_slice(p));
-        c.send(peer, TAG_H1_HDR, header.into());
-        c.send(peer, TAG_H1_DAT, Payload::pack(wire, data));
+        if j == l {
+            own = Some((header, data));
+        } else {
+            c.send(peer, TAG_H1_HDR, header.into());
+            c.send(peer, TAG_H1_DAT, Payload::pack(wire, data));
+        }
     }
     parts
         .into_iter()
         .for_each(|v| reservoir::global().recycle(v));
-    // Receive the bundle from every local peer (including self).
+    // The bundle from every local peer, this rank's own in its place.
     let mut h1: Vec<Vec<u64>> = Vec::with_capacity(s);
     let mut d1: Vec<Vec<f32>> = Vec::with_capacity(s);
     for jp in 0..s {
-        let peer = g * s + jp;
-        h1.push(c.recv(peer, TAG_H1_HDR).into_u64());
-        d1.push(c.recv(peer, TAG_H1_DAT).into_floats());
+        let (header, data) = if jp == l {
+            own.take().expect("own bundle built above")
+        } else {
+            let peer = g * s + jp;
+            (
+                c.recv(peer, TAG_H1_HDR).into_u64(),
+                c.recv(peer, TAG_H1_DAT).into_floats(),
+            )
+        };
+        h1.push(header);
+        d1.push(data);
     }
 
     // ---- Phase 2: inter-supernode exchange among same-local-index ranks.
     // To supernode t (rank t*s + l) send, for each local source jp, the
-    // chunk of d1[jp] destined to supernode t.
+    // chunk of d1[jp] destined to supernode t. The chunk for this rank's
+    // own supernode stays in memory, rounded to `wire` in place: every
+    // value still passes through `wire` once, as it would on a hop, and a
+    // second rounding is the identity.
     // Precompute chunk offsets in d1[jp].
     let offsets: Vec<Vec<usize>> = h1
         .iter()
@@ -573,22 +594,35 @@ pub fn alltoallv_hierarchical_wire<C: Communicator>(
             off
         })
         .collect();
+    let mut own: Option<(Vec<u64>, Vec<f32>)> = None;
     for t in 0..big_s {
         let peer = t * s + l;
         let chunk = |jp: usize| &d1[jp][offsets[jp][t]..offsets[jp][t + 1]];
         let header: Vec<u64> = (0..s).map(|jp| chunk(jp).len() as u64).collect();
         let mut data = reservoir::global().lend(header.iter().sum::<u64>() as usize);
         (0..s).for_each(|jp| data.extend_from_slice(chunk(jp)));
-        c.send(peer, TAG_H2_HDR, header.into());
-        c.send(peer, TAG_H2_DAT, Payload::pack(wire, data));
+        if t == g {
+            wire.round_in_place(&mut data);
+            own = Some((header, data));
+        } else {
+            c.send(peer, TAG_H2_HDR, header.into());
+            c.send(peer, TAG_H2_DAT, Payload::pack(wire, data));
+        }
     }
     d1.into_iter().for_each(|v| reservoir::global().recycle(v));
-    // Receive one bundle per supernode; unpack by source local index.
+    // One bundle per supernode, this rank's own in its place; unpack by
+    // source local index.
     let mut out: Vec<Vec<f32>> = vec![Vec::new(); n];
     for t in 0..big_s {
-        let peer = t * s + l;
-        let header = c.recv(peer, TAG_H2_HDR).into_u64();
-        let data = c.recv(peer, TAG_H2_DAT).into_floats();
+        let (header, data) = if t == g {
+            own.take().expect("own chunk built above")
+        } else {
+            let peer = t * s + l;
+            (
+                c.recv(peer, TAG_H2_HDR).into_u64(),
+                c.recv(peer, TAG_H2_DAT).into_floats(),
+            )
+        };
         let mut off = 0usize;
         for (jp, &len) in header.iter().enumerate() {
             let len = len as usize;
@@ -876,13 +910,14 @@ mod tests {
             world.stats().total_msgs
         };
         let (flat_msgs, hier_msgs) = (msgs(false), msgs(true));
-        // Flat: n*(n-1) = 240 payload messages. Hierarchical: n*(s + S) pairs
-        // × 2 messages (header+data) = 16*8*2 = 256 — but only n*S = 64 of
-        // those transfers cross supernodes vs n*(n-s) = 192 for flat.
-        // The headline metric is cross-supernode *transfers*; message count
-        // sanity-checks the implementation.
+        // Flat: n*(n-1) = 240 payload messages. Hierarchical: n*((s-1) +
+        // (S-1)) pairs × 2 messages (header+data) = 16*6*2 = 192, none to
+        // the sender itself — and only n*(S-1) = 48 of those transfers
+        // cross supernodes vs n*(n-s) = 192 for flat. The headline metric
+        // is cross-supernode *transfers*; message count sanity-checks the
+        // implementation.
         assert_eq!(flat_msgs, (n * (n - 1)) as u64);
-        assert_eq!(hier_msgs, (n * (4 + 4) * 2) as u64);
+        assert_eq!(hier_msgs, (n * (3 + 3) * 2) as u64);
     }
 
     #[test]
@@ -1102,6 +1137,42 @@ mod tests {
                             (e - a).abs() <= tol,
                             "n={n} wire={wire}: exact={e} approx={a} tol={tol}"
                         );
+                    }
+                }
+            });
+        }
+    }
+
+    /// Every value the hierarchical exchange returns, this rank's own part
+    /// included, is its original rounded through the wire once, at every
+    /// supernode size (`s = 1`: no phase 1; `s = n`: the flat exchange,
+    /// whose own part stays unrounded).
+    #[test]
+    fn hierarchical_wire_rounds_every_value_once() {
+        let n = 8;
+        for s in [1, 2, 4, 8] {
+            run_ranks(n, |c| {
+                let value = |src: usize, dst: usize, i: usize| {
+                    ((src * 131 + dst * 17 + i) as f32 * 0.7311).sin() * 3.0e-3
+                };
+                let parts: Vec<Vec<f32>> = (0..n)
+                    .map(|d| {
+                        (0..(c.rank() + d) % 4)
+                            .map(|i| value(c.rank(), d, i))
+                            .collect()
+                    })
+                    .collect();
+                for wire in [WireDType::F16, WireDType::BF16] {
+                    let got = alltoallv_hierarchical_wire(&c, parts.clone(), s, wire);
+                    for (src, buf) in got.iter().enumerate() {
+                        assert_eq!(buf.len(), (src + c.rank()) % 4, "s={s} src {src}");
+                        for (i, x) in buf.iter().enumerate() {
+                            let mut want = [value(src, c.rank(), i)];
+                            if s < n || src != c.rank() {
+                                wire.round_in_place(&mut want);
+                            }
+                            assert_eq!(x.to_bits(), want[0].to_bits(), "s={s} {wire} src {src}");
+                        }
                     }
                 }
             });

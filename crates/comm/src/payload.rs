@@ -46,6 +46,14 @@ impl WireDType {
         }
     }
 
+    /// Round every value to what a hop on this wire delivers, in place:
+    /// what a message to this rank itself would have carried.
+    pub(crate) fn round_in_place(self, xs: &mut [f32]) {
+        if let Some(dt) = self.half_dtype() {
+            xs.iter_mut().for_each(|x| *x = dt.round_trip(*x));
+        }
+    }
+
     /// The 16-bit storage dtype, or `None` for the uncompressed wire.
     pub(crate) const fn half_dtype(self) -> Option<DType> {
         match self {
