@@ -16,8 +16,9 @@
 //!   runners). Three are kernel ratios at 512³:
 //!   - `nn_tiled_over_reference` ≥ [`NN_TILED_MIN_SPEEDUP`]× where the
 //!     wide AVX-512 micro-kernel runs,
-//!   - `nt_tiled_over_reference` ≥ [`NT_TILED_MIN_SPEEDUP`]× — the packed
-//!     dot4-order NT kernel must actually beat the scalar reference,
+//!   - `nt_tiled_over_reference` ≥ [`NT_TILED_MIN_SPEEDUP`]× — NT runs the
+//!     NN core on Bᵀ packed straight into its panels, and must actually
+//!     beat the reference NN loop over a materialized Bᵀ,
 //!   - `nn_fma_over_tiled` ≥ [`FMA_MIN_SPEEDUP`]× — the opt-in FMA tier
 //!     must pay for its loss of bit-identity.
 //!
@@ -84,9 +85,9 @@ const JSON_OUT: &str = "BENCH_kernels.json";
 /// tile keeps C out of the k-loop entirely and runs 16-lane multiply+add
 /// against packed B panels, so 3× over the reference holds with margin.
 pub(crate) const NN_TILED_MIN_SPEEDUP: f64 = 3.0;
-/// NT gate where the wide kernel runs: the packed dot4-order kernel keeps
-/// 4 chain accumulators × 4 ZMM columns in registers against full-k packed
-/// Bᵀ panels; 2× over the scalar reference is conservative.
+/// NT gate where the wide kernel runs: NT packs Bᵀ into the NN core's
+/// panels and runs the same 6×64 register tile as NN, against the
+/// reference NN loop over a materialized Bᵀ; 2× is conservative.
 pub(crate) const NT_TILED_MIN_SPEEDUP: f64 = 2.0;
 /// FMA gate where the wide kernel runs: fusing multiply+add halves the
 /// arithmetic µops of the inner loops, so the opt-in tier must show at

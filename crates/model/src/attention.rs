@@ -531,6 +531,10 @@ mod tests {
         );
     }
 
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
     fn incremental_forward_matches_batched() {
         let mut rng = Rng::seed_from(57);
@@ -538,11 +542,14 @@ mod tests {
         let x = Tensor::randn(&[5, 8], 1.0, &mut rng);
         let full = attn.forward(&x, 1, 5);
         let mut kv = KvCache::new(8);
+        // Batched scores sum q·k in ascending order from +0.0 like
+        // `attend`'s, so the two paths agree bit for bit.
         for t in 0..5 {
             let step = attn.forward_incremental(&x.slice_rows(t, t + 1), &mut kv);
-            assert!(
-                step.approx_eq(&full.slice_rows(t, t + 1), 1e-5),
-                "position {t} diverged"
+            assert_eq!(
+                bits(&step),
+                bits(&full.slice_rows(t, t + 1)),
+                "position {t}"
             );
         }
         assert_eq!(kv.len(), 5);
@@ -614,9 +621,10 @@ mod tests {
         let mut kv = KvCache::new(8);
         for t in 0..5 {
             let step = attn.forward_incremental(&x.slice_rows(t, t + 1), &mut kv);
-            assert!(
-                step.approx_eq(&full.slice_rows(t, t + 1), 1e-4),
-                "rope position {t} diverged"
+            assert_eq!(
+                bits(&step),
+                bits(&full.slice_rows(t, t + 1)),
+                "rope position {t}"
             );
         }
     }

@@ -19,11 +19,11 @@
 //! documented tolerance:
 //!
 //! * `Reference` and `Tiled` are **bit-identical** to each other on every
-//!   shape: both accumulate each output element in strictly increasing
-//!   reduction-index order (NN/TN), and both compute NT dot products with
-//!   the same four-chain pattern (`dot4` in the reference module). Tiling
-//!   changes *which* element is computed when, never the order of additions
-//!   *within* an element.
+//!   shape, under one rule for every layout (NN, NT, TN): each output
+//!   element starts at `+0.0` and sums its products in strictly increasing
+//!   reduction index. NT is therefore NN on `Bᵀ` bit for bit, and TN is NN
+//!   on `Aᵀ`. Tiling changes *which* element is computed when, never the
+//!   order of additions *within* an element.
 //! * `HalfCompute` rounds both operands through its 16-bit format before
 //!   multiplying and accumulates in `f32`; it is bit-identical to `Tiled`
 //!   run on pre-quantized operands (half×half products are exact in `f32`).

@@ -16,9 +16,10 @@
 //!
 //! [`Reference`] holds the original blocked kernels — the correctness
 //! oracle every other backend is tested against. Its inner loops run in the
-//! cache-friendly order for row-major storage (`ikj` for NN, dot-product
-//! rows for NT, row-`axpy` for TN) with K-panel blocking so the streamed
-//! operand stays in L1/L2. Above the work cutoff of [`crate::par`], blocks
+//! cache-friendly order for row-major storage (`ikj` for NN and for NT over
+//! the materialized `Bᵀ`, row-`axpy` for TN) with K-panel blocking so the
+//! streamed operand stays in L1/L2. Every layout sums each output element's
+//! products in ascending reduction index from `+0.0`. Above the work cutoff of [`crate::par`], blocks
 //! of output rows are distributed across the calling thread's intra-op
 //! lanes; each task writes a disjoint chunk, so there is no synchronization
 //! in the hot loop.
@@ -88,32 +89,6 @@ pub fn matmul_packed(a: &Tensor, w: &PackedB, bias: Option<&[f32]>, act: Activat
     traced(flops, || current_backend().matmul_packed(a, w, bias, act))
 }
 
-/// Four-chain dot product: independent accumulation chains the compiler can
-/// vectorize, summed left-to-right, then a sequential tail.
-///
-/// This exact pattern defines the NT accumulation order for *both*
-/// [`Reference`] and the tiled backend — sharing the function is what makes
-/// them bit-identical (see the backend contract in [`crate::ops::backend`]).
-#[inline]
-pub(crate) fn dot4(a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    let k = a.len();
-    let mut acc = [0.0f32; 4];
-    let chunks = k / 4;
-    for t in 0..chunks {
-        let p = t * 4;
-        acc[0] += a[p] * b[p];
-        acc[1] += a[p + 1] * b[p + 1];
-        acc[2] += a[p + 2] * b[p + 2];
-        acc[3] += a[p + 3] * b[p + 3];
-    }
-    let mut s = acc[0] + acc[1] + acc[2] + acc[3];
-    for p in chunks * 4..k {
-        s += a[p] * b[p];
-    }
-    s
-}
-
 /// The original blocked kernels — the correctness oracle.
 ///
 /// One deliberate change from the historical code: the hot loops used to
@@ -180,34 +155,13 @@ pub(crate) fn reference_matmul(a: &Tensor, b: &Tensor) -> Tensor {
     c
 }
 
-/// `C[m,n] = A[m,k] · B[n,k]ᵀ` with the reference kernel — rows of `C` are
-/// [`dot4`] products of a row of `A` with rows of `B`.
+/// `C[m,n] = A[m,k] · B[n,k]ᵀ` with the reference kernel: the reference NN
+/// loop over the materialized `Bᵀ`, so every NT element sums its products
+/// in ascending `k`, as in every other layout.
 pub(crate) fn reference_matmul_nt(a: &Tensor, b: &Tensor) -> Tensor {
-    let (m, k) = (a.rows(), a.cols());
-    let (n, kb) = (b.rows(), b.cols());
+    let (k, kb) = (a.cols(), b.cols());
     assert_eq!(k, kb, "matmul_nt: inner dims {k} vs {kb}");
-    let mut c = Tensor::zeros(&[m, n]);
-    if m == 0 || n == 0 {
-        return c;
-    }
-    let (av, bv) = (a.as_slice(), b.as_slice());
-
-    let rows = par::gemm_rows_per_task(m, gemm_work(1, k, n));
-    par::for_each_chunk(
-        c.as_mut_slice(),
-        rows * n,
-        gemm_work(m, k, n),
-        |task, cchunk| {
-            for (r, crow) in cchunk.chunks_mut(n).enumerate() {
-                let i = task * rows + r;
-                let arow = &av[i * k..(i + 1) * k];
-                for (j, cj) in crow.iter_mut().enumerate() {
-                    *cj = dot4(arow, &bv[j * k..(j + 1) * k]);
-                }
-            }
-        },
-    );
-    c
+    reference_matmul(a, &b.transposed())
 }
 
 /// `C[k,n] = A[m,k]ᵀ · B[m,n]` with the reference kernel — the
@@ -332,7 +286,11 @@ mod tests {
             let a = Tensor::randn(&[m, k], 1.0, &mut rng);
             let b = Tensor::randn(&[n, k], 1.0, &mut rng);
             let expect = naive(&a, &b.transposed());
-            assert!(matmul_nt(&a, &b).approx_eq(&expect, 1e-4), "{m}x{k}x{n}");
+            let got = matmul_nt(&a, &b);
+            assert_eq!(got.shape(), expect.shape());
+            for (x, y) in got.as_slice().iter().zip(expect.as_slice()) {
+                assert_eq!(x.to_bits(), y.to_bits(), "{m}x{k}x{n}");
+            }
         }
     }
 

@@ -29,6 +29,10 @@
 //!   micro-kernels at every row count — even `m ≤ MR`, where one
 //!   contiguous pass over the panels beats the strided pass over row-major
 //!   B. No call on that path packs.
+//! * **One core for every layout**: NT is NN on Bᵀ — the one packing
+//!   routine takes its source's row and column strides, so it writes Bᵀ's
+//!   panels straight from row-major `[n, k]` B in square tiles — and TN is
+//!   NN on an exact transpose of A.
 //!
 //! Two micro-kernel paths share this skeleton, chosen once per call:
 //!
@@ -45,28 +49,25 @@
 //!
 //! # Bit-identity with `Reference`
 //!
+//! One rule holds for every layout and backend: every output element
+//! starts at `+0.0` and sums its `k` products in strictly ascending `k`.
 //! Tiling reorders *which* output element is computed when — never the
-//! additions *within* one element. Every `C[i,j]` starts at `+0.0` and
-//! accumulates its `k` products in strictly increasing `k` order (KC-blocks
-//! ascend, `kk` ascends inside the micro-kernel, and the register tile
-//! round-trips through memory between KC-blocks exactly — f32 store/load
-//! is lossless). The wide kernel deliberately issues *separate* IEEE
-//! multiply and add instructions rather than FMA: a fused multiply-add
-//! skips the intermediate rounding of the product and would produce
-//! different bits than the scalar reference. Vector lanes are distinct
-//! output elements, so lane width never touches accumulation order. NT
-//! packs Bᵀ into column panels and reproduces the reference's `dot4`
-//! pattern exactly — four independent chains filled in ascending `k`, chain
-//! sums folded left-to-right, then a sequential tail — with output columns
-//! as vector lanes; edge columns fall back to the scalar `dot4` itself. TN
-//! is an exact transpose of A fed to the NN core, whose `k`-order is the
-//! reference TN's `i`-order. The proptests in `tests/` pin all of this
-//! bitwise.
+//! additions *within* one element (KC-blocks ascend, `kk` ascends inside
+//! the micro-kernel, and the register tile round-trips through memory
+//! between KC-blocks exactly — f32 store/load is lossless). The wide
+//! kernel deliberately issues *separate* IEEE multiply and add
+//! instructions rather than FMA: a fused multiply-add skips the
+//! intermediate rounding of the product and would produce different bits
+//! than the scalar reference. Vector lanes are distinct output elements,
+//! so lane width never touches accumulation order. NT runs the NN core on
+//! Bᵀ's panels, so its bits are NN's on the materialized transpose; TN
+//! runs it on an exact transpose of A, whose `k`-order is the reference
+//! TN's `i`-order. The proptests in `tests/` pin all of this bitwise.
 //!
 //! # The FMA tier
 //!
 //! [`TiledFma`] runs the same tiling with `_mm512_fmadd_ps` in the wide
-//! micro-kernels (NN and NT). Skipping the product's intermediate
+//! micro-kernel (every layout runs it). Skipping the product's intermediate
 //! rounding changes low bits, so this tier is **not** bit-identical to the
 //! oracle; it is pinned to a tolerance band instead: per output element the
 //! absolute error is bounded by `2 (k+1) ε · Σₚ|A[i,p]||B[p,j]|` (each of
@@ -83,7 +84,7 @@
 
 use crate::ops::backend::{Activation, MatmulBackend};
 use crate::ops::elementwise::GeluClock;
-use crate::ops::matmul::{dot4, gemm_work, KC};
+use crate::ops::matmul::{gemm_work, KC};
 use crate::par;
 use crate::tensor::Tensor;
 use bagualu_trace::{self as trace, names};
@@ -110,13 +111,6 @@ pub(crate) const MC_W: usize = 60;
 /// never affects accumulation order (each element still sums its products
 /// in strictly ascending `k`), so this is free to differ from [`KC`].
 pub(crate) const KC_W: usize = 128;
-/// Output columns per packed-Bᵀ panel on the portable NT path. Matches the
-/// NN micro-tile width so the autovectorizer sees the same 8-wide rows.
-const NT_NR: usize = NR;
-/// Output columns per packed-Bᵀ panel on the wide NT path: 64 = 4 zmm of
-/// lanes per chain accumulator. One full-k panel at `k = 512` is 128 KiB —
-/// L2-resident while every A row of an MC-chunk streams over it.
-const NT_NR_W: usize = NR_W;
 
 /// Whether this host runs the wide (AVX-512) micro-kernel. Benchmarks use
 /// this to decide which performance floor to hold `Tiled` to — results
@@ -233,7 +227,7 @@ impl PackedB {
     /// Pack `b` once for a lifetime of [`MatmulBackend::matmul_packed`]
     /// calls, counted under `compute.pack.{bytes,ns}` when tracing is on.
     pub fn new(b: &Tensor) -> PackedB {
-        PackedB::pack(b.as_slice(), b.rows(), b.cols(), |len| {
+        PackedB::pack(b.as_slice(), b.rows(), b.cols(), (b.cols(), 1), |len| {
             Tensor::zeros(&[len])
         })
     }
@@ -248,9 +242,19 @@ impl PackedB {
         self.n
     }
 
-    /// The one packing routine: row-major `[k, n]` `bv` into panels in
-    /// storage from `alloc`.
-    fn pack(bv: &[f32], k: usize, n: usize, alloc: impl FnOnce(usize) -> Tensor) -> PackedB {
+    /// The one packing routine, shared by NN, NT and [`PackedB::new`]: the
+    /// `[k, n]` operand whose element `(kk, j)` sits at `src[kk·rs + j·cs]`
+    /// for `(rs, cs) = strides` — row-major B at `(n, 1)`, the transpose
+    /// of a row-major `[n, k]` B at `(1, k)` — into panels in storage from
+    /// `alloc`.
+    fn pack(
+        src: &[f32],
+        k: usize,
+        n: usize,
+        strides: (usize, usize),
+        alloc: impl FnOnce(usize) -> Tensor,
+    ) -> PackedB {
+        let (rs, cs) = strides;
         let (nr, kcb) = if wide_layout(n) {
             (NR_W, KC_W)
         } else {
@@ -261,19 +265,49 @@ impl PackedB {
         timed_pack(len, || {
             let mut panels = Aligned::new(len, alloc);
             let floats = panels.as_mut_slice();
-            // kk-outer traversal: each B row is read once, sequentially, and
-            // scattered to its panels — sequential reads beat sequential
-            // writes once B outgrows L2.
             for k0 in (0..k).step_by(kcb) {
                 let kc = (k0 + kcb).min(k) - k0;
-                let block_base = k0 * n_panels * nr;
-                for kk in 0..kc {
-                    let src = &bv[(k0 + kk) * n..(k0 + kk + 1) * n];
-                    for p in 0..n_panels {
-                        let j0 = p * nr;
-                        let width = nr.min(n - j0);
-                        let dst = block_base + p * kc * nr + kk * nr;
-                        floats[dst..dst + width].copy_from_slice(&src[j0..j0 + width]);
+                let block = &mut floats[k0 * n_panels * nr..][..kc * n_panels * nr];
+                if cs == 1 {
+                    // Rows contiguous: each source row is read once,
+                    // sequentially, and scattered to its panels — sequential
+                    // reads beat sequential writes once B outgrows L2.
+                    for kk in 0..kc {
+                        let row = &src[(k0 + kk) * rs..][..n];
+                        for (p, panel) in block.chunks_exact_mut(kc * nr).enumerate() {
+                            let (j0, width) = (p * nr, nr.min(n - p * nr));
+                            panel[kk * nr..][..width].copy_from_slice(&row[j0..j0 + width]);
+                        }
+                    }
+                    continue;
+                }
+                // Columns contiguous (a transpose): column `j` is the
+                // source row from `j·cs` on. Four columns by four `kk` at a
+                // time: four loads of four contiguous floats become four
+                // panel-row stores of four (a 4×4 register transpose); the
+                // ragged ends copy element by element.
+                debug_assert_eq!(rs, 1, "pack: one of the strides must be 1");
+                for (p, panel) in block.chunks_exact_mut(kc * nr).enumerate() {
+                    let (j0, width) = (p * nr, nr.min(n - p * nr));
+                    let col = |l: usize| &src[(j0 + l) * cs + k0..][..kc];
+                    let (w4, kc4) = (width / 4 * 4, kc / 4 * 4);
+                    for l0 in (0..w4).step_by(4) {
+                        let c = [col(l0), col(l0 + 1), col(l0 + 2), col(l0 + 3)];
+                        for t in (0..kc4).step_by(4) {
+                            let q: [[f32; 4]; 4] = c.map(|ci| ci[t..t + 4].try_into().unwrap());
+                            let rows = panel[t * nr..(t + 4) * nr].chunks_exact_mut(nr);
+                            for (r, row) in rows.enumerate() {
+                                row[l0..l0 + 4].copy_from_slice(&q.map(|qi| qi[r]));
+                            }
+                        }
+                        for t in kc4..kc {
+                            panel[t * nr + l0..][..4].copy_from_slice(&c.map(|ci| ci[t]));
+                        }
+                    }
+                    for l in w4..width {
+                        for (kk, &x) in col(l).iter().enumerate() {
+                            panel[kk * nr + l] = x;
+                        }
                     }
                 }
             }
@@ -327,9 +361,12 @@ fn micro_full(
     j0: usize,
 ) {
     let mut acc = [[0.0f32; NR]; MR];
-    for (r, accr) in acc.iter_mut().enumerate() {
-        let base = (rc0 + r) * n + j0;
-        accr.copy_from_slice(&cchunk[base..base + NR]);
+    // The first KC-block starts from C's `+0.0` without reading it.
+    if k0 > 0 {
+        for (r, accr) in acc.iter_mut().enumerate() {
+            let base = (rc0 + r) * n + j0;
+            accr.copy_from_slice(&cchunk[base..base + NR]);
+        }
     }
     for kk in 0..kc {
         let brow: &[f32; NR] = bpanel[kk * ldb..kk * ldb + NR].try_into().unwrap();
@@ -405,10 +442,13 @@ unsafe fn micro_full_wide<const FMA: bool, const MR: usize>(
         *ar = av.as_ptr().add((ia0 + r) * k + k0);
     }
     let mut acc = [[_mm512_setzero_ps(); 4]; MR];
-    for (r, accr) in acc.iter_mut().enumerate() {
-        let base = cp.add((rc0 + r) * n + j0);
-        for (v, a) in accr.iter_mut().enumerate() {
-            *a = _mm512_loadu_ps(base.add(v * 16));
+    // The first KC-block starts from C's `+0.0` without reading it.
+    if k0 > 0 {
+        for (r, accr) in acc.iter_mut().enumerate() {
+            let base = cp.add((rc0 + r) * n + j0);
+            for (v, a) in accr.iter_mut().enumerate() {
+                *a = _mm512_loadu_ps(base.add(v * 16));
+            }
         }
     }
     for kk in 0..kc {
@@ -577,7 +617,7 @@ pub(crate) fn tiled_nn(
         trace::count(names::COMPUTE_MATMUL_UNPACKED, 1);
         nn_core(a, BSource::InPlace(b), c, bias, act, fma)
     } else {
-        let packed = PackedB::pack(b.as_slice(), k, n, Tensor::scratch);
+        let packed = PackedB::pack(b.as_slice(), k, n, (n, 1), Tensor::scratch);
         nn_core(a, BSource::Packed(&packed), c, bias, act, fma)
     }
 }
@@ -729,194 +769,28 @@ fn nn_core(
     c
 }
 
-/// Bᵀ packed for the NT kernel: full-`k`-height, `nr`-wide column panels.
-///
-/// B is `[n, k]` row-major; panel `p` holds, at offset `kk·nr + lane`, the
-/// value `B[(p·nr + lane)·k + kk]` — the transposed panel in the same
-/// (`kk`-major, lane-minor) layout [`PackedB`] produces for NN, but at full
-/// `k` height: the NT micro-kernel keeps four *chain* accumulators live
-/// across the whole reduction (they cannot round-trip through C without
-/// collapsing the chains), so there is no KC blocking to offset for. Only
-/// the `n / nr` full panels are packed; ragged edge columns take the plain
-/// [`dot4`] path over unpacked B rows. Aligned like [`PackedB`], for the
-/// same reason: the wide NT kernel is load-bound.
-fn pack_bt(bv: &[f32], k: usize, n: usize, nr: usize) -> Aligned {
-    let full_panels = n / nr;
-    let mut data = Aligned::new(full_panels * k * nr, Tensor::scratch);
-    // Lane-outer traversal: each B row is read once, sequentially, and
-    // scattered down its panel column (stride `nr`).
-    for (p, panel) in data.as_mut_slice().chunks_exact_mut(k * nr).enumerate() {
-        for lane in 0..nr {
-            let src = &bv[(p * nr + lane) * k..(p * nr + lane + 1) * k];
-            for (kk, &x) in src.iter().enumerate() {
-                panel[kk * nr + lane] = x;
-            }
-        }
-    }
-    data
-}
-
-/// Portable NT micro-kernel: one A row × [`NT_NR`] output columns, columns
-/// as lanes. Reproduces [`dot4`] per lane exactly — four independent
-/// chains filled in ascending `k` (`chain = k mod 4`), chain sums folded
-/// left-to-right, then a sequential tail — so the result is bit-identical
-/// to the reference's scalar dot product.
-#[inline]
-fn micro_nt(arow: &[f32], bpanel: &[f32], cseg: &mut [f32]) {
-    let k = arow.len();
-    let mut acc = [[0.0f32; NT_NR]; 4];
-    let chunks = k / 4;
-    for t in 0..chunks {
-        let p = t * 4;
-        for (c, accc) in acc.iter_mut().enumerate() {
-            let a = arow[p + c];
-            let brow: &[f32; NT_NR] = bpanel[(p + c) * NT_NR..(p + c + 1) * NT_NR]
-                .try_into()
-                .unwrap();
-            for (s, &bj) in accc.iter_mut().zip(brow) {
-                *s += a * bj;
-            }
-        }
-    }
-    let mut s = [0.0f32; NT_NR];
-    for (lane, sl) in s.iter_mut().enumerate() {
-        *sl = ((acc[0][lane] + acc[1][lane]) + acc[2][lane]) + acc[3][lane];
-    }
-    for p in chunks * 4..k {
-        let a = arow[p];
-        let brow = &bpanel[p * NT_NR..(p + 1) * NT_NR];
-        for (sl, &bj) in s.iter_mut().zip(brow) {
-            *sl += a * bj;
-        }
-    }
-    cseg.copy_from_slice(&s);
-}
-
-/// Wide NT micro-kernel: one A row × [`NT_NR_W`] output columns, with
-/// 4 chains × 4 zmm of accumulators (16 registers) plus one broadcast and
-/// four packed-B loads per `k` step. Per lane this is exactly [`dot4`]'s
-/// accumulation order (see [`micro_nt`]); with `FMA = true` the
-/// multiply-add pairs fuse and land in the documented tolerance band
-/// instead.
-///
-/// # Safety
-///
-/// Callers must guarantee the CPU supports AVX-512F, `bpanel` holds at
-/// least `arow.len() * NT_NR_W` elements, and `cseg` holds at least
-/// `NT_NR_W` elements.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-unsafe fn micro_nt_wide<const FMA: bool>(arow: &[f32], bpanel: &[f32], cseg: &mut [f32]) {
-    use std::arch::x86_64::*;
-    let k = arow.len();
-    debug_assert!(k * NT_NR_W <= bpanel.len());
-    debug_assert!(NT_NR_W <= cseg.len());
-    let ap = arow.as_ptr();
-    let bp = bpanel.as_ptr();
-    let mut acc = [[_mm512_setzero_ps(); 4]; 4]; // [chain][vec]
-    let chunks = k / 4;
-    for t in 0..chunks {
-        let p = t * 4;
-        for (c, accc) in acc.iter_mut().enumerate() {
-            let a = _mm512_set1_ps(*ap.add(p + c));
-            let brow = bp.add((p + c) * NT_NR_W);
-            for (v, s) in accc.iter_mut().enumerate() {
-                let bj = _mm512_loadu_ps(brow.add(v * 16));
-                *s = if FMA {
-                    _mm512_fmadd_ps(a, bj, *s)
-                } else {
-                    _mm512_add_ps(*s, _mm512_mul_ps(a, bj))
-                };
-            }
-        }
-    }
-    // Chain sums fold left-to-right — per lane, dot4's exact order.
-    let mut s = [_mm512_setzero_ps(); 4];
-    for (v, sv) in s.iter_mut().enumerate() {
-        *sv = _mm512_add_ps(
-            _mm512_add_ps(_mm512_add_ps(acc[0][v], acc[1][v]), acc[2][v]),
-            acc[3][v],
-        );
-    }
-    for p in chunks * 4..k {
-        let a = _mm512_set1_ps(*ap.add(p));
-        let brow = bp.add(p * NT_NR_W);
-        for (v, sv) in s.iter_mut().enumerate() {
-            let bj = _mm512_loadu_ps(brow.add(v * 16));
-            *sv = if FMA {
-                _mm512_fmadd_ps(a, bj, *sv)
-            } else {
-                _mm512_add_ps(*sv, _mm512_mul_ps(a, bj))
-            };
-        }
-    }
-    let cp = cseg.as_mut_ptr();
-    for (v, sv) in s.iter().enumerate() {
-        _mm512_storeu_ps(cp.add(v * 16), *sv);
-    }
-}
-
-/// NT kernel: Bᵀ is packed once into full-`k` column panels, then each
-/// panel stays cache-resident while every A row of the chunk streams over
-/// it (panel-outer, row-inner — the old per-element `dot4` walk streamed
-/// all of B past every row and lost to the reference). Ragged edge columns
-/// (`n mod nr`) take the plain [`dot4`] path. Bit-identical to the
-/// reference for `fma = false`; see the module docs for the `fma = true`
-/// band.
+/// NT as NN on Bᵀ, the way TN is NN on Aᵀ: the `[n, k]` row-major B is
+/// packed transposed, through [`PackedB::pack`]'s strides, into the panels
+/// [`tiled_nn`] would pack from the materialized `[k, n]` transpose, and
+/// the NN core runs over them. The bits are therefore those of `tiled_nn`
+/// on `Bᵀ`: every element sums its products in ascending `k` from `+0.0`.
+/// The panels are always packed — B's rows are Bᵀ's columns, so there is
+/// no row-major operand to read in place.
 pub(crate) fn tiled_nt(a: &Tensor, b: &Tensor, fma: bool) -> Tensor {
-    let (m, k) = (a.rows(), a.cols());
-    let (n, kb) = (b.rows(), b.cols());
-    assert_eq!(k, kb, "matmul_nt: inner dims {k} vs {kb}");
-    let mut c = Tensor::zeros(&[m, n]);
-    if m == 0 || n == 0 || k == 0 {
+    let (n, k) = (b.rows(), b.cols());
+    if let Some(c) = nn_degenerate(a, k, n, None, Activation::Identity) {
         return c;
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = fma;
-    let (av, bv) = (a.as_slice(), b.as_slice());
-    let wide = avx512_available() && n >= NT_NR_W;
-    let nr = if wide { NT_NR_W } else { NT_NR };
-    let full_panels = n / nr;
-    let packed = timed_pack(full_panels * k * nr, || pack_bt(bv, k, n, nr));
-    let packed = packed.as_slice();
-
-    let body = |chunk_idx: usize, cchunk: &mut [f32]| {
-        let ia0 = chunk_idx * MC;
-        let rows = cchunk.len() / n;
-        for p in 0..full_panels {
-            let j0 = p * nr;
-            let bpanel = &packed[p * k * nr..(p + 1) * k * nr];
-            for r in 0..rows {
-                let arow = &av[(ia0 + r) * k..(ia0 + r + 1) * k];
-                let cseg = &mut cchunk[r * n + j0..r * n + j0 + nr];
-                if wide {
-                    #[cfg(target_arch = "x86_64")]
-                    // SAFETY: `wide` proves AVX-512F support; `bpanel` is
-                    // exactly `k·NT_NR_W` long and `cseg` exactly `NT_NR_W`.
-                    unsafe {
-                        if fma {
-                            micro_nt_wide::<true>(arow, bpanel, cseg);
-                        } else {
-                            micro_nt_wide::<false>(arow, bpanel, cseg);
-                        }
-                    }
-                    #[cfg(not(target_arch = "x86_64"))]
-                    unreachable!("wide path requires x86_64");
-                } else {
-                    micro_nt(arow, bpanel, cseg);
-                }
-            }
-        }
-        for r in 0..rows {
-            let arow = &av[(ia0 + r) * k..(ia0 + r + 1) * k];
-            for j in full_panels * nr..n {
-                cchunk[r * n + j] = dot4(arow, &bv[j * k..(j + 1) * k]);
-            }
-        }
-    };
-
-    par::for_each_chunk(c.as_mut_slice(), MC * n, gemm_work(m, k, n), body);
-    c
+    let c = Tensor::zeros(&[a.rows(), n]);
+    let packed = PackedB::pack(b.as_slice(), k, n, (1, k), Tensor::scratch);
+    nn_core(
+        a,
+        BSource::Packed(&packed),
+        c,
+        None,
+        Activation::Identity,
+        fma,
+    )
 }
 
 /// Cache-blocked, packed, register-tiled kernels — bit-identical to

@@ -83,8 +83,9 @@ proptest! {
         prop_assert!(bitwise_eq(&r, &naive_nn(&a, &b)), "{m}x{k}x{n}");
     }
 
-    // Both f32 backends, all three layouts, against the oracle within
-    // f32 reassociation tolerance (NT sums through a 4-chain dot).
+    // Both f32 backends, all three layouts, against the oracle bit for
+    // bit: every layout sums each element's products in ascending `k` from
+    // `+0.0`, which is the naive loop's order.
     #[test]
     fn f32_backends_match_naive_oracle(
         m in 0usize..48, k in 0usize..130, n in 1usize..80, seed in 0u64..1000,
@@ -95,14 +96,41 @@ proptest! {
         let want = naive_nn(&a, &b);
         for cb in f32_backends() {
             let be = cb.instantiate();
-            prop_assert!(be.matmul(&a, &b).approx_eq(&want, 1e-3), "{cb} nn {m}x{k}x{n}");
+            prop_assert!(bitwise_eq(&be.matmul(&a, &b), &want), "{cb} nn {m}x{k}x{n}");
             prop_assert!(
-                be.matmul_nt(&a, &b.transposed()).approx_eq(&want, 1e-3),
+                bitwise_eq(&be.matmul_nt(&a, &b.transposed()), &want),
                 "{cb} nt {m}x{k}x{n}"
             );
             prop_assert!(
-                be.matmul_tn(&a.transposed(), &b).approx_eq(&want, 1e-3),
+                bitwise_eq(&be.matmul_tn(&a.transposed(), &b), &want),
                 "{cb} tn {m}x{k}x{n}"
+            );
+        }
+    }
+
+    // NT is NN on Bᵀ, bit for bit, on every backend — the exact and fused
+    // tiers and both half formats — across the few-row, tile-edge and
+    // multi-panel shapes (`n` past NR_W=64 runs the wide panels on AVX-512
+    // hosts).
+    #[test]
+    fn nt_is_bitwise_nn_on_bt_on_every_backend(
+        m in 0usize..70, k in 0usize..300, n in 0usize..140, seed in 0u64..1000,
+    ) {
+        let mut rng = Rng::seed_from(seed);
+        let a = Tensor::randn(&[m, k], 1.0, &mut rng);
+        let b = Tensor::randn(&[n, k], 1.0, &mut rng);
+        let bt = b.transposed();
+        for cb in [
+            ComputeBackend::Reference,
+            ComputeBackend::Tiled,
+            ComputeBackend::TiledFma,
+            ComputeBackend::Half(DType::F16),
+            ComputeBackend::Half(DType::BF16),
+        ] {
+            let be = cb.instantiate();
+            prop_assert!(
+                bitwise_eq(&be.matmul_nt(&a, &b), &be.matmul(&a, &bt)),
+                "{cb} {m}x{k}x{n}"
             );
         }
     }
