@@ -31,8 +31,8 @@
 //!   B. No call on that path packs.
 //! * **One core for every layout**: NT is NN on Bᵀ — the one packing
 //!   routine takes its source's row and column strides, so it writes Bᵀ's
-//!   panels straight from row-major `[n, k]` B in square tiles — and TN is
-//!   NN on an exact transpose of A.
+//!   panels straight from row-major `[n, k]` B — and TN is NN on an exact
+//!   transpose of A.
 //!
 //! Two micro-kernel paths share this skeleton, chosen once per call:
 //!
