@@ -34,14 +34,25 @@ use std::time::Duration;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultSpec {
     /// The rank panics at the start of training step `at_step`. The
-    /// trainer (or any step-structured driver) polls
-    /// [`FaultRuntime::should_crash`]; the transport itself has no step
-    /// notion. Fires once, even across checkpoint-restart replays.
+    /// trainer (or any step-structured driver) polls [`FaultRuntime::fire`];
+    /// the transport itself has no step notion. Fires once, even across
+    /// checkpoint-restart replays.
     Crash {
         /// World rank that crashes.
         rank: usize,
         /// Training step at whose start the crash fires.
         at_step: usize,
+    },
+    /// Stage two of `rank`'s checkpoint shard for step `step` is lost: its
+    /// staged bytes never reach the disk, as after a power loss or a kernel
+    /// crash of the rank's node. The trainer polls [`FaultRuntime::fire`]
+    /// when it hands the shard to its writer. Fires once, even across
+    /// checkpoint-restart replays.
+    LoseShard {
+        /// World rank whose shard is lost.
+        rank: usize,
+        /// Checkpoint step of the lost shard.
+        step: usize,
     },
     /// Silently discard the `nth` message sent by `from` (0-based over the
     /// rank's lifetime sends, timing headers included).
@@ -142,6 +153,12 @@ impl FaultPlan {
     /// Crash `rank` at the start of step `at_step` (fires once).
     pub fn crash(mut self, rank: usize, at_step: usize) -> FaultPlan {
         self.events.push(FaultSpec::Crash { rank, at_step });
+        self
+    }
+
+    /// Lose stage two of `rank`'s checkpoint shard for `step` (fires once).
+    pub fn lose_shard(mut self, rank: usize, step: usize) -> FaultPlan {
+        self.events.push(FaultSpec::LoseShard { rank, step });
         self
     }
 
@@ -276,24 +293,23 @@ impl FaultRuntime {
         }
     }
 
-    /// Should `rank` crash at the start of `step`? One-shot: the first call
-    /// that matches a crash event claims it, so a restarted run replaying
-    /// the same steps does not crash again on the same event.
-    pub fn should_crash(&self, rank: usize, step: usize) -> bool {
-        for (i, e) in self.plan.events.iter().enumerate() {
-            if let FaultSpec::Crash { rank: r, at_step } = e {
-                if *r == rank
-                    && *at_step == step
-                    && self.fired[i]
-                        .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-                        .is_ok()
-                {
-                    self.crashes.fetch_add(1, Ordering::Relaxed);
-                    return true;
-                }
-            }
+    /// Claim the one-shot step event `event` — a [`FaultSpec::Crash`] when
+    /// its rank reaches the start of its step, a [`FaultSpec::LoseShard`]
+    /// when its rank hands that checkpoint shard to its writer. True the
+    /// first time a scheduled event is claimed; false for an event the plan
+    /// does not hold and on every later call, so a restarted run replaying
+    /// the same steps does not fault again on the same event.
+    pub fn fire(&self, event: FaultSpec) -> bool {
+        let fired = self.plan.events.iter().zip(&self.fired).any(|(&e, fired)| {
+            e == event
+                && fired
+                    .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
+                    .is_ok()
+        });
+        if fired && matches!(event, FaultSpec::Crash { .. }) {
+            self.crashes.fetch_add(1, Ordering::Relaxed);
         }
-        false
+        fired
     }
 
     /// Decide the fate of the next message sent by world rank `from`, and
@@ -535,12 +551,31 @@ mod tests {
 
     #[test]
     fn crash_fires_exactly_once() {
+        let crash = |rank, at_step| FaultSpec::Crash { rank, at_step };
         let rt = FaultRuntime::new(FaultPlan::new(1).crash(2, 5), 4);
-        assert!(!rt.should_crash(2, 4));
-        assert!(!rt.should_crash(1, 5));
-        assert!(rt.should_crash(2, 5));
+        assert!(!rt.fire(crash(2, 4)));
+        assert!(!rt.fire(crash(1, 5)));
+        assert!(rt.fire(crash(2, 5)));
         // Replaying the same step after restart must not crash again.
-        assert!(!rt.should_crash(2, 5));
+        assert!(!rt.fire(crash(2, 5)));
+        assert_eq!(rt.stats().crashes_fired, 1);
+    }
+
+    #[test]
+    fn a_lost_shard_is_lost_exactly_once_and_is_no_crash() {
+        let lose = |rank, step| FaultSpec::LoseShard { rank, step };
+        let crash = FaultSpec::Crash {
+            rank: 1,
+            at_step: 8,
+        };
+        let rt = FaultRuntime::new(FaultPlan::new(1).crash(1, 8).lose_shard(1, 8), 2);
+        assert!(!rt.fire(lose(0, 8)));
+        assert!(!rt.fire(lose(1, 4)));
+        assert!(rt.fire(lose(1, 8)));
+        assert!(!rt.fire(lose(1, 8)), "replayed after the restore");
+        assert_eq!(rt.stats().crashes_fired, 0);
+        assert!(rt.fire(crash));
+        assert!(!rt.fire(crash));
         assert_eq!(rt.stats().crashes_fired, 1);
     }
 

@@ -14,24 +14,40 @@
 //! ```
 //!
 //! **Crash consistency (v2).** A checkpoint that survives a failure must
-//! never decode as garbage: writes go to `<path>.tmp` and are renamed into
-//! place only after an fsync, and the directory is fsynced after the
-//! rename, so a crash or power loss mid-write leaves the previous file
-//! intact and a completed write stays completed; every record carries a
-//! CRC32 so a flipped bit fails loudly; and the trailer makes truncation at
-//! a record boundary detectable. Version 1 files (no CRCs, no trailer)
-//! still load.
+//! never decode as garbage. Every save has two stages. Stage one streams the
+//! file into `<path>.tmp` with `write` calls, so its bytes sit in the kernel's
+//! page cache (`Staged`). Stage two (`Staged::publish`) fsyncs the
+//! staging file, renames it into place and fsyncs the directory. A failure
+//! in either stage removes the staging file and leaves the previous file at
+//! `path` intact. Every record carries a CRC32, so a flipped bit fails
+//! loudly, and the trailer makes truncation at a record boundary
+//! detectable. Version 1 files (no CRCs, no trailer) still load.
+//!
+//! What a failure loses depends on where it strikes. A crash of the process
+//! after stage one loses nothing: the kernel still holds the bytes and a
+//! stage two run by anyone finishes the publish. A power loss or kernel
+//! crash before stage two completes loses the staged bytes, and the rename
+//! with them: the previous file stays the current one. That is why the
+//! trainer (`Trainer::run_ft`) names a step in `MANIFEST` only after every
+//! shard of it has finished stage two — on a writer thread, joined at the
+//! next step boundary, so the fsyncs overlap the next step instead of
+//! stalling it. [`save_params`] and the other public savers run both stages
+//! before they return.
 //!
 //! **Data path.** A shard is touched once in each direction. Saving streams
 //! every tensor straight out of the model inside `visit_params`, through one
 //! staging buffer, into the record CRC and the file — no copy of the model
-//! is made. Loading walks each file once, verifying every record the model
-//! names (and seeking past any it does not — other ranks' experts, on a
-//! re-sharding restore), and moves the decoded tensors into the model. A
-//! load that leaves a parameter unset is an error, so a restoring rank may
-//! build its model without drawing a weight. The metadata readers
-//! ([`read_placement`], [`read_run_config`]) walk record headers and seek
-//! past the parameter data, verifying only the record they return.
+//! is made, and the kernel's page cache is the only other buffer. The CRC
+//! folds 16-byte blocks by carry-less multiply where the host has
+//! `pclmulqdq` (the slicing-by-16 tables are the fallback and the test
+//! oracle), so encoding runs near memory speed. Loading walks each file
+//! once, verifying every record the model names (and seeking past any it
+//! does not — other ranks' experts, on a re-sharding restore), and moves the
+//! decoded tensors into the model. A load that leaves a parameter unset is
+//! an error, so a restoring rank may build its model without drawing a
+//! weight. The metadata readers ([`read_placement`], [`read_run_config`])
+//! walk record headers and seek past the parameter data, verifying only the
+//! record they return.
 
 use crate::runconfig::RunConfig;
 use bagualu_model::param::HasParams;
@@ -103,8 +119,13 @@ fn crc_word(first: usize, w: u32) -> u32 {
         ^ CRC_TABLES[first - 3][(w >> 24) as usize]
 }
 
-/// Incremental IEEE CRC-32 (slicing-by-16; the value of any split of the
-/// input into `update` calls is the value of the whole).
+/// Inputs at least this long are folded with carry-less multiplies where
+/// the host has them; shorter ones, and the tail under 16 bytes, go through
+/// the tables.
+const CLMUL_MIN_BYTES: usize = 64;
+
+/// Incremental IEEE CRC-32 (the value of any split of the input into
+/// `update` calls is the value of the whole).
 struct Crc32(u32);
 
 impl Crc32 {
@@ -112,7 +133,24 @@ impl Crc32 {
         Crc32(0xFFFF_FFFF)
     }
 
+    /// Fold `bytes` in: whole 16-byte blocks by carry-less multiply
+    /// ([`clmul::fold`]) when the host has `pclmulqdq`, the rest through
+    /// [`Crc32::update_table`]. Both give the same bits.
     fn update(&mut self, bytes: &[u8]) {
+        #[cfg(target_arch = "x86_64")]
+        if bytes.len() >= CLMUL_MIN_BYTES && std::arch::is_x86_feature_detected!("pclmulqdq") {
+            let (blocks, tail) = bytes.split_at(bytes.len() / 16 * 16);
+            // SAFETY: the CPU supports `pclmulqdq` (checked just above; `std`
+            // caches the probe) and SSE2 (part of the x86_64 baseline).
+            self.0 = unsafe { clmul::fold(self.0, blocks) };
+            return self.update_table(tail);
+        }
+        self.update_table(bytes)
+    }
+
+    /// Slicing-by-16 over the tables: the fallback for short inputs and
+    /// other targets, and the oracle the carry-less fold is tested against.
+    fn update_table(&mut self, bytes: &[u8]) {
         let word = |b: &[u8]| u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
         let mut crc = self.0;
         let mut blocks = bytes.chunks_exact(16);
@@ -130,6 +168,90 @@ impl Crc32 {
 
     fn finish(&self) -> u32 {
         self.0 ^ 0xFFFF_FFFF
+    }
+}
+
+/// CRC-32 by carry-less multiplication (Gopal et al., "Fast CRC
+/// Computation for Generic Polynomials Using PCLMULQDQ Instruction", Intel
+/// 2009, in its bit-reflected form): four 128-bit lanes fold 64 bytes per
+/// round, are folded into one, and a Barrett reduction brings the 128-bit
+/// remainder down to the 32-bit register. The constants are `x^k mod P(x)`
+/// for the IEEE polynomial, bit-reflected and shifted as the reflected
+/// algorithm needs them (the values Linux's `crc32-pclmul` uses).
+#[cfg(target_arch = "x86_64")]
+mod clmul {
+    use std::arch::x86_64::*;
+
+    /// Fold a lane 64 bytes ahead (low and high half).
+    const K1: i64 = 0x1_5444_2BD4;
+    const K2: i64 = 0x1_C6E4_1596;
+    /// Fold a lane 16 bytes ahead (low and high half).
+    const K3: i64 = 0x1_7519_97D0;
+    const K4: i64 = 0x0_CCAA_009E;
+    /// Fold 96 bits to 64.
+    const K5: i64 = 0x1_63CD_6124;
+    /// P(x) and its Barrett constant ⌊x^64 / P(x)⌋, both reflected.
+    const P_X: i64 = 0x1_DB71_0641;
+    const U_PRIME: i64 = 0x1_F701_1641;
+
+    /// `a·keys.lo ⊕ a·keys.hi ⊕ b`: lane `a` carried 16·k bytes ahead and
+    /// folded into the lane `b` found there.
+    #[inline]
+    #[target_feature(enable = "pclmulqdq,sse2")]
+    unsafe fn fold_into(a: __m128i, b: __m128i, keys: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128(a, keys, 0x00);
+        let hi = _mm_clmulepi64_si128(a, keys, 0x11);
+        _mm_xor_si128(_mm_xor_si128(b, lo), hi)
+    }
+
+    /// The CRC register after `crc` has taken in `blocks`, whose length is
+    /// a multiple of 16 and at least 64 — bit for bit what
+    /// [`super::Crc32::update_table`] leaves.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support `pclmulqdq`.
+    #[target_feature(enable = "pclmulqdq,sse2")]
+    pub(super) unsafe fn fold(crc: u32, blocks: &[u8]) -> u32 {
+        debug_assert!(blocks.len() >= 64 && blocks.len().is_multiple_of(16));
+        let mut lanes = blocks.chunks_exact(16).map(|b| {
+            // SAFETY: `b` is 16 readable bytes; the load is unaligned.
+            unsafe { _mm_loadu_si128(b.as_ptr().cast()) }
+        });
+        let mut next = || lanes.next().expect("a whole block");
+        let mut x3 = _mm_xor_si128(next(), _mm_cvtsi32_si128(crc as i32));
+        let (mut x2, mut x1, mut x0) = (next(), next(), next());
+        let mut left = blocks.len() / 16 - 4;
+
+        let k1k2 = _mm_set_epi64x(K2, K1);
+        while left >= 4 {
+            x3 = fold_into(x3, next(), k1k2);
+            x2 = fold_into(x2, next(), k1k2);
+            x1 = fold_into(x1, next(), k1k2);
+            x0 = fold_into(x0, next(), k1k2);
+            left -= 4;
+        }
+        let k3k4 = _mm_set_epi64x(K4, K3);
+        let mut x = fold_into(x3, x2, k3k4);
+        x = fold_into(x, x1, k3k4);
+        x = fold_into(x, x0, k3k4);
+        for _ in 0..left {
+            x = fold_into(x, next(), k3k4);
+        }
+
+        // 128 bits to 96, then to 64.
+        let low32 = _mm_set_epi32(0, 0, 0, -1);
+        let x = _mm_xor_si128(_mm_clmulepi64_si128(x, k3k4, 0x10), _mm_srli_si128(x, 8));
+        let x = _mm_xor_si128(
+            _mm_clmulepi64_si128(_mm_and_si128(x, low32), _mm_set_epi64x(0, K5), 0x00),
+            _mm_srli_si128(x, 4),
+        );
+        // Barrett reduction to the 32-bit register, which the reflected
+        // form leaves in bits 32..64.
+        let pu = _mm_set_epi64x(U_PRIME, P_X);
+        let t1 = _mm_clmulepi64_si128(_mm_and_si128(x, low32), pu, 0x10);
+        let t2 = _mm_clmulepi64_si128(_mm_and_si128(t1, low32), pu, 0x00);
+        _mm_cvtsi128_si32(_mm_srli_si128(_mm_xor_si128(x, t2), 4)) as u32
     }
 }
 
@@ -260,42 +382,101 @@ fn sync_parent_dir(path: &Path) -> io::Result<()> {
     Ok(())
 }
 
-/// Publish a file atomically and durably: `fill` writes `<path>.tmp`, which
-/// is fsynced, renamed over `path`, and the directory fsynced. A failure at
-/// any point removes the staging file and leaves the previous `path` (if
-/// any) untouched.
-pub(crate) fn publish_atomic<T>(
-    path: &Path,
-    fill: impl FnOnce(&mut File) -> io::Result<T>,
-) -> io::Result<T> {
-    let tmp = tmp_path(path);
-    let publish = || {
-        let mut file = File::create(&tmp)?;
-        let out = fill(&mut file)?;
-        let t = Instant::now();
-        file.sync_all()?;
-        drop(file);
-        std::fs::rename(&tmp, path)?;
-        sync_parent_dir(path)?;
-        trace::count(names::CKPT_FSYNC_NS, elapsed_ns(t));
-        Ok(out)
-    };
-    let result = publish();
-    if result.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    result
+/// A file whose bytes are in `<path>.tmp` and have reached the kernel — the
+/// page cache holds them, so a crash of this process no longer loses them —
+/// but not necessarily the disk. Stage one of a publish returns it
+/// ([`stage`]); [`Staged::publish`] is stage two.
+pub(crate) struct Staged {
+    file: File,
+    tmp: PathBuf,
+    path: PathBuf,
 }
 
-/// Stream the parameters `keep` selects (by position in the model's visit
-/// order), then `extras`, into one atomically published file. Each tensor is
-/// read once, straight out of the model. Returns bytes written.
-fn save_shard(
+impl Staged {
+    /// Stage two: fsync the staging file, rename it over the final path and
+    /// fsync the directory. On error the staging file is removed and any
+    /// previous file at the final path is untouched. Returns the
+    /// nanoseconds it took, for [`names::CKPT_FSYNC_NS`]: the caller counts
+    /// them, as this may run on a thread with no trace lane.
+    pub(crate) fn publish(self) -> io::Result<u64> {
+        let t = Instant::now();
+        let Staged { file, tmp, path } = self;
+        let result = file.sync_all().and_then(|()| {
+            drop(file);
+            std::fs::rename(&tmp, &path)?;
+            sync_parent_dir(&path)
+        });
+        if result.is_err() {
+            let _ = std::fs::remove_file(&tmp);
+        }
+        result.map(|()| elapsed_ns(t))
+    }
+
+    /// Give the staged bytes up: remove the staging file, leaving any
+    /// previous file at the final path as it was.
+    pub(crate) fn discard(self) {
+        drop(self.file);
+        let _ = std::fs::remove_file(&self.tmp);
+    }
+}
+
+/// Stage one of a publish: `fill` writes `<path>.tmp`. A failure removes the
+/// staging file.
+fn stage<T>(path: &Path, fill: impl FnOnce(&mut File) -> io::Result<T>) -> io::Result<(Staged, T)> {
+    let tmp = tmp_path(path);
+    let filled = File::create(&tmp).and_then(|mut file| Ok((fill(&mut file)?, file)));
+    match filled {
+        Ok((out, file)) => Ok((
+            Staged {
+                file,
+                tmp,
+                path: path.to_owned(),
+            },
+            out,
+        )),
+        Err(e) => {
+            let _ = std::fs::remove_file(&tmp);
+            Err(e)
+        }
+    }
+}
+
+/// Publish a file atomically and durably, both stages in the caller:
+/// `fill` writes `<path>.tmp`, which is fsynced, renamed over `path`, and
+/// the directory fsynced. A failure at any point removes the staging file
+/// and leaves the previous `path` (if any) untouched. Returns what `fill`
+/// returned and the nanoseconds stage two took.
+fn publish_atomic<T>(
+    path: &Path,
+    fill: impl FnOnce(&mut File) -> io::Result<T>,
+) -> io::Result<(T, u64)> {
+    let (staged, out) = stage(path, fill)?;
+    Ok((out, staged.publish()?))
+}
+
+/// Publish `MANIFEST` in `dir` naming the latest committed checkpoint step,
+/// both stages in the caller: staged, fsynced, renamed and the directory
+/// fsynced, so readers never see a partial manifest and a power loss never
+/// leaves one naming a step whose shards were not durable first. Returns
+/// the nanoseconds stage two took, for the caller to count: this runs on a
+/// writer thread in the trainer.
+pub(crate) fn publish_manifest(dir: &Path, step: usize) -> io::Result<u64> {
+    publish_atomic(&dir.join("MANIFEST"), |f| {
+        f.write_all(format!("{step}\n").as_bytes())
+    })
+    .map(|((), ns)| ns)
+}
+
+/// Stage one of a shard save: stream the parameters `keep` selects (by
+/// position in the model's visit order), then `extras`, into `<path>.tmp`.
+/// Each tensor is read once, straight out of the model. Returns the staged
+/// file and the bytes written.
+fn stage_shard(
     path: &Path,
     model: &mut dyn HasParams,
     keep: &dyn Fn(usize) -> bool,
     extras: &[(&str, Tensor)],
-) -> io::Result<u64> {
+) -> io::Result<(Staged, u64)> {
     // The header carries the record count, so count before streaming; this
     // visit touches no tensor data.
     let mut n_records = extras.len() as u64;
@@ -304,7 +485,7 @@ fn save_shard(
         n_records += keep(i) as u64;
         i += 1;
     });
-    publish_atomic(path, |file| {
+    stage(path, |file| {
         let t = Instant::now();
         let mut w = ShardWriter::new(file);
         w.header(n_records)?;
@@ -329,6 +510,18 @@ fn save_shard(
         trace::count(names::CKPT_BYTES_WRITTEN, w.written);
         Ok(w.written)
     })
+}
+
+/// [`stage_shard`], then stage two in the caller. Returns bytes written.
+fn save_shard(
+    path: &Path,
+    model: &mut dyn HasParams,
+    keep: &dyn Fn(usize) -> bool,
+    extras: &[(&str, Tensor)],
+) -> io::Result<u64> {
+    let (staged, written) = stage_shard(path, model, keep, extras)?;
+    trace::count(names::CKPT_FSYNC_NS, staged.publish()?);
+    Ok(written)
 }
 
 // ------------------------------------------------------------------ reading
@@ -737,23 +930,24 @@ fn decode_text(record: &str, t: &Tensor) -> io::Result<String> {
     String::from_utf8(bytes).map_err(|e| bad(format!("malformed {record} record: {e}")))
 }
 
-/// [`save_params`] plus a [`PLACEMENT_RECORD`] carrying `meta` and, given a
-/// `run_config`, a [`RUNCONFIG_RECORD`] embedding the run's full
-/// [`RunConfig`] as TOML, making the checkpoint self-describing: `bagualu
-/// train --config` can reproduce the run that wrote it from the shard
-/// alone. The records ride in the same file with the same CRC/trailer
-/// protection; loaders that only want parameters ignore them.
-pub(crate) fn save_params_with_meta(
+/// Stage one of [`save_params`] plus a [`PLACEMENT_RECORD`] carrying
+/// `meta` and, given a `run_config`, a [`RUNCONFIG_RECORD`] embedding the
+/// run's full [`RunConfig`] as TOML, making the checkpoint self-describing:
+/// `bagualu train --config` can reproduce the run that wrote it from the
+/// shard alone. The records ride in the same file with the same CRC/trailer
+/// protection; loaders that only want parameters ignore them. The shard is
+/// at its final path once the caller runs [`Staged::publish`].
+pub(crate) fn stage_params_with_meta(
     path: impl AsRef<Path>,
     model: &mut dyn HasParams,
     meta: PlacementMeta,
     run_config: Option<&RunConfig>,
-) -> io::Result<u64> {
+) -> io::Result<Staged> {
     let mut extras = vec![(PLACEMENT_RECORD, meta.encode())];
     if let Some(rc) = run_config {
         extras.push((RUNCONFIG_RECORD, encode_text(&rc.to_toml())));
     }
-    save_shard(path.as_ref(), model, &|_| true, &extras)
+    stage_shard(path.as_ref(), model, &|_| true, &extras).map(|(staged, _)| staged)
 }
 
 /// Read the embedded [`RunConfig`] of a checkpoint file. `Ok(None)` means
@@ -906,6 +1100,17 @@ mod tests {
             out.extend_from_slice(&(records.len() as u64).to_le_bytes());
         }
         out
+    }
+
+    /// Both stages of [`stage_params_with_meta`]. Returns bytes written.
+    fn save_params_with_meta(
+        path: &Path,
+        model: &mut dyn HasParams,
+        meta: PlacementMeta,
+        run_config: Option<&RunConfig>,
+    ) -> io::Result<u64> {
+        stage_params_with_meta(path, model, meta, run_config)?.publish()?;
+        Ok(std::fs::metadata(path)?.len())
     }
 
     fn save_params_v1(path: &Path, model: &mut dyn HasParams) {
@@ -1309,6 +1514,86 @@ mod tests {
         }
     }
 
+    /// The table's value for `bytes` from `crc`.
+    fn table_crc(crc: u32, bytes: &[u8]) -> u32 {
+        let mut c = Crc32(crc);
+        c.update_table(bytes);
+        c.0
+    }
+
+    #[test]
+    fn clmul_crc_matches_the_table_at_every_length_and_alignment() {
+        let mut rng = Rng::seed_from(41);
+        let buf: Vec<u8> = (0..1024 + 16).map(|_| rng.next_u64() as u8).collect();
+        for align in 0..16 {
+            for len in 0..=1024usize {
+                let data = &buf[align..align + len];
+                // From the initial register and from one mid-stream.
+                for start in [0xFFFF_FFFF, 0x1234_5678] {
+                    let mut crc = Crc32(start);
+                    crc.update(data);
+                    assert_eq!(
+                        crc.0,
+                        table_crc(start, data),
+                        "length {len} at alignment {align}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn the_carry_less_fold_alone_matches_the_table() {
+        if !std::arch::is_x86_feature_detected!("pclmulqdq") {
+            eprintln!("no pclmulqdq on this host: the table is the only path");
+            return;
+        }
+        let mut rng = Rng::seed_from(43);
+        let buf: Vec<u8> = (0..2048 + 16).map(|_| rng.next_u64() as u8).collect();
+        for align in 0..16 {
+            for len in (64..=2048).step_by(16) {
+                let data = &buf[align..align + len];
+                let start = rng.next_u64() as u32;
+                // SAFETY: `pclmulqdq` was detected above.
+                let folded = unsafe { clmul::fold(start, data) };
+                assert_eq!(folded, table_crc(start, data), "length {len} at {align}");
+            }
+        }
+    }
+
+    /// 64 MiB of random bytes, whole and cut at random points, against the
+    /// table. Run in release: `cargo test --release -p bagualu crc --
+    /// --ignored`.
+    #[test]
+    #[ignore]
+    fn crc_of_64_mib_random_bytes_matches_the_table() {
+        let mut rng = Rng::seed_from(47);
+        let buf: Vec<u8> = (0..64 << 20)
+            .step_by(8)
+            .flat_map(|_| rng.next_u64().to_le_bytes())
+            .collect();
+        let mut whole = Crc32::new();
+        whole.update(&buf);
+        let want = table_crc(0xFFFF_FFFF, &buf);
+        assert_eq!(whole.0, want, "one update over 64 MiB");
+        for round in 0..8 {
+            let mut crc = Crc32::new();
+            let mut rest = &buf[..];
+            while !rest.is_empty() {
+                let take = (rng.below(1 << (4 + 2 * round)) + 1).min(rest.len());
+                crc.update(&rest[..take]);
+                rest = &rest[take..];
+            }
+            assert_eq!(
+                crc.0,
+                want,
+                "pieces of up to {} bytes",
+                1 << (4 + 2 * round)
+            );
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
 
@@ -1485,6 +1770,44 @@ mod tests {
             load_params(&path, &mut straddling_bag()).unwrap();
         }
         assert_eq!(col.finish().counter_total(names::CKPT_BYTES_READ), len);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn a_staged_shard_takes_its_name_in_stage_two_and_a_discarded_one_never() {
+        let dir = tmpdir("two-stage");
+        let path = dir.join("rank0.bglu");
+        let old = save_params(&path, &mut straddling_bag()).unwrap();
+        let old_bytes = std::fs::read(&path).unwrap();
+        let meta = PlacementMeta {
+            placement: bagualu_parallel::ExpertPlacement::RoundRobin,
+            n_experts: 4,
+            nranks: 2,
+        };
+        let mut tiny = Transformer::new(ModelConfig::tiny(), &mut Rng::seed_from(51));
+
+        // After stage one the bytes are all in the staging file, and the
+        // final name still holds the previous shard.
+        let staged = stage_params_with_meta(&path, &mut tiny, meta, None).unwrap();
+        let staged_len = std::fs::metadata(tmp_path(&path)).unwrap().len();
+        assert_ne!(staged_len, old);
+        assert_eq!(std::fs::read(&path).unwrap(), old_bytes);
+        // A lost stage two leaves it that way.
+        staged.discard();
+        assert!(!tmp_path(&path).exists(), "staging file left behind");
+        assert_eq!(std::fs::read(&path).unwrap(), old_bytes);
+
+        // Stage two publishes the staged bytes under the final name.
+        let staged = stage_params_with_meta(&path, &mut tiny, meta, None).unwrap();
+        staged.publish().unwrap();
+        assert!(!tmp_path(&path).exists());
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), staged_len);
+        assert_eq!(read_placement(&path).unwrap(), Some(meta));
+        load_params(
+            &path,
+            &mut Transformer::new(ModelConfig::tiny(), &mut Rng::seed_from(52)),
+        )
+        .unwrap();
         let _ = std::fs::remove_dir_all(dir);
     }
 

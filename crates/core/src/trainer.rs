@@ -17,12 +17,19 @@
 //! checkpoints every `ckpt_every` steps and watches for stragglers, and the
 //! driver restarts a failed attempt (on a shrunk world, when elastic) and
 //! re-places a straggler's experts. Without one there is one attempt.
+//!
+//! A checkpoint has two stages. Stage one runs on the rank between two
+//! steps: its shard is encoded and written into the kernel's page cache.
+//! Stage two — fsync, rename, directory fsync — runs on a writer thread
+//! while the rank computes the next step, and is joined at the heartbeat
+//! after it; once every rank is through that heartbeat, rank 0 names the
+//! step in `MANIFEST`.
 
 use crate::checkpoint::{self, PlacementMeta};
 use crate::data::{SyntheticLM, TokenDistribution};
 use crate::runconfig::RunConfig;
 use bagualu_comm::collectives::{allreduce_recursive_doubling, barrier_ft, ReduceOp};
-use bagualu_comm::fault::{FaultPlan, FaultRuntime};
+use bagualu_comm::fault::{FaultPlan, FaultRuntime, FaultSpec};
 use bagualu_comm::harness::{run_ranks_ft, RankOutcome};
 use bagualu_comm::payload::WireDType;
 use bagualu_comm::shm::{CommStats, Communicator, ShmComm, World};
@@ -41,9 +48,10 @@ use bagualu_tensor::DType;
 use bagualu_trace::{
     self as trace, names, HostUsage, StragglerDetector, Trace, TraceCollector, DRIVER_LANE,
 };
-use std::io::Write;
+use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Full training-run configuration.
@@ -424,14 +432,21 @@ impl Trainer {
     /// Run with fault injection and checkpoint/restart recovery.
     ///
     /// Each rank heartbeats at every step boundary ([`barrier_ft`]) and
-    /// checkpoints its shard every `ft.ckpt_every` steps; rank 0 then
-    /// publishes a `MANIFEST` naming the step (atomically, so a failure
-    /// mid-checkpoint leaves the previous consistent set in charge). When a
-    /// rank crashes, survivors detect it within `ft.heartbeat_ms`, the
-    /// world is torn down, and a fresh world restores the last manifest
-    /// step and resumes — with a fresh optimizer (Adam moments are not
-    /// checkpointed; the run is bit-identical to a fault-free run started
-    /// from the restored step, which is what the tests pin down).
+    /// checkpoints its shard every `ft.ckpt_every` steps: it writes the
+    /// shard into the kernel and hands the fsyncs to a writer thread, which
+    /// it joins at the next step's heartbeat. Once every shard of step `s`
+    /// is durable, rank 0 publishes a `MANIFEST` naming `s` (atomically, so
+    /// a failure mid-checkpoint leaves the previous consistent set in
+    /// charge). When a rank crashes, survivors detect it within
+    /// `ft.heartbeat_ms`, and the world is torn down. The driver then waits
+    /// for every writer still running — a crashed rank's shard is already
+    /// in the kernel — and names the newest step whose every shard is
+    /// durable, so a crash at a checkpoint step still restores that step; a
+    /// shard that never became durable leaves the previous step in charge.
+    /// A fresh world restores the manifest step and resumes — with a fresh
+    /// optimizer (Adam moments are not checkpointed; the run is
+    /// bit-identical to a fault-free run started from the restored step,
+    /// which is what the tests pin down).
     ///
     /// With an empty [`FaultPlan`] and `ckpt_every: 0` this computes
     /// exactly what [`Trainer::run`] computes, plus the heartbeats.
@@ -496,6 +511,8 @@ impl Trainer {
                         && cur.nranks >= 2
                         && meta.placement == ExpertPlacement::RoundRobin
                 }),
+                writers: (0..cur.nranks).map(|_| Mutex::default()).collect(),
+                manifest: Mutex::default(),
             });
             let attempt_start = Instant::now();
             let attempt_t0_ns = collector.as_ref().map(|c| c.now_ns());
@@ -518,6 +535,11 @@ impl Trainer {
                 }
             };
 
+            // Every writer the attempt started is joined before the driver
+            // reads MANIFEST or reports: see `FtAttempt::drain`.
+            if let Some(attempt) = &ft_at {
+                attempt.drain();
+            }
             let mut totals = None;
             let mut failed = false;
             let mut migrate_to = None;
@@ -944,6 +966,40 @@ struct FtAttempt<'a> {
     stamp: Option<RunConfig>,
     /// [`FtConfig::straggler_factor`], when this attempt may migrate.
     straggler_factor: Option<f64>,
+    /// Each rank's checkpoint writer, indexed by rank.
+    writers: Vec<Mutex<WriterSlot>>,
+    /// Rank 0's `MANIFEST` writer, while it runs.
+    manifest: Mutex<Option<Writer>>,
+}
+
+/// A writer thread: it returns the nanoseconds its stage two took.
+type Writer = JoinHandle<io::Result<u64>>;
+
+/// Why locking a writer slot cannot fail: nothing panics while holding one.
+const UNPOISONED: &str = "no thread panics while holding a checkpoint writer slot";
+
+/// One rank's checkpoint writer in an attempt: stage two of its latest
+/// shard, while it runs, and the last step whose shard it made durable.
+#[derive(Default)]
+struct WriterSlot {
+    in_flight: Option<InFlight>,
+    durable: Option<usize>,
+}
+
+/// Stage two of one shard, running on its writer thread.
+struct InFlight {
+    step: usize,
+    path: PathBuf,
+    writer: Writer,
+}
+
+/// Wait for `writer` and return what it returned; a panic on the writer
+/// thread is raised again in the caller.
+fn join(writer: Writer) -> io::Result<u64> {
+    let _span = trace::span(names::CKPT_COMMIT_WAIT);
+    writer
+        .join()
+        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
 }
 
 impl FtAttempt<'_> {
@@ -987,8 +1043,9 @@ impl FtAttempt<'_> {
     }
 
     /// Publish `step` to the fault runtime, fire a crash injected for this
-    /// rank at it, and heartbeat. False when the rank must stop: it
-    /// crashed, or a peer stopped responding.
+    /// rank at it, and heartbeat, committing a checkpoint taken before an
+    /// earlier step. False when the rank must stop: it crashed, or a peer
+    /// stopped responding.
     fn before_step(&self, step: usize, comm: &ShmComm) -> bool {
         if let Some(faults) = self.faults {
             // Sustained (step-ranged) degradation windows open and close on
@@ -997,13 +1054,18 @@ impl FtAttempt<'_> {
             // Injected fail-stop crash: the rank flags itself dead and goes
             // silent. Peers observe exactly what a real crash looks like —
             // no more messages — while the harness still collects the
-            // metric segment this rank had already agreed on.
-            if faults.should_crash(comm.rank(), step) {
+            // metric segment this rank had already agreed on. Its writer
+            // thread, like a crashed process's page cache, lives on.
+            let crash = FaultSpec::Crash {
+                rank: comm.rank(),
+                at_step: step,
+            };
+            if faults.fire(crash) {
                 comm.mark_self_dead();
                 return false;
             }
         }
-        self.heartbeat(comm)
+        self.commit(comm, |at| at < step)
     }
 
     /// Heartbeat ([`barrier_ft`]): detects dead peers within
@@ -1015,26 +1077,141 @@ impl FtAttempt<'_> {
             .is_ok()
     }
 
-    /// Write this rank's shard of the checkpoint for step `at`; once every
-    /// shard is durable, rank 0 publishes the step. False when a peer died
-    /// meanwhile.
+    /// A heartbeat that commits: join this rank's writer first when `due`
+    /// accepts the step it is writing, and once every rank is through the
+    /// heartbeat — every rank has the same step in flight, so all joined —
+    /// rank 0 has that step named in `MANIFEST`, by a writer thread of its
+    /// own. False when a peer stopped responding.
+    fn commit(&self, comm: &ShmComm, due: impl FnOnce(usize) -> bool) -> bool {
+        let durable = self.join_writer(comm.rank(), due);
+        if !self.heartbeat(comm) {
+            return false;
+        }
+        if let (Some(at), 0) = (durable, comm.rank()) {
+            self.publish_manifest(at);
+        }
+        true
+    }
+
+    /// Name step `at` in `MANIFEST` on a writer thread, after the previous
+    /// manifest writer has finished, so manifests land in step order.
+    fn publish_manifest(&self, at: usize) {
+        if let Some(previous) = self.manifest.lock().expect(UNPOISONED).take() {
+            let ns = join(previous).unwrap_or_else(|e| panic!("cannot publish MANIFEST: {e}"));
+            trace::count(names::CKPT_FSYNC_NS, ns);
+        }
+        let dir = self.ft.ckpt_dir.clone();
+        let writer = std::thread::Builder::new()
+            .name("ckpt-manifest".into())
+            .spawn(move || checkpoint::publish_manifest(&dir, at))
+            .expect("spawn the MANIFEST writer thread");
+        *self.manifest.lock().expect(UNPOISONED) = Some(writer);
+    }
+
+    /// Whether `rank` has a shard in stage two.
+    fn in_flight(&self, rank: usize) -> bool {
+        self.writers[rank]
+            .lock()
+            .expect(UNPOISONED)
+            .in_flight
+            .is_some()
+    }
+
+    /// Wait for `rank`'s writer if `due` accepts the step it is writing, and
+    /// return that step once its shard is durable. A failed stage two
+    /// crashes the rank: the shard never became durable, so the previous
+    /// step stays the one a restore uses.
+    fn join_writer(&self, rank: usize, due: impl FnOnce(usize) -> bool) -> Option<usize> {
+        let InFlight { step, path, writer } = {
+            let mut slot = self.writers[rank].lock().expect(UNPOISONED);
+            if !slot.in_flight.as_ref().is_some_and(|f| due(f.step)) {
+                return None;
+            }
+            slot.in_flight.take()?
+        };
+        let ns = join(writer).unwrap_or_else(|e| panic!("cannot write checkpoint {path:?}: {e}"));
+        trace::count(names::CKPT_FSYNC_NS, ns);
+        self.writers[rank].lock().expect(UNPOISONED).durable = Some(step);
+        Some(step)
+    }
+
+    /// Stage one of this rank's shard of the checkpoint for step `at`: encode
+    /// it and `write` it into the kernel, then hand stage two to a writer
+    /// thread, joined by the commit at the next step boundary. A checkpoint
+    /// still in flight (`ckpt_every` 1) is committed first, so a rank has at
+    /// most one. False when a peer died meanwhile.
     fn checkpoint(&self, st: &mut RankState, at: usize, comm: &ShmComm) -> bool {
+        let rank = comm.rank();
+        if self.in_flight(rank) && !self.commit(comm, |_| true) {
+            return false;
+        }
         let _span = trace::span(names::CHECKPOINT);
         let dir = self.ft.ckpt_dir.join(format!("step{at}"));
         std::fs::create_dir_all(&dir)
             .unwrap_or_else(|e| panic!("cannot create checkpoint dir {dir:?}: {e}"));
-        let path = dir.join(format!("rank{}.bglu", comm.rank()));
-        checkpoint::save_params_with_meta(&path, &mut st.model, self.meta, self.stamp.as_ref())
-            .unwrap_or_else(|e| panic!("cannot write checkpoint {path:?}: {e}"));
-        // All shards must be durable before the manifest advances; then
-        // rank 0 publishes the step atomically.
-        if !self.heartbeat(comm) {
-            return false;
-        }
-        if comm.rank() == 0 {
-            write_manifest(&self.ft.ckpt_dir, at);
-        }
+        let path = dir.join(format!("rank{rank}.bglu"));
+        let staged = checkpoint::stage_params_with_meta(
+            &path,
+            &mut st.model,
+            self.meta,
+            self.stamp.as_ref(),
+        )
+        .unwrap_or_else(|e| panic!("cannot write checkpoint {path:?}: {e}"));
+        let lost = self
+            .faults
+            .is_some_and(|f| f.fire(FaultSpec::LoseShard { rank, step: at }));
+        let writer = std::thread::Builder::new()
+            .name(format!("ckpt-writer-{rank}"))
+            .spawn(move || {
+                if lost {
+                    staged.discard();
+                    return Err(io::Error::other("stage two lost (injected fault)"));
+                }
+                staged.publish()
+            })
+            .expect("spawn a checkpoint writer thread");
+        self.writers[rank].lock().expect(UNPOISONED).in_flight = Some(InFlight {
+            step: at,
+            path,
+            writer,
+        });
         true
+    }
+
+    /// After an attempt: wait for every writer still running — the
+    /// `MANIFEST` writer first, then the shards' (a crashed rank's staged
+    /// shard is in the kernel and still reaches the disk) — and, where the
+    /// ranks did not get to it, name in `MANIFEST` the newest step whose
+    /// every shard finished stage two. A rank's durable steps are a prefix
+    /// of the attempt's checkpoint steps (it starts a stage two only after
+    /// joining the last), so the oldest of the ranks' newest durable steps
+    /// is durable on every rank. A failed `MANIFEST` writer left the
+    /// previous manifest in place, which the commit below supersedes.
+    fn drain(&self) {
+        if let Some(writer) = self.manifest.lock().expect(UNPOISONED).take() {
+            let _ = writer.join();
+        }
+        let newest: Option<Vec<usize>> = self
+            .writers
+            .iter()
+            .map(|slot| {
+                let mut slot = slot.lock().expect(UNPOISONED);
+                if let Some(InFlight { step, writer, .. }) = slot.in_flight.take() {
+                    if let Ok(Ok(_)) = writer.join() {
+                        slot.durable = Some(step);
+                    }
+                }
+                slot.durable
+            })
+            .collect();
+        let Some(at) = newest.and_then(|steps| steps.into_iter().min()) else {
+            return;
+        };
+        // An unreadable manifest is left for the driver's hard error.
+        if matches!(read_manifest(&self.ft.ckpt_dir), Ok(m) if m < Some(at)) {
+            checkpoint::publish_manifest(&self.ft.ckpt_dir, at)
+                .expect("publish checkpoint manifest");
+        }
     }
 }
 
@@ -1176,10 +1353,14 @@ fn rank_loop(
             if !ft.checkpoint(&mut st, next_step, comm) {
                 return (st.seg, End::Aborted);
             }
-            // Migration is amortized to checkpoint boundaries: the shard
-            // set for `next_step` is complete and the manifest published,
-            // so the re-placed world can restore from it consistently.
+            // Migration is amortized to checkpoint boundaries: once the
+            // shard set for `next_step` is durable and the manifest
+            // published, the re-placed world can restore from it
+            // consistently.
             if let Some(victim) = pending_victim {
+                if !ft.commit(comm, |_| true) {
+                    return (st.seg, End::Aborted);
+                }
                 return (
                     st.seg,
                     End::Migrated {
@@ -1190,23 +1371,16 @@ fn rank_loop(
             }
         }
     }
+    // A checkpoint taken before the last step has no next boundary.
+    if ft.is_some_and(|ft| ft.in_flight(comm.rank()) && !ft.commit(comm, |_| true)) {
+        return (st.seg, End::Aborted);
+    }
     st.finish(comm)
 }
 
 /// Copy a curve segment computed from step `at` into the global curve.
 fn splice<T: Copy>(at: usize, src: &[T], dst: &mut [T]) {
     dst[at..at + src.len()].copy_from_slice(src);
-}
-
-/// Publish `MANIFEST` naming the latest complete checkpoint step: staged,
-/// fsynced, renamed and the directory fsynced, so readers never see a
-/// partial manifest and a power loss never leaves one that names a step
-/// whose shards were not durable first.
-fn write_manifest(dir: &Path, step: usize) {
-    checkpoint::publish_atomic(&dir.join("MANIFEST"), |f| {
-        f.write_all(format!("{step}\n").as_bytes())
-    })
-    .expect("publish checkpoint manifest");
 }
 
 /// Read the latest published checkpoint step. The two failure shapes are

@@ -194,9 +194,14 @@ impl Exchange {
             }
         }
 
-        // ---- Expert compute.
+        // ---- Expert compute. A slot that received no row is not run: its
+        // output has no row, and its backward (below) is skipped too.
         let mut slot_outputs = Vec::with_capacity(n_slots);
         for (slot, orig) in origin.iter().enumerate() {
+            if orig.is_empty() {
+                slot_outputs.push(Tensor::zeros(&[0, d]));
+                continue;
+            }
             let mut xe = Tensor::zeros(&[orig.len(), d]);
             for (row, &(src, pos)) in orig.iter().enumerate() {
                 xe.row_mut(row).copy_from_slice(datas[src].row(pos));
@@ -400,7 +405,14 @@ impl DistMoELayer {
             .iter()
             .map(|&rows| Tensor::zeros(&[rows, d]))
             .collect();
-        for (slot, orig) in cache.origin.iter().enumerate() {
+        // An idle slot ran no forward; its gradients stay as they are, which
+        // is what adding its zero weight gradient would leave.
+        for (slot, orig) in cache
+            .origin
+            .iter()
+            .enumerate()
+            .filter(|(_, o)| !o.is_empty())
+        {
             let mut dye = Tensor::zeros(&[orig.len(), d]);
             for (row, &(src, pos)) in orig.iter().enumerate() {
                 dye.row_mut(row).copy_from_slice(dys[src].row(pos));

@@ -159,10 +159,10 @@ impl Rng {
 
     /// Advance the stream exactly as `n` calls of [`Rng::normal`] would,
     /// without evaluating them: a cached spare is consumed first, every whole
-    /// Box–Muller pair costs its two raw generator steps, and an odd tail
-    /// evaluates one pair so its second half is left cached. Generator state
-    /// and spare afterwards are bit for bit what the draws leave behind, for
-    /// `O(n)` generator steps and at most one Box–Muller transform.
+    /// Box–Muller pair is two raw generator steps, and an odd tail evaluates
+    /// one pair so its second half is left cached. Generator state and spare
+    /// afterwards are bit for bit what the draws leave behind, for one
+    /// [`Rng::skip_uniforms`] and at most one Box–Muller transform.
     pub(crate) fn skip_normals(&mut self, mut n: usize) {
         if n > 0 && self.spare_normal.take().is_some() {
             n -= 1;
@@ -174,11 +174,11 @@ impl Rng {
     }
 
     /// Advance the stream as `n` calls of [`Rng::uniform`] would (one raw
-    /// generator step each).
+    /// generator step each), in `O(log n)`: the generator's state
+    /// transition is linear over GF(2), so `n` steps are one polynomial in
+    /// it, `x^n` modulo its characteristic polynomial (`StdRng::discard`).
     pub(crate) fn skip_uniforms(&mut self, n: usize) {
-        for _ in 0..n {
-            self.inner.next_u64();
-        }
+        self.inner.discard(n as u64);
     }
 
     /// Run `f` — a layer constructor — with the bulk tensor fills switched
@@ -294,6 +294,43 @@ mod tests {
         let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f32>() / n as f32;
         assert!(mean.abs() < 0.02, "mean {mean}");
         assert!((var - 1.0).abs() < 0.05, "var {var}");
+    }
+
+    /// `skip_uniforms(n)` against `n` raw steps: the same generator state.
+    fn check_jump(seed: u64, n: usize) {
+        let mut jumped = Rng::seed_from(seed);
+        let mut stepped = jumped.clone();
+        jumped.skip_uniforms(n);
+        for _ in 0..n {
+            stepped.next_u64();
+        }
+        assert_eq!(jumped.inner, stepped.inner, "n = {n}");
+    }
+
+    #[test]
+    fn a_jump_lands_where_stepping_does_around_every_power_of_two() {
+        for k in 0..=22 {
+            for n in [(1usize << k) - 1, 1 << k, (1 << k) + 1] {
+                check_jump(k as u64, n);
+            }
+        }
+        // About what a restoring rank of the benchmark's largest model
+        // steps past, and a count with every jump bit below 2^25 set.
+        check_jump(23, 17_000_003);
+        check_jump(24, (1 << 25) - 1);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 32,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        // Random seeds and counts up to 2^21.
+        #[test]
+        fn a_jump_is_that_many_steps(seed in 0u64..u64::MAX, n in 0usize..(1 << 21)) {
+            check_jump(seed, n);
+        }
     }
 
     #[test]

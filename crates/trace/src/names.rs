@@ -25,8 +25,14 @@ pub const A2A_COMBINE: &str = "a2a_combine";
 pub const OPTIMIZER: &str = "optimizer";
 /// Held-out evaluation forward pass.
 pub const EVAL: &str = "eval";
-/// Writing one checkpoint shard (including the durability barrier).
+/// Stage one of one checkpoint shard: encoding it, its record CRCs and the
+/// `write` calls that hand it to the kernel. Stage two (fsync, rename,
+/// directory fsync) runs on a writer thread; see [`CKPT_COMMIT_WAIT`].
 pub const CHECKPOINT: &str = "checkpoint";
+/// A rank waiting at a step boundary on its checkpoint writer thread (the
+/// join of stage two) and, on rank 0, publishing `MANIFEST` once every
+/// shard of the step is durable.
+pub const CKPT_COMMIT_WAIT: &str = "ckpt.commit_wait";
 /// One failed attempt in the fault-tolerant driver: detection plus the
 /// teardown of the attempt (recorded on [`crate::DRIVER_LANE`]).
 pub const RECOVERY: &str = "recovery";
@@ -186,6 +192,8 @@ pub const CKPT_ENCODE_CRC_NS: &str = "ckpt.encode_crc_ns";
 pub const CKPT_WRITE_NS: &str = "ckpt.write_ns";
 /// Nanoseconds spent making a checkpoint file durable: fsync of the staging
 /// file, the rename, and the fsync of its directory (shards and `MANIFEST`).
+/// A shard's stage two runs on a writer thread; its time is counted on the
+/// rank's lane when the rank joins the writer.
 pub const CKPT_FSYNC_NS: &str = "ckpt.fsync_ns";
 /// Bytes written to checkpoint shards.
 pub const CKPT_BYTES_WRITTEN: &str = "ckpt.bytes_written";

@@ -305,3 +305,87 @@ fn overlapped_sync_absorbs_a_delayed_message_under_the_watchdog() {
     assert_eq!(stats.delayed, 1, "the stalled message is counted once");
     assert_eq!((stats.dropped, stats.corrupted), (0, 0));
 }
+
+/// A shard whose stage two never reaches the disk (its node lost the page
+/// cache): the step is never named in `MANIFEST`, the rank crashes when it
+/// joins its writer, and the restore uses the previous committed step.
+#[test]
+fn a_lost_stage_two_restores_the_previous_committed_step() {
+    use bagualu::comm::FaultPlan;
+    use bagualu::trainer::{FtConfig, TrainConfig, Trainer};
+
+    let cfg = TrainConfig {
+        steps: 10,
+        ..TrainConfig::default()
+    };
+    // Checkpoints at steps 4 and 8; rank 1's step-8 shard is lost. Its
+    // writer is joined at the heartbeat before step 9, where rank 1 crashes.
+    let ft = |dir: &Path, max_restarts| FtConfig {
+        plan: FaultPlan::new(13).lose_shard(1, 8),
+        ckpt_every: 4,
+        max_restarts,
+        heartbeat_ms: 300,
+        ..FtConfig::new(dir)
+    };
+    let tmp_dir = |tag: &str| {
+        let dir = std::env::temp_dir().join(format!("bagualu-ft-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    };
+    let staging_files = |dir: &Path| {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .flat_map(|step| {
+                std::fs::read_dir(step.unwrap().path())
+                    .into_iter()
+                    .flatten()
+            })
+            .filter(|f| f.as_ref().unwrap().path().extension() == Some("tmp".as_ref()))
+            .count()
+    };
+
+    // With no restart allowed, the disk is left as the failure left it: rank
+    // 0's step-8 shard is durable, rank 1's never took its name, and the
+    // manifest still names step 4.
+    let dir = tmp_dir("lost-stage-two-stop");
+    let stopped = std::panic::catch_unwind(|| Trainer::new(cfg).run_ft(&ft(&dir, 0)));
+    assert!(
+        stopped.is_err(),
+        "the failure must stop a run without restarts"
+    );
+    assert_eq!(
+        std::fs::read_to_string(dir.join("MANIFEST")).unwrap(),
+        "4\n"
+    );
+    assert!(dir.join("step8").join("rank0.bglu").exists());
+    assert!(!dir.join("step8").join("rank1.bglu").exists());
+    assert_eq!(
+        staging_files(&dir),
+        0,
+        "a lost stage two left its staging file"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // Recovered: steps 0..9 ran, step 4 is the newest committed, so five
+    // steps are re-executed, and the re-executed step 8 commits.
+    let dir = tmp_dir("lost-stage-two");
+    let r = Trainer::new(cfg).run_ft(&ft(&dir, 2));
+    assert_eq!(r.restarts, 1);
+    assert_eq!(r.lost_steps, 5, "lost at 9, restored from 4");
+    assert_eq!(
+        std::fs::read_to_string(dir.join("MANIFEST")).unwrap(),
+        "8\n"
+    );
+    assert_eq!(staging_files(&dir), 0);
+
+    // Bit for bit what a run resumed from the same step-4 checkpoint does.
+    let resumed = Trainer::new(cfg).run_ft(&FtConfig {
+        resume_step: 4,
+        ckpt_every: 4,
+        heartbeat_ms: 300,
+        ..FtConfig::new(&dir)
+    });
+    let bits = |curve: &[f32]| curve.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&r.loss_curve[4..]), bits(&resumed.loss_curve[4..]));
+    let _ = std::fs::remove_dir_all(&dir);
+}
