@@ -405,8 +405,9 @@ impl DistMoELayer {
             .iter()
             .map(|&rows| Tensor::zeros(&[rows, d]))
             .collect();
-        // An idle slot ran no forward; its gradients stay as they are, which
-        // is what adding its zero weight gradient would leave.
+        // An idle slot ran no forward, and its gradients stay as they are.
+        // That is what adding its zero gradients would leave: every GEMM sum
+        // starts at +0.0, so no gradient element is -0.0.
         for (slot, orig) in cache
             .origin
             .iter()
