@@ -1096,7 +1096,8 @@ impl FtAttempt<'_> {
     /// Name step `at` in `MANIFEST` on a writer thread, after the previous
     /// manifest writer has finished, so manifests land in step order.
     fn publish_manifest(&self, at: usize) {
-        if let Some(previous) = self.manifest.lock().expect(UNPOISONED).take() {
+        let previous = self.manifest.lock().expect(UNPOISONED).take();
+        if let Some(previous) = previous {
             let ns = join(previous).unwrap_or_else(|e| panic!("cannot publish MANIFEST: {e}"));
             trace::count(names::CKPT_FSYNC_NS, ns);
         }
@@ -1188,7 +1189,8 @@ impl FtAttempt<'_> {
     /// is durable on every rank. A failed `MANIFEST` writer left the
     /// previous manifest in place, which the commit below supersedes.
     fn drain(&self) {
-        if let Some(writer) = self.manifest.lock().expect(UNPOISONED).take() {
+        let manifest = self.manifest.lock().expect(UNPOISONED).take();
+        if let Some(writer) = manifest {
             let _ = writer.join();
         }
         let newest: Option<Vec<usize>> = self
@@ -1869,6 +1871,48 @@ mod tests {
         assert_eq!(f.total_msgs, p.total_msgs + steps * hb_msgs);
         assert_eq!(f.total_bytes, p.total_bytes + steps * hb_bytes);
         let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn the_next_steps_heartbeat_commits_each_checkpoint() {
+        // A checkpoint's writer is joined, and its step committed, at the
+        // heartbeat before the step after it: no heartbeat of its own.
+        // Only a checkpoint with no such heartbeat left — the next save
+        // comes first (`ckpt_every` 1), or the run ends — adds one.
+        let cfg = TrainConfig {
+            steps: 6,
+            ..Default::default()
+        };
+        let plain = Trainer::new(cfg).run();
+        let world = World::new(cfg.nranks);
+        run_ranks_ft(&world, |c| barrier_ft(&c, Duration::from_secs(5)));
+        let hb_msgs = world.stats().total_msgs;
+        let bits =
+            |r: &TrainReport| -> Vec<u32> { r.loss_curve.iter().map(|l| l.to_bits()).collect() };
+        // (ckpt_every, extra heartbeats, step MANIFEST names at the end)
+        for (every, extra, last) in [(4, 0, 4), (5, 1, 5), (1, 5, 5)] {
+            let dir = ft_tmpdir(&format!("commit-{every}"));
+            let r = ft_run(cfg, &dir, every, 0);
+            assert_eq!(bits(&r), bits(&plain), "ckpt_every {every}");
+            let (p, f) = (plain.comm_stats.unwrap(), r.comm_stats.unwrap());
+            let heartbeats = cfg.steps as u64 + extra;
+            assert_eq!(
+                f.total_msgs,
+                p.total_msgs + heartbeats * hb_msgs,
+                "ckpt_every {every}"
+            );
+            assert_eq!(read_manifest(&dir).unwrap(), Some(last));
+            for step in (every..cfg.steps).step_by(every) {
+                for rank in 0..cfg.nranks {
+                    let shard = dir
+                        .join(format!("step{step}"))
+                        .join(format!("rank{rank}.bglu"));
+                    assert!(shard.exists(), "{shard:?}");
+                    assert!(!shard.with_extension("bglu.tmp").exists());
+                }
+            }
+            let _ = std::fs::remove_dir_all(dir);
+        }
     }
 
     #[test]

@@ -30,8 +30,8 @@ pub const EVAL: &str = "eval";
 /// directory fsync) runs on a writer thread; see [`CKPT_COMMIT_WAIT`].
 pub const CHECKPOINT: &str = "checkpoint";
 /// A rank waiting at a step boundary on its checkpoint writer thread (the
-/// join of stage two) and, on rank 0, publishing `MANIFEST` once every
-/// shard of the step is durable.
+/// join of stage two) and, on rank 0, on the previous `MANIFEST` writer
+/// before it starts the next.
 pub const CKPT_COMMIT_WAIT: &str = "ckpt.commit_wait";
 /// One failed attempt in the fault-tolerant driver: detection plus the
 /// teardown of the attempt (recorded on [`crate::DRIVER_LANE`]).
