@@ -20,11 +20,11 @@ use bagualu::model::config::ModelConfig;
 use bagualu::model::param::HasParams;
 use bagualu::model::transformer::Transformer;
 use bagualu::optim::adam::{Adam, AdamConfig};
-use bagualu::parallel::moe_dist::A2aKind;
+use bagualu::parallel::DistTransformer;
 use bagualu::perfmodel::{project, A2aAlgo, PerfInput};
 use bagualu::tensor::par;
 use bagualu::tensor::rng::Rng;
-use bagualu::trainer::Trainer;
+use bagualu::trainer::{TrainConfig, Trainer};
 
 fn main() {
     let args = match Args::parse(std::env::args().skip(1)) {
@@ -358,6 +358,24 @@ fn cmd_tune(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// The model serving rank `rank` hosts: the run's placement, and the
+/// locality-biased gate armed with the supernode size training arms it with
+/// ([`TrainConfig::effective_supernode_size`]).
+fn served_rank_model(cfg: &TrainConfig, rank: usize) -> DistTransformer {
+    let mut m = DistTransformer::new_placed(
+        cfg.model,
+        cfg.seed,
+        rank,
+        cfg.nranks,
+        cfg.a2a,
+        cfg.resolved_placement(),
+    );
+    if cfg.locality_bias > 0.0 {
+        m.set_locality_bias(cfg.locality_bias, cfg.effective_supernode_size());
+    }
+    m
+}
+
 fn cmd_serve(args: &Args) -> Result<(), String> {
     let mut known = config::config_flags(true);
     known.extend(["requests", "qps", "prompt-len", "tokens"]);
@@ -377,9 +395,8 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let qps: f64 = args.get_parse("qps", 0.0f64)?;
     let prompt_len = args.get_parse("prompt-len", 4usize)?;
     let max_new = args.get_parse("tokens", 8usize)?;
-    let (model_cfg, seed, a2a, locality_bias) = (cfg.model, cfg.seed, cfg.a2a, cfg.locality_bias);
-    let placement = cfg.resolved_placement();
-    let engine = rc.to_engine_config();
+    let (model_cfg, seed) = (cfg.model, cfg.seed);
+    let engine = rc.serve;
     if requests == 0 || prompt_len == 0 {
         return Err("--requests and --prompt-len must both be >= 1".into());
     }
@@ -392,11 +409,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         max_new,
         model_cfg.max_seq,
     )?;
-    let supernode_size = match a2a {
-        A2aKind::Hierarchical { supernode_size } => supernode_size,
-        A2aKind::Pairwise => nranks,
-    };
-    if locality_bias > 0.0 {
+    if cfg.locality_bias > 0.0 {
         println!(
             "note: --locality-bias trades bit-exact logits for cheaper decode a2a \
              (see docs/SERVING.md)"
@@ -424,15 +437,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let started = Instant::now();
     let report = run(
         opts,
-        |rank| {
-            let mut m = bagualu::parallel::DistTransformer::new_placed(
-                model_cfg, seed, rank, nranks, a2a, placement,
-            );
-            if locality_bias > 0.0 {
-                m.set_locality_bias(locality_bias, supernode_size);
-            }
-            m
-        },
+        |rank| served_rank_model(&cfg, rank),
         |client| {
             // Open-loop load generator: fixed inter-arrival gap of 1/qps
             // (0 = submit everything immediately), deterministic prompts.
@@ -674,5 +679,44 @@ mod tests {
             let e = project_with(flags).unwrap_err();
             assert!(e.contains(why), "{flags}: {e}");
         }
+    }
+
+    /// Every rank's logits, as bits, for one fixed batch through the models
+    /// `bagualu serve {flags}` hosts.
+    fn served_logits(flags: &str) -> Vec<Vec<u32>> {
+        use bagualu::comm::{harness::run_ranks_map, Communicator};
+        let args = Args::parse(
+            format!("serve {flags}")
+                .split_whitespace()
+                .map(String::from),
+        )
+        .unwrap();
+        let cfg = config::serve_run_config(&args)
+            .unwrap()
+            .to_train_config()
+            .unwrap();
+        let (batch, seq) = (2, 8);
+        run_ranks_map(cfg.nranks, |c| {
+            let tokens: Vec<usize> = (0..batch * seq)
+                .map(|i| (7 * i + 13 * c.rank()) % cfg.model.vocab)
+                .collect();
+            let mut m = served_rank_model(&cfg, c.rank());
+            let logits = m.forward(&tokens, batch, seq, &c);
+            logits.as_slice().iter().map(|v| v.to_bits()).collect()
+        })
+    }
+
+    /// Serving arms the locality bias with the supernode size training
+    /// uses, the placement's first. Under a pairwise a2a that size comes
+    /// from `supernode:2` alone, so the bias must reroute the batch; with
+    /// every expert counted local it would change nothing.
+    #[test]
+    fn serve_biases_toward_the_placements_supernode() {
+        let flags = "--ranks 4 --experts 8 --placement supernode:2";
+        assert_ne!(
+            served_logits(&format!("{flags} --locality-bias 2")),
+            served_logits(flags),
+            "the locality bias is a no-op"
+        );
     }
 }

@@ -9,11 +9,14 @@
 //! magic "BGLU" | version u32 | n_params u64
 //! repeat n_params times:
 //!   name_len u64 | name utf-8 | ndim u64 | dims u64 × ndim | data f32-LE × Π dims
-//!   | crc32 u32                                     (v2 only; over the record)
-//! trailer "BGLT" | n_params u64                     (v2 only)
+//!   | crc32 u32                                     (over the record)
+//! trailer "BGLT" | n_params u64
 //! ```
 //!
-//! **Crash consistency (v2).** A checkpoint that survives a failure must
+//! The version is 2, and a reader refuses any other: version 1 (no CRCs, no
+//! trailer) has not been written since the CRCs came in.
+//!
+//! **Crash consistency.** A checkpoint that survives a failure must
 //! never decode as garbage. Every save has two stages. Stage one streams the
 //! file into `<path>.tmp` with `write` calls, so its bytes sit in the kernel's
 //! page cache (`Staged`). Stage two (`Staged::publish`) fsyncs the
@@ -21,7 +24,7 @@
 //! in either stage removes the staging file and leaves the previous file at
 //! `path` intact. Every record carries a CRC32, so a flipped bit fails
 //! loudly, and the trailer makes truncation at a record boundary
-//! detectable. Version 1 files (no CRCs, no trailer) still load.
+//! detectable.
 //!
 //! What a failure loses depends on where it strikes. A crash of the process
 //! after stage one loses nothing: the kernel still holds the bytes and a
@@ -45,11 +48,9 @@
 //! does not — other ranks' experts, on a re-sharding restore), and moves the
 //! decoded tensors into the model. A load that leaves a parameter unset is
 //! an error, so a restoring rank may build its model without drawing a
-//! weight. The metadata readers ([`read_placement`], [`read_run_config`])
-//! walk record headers and seek past the parameter data, verifying only the
-//! record they return.
+//! weight. The metadata reader ([`read_placement`]) walks record headers and
+//! seeks past the parameter data, verifying only the record it returns.
 
-use crate::runconfig::RunConfig;
 use bagualu_model::param::HasParams;
 use bagualu_tensor::Tensor;
 use bagualu_trace::{self as trace, names};
@@ -567,7 +568,6 @@ struct RecordHeader {
 /// `n_params` times, then calls [`ShardReader::finish`].
 struct ShardReader {
     r: BufReader<MeteredFile>,
-    version: u32,
     n_params: u64,
     /// File size: every length field is checked against it, so a corrupted
     /// field fails cleanly instead of attempting an absurd allocation.
@@ -577,7 +577,7 @@ struct ShardReader {
 }
 
 impl ShardReader {
-    /// Open `path` and read the file header. Accepts v1 and v2.
+    /// Open `path` and read the file header.
     fn open(path: &Path) -> io::Result<ShardReader> {
         let file = File::open(path)?;
         let limit = file.metadata()?.len();
@@ -594,7 +594,7 @@ impl ShardReader {
         let mut ver = [0u8; 4];
         r.read_exact(&mut ver)?;
         let version = u32::from_le_bytes(ver);
-        if version == 0 || version > VERSION {
+        if version != VERSION {
             return Err(bad(format!("unsupported checkpoint version {version}")));
         }
         let mut n = [0u8; 8];
@@ -607,7 +607,6 @@ impl ShardReader {
         }
         Ok(ShardReader {
             r,
-            version,
             n_params,
             limit,
             crc: Crc32::new(),
@@ -660,8 +659,7 @@ impl ShardReader {
     }
 
     /// Read the open record's data through the staging buffer — file → CRC →
-    /// `f32`s, a piece at a time — and check the record CRC (v2; v1 records
-    /// carry none).
+    /// `f32`s, a piece at a time — and check the record CRC.
     fn payload(&mut self, h: &RecordHeader) -> io::Result<Tensor> {
         // A tensor from the start, so a restore draws its buffers from the
         // reservoir the training step recycles through, not from `malloc`.
@@ -677,56 +675,41 @@ impl ShardReader {
             }
             rest = tail;
         }
-        if self.version >= 2 {
-            let mut stored = [0u8; 4];
-            self.r.read_exact(&mut stored)?;
-            let stored = u32::from_le_bytes(stored);
-            let computed = self.crc.finish();
-            if stored != computed {
-                return Err(bad(format!(
-                    "{}: checksum mismatch (stored {stored:#010x}, computed {computed:#010x}) — \
-                     checkpoint is corrupted",
-                    h.name
-                )));
-            }
+        let mut stored = [0u8; 4];
+        self.r.read_exact(&mut stored)?;
+        let stored = u32::from_le_bytes(stored);
+        let computed = self.crc.finish();
+        if stored != computed {
+            return Err(bad(format!(
+                "{}: checksum mismatch (stored {stored:#010x}, computed {computed:#010x}) — \
+                 checkpoint is corrupted",
+                h.name
+            )));
         }
         Ok(tensor)
     }
 
     /// Seek past the open record's data and CRC without reading either.
     fn skip(&mut self, h: &RecordHeader) -> io::Result<()> {
-        let crc_len = if self.version >= 2 { 4 } else { 0 };
         // `byte_len` is at most the file size, so this cannot overflow.
-        self.r.seek_relative(h.byte_len as i64 + crc_len)
+        self.r.seek_relative(h.byte_len as i64 + 4)
     }
 
-    /// Check what follows the last record: the v2 trailer, or nothing.
+    /// Check the trailer that follows the last record.
     fn finish(mut self) -> io::Result<()> {
-        if self.version >= 2 {
-            let mut tail = [0u8; 12];
-            self.r.read_exact(&mut tail).map_err(|_| {
-                bad("truncated checkpoint: trailer missing (crash mid-write or truncation)")
-            })?;
-            if &tail[..4] != TRAILER_MAGIC {
-                return Err(bad("corrupted checkpoint: bad trailer magic"));
-            }
-            let echoed = u64::from_le_bytes(tail[4..].try_into().expect("8 of 12 bytes"));
-            if echoed != self.n_params {
-                return Err(bad(format!(
-                    "corrupted checkpoint: trailer records {echoed} params, header {}",
-                    self.n_params
-                )));
-            }
-        } else {
-            // Genuine v1 files end exactly after the last record. Trailing
-            // bytes mean this is really a v2 file whose version field was
-            // corrupted into 1 — refuse rather than skip its CRCs.
-            let mut probe = [0u8; 1];
-            if self.r.read(&mut probe)? != 0 {
-                return Err(bad(
-                    "trailing bytes after a version-1 record set — corrupted header?",
-                ));
-            }
+        let mut tail = [0u8; 12];
+        self.r.read_exact(&mut tail).map_err(|_| {
+            bad("truncated checkpoint: trailer missing (crash mid-write or truncation)")
+        })?;
+        if &tail[..4] != TRAILER_MAGIC {
+            return Err(bad("corrupted checkpoint: bad trailer magic"));
+        }
+        let echoed = u64::from_le_bytes(tail[4..].try_into().expect("8 of 12 bytes"));
+        if echoed != self.n_params {
+            return Err(bad(format!(
+                "corrupted checkpoint: trailer records {echoed} params, header {}",
+                self.n_params
+            )));
         }
         Ok(())
     }
@@ -741,8 +724,8 @@ impl Drop for ShardReader {
 }
 
 /// Read what `model` will install from a set of files, one pass each: the
-/// records it names and the metadata records are decoded and verified (v2:
-/// per-record CRC32; v1: structure only); any other record — another rank's
+/// records it names and the placement record are decoded and verified
+/// against their CRC32; any other record — another rank's
 /// experts, on a re-sharding restore — is seeked past like
 /// [`read_named_record`] does, so a reader holds no more than it installs.
 /// Every file's structure and trailer are still checked. A name that occurs
@@ -751,7 +734,7 @@ fn read_records(
     paths: &[impl AsRef<Path>],
     model: &mut dyn HasParams,
 ) -> io::Result<HashMap<String, Tensor>> {
-    let mut wanted = HashSet::from([PLACEMENT_RECORD.to_string(), RUNCONFIG_RECORD.to_string()]);
+    let mut wanted = HashSet::from([PLACEMENT_RECORD.to_string()]);
     model.visit_params(&mut |p| {
         wanted.insert(p.name.clone());
     });
@@ -898,68 +881,17 @@ pub fn read_placement(path: impl AsRef<Path>) -> io::Result<Option<PlacementMeta
         .transpose()
 }
 
-// ------------------------------------------------------ run-config metadata
-
-/// Reserved record name for the embedded [`RunConfig`] TOML. Like
-/// [`PLACEMENT_RECORD`], the name can never collide with a parameter and
-/// older loaders skip it.
-pub(crate) const RUNCONFIG_RECORD: &str = "__runconfig__";
-
-/// Encode UTF-8 text as a tensor record, one byte per element (every byte
-/// value is exact in `f32`). Wasteful by 4× but reuses the checkpoint
-/// format's CRC/trailer protection unchanged — config text is tiny next to
-/// the parameters it rides with.
-fn encode_text(text: &str) -> Tensor {
-    let bytes: Vec<f32> = text.bytes().map(f32::from).collect();
-    let n = bytes.len();
-    Tensor::from_vec(bytes, &[n])
-}
-
-fn decode_text(record: &str, t: &Tensor) -> io::Result<String> {
-    let bytes: Vec<u8> = t
-        .as_slice()
-        .iter()
-        .map(|&v| {
-            if v.fract() == 0.0 && (0.0..=255.0).contains(&v) {
-                Ok(v as u8)
-            } else {
-                Err(bad(format!("malformed {record} record: {v} is not a byte")))
-            }
-        })
-        .collect::<io::Result<_>>()?;
-    String::from_utf8(bytes).map_err(|e| bad(format!("malformed {record} record: {e}")))
-}
-
 /// Stage one of [`save_params`] plus a [`PLACEMENT_RECORD`] carrying
-/// `meta` and, given a `run_config`, a [`RUNCONFIG_RECORD`] embedding the
-/// run's full [`RunConfig`] as TOML, making the checkpoint self-describing:
-/// `bagualu train --config` can reproduce the run that wrote it from the
-/// shard alone. The records ride in the same file with the same CRC/trailer
-/// protection; loaders that only want parameters ignore them. The shard is
+/// `meta`. The record rides in the same file with the same CRC/trailer
+/// protection; loaders that only want parameters ignore it. The shard is
 /// at its final path once the caller runs [`Staged::publish`].
 pub(crate) fn stage_params_with_meta(
     path: impl AsRef<Path>,
     model: &mut dyn HasParams,
     meta: PlacementMeta,
-    run_config: Option<&RunConfig>,
 ) -> io::Result<Staged> {
-    let mut extras = vec![(PLACEMENT_RECORD, meta.encode())];
-    if let Some(rc) = run_config {
-        extras.push((RUNCONFIG_RECORD, encode_text(&rc.to_toml())));
-    }
+    let extras = [(PLACEMENT_RECORD, meta.encode())];
     stage_shard(path.as_ref(), model, &|_| true, &extras).map(|(staged, _)| staged)
-}
-
-/// Read the embedded [`RunConfig`] of a checkpoint file. `Ok(None)` means
-/// the file carries no config record (an older build, or a run whose
-/// config the schema could not express). A header walk like
-/// [`read_placement`].
-pub fn read_run_config(path: impl AsRef<Path>) -> io::Result<Option<RunConfig>> {
-    let Some(t) = read_named_record(path.as_ref(), RUNCONFIG_RECORD)? else {
-        return Ok(None);
-    };
-    let toml = decode_text(RUNCONFIG_RECORD, &t)?;
-    RunConfig::from_toml(&toml).map(Some).map_err(bad)
 }
 
 /// Load parameter values by name from a single checkpoint file, read once.
@@ -1082,7 +1014,7 @@ mod tests {
     }
 
     /// The whole file the old writer produced for `records`: version 2 with
-    /// record CRCs and trailer, or version 1 with neither.
+    /// record CRCs and trailer, or version 1 (no longer read) with neither.
     fn legacy_file(version: u32, records: &[(String, Tensor)]) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(MAGIC);
@@ -1107,14 +1039,9 @@ mod tests {
         path: &Path,
         model: &mut dyn HasParams,
         meta: PlacementMeta,
-        run_config: Option<&RunConfig>,
     ) -> io::Result<u64> {
-        stage_params_with_meta(path, model, meta, run_config)?.publish()?;
+        stage_params_with_meta(path, model, meta)?.publish()?;
         Ok(std::fs::metadata(path)?.len())
-    }
-
-    fn save_params_v1(path: &Path, model: &mut dyn HasParams) {
-        std::fs::write(path, legacy_file(1, &collect_params(model))).unwrap();
     }
 
     /// Parameters sized to land on every side of the staging buffer: tiny
@@ -1177,22 +1104,63 @@ mod tests {
     }
 
     #[test]
-    fn loads_version_1_checkpoints() {
+    fn rejects_version_1_checkpoints() {
         let dir = tmpdir("v1");
         let path = dir.join("old.bglu");
-        let mut rng = Rng::seed_from(11);
-        let mut a = Transformer::new(ModelConfig::tiny(), &mut rng);
-        save_params_v1(&path, &mut a);
+        let mut a = Transformer::new(ModelConfig::tiny(), &mut Rng::seed_from(11));
+        std::fs::write(&path, legacy_file(1, &collect_params(&mut a))).unwrap();
 
         let mut b = Transformer::new(ModelConfig::tiny(), &mut Rng::seed_from(12));
-        load_params(&path, &mut b).unwrap();
-        let mut vals_a = Vec::new();
-        a.visit_params(&mut |p| vals_a.push(p.value.clone()));
-        let mut i = 0;
-        b.visit_params(&mut |p| {
-            assert!(p.value.approx_eq(&vals_a[i], 0.0), "param {i} differs");
-            i += 1;
-        });
+        let err = load_params(&path, &mut b).unwrap_err();
+        assert!(
+            err.to_string().contains("unsupported checkpoint version 1"),
+            "{err}"
+        );
+        let err = read_placement(&path).unwrap_err();
+        assert!(
+            err.to_string().contains("unsupported checkpoint version 1"),
+            "{err}"
+        );
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// Shards from older builds carry the run's TOML as an extra record
+    /// (one byte per element, after the placement record). The loader
+    /// seeks past it like any record the model does not name.
+    #[test]
+    fn a_shard_with_an_embedded_run_config_still_restores() {
+        use bagualu_parallel::ExpertPlacement;
+        let dir = tmpdir("old-stamp");
+        let path = dir.join("rank0.bglu");
+        let meta = PlacementMeta {
+            placement: ExpertPlacement::RoundRobin,
+            n_experts: 4,
+            nranks: 2,
+        };
+        let toml: Vec<f32> = crate::runconfig::RunConfig::default()
+            .to_toml()
+            .bytes()
+            .map(f32::from)
+            .collect();
+        let n = toml.len();
+        let extras = [
+            (PLACEMENT_RECORD, meta.encode()),
+            ("__runconfig__", Tensor::from_vec(toml, &[n])),
+        ];
+        let mut a = Transformer::new(ModelConfig::tiny(), &mut Rng::seed_from(61));
+        let (staged, _) = stage_shard(&path, &mut a, &|_| true, &extras).unwrap();
+        staged.publish().unwrap();
+
+        let mut b = Transformer::new(ModelConfig::tiny(), &mut Rng::seed_from(62));
+        let mut gated = None;
+        load_params_gated(&path, &mut b, |m| gated = m).unwrap();
+        assert_eq!(gated, Some(meta));
+        let want = collect_params(&mut a);
+        let got = collect_params(&mut b);
+        assert_eq!(want.len(), got.len());
+        for ((name, w), (_, g)) in want.iter().zip(&got) {
+            assert!(g.approx_eq(w, 0.0), "{name} differs");
+        }
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -1386,7 +1354,7 @@ mod tests {
             n_experts: 4,
             nranks: 4,
         };
-        save_params_with_meta(&path, &mut a, meta, None).unwrap();
+        save_params_with_meta(&path, &mut a, meta).unwrap();
         assert_eq!(read_placement(&path).unwrap(), Some(meta));
         // Parameter loading skips the metadata record.
         let mut b = Transformer::new(ModelConfig::tiny(), &mut Rng::seed_from(22));
@@ -1626,7 +1594,6 @@ mod tests {
             n_experts: 8,
             nranks: 2,
         };
-        let rc = RunConfig::default();
         let mut tiny = Transformer::new(ModelConfig::tiny(), &mut Rng::seed_from(31));
         let mut bag = straddling_bag();
         let models: [&mut dyn HasParams; 2] = [&mut tiny, &mut bag];
@@ -1642,20 +1609,10 @@ mod tests {
             assert_eq!(std::fs::read(&path).unwrap(), with(&[]), "save_params");
             assert_eq!(n, std::fs::metadata(&path).unwrap().len());
 
-            save_params_with_meta(&path, model, meta, None).unwrap();
+            save_params_with_meta(&path, model, meta).unwrap();
             assert_eq!(
                 std::fs::read(&path).unwrap(),
                 with(&[(PLACEMENT_RECORD, meta.encode())]),
-                "save_params_with_meta without a run config"
-            );
-
-            save_params_with_meta(&path, model, meta, Some(&rc)).unwrap();
-            assert_eq!(
-                std::fs::read(&path).unwrap(),
-                with(&[
-                    (PLACEMENT_RECORD, meta.encode()),
-                    (RUNCONFIG_RECORD, encode_text(&rc.to_toml())),
-                ]),
                 "save_params_with_meta"
             );
 
@@ -1684,32 +1641,19 @@ mod tests {
             n_experts: 4,
             nranks: 2,
         };
-        let rc = RunConfig::default();
         let mut bag = straddling_bag();
 
-        save_params_with_meta(&path, &mut bag, meta, Some(&rc)).unwrap();
+        save_params_with_meta(&path, &mut bag, meta).unwrap();
         let full = read_records(&[&path], &mut bag).unwrap();
         assert_eq!(
             read_placement(&path).unwrap(),
             Some(PlacementMeta::decode(&full[PLACEMENT_RECORD]).unwrap())
         );
         assert_eq!(read_placement(&path).unwrap(), Some(meta));
-        assert_eq!(
-            read_run_config(&path).unwrap().map(|c| c.to_toml()),
-            Some(decode_text(RUNCONFIG_RECORD, &full[RUNCONFIG_RECORD]).unwrap())
-        );
-        assert_eq!(read_run_config(&path).unwrap(), Some(rc));
 
-        // Placement but no config; then neither (v2 and v1).
-        save_params_with_meta(&path, &mut bag, meta, None).unwrap();
-        assert_eq!(read_placement(&path).unwrap(), Some(meta));
-        assert_eq!(read_run_config(&path).unwrap(), None);
+        // A shard without the record.
         save_params(&path, &mut bag).unwrap();
         assert_eq!(read_placement(&path).unwrap(), None);
-        assert_eq!(read_run_config(&path).unwrap(), None);
-        save_params_v1(&path, &mut bag);
-        assert_eq!(read_placement(&path).unwrap(), None);
-        assert_eq!(read_run_config(&path).unwrap(), None);
         let _ = std::fs::remove_dir_all(dir);
     }
 
@@ -1724,7 +1668,7 @@ mod tests {
             nranks: 2,
         };
         let mut bag = straddling_bag();
-        let len = save_params_with_meta(&path, &mut bag, meta, None).unwrap();
+        let len = save_params_with_meta(&path, &mut bag, meta).unwrap();
 
         // The walk reads a small fraction of the file…
         let col = trace::TraceCollector::new();
@@ -1788,7 +1732,7 @@ mod tests {
 
         // After stage one the bytes are all in the staging file, and the
         // final name still holds the previous shard.
-        let staged = stage_params_with_meta(&path, &mut tiny, meta, None).unwrap();
+        let staged = stage_params_with_meta(&path, &mut tiny, meta).unwrap();
         let staged_len = std::fs::metadata(tmp_path(&path)).unwrap().len();
         assert_ne!(staged_len, old);
         assert_eq!(std::fs::read(&path).unwrap(), old_bytes);
@@ -1798,7 +1742,7 @@ mod tests {
         assert_eq!(std::fs::read(&path).unwrap(), old_bytes);
 
         // Stage two publishes the staged bytes under the final name.
-        let staged = stage_params_with_meta(&path, &mut tiny, meta, None).unwrap();
+        let staged = stage_params_with_meta(&path, &mut tiny, meta).unwrap();
         staged.publish().unwrap();
         assert!(!tmp_path(&path).exists());
         assert_eq!(std::fs::metadata(&path).unwrap().len(), staged_len);

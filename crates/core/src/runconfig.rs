@@ -10,11 +10,10 @@
 //!   `--dump-config` read and write the TOML form),
 //! * [`TrainConfig`], [`FtConfig`] and the serving [`EngineConfig`] are
 //!   built **from** it ([`to_train_config`](RunConfig::to_train_config),
-//!   [`to_ft_config`](RunConfig::to_ft_config),
-//!   [`to_engine_config`](RunConfig::to_engine_config)),
-//! * [`TrainReport`](crate::trainer::TrainReport) and checkpoints embed it
-//!   (the `__runconfig__` record), so any run is reproducible from one
-//!   file,
+//!   [`to_ft_config`](RunConfig::to_ft_config); `[serve]` *is* an
+//!   [`EngineConfig`]). The mapping is one-way: nothing converts a
+//!   `TrainConfig` back, and checkpoints carry parameters and their
+//!   placement, not the config,
 //! * the auto-tuner (`bagualu-tune`) searches the space of `RunConfig`s
 //!   and emits its winner as a TOML that feeds straight back into
 //!   `bagualu train --config`.
@@ -143,17 +142,6 @@ pub struct FtSection {
     pub(crate) straggler_window: usize,
 }
 
-/// `[serve]` — the inference engine's admission and memory limits.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct ServeSection {
-    /// Maximum in-flight sequences per rank.
-    pub(crate) max_batch: usize,
-    /// KV pool size in blocks.
-    pub(crate) kv_blocks: usize,
-    /// Positions per KV block.
-    pub(crate) block_tokens: usize,
-}
-
 /// The full, versioned description of a run. See the module docs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunConfig {
@@ -171,8 +159,8 @@ pub struct RunConfig {
     pub compute: ComputeSection,
     /// `[ft]`.
     pub ft: FtSection,
-    /// `[serve]`.
-    pub(crate) serve: ServeSection,
+    /// `[serve]`: the inference engine's admission and memory limits.
+    pub serve: EngineConfig,
 }
 
 impl Default for RunConfig {
@@ -223,11 +211,7 @@ impl Default for RunConfig {
                 straggler_factor: 0.0,
                 straggler_window: 3,
             },
-            serve: ServeSection {
-                max_batch: 8,
-                kv_blocks: 64,
-                block_tokens: 4,
-            },
+            serve: EngineConfig::default(),
         }
     }
 }
@@ -604,121 +588,14 @@ impl RunConfig {
         })
     }
 
-    /// Build the serving engine's per-rank limits.
-    pub fn to_engine_config(&self) -> EngineConfig {
-        EngineConfig {
-            max_batch: self.serve.max_batch,
-            kv_blocks: self.serve.kv_blocks,
-            block_tokens: self.serve.block_tokens,
-        }
-    }
-
     /// Build the serving server options (`ranks` comes from `[train]` —
     /// one world size per run).
     pub fn to_server_options(&self, trace: bool) -> ServerOptions {
         ServerOptions {
             nranks: self.train.ranks,
-            engine: self.to_engine_config(),
+            engine: self.serve,
             trace,
         }
-    }
-
-    /// Recover the `RunConfig` a [`TrainConfig`] (plus optional
-    /// [`FtConfig`]) was built from — the inverse of
-    /// [`to_train_config`](Self::to_train_config), used to stamp reports
-    /// and checkpoints so they are self-describing.
-    ///
-    /// Returns `None` when `cfg` uses a library-only feature the config
-    /// schema does not describe (a custom model that matches no preset, LR
-    /// schedules, gradient accumulation, periodic eval, disabled loss
-    /// scaling, or a clip policy other than the standard `zero ⇒ none,
-    /// else 1.0`). For every config the schema *can* express,
-    /// `reconstruct(rc.to_train_config()?, …)` round-trips back to the
-    /// same `TrainConfig`.
-    pub fn reconstruct(cfg: &TrainConfig, ft: Option<&FtConfig>) -> Option<RunConfig> {
-        let mut preset_name = None;
-        for name in ["tiny", "1.93t", "14.5t", "174t"] {
-            let candidate = ModelConfig {
-                n_experts: cfg.model.n_experts,
-                gate: cfg.model.gate,
-                ..preset(name).expect("known preset")
-            };
-            if candidate == cfg.model {
-                preset_name = Some(name);
-                break;
-            }
-        }
-        let preset_name = preset_name?;
-        let skew = match cfg.data {
-            TokenDistribution::Uniform => 0.0,
-            // Zipf(0) is spelled `Uniform` by the schema; a literal
-            // `Zipf(0.0)` (or Burst, the adversarial stress stream) is a
-            // library-only shape.
-            TokenDistribution::Zipf(s) if s > 0.0 => s,
-            TokenDistribution::Zipf(_) | TokenDistribution::Burst => return None,
-        };
-        let expected_clip = if cfg.zero_optimizer { None } else { Some(1.0) };
-        if cfg.clip != expected_clip
-            || cfg.schedule.is_some()
-            || cfg.grad_accum != 1
-            || cfg.eval_every.is_some()
-            || cfg.disable_loss_scaling
-        {
-            return None;
-        }
-        if !cfg.bucket_bytes.is_multiple_of(1 << 10) || cfg.bucket_bytes == 0 {
-            return None;
-        }
-        let (hierarchical, supernode_size) = match cfg.a2a {
-            A2aKind::Pairwise => (false, 0),
-            A2aKind::Hierarchical { supernode_size } => (true, supernode_size),
-        };
-        let mut rc = RunConfig {
-            version: RUN_CONFIG_VERSION,
-            model: ModelSection {
-                preset: preset_name.into(),
-                experts: cfg.model.n_experts,
-                gate: cfg.model.gate,
-            },
-            train: TrainSection {
-                ranks: cfg.nranks,
-                steps: cfg.steps,
-                batch: cfg.batch_per_rank,
-                seq: cfg.seq,
-                lr: cfg.lr,
-                dtype: cfg.dtype,
-                seed: cfg.seed,
-                skew,
-                zero: cfg.zero_optimizer,
-            },
-            comm: CommSection {
-                wire_dtype: cfg.wire,
-                hierarchical,
-                supernode_size,
-                overlap: cfg.overlap,
-                bucket_kib: cfg.bucket_bytes >> 10,
-            },
-            placement: PlacementSection {
-                policy: cfg.placement,
-                locality_bias: cfg.locality_bias,
-            },
-            compute: ComputeSection {
-                backend: cfg.compute,
-            },
-            ..RunConfig::default()
-        };
-        if let Some(ft) = ft {
-            rc.ft = FtSection {
-                enabled: true,
-                ckpt_dir: ft.ckpt_dir.display().to_string(),
-                ckpt_every: ft.ckpt_every,
-                max_restarts: ft.max_restarts,
-                elastic: ft.elastic,
-                straggler_factor: ft.straggler_factor.unwrap_or(0.0),
-                straggler_window: ft.straggler_window,
-            };
-        }
-        Some(rc)
     }
 
     // ---------------------------------------------------------------- TOML
@@ -881,11 +758,9 @@ mod tests {
             let mut rc = RunConfig::default();
             rc.train.zero = true;
             rc.train.dtype = dtype;
-            let cfg = rc
-                .to_train_config()
+            rc.to_train_config()
                 .expect("zero at half precision is valid");
             assert_eq!(RunConfig::from_toml(&rc.to_toml()).unwrap(), rc);
-            assert_eq!(RunConfig::reconstruct(&cfg, None), Some(rc));
         }
     }
 
@@ -1002,6 +877,11 @@ mod tests {
         rc.compute.backend = ComputeBackend::TiledFma;
         let e = rc.validate().unwrap_err();
         assert!(e.contains("bit"), "{e}");
+
+        let mut rc = RunConfig::default();
+        rc.train.seq = 100; // the tiny preset's max_seq is 16
+        let e = rc.validate().unwrap_err();
+        assert!(e.contains("max_seq 16") && e.contains("lower seq"), "{e}");
     }
 
     #[test]
@@ -1091,62 +971,89 @@ mod tests {
     }
 
     #[test]
-    fn to_train_config_then_reconstruct_is_identity() {
-        let mut rc = RunConfig::default();
-        rc.train.ranks = 4;
-        rc.model.experts = 8;
-        rc.comm.wire_dtype = WireDType::F16;
-        rc.comm.hierarchical = true;
-        rc.comm.supernode_size = 2;
-        rc.placement.policy = ExpertPlacement::Supernode { supernode_size: 2 };
-        rc.placement.locality_bias = 1.5;
-        let cfg = rc.to_train_config().expect("valid");
-        let back = RunConfig::reconstruct(&cfg, None).expect("expressible");
-        assert_eq!(back.to_train_config().expect("valid"), cfg);
-        assert_eq!(back, rc);
-    }
-
-    #[test]
-    fn reconstruct_refuses_library_only_features() {
-        let mut cfg = RunConfig::default().to_train_config().unwrap();
-        cfg.grad_accum = 2;
-        assert!(RunConfig::reconstruct(&cfg, None).is_none());
-        let mut cfg = RunConfig::default().to_train_config().unwrap();
-        cfg.clip = Some(2.0);
-        assert!(RunConfig::reconstruct(&cfg, None).is_none());
-        let mut cfg = RunConfig::default().to_train_config().unwrap();
-        cfg.model.d_model += 1; // matches no preset
-        assert!(RunConfig::reconstruct(&cfg, None).is_none());
-    }
-
-    #[test]
-    fn ft_round_trips_through_reconstruct() {
-        let rc = RunConfig {
-            ft: FtSection {
-                enabled: true,
-                ckpt_dir: "/tmp/x".into(),
-                ckpt_every: 5,
-                max_restarts: 2,
-                elastic: true,
-                straggler_factor: 2.0,
-                straggler_window: 4,
-            },
-            ..RunConfig::default()
-        };
-        let cfg = rc.to_train_config().expect("valid");
-        let ft = rc.to_ft_config().expect("enabled");
-        let back = RunConfig::reconstruct(&cfg, Some(&ft)).expect("expressible");
-        assert_eq!(back, rc);
-    }
-
-    #[test]
     fn serve_section_maps_to_engine_config() {
         let mut rc = RunConfig::default();
         rc.serve.max_batch = 3;
         rc.serve.kv_blocks = 17;
-        let e = rc.to_engine_config();
-        assert_eq!((e.max_batch, e.kv_blocks, e.block_tokens), (3, 17, 4));
-        assert_eq!(rc.to_server_options(true).nranks, rc.train.ranks);
+        let opts = rc.to_server_options(true);
+        let want = EngineConfig {
+            max_batch: 3,
+            kv_blocks: 17,
+            block_tokens: 4,
+        };
+        assert_eq!(opts.engine, want);
+        assert_eq!(opts.nranks, rc.train.ranks);
+        // The schema's `[serve]` defaults are the engine's.
+        assert_eq!(RunConfig::default().serve, EngineConfig::default());
+    }
+
+    /// Every key but `version` reaches a config the run is built from: set
+    /// to a valid non-default value, next to the companion keys it needs,
+    /// it changes `to_train_config`, `to_ft_config` or `serve` against the
+    /// companions alone (the defaults, for a key without companions).
+    #[test]
+    fn every_key_changes_the_config_it_feeds() {
+        /// `(key path, TOML literal)` rows.
+        type Rows = &'static [(&'static str, &'static str)];
+        const FT_ON: Rows = &[("ft.enabled", "true")];
+        let cases: &[(&str, &str, Rows)] = &[
+            ("model.preset", "\"1.93t\"", &[]),
+            ("model.experts", "8", &[]),
+            ("model.gate", "\"balanced\"", &[]),
+            ("train.ranks", "4", &[]),
+            ("train.steps", "7", &[]),
+            ("train.batch", "3", &[]),
+            ("train.seq", "16", &[]),
+            ("train.lr", "0.5", &[]),
+            ("train.dtype", "\"bf16\"", &[]),
+            ("train.seed", "7", &[]),
+            ("train.skew", "1.1", &[]),
+            ("train.zero", "true", &[]),
+            ("comm.wire_dtype", "\"bf16\"", &[]),
+            ("comm.hierarchical", "true", &[]),
+            ("comm.supernode_size", "2", &[("comm.hierarchical", "true")]),
+            ("comm.overlap", "false", &[]),
+            ("comm.bucket_kib", "64", &[]),
+            ("placement.policy", "\"block\"", &[]),
+            ("placement.locality_bias", "1.5", &[]),
+            ("compute.backend", "\"reference\"", &[]),
+            ("ft.enabled", "true", &[]),
+            ("ft.ckpt_dir", "\"/ckpt\"", FT_ON),
+            ("ft.ckpt_every", "4", FT_ON),
+            ("ft.max_restarts", "7", FT_ON),
+            ("ft.elastic", "true", FT_ON),
+            ("ft.straggler_factor", "1.5", FT_ON),
+            ("ft.straggler_window", "5", FT_ON),
+            ("serve.max_batch", "3", &[]),
+            ("serve.kv_blocks", "17", &[]),
+            ("serve.block_tokens", "8", &[]),
+        ];
+        let toml = |rows: &[(&str, &str)]| -> String {
+            let mut text = String::new();
+            for (path, value) in rows {
+                let (section, name) = path.split_once('.').unwrap();
+                let _ = writeln!(text, "[{section}]\n{name} = {value}");
+            }
+            text
+        };
+        let built = |text: &str| -> String {
+            let rc = RunConfig::from_toml(text).unwrap_or_else(|e| panic!("{text}: {e}"));
+            let train = rc.to_train_config().unwrap();
+            format!("{train:?} {:?} {:?}", rc.to_ft_config(), rc.serve)
+        };
+        for key in KEYS.iter().filter(|k| k.name != "version") {
+            let path = key.path();
+            let Some(&(_, value, companions)) = cases.iter().find(|c| c.0 == path) else {
+                panic!("{path} has no case here");
+            };
+            let mut rows = companions.to_vec();
+            rows.push((&path, value));
+            assert_ne!(
+                built(&toml(&rows)),
+                built(&toml(companions)),
+                "{path} = {value} changes nothing"
+            );
+        }
     }
 
     /// Literals at the edges of every field type: zero, the largest u64,

@@ -27,7 +27,6 @@
 
 use crate::checkpoint::{self, PlacementMeta};
 use crate::data::{SyntheticLM, TokenDistribution};
-use crate::runconfig::RunConfig;
 use bagualu_comm::collectives::{allreduce_recursive_doubling, barrier_ft, ReduceOp};
 use bagualu_comm::fault::{FaultPlan, FaultRuntime, FaultSpec};
 use bagualu_comm::harness::{run_ranks_ft, RankOutcome};
@@ -37,7 +36,6 @@ use bagualu_model::config::ModelConfig;
 use bagualu_model::loss::cross_entropy;
 use bagualu_optim::adam::AdamConfig;
 use bagualu_optim::mixed::MixedPrecision;
-use bagualu_optim::schedule::LrSchedule;
 use bagualu_parallel::model_dist::DistTransformer;
 use bagualu_parallel::moe_dist::A2aKind;
 use bagualu_parallel::placement::ExpertPlacement;
@@ -76,10 +74,6 @@ pub struct TrainConfig {
     /// Force the loss scale to 1 even for FP16 — the precision ablation
     /// uses this to demonstrate why scaling is necessary.
     pub disable_loss_scaling: bool,
-    /// Learning-rate schedule; overrides `lr` when set.
-    pub schedule: Option<LrSchedule>,
-    /// Micro-batches accumulated per optimizer step (≥ 1).
-    pub grad_accum: usize,
     /// Shard the dense optimizer state ZeRO-style ([`DenseSync::Sharded`])
     /// instead of replicating it. Any `dtype`; requires `clip == None` (the
     /// step sees one shard of the dense gradients, not their global norm).
@@ -146,12 +140,19 @@ impl TrainConfig {
 
     /// Every rule a run must satisfy, each error with the fix spelled out.
     /// [`Trainer::new`] panics with the message;
-    /// [`RunConfig::validate`] returns it for the config a file builds.
+    /// [`RunConfig::validate`](crate::runconfig::RunConfig::validate) returns
+    /// it for the config a file builds.
     pub(crate) fn validate(&self) -> Result<(), String> {
         let (n, steps, batch, seq) = (self.nranks, self.steps, self.batch_per_rank, self.seq);
         ensure!(
             n > 0 && steps > 0 && batch > 0 && seq > 0,
             "ranks, steps, batch and seq must all be >= 1 (got {n}, {steps}, {batch}, {seq})"
+        );
+        let max_seq = self.model.max_seq;
+        ensure!(
+            seq <= max_seq,
+            "seq {seq} is longer than the model's context (max_seq {max_seq}); lower seq to \
+             at most {max_seq}, or pick a preset with a longer context"
         );
         ensure!(
             self.lr.is_finite() && self.lr > 0.0,
@@ -248,8 +249,6 @@ impl Default for TrainConfig {
             seed: 42,
             data: TokenDistribution::Uniform,
             disable_loss_scaling: false,
-            schedule: None,
-            grad_accum: 1,
             zero_optimizer: false,
             eval_every: None,
             overlap: true,
@@ -503,7 +502,6 @@ impl Trainer {
                 faults: faults.as_deref(),
                 restore: preflight(ft, start_step, meta, migrations + resizes > 0),
                 meta,
-                stamp: RunConfig::reconstruct(&cur, Some(ft)),
                 // Straggler migration is a one-shot per run and only defined
                 // from a round-robin layout (Shed is itself the migrated state).
                 straggler_factor: ft.straggler_factor.filter(|_| {
@@ -575,10 +573,7 @@ impl Trainer {
                 assert!(!failed, "ranks disagreed on completion");
                 let elapsed = start.elapsed().as_secs_f64();
                 // Each step once, at the width it last ran on.
-                let total_tokens = ranks.iter().sum::<usize>()
-                    * cfg.batch_per_rank
-                    * cfg.seq
-                    * cfg.grad_accum.max(1);
+                let total_tokens = ranks.iter().sum::<usize>() * cfg.batch_per_rank * cfg.seq;
                 return TrainReport {
                     loss_curve: loss,
                     aux_curve: aux,
@@ -821,61 +816,40 @@ impl RankState {
         }
     }
 
-    /// Execute training step `step`: micro-batches, gradient sync,
+    /// Execute training step `step`: forward, backward, gradient sync,
     /// optimizer update, cross-rank metric aggregation, optional eval.
     fn step<C: Communicator>(&mut self, step: usize, comm: &C) {
         let _step_span = trace::span(names::STEP);
         let cfg = self.cfg;
-        let accum = cfg.grad_accum.max(1);
-        // Overlapped sync replaces backward + sync on the *last* micro-batch
-        // only: earlier micro-batches still accumulate, so their dense
-        // gradients are not final and must not be reduced yet.
         let sync = cfg.dense_sync();
 
-        if let Some(schedule) = cfg.schedule {
-            self.opt.set_lr(schedule.at(step));
-        }
-
-        // Accumulate gradients over `accum` micro-batches before syncing.
-        let mut ce = 0.0f32;
-        let mut aux = 0.0f32;
-        let mut imb = 1.0f64;
-        let mut dropr = 0.0f64;
-        for micro in 0..accum {
-            let (tokens, targets) = self.task.batch(
-                cfg.batch_per_rank,
-                cfg.seq,
-                comm.rank(),
-                step * accum + micro,
+        let (tokens, targets) = self
+            .task
+            .batch(cfg.batch_per_rank, cfg.seq, comm.rank(), step);
+        let logits = {
+            let _span = trace::span(names::FORWARD);
+            self.model
+                .forward(&tokens, cfg.batch_per_rank, cfg.seq, comm)
+        };
+        let (ce, mut dlogits) = cross_entropy(&logits, &targets);
+        let aux = self.model.aux_loss();
+        // Routing statistics must be read here: backward consumes the MoE
+        // layer caches that hold them.
+        let (imb, dropr) = routing_stats(&self.model);
+        dlogits.scale(self.opt.loss_scale());
+        if sync == DenseSync::Overlapped {
+            let s = backward_and_sync_overlapped_wire(
+                &mut self.model,
+                &dlogits,
+                comm,
+                cfg.bucket_bytes,
+                cfg.wire,
             );
-            let logits = {
-                let _span = trace::span(names::FORWARD);
-                self.model
-                    .forward(&tokens, cfg.batch_per_rank, cfg.seq, comm)
-            };
-            let (micro_ce, mut dlogits) = cross_entropy(&logits, &targets);
-            ce += micro_ce / accum as f32;
-            aux += self.model.aux_loss() / accum as f32;
-            // Routing statistics must be read here: backward consumes the
-            // MoE layer caches that hold them.
-            let (i, d) = routing_stats(&self.model);
-            imb = i;
-            dropr = d;
-            dlogits.scale(self.opt.loss_scale() / accum as f32);
-            if sync == DenseSync::Overlapped && micro + 1 == accum {
-                let s = backward_and_sync_overlapped_wire(
-                    &mut self.model,
-                    &dlogits,
-                    comm,
-                    cfg.bucket_bytes,
-                    cfg.wire,
-                );
-                self.ring_steps += s.ring_steps as u64;
-                self.ring_steps_overlapped += s.ring_steps_overlapped as u64;
-            } else {
-                let _span = trace::span(names::BACKWARD);
-                self.model.backward(&dlogits, comm);
-            }
+            self.ring_steps += s.ring_steps as u64;
+            self.ring_steps_overlapped += s.ring_steps_overlapped as u64;
+        } else {
+            let _span = trace::span(names::BACKWARD);
+            self.model.backward(&dlogits, comm);
         }
 
         // Sync or scatter, the step every rank agreed to apply or skip
@@ -961,9 +935,6 @@ struct FtAttempt<'a> {
     restore: Option<Restore>,
     /// The attempt's layout, gated on restore and recorded in every shard.
     meta: PlacementMeta,
-    /// Embedded once per shard so every checkpoint is self-describing
-    /// (`None` — and no record — when the schema cannot express this run).
-    stamp: Option<RunConfig>,
     /// [`FtConfig::straggler_factor`], when this attempt may migrate.
     straggler_factor: Option<f64>,
     /// Each rank's checkpoint writer, indexed by rank.
@@ -1151,13 +1122,8 @@ impl FtAttempt<'_> {
         std::fs::create_dir_all(&dir)
             .unwrap_or_else(|e| panic!("cannot create checkpoint dir {dir:?}: {e}"));
         let path = dir.join(format!("rank{rank}.bglu"));
-        let staged = checkpoint::stage_params_with_meta(
-            &path,
-            &mut st.model,
-            self.meta,
-            self.stamp.as_ref(),
-        )
-        .unwrap_or_else(|e| panic!("cannot write checkpoint {path:?}: {e}"));
+        let staged = checkpoint::stage_params_with_meta(&path, &mut st.model, self.meta)
+            .unwrap_or_else(|e| panic!("cannot write checkpoint {path:?}: {e}"));
         let lost = self
             .faults
             .is_some_and(|f| f.fire(FaultSpec::LoseShard { rank, step: at }));
@@ -1634,19 +1600,6 @@ mod tests {
     }
 
     #[test]
-    fn grad_accumulation_processes_more_tokens_and_learns() {
-        let cfg = TrainConfig {
-            steps: 15,
-            grad_accum: 3,
-            ..Default::default()
-        };
-        let r = Trainer::new(cfg).run();
-        assert_eq!(r.total_tokens, 2 * 2 * 8 * 15 * 3);
-        assert!(r.final_loss() < r.loss_curve[0]);
-        assert!(r.loss_curve.iter().all(|l| l.is_finite()));
-    }
-
-    #[test]
     fn overlapped_sync_matches_blocking_sync() {
         // Bucketed overlapped all-reduce vs. monolithic blocking all-reduce:
         // same training trajectory up to summation order. A small bucket
@@ -1678,27 +1631,6 @@ mod tests {
         use bagualu_comm::CommFamily;
         assert!(stats.family(CommFamily::Allreduce).bytes > 0);
         assert!(stats.total_bytes >= stats.family(CommFamily::Allreduce).bytes);
-    }
-
-    #[test]
-    fn overlap_with_grad_accum_stays_correct() {
-        // Only the last micro-batch may sync; earlier ones must accumulate.
-        let base = TrainConfig {
-            steps: 8,
-            grad_accum: 3,
-            overlap: false,
-            ..Default::default()
-        };
-        let blocking = Trainer::new(base).run();
-        let overlapped = Trainer::new(TrainConfig {
-            overlap: true,
-            bucket_bytes: 1 << 12,
-            ..base
-        })
-        .run();
-        for (a, b) in blocking.loss_curve.iter().zip(&overlapped.loss_curve) {
-            assert!((a - b).abs() < 1e-3, "accum+overlap diverged: {a} vs {b}");
-        }
     }
 
     #[test]
@@ -2014,38 +1946,6 @@ mod tests {
             ..FtConfig::new(&dir)
         };
         Trainer::new(cfg).run_ft(&ft);
-    }
-
-    #[test]
-    fn schedule_is_applied() {
-        use bagualu_optim::schedule::LrSchedule;
-        // With a zero-lr constant schedule nothing can learn…
-        let frozen = Trainer::new(TrainConfig {
-            steps: 10,
-            schedule: Some(LrSchedule::Constant(0.0)),
-            ..Default::default()
-        })
-        .run();
-        // Batches differ per step, so the loss fluctuates — but with frozen
-        // weights it must stay near the random-init level ln(vocab) ≈ 4.16.
-        assert!(
-            frozen.loss_curve.iter().all(|&l| l > 3.5),
-            "frozen model learned: {:?}",
-            frozen.loss_curve
-        );
-        // …while a warmup-cosine schedule trains normally.
-        let trained = Trainer::new(TrainConfig {
-            steps: 40,
-            schedule: Some(LrSchedule::WarmupCosine {
-                peak: 2e-2,
-                warmup: 5,
-                total: 40,
-                floor: 1e-3,
-            }),
-            ..Default::default()
-        })
-        .run();
-        assert!(trained.final_loss() < trained.loss_curve[0] * 0.8);
     }
 
     /// Loss bits of `TrainConfig { steps: 8, nranks: 4, ..Default }` under

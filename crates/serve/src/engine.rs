@@ -50,7 +50,7 @@ use std::collections::VecDeque;
 use std::time::Instant;
 
 /// Engine sizing knobs.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EngineConfig {
     /// Maximum in-flight sequences per rank.
     pub max_batch: usize,

@@ -1,27 +1,13 @@
 //! Cross-crate contract tests for the `RunConfig` layer: the TOML schema
 //! round-trips exactly, bad input is rejected with actionable errors, a
 //! config file drives the trainer bit-identically to the equivalent direct
-//! construction, checkpoints are self-describing, and the tuner's winning
-//! TOML replays the tuned run.
+//! construction, and the tuner's winning TOML replays the tuned run.
 
-use bagualu::checkpoint::read_run_config;
 use bagualu::runconfig::RunConfig;
-use bagualu::trainer::{FtConfig, Trainer};
-use bagualu_comm::fault::FaultPlan;
+use bagualu::trainer::Trainer;
 use bagualu_comm::WireDType;
 use bagualu_parallel::ExpertPlacement;
 use bagualu_tune::{tune, CostEnv, SearchSpace, TuneOptions};
-
-fn tmp(tag: &str) -> std::path::PathBuf {
-    let d = std::env::temp_dir().join(format!(
-        "bagualu-runconfig-{tag}-{}-{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    let _ = std::fs::remove_dir_all(&d);
-    std::fs::create_dir_all(&d).unwrap();
-    d
-}
 
 /// A config that exercises every section with non-default values, so the
 /// round-trip test cannot pass by only preserving defaults.
@@ -117,42 +103,6 @@ fn config_file_reproduces_direct_construction_bit_for_bit() {
     );
     assert_eq!(a.aux_curve, b.aux_curve);
     assert_eq!(a.total_tokens, b.total_tokens);
-}
-
-/// Checkpoints are self-describing: the shard embeds the `RunConfig` of
-/// the run that wrote it, and reading it back recovers exactly what
-/// `RunConfig::reconstruct` says the run was.
-#[test]
-fn checkpoint_embeds_the_run_config_that_wrote_it() {
-    let dir = tmp("embed");
-    let mut rc = RunConfig::default();
-    rc.train.ranks = 2;
-    rc.train.steps = 4;
-    rc.train.batch = 1;
-    rc.train.seq = 8;
-    let cfg = rc.to_train_config().unwrap();
-    let ft = FtConfig {
-        plan: FaultPlan::new(5),
-        ckpt_every: 2,
-        ..FtConfig::new(&dir)
-    };
-    Trainer::new(cfg).run_ft(&ft);
-
-    // The run checkpoints at step 2 (the final step is never checkpointed);
-    // read the config back from a shard.
-    let shard = dir.join("step2").join("rank0.bglu");
-    assert!(shard.exists(), "expected checkpoint shard at {shard:?}");
-    let embedded = read_run_config(&shard)
-        .unwrap()
-        .expect("checkpoint carries a __runconfig__ record");
-    let expected =
-        RunConfig::reconstruct(&cfg, Some(&ft)).expect("this run is expressible in the schema");
-    assert_eq!(embedded, expected);
-    // And the embedded config names the checkpoint directory it came from.
-    assert!(embedded.ft.enabled);
-    assert_eq!(embedded.ft.ckpt_dir, dir.display().to_string());
-    assert_eq!(embedded.ft.ckpt_every, 2);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// End-to-end tuner contract: the winning TOML, fed back through the file

@@ -36,7 +36,6 @@ proptest! {
     fn trace_is_balanced_and_counters_match_comm_stats(
         ranks_idx in 0usize..3,
         steps in 2usize..5,
-        grad_accum in 1usize..3,
         overlap_bit in 0u8..2,
         seed in 0u64..1000,
     ) {
@@ -46,7 +45,6 @@ proptest! {
         let cfg = TrainConfig {
             nranks,
             steps,
-            grad_accum,
             overlap,
             bucket_bytes: 1 << 10,
             seed,
