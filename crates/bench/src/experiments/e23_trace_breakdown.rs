@@ -137,7 +137,7 @@ pub(crate) fn run() {
          paper's hierarchical collectives and aggressive overlap exist to\n\
          fight. 'comm hidden' is the fraction of all communication time the\n\
          bucketed sync managed to bury inside backward; the checkpoint\n\
-         column is the steady-state fault-tolerance tax from E22's δ.\n\
+         column is the steady-state fault-tolerance tax from E27's δ.\n\
          'matmul (meas)' is the directly instrumented GEMM time\n\
          (compute.matmul.ns) — the measured slice of the inferred compute\n\
          column — and 'gflop/s' the throughput those kernels sustained\n\

@@ -19,8 +19,6 @@ pub(crate) mod e17_multimodal;
 pub(crate) mod e18_two_level_gate;
 pub(crate) mod e19_kernel_tiling;
 pub(crate) mod e20_energy;
-pub(crate) mod e21_virtual_time;
-pub(crate) mod e22_fault_goodput;
 pub(crate) mod e23_trace_breakdown;
 pub(crate) mod e24_wire_compression;
 pub(crate) mod e25_placement;
@@ -30,9 +28,9 @@ pub(crate) mod e28_serving;
 pub(crate) mod e29_tuning;
 
 /// All experiment ids, in order.
-pub const ALL: [&str; 28] = [
+pub const ALL: [&str; 26] = [
     "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e16",
-    "e17", "e18", "e19", "e20", "e21", "e22", "e23", "e24", "e25", "e26", "e27", "e28", "e29",
+    "e17", "e18", "e19", "e20", "e23", "e24", "e25", "e26", "e27", "e28", "e29",
 ];
 
 /// Run one experiment by id. Returns false for an unknown id.
@@ -57,8 +55,6 @@ pub fn run(id: &str) -> bool {
         "e18" => e18_two_level_gate::run(),
         "e19" => e19_kernel_tiling::run(),
         "e20" => e20_energy::run(),
-        "e21" => e21_virtual_time::run(),
-        "e22" => e22_fault_goodput::run(),
         "e23" => e23_trace_breakdown::run(),
         "e24" => e24_wire_compression::run(),
         "e25" => e25_placement::run(),

@@ -55,7 +55,7 @@ pub enum FaultSpec {
         step: usize,
     },
     /// Silently discard the `nth` message sent by `from` (0-based over the
-    /// rank's lifetime sends, timing headers included).
+    /// rank's lifetime sends).
     DropNth {
         /// Sending world rank.
         from: usize,
@@ -229,7 +229,7 @@ pub struct FaultRuntime {
     plan: FaultPlan,
     /// One-shot latch per plan event, indexed like `plan.events`.
     fired: Vec<AtomicBool>,
-    /// Lifetime messages sent, per world rank (headers included).
+    /// Lifetime messages sent, per world rank.
     send_seq: Vec<AtomicU64>,
     /// Per-rank xorshift state for probabilistic faults; seeded from
     /// `plan.seed` so decisions are independent of thread interleaving.

@@ -32,9 +32,6 @@
 //!   `alltoallv_u64`, `alltoallv_u32`) and hierarchical
 //!   (`alltoallv_hierarchical_wire`) all-to-all; and
 //!   [`collectives::allreduce_u64`] for exact integer control vectors,
-//! * [`timed`] — `TimedComm`, a wrapper that charges an analytical link
-//!   cost (`LinkCost` / `TwoLevelCost`) to a virtual clock, for
-//!   topology studies without real network hardware,
 //! * [`harness`] — `run_ranks`, which spawns one thread per rank and joins
 //!   them, re-raising the panic of the rank that crashed first, and
 //!   [`harness::run_ranks_ft`], which collects per-rank
@@ -56,7 +53,6 @@ pub mod fault;
 pub mod harness;
 pub mod payload;
 pub mod shm;
-pub mod timed;
 
 pub use collectives::{allreduce_ft, ReduceOp};
 pub use fault::{CommError, FaultPlan, FaultRuntime, FaultSpec, FaultStats};

@@ -10,9 +10,8 @@
 //! (via the bit-exact conversions in `bagualu_tensor`) and the receiver
 //! expands back to `f32` with `Payload::into_floats`. Because
 //! `Payload::wire_bytes` reports the *stored* representation, every byte
-//! consumer downstream — `TimedComm`'s α–β cost, `CommStats`, fault-
-//! injection accounting, trace counters — automatically sees the true
-//! 2-byte elements.
+//! consumer downstream — `CommStats`, fault-injection accounting, trace
+//! counters — automatically sees the true 2-byte elements.
 
 use bagualu_tensor::pack::{pack_slice, unpack_slice};
 use bagualu_tensor::reservoir;

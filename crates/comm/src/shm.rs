@@ -126,13 +126,11 @@ pub enum CommFamily {
     Gather,
     /// Pairwise and hierarchical all-to-all(v), tensors and integer metadata.
     Alltoall,
-    /// Virtual-time headers posted by `TimedComm`.
-    Timing,
     /// Application point-to-point traffic outside the reserved tag ranges.
     Other,
 }
 
-pub(crate) const N_FAMILIES: usize = 6;
+pub(crate) const N_FAMILIES: usize = 5;
 
 impl CommFamily {
     pub(crate) const ALL: [CommFamily; N_FAMILIES] = [
@@ -140,7 +138,6 @@ impl CommFamily {
         CommFamily::Broadcast,
         CommFamily::Gather,
         CommFamily::Alltoall,
-        CommFamily::Timing,
         CommFamily::Other,
     ];
 
@@ -157,7 +154,6 @@ impl CommFamily {
             CommFamily::Broadcast => ("comm.sent.broadcast.bytes", "comm.sent.broadcast.msgs"),
             CommFamily::Gather => ("comm.sent.gather.bytes", "comm.sent.gather.msgs"),
             CommFamily::Alltoall => ("comm.sent.alltoall.bytes", "comm.sent.alltoall.msgs"),
-            CommFamily::Timing => ("comm.sent.timing.bytes", "comm.sent.timing.msgs"),
             CommFamily::Other => ("comm.sent.other.bytes", "comm.sent.other.msgs"),
         }
     }
@@ -170,18 +166,14 @@ impl CommFamily {
             CommFamily::Broadcast => ("comm.recv.broadcast.bytes", "comm.recv.broadcast.msgs"),
             CommFamily::Gather => ("comm.recv.gather.bytes", "comm.recv.gather.msgs"),
             CommFamily::Alltoall => ("comm.recv.alltoall.bytes", "comm.recv.alltoall.msgs"),
-            CommFamily::Timing => ("comm.recv.timing.bytes", "comm.recv.timing.msgs"),
             CommFamily::Other => ("comm.recv.other.bytes", "comm.recv.other.msgs"),
         }
     }
 
     /// Attribute a tag to a family (see the tag constants in
-    /// `collectives.rs` and the reserved high bit in `timed.rs`).
+    /// `collectives.rs`).
     pub(crate) fn of_tag(tag: u64) -> CommFamily {
         use crate::collectives::tags;
-        if tag & crate::timed::TIME_TAG_XOR != 0 {
-            return CommFamily::Timing;
-        }
         match tag {
             tags::TAG_BCAST => CommFamily::Broadcast,
             tags::TAG_RING | tags::TAG_RD => CommFamily::Allreduce,

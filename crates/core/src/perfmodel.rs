@@ -286,7 +286,7 @@ pub fn project(input: &PerfInput) -> Result<Projection, PerfInputError> {
 /// Young/Daly first-order optimal checkpoint interval,
 /// τ_opt = √(2·δ·MTBF), where δ is the cost of writing one checkpoint and
 /// MTBF the mean time between failures (same time unit for both; the
-/// result is in that unit). Experiment E22 plots it against measured
+/// result is in that unit). Experiment E27 plots it against measured
 /// goodput.
 pub fn young_daly_tau_opt(checkpoint_cost_s: f64, mtbf_s: f64) -> f64 {
     assert!(

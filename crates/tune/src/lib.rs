@@ -11,7 +11,7 @@
 //!    `bagualu::perfmodel::project` (the α–β collective and roofline
 //!    model behind the scaling experiments), at a target machine scale,
 //!    folding in the Young/Daly checkpoint waste
-//!    (`bagualu::perfmodel::checkpoint_waste_fraction` — the same math E22
+//!    (`bagualu::perfmodel::checkpoint_waste_fraction` — the same math E27
 //!    plots) to get **one modeled step time** ([`objective::ModeledCost`]);
 //! 3. annotates every candidate with its **distance from the
 //!    data-movement roofline** (how far modeled time sits above the

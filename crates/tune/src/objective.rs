@@ -2,7 +2,7 @@
 //!
 //! `perf_input` maps a candidate onto a `PerfInput`, and
 //! `bagualu::perfmodel::project`, the one step model, prices it.
-//! [`model_cost`] adds the Young/Daly checkpoint waste (E22's math), the
+//! [`model_cost`] adds the Young/Daly checkpoint waste (E27's math), the
 //! distance from the data-movement roofline and the comm-bound scale.
 
 use bagualu::perfmodel::{checkpoint_waste_fraction, project, A2aAlgo, PerfInput, Projection};

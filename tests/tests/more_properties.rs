@@ -1,7 +1,7 @@
 //! Additional property-based coverage: tokenizer round trips, schedule
-//! invariants, optimizer scaling behaviour, and virtual-time sanity.
+//! invariants, optimizer scaling behaviour, and link-cost sanity.
 
-use bagualu::comm::timed::{LinkCost, TwoLevelCost};
+use bagualu::hw::NetworkParams;
 use bagualu::model::param::{HasParams, Param};
 use bagualu::optim::adam::{Adam, AdamConfig};
 use bagualu::optim::schedule::LrSchedule;
@@ -89,20 +89,16 @@ proptest! {
     fn link_cost_is_monotone_and_topology_aware(
         bytes1 in 0usize..1_000_000,
         bytes2 in 0usize..1_000_000,
-        sn in 1usize..64,
     ) {
-        let c = TwoLevelCost::sunway_like(sn);
+        // The α–β link model every collective cost in `bagualu-net` is built on.
+        let net = NetworkParams::sunway();
         let (lo, hi) = if bytes1 <= bytes2 { (bytes1, bytes2) } else { (bytes2, bytes1) };
         // Monotone in bytes for both link classes.
-        prop_assert!(c.cost(0, sn.min(1), lo) <= c.cost(0, sn.min(1), hi));
-        // Cross-supernode at least as expensive as local for equal bytes.
-        if sn >= 2 {
-            let local = c.cost(0, 1, hi);
-            let cross = c.cost(0, sn, hi);
-            prop_assert!(cross >= local);
+        for same in [true, false] {
+            prop_assert!(net.p2p_time(lo, same) <= net.p2p_time(hi, same));
         }
-        // Self traffic is free.
-        prop_assert_eq!(c.cost(3, 3, hi), 0.0);
+        // Cross-supernode at least as expensive as local for equal bytes.
+        prop_assert!(net.p2p_time(hi, false) >= net.p2p_time(hi, true));
     }
 }
 
@@ -129,29 +125,4 @@ fn tied_and_untied_models_share_everything_but_the_head() {
     assert!(!nb.iter().any(|n| n.starts_with("head")));
     let filtered: Vec<&String> = na.iter().filter(|n| !n.starts_with("head")).collect();
     assert_eq!(filtered.len(), nb.len());
-}
-
-/// `TwoLevelCost::sunway_like` hand-copies `NetworkParams::sunway()`
-/// (2.5 µs = 1.0 + 1.5 intra, 4.5 µs = 1.0 + 3.5 inter, 16 / 4 GB/s), so
-/// the virtual clock of `TimedComm` must price every link exactly as the
-/// α–β model does.
-#[test]
-fn timed_comm_link_cost_matches_the_network_model() {
-    use bagualu::hw::NetworkParams;
-    let net = NetworkParams::sunway();
-    let s = 4;
-    let cost = TwoLevelCost::sunway_like(s);
-    for bytes in [0usize, 1, 4096, 1 << 20, 1 << 30] {
-        for (a, b) in [(0usize, 3usize), (5, 6), (0, 4), (3, 9), (7, 0)] {
-            let same = a / s == b / s;
-            let bw = if same { net.intra_bw } else { net.inter_bw };
-            let want = net.latency(same) + bytes as f64 / bw;
-            let got = cost.cost(a, b, bytes);
-            assert!(
-                (got - want).abs() <= 1e-12 * want,
-                "{a}->{b} at {bytes} B: timed {got:e}, model {want:e}"
-            );
-            assert_eq!(net.p2p_time(bytes, same), want);
-        }
-    }
 }
