@@ -11,7 +11,6 @@ use crate::table::Table;
 use bagualu::data::{Modality, MultimodalLM};
 use bagualu::model::config::ModelConfig;
 use bagualu::model::moe::GateKind;
-use bagualu::model::param::HasParams;
 use bagualu::model::transformer::{BlockFfn, Transformer};
 use bagualu::optim::adam::{Adam, AdamConfig};
 use bagualu::tensor::rng::Rng;
@@ -78,7 +77,6 @@ pub(crate) fn run() {
         let (tokens, targets) = task.batch(4, 8, 0, step);
         model.train_batch(&tokens, &targets, 4, 8);
         opt.step(&mut model);
-        model.zero_grad();
     }
     let after = modality_shares(&mut model, &task, 8);
 

@@ -12,7 +12,6 @@
 use crate::table::Table;
 use bagualu::metrics::format_si;
 use bagualu::model::config::ModelConfig;
-use bagualu::model::param::HasParams;
 use bagualu::model::transformer::Transformer;
 use bagualu::optim::adam::{Adam, AdamConfig};
 use bagualu::perfmodel::{project, PerfInput};
@@ -32,7 +31,6 @@ fn train_local(cfg: ModelConfig, steps: usize) -> Vec<f32> {
         let targets: Vec<usize> = tokens.iter().map(|&t| (t * 3 + 1) % cfg.vocab).collect();
         let s = model.train_batch(&tokens, &targets, 4, 8);
         opt.step(&mut model);
-        model.zero_grad();
         losses.push(s.ce_loss);
     }
     losses

@@ -491,6 +491,9 @@ pub(crate) fn run() {
         weight_decay: 0.01,
         bc1: 0.1,
         bc2: 0.001,
+        // A loss-scaled, clipped step: the kernel's whole visit is timed.
+        unscale: 1.0 / 1024.0,
+        clip: 0.5,
     };
     let ref_ops = ComputeBackend::Reference.instantiate_row_ops();
     let vec_ops = ComputeBackend::Tiled.instantiate_row_ops();
@@ -501,12 +504,13 @@ pub(crate) fn run() {
         // GEMM backends multiply the same operands: where the two tiers run
         // the same loop (one lane), page placement cannot tell them apart.
         // What the values drift to under repeated updates does not matter
-        // to the timing.
+        // to the timing, nor that the first update leaves the gradient zero:
+        // every later call does the same loads, arithmetic and stores on it.
         let soft = RefCell::new(Tensor::randn(&[rn, rc], 1.0, &mut rng));
-        let grad = Tensor::randn(&[adam_len], 0.1, &mut rng);
-        // Value, first moment, second moment.
+        // Value, gradient, first moment, second moment.
         let state = RefCell::new([
             Tensor::randn(&[adam_len], 1.0, &mut rng),
+            Tensor::randn(&[adam_len], 0.1, &mut rng),
             Tensor::zeros(&[adam_len]),
             Tensor::zeros(&[adam_len]),
         ]);
@@ -522,10 +526,11 @@ pub(crate) fn run() {
             }
             if !adam.passing() {
                 let update = |ops: &dyn RowOpsBackend| {
-                    let [value, m, v] = &mut *state.borrow_mut();
+                    let [value, grad, m, v] = &mut *state.borrow_mut();
                     ops.adam_update(
                         value.as_mut_slice(),
-                        grad.as_slice(),
+                        None,
+                        grad.as_mut_slice(),
                         m.as_mut_slice(),
                         v.as_mut_slice(),
                         &adam_step,
@@ -835,14 +840,15 @@ pub(crate) fn run() {
             gelems: gel,
         });
 
-        let g = Tensor::randn(&[adam_len], 0.1, &mut rng);
+        let mut g = Tensor::randn(&[adam_len], 0.1, &mut rng);
         let mut value = Tensor::randn(&[adam_len], 1.0, &mut rng);
         let mut m = Tensor::zeros(&[adam_len]);
         let mut v = Tensor::zeros(&[adam_len]);
         let ns = best_ns(5, || {
             ops.adam_update(
                 value.as_mut_slice(),
-                g.as_slice(),
+                None,
+                g.as_mut_slice(),
                 m.as_mut_slice(),
                 v.as_mut_slice(),
                 &adam_step,

@@ -8,7 +8,9 @@
 //!    steps); the trainer restores its last checkpoint each time. Short
 //!    intervals waste time on writes, long ones re-execute lost steps —
 //!    the trade-off whose analytic optimum is the Young/Daly interval
-//!    τ_opt = √(2·δ·MTBF).
+//!    τ_opt = √(2·δ·MTBF). Each cell's goodput, the baseline and the
+//!    checkpoint cost δ are medians of [`RUNS`] runs, the cells of one
+//!    MTBF taken in alternating rounds.
 //! 2. **Elastic vs restart.** Two recovery policies face the same crash
 //!    schedule (rank 3 dies at step 12 and again at step 18):
 //!    * **restart** restores the full-width world from the last checkpoint
@@ -38,7 +40,7 @@ use bagualu::checkpoint::read_placement;
 use bagualu::comm::FaultPlan;
 use bagualu::model::config::ModelConfig;
 use bagualu::parallel::ExpertPlacement;
-use bagualu::trainer::{FtConfig, TrainConfig, Trainer};
+use bagualu::trainer::{FtConfig, TrainConfig, TrainReport, Trainer};
 use std::path::Path;
 use std::time::Instant;
 
@@ -52,9 +54,16 @@ const CKPT_EVERY: usize = 8;
 /// The crashing rank: the highest id, so the elastic shrink retires
 /// exactly the id the second crash is scheduled against.
 const CRASH_RANK: usize = 3;
-/// Runs per recovery policy; the gate compares their medians. A whole run
-/// takes well under a second, so one run's goodput is mostly host noise.
+/// Runs per recovery policy, per sweep cell and of the δ probe; each
+/// reports its median. A whole run takes well under a second, so one run's
+/// goodput is mostly host noise.
 const RUNS: usize = 3;
+
+/// The middle value of an odd number of measurements.
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
 
 /// Crash steps drawn from an exponential inter-arrival process,
 /// deterministic in `seed`, deduplicated, within `(0, horizon)`.
@@ -92,22 +101,28 @@ fn checkpoint_sweep(dir: &Path) -> Table {
     };
     let tokens = (cfg.steps * cfg.batch_per_rank * cfg.seq * cfg.nranks) as f64;
 
-    // Fault-free, checkpoint-free baseline: the goodput denominator.
-    let base = Trainer::new(cfg).run();
-    let step_s = tokens / base.tokens_per_sec / cfg.steps as f64;
-
-    // Checkpoint cost δ: the per-step slowdown of a fault-free run that
-    // checkpoints every step.
-    let probe = Trainer::new(cfg).run_ft(&FtConfig {
-        ckpt_every: 1,
-        ..FtConfig::new(dir.join("probe"))
-    });
-    let probe_step_s = tokens / probe.tokens_per_sec / cfg.steps as f64;
-    let delta_s = (probe_step_s - step_s).max(1e-6);
+    // The fault-free, checkpoint-free baseline (the goodput denominator)
+    // and the checkpoint cost δ: the per-step slowdown of a fault-free run
+    // that checkpoints every step over the baseline run beside it. RUNS
+    // of each, alternating; both are medians.
+    let step_s_of = |r: &TrainReport| tokens / r.tokens_per_sec / cfg.steps as f64;
+    let (mut base_tps, mut deltas) = (Vec::new(), Vec::new());
+    for i in 0..RUNS {
+        let base = Trainer::new(cfg).run();
+        let probe = Trainer::new(cfg).run_ft(&FtConfig {
+            ckpt_every: 1,
+            ..FtConfig::new(dir.join(format!("probe{i}")))
+        });
+        base_tps.push(base.tokens_per_sec);
+        deltas.push(step_s_of(&probe) - step_s_of(&base));
+    }
+    let base_tps = median(base_tps);
+    let step_s = tokens / base_tps / cfg.steps as f64;
+    let delta_s = median(deltas).max(1e-6);
 
     println!(
-        "baseline: {:.0} tokens/s, step {:.2} ms, checkpoint cost δ ≈ {:.2} ms\n",
-        base.tokens_per_sec,
+        "baseline: {base_tps:.0} tokens/s, step {:.2} ms, checkpoint cost δ ≈ {:.2} ms \
+         (medians of {RUNS})\n",
         step_s * 1e3,
         delta_s * 1e3
     );
@@ -133,25 +148,39 @@ fn checkpoint_sweep(dir: &Path) -> Table {
         // The analytic optimum (shared with the tuner), seconds to steps.
         let tau_opt_s = bagualu::perfmodel::young_daly_tau_opt(delta_s, mtbf * step_s);
         let tau_opt_steps = tau_opt_s / step_s;
+        // RUNS rounds over the intervals, so each cell's runs alternate with
+        // the other cells'. The counts are exact, so every run of a cell
+        // must agree on them; its goodput is the median.
+        let mut runs: Vec<Vec<(usize, usize, f64)>> = vec![Vec::new(); INTERVALS.len()];
+        for round in 0..RUNS {
+            for (cell, &k) in runs.iter_mut().zip(&INTERVALS) {
+                let mut plan = FaultPlan::new(9000 + mi as u64);
+                for (i, &s) in arrivals.iter().enumerate() {
+                    plan = plan.crash(i % cfg.nranks, s);
+                }
+                let r = Trainer::new(cfg).run_ft(&FtConfig {
+                    plan,
+                    ckpt_every: k,
+                    max_restarts: arrivals.len() + 2,
+                    heartbeat_ms: 500,
+                    ..FtConfig::new(dir.join(format!("mtbf{mi}-k{k}-{round}")))
+                });
+                cell.push((r.restarts, r.lost_steps, r.tokens_per_sec / base_tps));
+            }
+        }
         let mut best: Option<(usize, f64)> = None;
         let mut rows = Vec::new();
-        for &k in &INTERVALS {
-            let mut plan = FaultPlan::new(9000 + mi as u64);
-            for (i, &s) in arrivals.iter().enumerate() {
-                plan = plan.crash(i % cfg.nranks, s);
-            }
-            let r = Trainer::new(cfg).run_ft(&FtConfig {
-                plan,
-                ckpt_every: k,
-                max_restarts: arrivals.len() + 2,
-                heartbeat_ms: 500,
-                ..FtConfig::new(dir.join(format!("mtbf{mi}-k{k}")))
-            });
-            let goodput = r.tokens_per_sec / base.tokens_per_sec;
+        for (cell, &k) in runs.iter().zip(&INTERVALS) {
+            let (restarts, lost) = (cell[0].0, cell[0].1);
+            assert!(
+                cell.iter().all(|r| (r.0, r.1) == (restarts, lost)),
+                "MTBF {mtbf}, K {k}: restarts and lost steps must repeat exactly: {cell:?}"
+            );
+            let goodput = median(cell.iter().map(|r| r.2).collect());
             if best.is_none_or(|(_, g)| goodput > g) {
                 best = Some((k, goodput));
             }
-            rows.push((k, r.restarts, r.lost_steps, goodput));
+            rows.push((k, restarts, lost, goodput));
         }
         let (best_k, _) = best.expect("INTERVALS is not empty");
         for (k, restarts, lost, goodput) in rows {
@@ -169,8 +198,8 @@ fn checkpoint_sweep(dir: &Path) -> Table {
     t.print();
     println!(
         "\n(*) best measured interval per MTBF, to set against the Young/Daly\n\
-         τ_opt column. Each cell is one run of a few milliseconds per step,\n\
-         so host noise can move the mark by one interval.\n"
+         τ_opt column. Each goodput cell is the median of {RUNS} runs, taken\n\
+         in rounds that alternate the intervals.\n"
     );
     t
 }
@@ -399,10 +428,11 @@ pub(crate) fn run() {
         "\nwrote {TABLE_OUT} and {JSON_OUT}\n\n\
          Shape check: re-executed steps fall as MTBF grows and rise with\n\
          the checkpoint interval (exact counts; the sweep's goodput cells\n\
-         are single timed runs), and τ_opt says how often to checkpoint for\n\
-         a given MTBF. The restart policy pays two recovery pauses and\n\
-         re-executes every step lost to both crashes; the elastic policy\n\
-         pays one, then continues on 3 ranks — the second crash targets a\n\
+         are medians of three timed runs), and τ_opt says how often to\n\
+         checkpoint for a given MTBF. The restart policy pays two recovery\n\
+         pauses and re-executes every step lost to both crashes; the\n\
+         elastic policy pays one, then continues on 3 ranks — the second\n\
+         crash targets a\n\
          retired rank id and never fires. At BaGuaLu's scale (96,000 nodes)\n\
          the machine-level MTBF makes checkpoint sizing, sharded parallel\n\
          writes (E10) and a policy that keeps the surviving 95,999 busy\n\

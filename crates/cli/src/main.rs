@@ -640,7 +640,6 @@ fn cmd_generate(args: &Args) -> Result<(), String> {
         let (tokens, targets) = task.batch(4, 8, 0, step);
         model.train_batch(&tokens, &targets, 4, 8);
         opt.step(&mut model);
-        model.zero_grad();
     }
     let out = model.generate_cached(&prompt, n);
     println!(

@@ -1,15 +1,18 @@
 //! Adam / AdamW with bias correction.
 //!
-//! The element-wise update dispatches through the pluggable
-//! [`RowOpsBackend`](bagualu_tensor::ops::RowOpsBackend) (reference or
-//! vectorized tier, bit-identical to each other), which also records the
-//! `compute.adam.{flops,ns}` trace counters. Mixed precision delegates to
-//! this optimizer, and replicated and ZeRO-sharded training both step
-//! through mixed precision, so the routing covers every training mode.
+//! A parameter's whole update is one call of the fused row-op kernel
+//! [`adam_update`] (reference or vectorized tier, bit-identical to each
+//! other): in one pass over the parameter it unscales and clips each
+//! gradient element, applies the rule, publishes a half-rounded working
+//! copy when the value is a master weight, and zeroes the gradient. The
+//! kernel also records the `compute.adam.{flops,ns}` trace counters. Mixed
+//! precision delegates to this optimizer, and replicated and ZeRO-sharded
+//! training both step through mixed precision, so the routing covers every
+//! training mode.
 
 use bagualu_model::param::HasParams;
 use bagualu_tensor::ops::{adam_update, AdamStep};
-use bagualu_tensor::Tensor;
+use bagualu_tensor::{DType, Tensor};
 
 /// Adam hyperparameters. `weight_decay` is decoupled (AdamW-style).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -65,18 +68,20 @@ impl Adam {
     }
 
     /// Apply one update from the accumulated gradients, on the calling
-    /// thread's row-op backend.
+    /// thread's row-op backend, consuming them: every gradient is zero
+    /// afterwards.
     pub fn step(&mut self, model: &mut dyn HasParams) {
         let step = self.next_step();
         let mut i = 0usize;
         model.visit_params(&mut |p| {
-            self.update(i, &mut p.value, &p.grad, &step);
+            self.update(i, &mut p.value, None, &mut p.grad, &step);
             i += 1;
         });
     }
 
-    /// Count one step and return its element rule; [`Adam::update`] then
-    /// applies it to each parameter in visit order.
+    /// Count one step and return its element rule, with gradients taken as
+    /// they are (unscale and clip factors 1); [`Adam::update`] then applies
+    /// it to each parameter in visit order.
     pub(crate) fn next_step(&mut self) -> AdamStep {
         self.t += 1;
         let c = self.cfg;
@@ -88,13 +93,23 @@ impl Adam {
             weight_decay: c.weight_decay,
             bc1: 1.0 - c.beta1.powi(self.t),
             bc2: 1.0 - c.beta2.powi(self.t),
+            unscale: 1.0,
+            clip: 1.0,
         }
     }
 
-    /// Update parameter `i` — `value` is the FP32 copy the rule moves: the
-    /// parameter's own value, or its master weight — from `grad`. The first
-    /// step creates the parameter's moments.
-    pub(crate) fn update(&mut self, i: usize, value: &mut Tensor, grad: &Tensor, step: &AdamStep) {
+    /// Update parameter `i` from `grad` and zero `grad`. `value` is the FP32
+    /// copy the rule moves: the parameter's own value, or its master weight,
+    /// whose rounding is then published into `working`. The first step
+    /// creates the parameter's moments.
+    pub(crate) fn update(
+        &mut self,
+        i: usize,
+        value: &mut Tensor,
+        working: Option<(&mut Tensor, DType)>,
+        grad: &mut Tensor,
+        step: &AdamStep,
+    ) {
         if self.m.len() == i {
             self.m.push(Tensor::zeros(value.shape()));
             self.v.push(Tensor::zeros(value.shape()));
@@ -106,7 +121,8 @@ impl Adam {
         );
         adam_update(
             value.as_mut_slice(),
-            grad.as_slice(),
+            working.map(|(w, dt)| (w.as_mut_slice(), dt)),
+            grad.as_mut_slice(),
             self.m[i].as_mut_slice(),
             self.v[i].as_mut_slice(),
             step,
@@ -166,6 +182,7 @@ mod tests {
         m.p.grad = Tensor::from_vec(vec![100.0], &[1]);
         opt.step(&mut m);
         assert!((m.p.value.as_slice()[0] - (5.0 - 0.01)).abs() < 1e-4);
+        assert_eq!(m.p.grad.as_slice(), &[0.0], "a step consumes the gradient");
     }
 
     #[test]

@@ -1,30 +1,51 @@
-//! Global gradient-norm clipping.
+//! Global gradient-norm clipping, and the gradient read that the
+//! optimizer step shares with it.
 //!
 //! The norm is rank-local: on a distributed model it covers the replicated
 //! dense gradients and this rank's experts only, with no all-reduce.
 
 use bagualu_model::param::HasParams;
+use bagualu_tensor::Tensor;
 
 /// Scale all gradients so the global L2 norm does not exceed `max_norm`.
 /// Returns the pre-clip norm. Non-finite norms leave gradients untouched
 /// (the loss scaler handles that case by skipping the step).
 pub fn clip_grad_norm(model: &mut dyn HasParams, max_norm: f32) -> f32 {
-    let norm = grad_sq_sum(model).sqrt() as f32;
+    let mut grads = take_grads(model);
+    let norm = grad_sq_sum(&grads).sqrt() as f32;
     if let Some(scale) = clip_scale(norm, max_norm) {
-        model.visit_params(&mut |p| p.grad.scale(scale));
+        grads.iter_mut().for_each(|g| g.scale(scale));
     }
+    put_grads(model, grads);
     norm
 }
 
+/// Move every gradient out of `model`, in visit order, leaving an empty
+/// tensor in its place: O(1) per parameter, so that the gradients can be
+/// read several at a time. The caller hands each one back.
+pub(crate) fn take_grads(model: &mut dyn HasParams) -> Vec<Tensor> {
+    let mut grads = Vec::new();
+    model.visit_params(&mut |p| grads.push(std::mem::take(&mut p.grad)));
+    grads
+}
+
+/// Hand [`take_grads`]' gradients back to their parameters.
+pub(crate) fn put_grads(model: &mut dyn HasParams, grads: Vec<Tensor>) {
+    let mut grads = grads.into_iter();
+    model.visit_params(&mut |p| p.grad = grads.next().expect("one gradient per parameter"));
+}
+
 /// The squared global gradient norm: each gradient's `sq_norm`, summed in
-/// `f64` in visit order. The one read pass of both [`clip_grad_norm`] and
-/// [`MixedPrecision::step`](crate::MixedPrecision::step). It is finite
-/// exactly when every gradient is finite and no tensor's sum of squares
-/// overflows `f32`.
-pub(crate) fn grad_sq_sum(model: &mut dyn HasParams) -> f64 {
-    let mut sq = 0.0f64;
-    model.visit_params(&mut |p| sq += p.grad.sq_norm() as f64);
-    sq
+/// `f64` in visit order. The per-gradient sums come from
+/// [`Tensor::sq_norms`], which runs the chains of equally long gradients
+/// side by side with the bits of one at a time. The one read pass of both
+/// [`clip_grad_norm`] and [`MixedPrecision::step`](crate::MixedPrecision::step).
+/// It is finite exactly when every gradient is finite and no tensor's sum
+/// of squares overflows `f32`.
+pub(crate) fn grad_sq_sum(grads: &[Tensor]) -> f64 {
+    Tensor::sq_norms(grads)
+        .into_iter()
+        .fold(0.0f64, |sq, s| sq + s as f64)
 }
 
 /// The factor that brings a gradient of norm `norm` down to `max_norm`, or

@@ -14,8 +14,9 @@
 //! * `MixedPrecision` — the master-weight wrapper: working parameters are
 //!   round-tripped through the configured half format after every update;
 //!   one read pass over the gradients gives the norm and the overflow
-//!   check, then each parameter is unscaled, clipped, updated and its
-//!   gradient zeroed in one visit.
+//!   check, then one fused kernel call per parameter unscales, clips and
+//!   applies its gradient, publishes the rounded working copy and zeroes
+//!   the gradient.
 
 pub mod adam;
 pub mod clip;

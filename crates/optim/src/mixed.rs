@@ -13,21 +13,28 @@
 //!    copied); either way every gradient is zero afterwards, ready for the
 //!    next `backward`.
 //!
-//! A step reads every gradient once, for the norm and the overflow check,
-//! settles with the other ranks whether to skip, and then visits each
-//! parameter once: unscale and clip its gradient, update it, zero the
-//! gradient, while it is still in cache. Nothing is applied before the
-//! world has agreed, so replicas skip together and their loss scales never
-//! split.
+//! A step makes two passes over the gradients. It first moves them out of
+//! the parameters (O(1) each) and reads them once for the norm and the
+//! overflow check: each gradient's sum of squares is its own sequential
+//! `f32` chain, and equally long gradients run eight chains side by side
+//! ([`Tensor::sq_norms`]). It then settles with the other ranks whether to
+//! skip. If not, it visits each parameter once, in one call of the fused
+//! row-op kernel: per element, unscale and clip the gradient, apply Adam
+//! and write the gradient back as zero, and publish the half-rounded
+//! working value block by block while it is still in cache; the zeroed
+//! gradient is handed back to its parameter. Nothing is
+//! applied before the world has agreed, so replicas skip together and
+//! their loss scales never split.
 //!
 //! The model's working parameters therefore always carry the configured
 //! half format's rounding, reproducing the numerics of storing weights in
 //! FP16/BF16 on the accelerator while the optimizer state stays FP32.
 
 use crate::adam::{Adam, AdamConfig};
-use crate::clip::{clip_scale, grad_sq_sum};
+use crate::clip::{clip_scale, grad_sq_sum, put_grads, take_grads};
 use crate::scaler::LossScaler;
 use bagualu_model::param::HasParams;
+use bagualu_tensor::ops::AdamStep;
 use bagualu_tensor::{DType, Tensor};
 
 /// What happened on a mixed-precision step.
@@ -135,9 +142,11 @@ impl MixedPrecision {
     ) -> StepOutcome {
         // The one read pass. A finite sum means every gradient is finite,
         // so the exact scan runs only when the sum is not.
-        let sq = grad_sq_sum(model);
-        if agree(!sq.is_finite() && has_non_finite_grad(model)) {
-            model.zero_grad();
+        let mut grads = take_grads(model);
+        let sq = grad_sq_sum(&grads);
+        if agree(!sq.is_finite() && grads.iter().any(Tensor::has_non_finite)) {
+            grads.iter_mut().for_each(|g| g.fill(0.0));
+            put_grads(model, grads);
             self.scaler.update(true);
             self.skipped_steps += 1;
             return StepOutcome::SkippedOverflow;
@@ -150,7 +159,13 @@ impl MixedPrecision {
         let inv = 1.0 / self.scaler.scale();
         let norm = (sq.sqrt() * inv as f64) as f32;
         let clip = self.clip.and_then(|max_norm| clip_scale(norm, max_norm));
-        let step = self.adam.next_step();
+        // Multiplying by exactly 1.0 changes no bit, so an unclipped step
+        // is the same rule with a clip factor of 1.
+        let step = AdamStep {
+            unscale: inv,
+            clip: clip.unwrap_or(1.0),
+            ..self.adam.next_step()
+        };
         let dt = self.dtype;
         if dt != DType::F32 && self.masters.is_empty() {
             // Capture master weights on first use (from the *unquantized*
@@ -159,45 +174,31 @@ impl MixedPrecision {
             model.visit_params(&mut |p| self.masters.push(p.value.clone()));
         }
         let (adam, masters) = (&mut self.adam, &mut self.masters);
-        let mut i = 0usize;
+        let (mut i, mut grads) = (0usize, grads.into_iter());
         model.visit_params(&mut |p| {
-            // Unscale, then clip; multiplying by exactly 1.0 changes no bit,
-            // so an unscaled, unclipped step skips the pass.
-            if inv != 1.0 || clip.is_some() {
-                let c = clip.unwrap_or(1.0);
-                p.grad
-                    .as_mut_slice()
-                    .iter_mut()
-                    .for_each(|g| *g = *g * inv * c);
-            }
+            let mut grad = grads.next().expect("one gradient per parameter");
             if dt == DType::F32 {
                 // The working weights *are* the master weights: rounding
                 // through f32 is the identity, so there is no copy to keep.
-                adam.update(i, &mut p.value, &p.grad, &step);
+                adam.update(i, &mut p.value, None, &mut grad, &step);
             } else {
                 // Run the FP32 update on the master and publish its
                 // half-rounded value in the working buffer.
-                adam.update(i, &mut masters[i], &p.grad, &step);
-                p.value
-                    .as_mut_slice()
-                    .copy_from_slice(masters[i].as_slice());
-                p.value.quantize(dt);
+                adam.update(
+                    i,
+                    &mut masters[i],
+                    Some((&mut p.value, dt)),
+                    &mut grad,
+                    &step,
+                );
             }
-            p.zero_grad();
+            p.grad = grad;
             i += 1;
         });
 
         self.scaler.update(false);
         StepOutcome::Applied
     }
-}
-
-/// Whether any gradient holds a NaN or an infinity: the exact scan behind a
-/// non-finite squared norm, which an overflowing square alone also gives.
-fn has_non_finite_grad(model: &mut dyn HasParams) -> bool {
-    let mut found = false;
-    model.visit_params(&mut |p| found = found || p.grad.has_non_finite());
-    found
 }
 
 #[cfg(test)]
@@ -373,22 +374,20 @@ mod tests {
         assert!(a.p.value.approx_eq(&b.p.value, 1e-6));
     }
 
-    struct Two {
-        a: Param,
-        b: Param,
-    }
+    /// A model of any number of parameters, visited in order.
+    struct Many(Vec<Param>);
 
-    impl HasParams for Two {
+    impl HasParams for Many {
         fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-            f(&mut self.a);
-            f(&mut self.b);
+            self.0.iter_mut().for_each(f);
         }
     }
 
     /// The step written out as separate passes over plain vectors: skip on
-    /// a non-finite gradient; otherwise unscale, clip by the norm of the
-    /// unscaled gradients (`clip_grad_norm`'s sum), Adam's element rule on
-    /// the FP32 copy, half rounding of the working value.
+    /// a non-finite gradient; otherwise unscale, take the norm of the
+    /// unscaled gradients one tensor at a time (`clip_grad_norm`'s sum),
+    /// clip, Adam's element rule on the FP32 copy, half rounding of the
+    /// working value.
     struct Oracle {
         cfg: AdamConfig,
         dtype: DType,
@@ -421,10 +420,10 @@ mod tests {
                     .iter()
                     .map(|x| x.iter().map(|v| v * inv).collect())
                     .collect();
-                let sq: f64 = g
-                    .iter()
-                    .map(|x| x.iter().map(|v| v * v).sum::<f32>() as f64)
-                    .sum();
+                let mut sq = 0.0f64;
+                for x in &g {
+                    sq += x.iter().map(|v| v * v).sum::<f32>() as f64;
+                }
                 let norm = sq.sqrt() as f32;
                 if let Some(max_norm) = self.clip {
                     if norm.is_finite() && norm > max_norm {
@@ -458,32 +457,43 @@ mod tests {
     }
 
     /// Drive `MixedPrecision::step` and the oracle over the same loss-scaled
-    /// gradients, asserting equal bits, zeroed gradients and the outcome.
-    fn check_against_oracle(dtype: DType, scale: f32, clip: Option<f32>, grads: &[[Vec<f32>; 2]]) {
+    /// gradients (one list per step, one vector per parameter), asserting
+    /// equal bits, zeroed gradients and the outcome.
+    fn check_against_oracle(dtype: DType, scale: f32, clip: Option<f32>, grads: &[Vec<Vec<f32>>]) {
         let cfg = AdamConfig {
             lr: 0.01,
             weight_decay: 0.01,
             ..Default::default()
         };
-        let values = vec![vec![0.5, -1.25, 2.0], vec![0.75, -0.3]];
-        let mut model = Two {
-            a: Param::new("a", Tensor::from_vec(values[0].clone(), &[3])),
-            b: Param::new("b", Tensor::from_vec(values[1].clone(), &[2])),
-        };
+        let values: Vec<Vec<f32>> = grads[0]
+            .iter()
+            .enumerate()
+            .map(|(i, g)| {
+                let at = |j: usize| 0.5 - 0.125 * ((3 * i + 5 * j) % 17) as f32;
+                (0..g.len()).map(at).collect()
+            })
+            .collect();
+        let mut model = Many(
+            values
+                .iter()
+                .map(|x| Param::new("p", Tensor::from_vec(x.clone(), &[x.len()])))
+                .collect(),
+        );
         let mut opt = MixedPrecision::new(cfg, dtype).with_scaler(LossScaler::new(scale));
         if let Some(max_norm) = clip {
             opt = opt.with_clip(max_norm);
         }
         let mut oracle = Oracle::new(cfg, dtype, clip, &values);
         let bits = |xs: &[f32]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        for (k, [ga, gb]) in grads.iter().enumerate() {
+        for (k, step_grads) in grads.iter().enumerate() {
             let scale = opt.loss_scale();
-            model.a.grad = Tensor::from_vec(ga.clone(), &[3]);
-            model.b.grad = Tensor::from_vec(gb.clone(), &[2]);
-            let finite = ga.iter().chain(gb).all(|g| g.is_finite());
+            for (p, g) in model.0.iter_mut().zip(step_grads) {
+                p.grad = Tensor::from_vec(g.clone(), &[g.len()]);
+            }
+            let finite = step_grads.iter().flatten().all(|g| g.is_finite());
             let steps = opt.adam.steps();
             let outcome = opt.step(&mut model);
-            let want = oracle.step(&[ga.clone(), gb.clone()], scale);
+            let want = oracle.step(step_grads, scale);
             let ctx = format!("{dtype:?} scale {scale} clip {clip:?} step {k}");
             if finite {
                 assert_eq!(outcome, StepOutcome::Applied, "{ctx}");
@@ -493,19 +503,32 @@ mod tests {
                 assert_eq!(opt.adam.steps(), steps, "{ctx}");
                 assert!(opt.loss_scale() < scale, "{ctx}");
             }
-            assert_eq!(bits(model.a.value.as_slice()), bits(&want[0]), "{ctx}");
-            assert_eq!(bits(model.b.value.as_slice()), bits(&want[1]), "{ctx}");
-            let grads = model
-                .a
-                .grad
-                .as_slice()
-                .iter()
-                .chain(model.b.grad.as_slice());
-            assert!(
-                grads.copied().all(|g| g == 0.0),
-                "{ctx}: a step consumes the gradients"
-            );
+            for (i, (p, w)) in model.0.iter().zip(&want).enumerate() {
+                assert_eq!(bits(p.value.as_slice()), bits(w), "{ctx} param {i}");
+                assert_eq!(p.grad.shape(), &[w.len()], "{ctx} param {i}");
+                assert!(
+                    p.grad.as_slice().iter().all(|&g| g.to_bits() == 0),
+                    "{ctx} param {i}: a step consumes the gradients"
+                );
+            }
         }
+    }
+
+    /// `steps` lists of loss-scaled random gradients, one per length in
+    /// `lens`, each scaled by `unscaled` before the loss scale.
+    fn random_grads(lens: &[usize], unscaled: &[f32], scale: f32, seed: u64) -> Vec<Vec<Vec<f32>>> {
+        let mut rng = bagualu_tensor::rng::Rng::seed_from(seed);
+        unscaled
+            .iter()
+            .map(|&s| {
+                let mut step = Vec::new();
+                for &n in lens {
+                    let g = Tensor::randn(&[n], s, &mut rng);
+                    step.push(g.as_slice().iter().map(|v| v * scale).collect());
+                }
+                step
+            })
+            .collect()
     }
 
     #[test]
@@ -523,12 +546,40 @@ mod tests {
             (DType::F16, 1024.0),
             (DType::F16, 1.0),
         ] {
-            let scaled: Vec<[Vec<f32>; 2]> = unscaled
+            let scaled: Vec<Vec<Vec<f32>>> = unscaled
                 .iter()
-                .map(|[a, b]| [a, b].map(|g| g.iter().map(|v| v * scale).collect()))
+                .map(|step| {
+                    step.iter()
+                        .map(|g| g.iter().map(|v| v * scale).collect())
+                        .collect()
+                })
                 .collect();
             for clip in [None, Some(1.0), Some(100.0)] {
                 check_against_oracle(dtype, scale, clip, &scaled);
+            }
+        }
+    }
+
+    #[test]
+    fn every_dtype_clip_and_scale_matches_the_oracle_on_ragged_parameters() {
+        // Fewer than eight parameters of ragged lengths, where every sum of
+        // squares runs on its own; then nine of one length among ragged
+        // ones, so one set of eight chains runs side by side over
+        // parameters that are not adjacent in visit order and the ninth
+        // runs alone.
+        let few = [3usize, 1, 17, 2];
+        let many = [5usize, 33, 5, 5, 1, 5, 5, 5, 33, 5, 5, 0, 5, 7];
+        // Unscaled gradients of about 0.05 and 1 per element: a clip at 1
+        // bites on the larger steps only, one at 100 never.
+        let unscaled = [1.0, 0.05, 0.7];
+        for (n, lens) in [few.as_slice(), many.as_slice()].iter().enumerate() {
+            for dtype in [DType::F32, DType::F16, DType::BF16] {
+                for scale in [1.0, 1024.0, 65_536.0] {
+                    let grads = random_grads(lens, &unscaled, scale, 50 + n as u64);
+                    for clip in [None, Some(1.0), Some(100.0)] {
+                        check_against_oracle(dtype, scale, clip, &grads);
+                    }
+                }
             }
         }
     }
@@ -538,12 +589,18 @@ mod tests {
         // The middle step overflows: nothing moves, Adam's moments and step
         // count stay (the third step matches an oracle that never saw the
         // second), and the gradients are zero all the same.
-        let grads = [
+        let grads: Vec<Vec<Vec<f32>>> = [
             [vec![1.0, -2.0, 0.5], vec![0.25, 4.0]],
             [vec![1.0, f32::INFINITY, 0.5], vec![f32::NAN, 4.0]],
             [vec![-3.0, 1.0, 0.5], vec![2.0, -1.0]],
         ]
-        .map(|[a, b]| [a, b].map(|g| g.iter().map(|v| v * 1024.0).collect::<Vec<_>>()));
+        .iter()
+        .map(|step| {
+            step.iter()
+                .map(|g| g.iter().map(|v| v * 1024.0).collect())
+                .collect()
+        })
+        .collect();
         check_against_oracle(DType::F16, 1024.0, Some(1.0), &grads);
         check_against_oracle(DType::F32, 1024.0, None, &grads);
     }
@@ -552,7 +609,7 @@ mod tests {
     fn finite_gradients_whose_squares_overflow_are_applied_unclipped() {
         // 1e20² overflows f32, so the norm is ∞ and nothing clips; every
         // gradient is finite, so the step is applied.
-        let grads = [[vec![1e20, -1.0, 0.5], vec![2.0, 1e-3]]];
+        let grads = [vec![vec![1e20, -1.0, 0.5], vec![2.0, 1e-3]]];
         for dtype in [DType::F32, DType::BF16] {
             check_against_oracle(dtype, 1.0, Some(1.0), &grads);
         }

@@ -21,7 +21,7 @@
 //!   [`crate::par`] blocks of rows fan out across the calling thread's
 //!   intra-op lanes; layer-norm's normalize and scale-shift passes fuse
 //!   into one (f32 store/load between passes is lossless, so fusing is
-//!   exact); and the Adam update splits its four state slices at identical
+//!   exact); and the Adam update splits its state slices at identical
 //!   element boundaries across the same lanes.
 //!
 //! There is deliberately no FMA tier here: these ops are memory-bound
@@ -35,6 +35,7 @@
 //! counters with *nominal* FLOP counts (documented per op) so traces can
 //! attribute row-op time next to GEMM time.
 
+use crate::dtype::DType;
 use crate::par::{self, work};
 use crate::tensor::Tensor;
 use bagualu_trace::{self as trace, names};
@@ -44,8 +45,9 @@ use std::fmt;
 use std::sync::{Arc, OnceLock, RwLock};
 
 /// One Adam/AdamW update step's scalars, precomputed by the optimizer:
-/// hyperparameters plus the bias-correction terms `1 − βᵢᵗ` for the current
-/// step count `t`.
+/// hyperparameters, the bias-correction terms `1 − βᵢᵗ` for the current
+/// step count `t`, and the two factors each gradient element is multiplied
+/// by before the rule sees it, in this order: `(g · unscale) · clip`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdamStep {
     pub lr: f32,
@@ -58,6 +60,10 @@ pub struct AdamStep {
     pub bc1: f32,
     /// `1 − β₂ᵗ`.
     pub bc2: f32,
+    /// `1 / loss scale`; 1 when the gradients are not loss-scaled.
+    pub unscale: f32,
+    /// The global-norm clip factor; 1 when the step does not clip.
+    pub clip: f32,
 }
 
 /// Layer-norm forward outputs: the result plus the per-row cache the
@@ -73,8 +79,8 @@ pub struct LayerNormOut {
 }
 
 /// Row-structured compute kernels: softmax family, layer-norm forward, and
-/// the Adam update. Implementations must be `Send + Sync` (one instance may
-/// be shared by every rank thread) and **bit-identical to
+/// the fused optimizer update. Implementations must be `Send + Sync` (one
+/// instance may be shared by every rank thread) and **bit-identical to
 /// [`ReferenceRowOps`]** — see the module docs.
 pub trait RowOpsBackend: fmt::Debug + Send + Sync {
     /// Short stable identifier (used in reports, benches, and traces).
@@ -90,12 +96,17 @@ pub trait RowOpsBackend: fmt::Debug + Send + Sync {
     /// returning `y` plus the backward cache.
     fn layernorm_rows(&self, x: &Tensor, gamma: &[f32], beta: &[f32], eps: f32) -> LayerNormOut;
 
-    /// One Adam/AdamW update over a parameter slice and its moment state.
-    /// All four slices have identical length.
+    /// The whole optimizer visit of one parameter. Each gradient element is
+    /// unscaled and clipped (`(g · s.unscale) · s.clip`), run through the
+    /// Adam/AdamW rule on `value` and its moments `m` and `v`, and written
+    /// back as `0.0`. With a `working` buffer, `value` is the FP32 master
+    /// and each updated element is also published there, rounded through
+    /// the given format. All slices have identical length.
     fn adam_update(
         &self,
         value: &mut [f32],
-        grad: &[f32],
+        working: Option<(&mut [f32], DType)>,
+        grad: &mut [f32],
         m: &mut [f32],
         v: &mut [f32],
         s: &AdamStep,
@@ -103,9 +114,12 @@ pub trait RowOpsBackend: fmt::Debug + Send + Sync {
 }
 
 /// The update rule for one element, shared verbatim by both tiers (and by
-/// any chunking of the slices — it touches only index `j`).
+/// any chunking of the slices — it touches only index `j`): consume the
+/// gradient, unscaled then clipped, into the moments and the value.
 #[inline]
-fn adam_element(value: &mut f32, g: f32, m: &mut f32, v: &mut f32, s: &AdamStep) {
+fn adam_element(value: &mut f32, grad: &mut f32, m: &mut f32, v: &mut f32, s: &AdamStep) {
+    let g = *grad * s.unscale * s.clip;
+    *grad = 0.0;
     *m = s.beta1 * *m + (1.0 - s.beta1) * g;
     *v = s.beta2 * *v + (1.0 - s.beta2) * g * g;
     let mhat = *m / s.bc1;
@@ -113,12 +127,44 @@ fn adam_element(value: &mut f32, g: f32, m: &mut f32, v: &mut f32, s: &AdamStep)
     *value -= s.lr * (mhat / (vhat.sqrt() + s.eps) + s.weight_decay * *value);
 }
 
-/// [`adam_element`] over four equally long slices: the one loop both tiers
-/// run, so a vectorized call that stays on the calling thread costs what
-/// the reference call costs.
-fn adam_slices(value: &mut [f32], grad: &[f32], m: &mut [f32], v: &mut [f32], s: &AdamStep) {
-    for j in 0..value.len() {
-        adam_element(&mut value[j], grad[j], &mut m[j], &mut v[j], s);
+/// [`adam_element`] over equally long slices, publishing each updated value
+/// into `working` through its format's rounding when there is one: the one
+/// loop both tiers run, so a vectorized call that stays on the calling
+/// thread costs what the reference call costs. The publish follows the
+/// update a block at a time, while the block is still in L1: per element
+/// inside the update loop, the rounding would keep the compiler from
+/// vectorizing the rule.
+fn adam_slices(
+    value: &mut [f32],
+    working: Option<(&mut [f32], DType)>,
+    grad: &mut [f32],
+    m: &mut [f32],
+    v: &mut [f32],
+    s: &AdamStep,
+) {
+    const PUBLISH_BLOCK: usize = 1024;
+    let Some((w, dt)) = working else {
+        return adam_loop(value, grad, m, v, s);
+    };
+    let blocks = value
+        .chunks_mut(PUBLISH_BLOCK)
+        .zip(grad.chunks_mut(PUBLISH_BLOCK))
+        .zip(m.chunks_mut(PUBLISH_BLOCK))
+        .zip(v.chunks_mut(PUBLISH_BLOCK))
+        .zip(w.chunks_mut(PUBLISH_BLOCK));
+    for ((((value, grad), m), v), w) in blocks {
+        adam_loop(value, grad, m, v, s);
+        w.copy_from_slice(value);
+        dt.round_trip_slice(w);
+    }
+}
+
+/// The element loop of [`adam_slices`].
+fn adam_loop(value: &mut [f32], grad: &mut [f32], m: &mut [f32], v: &mut [f32], s: &AdamStep) {
+    let n = value.len();
+    let (grad, m, v) = (&mut grad[..n], &mut m[..n], &mut v[..n]);
+    for j in 0..n {
+        adam_element(&mut value[j], &mut grad[j], &mut m[j], &mut v[j], s);
     }
 }
 
@@ -164,12 +210,13 @@ impl RowOpsBackend for ReferenceRowOps {
     fn adam_update(
         &self,
         value: &mut [f32],
-        grad: &[f32],
+        working: Option<(&mut [f32], DType)>,
+        grad: &mut [f32],
         m: &mut [f32],
         v: &mut [f32],
         s: &AdamStep,
     ) {
-        adam_slices(value, grad, m, v, s);
+        adam_slices(value, working, grad, m, v, s);
     }
 }
 
@@ -288,29 +335,36 @@ impl RowOpsBackend for VectorizedRowOps {
         LayerNormOut { y, xhat, inv_sigma }
     }
 
-    /// The four state slices split at identical element boundaries across
-    /// the intra-op lanes; each element's update is `adam_element` either
-    /// way, so any chunking is bit-identical to the sequential loop.
+    /// The state slices split at identical element boundaries across the
+    /// intra-op lanes; each element's visit is `adam_element` either way,
+    /// so any chunking is bit-identical to the sequential loop.
     fn adam_update(
         &self,
         value: &mut [f32],
-        grad: &[f32],
+        working: Option<(&mut [f32], DType)>,
+        grad: &mut [f32],
         m: &mut [f32],
         v: &mut [f32],
         s: &AdamStep,
     ) {
-        if par::dispatch(work::STREAM_ELEM * value.len() as u64) {
-            let len = par::rows_per_task(work::STREAM_ELEM);
-            value
-                .par_chunks_mut(len)
-                .zip(m.par_chunks_mut(len))
-                .zip(v.par_chunks_mut(len))
-                .enumerate()
-                .for_each(|(t, ((value, m), v))| {
-                    adam_slices(value, &grad[t * len..][..value.len()], m, v, s)
-                });
-        } else {
-            adam_slices(value, grad, m, v, s);
+        if !par::dispatch(work::STREAM_ELEM * value.len() as u64) {
+            return adam_slices(value, working, grad, m, v, s);
+        }
+        let len = par::rows_per_task(work::STREAM_ELEM);
+        let state = value
+            .par_chunks_mut(len)
+            .zip(grad.par_chunks_mut(len))
+            .zip(m.par_chunks_mut(len))
+            .zip(v.par_chunks_mut(len));
+        match working {
+            None => state.for_each(|(((value, g), m), v)| adam_slices(value, None, g, m, v, s)),
+            Some((w, dt)) => {
+                state
+                    .zip(w.par_chunks_mut(len))
+                    .for_each(|((((value, g), m), v), w)| {
+                        adam_slices(value, Some((w, dt)), g, m, v, s)
+                    })
+            }
         }
     }
 }
@@ -394,10 +448,10 @@ pub(crate) const SOFTMAX_FLOPS_PER_ELEM: u64 = 5;
 /// Nominal FLOPs per element for layer-norm forward: two reduction adds,
 /// centered square, normalize multiply-subtract, scale, shift — 8.
 const LAYERNORM_FLOPS_PER_ELEM: u64 = 8;
-/// Nominal FLOPs per element for the Adam update: two moment lerps (4),
-/// two bias corrections (2), sqrt, divide, decay multiply-add, final
-/// subtract-multiply — 12.
-const ADAM_FLOPS_PER_ELEM: u64 = 12;
+/// Nominal FLOPs per element for the fused optimizer update: unscale and
+/// clip (2), two moment lerps (4), two bias corrections (2), sqrt, divide,
+/// decay multiply-add, final subtract-multiply — 14.
+const ADAM_FLOPS_PER_ELEM: u64 = 14;
 
 /// Row-wise layer-norm forward on the calling thread's row-op backend,
 /// recording `compute.layernorm.{flops,ns}`.
@@ -411,18 +465,28 @@ pub fn layernorm_rows(x: &Tensor, gamma: &[f32], beta: &[f32], eps: f32) -> Laye
     )
 }
 
-/// One Adam/AdamW update on the calling thread's row-op backend, recording
-/// `compute.adam.{flops,ns}`.
-pub fn adam_update(value: &mut [f32], grad: &[f32], m: &mut [f32], v: &mut [f32], s: &AdamStep) {
+/// The fused optimizer update ([`RowOpsBackend::adam_update`]) on the
+/// calling thread's row-op backend, recording `compute.adam.{flops,ns}`.
+pub fn adam_update(
+    value: &mut [f32],
+    working: Option<(&mut [f32], DType)>,
+    grad: &mut [f32],
+    m: &mut [f32],
+    v: &mut [f32],
+    s: &AdamStep,
+) {
     assert_eq!(value.len(), grad.len(), "adam_update: value vs grad length");
     assert_eq!(value.len(), m.len(), "adam_update: value vs m length");
     assert_eq!(value.len(), v.len(), "adam_update: value vs v length");
+    if let Some((w, _)) = &working {
+        assert_eq!(value.len(), w.len(), "adam_update: value vs working length");
+    }
     let flops = ADAM_FLOPS_PER_ELEM * value.len() as u64;
     traced_rowop(
         names::COMPUTE_ADAM_NS,
         names::COMPUTE_ADAM_FLOPS,
         flops,
-        || current_row_ops().adam_update(value, grad, m, v, s),
+        || current_row_ops().adam_update(value, working, grad, m, v, s),
     )
 }
 
@@ -447,6 +511,8 @@ mod tests {
             weight_decay: 0.01,
             bc1: 1.0 - 0.9f32.powi(3),
             bc2: 1.0 - 0.999f32.powi(3),
+            unscale: 1.0 / 1024.0,
+            clip: 0.75,
         }
     }
 
@@ -501,15 +567,33 @@ mod tests {
         let mut rng = Rng::seed_from(33);
         let cutoff = (par::MIN_WORK / work::STREAM_ELEM) as usize;
         for len in [1usize, 100, 4096, cutoff - 1, cutoff, cutoff + 12_345] {
-            let grad: Vec<f32> = Tensor::randn(&[len], 1.0, &mut rng).as_slice().to_vec();
+            let grad: Vec<f32> = Tensor::randn(&[len], 1e3, &mut rng).as_slice().to_vec();
             let init: Vec<f32> = Tensor::randn(&[len], 1.0, &mut rng).as_slice().to_vec();
-            let (mut va, mut ma, mut sa) = (init.clone(), vec![0.1f32; len], vec![0.2f32; len]);
-            let (mut vb, mut mb, mut sb) = (init.clone(), vec![0.1f32; len], vec![0.2f32; len]);
-            ReferenceRowOps.adam_update(&mut va, &grad, &mut ma, &mut sa, &step());
-            VectorizedRowOps.adam_update(&mut vb, &grad, &mut mb, &mut sb, &step());
-            assert_bitwise(&va, &vb, &format!("adam value {len}"));
-            assert_bitwise(&ma, &mb, &format!("adam m {len}"));
-            assert_bitwise(&sa, &sb, &format!("adam v {len}"));
+            for dt in [None, Some(DType::F32), Some(DType::F16), Some(DType::BF16)] {
+                let run = |ops: &dyn RowOpsBackend| {
+                    let (mut value, mut g) = (init.clone(), grad.clone());
+                    let (mut m, mut v, mut w) = (vec![0.1f32; len], vec![0.2f32; len], vec![]);
+                    if dt.is_some() {
+                        w = vec![f32::NAN; len];
+                    }
+                    let working = dt.map(|dt| (w.as_mut_slice(), dt));
+                    ops.adam_update(&mut value, working, &mut g, &mut m, &mut v, &step());
+                    assert!(
+                        g.iter().all(|&x| x.to_bits() == 0),
+                        "{len} {dt:?}: gradient zeroed"
+                    );
+                    [value, m, v, w]
+                };
+                let (a, b) = (run(&ReferenceRowOps), run(&VectorizedRowOps));
+                for (what, (x, y)) in ["value", "m", "v", "working"].iter().zip(a.iter().zip(&b)) {
+                    assert_bitwise(x, y, &format!("adam {what} {len} {dt:?}"));
+                }
+                if let Some(dt) = dt {
+                    let mut rounded = a[0].clone();
+                    dt.round_trip_slice(&mut rounded);
+                    assert_bitwise(&a[3], &rounded, &format!("published {len} {dt:?}"));
+                }
+            }
         }
     }
 
@@ -541,6 +625,6 @@ mod tests {
             VectorizedRowOps.layernorm_rows(&Tensor::zeros(&[0, 4]), &[1.0; 4], &[0.0; 4], 1e-5);
         assert_eq!(out.y.shape(), &[0, 4]);
         assert!(out.inv_sigma.is_empty());
-        VectorizedRowOps.adam_update(&mut [], &[], &mut [], &mut [], &step());
+        VectorizedRowOps.adam_update(&mut [], None, &mut [], &mut [], &mut [], &step());
     }
 }

@@ -384,6 +384,31 @@ impl Tensor {
         self.data.iter().map(|x| x * x).sum()
     }
 
+    /// Every tensor's [`Tensor::sq_norm`], bit for bit. One sum of squares
+    /// is a sequential chain of `f32` adds, bound by add latency, so the
+    /// tensors of equal length are taken eight at a time and their chains
+    /// advance side by side, each still in its own order. Tensors left over
+    /// run one chain at a time.
+    pub fn sq_norms(ts: &[Tensor]) -> Vec<f32> {
+        const LANES: usize = 8;
+        let mut out = vec![0.0f32; ts.len()];
+        let mut by_len: Vec<usize> = (0..ts.len()).collect();
+        by_len.sort_by_key(|&i| ts[i].len());
+        for group in by_len.chunk_by(|&a, &b| ts[a].len() == ts[b].len()) {
+            let mut lanes = group.chunks_exact(LANES);
+            for ids in &mut lanes {
+                let sums = sq_sums::<LANES>(std::array::from_fn(|k| ts[ids[k]].as_slice()));
+                for (&i, sum) in ids.iter().zip(sums) {
+                    out[i] = sum;
+                }
+            }
+            for &i in lanes.remainder() {
+                out[i] = ts[i].sq_norm();
+            }
+        }
+        out
+    }
+
     /// Euclidean norm.
     pub fn norm(&self) -> f32 {
         self.sq_norm().sqrt()
@@ -425,6 +450,34 @@ impl Tensor {
     pub fn has_non_finite(&self) -> bool {
         self.data.iter().any(|x| !x.is_finite())
     }
+}
+
+/// The sums of squares of `N` equally long slices, each the sequential
+/// chain `sq_norm` runs. The chains advance side by side a block of four
+/// elements at a time: each block is one load per slice, which the
+/// compiler turns around into vectors of one element from every chain.
+fn sq_sums<const N: usize>(xs: [&[f32]; N]) -> [f32; N] {
+    const BLOCK: usize = 4;
+    let n = xs[0].len();
+    let xs = xs.map(|x| &x[..n]);
+    // Where `Iterator::sum` starts, so even an empty slice's bits agree.
+    let mut acc = [-0.0f32; N];
+    let blocked = n - n % BLOCK;
+    for j in (0..blocked).step_by(BLOCK) {
+        let block: [[f32; BLOCK]; N] =
+            xs.map(|x| x[j..j + BLOCK].try_into().expect("a whole block"));
+        for t in 0..BLOCK {
+            for (a, x) in acc.iter_mut().zip(&block) {
+                *a += x[t] * x[t];
+            }
+        }
+    }
+    for j in blocked..n {
+        for (a, x) in acc.iter_mut().zip(&xs) {
+            *a += x[j] * x[j];
+        }
+    }
+    acc
 }
 
 #[cfg(test)]
@@ -591,6 +644,66 @@ mod tests {
         let mut t = Tensor::from_vec(vec![1.0 + 2.0f32.powi(-12)], &[1]);
         t.quantize(DType::F16);
         assert_eq!(t.as_slice()[0], 1.0);
+    }
+
+    #[test]
+    fn sq_norms_are_each_tensors_sq_norm_bit_for_bit() {
+        // Ragged lengths around the lane count and the block of four,
+        // groups of equal length larger and smaller than a lane set (one of
+        // them shorter than a block), and specials spread over them: ±0,
+        // subnormals, squares that underflow or overflow, ±inf and NaN.
+        let specials = [
+            0.0,
+            -0.0,
+            f32::from_bits(1),
+            -f32::MIN_POSITIVE / 3.0,
+            1e-23,
+            3e19,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+        ];
+        let mut rng = Rng::seed_from(41);
+        let lens = [
+            0, 0, 1, 7, 7, 7, 13, 13, 13, 13, 13, 13, 13, 13, 13, 1, 100, 7, 0, 300, 2, 2, 2, 2, 2,
+            2, 2, 2,
+        ];
+        let mut ts: Vec<Tensor> = lens
+            .iter()
+            .map(|&n| Tensor::randn(&[n], 2.0, &mut rng))
+            .collect();
+        // Bits, except that every NaN reads the same: Rust leaves the sign
+        // and payload of an operation's NaN result unspecified, so two
+        // compilations of one chain may differ there and nowhere else.
+        let bits = |x: f32| {
+            if x.is_nan() {
+                f32::NAN.to_bits()
+            } else {
+                x.to_bits()
+            }
+        };
+        let want = |ts: &[Tensor]| ts.iter().map(|t| bits(t.sq_norm())).collect::<Vec<_>>();
+        let got = |ts: &[Tensor]| {
+            Tensor::sq_norms(ts)
+                .into_iter()
+                .map(bits)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(got(&ts), want(&ts), "random values");
+        for (k, &x) in specials.iter().cycle().take(60).enumerate() {
+            let t = &mut ts[(k * 7) % lens.len()];
+            if !t.is_empty() {
+                let j = (k * 13) % t.len();
+                t.as_mut_slice()[j] = x;
+            }
+            assert_eq!(got(&ts), want(&ts), "after special {k} ({x})");
+        }
+        // Eight or more chains of one length all holding only specials.
+        let all: Vec<Tensor> = (0..19)
+            .map(|i| Tensor::from_vec((0..10).map(|j| specials[(i + j) % 10]).collect(), &[10]))
+            .collect();
+        assert_eq!(got(&all), want(&all), "specials only");
     }
 
     #[test]

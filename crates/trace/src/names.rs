@@ -123,11 +123,13 @@ pub const COMPUTE_LAYERNORM_FLOPS: &str = "compute.layernorm.flops";
 /// Wall-clock nanoseconds inside layer-norm forward (see
 /// [`COMPUTE_LAYERNORM_FLOPS`]).
 pub const COMPUTE_LAYERNORM_NS: &str = "compute.layernorm.ns";
-/// Nominal FLOPs executed by the Adam/AdamW update (12 per element: two
-/// moment lerps, two bias corrections, sqrt, divide, decay, apply).
+/// Nominal FLOPs executed by the fused optimizer update (14 per element:
+/// unscale and clip, two moment lerps, two bias corrections, sqrt, divide,
+/// decay, apply).
 pub const COMPUTE_ADAM_FLOPS: &str = "compute.adam.flops";
-/// Wall-clock nanoseconds inside the Adam/AdamW update (see
-/// [`COMPUTE_ADAM_FLOPS`]).
+/// Wall-clock nanoseconds inside the fused optimizer update, which also
+/// publishes a master weight's half-rounded copy and zeroes the gradient
+/// (see [`COMPUTE_ADAM_FLOPS`]).
 pub const COMPUTE_ADAM_NS: &str = "compute.adam.ns";
 
 /// Kernel calls (GEMM, row op, or pack) that fanned out over the intra-op

@@ -62,7 +62,6 @@ fn main() {
             model.backward(&dlogits, &comm);
             sync_grads_wire(&mut model, &comm, WireDType::F32);
             opt.step(&mut model);
-            model.zero_grad();
             last_loss = loss;
             if rank == 0 && step % 25 == 0 {
                 println!(

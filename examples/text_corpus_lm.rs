@@ -75,7 +75,6 @@ fn main() {
         }
         let stats = model.train_batch(&tokens, &targets, BATCH, SEQ);
         opt.step(&mut model);
-        model.zero_grad();
         if step % 100 == 0 {
             println!("step {step:>3}: loss {:.4}", stats.ce_loss);
         }

@@ -44,7 +44,6 @@ fn main() {
         let stats = model.train_batch(&tokens, &targets, 4, 8);
         opt.set_lr(schedule.at(step));
         opt.step(&mut model);
-        model.zero_grad();
         if step % 80 == 0 {
             println!(
                 "  step {step:>3}: loss {:.4} (lr {:.4})",

@@ -20,6 +20,26 @@ fn bitwise_eq(x: &[f32], y: &[f32]) -> bool {
     x.len() == y.len() && x.iter().zip(y).all(|(a, b)| a.to_bits() == b.to_bits())
 }
 
+/// Whether every element is `+0.0`, as a consumed gradient is.
+fn is_zeroed(g: &[f32]) -> bool {
+    g.iter().all(|x| x.to_bits() == 0)
+}
+
+/// An Adam step at count `t` with unscale and clip factors that are not 1.
+fn adam_step(t: i32) -> AdamStep {
+    AdamStep {
+        lr: 1e-3,
+        beta1: 0.9,
+        beta2: 0.999,
+        eps: 1e-8,
+        weight_decay: 0.01,
+        bc1: 1.0 - 0.9f32.powi(t),
+        bc2: 1.0 - 0.999f32.powi(t),
+        unscale: 1.0 / 1024.0,
+        clip: 0.3,
+    }
+}
+
 /// Intra-op widths every width-sensitive property runs at.
 fn widths() -> [usize; 4] {
     [1, 2, 3, par::available_cores()]
@@ -69,39 +89,43 @@ proptest! {
         prop_assert!(bitwise_eq(&a.inv_sigma, &b.inv_sigma), "inv_sigma {rows}x{cols}");
     }
 
-    // Adam: value, m, and v must all agree after the update — optimizer
-    // state divergence is how elastic-resize replays go wrong silently.
+    // The fused optimizer update: value, m, v and the published working
+    // copy must all agree, and the gradient must come back zero —
+    // optimizer state divergence is how elastic-resize replays go wrong
+    // silently. Scale and clip factors are not 1, as in a loss-scaled,
+    // clipped step.
     #[test]
     fn vectorized_adam_is_bitwise_reference(
-        len in 0usize..5000, t in 1u32..50, seed in 0u64..1000,
+        len in 0usize..5000, t in 1u32..50, seed in 0u64..1000, publish in 0usize..4,
     ) {
         let mut rng = Rng::seed_from(seed);
-        let grad = Tensor::randn(&[len.max(1)], 0.1, &mut rng);
+        let grad = Tensor::randn(&[len.max(1)], 100.0, &mut rng);
         let value0 = Tensor::randn(&[len.max(1)], 1.0, &mut rng);
         let m0 = Tensor::randn(&[len.max(1)], 0.01, &mut rng);
         let v0 = Tensor::randn(&[len.max(1)], 0.001, &mut rng);
-        let grad = &grad.as_slice()[..len];
-        let step = AdamStep {
-            lr: 1e-3,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            weight_decay: 0.01,
-            bc1: 1.0 - 0.9f32.powi(t as i32),
-            bc2: 1.0 - 0.999f32.powi(t as i32),
-        };
+        let dt = [None, Some(DType::F32), Some(DType::F16), Some(DType::BF16)][publish];
+        let step = adam_step(t as i32);
         let run = |ops: &dyn RowOpsBackend| {
             let mut value = value0.as_slice()[..len].to_vec();
+            let mut g = grad.as_slice()[..len].to_vec();
             let mut m = m0.as_slice()[..len].to_vec();
             let mut v: Vec<f32> = v0.as_slice()[..len].iter().map(|x| x.abs()).collect();
-            ops.adam_update(&mut value, grad, &mut m, &mut v, &step);
-            (value, m, v)
+            let mut w = vec![f32::NAN; if dt.is_some() { len } else { 0 }];
+            ops.adam_update(&mut value, dt.map(|dt| (w.as_mut_slice(), dt)), &mut g, &mut m, &mut v, &step);
+            (value, m, v, w, g)
         };
-        let (va, ma, sa) = run(&ReferenceRowOps);
-        let (vb, mb, sb) = run(&VectorizedRowOps);
-        prop_assert!(bitwise_eq(&va, &vb), "value len={len} t={t}");
-        prop_assert!(bitwise_eq(&ma, &mb), "m len={len} t={t}");
-        prop_assert!(bitwise_eq(&sa, &sb), "v len={len} t={t}");
+        let a = run(&ReferenceRowOps);
+        let b = run(&VectorizedRowOps);
+        prop_assert!(bitwise_eq(&a.0, &b.0), "value len={len} t={t} {dt:?}");
+        prop_assert!(bitwise_eq(&a.1, &b.1), "m len={len} t={t} {dt:?}");
+        prop_assert!(bitwise_eq(&a.2, &b.2), "v len={len} t={t} {dt:?}");
+        prop_assert!(bitwise_eq(&a.3, &b.3), "working len={len} t={t} {dt:?}");
+        if let Some(dt) = dt {
+            let mut rounded = Tensor::from_vec(a.0.clone(), &[len]);
+            rounded.quantize(dt);
+            prop_assert!(bitwise_eq(&a.3, rounded.as_slice()), "published len={len} {dt:?}");
+        }
+        prop_assert!(is_zeroed(&a.4) && is_zeroed(&b.4), "gradient len={len} t={t}");
     }
 
     // Softmax, log-softmax and layer-norm at every width, with element
@@ -136,30 +160,27 @@ proptest! {
         }
     }
 
-    // Adam and the f16/bf16 wire pack/unpack at every width, lengths
-    // straddling their cutoffs: value, both moments, packed bits and the
-    // unpacked round trip are those of one lane.
+    // The fused optimizer update and the f16/bf16 wire pack/unpack at
+    // every width, lengths straddling their cutoffs: value, both moments,
+    // the published working copy, packed bits and the unpacked round trip
+    // are those of one lane, and the gradient comes back zero at every
+    // width.
     #[test]
     fn adam_and_pack_are_bitwise_stable_at_every_width(
         t in 0usize..1000, seed in 0u64..1000,
     ) {
         let mut rng = Rng::seed_from(seed);
         let len = around_cutoff(work::STREAM_ELEM, t);
-        let grad = Tensor::randn(&[len], 0.1, &mut rng);
+        let grad = Tensor::randn(&[len], 100.0, &mut rng);
         let value0 = Tensor::randn(&[len], 1.0, &mut rng);
-        let step = AdamStep {
-            lr: 1e-3,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            weight_decay: 0.01,
-            bc1: 1.0 - 0.9f32.powi(3),
-            bc2: 1.0 - 0.999f32.powi(3),
-        };
+        let step = adam_step(3);
+        let dt = [None, Some(DType::F16), Some(DType::BF16)][seed as usize % 3];
         let adam = |ops: &dyn RowOpsBackend| {
             let (mut value, mut m, mut v) = (value0.as_slice().to_vec(), vec![0.1f32; len], vec![0.2f32; len]);
-            ops.adam_update(&mut value, grad.as_slice(), &mut m, &mut v, &step);
-            (value, m, v)
+            let mut g = grad.as_slice().to_vec();
+            let mut w = vec![f32::NAN; if dt.is_some() { len } else { 0 }];
+            ops.adam_update(&mut value, dt.map(|dt| (w.as_mut_slice(), dt)), &mut g, &mut m, &mut v, &step);
+            (value, m, v, w, g)
         };
         let wire = Tensor::randn(&[around_cutoff(work::STREAM_ELEM, t)], 100.0, &mut rng);
         let pack = |dt: DType| {
@@ -177,6 +198,8 @@ proptest! {
             prop_assert!(bitwise_eq(&got.0, &want_adam.0), "adam value len={len} width {width}");
             prop_assert!(bitwise_eq(&got.1, &want_adam.1), "adam m len={len} width {width}");
             prop_assert!(bitwise_eq(&got.2, &want_adam.2), "adam v len={len} width {width}");
+            prop_assert!(bitwise_eq(&got.3, &want_adam.3), "adam working len={len} width {width}");
+            prop_assert!(is_zeroed(&got.4), "adam gradient len={len} width {width}");
             for (dt, want) in [(DType::F16, &want_f16), (DType::BF16, &want_bf16)] {
                 let got = pack(dt);
                 prop_assert!(got.0 == want.0, "{dt} pack len={} width {width}", wire.len());
