@@ -154,7 +154,7 @@ fn checkpoint_sweep(dir: &Path) -> Table {
         let mut runs: Vec<Vec<(usize, usize, f64)>> = vec![Vec::new(); INTERVALS.len()];
         for round in 0..RUNS {
             for (cell, &k) in runs.iter_mut().zip(&INTERVALS) {
-                let mut plan = FaultPlan::new(9000 + mi as u64);
+                let mut plan = FaultPlan::none();
                 for (i, &s) in arrivals.iter().enumerate() {
                     plan = plan.crash(i % cfg.nranks, s);
                 }
@@ -251,7 +251,7 @@ pub(crate) fn run() {
     for i in 0..RUNS {
         for (p, &(policy, elastic)) in policies.iter().enumerate() {
             let ft = FtConfig {
-                plan: FaultPlan::new(2700)
+                plan: FaultPlan::none()
                     .crash(CRASH_RANK, 12)
                     .crash(CRASH_RANK, 18),
                 ckpt_every: CKPT_EVERY,
@@ -353,7 +353,7 @@ pub(crate) fn run() {
     };
     let sdir = dir.join("straggler");
     let sr = Trainer::new(scfg).run_ft(&FtConfig {
-        plan: FaultPlan::new(2701).slow_rank(1, 0, 12, 2000),
+        plan: FaultPlan::none().slow_rank(1, 0, 12, 2000),
         ckpt_every: 4,
         heartbeat_ms: 500,
         straggler_factor: Some(1.5),

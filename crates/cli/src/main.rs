@@ -175,7 +175,7 @@ fn cmd_train(args: &Args) -> Result<(), String> {
     let slow_spec = args.get("slow", "");
     let ft_requested = rc.ft.enabled || !crash_spec.is_empty() || !slow_spec.is_empty();
     let report = if ft_requested {
-        let mut plan = FaultPlan::new(cfg.seed);
+        let mut plan = FaultPlan::none();
         for part in crash_spec.split(',').filter(|s| !s.is_empty()) {
             let (r, s) = part
                 .split_once('@')

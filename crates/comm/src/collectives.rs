@@ -30,13 +30,11 @@ pub enum ReduceOp {
     Sum,
     /// Element-wise maximum.
     Max,
-    /// Element-wise minimum.
-    Min,
 }
 
 impl ReduceOp {
     /// `acc[i] = op(acc[i], other[i])`.
-    pub(crate) fn apply(self, acc: &mut [f32], other: &[f32]) {
+    fn apply(self, acc: &mut [f32], other: &[f32]) {
         assert_eq!(acc.len(), other.len());
         match self {
             ReduceOp::Sum => {
@@ -47,11 +45,6 @@ impl ReduceOp {
             ReduceOp::Max => {
                 for (a, b) in acc.iter_mut().zip(other) {
                     *a = a.max(*b);
-                }
-            }
-            ReduceOp::Min => {
-                for (a, b) in acc.iter_mut().zip(other) {
-                    *a = a.min(*b);
                 }
             }
         }
@@ -191,7 +184,7 @@ impl<C: Communicator> RingAllreduce<C> {
     }
 
     /// All steps completed.
-    pub(crate) fn is_done(&self) -> bool {
+    fn is_done(&self) -> bool {
         self.step == self.total
     }
 
@@ -638,7 +631,7 @@ pub fn alltoallv_hierarchical_wire<C: Communicator>(
 
 /// Pairwise-exchange all-to-all(v) of `u64` metadata (routing tables,
 /// expert ids, counts). Same semantics as [`alltoallv_wire`].
-pub(crate) fn alltoallv_u64<C: Communicator>(c: &C, parts: Vec<Vec<u64>>) -> Vec<Vec<u64>> {
+fn alltoallv_u64<C: Communicator>(c: &C, parts: Vec<Vec<u64>>) -> Vec<Vec<u64>> {
     pairwise_exchange(c, parts, TAG_A2A_U64, Payload::from, Payload::into_u64)
 }
 
@@ -739,13 +732,11 @@ mod tests {
     }
 
     #[test]
-    fn allreduce_max_and_min() {
+    fn allreduce_max() {
         run_ranks(5, |c| {
             let data = vec![c.rank() as f32, -(c.rank() as f32)];
-            let mx = allreduce_wire(&c, data.clone(), ReduceOp::Max, WireDType::F32);
+            let mx = allreduce_wire(&c, data, ReduceOp::Max, WireDType::F32);
             assert_eq!(mx, vec![4.0, 0.0]);
-            let mn = allreduce_wire(&c, data, ReduceOp::Min, WireDType::F32);
-            assert_eq!(mn, vec![0.0, -4.0]);
         });
     }
 
@@ -1043,8 +1034,6 @@ mod tests {
         assert_eq!(a, vec![2.0, 6.0, -1.0]);
         ReduceOp::Max.apply(&mut a, &[0.0, 10.0, 0.0]);
         assert_eq!(a, vec![2.0, 10.0, 0.0]);
-        ReduceOp::Min.apply(&mut a, &[3.0, 3.0, 3.0]);
-        assert_eq!(a, vec![2.0, 3.0, 0.0]);
     }
 
     #[test]
@@ -1227,14 +1216,14 @@ mod tests {
 
     #[test]
     fn ft_allreduce_times_out_on_a_dropped_message() {
-        use crate::fault::FaultPlan;
+        use crate::fault::{FaultPlan, FaultRuntime, FaultSpec};
         use crate::harness::{run_ranks_ft, RankOutcome};
         use crate::shm::World;
         use std::sync::Arc;
         // Drop rank 1's first message: rank 0's receive must time out (or
         // see rank 1 abort), never hang.
-        let rt = crate::fault::FaultRuntime::new(FaultPlan::new(3).drop_nth(1, 0), 2);
-        let world = World::new_with_faults(2, Arc::new(rt));
+        let rt = Arc::new(FaultRuntime::new(FaultPlan::none().drop_nth(1, 0), 2));
+        let world = World::new_with_faults(2, Arc::clone(&rt));
         let outcomes = run_ranks_ft(&world, |c| {
             allreduce_ft(&c, vec![1.0], ReduceOp::Sum, Duration::from_millis(200))
         });
@@ -1244,6 +1233,9 @@ mod tests {
                 .any(|o| matches!(o, RankOutcome::TimedOut(_))),
             "a dropped message must surface as a timeout: {outcomes:?}"
         );
-        assert_eq!(world.fault_stats().expect("plan armed").dropped, 1);
+        assert!(
+            !rt.fire(FaultSpec::DropNth { from: 1, nth: 0 }),
+            "the transport dropped the message"
+        );
     }
 }

@@ -16,10 +16,11 @@
 //!   metadata) plus the [`WireDType`] knob that compresses tensor traffic
 //!   to 16-bit FP16/BF16 elements in flight,
 //! * [`shm`] — the mailbox transport: one [`World`] of ranks, one
-//!   [`ShmComm`] per rank, and one claim loop behind every receive, which
-//!   ends once the source is dead (the rank unwinds with
-//!   [`CommError::PeerDead`]) or, for [`ShmComm::recv_timeout`], once its
-//!   deadline passes,
+//!   [`ShmComm`] per rank, eager sends, and one claim loop behind every
+//!   receive (blocking, or posted with `irecv` and completed by
+//!   `test`/`wait`), which ends once the source is dead (the rank unwinds
+//!   with [`CommError::PeerDead`]) or, for [`ShmComm::recv_timeout`], once
+//!   its deadline passes,
 //! * [`collectives`] — the collective algorithms, generic over any
 //!   [`Communicator`]: one entry point per collective, each algorithm
 //!   written once, tensor collectives taking the [`WireDType`] they travel
@@ -36,7 +37,8 @@
 //!   them, re-raising the panic of the rank that crashed first, and
 //!   [`harness::run_ranks_ft`], which collects per-rank
 //!   [`harness::RankOutcome`]s instead,
-//! * [`fault`] — deterministic fault injection ([`FaultPlan`]) and
+//! * [`fault`] — deterministic fault injection ([`FaultPlan`]: a crash, a
+//!   lost checkpoint shard, an nth-message drop or delay, a slow rank) and
 //!   [`CommError`], what a wait on a dead or silent peer ends with instead
 //!   of a hang.
 //!
@@ -44,7 +46,8 @@
 //! [`CommStats`] and, when a `bagualu-trace` collector is installed on the
 //! calling thread, mirrors every send/receive into per-family trace
 //! counters (`comm.sent.<family>.*` / `comm.recv.<family>.*`) and counts
-//! injected fault events. See `docs/OBSERVABILITY.md` at the repo root.
+//! injected message drops (`fault.drops`). See `docs/OBSERVABILITY.md` at
+//! the repo root.
 
 #![warn(missing_docs)]
 
@@ -55,9 +58,7 @@ pub mod payload;
 pub mod shm;
 
 pub use collectives::{allreduce_ft, ReduceOp};
-pub use fault::{CommError, FaultPlan, FaultRuntime, FaultSpec, FaultStats};
+pub use fault::{CommError, FaultPlan, FaultRuntime, FaultSpec};
 pub use harness::{run_ranks, run_ranks_deadline, run_ranks_ft, RankOutcome};
 pub use payload::WireDType;
-pub use shm::{
-    CommFamily, CommStats, Communicator, FamilyStats, SendRequest, ShmComm, ShmRecv, World,
-};
+pub use shm::{CommFamily, CommStats, Communicator, FamilyStats, ShmComm, ShmRecv, World};

@@ -54,7 +54,7 @@ impl WireDType {
     }
 
     /// The 16-bit storage dtype, or `None` for the uncompressed wire.
-    pub(crate) const fn half_dtype(self) -> Option<DType> {
+    const fn half_dtype(self) -> Option<DType> {
         match self {
             WireDType::F32 => None,
             WireDType::F16 => Some(DType::F16),

@@ -2,7 +2,7 @@
 //!
 //! One OS thread per rank. Point-to-point semantics mirror MPI:
 //!
-//! * `send` is asynchronous and never blocks (unbounded mailbox),
+//! * `send` is eager and never blocks (unbounded mailbox),
 //! * `recv(src, tag)` blocks until a matching message arrives,
 //! * `irecv(src, tag)` posts a *request* that [`Communicator::test`] can
 //!   poll and [`Communicator::wait`] completes — the nonblocking layer the
@@ -14,28 +14,13 @@
 //!   has no message left to claim, and every barrier, then unwinds with a
 //!   [`CommError::PeerDead`] payload instead of blocking for good.
 
-use crate::fault::{corrupt_payload, CommError, FaultRuntime, SendAction};
+use crate::fault::{CommError, FaultRuntime, SendAction};
 use crate::payload::Payload;
 use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Handle for an initiated send. Sends into the unbounded mailboxes are
-/// eagerly buffered, so the handle is born complete; it exists so call
-/// sites read like their MPI counterparts (`MPI_Isend` + `MPI_Wait`).
-#[derive(Debug)]
-#[must_use = "an isend request should be waited (or explicitly dropped)"]
-pub struct SendRequest {
-    _private: (),
-}
-
-impl SendRequest {
-    pub(crate) fn completed() -> SendRequest {
-        SendRequest { _private: () }
-    }
-}
 
 /// Point-to-point communication within a group of ranks.
 pub trait Communicator {
@@ -56,13 +41,6 @@ pub trait Communicator {
     /// Unwinds with a [`CommError::PeerDead`] payload once any rank is dead.
     fn barrier(&self);
 
-    /// Initiate a send; the returned request is already complete (sends
-    /// are eagerly buffered) but keeps call sites explicit about intent.
-    fn isend(&self, dst: usize, tag: u64, payload: Payload) -> SendRequest {
-        self.send(dst, tag, payload);
-        SendRequest::completed()
-    }
-
     /// Post a nonblocking receive for the next message from `src` under
     /// `tag`. Multiple requests on the same `(src, tag)` match arrivals in
     /// post order when waited in post order (FIFO is preserved).
@@ -77,11 +55,6 @@ pub trait Communicator {
     /// Block until the request completes and return its payload. Unwinds
     /// like [`Communicator::recv`] on a dead source.
     fn wait(&self, req: Self::RecvReq) -> Payload;
-
-    /// Wait on several requests, returning payloads in request order.
-    fn wait_all(&self, reqs: Vec<Self::RecvReq>) -> Vec<Payload> {
-        reqs.into_iter().map(|r| self.wait(r)).collect()
-    }
 
     /// Traffic counters for the transport under this communicator, when
     /// the transport collects them (`None` otherwise).
@@ -130,10 +103,10 @@ pub enum CommFamily {
     Other,
 }
 
-pub(crate) const N_FAMILIES: usize = 5;
+const N_FAMILIES: usize = 5;
 
 impl CommFamily {
-    pub(crate) const ALL: [CommFamily; N_FAMILIES] = [
+    const ALL: [CommFamily; N_FAMILIES] = [
         CommFamily::Allreduce,
         CommFamily::Broadcast,
         CommFamily::Gather,
@@ -172,7 +145,7 @@ impl CommFamily {
 
     /// Attribute a tag to a family (see the tag constants in
     /// `collectives.rs`).
-    pub(crate) fn of_tag(tag: u64) -> CommFamily {
+    fn of_tag(tag: u64) -> CommFamily {
         use crate::collectives::tags;
         match tag {
             tags::TAG_BCAST => CommFamily::Broadcast,
@@ -593,7 +566,6 @@ impl Communicator for ShmComm {
     }
 
     fn send(&self, dst: usize, tag: u64, payload: Payload) {
-        let mut payload = payload;
         // Send-occupancy accounting (the straggler signal) rides the fault
         // hook: only timed while a schedule is armed, so the fault-free hot
         // path takes no `Instant::now` calls.
@@ -609,10 +581,6 @@ impl Communicator for ShmComm {
                 }
                 // A stalled link: the sender blocks for the delay.
                 SendAction::Delay(d) => std::thread::sleep(d),
-                SendAction::Corrupt => {
-                    bagualu_trace::count(bagualu_trace::names::FAULT_CORRUPTIONS, 1);
-                    corrupt_payload(&mut payload);
-                }
             }
         }
         let bytes = payload.wire_bytes() as u64;
@@ -726,22 +694,10 @@ mod tests {
     use super::*;
     use crate::harness::run_ranks;
 
-    impl SendRequest {
-        /// Eager sends complete at initiation.
-        fn is_complete(&self) -> bool {
-            true
-        }
-    }
-
     impl World {
         /// Is `rank` marked dead?
         pub(crate) fn is_dead(&self, rank: usize) -> bool {
             self.shared.is_dead(rank)
-        }
-
-        /// Counters of faults injected so far, when a plan is armed.
-        pub(crate) fn fault_stats(&self) -> Option<crate::FaultStats> {
-            self.shared.faults.as_ref().map(|f| f.stats())
         }
     }
 
@@ -819,15 +775,14 @@ mod tests {
     }
 
     #[test]
-    fn isend_irecv_preserve_fifo_per_sender_tag() {
+    fn irecvs_preserve_fifo_per_sender_tag() {
         // Non-overtaking: requests posted in order and waited in order see
         // messages in send order, even when sends race ahead and tests
         // interleave.
         run_ranks(2, |c| {
             if c.rank() == 0 {
                 for i in 0..100 {
-                    let req = c.isend(1, 1, vec![i as f32].into());
-                    assert!(req.is_complete());
+                    c.send(1, 1, vec![i as f32].into());
                 }
             } else {
                 let mut reqs: Vec<_> = (0..100).map(|_| c.irecv(0, 1)).collect();
@@ -836,8 +791,8 @@ mod tests {
                 for r in reqs.iter_mut().rev() {
                     c.test(r);
                 }
-                for (i, payload) in c.wait_all(reqs).into_iter().enumerate() {
-                    assert_eq!(payload.into_f32(), vec![i as f32]);
+                for (i, req) in reqs.into_iter().enumerate() {
+                    assert_eq!(c.wait(req).into_f32(), vec![i as f32]);
                 }
             }
         });

@@ -1745,7 +1745,7 @@ mod tests {
     /// Rank 1 crashes at step 6; checkpoints every 4 steps into `dir`.
     fn crash_1_at_6(dir: &Path) -> FtConfig {
         FtConfig {
-            plan: FaultPlan::new(7).crash(1, 6),
+            plan: FaultPlan::none().crash(1, 6),
             ckpt_every: 4,
             heartbeat_ms: 200,
             ..FtConfig::new(dir)
@@ -1915,7 +1915,7 @@ mod tests {
         };
         let dir = ft_tmpdir("scratch");
         let ft = FtConfig {
-            plan: FaultPlan::new(3).crash(0, 2),
+            plan: FaultPlan::none().crash(0, 2),
             ckpt_every: 0, // never checkpoint: recovery = full re-run
             heartbeat_ms: 200,
             ..FtConfig::new(&dir)
@@ -1939,7 +1939,7 @@ mod tests {
         };
         let dir = ft_tmpdir("giveup");
         let ft = FtConfig {
-            plan: FaultPlan::new(5).crash(0, 1).crash(0, 2).crash(0, 3),
+            plan: FaultPlan::none().crash(0, 1).crash(0, 2).crash(0, 3),
             ckpt_every: 0,
             max_restarts: 2,
             heartbeat_ms: 200,
@@ -2283,7 +2283,7 @@ mod tests {
             ..Default::default()
         };
         let _ = Trainer::new(cfg).run_ft(&FtConfig {
-            plan: FaultPlan::new(3).crash(0, 2),
+            plan: FaultPlan::none().crash(0, 2),
             ckpt_every: 0,
             heartbeat_ms: 200,
             ..FtConfig::new(&dir)
@@ -2340,7 +2340,7 @@ mod tests {
             ..Default::default()
         };
         let _ = Trainer::new(cfg).run_ft(&FtConfig {
-            plan: FaultPlan::new(3).crash(0, 2),
+            plan: FaultPlan::none().crash(0, 2),
             ckpt_every: 0,
             heartbeat_ms: 200,
             ..FtConfig::new(&dir)
@@ -2367,7 +2367,7 @@ mod tests {
                 ..Default::default()
             };
             let r = Trainer::new(TrainConfig { trace: true, ..cfg }).run_ft(&FtConfig {
-                plan: FaultPlan::new(11).crash(2, 6),
+                plan: FaultPlan::none().crash(2, 6),
                 ckpt_every: 4,
                 heartbeat_ms: 200,
                 elastic: true,
@@ -2447,7 +2447,7 @@ mod tests {
             ..Default::default()
         };
         let r = Trainer::new(TrainConfig { trace: true, ..cfg }).run_ft(&FtConfig {
-            plan: FaultPlan::new(17).slow_rank(1, 0, 12, 500),
+            plan: FaultPlan::none().slow_rank(1, 0, 12, 500),
             ckpt_every: 4,
             heartbeat_ms: 500,
             straggler_factor: Some(1.5),

@@ -38,6 +38,3 @@ pub use ops::{
 };
 pub use pack::{pack_bf16, pack_f16, pack_slice, unpack_bf16, unpack_f16, unpack_slice};
 pub use tensor::Tensor;
-
-/// Commonly used items, for glob import in downstream crates.
-pub(crate) mod prelude {}

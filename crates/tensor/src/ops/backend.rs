@@ -32,7 +32,7 @@
 //!   on every backend.
 
 use crate::dtype::DType;
-use crate::ops::elementwise::{gelu_inplace, gelu_slice, relu_scalar};
+use crate::ops::elementwise::{gelu_inplace, gelu_slice};
 use crate::ops::tiled::PackedB;
 use crate::tensor::Tensor;
 use std::cell::RefCell;
@@ -48,20 +48,17 @@ pub enum Activation {
     Identity,
     /// GELU (tanh approximation) — the FFN/expert activation.
     Gelu,
-    /// ReLU.
-    Relu,
 }
 
 impl Activation {
     /// Apply to a slice in place on the calling thread: what a tiled GEMM's
     /// epilogue runs on each output row. The same scalar functions as the
     /// standalone element-wise kernels, so a fused epilogue is bit-identical
-    /// to `matmul` + `add_row_broadcast` + `gelu`/`relu`.
+    /// to `matmul` + `add_row_broadcast` + `gelu`.
     pub(crate) fn apply_slice(self, xs: &mut [f32]) {
         match self {
             Activation::Identity => {}
             Activation::Gelu => gelu_slice(xs),
-            Activation::Relu => xs.iter_mut().for_each(|x| *x = relu_scalar(*x)),
         }
     }
 
@@ -70,8 +67,8 @@ impl Activation {
     /// the standalone [`gelu`](crate::ops::elementwise::gelu).
     pub fn apply(self, t: &mut Tensor) {
         match self {
+            Activation::Identity => {}
             Activation::Gelu => gelu_inplace(t),
-            _ => self.apply_slice(t.as_mut_slice()),
         }
     }
 }

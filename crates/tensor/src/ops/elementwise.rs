@@ -97,17 +97,6 @@ pub(crate) fn gelu_grad_scalar(x: f32) -> f32 {
     0.5 * (1.0 + t) + 0.5 * x * sech2 * SQRT_2_OVER_PI * (1.0 + 3.0 * GELU_CUBIC * x * x)
 }
 
-/// ReLU of one value. Not `x.max(0.0)`, which turns a NaN into `0.0` and
-/// hides it from the overflow detector that drives dynamic loss scaling.
-#[inline]
-pub(crate) fn relu_scalar(x: f32) -> f32 {
-    if x < 0.0 {
-        0.0
-    } else {
-        x
-    }
-}
-
 /// [`gelu_scalar`] over a slice, in place, on the calling thread.
 pub(crate) fn gelu_slice(xs: &mut [f32]) {
     for x in xs {

@@ -316,14 +316,6 @@ impl Tensor {
         }
     }
 
-    /// `self *= other`, element-wise (Hadamard).
-    pub fn mul_assign(&mut self, other: &Tensor) {
-        assert_eq!(self.shape, other.shape);
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a *= b;
-        }
-    }
-
     /// `self *= s`.
     pub fn scale(&mut self, s: f32) {
         self.data.iter_mut().for_each(|x| *x *= s);
@@ -529,12 +521,10 @@ mod tests {
         assert_eq!(a.as_slice(), &[11.0, 22.0, 33.0]);
         a.axpy(-1.0, &b);
         assert_eq!(a.as_slice(), &[1.0, 2.0, 3.0]);
-        a.mul_assign(&b);
-        assert_eq!(a.as_slice(), &[10.0, 40.0, 90.0]);
         a.scale(0.1);
-        assert!(a.approx_eq(&Tensor::from_vec(vec![1.0, 4.0, 9.0], &[3]), 1e-6));
+        assert!(a.approx_eq(&Tensor::from_vec(vec![0.1, 0.2, 0.3], &[3]), 1e-6));
         a.axpy(2.0, &b);
-        assert!(a.approx_eq(&Tensor::from_vec(vec![21.0, 44.0, 69.0], &[3]), 1e-6));
+        assert!(a.approx_eq(&Tensor::from_vec(vec![20.1, 40.2, 60.3], &[3]), 1e-6));
     }
 
     #[test]

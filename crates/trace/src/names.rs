@@ -208,8 +208,6 @@ pub const CKPT_BYTES_READ: &str = "ckpt.bytes_read";
 
 /// Messages dropped in flight by fault injection.
 pub const FAULT_DROPS: &str = "fault.drops";
-/// Payloads corrupted in flight by fault injection.
-pub const FAULT_CORRUPTIONS: &str = "fault.corruptions";
 /// Restarts performed by the fault-tolerant driver (driver lane).
 pub const RESTARTS: &str = "ft.restarts";
 /// Elastic world resizes performed by the fault-tolerant driver: attempts

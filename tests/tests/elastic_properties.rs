@@ -48,7 +48,7 @@ proptest! {
             ..Default::default()
         };
         let r = Trainer::new(cfg).run_ft(&FtConfig {
-            plan: FaultPlan::new(41).crash(nranks - 1, crash_step),
+            plan: FaultPlan::none().crash(nranks - 1, crash_step),
             ckpt_every,
             heartbeat_ms: 200,
             elastic: true,

@@ -125,7 +125,7 @@ fn trainer_recovers_from_two_crashes_automatically() {
     };
     // Checkpoints at steps 3, 6, 9; rank 0 dies at step 3, rank 1 at 7.
     let ft = FtConfig {
-        plan: FaultPlan::new(11).crash(0, 3).crash(1, 7),
+        plan: FaultPlan::none().crash(0, 3).crash(1, 7),
         ckpt_every: 3,
         max_restarts: 3,
         heartbeat_ms: 300,
@@ -159,7 +159,7 @@ fn dropped_message_times_out_under_watchdog() {
 
     let (tx, rx) = mpsc::channel();
     std::thread::spawn(move || {
-        let faults = std::sync::Arc::new(FaultRuntime::new(FaultPlan::new(21).drop_nth(1, 0), 3));
+        let faults = std::sync::Arc::new(FaultRuntime::new(FaultPlan::none().drop_nth(1, 0), 3));
         let world = World::new_with_faults(3, faults);
         let outcomes = bagualu::comm::run_ranks_ft(&world, |c| {
             allreduce_ft(
@@ -184,19 +184,16 @@ fn dropped_message_times_out_under_watchdog() {
 
 /// A `DelayNth` message held past its receiver's patience is still
 /// delivered exactly once: the retried `recv_timeout` that eventually gets
-/// it must not leave a duplicate behind, and the `delayed` stat counts the
-/// event once, not once per receive attempt.
+/// it must not leave a duplicate behind, and the delay is one event, spent
+/// by the send, not once per receive attempt.
 #[test]
 fn delayed_message_is_delivered_once_and_counted_once() {
     use bagualu::comm::shm::World;
-    use bagualu::comm::{run_ranks_ft, CommError, FaultPlan, FaultRuntime, RankOutcome};
+    use bagualu::comm::{run_ranks_ft, CommError, FaultPlan, FaultRuntime, FaultSpec, RankOutcome};
     use std::sync::Arc;
     use std::time::Duration;
 
-    let faults = Arc::new(FaultRuntime::new(
-        FaultPlan::new(31).delay_nth(1, 0, 120),
-        2,
-    ));
+    let faults = Arc::new(FaultRuntime::new(FaultPlan::none().delay_nth(1, 0, 120), 2));
     let world = World::new_with_faults(2, Arc::clone(&faults));
     let outcomes = run_ranks_ft(&world, |c| {
         if c.rank() == 1 {
@@ -225,19 +222,22 @@ fn delayed_message_is_delivered_once_and_counted_once() {
         other => panic!("receiver failed: {other:?}"),
     }
     assert!(outcomes[1].is_ok(), "sender failed");
-    let s = faults.stats();
-    assert_eq!(s.delayed, 1, "one delay event, counted once");
-    assert_eq!((s.dropped, s.corrupted), (0, 0));
+    let delay = FaultSpec::DelayNth {
+        from: 1,
+        nth: 0,
+        millis: 120,
+    };
+    assert!(!faults.fire(delay), "one delay event, spent by the send");
 }
 
 /// A `DelayNth` stall inside the *overlapped* gradient sync must neither
 /// trip the deadlock watchdog (the deadline is far beyond the delay) nor
 /// change the result: the bucketed rings drain late but completely, the
-/// gradients match the blocking sync, and the delay is counted once.
+/// gradients match the blocking sync, and the delay fires once.
 #[test]
 fn overlapped_sync_absorbs_a_delayed_message_under_the_watchdog() {
     use bagualu::comm::shm::World;
-    use bagualu::comm::{run_ranks_ft, FaultPlan, FaultRuntime};
+    use bagualu::comm::{run_ranks_ft, FaultPlan, FaultRuntime, FaultSpec};
     use bagualu::parallel::sync::backward_and_sync_overlapped_wire;
     use std::sync::{mpsc, Arc};
     use std::time::Duration;
@@ -250,10 +250,7 @@ fn overlapped_sync_absorbs_a_delayed_message_under_the_watchdog() {
     std::thread::spawn(move || {
         // Delay an early backward-phase message from rank 1 by 200 ms —
         // several ring steps' worth of stall in the middle of the sync.
-        let faults = Arc::new(FaultRuntime::new(
-            FaultPlan::new(33).delay_nth(1, 6, 200),
-            2,
-        ));
+        let faults = Arc::new(FaultRuntime::new(FaultPlan::none().delay_nth(1, 6, 200), 2));
         let world = World::new_with_faults(2, Arc::clone(&faults));
         let outcomes = run_ranks_ft(&world, |c| {
             let model_cfg = ModelConfig {
@@ -286,10 +283,15 @@ fn overlapped_sync_absorbs_a_delayed_message_under_the_watchdog() {
             let overlapped = run_one(true);
             Ok((blocking, overlapped))
         });
-        let stats = faults.stats();
-        let _ = tx.send((outcomes, stats));
+        let delay = FaultSpec::DelayNth {
+            from: 1,
+            nth: 6,
+            millis: 200,
+        };
+        let spent = !faults.fire(delay);
+        let _ = tx.send((outcomes, spent));
     });
-    let (outcomes, stats) = rx
+    let (outcomes, delay_spent) = rx
         .recv_timeout(Duration::from_secs(60))
         .expect("watchdog: overlapped sync wedged on a delayed message");
     for (rank, o) in outcomes.into_iter().enumerate() {
@@ -302,8 +304,7 @@ fn overlapped_sync_absorbs_a_delayed_message_under_the_watchdog() {
             );
         }
     }
-    assert_eq!(stats.delayed, 1, "the stalled message is counted once");
-    assert_eq!((stats.dropped, stats.corrupted), (0, 0));
+    assert!(delay_spent, "the delay fired");
 }
 
 /// A shard whose stage two never reaches the disk (its node lost the page
@@ -321,7 +322,7 @@ fn a_lost_stage_two_restores_the_previous_committed_step() {
     // Checkpoints at steps 4 and 8; rank 1's step-8 shard is lost. Its
     // writer is joined at the heartbeat before step 9, where rank 1 crashes.
     let ft = |dir: &Path, max_restarts| FtConfig {
-        plan: FaultPlan::new(13).lose_shard(1, 8),
+        plan: FaultPlan::none().lose_shard(1, 8),
         ckpt_every: 4,
         max_restarts,
         heartbeat_ms: 300,
