@@ -10,22 +10,24 @@
 //!    worst-case block need. The first request that does not fit stays at
 //!    the head of the queue (re-queued, never dropped) so admission is
 //!    strictly FIFO.
-//! 2. **Prefill phase** — one batched forward over the *full prompts* of
-//!    everything admitted this step; each admitted sequence's first token
-//!    is the argmax of its last prompt row, the only row of a prompt that
-//!    goes through the final norm and the LM head.
-//! 3. **Decode phase** — one batched forward advancing every in-flight
-//!    sequence by exactly one token.
-//! 4. **Detach** — finished sequences leave the batch immediately; their
+//! 2. **One walk** — a single batched pass through the blocks
+//!    ([`decode_hidden`]) over every row not yet in a sequence's KV cache:
+//!    the whole prompt of each sequence admitted this step, one row for
+//!    each sequence admitted earlier. Each sequence's rows are consecutive
+//!    (the chunked-prefill contract of [`decode_hidden`]). Only each
+//!    sequence's last row goes through the final norm and the LM head;
+//!    its argmax is the sequence's next token. A new sequence gets its
+//!    first token here and decodes from the next step on.
+//! 3. **Detach** — finished sequences leave the batch immediately; their
 //!    KV blocks return to the free list and their [`Response`] is queued
 //!    for the caller. Nothing drains: remaining sequences keep decoding
 //!    and freed blocks admit the next request at the next boundary.
 //!
-//! Both phases execute **unconditionally**, even with zero rows, because
+//! The walk executes **unconditionally**, even with zero rows, because
 //! the expert-parallel MoE layers inside are collectives: every rank must
-//! make the same number of all-to-all calls. A rank with no local
-//! requests steps with empty batches and carries its share of remote
-//! experts.
+//! make the same number of all-to-all calls — one dispatch and one
+//! combine per MoE layer per step. A rank with no local requests steps
+//! with an empty batch and carries its share of remote experts.
 //!
 //! # Bit-identity
 //!
@@ -126,7 +128,6 @@ pub struct Engine {
     queue: VecDeque<Request>,
     active: Vec<Active>,
     finished: Vec<Response>,
-    steps: u64,
 }
 
 impl Engine {
@@ -154,7 +155,6 @@ impl Engine {
             queue: VecDeque::new(),
             active: Vec::new(),
             finished: Vec::new(),
-            steps: 0,
         }
     }
 
@@ -208,15 +208,13 @@ impl Engine {
         std::mem::take(&mut self.finished)
     }
 
-    /// One lockstep engine step: admit, prefill, decode, detach. Every
-    /// rank of the communicator must call this the same number of times.
+    /// One lockstep engine step: admit, one walk, detach. Every rank of
+    /// the communicator must call this the same number of times.
     pub fn step<C: Communicator>(&mut self, comm: &C) {
-        self.steps += 1;
-
         // (1) Admission: FIFO while the batch and the pool have room. A
         // head-of-line request that does not fit blocks everything behind
         // it — skipping ahead would let small requests starve a large one.
-        let mut newly: Vec<usize> = Vec::new();
+        let decoding = self.active.len();
         while self.active.len() < self.cfg.max_batch {
             let Some(req) = self.queue.front() else { break };
             let blocks_needed = self.pool.blocks_for(req.prompt.len() + req.max_new - 1);
@@ -229,7 +227,6 @@ impl Engine {
                         now.duration_since(req.arrival).as_nanos() as u64,
                     );
                     trace::count(names::SERVE_KV_BLOCKS_USED, blocks_needed as u64);
-                    newly.push(self.active.len());
                     self.active.push(Active {
                         id: req.id,
                         prompt_len: req.prompt.len(),
@@ -248,87 +245,51 @@ impl Engine {
             }
         }
 
-        // (2) Prefill phase: every admitted prompt in full, multi-row per
-        // sequence. Collective — runs even with zero rows.
+        // (2) The walk: every row a sequence has not cached yet — a whole
+        // prompt just admitted, one token otherwise — each sequence's rows
+        // consecutive. Collective — runs even with zero rows.
         {
-            let _g = trace::span(names::SERVE_PREFILL);
-            let mut tokens = Vec::new();
-            let mut positions = Vec::new();
-            let mut seqs = Vec::new();
-            for &i in &newly {
-                let a = &self.active[i];
-                for (p, &t) in a.tokens.iter().enumerate() {
+            let _step = trace::span(names::SERVE_DECODE_STEP);
+            let (mut tokens, mut positions, mut seqs, mut last) =
+                (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+            for (i, a) in self.active.iter().enumerate() {
+                for (p, &t) in a.tokens.iter().enumerate().skip(a.kv.len) {
                     tokens.push(t);
                     positions.push(p);
                     seqs.push(i);
                 }
+                last.push(tokens.len() - 1);
             }
-            trace::count(names::SERVE_PREFILL_TOKENS, tokens.len() as u64);
-            let hidden = self.phase_hidden(&tokens, &positions, &seqs, comm);
-            // The last prompt row predicts the first generated token; the
-            // norm and the head are per-row, so only those rows go through.
-            let mut last = Tensor::zeros(&[newly.len(), hidden.cols()]);
-            let mut end = 0usize;
-            for (r, &i) in newly.iter().enumerate() {
-                end += self.active[i].prompt_len;
-                last.row_mut(r).copy_from_slice(hidden.row(end - 1));
+            let prompt_rows = tokens.len() - decoding;
+            trace::count(names::SERVE_PREFILL_TOKENS, prompt_rows as u64);
+            trace::count(names::SERVE_DECODE_TOKENS, decoding as u64);
+            trace::count(names::SERVE_BATCH_OCCUPANCY, self.active.len() as u64);
+            let _prefill = (prompt_rows > 0).then(|| trace::span(names::SERVE_PREFILL));
+            let Engine {
+                model,
+                pool,
+                active,
+                ..
+            } = self;
+            let mut provider = ActiveProvider { pool, active };
+            let hidden = decode_hidden(model, &tokens, &positions, &seqs, &mut provider, comm);
+            // Each sequence's last row predicts its next token; the norm
+            // and the head are per-row, so only those rows go through.
+            let mut rows = Tensor::zeros(&[last.len(), hidden.cols()]);
+            for (r, &row) in last.iter().enumerate() {
+                rows.row_mut(r).copy_from_slice(hidden.row(row));
             }
-            let picks = logits(&self.model, &last).argmax_rows();
+            let picks = logits(model, &rows).argmax_rows();
             let now = Instant::now();
-            for (&i, pick) in newly.iter().zip(picks) {
-                let a = &mut self.active[i];
-                a.kv.len = a.prompt_len;
+            for (a, pick) in self.active.iter_mut().zip(picks) {
+                a.kv.len = a.tokens.len();
                 a.tokens.push(pick);
-                a.prefill_done = Some(now);
+                a.prefill_done.get_or_insert(now);
             }
         }
 
-        // (3) Sequences with max_new == 1 are already done.
+        // (3) Finished sequences exit without draining the batch.
         self.detach();
-
-        // (4) Decode phase: one row per in-flight sequence. Collective —
-        // runs even with zero rows.
-        {
-            let _g = trace::span(names::SERVE_DECODE_STEP);
-            let mut tokens = Vec::new();
-            let mut positions = Vec::new();
-            let mut seqs = Vec::new();
-            for (i, a) in self.active.iter().enumerate() {
-                tokens.push(*a.tokens.last().expect("prompts are non-empty"));
-                positions.push(a.kv.len);
-                seqs.push(i);
-            }
-            trace::count(names::SERVE_BATCH_OCCUPANCY, seqs.len() as u64);
-            trace::count(names::SERVE_DECODE_TOKENS, seqs.len() as u64);
-            let hidden = self.phase_hidden(&tokens, &positions, &seqs, comm);
-            let picks = logits(&self.model, &hidden).argmax_rows();
-            for (r, &i) in seqs.iter().enumerate() {
-                let a = &mut self.active[i];
-                a.kv.len += 1;
-                a.tokens.push(picks[r]);
-            }
-        }
-
-        // (5) Finished sequences exit without draining the batch.
-        self.detach();
-    }
-
-    /// One batched walk through the blocks of the shared decode path.
-    fn phase_hidden<C: Communicator>(
-        &mut self,
-        tokens: &[usize],
-        positions: &[usize],
-        seqs: &[usize],
-        comm: &C,
-    ) -> Tensor {
-        let Engine {
-            model,
-            pool,
-            active,
-            ..
-        } = self;
-        let mut provider = ActiveProvider { pool, active };
-        decode_hidden(model, tokens, positions, seqs, &mut provider, comm)
     }
 
     /// Move finished sequences out of the batch, returning their blocks

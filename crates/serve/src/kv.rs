@@ -168,7 +168,8 @@ impl KvBlockPool {
 
     /// A [`KvStore`] view of `seq` at `layer`, currently holding exactly
     /// `len` positions. Views are ephemeral — the engine creates one per
-    /// (row, layer) during a decode phase and commits lengths afterwards.
+    /// (row, layer) during an engine step's walk and commits lengths
+    /// afterwards.
     pub(crate) fn store<'a>(
         &'a mut self,
         seq: &'a SeqKv,

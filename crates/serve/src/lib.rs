@@ -20,7 +20,8 @@
 //!   shard and decode rows travel through the same all-to-all
 //!   dispatch/combine as training. The rank loop keeps collective calls
 //!   aligned via an exact integer all-reduce consensus even though
-//!   requests arrive asynchronously on different ranks.
+//!   requests arrive asynchronously, and every rank derives from the same
+//!   agreed vector which rank admits each waiting request.
 //!
 //! # Quickstart
 //!

@@ -101,8 +101,8 @@ pub struct Response {
     pub(crate) prompt_len: usize,
     /// Nanoseconds between arrival and admission into the running batch.
     pub queue_wait_ns: u64,
-    /// Nanoseconds between admission and the end of the prefill phase that
-    /// produced the first generated token.
+    /// Nanoseconds between admission and the end of the engine step whose
+    /// walk produced the first generated token.
     pub prefill_ns: u64,
     /// Nanoseconds between the end of prefill and the final generated
     /// token.

@@ -1,4 +1,4 @@
-//! The request front-end: a hand-rolled submission queue, per-request
+//! The request front-end: one shared submission queue, per-request
 //! response tickets, and the lockstep rank loop that keeps every rank's
 //! collective-call count aligned while requests arrive asynchronously.
 //!
@@ -6,20 +6,32 @@
 //!
 //! The expert-parallel decode path is built from collectives, so every
 //! rank must execute the same sequence of engine steps — but requests
-//! arrive on one rank's queue at arbitrary times. Each loop iteration,
-//! every rank all-reduces `[local_work, saw_stop]` (exact integer
-//! arithmetic via [`collectives::allreduce_u64`]); the *summed* totals are
-//! identical everywhere, so every rank takes the same branch: step when
-//! anyone has work, exit when the queues are provably drained after
-//! shutdown, or nap briefly and re-check. No rank ever steps alone.
+//! arrive at arbitrary times. [`Client::submit`] numbers each request and
+//! appends it to one shared FIFO under the queue lock, so the ids below
+//! the count appended so far (the *watermark*) are exactly the requests
+//! in the system. Each loop iteration every rank all-reduces
+//! `[local_work, stop, watermark, room_0 … room_{R−1}]` (exact integer
+//! arithmetic via [`collectives::allreduce_u64`]): every rank adds its
+//! queued plus in-flight requests to `local_work` and writes its free
+//! batch slots into its own `room` slot; rank 0 alone fills in the stop
+//! flag and the watermark. The summed vector is identical everywhere, so
+//! every rank runs the same pure `assign` over it — the unassigned ids
+//! below the watermark, in FIFO order, each to the rank with the most
+//! room — and takes only its own ids out of the queue. Then every rank
+//! takes the same branch: step when anyone has work or was just handed
+//! some, exit when the queue is provably drained after shutdown, or nap
+//! briefly and re-check. No rank ever steps alone, and a burst lands
+//! balanced across the ranks in the step it is agreed, so no rank waits
+//! in an all-to-all through another's second prefill.
 //!
-//! The shutdown edge has a subtle race: a request pushed just before the
-//! stop flag flips could be missed by a rank that drained its queue
-//! earlier in the same iteration. The loop therefore reads the stop flag
-//! **before** draining and exits only when *every* rank saw the flag in
-//! the same round (`saw_stop` sums to the world size) — by then each
-//! rank's drain happened after every submission (submissions all complete
-//! before the flag is set), so a zero work total really means empty.
+//! The shutdown edge has a subtle race: a request appended just before
+//! the stop flag flips must not be missed. Every submission finishes
+//! before the flag flips, and rank 0 reads the flag **before** it reads
+//! the watermark, so a round that agrees on `stop` also agrees on a
+//! watermark that counts every request. The loop exits only in such a
+//! round with zero work and nothing assigned; zero work means every room
+//! is a whole batch, so nothing assigned means nothing below the
+//! watermark is left unassigned, and every assigned request has finished.
 
 use crate::engine::{Engine, EngineConfig};
 use crate::request::{Request, Response, SubmitError};
@@ -30,8 +42,8 @@ use bagualu_parallel::DistTransformer;
 use bagualu_tensor::par;
 use bagualu_tensor::reservoir;
 use bagualu_trace::{HostUsage, Trace, TraceCollector};
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Condvar, Mutex};
 use std::time::Duration;
 
@@ -71,10 +83,19 @@ pub struct ServerReport<T> {
 /// Where a request's answer goes.
 type Responder = mpsc::Sender<Result<Response, SubmitError>>;
 
+/// The shared submission FIFO.
+#[derive(Default)]
+struct Queue {
+    /// Requests appended so far: the next request's id, and the watermark
+    /// rank 0 offers to the consensus.
+    appended: u64,
+    /// Requests no rank has taken yet, keyed (so ordered) by id.
+    waiting: BTreeMap<u64, Request>,
+}
+
 /// State shared between the client and the rank loops.
 struct Shared {
-    /// One submission queue per rank; requests are routed round-robin.
-    queues: Mutex<Vec<VecDeque<Request>>>,
+    queue: Mutex<Queue>,
     /// Wakes idle rank loops when a request arrives or shutdown begins.
     cv: Condvar,
     /// Per-request response channels, keyed by request id. `None` once a
@@ -82,10 +103,8 @@ struct Shared {
     /// and later tickets are dropped and their `wait` panics instead of
     /// blocking.
     responders: Mutex<Option<HashMap<u64, Responder>>>,
-    next_id: AtomicU64,
-    next_rank: AtomicUsize,
-    /// Flipped once the driver returns; must be read *before* draining
-    /// (see the module docs).
+    /// Flipped once the driver returns; rank 0 reads it *before* the
+    /// watermark (see the module docs).
     stop: AtomicBool,
 }
 
@@ -93,7 +112,6 @@ struct Shared {
 /// driver-side threads by reference (`&Client` is `Sync`).
 pub struct Client<'a> {
     shared: &'a Shared,
-    nranks: usize,
 }
 
 impl Client<'_> {
@@ -101,15 +119,19 @@ impl Client<'_> {
     /// immediately with a [`Ticket`]; generation proceeds inside the
     /// continuous batch.
     pub fn submit(&self, prompt: Vec<usize>, max_new: usize) -> Ticket {
-        let id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = mpsc::channel();
-        if let Some(responders) = self.shared.responders.lock().unwrap().as_mut() {
-            responders.insert(id, tx);
-        }
-        let rank = self.shared.next_rank.fetch_add(1, Ordering::Relaxed) % self.nranks;
         {
-            let mut queues = self.shared.queues.lock().unwrap();
-            queues[rank].push_back(Request::new(id, prompt, max_new));
+            // Ids are taken and appended under one lock, so every id below
+            // the watermark is in the queue or already assigned.
+            let mut queue = self.shared.queue.lock().unwrap();
+            let id = queue.appended;
+            queue.appended += 1;
+            // Registered before the request is visible: a rank may answer it
+            // as soon as the lock drops.
+            if let Some(responders) = self.shared.responders.lock().unwrap().as_mut() {
+                responders.insert(id, tx);
+            }
+            queue.waiting.insert(id, Request::new(id, prompt, max_new));
         }
         self.shared.cv.notify_all();
         Ticket { rx }
@@ -150,11 +172,9 @@ where
     let collector = opts.trace.then(TraceCollector::new);
     let host = collector.as_ref().and_then(|_| HostUsage::now());
     let shared = Shared {
-        queues: Mutex::new((0..opts.nranks).map(|_| VecDeque::new()).collect()),
+        queue: Mutex::new(Queue::default()),
         cv: Condvar::new(),
         responders: Mutex::new(Some(HashMap::new())),
-        next_id: AtomicU64::new(0),
-        next_rank: AtomicUsize::new(0),
         stop: AtomicBool::new(false),
     };
 
@@ -179,16 +199,13 @@ where
                 }
                 let model = build_model(rank);
                 let mut engine = Engine::new(model, opts.engine);
-                rank_loop(&mut engine, &comm, shared, opts.nranks);
+                rank_loop(&mut engine, &comm, shared, opts.engine.max_batch);
                 if speaks {
                     reservoir::publish();
                 }
             });
         }
-        let client = Client {
-            shared: &shared,
-            nranks: opts.nranks,
-        };
+        let client = Client { shared: &shared };
         // Set on drop so the ranks also wind down if `driver` panics —
         // otherwise `thread::scope` would wait on them forever.
         let _stop = StopGuard(&shared);
@@ -204,45 +221,97 @@ where
     }
 }
 
-/// One rank's serve loop; see the module docs for the consensus protocol.
-fn rank_loop<C: Communicator>(engine: &mut Engine, comm: &C, shared: &Shared, nranks: usize) {
-    loop {
-        // Read the stop flag BEFORE draining: if we see it set, every
-        // submission already happened, so the drain below sees them all.
-        let saw_stop = shared.stop.load(Ordering::SeqCst);
+/// Entries of the consensus vector ahead of the per-rank room slots:
+/// `[local_work, stop, watermark]`.
+const HEAD: usize = 3;
 
-        let drained: Vec<Request> = {
-            let mut queues = shared.queues.lock().unwrap();
-            queues[comm.rank()].drain(..).collect()
+/// One rank's serve loop; see the module docs for the consensus protocol.
+fn rank_loop<C: Communicator>(engine: &mut Engine, comm: &C, shared: &Shared, max_batch: usize) {
+    let rank = comm.rank();
+    // Every id below this has been assigned to a rank; the same on every
+    // rank, since each computes it from the same agreed vectors.
+    let mut assigned = 0u64;
+    loop {
+        let work = engine.local_work();
+        let mut offer = vec![0; HEAD + comm.size()];
+        offer[0] = work;
+        if rank == 0 {
+            // The stop flag BEFORE the watermark: if it is set, every
+            // submission is already appended and counted.
+            offer[1] = shared.stop.load(Ordering::SeqCst) as u64;
+            offer[2] = shared.queue.lock().unwrap().appended;
+        }
+        offer[HEAD + rank] = (max_batch as u64).saturating_sub(work);
+        let agreed = collectives::allreduce_u64(comm, offer);
+
+        let owners = assign((agreed[2] - assigned) as usize, &agreed[HEAD..]);
+        let mine: Vec<Request> = {
+            let mut queue = shared.queue.lock().unwrap();
+            (assigned..)
+                .zip(&owners)
+                .filter(|&(_, &owner)| owner == rank)
+                .map(|(id, _)| {
+                    queue
+                        .waiting
+                        .remove(&id)
+                        .expect("ids below the watermark are queued")
+                })
+                .collect()
         };
-        for req in drained {
+        assigned += owners.len() as u64;
+        for req in mine {
             let id = req.id;
             if let Err(e) = engine.submit(req) {
                 respond(shared, id, Err(e));
             }
         }
 
-        let totals = collectives::allreduce_u64(comm, vec![engine.local_work(), saw_stop as u64]);
-        if totals[0] > 0 {
+        if agreed[0] > 0 || !owners.is_empty() {
             engine.step(comm);
             for resp in engine.take_finished() {
                 respond(shared, resp.id, Ok(resp));
             }
             continue;
         }
-        if totals[1] as usize == nranks {
+        if agreed[1] == 1 {
             return;
         }
         // Idle and not yet shut down: nap until a submission (or the stop
         // flag) wakes us. Symmetric across ranks — everyone reached this
         // branch from the same totals, so no rank is stuck in a
         // collective.
-        let queues = shared.queues.lock().unwrap();
+        let queue = shared.queue.lock().unwrap();
         let _ = shared
             .cv
-            .wait_timeout(queues, Duration::from_micros(500))
+            .wait_timeout(queue, Duration::from_micros(500))
             .unwrap();
     }
+}
+
+/// The owner of each of the `pending` oldest unassigned requests, in FIFO
+/// order: the rank with the most `room` left (ties to the lower rank). The
+/// walk stops at the first request no rank has room for, so it hands out
+/// `min(pending, Σ room)` requests. Pure: every rank computes the same
+/// owners from the same agreed vector.
+fn assign(pending: usize, room: &[u64]) -> Vec<usize> {
+    let mut room = room.to_vec();
+    let mut owners = Vec::new();
+    while owners.len() < pending {
+        // `max_by_key` keeps the last of equal keys: reversed, the lowest rank.
+        let (rank, free) = room
+            .iter()
+            .copied()
+            .enumerate()
+            .rev()
+            .max_by_key(|&(_, free)| free)
+            .expect("a world has at least one rank");
+        if free == 0 {
+            break;
+        }
+        room[rank] -= 1;
+        owners.push(rank);
+    }
+    owners
 }
 
 /// Flips the stop flag (and wakes idle ranks) when dropped, even on an
@@ -288,7 +357,8 @@ mod tests {
     use super::*;
     use bagualu_model::config::ModelConfig;
     use bagualu_parallel::A2aKind;
-    use bagualu_trace::names;
+    use bagualu_trace::{names, EventKind};
+    use proptest::prelude::*;
 
     fn opts(nranks: usize, trace: bool) -> ServerOptions {
         ServerOptions {
@@ -344,6 +414,26 @@ mod tests {
             tokens
         });
         assert_eq!(solo.output, crowded.output);
+    }
+
+    /// Shutdown is graceful: a driver that returns without waiting on its
+    /// tickets still has every request it submitted served, on an even and
+    /// an odd world, with more requests than the ranks have room for.
+    #[test]
+    fn requests_submitted_before_shutdown_are_all_served() {
+        for nranks in [2, 3] {
+            let report = run(opts(nranks, true), build(nranks), |client| {
+                for i in 0..11 {
+                    drop(client.submit(vec![1 + i % 7, 4], 2));
+                }
+            });
+            let trace = report.trace.expect("tracing was on");
+            assert_eq!(
+                trace.counter_total(names::SERVE_COMPLETED),
+                11,
+                "{nranks} ranks"
+            );
+        }
     }
 
     /// Serving ranks split the cores like training ranks do; the driver
@@ -406,5 +496,94 @@ mod tests {
                 Ok(4)
             )
         );
+    }
+
+    #[test]
+    fn assignment_hands_out_the_oldest_requests_in_fifo_order() {
+        // The most room first, ties to the lower rank; the i-th owner is
+        // the owner of the i-th oldest unassigned request.
+        assert_eq!(assign(5, &[2, 1]), vec![0, 0, 1]);
+        assert_eq!(assign(3, &[1, 3, 1]), vec![1, 1, 0]);
+        assert_eq!(assign(2, &[0, 2]), vec![1, 1]);
+    }
+
+    #[test]
+    fn no_rank_is_handed_more_than_its_room() {
+        let owners = assign(10, &[3, 0, 2]);
+        assert_eq!(owners, vec![0, 0, 2, 0, 2]);
+        for (rank, room) in [3, 0, 2].into_iter().enumerate() {
+            assert_eq!(owners.iter().filter(|&&o| o == rank).count(), room);
+        }
+    }
+
+    #[test]
+    fn assignment_stops_at_the_first_request_without_room() {
+        assert_eq!(assign(4, &[0, 0]), Vec::<usize>::new());
+        assert_eq!(assign(4, &[1, 0]), vec![0]);
+        assert_eq!(assign(0, &[4, 4]), Vec::<usize>::new());
+    }
+
+    #[test]
+    fn equal_rooms_split_a_burst_within_one_request() {
+        assert_eq!(assign(7, &[4, 4, 4]), vec![0, 1, 2, 0, 1, 2, 0]);
+        for pending in 0..=16 {
+            let owners = assign(pending, &[8, 8]);
+            let zeros = owners.iter().filter(|&&o| o == 0).count();
+            assert!(
+                zeros.abs_diff(owners.len() - zeros) <= 1,
+                "{pending}: {owners:?}"
+            );
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn assignment_places_as_many_as_there_is_room_for(
+            pending in 0usize..40,
+            room in proptest::collection::vec(0u64..10, 1..6),
+        ) {
+            let owners = assign(pending, &room);
+            prop_assert_eq!(owners.len() as u64, (pending as u64).min(room.iter().sum()));
+            for (rank, &free) in room.iter().enumerate() {
+                prop_assert!(owners.iter().filter(|&&o| o == rank).count() as u64 <= free);
+            }
+        }
+    }
+
+    /// One walk per engine step: on two ranks, every `serve.decode_step`
+    /// span — with prompt rows in it or not — holds exactly one all-to-all
+    /// dispatch per MoE block.
+    #[test]
+    fn every_engine_step_dispatches_once_per_moe_block() {
+        let report = run(opts(2, true), build(2), |client| {
+            let tickets: Vec<Ticket> = (0..7)
+                .map(|i| client.submit(vec![1 + i % 5, 9, 2][..1 + i % 3].to_vec(), 1 + i % 4))
+                .collect();
+            for t in tickets {
+                t.wait().expect("valid request");
+            }
+        });
+        let trace = report.trace.expect("tracing was on");
+        assert!(trace.span_count(names::SERVE_PREFILL) > 0);
+        let moe_blocks = ModelConfig::tiny().n_moe_blocks();
+        for lane in &trace.ranks {
+            let (mut dispatches, mut steps) = (None, 0);
+            for e in &lane.events {
+                match e.kind {
+                    EventKind::Enter if e.name == names::SERVE_DECODE_STEP => dispatches = Some(0),
+                    EventKind::Enter if e.name == names::A2A_DISPATCH => {
+                        *dispatches
+                            .as_mut()
+                            .expect("a dispatch outside an engine step") += 1
+                    }
+                    EventKind::Exit if e.name == names::SERVE_DECODE_STEP => {
+                        assert_eq!(dispatches.take(), Some(moe_blocks), "lane {}", lane.lane);
+                        steps += 1;
+                    }
+                    _ => {}
+                }
+            }
+            assert!(steps > 0, "lane {} never stepped", lane.lane);
+        }
     }
 }

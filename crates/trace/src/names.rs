@@ -223,22 +223,24 @@ pub const STRAGGLER_FLAGGED: &str = "straggler.flagged";
 /// amortized at checkpoint boundaries (driver lane).
 pub const STRAGGLER_MIGRATIONS: &str = "straggler.migrations";
 
-/// Prefill phase of one serving engine step: the batched forward over the
-/// full prompts of every request admitted at this step boundary (runs even
-/// when empty — it is a collective).
+/// Nested inside [`SERVE_DECODE_STEP`] on the engine steps whose walk
+/// carries prompt rows: the full prompts of the requests admitted at this
+/// step boundary ride the same walk as the decode rows.
 pub const SERVE_PREFILL: &str = "serve.prefill";
-/// Decode phase of one serving engine step: the batched forward advancing
-/// every in-flight sequence by one token (also collective, also runs
-/// empty).
+/// The one walk through the blocks of a serving engine step: the prompts
+/// admitted at this boundary plus one row for every older in-flight
+/// sequence, each sequence gaining one token (collective, so it runs even
+/// when empty). The span count is the step count.
 pub const SERVE_DECODE_STEP: &str = "serve.decode_step";
 /// Nanoseconds requests spent queued before admission (arrival →
 /// admission), summed over admitted requests.
 pub const SERVE_QUEUE_WAIT_NS: &str = "serve.queue.wait_ns";
-/// Prompt tokens run through the prefill phase.
+/// Prompt rows in the engine steps' walks.
 pub const SERVE_PREFILL_TOKENS: &str = "serve.prefill.tokens";
-/// Tokens generated by the decode phase.
+/// Decode rows in the engine steps' walks: one per sequence admitted at an
+/// earlier step.
 pub const SERVE_DECODE_TOKENS: &str = "serve.decode.tokens";
-/// Sum over decode phases of the number of in-flight sequences; divided by
+/// Sum over engine steps of the sequences in the walk; divided by
 /// the [`SERVE_DECODE_STEP`] span count this is the mean batch occupancy,
 /// the utilization continuous batching exists to raise.
 pub const SERVE_BATCH_OCCUPANCY: &str = "serve.batch.occupancy";

@@ -16,9 +16,11 @@ use bagualu_model::transformer::Transformer;
 use bagualu_parallel::model_dist::DistTransformer;
 use bagualu_parallel::moe_dist::A2aKind;
 use bagualu_parallel::placement::ExpertPlacement;
-use bagualu_serve::{run, Engine, EngineConfig, Request, ServerOptions};
+use bagualu_serve::{run, Engine, EngineConfig, Request, ServerOptions, SubmitError};
 use bagualu_tensor::rng::Rng;
 use proptest::prelude::*;
+use std::sync::mpsc;
+use std::time::Duration;
 
 /// A small serving model: MoE every other block, deterministic Top2 gate
 /// (the inference router is dropless, so the capacity factor is inert at
@@ -238,6 +240,156 @@ fn world_sizes_agree_with_each_other() {
     let one = serve_on(1);
     assert_eq!(serve_on(2), one, "2-rank serving diverged from 1-rank");
     assert_eq!(serve_on(4), one, "4-rank serving diverged from 1-rank");
+}
+
+#[test]
+fn staggered_arrivals_on_two_and_three_ranks_match_the_oracle() {
+    // Mixed prompt lengths, several requests done after their first walk
+    // (`max_new` 1), and arrivals spread over the server's rounds: every
+    // request is assigned to whichever rank has room when it is agreed on.
+    let jobs: Vec<(Vec<usize>, usize)> = vec![
+        (vec![3, 7, 1, 4, 4], 1),
+        (vec![5], 1),
+        (vec![2, 2, 9], 4),
+        (vec![11, 0], 1),
+        (vec![6, 6, 6, 1, 8, 2, 19], 3),
+        (vec![13], 6),
+        (vec![9, 4, 21, 0], 1),
+        (vec![17, 3], 2),
+    ];
+    let want = oracle(cfg(), 91, &jobs);
+    for nranks in [2, 3] {
+        let report = run(
+            ServerOptions {
+                nranks,
+                engine: EngineConfig {
+                    max_batch: 2,
+                    kv_blocks: 16,
+                    block_tokens: 2,
+                },
+                trace: false,
+            },
+            |rank| DistTransformer::new(cfg(), 91, rank, nranks, A2aKind::Pairwise),
+            |client| {
+                let tickets: Vec<_> = jobs
+                    .iter()
+                    .enumerate()
+                    .map(|(i, (p, n))| {
+                        if i % 3 == 2 {
+                            std::thread::sleep(Duration::from_millis(2));
+                        }
+                        client.submit(p.clone(), *n)
+                    })
+                    .collect();
+                tickets
+                    .into_iter()
+                    .map(|t| t.wait().expect("feasible request").tokens)
+                    .collect::<Vec<_>>()
+            },
+        );
+        assert_eq!(report.output, want, "{nranks}-rank serving diverged");
+    }
+}
+
+/// The engine the fuzzed server runs: a pool of 4 blocks of 2 positions,
+/// so a long enough valid request can never fit.
+const FUZZ_ENGINE: EngineConfig = EngineConfig {
+    max_batch: 2,
+    kv_blocks: 4,
+    block_tokens: 2,
+};
+
+/// What serving must answer a request with: `None` when it runs, else the
+/// first permanent rejection, in the order the engine checks them.
+fn verdict(prompt: &[usize], max_new: usize) -> Option<SubmitError> {
+    let (vocab, max_seq) = (cfg().vocab, cfg().max_seq);
+    let needed = prompt.len() + max_new;
+    let blocks = (needed.max(1) - 1)
+        .div_ceil(FUZZ_ENGINE.block_tokens)
+        .max(1);
+    if prompt.is_empty() {
+        Some(SubmitError::EmptyPrompt)
+    } else if max_new == 0 {
+        Some(SubmitError::NothingToGenerate)
+    } else if let Some(&token) = prompt.iter().find(|&&t| t >= vocab) {
+        Some(SubmitError::TokenOutOfVocab { token, vocab })
+    } else if needed > max_seq {
+        Some(SubmitError::ExceedsMaxSeq { needed, max_seq })
+    } else if blocks > FUZZ_ENGINE.kv_blocks {
+        Some(SubmitError::ExceedsPool {
+            needed: blocks,
+            total: FUZZ_ENGINE.kv_blocks,
+        })
+    } else {
+        None
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
+
+    // Serving's front door on 2 and 3 ranks: empty and over-long prompts,
+    // `max_new` 0 and past `max_seq`, tokens outside the vocabulary and
+    // valid requests, submitted together. A rejected request still takes
+    // the assignment slot the ranks agreed on; every ticket must come back
+    // with the oracle's tokens or its typed error, and none may hang.
+    #[test]
+    fn every_ticket_gets_its_tokens_or_its_error(
+        raw in proptest::collection::vec(
+            (0usize..9, proptest::collection::vec(0usize..23, 1..6), 1usize..6, 0usize..40),
+            1..10,
+        ),
+        seed in 0u64..1000,
+    ) {
+        let jobs: Vec<(Vec<usize>, usize)> = raw
+            .into_iter()
+            .map(|(kind, mut prompt, max_new, extra)| match kind {
+                0 => (Vec::new(), max_new),
+                1 => (prompt.repeat(13), max_new),
+                2 => (prompt, 0),
+                3 => (prompt, cfg().max_seq + 1 + extra),
+                4 => {
+                    let at = extra % prompt.len();
+                    prompt[at] = cfg().vocab + extra;
+                    (prompt, max_new)
+                }
+                _ => (prompt, max_new),
+            })
+            .collect();
+        let valid: Vec<(Vec<usize>, usize)> =
+            jobs.iter().filter(|(p, n)| verdict(p, *n).is_none()).cloned().collect();
+        let mut oracle_tokens = oracle(cfg(), seed, &valid).into_iter();
+        let want: Vec<Result<Vec<usize>, SubmitError>> = jobs
+            .iter()
+            .map(|(p, n)| match verdict(p, *n) {
+                Some(e) => Err(e),
+                None => Ok(oracle_tokens.next().expect("one oracle answer per valid request")),
+            })
+            .collect();
+        for nranks in [2, 3] {
+            let jobs = jobs.clone();
+            let (tx, rx) = mpsc::channel();
+            std::thread::spawn(move || {
+                let report = run(
+                    ServerOptions { nranks, engine: FUZZ_ENGINE, trace: false },
+                    |rank| DistTransformer::new(cfg(), seed, rank, nranks, A2aKind::Pairwise),
+                    |client| {
+                        let tickets: Vec<_> =
+                            jobs.iter().map(|(p, n)| client.submit(p.clone(), *n)).collect();
+                        tickets
+                            .into_iter()
+                            .map(|t| t.wait().map(|r| r.tokens))
+                            .collect::<Vec<_>>()
+                    },
+                );
+                let _ = tx.send(report.output);
+            });
+            let got = rx
+                .recv_timeout(Duration::from_secs(30))
+                .expect("serve::run failed or still blocked after 30 s");
+            prop_assert_eq!(&got, &want, "{} ranks", nranks);
+        }
+    }
 }
 
 #[test]
