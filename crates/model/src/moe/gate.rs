@@ -922,6 +922,125 @@ mod tests {
         assert!(local_frac(&biased.route(&x)) > local_frac(&plain.route(&x)));
     }
 
+    /// FNV-1a over 32-bit words: a routing plan or a gradient reduced to
+    /// one number, so a pin names every bit without listing it.
+    struct Bits(u64);
+
+    impl Bits {
+        fn word(&mut self, w: u32) {
+            self.0 = (self.0 ^ w as u64).wrapping_mul(0x0100_0000_01b3);
+        }
+
+        fn routing(&mut self, r: &Routing) {
+            for a in &r.assignments {
+                self.word(a.token as u32);
+                self.word(a.expert as u32);
+                self.word(a.weight.to_bits());
+            }
+            for &c in r.load.iter().chain(&r.raw_load) {
+                self.word(c as u32);
+            }
+            self.word(r.dropped as u32);
+            self.word(r.capacity as u32);
+            self.word(r.aux_loss.to_bits());
+        }
+
+        fn tensor(&mut self, t: &Tensor) {
+            t.as_slice().iter().for_each(|v| self.word(v.to_bits()));
+        }
+    }
+
+    /// The bits every router produces on one seeded batch, at a capacity
+    /// tight enough that each training policy drops: two training forwards
+    /// (the noise stream moves on between them) and the backward of the
+    /// second for every [`GateKind`] with the locality bias off and on, the
+    /// served router for the same eight gates, and the two-level gate's
+    /// forward and backward.
+    #[test]
+    fn routing_bits_are_pinned() {
+        use crate::moe::router::TwoLevelGate;
+        const PINS: [(&str, u64); 17] = [
+            ("top1", 15733769914199145187),
+            ("top1 biased", 7160056102542065430),
+            ("top2", 3072464235947182321),
+            ("top2 biased", 8412086745500282573),
+            ("balanced", 9985451005301196341),
+            ("balanced biased", 2736849007928154935),
+            ("noisy", 13005504898736249802),
+            ("noisy biased", 6357388963861293899),
+            ("served top1", 9304927781622338019),
+            ("served top1 biased", 7667216896833057361),
+            ("served top2", 18164290355356947222),
+            ("served top2 biased", 9670675409911793250),
+            ("served balanced", 9304927781622338019),
+            ("served balanced biased", 7667216896833057361),
+            ("served noisy", 9304927781622338019),
+            ("served noisy biased", 7667216896833057361),
+            ("two-level", 11830859909232673174),
+        ];
+        let mut rng = Rng::seed_from(82);
+        let x = Tensor::randn(&[40, 8], 1.0, &mut rng);
+        let x2 = Tensor::randn(&[40, 8], 1.0, &mut rng);
+        let dweights = |r: &Routing| -> Vec<f32> {
+            let a = r.assignments.iter().enumerate();
+            a.map(|(i, a)| a.weight - 0.25 * (i % 3) as f32).collect()
+        };
+        let kinds = [
+            GateKind::Top1,
+            GateKind::Top2,
+            GateKind::Balanced,
+            GateKind::NoisyTop1,
+        ];
+        let build = |kind: GateKind, biased: bool| {
+            let mut g = Gate::new("p", 8, 6, kind, 0.8, 0.05, &mut Rng::seed_from(80));
+            if biased {
+                g.set_locality(1.5, vec![true, true, false, false, true, false]);
+            }
+            g
+        };
+        let mut got = Vec::new();
+        for kind in kinds {
+            for biased in [false, true] {
+                let mut g = build(kind, biased);
+                let mut h = Bits(0xcbf2_9ce4_8422_2325);
+                let r1 = g.forward(&x);
+                assert!(r1.dropped > 0, "{kind:?}: nothing dropped");
+                h.routing(&r1);
+                let r2 = g.forward(&x2);
+                h.routing(&r2);
+                h.tensor(&g.backward(&r2, &dweights(&r2)));
+                h.tensor(&g.wg.grad);
+                got.push(h.0);
+            }
+        }
+        for kind in kinds {
+            for biased in [false, true] {
+                let mut h = Bits(0xcbf2_9ce4_8422_2325);
+                h.routing(&build(kind, biased).freeze().route(&x));
+                got.push(h.0);
+            }
+        }
+        let mut g = TwoLevelGate::new("t", 8, 12, 3, 0.8, 0.05, &mut Rng::seed_from(83));
+        let mut h = Bits(0xcbf2_9ce4_8422_2325);
+        let r = g.forward(&x);
+        assert!(r.dropped > 0, "two-level: nothing dropped");
+        h.routing(&r);
+        h.tensor(&g.backward(&r, &dweights(&r)));
+        g.visit_params(&mut |p| h.tensor(&p.grad));
+        got.push(h.0);
+
+        let want: Vec<u64> = PINS.iter().map(|p| p.1).collect();
+        assert_eq!(
+            got,
+            want,
+            "routing bits moved: {:#?}",
+            PINS.iter()
+                .zip(&got)
+                .map(|(p, g)| (p.0, *g))
+                .collect::<Vec<_>>()
+        );
+    }
+
     #[test]
     fn empty_batch_routes_nothing() {
         let mut g = gate(GateKind::Top1, 4, 1.0);
