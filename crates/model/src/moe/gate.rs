@@ -91,6 +91,35 @@ pub struct Routing {
 }
 
 impl Routing {
+    /// An empty plan over `e` experts, each admitting `capacity` tokens
+    /// (`usize::MAX` when serving), with room for `hint` assignments.
+    pub(super) fn open(e: usize, capacity: usize, hint: usize) -> Routing {
+        Routing {
+            assignments: Vec::with_capacity(hint),
+            load: vec![0; e],
+            raw_load: vec![0; e],
+            dropped: 0,
+            capacity,
+            aux_loss: 0.0,
+        }
+    }
+
+    /// Admission, the one place a router keeps or drops an assignment:
+    /// `token → expert` is kept while the expert is under capacity and
+    /// counted as a drop once it is full.
+    pub(super) fn admit(&mut self, token: usize, expert: usize, weight: f32) {
+        if self.load[expert] < self.capacity {
+            self.load[expert] += 1;
+            self.assignments.push(Assignment {
+                token,
+                expert,
+                weight,
+            });
+        } else {
+            self.dropped += 1;
+        }
+    }
+
     /// Max-over-mean load imbalance (1.0 = perfectly balanced). Empty loads
     /// return 1.0.
     pub fn imbalance(&self) -> f64 {
@@ -126,12 +155,12 @@ pub struct Gate {
     /// Weight of the auxiliary balance loss added to the training loss.
     pub(crate) aux_weight: f32,
     /// Logit jitter scale for [`GateKind::NoisyTop1`].
-    pub(crate) noise_std: f32,
+    noise_std: f32,
     /// Private noise stream (deterministic per construction seed).
     noise_rng: Rng,
     /// Log-space selection bonus granted to experts flagged local in
-    /// [`Gate::set_locality`] (0 = disabled; selection then runs the exact
-    /// pre-bias code path, bit-identical to a gate without the feature).
+    /// [`Gate::set_locality`] (0 = disabled; selection then reads the raw
+    /// probabilities, bit-identical to a gate without the feature).
     locality_bias: f32,
     /// Per-expert locality flags (empty until [`Gate::set_locality`]).
     locality: Vec<bool>,
@@ -189,9 +218,7 @@ impl Gate {
         }
     }
 
-    /// Per-expert selection bonus; `None` when the locality bias is off, in
-    /// which case every selection loop runs its original, bit-identical
-    /// path on the raw probabilities.
+    /// Per-expert selection bonus; `None` when the locality bias is off.
     fn locality_bonus(&self) -> Option<Vec<f32>> {
         (self.locality_bias != 0.0).then(|| {
             self.locality
@@ -236,171 +263,22 @@ impl Gate {
 
     /// Route a batch `[n, d]`; returns the dispatch plan.
     pub fn forward(&mut self, x: &Tensor) -> Routing {
-        let n = x.rows();
-        let e = self.n_experts();
-        let logits = matmul(x, &self.wg.value);
-        let probs = softmax_rows(&logits);
-        let capacity = self.capacity(n);
-
-        let mut assignments = Vec::with_capacity(n * self.kind.k());
-        let mut load = vec![0usize; e];
-        let mut raw_load = vec![0usize; e];
-        let mut dropped = 0usize;
-
-        let bias_vec = self.locality_bonus();
-
-        match self.kind {
-            GateKind::Top1 => {
-                for t in 0..n {
-                    let row = probs.row(t);
-                    let scored;
-                    let sel: &[f32] = match &bias_vec {
-                        None => row,
-                        Some(bv) => {
-                            scored = biased_scores(row, bv);
-                            &scored
-                        }
-                    };
-                    let (best, _) = argmax(sel);
-                    let w = row[best];
-                    raw_load[best] += 1;
-                    if load[best] < capacity {
-                        load[best] += 1;
-                        assignments.push(Assignment {
-                            token: t,
-                            expert: best,
-                            weight: w,
-                        });
-                    } else {
-                        dropped += 1;
-                    }
-                }
-            }
-            GateKind::Top2 => {
-                for t in 0..n {
-                    let row = probs.row(t);
-                    let scored;
-                    let sel: &[f32] = match &bias_vec {
-                        None => row,
-                        Some(bv) => {
-                            scored = biased_scores(row, bv);
-                            &scored
-                        }
-                    };
-                    let (e1, e2) = top2(sel);
-                    raw_load[e1] += 1;
-                    for &ex in &[e1, e2] {
-                        if load[ex] < capacity {
-                            load[ex] += 1;
-                            assignments.push(Assignment {
-                                token: t,
-                                expert: ex,
-                                weight: row[ex],
-                            });
-                        } else {
-                            dropped += 1;
-                        }
-                    }
-                }
-            }
-            GateKind::NoisyTop1 => {
-                for t in 0..n {
-                    let row = probs.row(t);
-                    // Select on jittered logits; selection noise is treated
-                    // as a constant of the backward pass (standard noisy
-                    // top-k practice). ln(p) + noise preserves the softmax
-                    // ordering semantics of logit-space jitter.
-                    let mut best = 0usize;
-                    let mut best_v = f32::NEG_INFINITY;
-                    for (ex, &p) in row.iter().enumerate() {
-                        let mut v = p.max(1e-30).ln() + self.noise_std * self.noise_rng.normal();
-                        if let Some(bv) = &bias_vec {
-                            v += bv[ex];
-                        }
-                        if v > best_v {
-                            best_v = v;
-                            best = ex;
-                        }
-                    }
-                    raw_load[best] += 1;
-                    if load[best] < capacity {
-                        load[best] += 1;
-                        assignments.push(Assignment {
-                            token: t,
-                            expert: best,
-                            weight: row[best],
-                        });
-                    } else {
-                        dropped += 1;
-                    }
-                }
-            }
-            GateKind::Balanced => {
-                for t in 0..n {
-                    let row = probs.row(t);
-                    let scored;
-                    let sel: &[f32] = match &bias_vec {
-                        None => row,
-                        Some(bv) => {
-                            scored = biased_scores(row, bv);
-                            &scored
-                        }
-                    };
-                    // First choice feeds the balance statistics even here.
-                    let (best, _) = argmax(sel);
-                    raw_load[best] += 1;
-                    // Greedy: best expert with spare capacity.
-                    let mut chosen = None;
-                    let mut best_p = f32::NEG_INFINITY;
-                    for (ex, &p) in sel.iter().enumerate() {
-                        if load[ex] < capacity && p > best_p {
-                            best_p = p;
-                            chosen = Some(ex);
-                        }
-                    }
-                    match chosen {
-                        Some(ex) => {
-                            load[ex] += 1;
-                            assignments.push(Assignment {
-                                token: t,
-                                expert: ex,
-                                weight: row[ex],
-                            });
-                        }
-                        None => dropped += 1, // only possible when cf·n·k < n
-                    }
-                }
-            }
-        }
-
-        // Switch-style auxiliary loss: E · Σₑ fₑ · P̄ₑ, where fₑ is the
-        // first-choice token fraction and P̄ₑ the mean router probability.
-        let frac: Vec<f32> = raw_load
-            .iter()
-            .map(|&c| if n == 0 { 0.0 } else { c as f32 / n as f32 })
-            .collect();
-        let mut aux = 0.0f32;
-        if n > 0 {
-            for (ex, f) in frac.iter().enumerate().take(e) {
-                let mean_p: f32 = (0..n).map(|t| probs.at(t, ex)).sum::<f32>() / n as f32;
-                aux += f * mean_p;
-            }
-            aux *= e as f32 * self.aux_weight;
-        }
-
+        let probs = softmax_rows(&matmul(x, &self.wg.value));
+        let capacity = self.capacity(x.rows());
+        let bonus = self.locality_bonus();
+        // Selection noise is a constant of the backward pass (standard
+        // noisy top-k practice).
+        let noise =
+            (self.kind == GateKind::NoisyTop1).then_some((self.noise_std, &mut self.noise_rng));
+        let mut routing = decide(self.kind, &probs, capacity, noise, bonus.as_deref());
+        let (aux_loss, frac) = switch_aux(&probs, &routing.raw_load, self.aux_weight);
+        routing.aux_loss = aux_loss;
         self.cache = Some(GateCache {
             x: x.clone(),
             probs,
             frac,
         });
-        Routing {
-            assignments,
-            load,
-            raw_load,
-            dropped,
-            capacity,
-            aux_loss: aux,
-        }
+        routing
     }
 
     /// Backward. `dweights[i]` is `∂L/∂assignments[i].weight` — supplied by
@@ -410,39 +288,12 @@ impl Gate {
     /// to `dx`.
     pub fn backward(&mut self, routing: &Routing, dweights: &[f32]) -> Tensor {
         let cache = self.cache.take().expect("Gate::backward before forward");
-        let n = cache.x.rows();
-        let e = self.n_experts();
         assert_eq!(dweights.len(), routing.assignments.len());
-
-        // ∂L/∂probs.
-        let mut dprobs = Tensor::zeros(&[n, e]);
+        let mut dprobs = Tensor::zeros(cache.probs.shape());
         for (a, &g) in routing.assignments.iter().zip(dweights) {
-            let cur = dprobs.at(a.token, a.expert);
-            dprobs.set(a.token, a.expert, cur + g);
+            dprobs.row_mut(a.token)[a.expert] += g;
         }
-        // Auxiliary loss: ∂aux/∂p[t,e] = aux_weight · E · fₑ / n (fₑ is
-        // treated as a constant of the argmax, per the switch formulation).
-        if n > 0 && self.aux_weight != 0.0 {
-            let scale = self.aux_weight * e as f32 / n as f32;
-            for t in 0..n {
-                for ex in 0..e {
-                    let cur = dprobs.at(t, ex);
-                    dprobs.set(t, ex, cur + scale * cache.frac[ex]);
-                }
-            }
-        }
-
-        // Softmax backward per row: dl = p ⊙ (dp − ⟨dp, p⟩).
-        let mut dlogits = dprobs;
-        for t in 0..n {
-            let prow = cache.probs.row(t);
-            let drow = dlogits.row_mut(t);
-            let dot: f32 = drow.iter().zip(prow).map(|(a, b)| a * b).sum();
-            for (dj, &pj) in drow.iter_mut().zip(prow) {
-                *dj = pj * (*dj - dot);
-            }
-        }
-
+        let dlogits = softmax_aux_backward(dprobs, &cache.probs, &cache.frac, self.aux_weight);
         self.wg.grad.add_assign(&matmul_tn(&cache.x, &dlogits));
         matmul_nt(&dlogits, &self.wg.value)
     }
@@ -464,10 +315,6 @@ pub struct ServedRouter {
 }
 
 impl ServedRouter {
-    pub(crate) fn n_experts(&self) -> usize {
-        self.wg.cols()
-    }
-
     /// Route a batch `[n, d]` droplessly and deterministically.
     ///
     /// Differences from the training-path [`Gate::forward`]:
@@ -476,6 +323,8 @@ impl ServedRouter {
     ///   which would break the serving invariant that continuous-batched
     ///   decode is bit-identical to sequential decode. Dropless routing is
     ///   per-row pure, so batching cannot change any token's experts.
+    ///   Without capacity, [`GateKind::Balanced`]'s greedy pick is the
+    ///   top-1 pick.
     /// - **No noise.** [`GateKind::NoisyTop1`] jitter is a training-time
     ///   exploration device; at decode time the gate uses its deterministic
     ///   mean (plain top-1 on the clean probabilities).
@@ -485,74 +334,142 @@ impl ServedRouter {
     /// intra-supernode traffic shaping as training. `Routing::capacity` is
     /// reported as `usize::MAX` (none applied) and `aux_loss` as 0.
     pub fn route(&self, x: &Tensor) -> Routing {
-        let n = x.rows();
-        let e = self.n_experts();
         let probs = softmax_rows(&matmul_packed(x, &self.wg, None, Activation::Identity));
-
-        let k = self.kind.k();
-        let mut assignments = Vec::with_capacity(n * k);
-        let mut load = vec![0usize; e];
-        let mut raw_load = vec![0usize; e];
-        for t in 0..n {
-            let row = probs.row(t);
-            let scored;
-            let sel: &[f32] = match &self.bonus {
-                None => row,
-                Some(bv) => {
-                    scored = biased_scores(row, bv);
-                    &scored
-                }
-            };
-            match self.kind {
-                GateKind::Top1 | GateKind::Balanced | GateKind::NoisyTop1 => {
-                    let (best, _) = argmax(sel);
-                    raw_load[best] += 1;
-                    load[best] += 1;
-                    assignments.push(Assignment {
-                        token: t,
-                        expert: best,
-                        weight: row[best],
-                    });
-                }
-                GateKind::Top2 => {
-                    let (e1, e2) = top2(sel);
-                    raw_load[e1] += 1;
-                    for &ex in &[e1, e2] {
-                        load[ex] += 1;
-                        assignments.push(Assignment {
-                            token: t,
-                            expert: ex,
-                            weight: row[ex],
-                        });
-                    }
-                }
-            }
-        }
-
-        Routing {
-            assignments,
-            load,
-            raw_load,
-            dropped: 0,
-            capacity: usize::MAX,
-            aux_loss: 0.0,
-        }
+        let kind = match self.kind {
+            GateKind::Top2 => GateKind::Top2,
+            _ => GateKind::Top1,
+        };
+        decide(kind, &probs, usize::MAX, None, self.bonus.as_deref())
     }
 }
 
-/// Log-space selection scores: `ln(p) + bonus` per expert. Working in log
-/// space makes the bonus a *multiplicative* tolerance on probabilities
-/// (bonus `B` ⇒ a flagged expert wins while within `exp(B)×` of the best),
-/// matching the logit-jitter convention of [`GateKind::NoisyTop1`].
-fn biased_scores(row: &[f32], bonus: &[f32]) -> Vec<f32> {
-    row.iter()
-        .zip(bonus)
-        .map(|(&p, &b)| p.max(1e-30).ln() + b)
-        .collect()
+/// The routing decision of every flat router ([`Gate::forward`],
+/// [`ServedRouter::route`]) over softmax `probs` `[n, E]`.
+///
+/// A token's first choice is picked on its selection scores by [`argmax`],
+/// or [`top2`] for [`GateKind::Top2`]; ties go to the first index. The
+/// scores are the raw probability row when there is neither `noise` nor
+/// `bonus`, and otherwise `ln p`, plus `σ·z` with one `normal()` draw per
+/// expert in expert order, plus the expert's bonus. Working in log space
+/// makes the bonus a *multiplicative* tolerance (bonus `B` ⇒ a flagged
+/// expert wins while within `exp(B)×` of the best) and matches logit-space
+/// jitter. The first choice is counted in `raw_load` (the balance
+/// statistics), and every choice is [admitted](Routing::admit) against
+/// `capacity` at its clean probability — except that
+/// [`GateKind::Balanced`] sends the token to its best-scoring expert with
+/// room, and drops it only when every expert is full.
+fn decide(
+    kind: GateKind,
+    probs: &Tensor,
+    capacity: usize,
+    mut noise: Option<(f32, &mut Rng)>,
+    bonus: Option<&[f32]>,
+) -> Routing {
+    let (n, e) = (probs.rows(), probs.cols());
+    let mut routing = Routing::open(e, capacity, n * kind.k());
+    let mut scored = Vec::with_capacity(e);
+    for t in 0..n {
+        let row = probs.row(t);
+        let sel: &[f32] = if noise.is_none() && bonus.is_none() {
+            row
+        } else {
+            scored.clear();
+            for (ex, &p) in row.iter().enumerate() {
+                let mut s = p.max(1e-30).ln();
+                if let Some((std, rng)) = noise.as_mut() {
+                    s += *std * rng.normal();
+                }
+                if let Some(b) = bonus {
+                    s += b[ex];
+                }
+                scored.push(s);
+            }
+            &scored
+        };
+        let (first, second) = match kind {
+            GateKind::Top2 => {
+                let (e1, e2) = top2(sel);
+                (e1, Some(e2))
+            }
+            _ => (argmax(sel).0, None),
+        };
+        routing.raw_load[first] += 1;
+        if kind != GateKind::Balanced {
+            routing.admit(t, first, row[first]);
+            if let Some(ex) = second {
+                routing.admit(t, ex, row[ex]);
+            }
+            continue;
+        }
+        let mut chosen = None;
+        let mut best = f32::NEG_INFINITY;
+        for (ex, &s) in sel.iter().enumerate() {
+            if routing.load[ex] < capacity && s > best {
+                best = s;
+                chosen = Some(ex);
+            }
+        }
+        match chosen {
+            Some(ex) => routing.admit(t, ex, row[ex]),
+            None => routing.dropped += 1, // only possible when cf·n·k < n
+        }
+    }
+    routing
+}
+
+/// The switch-style auxiliary balance loss of one router stage over its
+/// softmax `probs` `[n, E]`: `weight · E · Σₑ fₑ · P̄ₑ`, where `fₑ =
+/// first[e] / n` is the first-choice fraction and `P̄ₑ` the mean
+/// probability. Returns the loss and `f`, which the backward
+/// ([`softmax_aux_backward`]) treats as a constant. The flat gate runs it
+/// over its experts, the two-level gate over its groups.
+pub(super) fn switch_aux(probs: &Tensor, first: &[usize], weight: f32) -> (f32, Vec<f32>) {
+    let (n, e) = (probs.rows(), probs.cols());
+    let frac: Vec<f32> = first
+        .iter()
+        .map(|&c| if n == 0 { 0.0 } else { c as f32 / n as f32 })
+        .collect();
+    let mut aux = 0.0f32;
+    if n > 0 {
+        for (ex, f) in frac.iter().enumerate() {
+            let mean_p: f32 = (0..n).map(|t| probs.at(t, ex)).sum::<f32>() / n as f32;
+            aux += f * mean_p;
+        }
+        aux *= e as f32 * weight;
+    }
+    (aux, frac)
+}
+
+/// Backward through one router stage's softmax and its [`switch_aux`]
+/// loss: adds `∂aux/∂p[t,e] = weight · E · fₑ / n` to `dprobs` (`fₑ` is a
+/// constant of the argmax, per the switch formulation), then maps each row
+/// through `dl = p ⊙ (dp − ⟨dp, p⟩)`. Returns `∂L/∂logits`.
+pub(super) fn softmax_aux_backward(
+    mut dprobs: Tensor,
+    probs: &Tensor,
+    frac: &[f32],
+    weight: f32,
+) -> Tensor {
+    let (n, e) = (probs.rows(), probs.cols());
+    let scale = weight * e as f32 / n.max(1) as f32;
+    for t in 0..n {
+        let prow = probs.row(t);
+        let drow = dprobs.row_mut(t);
+        if weight != 0.0 {
+            for (d, &f) in drow.iter_mut().zip(frac) {
+                *d += scale * f;
+            }
+        }
+        let dot: f32 = drow.iter().zip(prow).map(|(a, b)| a * b).sum();
+        for (dj, &pj) in drow.iter_mut().zip(prow) {
+            *dj = pj * (*dj - dot);
+        }
+    }
+    dprobs
 }
 
 /// Index and value of the row maximum (first of ties).
-fn argmax(row: &[f32]) -> (usize, &f32) {
+pub(super) fn argmax(row: &[f32]) -> (usize, &f32) {
     let mut bi = 0;
     for i in 1..row.len() {
         if row[i] > row[bi] {
@@ -580,6 +497,12 @@ fn top2(row: &[f32]) -> (usize, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ServedRouter {
+        fn n_experts(&self) -> usize {
+            self.wg.cols()
+        }
+    }
 
     fn gate(kind: GateKind, e: usize, cf: f32) -> Gate {
         let mut rng = Rng::seed_from(61);

@@ -9,7 +9,7 @@
 //! probabilities, and both stages are differentiable through the chosen
 //! path (selection itself is, as always, treated as constant).
 
-use crate::moe::gate::{Assignment, Gate, Routing};
+use crate::moe::gate::{argmax, softmax_aux_backward, switch_aux, Gate, Routing};
 use crate::param::{HasParams, Param};
 use bagualu_tensor::ops::{matmul, matmul_nt, matmul_tn, softmax_rows};
 use bagualu_tensor::rng::Rng;
@@ -19,10 +19,10 @@ use bagualu_tensor::Tensor;
 #[derive(Debug, Clone)]
 pub struct TwoLevelGate {
     /// Group projection `[d, G]`.
-    pub(crate) wg_group: Param,
+    wg_group: Param,
     /// Expert projection `[d, E]` — only the chosen group's `E/G` columns
     /// are evaluated per token.
-    pub(crate) wg_expert: Param,
+    wg_expert: Param,
     pub(crate) groups: usize,
     pub(crate) capacity_factor: f32,
     pub(crate) aux_weight: f32,
@@ -89,33 +89,21 @@ impl TwoLevelGate {
         2.0 * d_model as f64 * (groups as f64 + n_experts as f64 / groups as f64)
     }
 
-    /// Route a `[n, d]` batch.
+    /// Route a `[n, d]` batch: both stages pick by `argmax`, and the
+    /// chosen expert is [admitted](Routing::admit) like a flat gate's.
     pub(crate) fn forward(&mut self, x: &Tensor) -> Routing {
         let n = x.rows();
         let d = x.cols();
-        let e = self.n_experts();
         let epg = self.experts_per_group();
-        let capacity = self.capacity(n);
-
-        let group_logits = matmul(x, &self.wg_group.value);
-        let group_probs = softmax_rows(&group_logits);
-
-        let mut assignments = Vec::with_capacity(n);
-        let mut load = vec![0usize; e];
-        let mut raw_load = vec![0usize; e];
+        let group_probs = softmax_rows(&matmul(x, &self.wg_group.value));
+        let mut routing = Routing::open(self.n_experts(), self.capacity(n), n);
         let mut group_first = vec![0usize; self.groups];
-        let mut dropped = 0usize;
         let mut chosen = Vec::with_capacity(n);
 
         for t in 0..n {
             // Stage 1: pick the group.
             let grow = group_probs.row(t);
-            let mut g = 0usize;
-            for i in 1..self.groups {
-                if grow[i] > grow[g] {
-                    g = i;
-                }
-            }
+            let (g, _) = argmax(grow);
             group_first[g] += 1;
             // Stage 2: logits over only the chosen group's experts.
             let xrow = x.row(t);
@@ -138,55 +126,23 @@ impl TwoLevelGate {
             for l in logits.iter_mut() {
                 *l /= sum;
             }
-            let mut j = 0usize;
-            for i in 1..epg {
-                if logits[i] > logits[j] {
-                    j = i;
-                }
-            }
+            let (j, _) = argmax(&logits);
             let expert = g * epg + j;
-            raw_load[expert] += 1;
-            if load[expert] < capacity {
-                load[expert] += 1;
-                assignments.push(Assignment {
-                    token: t,
-                    expert,
-                    weight: grow[g] * logits[j],
-                });
-            } else {
-                dropped += 1;
-            }
+            routing.raw_load[expert] += 1;
+            routing.admit(t, expert, grow[g] * logits[j]);
             chosen.push((g, logits));
         }
 
         // Group-level switch aux loss.
-        let frac: Vec<f32> = group_first
-            .iter()
-            .map(|&c| if n == 0 { 0.0 } else { c as f32 / n as f32 })
-            .collect();
-        let mut aux = 0.0f32;
-        if n > 0 {
-            for (g, f) in frac.iter().enumerate().take(self.groups) {
-                let mean_p: f32 = (0..n).map(|t| group_probs.at(t, g)).sum::<f32>() / n as f32;
-                aux += f * mean_p;
-            }
-            aux *= self.groups as f32 * self.aux_weight;
-        }
-
+        let (aux_loss, frac) = switch_aux(&group_probs, &group_first, self.aux_weight);
+        routing.aux_loss = aux_loss;
         self.cache = Some(TwoLevelCache {
             x: x.clone(),
             group_probs,
             chosen,
             frac,
         });
-        Routing {
-            assignments,
-            load,
-            raw_load,
-            dropped,
-            capacity,
-            aux_loss: aux,
-        }
+        routing
     }
 
     /// Backward: `dweights[i] = ∂L/∂assignments[i].weight`. Returns the
@@ -217,27 +173,13 @@ impl TwoLevelGate {
             dexpert_probs[a.token] = Some((*g, dpe));
         }
 
-        // Aux-loss gradient on group probs.
-        if n > 0 && self.aux_weight != 0.0 {
-            let scale = self.aux_weight * self.groups as f32 / n as f32;
-            for t in 0..n {
-                for g in 0..self.groups {
-                    let cur = dgroup_probs.at(t, g);
-                    dgroup_probs.set(t, g, cur + scale * cache.frac[g]);
-                }
-            }
-        }
-
-        // Group softmax backward (dense) → dlogits_group.
-        let mut dlogits_group = dgroup_probs;
-        for t in 0..n {
-            let prow = cache.group_probs.row(t);
-            let drow = dlogits_group.row_mut(t);
-            let dot: f32 = drow.iter().zip(prow).map(|(a, b)| a * b).sum();
-            for (dj, &pj) in drow.iter_mut().zip(prow) {
-                *dj = pj * (*dj - dot);
-            }
-        }
+        // Group softmax and aux-loss backward → dlogits_group.
+        let dlogits_group = softmax_aux_backward(
+            dgroup_probs,
+            &cache.group_probs,
+            &cache.frac,
+            self.aux_weight,
+        );
         self.wg_group
             .grad
             .add_assign(&matmul_tn(&cache.x, &dlogits_group));

@@ -125,68 +125,35 @@ impl Exchange {
         self.placement.slot(expert, self.n_experts, self.nranks)
     }
 
-    /// The collective dispatch → expert-compute → combine exchange: send
-    /// each assignment's row of `x` to the rank owning its expert, run each
-    /// of this rank's `n_slots` expert slots over the rows it received
-    /// through `expert(slot, rows)`, return the results along the same
-    /// plan, and sum them per token under the combine weights. Returns the
-    /// combined output and the backward cache describing the exchange.
-    fn run<C: Communicator>(
+    /// The round trip both passes make along one plan: send `parts[dest]`
+    /// to each rank in the dispatch all-to-all, run `slot_fn(slot, rows)`
+    /// once per local slot that received rows, over them in `origin` order,
+    /// and return its output rows in the combine all-to-all. The forward
+    /// sends each row's expert id as `headers` and learns `origin` (empty on
+    /// entry, one list per slot) from the ids it receives; the backward
+    /// sends no header and replays the forward's `origin`. Returns the
+    /// replies, one matrix per destination rank, in send order.
+    fn round_trip<C: Communicator>(
         &self,
-        x: &Tensor,
-        routing: Routing,
         comm: &C,
-        n_slots: usize,
-        mut expert: impl FnMut(usize, &Tensor) -> Tensor,
-    ) -> (Tensor, Cache) {
-        let d = x.cols();
-        let r = comm.size();
-        assert_eq!(r, self.nranks);
-
-        // ---- Dispatch: bucket assignments by owner rank.
-        let mut send_idx: Vec<Vec<usize>> = vec![Vec::new(); r];
-        for (i, a) in routing.assignments.iter().enumerate() {
-            send_idx[self.owner(a.expert)].push(i);
-        }
-        // Expert ids fit comfortably in 32 bits; a u32 header halves the
-        // dispatch-metadata traffic relative to the old u64 channel.
-        let hdr_parts: Vec<Vec<u32>> = send_idx
-            .iter()
-            .map(|idxs| {
-                idxs.iter()
-                    .map(|&i| routing.assignments[i].expert as u32)
-                    .collect()
-            })
-            .collect();
-        let data_parts: Vec<Tensor> = send_idx
-            .iter()
-            .map(|idxs| {
-                let mut buf = Tensor::zeros(&[idxs.len(), d]);
-                for (row, &i) in idxs.iter().enumerate() {
-                    buf.row_mut(row)
-                        .copy_from_slice(x.row(routing.assignments[i].token));
-                }
-                buf
-            })
-            .collect();
+        parts: Vec<Tensor>,
+        headers: Option<Vec<Vec<u32>>>,
+        origin: &mut [Vec<(usize, usize)>],
+        mut slot_fn: impl FnMut(usize, &Tensor) -> Tensor,
+    ) -> Vec<Tensor> {
+        assert_eq!(comm.size(), self.nranks);
+        let d = parts[0].cols();
         let (hdrs, datas) = {
             let _span = trace::span(names::A2A_DISPATCH);
-            let hdrs = alltoallv_u32(comm, hdr_parts);
-            let datas = self.a2a.run_wire(comm, data_parts, self.wire);
-            (hdrs, datas)
+            let hdrs = headers.map(|h| alltoallv_u32(comm, h));
+            (hdrs, self.a2a.run_wire(comm, parts, self.wire))
         };
-
-        // ---- Group received tokens by local expert slot.
-        let mut origin: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n_slots];
-        let mut recv_counts = vec![0usize; r];
-        for src in 0..r {
-            let hdr = &hdrs[src];
+        for (src, hdr) in hdrs.iter().flatten().enumerate() {
             assert_eq!(
                 datas[src].rows(),
                 hdr.len(),
                 "dispatch data/header mismatch"
             );
-            recv_counts[src] = hdr.len();
             for (pos, &e) in hdr.iter().enumerate() {
                 let e = e as usize;
                 assert_eq!(self.owner(e), self.rank, "token for expert {e} misrouted");
@@ -194,49 +161,72 @@ impl Exchange {
             }
         }
 
-        // ---- Expert compute. A slot that received no row is not run: its
-        // output has no row, and its backward (below) is skipped too.
-        let mut slot_outputs = Vec::with_capacity(n_slots);
-        for (slot, orig) in origin.iter().enumerate() {
-            if orig.is_empty() {
-                slot_outputs.push(Tensor::zeros(&[0, d]));
-                continue;
-            }
-            let mut xe = Tensor::zeros(&[orig.len(), d]);
-            for (row, &(src, pos)) in orig.iter().enumerate() {
-                xe.row_mut(row).copy_from_slice(datas[src].row(pos));
-            }
-            slot_outputs.push(expert(slot, &xe));
-        }
-
-        // ---- Combine: return results to their source ranks, in the
-        // position order of the original dispatch.
-        let mut reply: Vec<Tensor> = recv_counts
+        // A slot that received no row is not run, forward or backward. An
+        // idle slot's gradients therefore stay as they are, which is what
+        // adding its zero gradients would leave: every GEMM sum starts at
+        // +0.0, so no gradient element is -0.0.
+        let mut reply: Vec<Tensor> = datas
             .iter()
-            .map(|&rows| Tensor::zeros(&[rows, d]))
+            .map(|rows| Tensor::zeros(&[rows.rows(), d]))
             .collect();
-        for (slot, orig) in origin.iter().enumerate() {
+        for (slot, orig) in origin.iter().enumerate().filter(|(_, o)| !o.is_empty()) {
+            let mut rows = Tensor::zeros(&[orig.len(), d]);
             for (row, &(src, pos)) in orig.iter().enumerate() {
-                reply[src]
-                    .row_mut(pos)
-                    .copy_from_slice(slot_outputs[slot].row(row));
+                rows.row_mut(row).copy_from_slice(datas[src].row(pos));
+            }
+            let out = slot_fn(slot, &rows);
+            for (row, &(src, pos)) in orig.iter().enumerate() {
+                reply[src].row_mut(pos).copy_from_slice(out.row(row));
             }
         }
-        let replies = {
-            let _span = trace::span(names::A2A_COMBINE);
-            self.a2a.run_wire(comm, reply, self.wire)
-        };
+        let _span = trace::span(names::A2A_COMBINE);
+        self.a2a.run_wire(comm, reply, self.wire)
+    }
 
-        let n_assign = routing.assignments.len();
-        let mut assign_out = Tensor::zeros(&[n_assign, d]);
+    /// The forward exchange: send each assignment's row of `x` to the rank
+    /// owning its expert, run this rank's `n_slots` expert slots through
+    /// `expert(slot, rows)` ([`Exchange::round_trip`]), and sum the results
+    /// per token under the combine weights. Returns the combined output and
+    /// the backward cache describing the exchange.
+    fn run<C: Communicator>(
+        &self,
+        x: &Tensor,
+        routing: Routing,
+        comm: &C,
+        n_slots: usize,
+        expert: impl FnMut(usize, &Tensor) -> Tensor,
+    ) -> (Tensor, Cache) {
+        let d = x.cols();
+        let mut send_idx: Vec<Vec<usize>> = vec![Vec::new(); self.nranks];
+        for (i, a) in routing.assignments.iter().enumerate() {
+            send_idx[self.owner(a.expert)].push(i);
+        }
+        // Expert ids fit comfortably in 32 bits; a u32 header halves the
+        // dispatch-metadata traffic relative to the old u64 channel.
+        let headers = send_idx
+            .iter()
+            .map(|idxs| {
+                idxs.iter()
+                    .map(|&i| routing.assignments[i].expert as u32)
+                    .collect()
+            })
+            .collect();
+        let parts = stage(&send_idx, d, |i, row| {
+            row.copy_from_slice(x.row(routing.assignments[i].token))
+        });
+        let mut origin = vec![Vec::new(); n_slots];
+        let replies = self.round_trip(comm, parts, Some(headers), &mut origin, expert);
+
+        // Weighted combine; each assignment's expert output is kept for the
+        // backward's combine-weight gradient.
+        let mut assign_out = Tensor::zeros(&[routing.assignments.len(), d]);
         let mut y = Tensor::zeros(x.shape());
         for (dest, idxs) in send_idx.iter().enumerate() {
             for (j, &ai) in idxs.iter().enumerate() {
                 let a = routing.assignments[ai];
                 let out_row = replies[dest].row(j);
                 assign_out.row_mut(ai).copy_from_slice(out_row);
-                let dst = y.row_mut(a.token);
-                for (o, &v) in dst.iter_mut().zip(out_row) {
+                for (o, &v) in y.row_mut(a.token).iter_mut().zip(out_row) {
                     *o += a.weight * v;
                 }
             }
@@ -246,12 +236,30 @@ impl Exchange {
             routing,
             send_idx,
             origin,
-            recv_counts,
             assign_out,
             x_shape: x.shape().to_vec(),
         };
         (y, cache)
     }
+}
+
+/// Per destination rank, a `[rows, d]` staging matrix whose row `j` is what
+/// `fill` writes for assignment `send_idx[dest][j]`.
+fn stage(
+    send_idx: &[Vec<usize>],
+    d: usize,
+    mut fill: impl FnMut(usize, &mut [f32]),
+) -> Vec<Tensor> {
+    send_idx
+        .iter()
+        .map(|idxs| {
+            let mut buf = Tensor::zeros(&[idxs.len(), d]);
+            for (row, &i) in idxs.iter().enumerate() {
+                fill(i, buf.row_mut(row));
+            }
+            buf
+        })
+        .collect()
 }
 
 /// A mixture-of-experts layer whose experts are sharded across ranks.
@@ -275,8 +283,6 @@ struct Cache {
     /// Per local expert slot: origin `(src_rank, position_in_src_batch)` of
     /// each row it processed, in row order.
     origin: Vec<Vec<(usize, usize)>>,
-    /// Tokens received from each source rank in the forward dispatch.
-    recv_counts: Vec<usize>,
     /// Expert outputs as seen by this (source) rank, one row per assignment.
     assign_out: Tensor,
     x_shape: Vec<usize>,
@@ -359,92 +365,50 @@ impl DistMoELayer {
     }
 
     /// Backward over this rank's `[n_local, d]` upstream gradient.
-    /// Collective, mirroring the forward exchanges.
+    /// Collective: the forward's round trip again, along the cached plan.
     pub fn backward<C: Communicator>(&mut self, dy: &Tensor, comm: &C) -> Tensor {
-        let cache = self
+        let mut cache = self
             .cache
             .take()
             .expect("DistMoELayer::backward before forward");
-        let d = dy.cols();
         assert_eq!(dy.shape(), &cache.x_shape[..]);
         let routing = &cache.routing;
 
-        // ---- Combine-backward: dweights stay local; dY rows travel to the
-        // expert owners along the cached dispatch plan.
+        // Combine-backward: dweights stay local; weighted dY rows travel to
+        // the expert owners, as the forward's rows did, and each expert's
+        // input gradient comes back the same way.
         let mut dweights = vec![0.0f32; routing.assignments.len()];
-        let dsend: Vec<Tensor> = cache
-            .send_idx
-            .iter()
-            .map(|idxs| {
-                let mut buf = Tensor::zeros(&[idxs.len(), d]);
-                for (row, &ai) in idxs.iter().enumerate() {
-                    let a = routing.assignments[ai];
-                    let dyr = dy.row(a.token);
-                    dweights[ai] = dyr
-                        .iter()
-                        .zip(cache.assign_out.row(ai))
-                        .map(|(g, v)| g * v)
-                        .sum();
-                    for (o, &g) in buf.row_mut(row).iter_mut().zip(dyr) {
-                        *o = a.weight * g;
-                    }
-                }
-                buf
-            })
-            .collect();
-        let dys = {
-            // Same direction as the forward dispatch: dY rows travel to the
-            // expert owners.
-            let _span = trace::span(names::A2A_DISPATCH);
-            self.exchange.a2a.run_wire(comm, dsend, self.exchange.wire)
-        };
-
-        // ---- Expert backward, rows in forward order.
-        let mut dreply: Vec<Tensor> = cache
-            .recv_counts
-            .iter()
-            .map(|&rows| Tensor::zeros(&[rows, d]))
-            .collect();
-        // An idle slot ran no forward, and its gradients stay as they are.
-        // That is what adding its zero gradients would leave: every GEMM sum
-        // starts at +0.0, so no gradient element is -0.0.
-        for (slot, orig) in cache
-            .origin
-            .iter()
-            .enumerate()
-            .filter(|(_, o)| !o.is_empty())
-        {
-            let mut dye = Tensor::zeros(&[orig.len(), d]);
-            for (row, &(src, pos)) in orig.iter().enumerate() {
-                dye.row_mut(row).copy_from_slice(dys[src].row(pos));
+        let parts = stage(&cache.send_idx, dy.cols(), |ai, row| {
+            let a = routing.assignments[ai];
+            let dyr = dy.row(a.token);
+            dweights[ai] = dyr
+                .iter()
+                .zip(cache.assign_out.row(ai))
+                .map(|(g, v)| g * v)
+                .sum();
+            for (o, &g) in row.iter_mut().zip(dyr) {
+                *o = a.weight * g;
             }
-            let dxe = self.local_experts[slot].backward(&dye);
-            for (row, &(src, pos)) in orig.iter().enumerate() {
-                dreply[src].row_mut(pos).copy_from_slice(dxe.row(row));
-            }
-        }
-        let dxs = {
-            let _span = trace::span(names::A2A_COMBINE);
-            self.exchange.a2a.run_wire(comm, dreply, self.exchange.wire)
-        };
+        });
+        let experts = &mut self.local_experts;
+        let dxs = self
+            .exchange
+            .round_trip(comm, parts, None, &mut cache.origin, |slot, dye| {
+                experts[slot].backward(dye)
+            });
 
-        // ---- Scatter input gradients back to tokens (weights already
-        // folded in on the way out).
+        // Scatter input gradients back to tokens (weights already folded in
+        // on the way out), then add the gate's path (local).
         let mut dx = Tensor::zeros(dy.shape());
         for (dest, idxs) in cache.send_idx.iter().enumerate() {
             for (j, &ai) in idxs.iter().enumerate() {
-                let a = routing.assignments[ai];
-                let src_row = dxs[dest].row(j);
-                let dst = dx.row_mut(a.token);
-                for (o, &g) in dst.iter_mut().zip(src_row) {
+                let dst = dx.row_mut(routing.assignments[ai].token);
+                for (o, &g) in dst.iter_mut().zip(dxs[dest].row(j)) {
                     *o += g;
                 }
             }
         }
-
-        // ---- Gate path (local).
-        let dx_gate = self.gate.backward(routing, &dweights);
-        dx.add_assign(&dx_gate);
+        dx.add_assign(&self.gate.backward(routing, &dweights));
         dx
     }
 
