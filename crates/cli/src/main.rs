@@ -152,6 +152,7 @@ fn cmd_train(args: &Args) -> Result<(), String> {
         return Ok(());
     }
     let trace_path = args.get("trace", "");
+    rc.validate()?;
     let mut cfg = rc.to_train_config()?;
     cfg.trace = !trace_path.is_empty();
     let nranks = cfg.nranks;
@@ -170,7 +171,7 @@ fn cmd_train(args: &Args) -> Result<(), String> {
     // Fault-tolerant path: an enabled [ft] section (any checkpoint or
     // degradation flag sets it) or an injected fault routes through
     // run_ft. Contradictory combinations were already rejected by
-    // `to_train_config`'s validation, each with the fix spelled out.
+    // `validate`, each with the fix spelled out.
     let crash_spec = args.get("crash", "");
     let slow_spec = args.get("slow", "");
     let ft_requested = rc.ft.enabled || !crash_spec.is_empty() || !slow_spec.is_empty();
@@ -663,6 +664,37 @@ mod tests {
                 .split_whitespace()
                 .map(String::from),
         )?)
+    }
+
+    /// The trainer needs every rank to host the same number of experts;
+    /// serving places any count. 4 experts on 3 ranks serve (and their
+    /// config converts), while `train` and `tune` refuse the same config
+    /// with the trainer's error, which `main` exits 2 on.
+    #[test]
+    fn serving_accepts_an_expert_count_training_refuses() {
+        let parse = |cmd: &str| Args::parse(cmd.split_whitespace().map(String::from)).unwrap();
+        let serve = parse("serve --ranks 3 --max-batch 2 --requests 5 --tokens 3");
+        let cfg = config::serve_run_config(&serve)
+            .unwrap()
+            .to_train_config()
+            .unwrap();
+        assert_eq!((cfg.model.n_experts, cfg.nranks), (4, 3));
+        cmd_serve(&serve).unwrap();
+        for cmd in ["train --ranks 3", "tune --ranks 3 --no-measure"] {
+            let args = parse(cmd);
+            let e = config::train_run_config(&args)
+                .unwrap()
+                .validate()
+                .unwrap_err();
+            assert!(e.contains("divide evenly"), "{cmd}: {e}");
+            let run = if cmd.starts_with("train") {
+                cmd_train
+            } else {
+                cmd_tune
+            };
+            let e = run(&args).unwrap_err();
+            assert!(e.contains("divide evenly"), "{cmd}: {e}");
+        }
     }
 
     #[test]

@@ -443,12 +443,19 @@ impl RunConfig {
         }
     }
 
-    /// Reject contradictory or meaningless settings with the fix spelled
-    /// out. The rules on the run itself live in `TrainConfig::validate`,
-    /// which this calls on the config it builds; the rules here are about
-    /// the file: its version and preset, keys that only mean something
-    /// next to another (`supernode_size`, the `[ft]` knobs), and `[serve]`.
+    /// Reject what the trainer cannot run, with the fix spelled out: what
+    /// [`to_train_config`](Self::to_train_config) rejects, and the rules of
+    /// `TrainConfig::validate` that only training has (every rank hosts the
+    /// same number of experts). `train` and `tune` check this; `serve` does
+    /// not train and converts with `to_train_config` alone.
     pub fn validate(&self) -> Result<(), String> {
+        self.to_train_config()?.validate()
+    }
+
+    /// The rules about the file: its version and preset, keys that only
+    /// mean something next to another (`supernode_size`, the `[ft]` knobs),
+    /// and `[serve]`.
+    fn validate_file(&self) -> Result<(), String> {
         ensure!(
             self.version == RUN_CONFIG_VERSION,
             "unsupported config version {} (this build reads version {RUN_CONFIG_VERSION})",
@@ -507,7 +514,7 @@ impl RunConfig {
             serve.max_batch > 0 && serve.kv_blocks > 0 && serve.block_tokens > 0,
             "serve.max_batch, serve.kv_blocks, and serve.block_tokens must all be >= 1"
         );
-        self.train_config()?.validate()
+        Ok(())
     }
 
     /// The model this config describes: the `[model]` preset with its
@@ -521,18 +528,15 @@ impl RunConfig {
         })
     }
 
-    /// Build the trainer's config. Fails on anything
-    /// [`validate`](Self::validate) rejects. The `trace` flag (an
-    /// observation artifact, not a run description) starts `false`; callers
-    /// that want a trace set it on the result.
+    /// Build the run's config: the model, world, topology and placement
+    /// every command reads. Fails on a contradictory file or on anything
+    /// `TrainConfig::validate_run` rejects, the rules of every run; a
+    /// config for the trainer is [`validate`](Self::validate)d first. The
+    /// `trace` flag (an observation artifact, not a run description) starts
+    /// `false`; callers that want a trace set it on the result.
     pub fn to_train_config(&self) -> Result<TrainConfig, String> {
-        self.validate()?;
-        self.train_config()
-    }
-
-    /// [`to_train_config`](Self::to_train_config) without the validation.
-    fn train_config(&self) -> Result<TrainConfig, String> {
-        Ok(TrainConfig {
+        self.validate_file()?;
+        let cfg = TrainConfig {
             model: self.model_config()?,
             nranks: self.train.ranks,
             batch_per_rank: self.train.batch,
@@ -561,7 +565,9 @@ impl RunConfig {
             compute: self.compute.backend,
             locality_bias: self.placement.locality_bias,
             ..TrainConfig::default()
-        })
+        };
+        cfg.validate_run()?;
+        Ok(cfg)
     }
 
     /// Build the recovery driver's config, or `None` when `ft.enabled`

@@ -138,11 +138,26 @@ impl TrainConfig {
         }
     }
 
-    /// Every rule a run must satisfy, each error with the fix spelled out.
-    /// [`Trainer::new`] panics with the message;
-    /// [`RunConfig::validate`](crate::runconfig::RunConfig::validate) returns
-    /// it for the config a file builds.
+    /// Every rule a training run must satisfy, each error with the fix
+    /// spelled out: [`validate_run`](Self::validate_run)'s, and every rank
+    /// hosting the same number of experts. [`Trainer::new`] panics with the
+    /// message; [`RunConfig::validate`](crate::runconfig::RunConfig::validate)
+    /// returns it for the config a file builds.
     pub(crate) fn validate(&self) -> Result<(), String> {
+        self.validate_run()?;
+        let (experts, n) = (self.model.n_experts, self.nranks);
+        ensure!(
+            experts == 0 || experts.is_multiple_of(n),
+            "expert count {experts} must divide evenly over {n} ranks (every rank hosts the \
+             same number of experts)"
+        );
+        Ok(())
+    }
+
+    /// The rules of every run of this model on this world, trained or
+    /// served. Serving checks only these: it places any expert count its
+    /// placement can place.
+    pub(crate) fn validate_run(&self) -> Result<(), String> {
         let (n, steps, batch, seq) = (self.nranks, self.steps, self.batch_per_rank, self.seq);
         ensure!(
             n > 0 && steps > 0 && batch > 0 && seq > 0,
@@ -165,12 +180,6 @@ impl TrainConfig {
                 "data skew must be finite and >= 0 (0 = uniform), got {s}"
             );
         }
-        let experts = self.model.n_experts;
-        ensure!(
-            experts == 0 || experts.is_multiple_of(n),
-            "expert count {experts} must divide evenly over {n} ranks (every rank hosts the \
-             same number of experts)"
-        );
         ensure!(
             !self.zero_optimizer || self.clip.is_none(),
             "the zero optimizer sees one shard of the dense gradients, not their global norm, \

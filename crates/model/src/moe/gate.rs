@@ -1,4 +1,13 @@
 //! The MoE router: expert selection, capacity limiting, balance loss.
+//!
+//! Every router decides in one place. `decide` is the flat routing core:
+//! first choices by `argmax` or `top2` on the selection scores, then
+//! admission against a capacity (`Routing::admit`, with the load, raw-load
+//! and drop bookkeeping) — [`Gate::forward`] runs it at the training
+//! capacity, [`ServedRouter::route`] at `usize::MAX`. The two-level gate
+//! (`moe::router`) picks its own first choices and admits them through the
+//! same `Routing::admit`. `switch_aux` and `softmax_aux_backward` are
+//! the auxiliary balance loss and its backward for both.
 
 use crate::param::{HasParams, Param};
 use bagualu_tensor::ops::{

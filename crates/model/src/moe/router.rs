@@ -7,7 +7,11 @@
 //! `d·(G + E/G)` work per token, minimized at `G = √E` (a 164× reduction at
 //! 108k experts). The combine weight is the product of the two stage
 //! probabilities, and both stages are differentiable through the chosen
-//! path (selection itself is, as always, treated as constant).
+//! path (selection itself is, as always, treated as constant). Admission,
+//! the group-level aux loss and the group softmax backward are the flat
+//! gate's (`Routing::admit`, `gate::switch_aux`,
+//! `gate::softmax_aux_backward`); only the two-stage selection and the
+//! sparse expert-stage backward are this module's own.
 
 use crate::moe::gate::{argmax, softmax_aux_backward, switch_aux, Gate, Routing};
 use crate::param::{HasParams, Param};

@@ -3,9 +3,9 @@
 //!
 //! Training runs `[batch·seq, d]` forwards; serving runs *decode steps*: a
 //! batch of single positions, one per in-flight sequence, each attending to
-//! its own KV history. [`decode_step`] is that forward: [`decode_hidden`],
-//! the walk through the blocks, then [`logits`] over the rows the caller
-//! samples from. It runs on a [`ServedModel`] only — the inference form
+//! its own KV history. A decode step is [`decode_hidden`], the walk
+//! through the blocks, then [`logits`] over the rows the caller samples
+//! from. Both run on a [`ServedModel`] only — the inference form
 //! [`DistTransformer::freeze`](crate::DistTransformer::freeze) returns —
 //! so decoding can never touch a training replica's caches. Three
 //! properties make it the serving workhorse:
@@ -29,7 +29,7 @@
 //!   block-pool store of `bagualu-serve` produce identical bits.
 //!
 //! The KV history of a whole batch is abstracted as a [`KvProvider`]:
-//! `decode_step` asks it for the store of (sequence, layer) pairs as it
+//! `decode_hidden` asks it for the store of (sequence, layer) pairs as it
 //! walks the blocks. [`VecKvBatch`] is the naive reference provider.
 
 use crate::moe_dist::ServedMoE;
@@ -47,7 +47,7 @@ use bagualu_tensor::Tensor;
 /// ([`DistTransformer::freeze`](crate::DistTransformer::freeze)): the
 /// weights GEMMs read as packed panels, the embedding tables and norm
 /// parameters as values, and nothing a training step reads. It decodes
-/// ([`decode_hidden`], [`decode_step`], [`logits`]) and does nothing else:
+/// ([`decode_hidden`], [`logits`]) and does nothing else:
 /// it has no training forward,
 ///
 /// ```compile_fail
@@ -170,25 +170,11 @@ impl KvProvider for VecKvBatch {
     }
 }
 
-/// One batched decode step over `tokens[i]` at absolute `positions[i]` for
-/// provider sequence `seqs[i]`. Returns `[n, vocab]` logits, one row per
-/// input row: [`logits`] of [`decode_hidden`]. Collective: every rank must
-/// call it in the same program position each step, with `n = 0` when it has
-/// no active rows.
-pub fn decode_step<C: Communicator>(
-    model: &mut ServedModel,
-    tokens: &[usize],
-    positions: &[usize],
-    seqs: &[usize],
-    kv: &mut dyn KvProvider,
-    comm: &C,
-) -> Tensor {
-    let hidden = decode_hidden(model, tokens, positions, seqs, kv, comm);
-    logits(model, &hidden)
-}
-
-/// The walk through the blocks: `[n, d_model]` hidden states, one per input
-/// row, before the final norm. Collective like [`decode_step`].
+/// The walk through the blocks over `tokens[i]` at absolute `positions[i]`
+/// for provider sequence `seqs[i]`: `[n, d_model]` hidden states, one per
+/// input row, before the final norm. Collective: every rank must call it in
+/// the same program position each step, with `n = 0` when it has no active
+/// rows.
 ///
 /// Rows are processed in order; a sequence may contribute several
 /// *consecutive* rows at consecutive positions (chunked prefill), each
@@ -266,9 +252,22 @@ mod tests {
         }
     }
 
-    /// Greedy KV-cached generation driven through `decode_step`, one
-    /// position per step.
-    fn generate_via_decode_step<C: Communicator>(
+    /// One decode step: [`logits`] of [`decode_hidden`] over every row.
+    fn decode_rows<C: Communicator>(
+        model: &mut ServedModel,
+        tokens: &[usize],
+        positions: &[usize],
+        seqs: &[usize],
+        kv: &mut dyn KvProvider,
+        comm: &C,
+    ) -> Tensor {
+        let hidden = decode_hidden(model, tokens, positions, seqs, kv, comm);
+        logits(model, &hidden)
+    }
+
+    /// Greedy KV-cached generation driven through [`decode_rows`], one position
+    /// per step.
+    fn generate_via_decode<C: Communicator>(
         model: &mut ServedModel,
         prompt: &[usize],
         n: usize,
@@ -279,7 +278,7 @@ mod tests {
         let mut seq = prompt.to_vec();
         let total = prompt.len() + n;
         for pos in 0..total - 1 {
-            let logits = decode_step(model, &[seq[pos]], &[pos], &[s], &mut kv, comm);
+            let logits = decode_rows(model, &[seq[pos]], &[pos], &[s], &mut kv, comm);
             if pos + 1 >= prompt.len() {
                 seq.push(logits.argmax_rows()[0]);
             }
@@ -298,9 +297,9 @@ mod tests {
             let mut rng = Rng::seed_from(510);
             let local = Transformer::new(cfg, &mut rng);
             let mut dist = DistTransformer::from_local(&local, 0, 1, A2aKind::Pairwise).freeze();
-            generate_via_decode_step(&mut dist, &[3, 7, 1], 8, &comm)
+            generate_via_decode(&mut dist, &[3, 7, 1], 8, &comm)
         });
-        assert_eq!(got[0], expected, "decode_step diverged from the oracle");
+        assert_eq!(got[0], expected, "decode diverged from the oracle");
     }
 
     #[test]
@@ -309,7 +308,7 @@ mod tests {
         let prompt = [5usize, 2, 9];
         let single = run_ranks_map(1, move |comm| {
             let mut dist = DistTransformer::new(cfg, 511, 0, 1, A2aKind::Pairwise).freeze();
-            generate_via_decode_step(&mut dist, &prompt, 8, &comm)
+            generate_via_decode(&mut dist, &prompt, 8, &comm)
         });
         // 4 ranks: the sequence lives on rank 0; other ranks join every
         // step with empty batches.
@@ -329,9 +328,9 @@ mod tests {
             let total = prompt.len() + 8;
             for pos in 0..total - 1 {
                 let logits = if rank == 0 {
-                    decode_step(&mut dist, &[seq[pos]], &[pos], &[s], &mut kv, &comm)
+                    decode_rows(&mut dist, &[seq[pos]], &[pos], &[s], &mut kv, &comm)
                 } else {
-                    decode_step(&mut dist, &[], &[], &[], &mut kv, &comm)
+                    decode_rows(&mut dist, &[], &[], &[], &mut kv, &comm)
                 };
                 if rank == 0 && pos + 1 >= prompt.len() {
                     seq.push(logits.argmax_rows()[0]);
@@ -355,7 +354,7 @@ mod tests {
                 let s = kv.add_seq();
                 let mut rows = Vec::new();
                 for (pos, &t) in p.iter().enumerate() {
-                    let lg = decode_step(&mut m, &[t], &[pos], &[s], &mut kv, &comm);
+                    let lg = decode_rows(&mut m, &[t], &[pos], &[s], &mut kv, &comm);
                     rows.push(lg.as_slice().iter().map(|v| v.to_bits()).collect());
                 }
                 solo_logits.push(rows);
@@ -379,7 +378,7 @@ mod tests {
                         live.push(i);
                     }
                 }
-                let lg = decode_step(&mut m, &tokens, &positions, &seqs, &mut kv, &comm);
+                let lg = decode_rows(&mut m, &tokens, &positions, &seqs, &mut kv, &comm);
                 for (row, &i) in live.iter().enumerate() {
                     let got: Vec<u32> = lg.row(row).iter().map(|v| v.to_bits()).collect();
                     assert_eq!(
@@ -410,7 +409,7 @@ mod tests {
             .collect()
     }
 
-    /// One `decode_step` per row, each sequence in a provider of its own
+    /// One `decode_rows` call per row, each sequence in a provider of its own
     /// order: the logits every batched shape must reproduce.
     fn one_call_per_row<C: Communicator>(
         model: &mut ServedModel,
@@ -425,7 +424,7 @@ mod tests {
                 p.iter()
                     .enumerate()
                     .map(|(pos, &t)| {
-                        bits(&decode_step(model, &[t], &[pos], &[s], &mut kv, comm)).remove(0)
+                        bits(&decode_rows(model, &[t], &[pos], &[s], &mut kv, comm)).remove(0)
                     })
                     .collect()
             })
@@ -478,7 +477,7 @@ mod tests {
                                 prompts[..rows].iter().map(|p| p[pos]).collect();
                             let positions = vec![pos; rows];
                             let lg =
-                                decode_step(&mut m, &tokens, &positions, &seqs, &mut kv, &comm);
+                                decode_rows(&mut m, &tokens, &positions, &seqs, &mut kv, &comm);
                             for (i, got) in bits(&lg).into_iter().enumerate() {
                                 assert_eq!(
                                     got, solo[i][pos],
@@ -517,7 +516,7 @@ mod tests {
                     let rank = comm.rank();
                     let mut m =
                         DistTransformer::new(cfg, 516, rank, nranks, A2aKind::Pairwise).freeze();
-                    generate_via_decode_step(&mut m, &prompt, n, &comm)
+                    generate_via_decode(&mut m, &prompt, n, &comm)
                 });
                 for (rank, got) in got.iter().enumerate() {
                     assert_eq!(got, &want, "{backend}, rank {rank}/{nranks}");
@@ -548,7 +547,7 @@ mod tests {
                     seqs.push(s);
                 }
             }
-            let lg = bits(&decode_step(
+            let lg = bits(&decode_rows(
                 &mut m, &tokens, &positions, &seqs, &mut kv, &comm,
             ));
             let want: Vec<Vec<u32>> = solo.into_iter().flatten().collect();
@@ -575,9 +574,9 @@ mod tests {
                 let mut out = Vec::new();
                 for (pos, step) in tokens.iter().enumerate() {
                     let lg = if rank == 0 {
-                        decode_step(&mut m, step, &[pos; 3], &seqs, &mut kv, &comm)
+                        decode_rows(&mut m, step, &[pos; 3], &seqs, &mut kv, &comm)
                     } else {
-                        decode_step(&mut m, &[], &[], &[], &mut kv, &comm)
+                        decode_rows(&mut m, &[], &[], &[], &mut kv, &comm)
                     };
                     assert_eq!(lg.shape(), &[if rank == 0 { 3 } else { 0 }, cfg.vocab]);
                     out.push(bits(&lg));

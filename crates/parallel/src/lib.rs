@@ -40,7 +40,7 @@ pub mod moe_dist;
 pub mod placement;
 pub mod sync;
 
-pub use decode::{decode_hidden, decode_step, logits, ServedModel, VecKvBatch};
+pub use decode::{decode_hidden, logits, ServedModel, VecKvBatch};
 pub use model_dist::{DistBlock, DistFfn, DistTransformer};
 pub use moe_dist::{A2aKind, DistMoELayer, ServedMoE};
 pub use placement::ExpertPlacement;

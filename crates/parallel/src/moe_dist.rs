@@ -4,11 +4,16 @@
 //! Expert placement is a policy, not an arithmetic convention: the layer
 //! consults its [`ExpertPlacement`] for every owner/slot decision (see
 //! [`crate::placement`] — round-robin, block-contiguous, or
-//! supernode-aware). The backward pass mirrors the forward exchanges
-//! exactly (the dispatch plan is cached), so each expert runs one forward
-//! and one backward per step regardless of how many ranks fed it. The
-//! served layer ([`ServedMoE`]) runs the same exchange over its served
-//! experts.
+//! supernode-aware). One plan-driven round trip
+//! (`Exchange::round_trip`) carries every exchange: send per-rank parts,
+//! dispatch all-to-all, gather each local slot's rows by their origin, run
+//! a per-slot function on the slots that received rows, reply, combine
+//! all-to-all. The training forward passes each expert's forward and learns
+//! the plan from the expert ids it receives; the backward passes each
+//! expert's backward and replays the cached plan, so each expert runs one
+//! forward and one backward per step regardless of how many ranks fed it.
+//! The served layer ([`ServedMoE`]) passes `ServedFfn::apply`. Only the
+//! epilogues differ: a weighted combine forward, a scatter-add backward.
 
 use crate::placement::ExpertPlacement;
 use bagualu_comm::collectives::{alltoallv_hierarchical_wire, alltoallv_u32, alltoallv_wire};

@@ -590,13 +590,14 @@ mod tests {
         }
     }
 
-    /// The paged pool behind [`decode_step`] against the growable
+    /// The paged pool behind a decode step ([`decode_hidden`], then
+    /// [`logits`]) against the growable
     /// [`VecKvBatch`], at a width where the AVX-512 kernel runs and with
     /// blocks short enough that every sequence crosses several: ragged
     /// batches, bit-identical logits.
     #[test]
     fn paged_store_matches_the_growable_cache_through_decode_step() {
-        use bagualu_parallel::{decode_step, VecKvBatch};
+        use bagualu_parallel::{decode_hidden, logits, VecKvBatch};
         use bagualu_tensor::ops::{install_backend, ComputeBackend};
 
         struct Paged {
@@ -643,8 +644,10 @@ mod tests {
                     .collect();
                 let tokens: Vec<usize> = live.iter().map(|&i| prompts[i][pos]).collect();
                 let positions = vec![pos; live.len()];
-                let a = decode_step(&mut model, &tokens, &positions, &live, &mut paged, &comm);
-                let b = decode_step(&mut model, &tokens, &positions, &live, &mut grown, &comm);
+                let a = decode_hidden(&mut model, &tokens, &positions, &live, &mut paged, &comm);
+                let a = logits(&model, &a);
+                let b = decode_hidden(&mut model, &tokens, &positions, &live, &mut grown, &comm);
+                let b = logits(&model, &b);
                 let bits =
                     |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&a), bits(&b), "position {pos}: stores diverged");
