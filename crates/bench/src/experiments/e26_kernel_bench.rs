@@ -11,7 +11,7 @@
 //! * correctness — `Tiled` must agree with `Reference` **bitwise** (NN and
 //!   NT) and the vectorized row-op tier must agree with the reference tier
 //!   bitwise before any timing is believed;
-//! * performance — nine CI gates, all ratios timed in the same process at
+//! * performance — eleven CI gates, all ratios timed in the same process at
 //!   the host's full intra-op width (so they hold on single-core and noisy
 //!   runners). Three are kernel ratios at 512³:
 //!   - `nn_tiled_over_reference` ≥ [`NN_TILED_MIN_SPEEDUP`]× where the
@@ -40,6 +40,15 @@
 //!   - `nn_bias_gelu_over_nn` ≥ [`FUSED_GELU_OVER_NN_MIN`]× — plain tiled
 //!     NN time ÷ fused bias+GELU time at 256³: the fused call must track
 //!     the GEMM, not the activation.
+//!
+//!   Two hold the wide tier (`ops::portable` against the host's own, on
+//!   hosts with AVX-512F; recorded but not gated elsewhere, where both
+//!   sides run the same body) to its lanes:
+//!   - `narrow_wide_over_portable` ≥ [`NARROW_WIDE_MIN`]× — the attention
+//!     core's narrow GEMMs at `train_route` shapes (`32×16·(32×16)ᵀ` NT,
+//!     `32×32·32×16` NN and TN), portable tier over the narrow tier,
+//!   - `gelu_wide_over_portable` ≥ [`GELU_WIDE_MIN`]× — `ops::gelu` and
+//!     `ops::gelu_backward` on 256×1024, portable tier over wide.
 //!
 //!   Two hold the few-row GEMM to one pass over the weight:
 //!   - `nn_single_tile_over_two_tile` ≥ [`SINGLE_TILE_MIN`]× — tiled
@@ -118,6 +127,15 @@ pub(crate) const SINGLE_TILE_MIN: f64 = 2.0;
 /// 2.31–2.66; the floor sits 30 % under the lowest, and a prepacked call
 /// that packed again would read ≈ 1.
 pub(crate) const PREPACKED_MIN: f64 = 1.6;
+/// Floor of `narrow_wide_over_portable` where the wide tier runs. Six
+/// runs on the reference box read 1.88–1.97; the floor sits 20 % under the
+/// lowest, and a narrow tier that fell back to the portable tile would
+/// read ≈ 1.
+pub(crate) const NARROW_WIDE_MIN: f64 = 1.5;
+/// Floor of `gelu_wide_over_portable` where the wide tier runs. Six runs
+/// on the reference box read 2.07–2.12; a GELU that lost its wide body
+/// would read ≈ 1.
+pub(crate) const GELU_WIDE_MIN: f64 = 1.6;
 /// The decode shape: `[m×256]·[256×1024]`, the `serve_decode` model's FFN
 /// up-projection. `m` is one row, the exact tier's one-tile limit, the
 /// first two-tile count, and the engine's batch.
@@ -570,6 +588,44 @@ pub(crate) fn run() {
     };
     sample_gelu_gates(&mut gate_gelu, &mut gate_fused);
 
+    // ---- The wide-tier gates: the portable body of the same kernels over
+    // the host's own. Where the host has no AVX-512F both sides run the
+    // same code, so the ratio is recorded against a floor of 0.
+    let wide_floor = |floor: f64| if wide { floor } else { 0.0 };
+    let mut gate_narrow = GatePair::new(wide_floor(NARROW_WIDE_MIN));
+    let mut gate_gelu_wide = GatePair::new(wide_floor(GELU_WIDE_MIN));
+    let sample_wide_gates = {
+        // `train_route`'s attention core per head: q·kᵀ, p·v, pᵀ·dctx.
+        let q = Tensor::randn(&[32, 16], 1.0, &mut rng);
+        let k = Tensor::randn(&[32, 16], 1.0, &mut rng);
+        let p = Tensor::randn(&[32, 32], 1.0, &mut rng);
+        let hidden = Tensor::randn(&[256, 1024], 1.5, &mut rng);
+        let dy = Tensor::randn(&[256, 1024], 1.0, &mut rng);
+        let tiled = tiled.clone();
+        let attention = move || {
+            for _ in 0..64 {
+                std::hint::black_box(tiled.matmul_nt(&q, &k));
+                std::hint::black_box(tiled.matmul(&p, &k));
+                std::hint::black_box(tiled.matmul_tn(&p, &k));
+            }
+        };
+        let gelu_pass = move || {
+            std::hint::black_box(ops::gelu(&hidden));
+            std::hint::black_box(ops::gelu_backward(&dy, &hidden));
+        };
+        move |narrow: &mut GatePair, gelu: &mut GatePair| {
+            if !narrow.passing() {
+                let (f, g) = paired_best(15, || ops::portable(&attention), &attention);
+                narrow.absorb(f, g);
+            }
+            if !gelu.passing() {
+                let (f, g) = paired_best(11, || ops::portable(&gelu_pass), &gelu_pass);
+                gelu.absorb(f, g);
+            }
+        }
+    };
+    sample_wide_gates(&mut gate_narrow, &mut gate_gelu_wide);
+
     // ---- The few-row gate: two register tiles (packed) over one (in place).
     let mut gate_single = GatePair::new(floor_of(SINGLE_TILE_MIN));
     let sample_decode_gate = {
@@ -674,6 +730,7 @@ pub(crate) fn run() {
     sample_gelu_gates(&mut gate_gelu, &mut gate_fused);
     sample_decode_gate(&mut gate_single);
     sample_prepacked_gate(&mut gate_prepacked);
+    sample_wide_gates(&mut gate_narrow, &mut gate_gelu_wide);
 
     // ---- Backward layouts + fused epilogue at 256³ and the 512³ gate
     // shape, for the three fp32 backends.
@@ -800,6 +857,7 @@ pub(crate) fn run() {
     sample_gelu_gates(&mut gate_gelu, &mut gate_fused);
     sample_decode_gate(&mut gate_single);
     sample_prepacked_gate(&mut gate_prepacked);
+    sample_wide_gates(&mut gate_narrow, &mut gate_gelu_wide);
 
     // ---- Row-op tiers: elements/s for softmax, layernorm, Adam.
     println!("\n-- row-op Gelem/s (reference vs vectorized tier) --");
@@ -888,6 +946,7 @@ pub(crate) fn run() {
     sample_gelu_gates(&mut gate_gelu, &mut gate_fused);
     sample_decode_gate(&mut gate_single);
     sample_prepacked_gate(&mut gate_prepacked);
+    sample_wide_gates(&mut gate_narrow, &mut gate_gelu_wide);
     let shape = format!("{GATE_DIM}^3");
 
     // ---- The file has to say one thing ([`SWEEP_VS_GATE_MAX`]). A sweep
@@ -964,6 +1023,18 @@ pub(crate) fn run() {
             "8x256x1024",
             &gate_prepacked,
         ),
+        Gate::of(
+            "narrow_wide_over_portable",
+            "nt+nn+tn",
+            "32x16x32, 32x32x16",
+            &gate_narrow,
+        ),
+        Gate::of(
+            "gelu_wide_over_portable",
+            "gelu+gelu_backward",
+            "256x1024",
+            &gate_gelu_wide,
+        ),
     ];
     let gate_flops = 2 * (GATE_DIM as u64).pow(3);
     println!(
@@ -1001,6 +1072,14 @@ pub(crate) fn run() {
         "paired: tiled [8 x 256]·[256 x 1024] packed per call {:.1} / prepacked {:.1} us",
         gate_prepacked.best_f as f64 / 1e3,
         gate_prepacked.best_g as f64 / 1e3,
+    );
+    println!(
+        "paired: narrow attention GEMMs x64 portable {:.1} / wide {:.1} us; gelu+gelu' \
+         256x1024 portable {:.1} / wide {:.1} us",
+        gate_narrow.best_f as f64 / 1e3,
+        gate_narrow.best_g as f64 / 1e3,
+        gate_gelu_wide.best_f as f64 / 1e3,
+        gate_gelu_wide.best_g as f64 / 1e3,
     );
     println!("-- gates (GEMM at {shape}; wide kernel: {wide}) --");
     for g in &gates {

@@ -152,9 +152,8 @@ fn cmd_train(args: &Args) -> Result<(), String> {
         return Ok(());
     }
     let trace_path = args.get("trace", "");
-    rc.validate()?;
-    let mut cfg = rc.to_train_config()?;
-    cfg.trace = !trace_path.is_empty();
+    let trainer = Trainer::try_from(&rc)?.with_trace(!trace_path.is_empty());
+    let cfg = *trainer.config();
     let nranks = cfg.nranks;
     println!(
         "training {} params on {} ranks, {} steps, {} (wire {}, placement {}, compute {}) …",
@@ -233,7 +232,7 @@ fn cmd_train(args: &Args) -> Result<(), String> {
         ft_rc.ft.enabled = true;
         let mut ft = ft_rc.to_ft_config().expect("just enabled");
         ft.plan = plan;
-        let report = Trainer::new(cfg).run_ft(&ft);
+        let report = trainer.run_ft(&ft);
         if report.restarts > 0 {
             println!(
                 "recovered from {} failure(s): {} step(s) re-executed, {:.2}s lost{}",
@@ -255,7 +254,7 @@ fn cmd_train(args: &Args) -> Result<(), String> {
         }
         report
     } else {
-        Trainer::new(cfg).run()
+        trainer.run()
     };
     for (i, l) in report.loss_curve.iter().enumerate() {
         if i % 10 == 0 || i + 1 == report.loss_curve.len() {

@@ -27,6 +27,7 @@
 
 use crate::checkpoint::{self, PlacementMeta};
 use crate::data::{SyntheticLM, TokenDistribution};
+use crate::runconfig::RunConfig;
 use bagualu_comm::collectives::{allreduce_recursive_doubling, barrier_ft, ReduceOp};
 use bagualu_comm::fault::{FaultPlan, FaultRuntime, FaultSpec};
 use bagualu_comm::harness::{run_ranks_ft, RankOutcome};
@@ -410,6 +411,21 @@ pub struct Trainer {
     pub(crate) cfg: TrainConfig,
 }
 
+/// The run a [`RunConfig`] describes — what `bagualu train --config` runs —
+/// untraced: [`RunConfig::validate`], then
+/// [`RunConfig::to_train_config`]. The error is the first rule the config
+/// breaks, with its fix spelled out.
+impl TryFrom<&RunConfig> for Trainer {
+    type Error = String;
+
+    fn try_from(rc: &RunConfig) -> Result<Trainer, String> {
+        rc.validate()?;
+        Ok(Trainer {
+            cfg: rc.to_train_config()?,
+        })
+    }
+}
+
 impl Trainer {
     /// Panics with `TrainConfig::validate`'s message on a config it
     /// rejects.
@@ -418,6 +434,19 @@ impl Trainer {
             panic!("{e}");
         }
         Trainer { cfg }
+    }
+
+    /// The validated config this trainer runs.
+    pub fn config(&self) -> &TrainConfig {
+        &self.cfg
+    }
+
+    /// Record a structured trace of the run ([`TrainConfig::trace`]) or
+    /// not: an observation of the run, so a trainer built from a
+    /// [`RunConfig`], which does not describe one, can still ask for it.
+    pub fn with_trace(mut self, trace: bool) -> Trainer {
+        self.cfg.trace = trace;
+        self
     }
 
     /// Run to completion and aggregate the report (rank 0's copy of what

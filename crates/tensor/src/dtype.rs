@@ -94,7 +94,7 @@ impl F16 {
     ///   correct rounding, up to infinity);
     /// * `|x| ≥ 65536`: infinity, or a quiet NaN keeping the top payload
     ///   bits with the low one set.
-    #[inline]
+    #[inline(always)]
     pub fn from_f32(value: f32) -> F16 {
         // 0.5 as f32: the subnormal magic, `(127 − 15 + 23 − 10 + 1) << 23`.
         const SUBNORMAL_MAGIC: u32 = 126 << 23;
@@ -131,7 +131,7 @@ impl F16 {
     /// into place and re-bias; an all-ones exponent re-biases once more to
     /// f32's infinity/NaN; a zero exponent (zero or subnormal) gets the
     /// smallest normal's exponent and has `2⁻¹⁴` subtracted, which is exact.
-    #[inline]
+    #[inline(always)]
     pub fn to_f32(self) -> f32 {
         const EXP_MASK: u32 = 0x7C00 << 13;
         // 2⁻¹⁴ as f32.
@@ -159,6 +159,7 @@ pub struct BF16(pub u16);
 
 impl BF16 {
     /// Convert from `f32` with round-to-nearest-even.
+    #[inline(always)]
     pub fn from_f32(value: f32) -> BF16 {
         let bits = value.to_bits();
         if value.is_nan() {
@@ -174,6 +175,7 @@ impl BF16 {
     }
 
     /// Convert to `f32` exactly.
+    #[inline(always)]
     pub fn to_f32(self) -> f32 {
         f32::from_bits((self.0 as u32) << 16)
     }

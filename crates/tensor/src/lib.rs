@@ -23,6 +23,7 @@
 //! kernels simple while making the numerics faithful.
 
 pub(crate) mod dtype;
+pub(crate) mod lanes;
 pub(crate) mod math;
 pub mod ops;
 pub mod pack;
@@ -36,5 +37,5 @@ pub use ops::{
     current_backend, install_backend, process_backend, set_process_backend, Activation,
     ComputeBackend,
 };
-pub use pack::{pack_bf16, pack_f16, pack_slice, unpack_bf16, unpack_f16, unpack_slice};
+pub use pack::{pack_slice, unpack_slice};
 pub use tensor::Tensor;

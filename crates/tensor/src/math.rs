@@ -6,10 +6,10 @@
 //! Both are written here on the terms of GELU's
 //! [`tanh`](crate::ops::elementwise::tanh): `+ − × ÷` and integer bit
 //! operations only — no fused multiply-add, no intrinsic, no `unsafe`, no
-//! libm call — so a loop over them vectorizes at the target baseline (SSE2
-//! on x86-64) and gives the same bits in scalar and vector form on every
-//! host. The initial weights therefore belong to this repository, not to
-//! the host's libm.
+//! libm call — so a loop over them vectorizes at any width (SSE2 at the
+//! x86-64 baseline, AVX-512F in the wide tier of [`crate::lanes`]) and
+//! gives the same bits in scalar and vector form on every host. The initial
+//! weights therefore belong to this repository, not to the host's libm.
 //!
 //! Both are exact enough on the whole domain Box–Muller feeds them, and the
 //! unit tests check that domain exhaustively: the generator's uniforms are
@@ -39,7 +39,7 @@ const LN_POLY: [f32; 4] = [0.666_666_6, 0.400_009_72, 0.284_987_87, 0.242_790_79
 /// `f − f²/2 + s·(f²/2 + R(s²))` so that the leading `f` — exact, by
 /// Sterbenz — carries the result near `x = 1`; and `ln x = k·ln2 +
 /// ln(1 + f)` with `ln2` in two parts.
-#[inline]
+#[inline(always)]
 pub(crate) fn ln(x: f32) -> f32 {
     // Re-bias so that a mantissa of √2/2 or more rounds the exponent up:
     // the field then holds `k + 127` and the low bits `1 + f − √2/2`.
@@ -84,7 +84,7 @@ const COS_POLY: [f32; 5] = [
 /// scale, and `r` needs at most 21 bits), so no Cody–Waite split is needed.
 /// Two short polynomials give `sin(π/2·r)` and `cos(π/2·r)`, and the
 /// quadrant `n mod 4` swaps them and flips signs by bit operations.
-#[inline]
+#[inline(always)]
 pub(crate) fn sin_cos(t: f32) -> (f32, f32) {
     let q = 4.0 * t;
     let m = q + ROUND_MAGIC;

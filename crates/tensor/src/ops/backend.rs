@@ -32,6 +32,7 @@
 //!   on every backend.
 
 use crate::dtype::DType;
+use crate::lanes::Lanes;
 use crate::ops::elementwise::{gelu_inplace, gelu_slice};
 use crate::ops::tiled::PackedB;
 use crate::tensor::Tensor;
@@ -51,14 +52,14 @@ pub enum Activation {
 }
 
 impl Activation {
-    /// Apply to a slice in place on the calling thread: what a tiled GEMM's
-    /// epilogue runs on each output row. The same scalar functions as the
-    /// standalone element-wise kernels, so a fused epilogue is bit-identical
-    /// to `matmul` + `add_row_broadcast` + `gelu`.
-    pub(crate) fn apply_slice(self, xs: &mut [f32]) {
+    /// Apply to a slice in place on the calling thread, at the tier `lanes`
+    /// names: what a tiled GEMM's epilogue runs on each output row. The same
+    /// scalar functions as the standalone element-wise kernels, so a fused
+    /// epilogue is bit-identical to `matmul` + `add_row_broadcast` + `gelu`.
+    pub(crate) fn apply_slice(self, lanes: Lanes, xs: &mut [f32]) {
         match self {
             Activation::Identity => {}
-            Activation::Gelu => gelu_slice(xs),
+            Activation::Gelu => gelu_slice(lanes, xs),
         }
     }
 

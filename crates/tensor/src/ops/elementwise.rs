@@ -4,22 +4,26 @@
 //! crate (as are Box–Muller's `ln` and `sin`/`cos`, in [`crate::math`],
 //! on the same terms): [`tanh`] is a branch-free
 //! `f32` routine made only of `+ − × ÷`, `abs`, a compare-select and
-//! integer bit operations, so the slice loops below vectorize at the
-//! target's baseline (SSE2 on x86-64) and produce the same bits in scalar
-//! and vector form on every host. There is no fused multiply-add in it
-//! (Rust never contracts `a * b + c`, and a host with FMA must not round
-//! differently from one without) and no libm call. DESIGN.md "Numerics"
-//! has the error bound and what it means for bit-identity.
+//! integer bit operations, so the slice loops below vectorize at any width
+//! and produce the same bits in scalar and vector form on every host. There
+//! is no fused multiply-add in it (Rust never contracts `a * b + c`, and a
+//! host with FMA must not round differently from one without) and no libm
+//! call. DESIGN.md "Numerics" has the error bound and what it means for
+//! bit-identity.
 //!
 //! Two slice kernels carry every GELU in the workspace — `gelu_slice` (in
-//! place) and `gelu_backward_slice` (`dx = dy ⊙ gelu'(h)`): the
-//! tensor-level [`gelu`], [`gelu_backward`] and
-//! [`Activation::apply`](crate::ops::Activation::apply) fan them out over
-//! the calling thread's intra-op lanes above the work cutoff of
+//! place) and `gelu_backward_slice` (`dx = dy ⊙ gelu'(h)`). Each is compiled
+//! at the target's baseline (SSE2 on x86-64) and again for AVX-512F
+//! ([`crate::lanes`]); the caller names the tier, picked once per kernel
+//! call with [`Lanes::host`], and the two give the same bits (CI compares
+//! them on every `f32` input). The tensor-level [`gelu`], [`gelu_backward`]
+//! and [`Activation::apply`](crate::ops::Activation::apply) fan them out
+//! over the calling thread's intra-op lanes above the work cutoff of
 //! [`crate::par`]; the tiled GEMM epilogue calls `gelu_slice` per output
 //! row. All of them record `compute.gelu.{elems,ns}` through one
 //! `GeluClock`.
 
+use crate::lanes::{lanes_fn, Lanes};
 use crate::math::ROUND_MAGIC;
 use crate::par::{self, work};
 use crate::tensor::Tensor;
@@ -56,7 +60,7 @@ const EXPM1_POLY: [f32; 5] = [
 /// rounding error is scaled *down*; numerator and denominator are summed
 /// as `(1 ∓ 2ⁿ) ∓ 2ⁿ·p`, one rounding each; and for `n = 0` the numerator
 /// is `−p`, which keeps small `|x|` accurate to the last bits.
-#[inline]
+#[inline(always)]
 pub(crate) fn tanh(x: f32) -> f32 {
     let v = -2.0 * x.abs();
     // Not `f32::max`, which returns the non-NaN operand: a NaN fails the
@@ -82,13 +86,13 @@ const GELU_CUBIC: f32 = 0.044715;
 
 /// GELU activation (tanh approximation, as used by GPT-style pretrained
 /// models): `0.5·x·(1 + tanh(√(2/π)·(x + 0.044715·x³)))`.
-#[inline]
+#[inline(always)]
 pub(crate) fn gelu_scalar(x: f32) -> f32 {
     0.5 * x * (1.0 + tanh(SQRT_2_OVER_PI * (x + GELU_CUBIC * x * x * x)))
 }
 
 /// Derivative of [`gelu_scalar`] with respect to its input.
-#[inline]
+#[inline(always)]
 pub(crate) fn gelu_grad_scalar(x: f32) -> f32 {
     let x3 = x * x * x;
     let inner = SQRT_2_OVER_PI * (x + GELU_CUBIC * x3);
@@ -97,19 +101,23 @@ pub(crate) fn gelu_grad_scalar(x: f32) -> f32 {
     0.5 * (1.0 + t) + 0.5 * x * sech2 * SQRT_2_OVER_PI * (1.0 + 3.0 * GELU_CUBIC * x * x)
 }
 
-/// [`gelu_scalar`] over a slice, in place, on the calling thread.
-pub(crate) fn gelu_slice(xs: &mut [f32]) {
-    for x in xs {
-        *x = gelu_scalar(*x);
+lanes_fn! {
+    /// [`gelu_scalar`] over a slice, in place, on the calling thread.
+    pub(crate) fn gelu_slice(xs: &mut [f32]) {
+        for x in xs {
+            *x = gelu_scalar(*x);
+        }
     }
 }
 
-/// `dx[i] = dy[i] · gelu'(h[i])` on the calling thread; `h` is the forward
-/// input. All three slices have the same length.
-pub(crate) fn gelu_backward_slice(dy: &[f32], h: &[f32], dx: &mut [f32]) {
-    assert!(dy.len() == dx.len() && h.len() == dx.len());
-    for ((g, &d), &x) in dx.iter_mut().zip(dy).zip(h) {
-        *g = d * gelu_grad_scalar(x);
+lanes_fn! {
+    /// `dx[i] = dy[i] · gelu'(h[i])` on the calling thread; `h` is the
+    /// forward input. All three slices have the same length.
+    pub(crate) fn gelu_backward_slice(dy: &[f32], h: &[f32], dx: &mut [f32]) {
+        assert!(dy.len() == dx.len() && h.len() == dx.len());
+        for ((g, &d), &x) in dx.iter_mut().zip(dy).zip(h) {
+            *g = d * gelu_grad_scalar(x);
+        }
     }
 }
 
@@ -158,12 +166,12 @@ fn gelu_task_len() -> usize {
 /// Element-wise GELU in place, recording `compute.gelu.{elems,ns}`.
 pub(crate) fn gelu_inplace(x: &mut Tensor) {
     let elems = x.len();
-    let clock = GeluClock::start(true);
+    let (lanes, clock) = (Lanes::host(), GeluClock::start(true));
     par::for_each_chunk(
         x.as_mut_slice(),
         gelu_task_len(),
         work::EXP_ELEM * elems as u64,
-        |_, chunk| clock.time(|| gelu_slice(chunk)),
+        |_, chunk| clock.time(|| gelu_slice(lanes, chunk)),
     );
     clock.record(elems);
 }
@@ -183,14 +191,14 @@ pub fn gelu_backward(dy: &Tensor, x: &Tensor) -> Tensor {
     let elems = x.len();
     let len = gelu_task_len();
     let (dys, xs) = (dy.as_slice(), x.as_slice());
-    let clock = GeluClock::start(true);
+    let (lanes, clock) = (Lanes::host(), GeluClock::start(true));
     par::for_each_chunk(
         dx.as_mut_slice(),
         len,
         work::EXP_ELEM * elems as u64,
         |i, chunk| {
             let at = i * len..i * len + chunk.len();
-            clock.time(|| gelu_backward_slice(&dys[at.clone()], &xs[at], chunk))
+            clock.time(|| gelu_backward_slice(lanes, &dys[at.clone()], &xs[at], chunk))
         },
     );
     clock.record(elems);
@@ -340,31 +348,93 @@ mod tests {
         }
     }
 
+    /// The portable tier, and the wide one where this host has it.
+    fn tiers() -> Vec<Lanes> {
+        let host = Lanes::host();
+        if host.is_wide() {
+            vec![Lanes::PORTABLE, host]
+        } else {
+            vec![Lanes::PORTABLE]
+        }
+    }
+
     #[test]
     fn slice_kernels_equal_the_scalar_functions_at_every_length_and_offset() {
         // Vector body, scalar tail and unaligned starts of the compiled
-        // loops against the scalar functions, element by element.
+        // loops, on both tiers, against the scalar functions, element by
+        // element.
         let base = probe_values(80);
         let dy: Vec<f32> = (0..80).map(|i| 0.25 * i as f32 - 7.0).collect();
-        for off in 0..=7 {
-            for len in 0..=67 {
-                let h = &base[off..off + len];
-                let mut fwd = h.to_vec();
-                gelu_slice(&mut fwd);
-                let want: Vec<f32> = h.iter().map(|&x| gelu_scalar(x)).collect();
-                assert_same_bits(&fwd, &want, "gelu_slice");
+        for lanes in tiers() {
+            for off in 0..=7 {
+                for len in 0..=67 {
+                    let h = &base[off..off + len];
+                    let mut fwd = h.to_vec();
+                    gelu_slice(lanes, &mut fwd);
+                    let want: Vec<f32> = h.iter().map(|&x| gelu_scalar(x)).collect();
+                    assert_same_bits(&fwd, &want, &format!("gelu_slice {lanes:?}"));
 
-                let d = &dy[off..off + len];
-                let mut dx = vec![0.0; len];
-                gelu_backward_slice(d, h, &mut dx);
-                let want: Vec<f32> = d
-                    .iter()
-                    .zip(h)
-                    .map(|(&d, &x)| d * gelu_grad_scalar(x))
-                    .collect();
-                assert_same_bits(&dx, &want, "gelu_backward_slice");
+                    let d = &dy[off..off + len];
+                    let mut dx = vec![0.0; len];
+                    gelu_backward_slice(lanes, d, h, &mut dx);
+                    let want: Vec<f32> = d
+                        .iter()
+                        .zip(h)
+                        .map(|(&d, &x)| d * gelu_grad_scalar(x))
+                        .collect();
+                    assert_same_bits(&dx, &want, &format!("gelu_backward_slice {lanes:?}"));
+                }
             }
         }
+    }
+
+    /// GELU and GELU′ on both tiers over the bit patterns `start, start +
+    /// stride, …`, in blocks, `to_bits()` equal (NaN payloads included: both
+    /// tiers run the same operations on the same lanes).
+    fn sweep_wide_against_portable(start: u32, stride: usize) {
+        let wide = Lanes::host();
+        if !wide.is_wide() {
+            return;
+        }
+        const BLOCK: usize = 1 << 16;
+        let dy = vec![1.5f32; BLOCK];
+        let (mut h, mut fwd, mut want) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut dx, mut dx_want) = (vec![0.0f32; BLOCK], vec![0.0f32; BLOCK]);
+        let mut bits = (start as u64..=u32::MAX as u64).step_by(stride);
+        loop {
+            h.clear();
+            h.extend(bits.by_ref().take(BLOCK).map(|b| f32::from_bits(b as u32)));
+            if h.is_empty() {
+                break;
+            }
+            let n = h.len();
+            fwd.clone_from(&h);
+            want.clone_from(&h);
+            gelu_slice(wide, &mut fwd);
+            gelu_slice(Lanes::PORTABLE, &mut want);
+            gelu_backward_slice(wide, &dy[..n], &h, &mut dx[..n]);
+            gelu_backward_slice(Lanes::PORTABLE, &dy[..n], &h, &mut dx_want[..n]);
+            for i in 0..n {
+                assert_eq!(fwd[i].to_bits(), want[i].to_bits(), "gelu({:e})", h[i]);
+                assert_eq!(dx[i].to_bits(), dx_want[i].to_bits(), "gelu'({:e})", h[i]);
+            }
+        }
+    }
+
+    #[test]
+    fn wide_gelu_has_the_portable_bits_over_a_strided_sweep_of_all_f32() {
+        // Every 4099th pattern (a prime stride: every residue of the
+        // vector lanes and of both signs is visited).
+        sweep_wide_against_portable(0, 4099);
+    }
+
+    /// Every one of the 2³² f32 inputs: ≈ 80 s in a release build,
+    /// far longer in a debug one, so it runs on request
+    /// (`cargo test --release -p bagualu-tensor gelu_every -- --ignored`).
+    #[test]
+    #[ignore = "all 2^32 inputs; run in a release build"]
+    fn gelu_every_f32_input_wide_equals_portable() {
+        sweep_wide_against_portable(0, 1);
     }
 
     #[test]
@@ -388,6 +458,14 @@ mod tests {
                     &want_bwd,
                     "gelu_backward",
                 );
+                crate::lanes::portable(|| {
+                    assert_same_bits(gelu(&x).as_slice(), &want_fwd, "portable gelu");
+                    assert_same_bits(
+                        gelu_backward(&dy, &x).as_slice(),
+                        &want_bwd,
+                        "portable gelu_backward",
+                    );
+                });
             }
         }
     }

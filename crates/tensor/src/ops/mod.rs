@@ -24,6 +24,7 @@ pub(crate) mod rowops;
 pub(crate) mod softmax;
 pub(crate) mod tiled;
 
+pub use crate::lanes::{portable, wide_kernel_available};
 pub use backend::{
     current_backend, install_backend, process_backend, set_process_backend, Activation,
     BackendGuard, ComputeBackend, MatmulBackend,
@@ -36,4 +37,4 @@ pub use rowops::{
     VectorizedRowOps,
 };
 pub use softmax::{softmax_rows, softmax_rows_inplace};
-pub use tiled::{wide_kernel_available, PackedB};
+pub use tiled::PackedB;

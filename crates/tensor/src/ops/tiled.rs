@@ -34,18 +34,31 @@
 //!   panels straight from row-major `[n, k]` B — and TN is NN on an exact
 //!   transpose of A.
 //!
-//! Two micro-kernel paths share this skeleton, chosen once per call:
+//! Three micro-kernel paths share this skeleton. Which one a call runs is
+//! fixed by its B panel width, chosen once per call from `n` and the tier
+//! of [`Lanes::host`] (and recorded in a [`PackedB`]):
 //!
-//! * **wide** (x86-64 with AVX-512F, detected at runtime): a 6×64 tile —
-//!   24 zmm accumulators + 4 packed-B vectors + 1 broadcast = 29 of the 32
-//!   vector registers — using explicit `_mm512_mul_ps` + `_mm512_add_ps`.
-//!   Row remainders run the same kernel at their own height (it is
-//!   const-generic in its rows). This is the only `unsafe` in the
-//!   workspace; each call site proves the CPU feature and the slice bounds
-//!   it relies on.
-//! * **portable** (everything else, and any `n < 64` where a 64-wide panel
-//!   would be all edge): a safe 8×8 scalar tile the auto-vectorizer lowers
-//!   to whatever the target baseline offers.
+//! * **wide** (`n ≥ 64` on x86-64 with AVX-512F, detected at runtime): a
+//!   6×64 tile — 24 zmm accumulators + 4 packed-B vectors + 1 broadcast =
+//!   29 of the 32 vector registers — using explicit `_mm512_mul_ps` +
+//!   `_mm512_add_ps`. Row remainders run the same kernel at their own
+//!   height (it is const-generic in its rows); the ragged right column edge
+//!   runs the narrow tiles over the padded panel, 16 columns at a time.
+//!   Each `unsafe` call site states the CPU feature and the slice bounds it
+//!   relies on, and checks the bounds with `debug_assert!` in debug builds.
+//! * **narrow** (`n < 64` on the same hosts — the attention core's
+//!   `q·kᵀ`, `p·v` and their backward, the gate): 16-wide panels and 8×16
+//!   tiles, one zmm of accumulator per row, every row height its own
+//!   instance. Safe Rust, auto-vectorized.
+//! * **portable** (a host without AVX-512F, or a thread inside
+//!   [`crate::lanes::portable`]): a safe 8×8 scalar tile the
+//!   auto-vectorizer lowers to whatever the target baseline offers — SSE2
+//!   on x86-64 — with a row-at-a-time kernel on every ragged edge.
+//!
+//! The chunk loop that calls the safe tiles is compiled twice, at the
+//! target's baseline and for AVX-512F ([`lanes_fn!`]), and runs at the
+//! call's tier, so the narrow tile is a 16-lane kernel on the hosts that
+//! run it. Its lanes are distinct output elements, like the wide kernel's.
 //!
 //! # Bit-identity with `Reference`
 //!
@@ -73,8 +86,9 @@
 //! absolute error is bounded by `2 (k+1) ε · Σₚ|A[i,p]||B[p,j]|` (each of
 //! the ≤ k+1 fused/rounded steps contributes at most one half-ulp of the
 //! running magnitude bound, doubled for slack). Where the wide kernel does
-//! not run (no AVX-512F, or the ragged right *column* edge), `TiledFma`
-//! computes exactly the same bits as [`Tiled`] — the band holds trivially.
+//! not run (no AVX-512F, `n < 64`, or the ragged right *column* edge),
+//! `TiledFma` runs the exact narrow or portable tiles and computes exactly
+//! the same bits as [`Tiled`] — the band holds trivially.
 //! Which kernel an element gets depends on its column alone, never on how
 //! many rows share the call, so both tiers are row-wise pure: row *i* of an
 //! `[m×k]·[k×n]` product has the bits of the one-row product of row *i*
@@ -82,6 +96,7 @@
 //! tests assert bit-identity (elastic re-shard pins, checkpoint-resume
 //! pins) must not use it; the CLI rejects those combinations.
 
+use crate::lanes::{lanes_fn, Lanes};
 use crate::ops::backend::{Activation, MatmulBackend};
 use crate::ops::elementwise::GeluClock;
 use crate::ops::matmul::{gemm_work, KC};
@@ -89,12 +104,17 @@ use crate::par;
 use crate::tensor::Tensor;
 use bagualu_trace::{self as trace, names};
 
-/// Rows of C per parallel task on the portable path.
+/// Rows of C per parallel task on the portable and narrow paths.
 pub(crate) const MC: usize = 64;
 /// Portable micro-tile height (rows of A per register block).
 pub(crate) const MR: usize = 8;
 /// Portable micro-tile width (columns of B per register block).
 pub(crate) const NR: usize = 8;
+/// Narrow-path micro-tile height: 8 rows of one 16-lane accumulator each.
+/// Divides [`MC`].
+pub(crate) const MR_N: usize = 8;
+/// Narrow-path micro-tile width: one 16-lane vector of `f32`.
+pub(crate) const NR_N: usize = 16;
 /// Wide-path micro-tile height: 6 rows × 4 zmm of accumulator.
 pub(crate) const MR_W: usize = 6;
 /// Wide-path micro-tile height for the FMA tier: 5 rows keeps the live
@@ -112,42 +132,48 @@ pub(crate) const MC_W: usize = 60;
 /// in strictly ascending `k`), so this is free to differ from [`KC`].
 pub(crate) const KC_W: usize = 128;
 
-/// Whether this host runs the wide (AVX-512) micro-kernel. Benchmarks use
-/// this to decide which performance floor to hold `Tiled` to — results
-/// are bit-identical on both paths, only the throughput differs.
-pub fn wide_kernel_available() -> bool {
-    avx512_available()
+/// Which micro-kernels a GEMM runs, fixed by its B panel width.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kernel {
+    /// [`NR`]-wide panels, 8×8 tiles: a host without AVX-512F.
+    Portable,
+    /// [`NR_N`]-wide panels, [`MR_N`]×16 tiles: `n < 64` on a host with it.
+    Narrow,
+    /// [`NR_W`]-wide panels, the 6×64 intrinsic tile, with the narrow tiles
+    /// on the ragged right column edge.
+    Wide,
 }
 
-/// Whether the wide AVX-512 micro-kernel may be used. Checked once per
-/// GEMM call; `std` caches the CPUID probe behind an atomic.
-#[inline]
-fn avx512_available() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::arch::is_x86_feature_detected!("avx512f")
+impl Kernel {
+    /// The kernel of an NN GEMM with `n` output columns at tier `lanes`:
+    /// the 64-wide tile only pays when at least one panel is full.
+    fn of(n: usize, lanes: Lanes) -> Kernel {
+        match (lanes.is_wide(), n >= NR_W) {
+            (true, true) => Kernel::Wide,
+            (true, false) => Kernel::Narrow,
+            (false, _) => Kernel::Portable,
+        }
     }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
+
+    /// Panel width and KC-block height.
+    fn panels(self) -> (usize, usize) {
+        match self {
+            Kernel::Wide => (NR_W, KC_W),
+            Kernel::Narrow => (NR_N, KC),
+            Kernel::Portable => (NR, KC),
+        }
     }
-}
 
-/// Whether an NN GEMM with `n` output columns runs the wide micro-kernel:
-/// it only pays when at least one 64-wide panel is full.
-#[inline]
-fn wide_layout(n: usize) -> bool {
-    avx512_available() && n >= NR_W
-}
-
-/// Register-tile height of an NN GEMM: the wide kernel runs 6 rows exact
-/// and 5 fused (see [`MR_W_FMA`]), the portable one [`MR`].
-#[inline]
-fn tile_rows(wide: bool, fma: bool) -> usize {
-    match (wide, fma) {
-        (true, false) => MR_W,
-        (true, true) => MR_W_FMA,
-        (false, _) => MR,
+    /// Register-tile height: the wide kernel runs 6 rows exact and 5 fused
+    /// (see [`MR_W_FMA`]); the narrow and portable tiles compute exactly at
+    /// any `fma`.
+    fn tile_rows(self, fma: bool) -> usize {
+        match (self, fma) {
+            (Kernel::Wide, false) => MR_W,
+            (Kernel::Wide, true) => MR_W_FMA,
+            (Kernel::Narrow, _) => MR_N,
+            (Kernel::Portable, _) => MR,
+        }
     }
 }
 
@@ -197,8 +223,9 @@ impl Clone for Aligned {
 /// micro-kernels read: KC-high, `nr`-wide, zero-padded column panels,
 /// 64-byte aligned. The layout is fixed by `n` and the host when the value
 /// is built and recorded in it — `NR_W × KC_W` where the wide kernel runs,
-/// `NR × KC` elsewhere — so the exact and FMA tiers, which differ only in
-/// tile height, read the same panels.
+/// `NR_N × KC` for a narrower `n` on the same host, `NR × KC` on a host
+/// without AVX-512F — so the exact and FMA tiers, which differ only in tile
+/// height, read the same panels.
 ///
 /// Layout: KC-blocks in ascending `k0` order; within a block, `n_panels`
 /// panels of `kc·nr` contiguous floats. Offset arithmetic stays exact for
@@ -216,20 +243,25 @@ pub struct PackedB {
     panels: Aligned,
     k: usize,
     n: usize,
-    /// Panel width: [`NR_W`] exactly when the layout is the wide kernel's,
-    /// which [`wide_layout`] grants only on a host with AVX-512F.
-    nr: usize,
-    /// KC-block height.
-    kcb: usize,
+    /// The kernel the panels are laid out for, which fixes their width and
+    /// KC-block height: [`Kernel::Wide`] only where [`Kernel::of`] granted
+    /// it, at the wide tier of [`Lanes`] — on a host with AVX-512F.
+    kernel: Kernel,
 }
 
 impl PackedB {
     /// Pack `b` once for a lifetime of [`MatmulBackend::matmul_packed`]
     /// calls, counted under `compute.pack.{bytes,ns}` when tracing is on.
     pub fn new(b: &Tensor) -> PackedB {
-        PackedB::pack(b.as_slice(), b.rows(), b.cols(), (b.cols(), 1), |len| {
-            Tensor::zeros(&[len])
-        })
+        let alloc = |len| Tensor::zeros(&[len]);
+        PackedB::pack(
+            b.as_slice(),
+            b.rows(),
+            b.cols(),
+            (b.cols(), 1),
+            alloc,
+            Lanes::host(),
+        )
     }
 
     /// Rows of the packed operand (the GEMM's `k`).
@@ -246,20 +278,18 @@ impl PackedB {
     /// `[k, n]` operand whose element `(kk, j)` sits at `src[kk·rs + j·cs]`
     /// for `(rs, cs) = strides` — row-major B at `(n, 1)`, the transpose
     /// of a row-major `[n, k]` B at `(1, k)` — into panels in storage from
-    /// `alloc`.
+    /// `alloc`, laid out for the kernel `n` runs at tier `lanes`.
     fn pack(
         src: &[f32],
         k: usize,
         n: usize,
         strides: (usize, usize),
         alloc: impl FnOnce(usize) -> Tensor,
+        lanes: Lanes,
     ) -> PackedB {
         let (rs, cs) = strides;
-        let (nr, kcb) = if wide_layout(n) {
-            (NR_W, KC_W)
-        } else {
-            (NR, KC)
-        };
+        let kernel = Kernel::of(n, lanes);
+        let (nr, kcb) = kernel.panels();
         let n_panels = n.div_ceil(nr);
         let len = k * n_panels * nr;
         timed_pack(len, || {
@@ -315,8 +345,7 @@ impl PackedB {
                 panels,
                 k,
                 n,
-                nr,
-                kcb,
+                kernel,
             }
         })
     }
@@ -334,52 +363,81 @@ impl PackedB {
     /// The `kc`-row panel `p` of the KC-block starting at `k0`.
     #[inline]
     fn panel(&self, k0: usize, kc: usize, p: usize) -> &[f32] {
-        let base = k0 * self.n.div_ceil(self.nr) * self.nr + p * kc * self.nr;
-        &self.panels.as_slice()[base..base + kc * self.nr]
+        let nr = self.kernel.panels().0;
+        let base = k0 * self.n.div_ceil(nr) * nr + p * kc * nr;
+        &self.panels.as_slice()[base..base + kc * nr]
     }
 }
 
-/// Portable full MR×NR micro-kernel: every loop bound is a constant, so
-/// the accumulator tile lives in registers and the inner loop compiles to
-/// broadcast + multiply + add at whatever width the baseline ISA offers.
-/// `ldb` is the distance between consecutive `kk` rows of `bpanel`: `NR`
-/// for a packed panel, `n` when `bpanel` is row-major B itself (see
-/// [`tiled_nn`]).
-#[inline]
-#[allow(clippy::too_many_arguments)] // the args *are* the tile coordinates; a struct would obscure the hot path
-fn micro_full(
-    av: &[f32],
+/// One KC-block of one B panel against the C rows of a chunk: the
+/// coordinates every micro-kernel takes. The safe kernels address a tile
+/// `r` rows and `s0` columns into it.
+struct Tile<'a> {
+    av: &'a [f32],
     k: usize,
+    /// A's row of the chunk's first C row.
     ia0: usize,
     k0: usize,
     kc: usize,
-    bpanel: &[f32],
+    /// The panel from its first column: `kc` rows `ldb` apart.
+    bpanel: &'a [f32],
     ldb: usize,
-    cchunk: &mut [f32],
-    rc0: usize,
     n: usize,
+    /// C's column of the panel's first column.
     j0: usize,
+}
+
+/// Safe `MR×NR` micro-kernel over C rows `r..r + MR` and panel columns
+/// `s0..s0 + NR`: every loop bound is a constant, so the accumulator tile
+/// lives in registers and the inner loop compiles to broadcast + multiply +
+/// add at the width of the tier it is compiled at — the portable 8×8 tile
+/// at whatever the baseline ISA offers, the narrow 8×16 tile at one zmm
+/// per row. Every B row is read `NR` wide (a panel's zero padding
+/// included); only the `width ≤ NR` valid columns of C are loaded and
+/// stored, so the lanes past them never reach C.
+#[inline(always)]
+fn micro_tile<const MR: usize, const NR: usize>(
+    t: &Tile,
+    r: usize,
+    s0: usize,
+    width: usize,
+    cchunk: &mut [f32],
 ) {
+    let (ia0, j0, bpanel) = (t.ia0 + r, t.j0 + s0, &t.bpanel[s0..]);
+    // A ragged tile moves C through a copy of the row, so that the
+    // accumulators themselves are only ever indexed by constants and stay
+    // in registers.
     let mut acc = [[0.0f32; NR]; MR];
     // The first KC-block starts from C's `+0.0` without reading it.
-    if k0 > 0 {
-        for (r, accr) in acc.iter_mut().enumerate() {
-            let base = (rc0 + r) * n + j0;
-            accr.copy_from_slice(&cchunk[base..base + NR]);
+    if t.k0 > 0 {
+        for (i, accr) in acc.iter_mut().enumerate() {
+            let crow = &cchunk[(r + i) * t.n + j0..][..width];
+            if width == NR {
+                *accr = crow.try_into().unwrap();
+            } else {
+                let mut row = [0.0f32; NR];
+                row[..width].copy_from_slice(crow);
+                *accr = row;
+            }
         }
     }
-    for kk in 0..kc {
-        let brow: &[f32; NR] = bpanel[kk * ldb..kk * ldb + NR].try_into().unwrap();
-        for (r, accr) in acc.iter_mut().enumerate() {
-            let aik = av[(ia0 + r) * k + k0 + kk];
+    for kk in 0..t.kc {
+        let brow: &[f32; NR] = bpanel[kk * t.ldb..][..NR].try_into().unwrap();
+        for (i, accr) in acc.iter_mut().enumerate() {
+            let aik = t.av[(ia0 + i) * t.k + t.k0 + kk];
             for (cj, &bj) in accr.iter_mut().zip(brow) {
                 *cj += aik * bj;
             }
         }
     }
-    for (r, accr) in acc.iter().enumerate() {
-        let base = (rc0 + r) * n + j0;
-        cchunk[base..base + NR].copy_from_slice(accr);
+    for (i, accr) in acc.iter().enumerate() {
+        let crow = &mut cchunk[(r + i) * t.n + j0..][..width];
+        if width == NR {
+            crow.copy_from_slice(accr);
+        } else {
+            let row = *accr;
+            crow.copy_from_slice(&row[..width]);
+        }
     }
 }
 
@@ -409,7 +467,7 @@ fn micro_full(
 /// # Safety
 ///
 /// Callers must guarantee:
-/// * the CPU supports AVX-512F (`avx512_available()` returned true);
+/// * the CPU supports AVX-512F ([`crate::lanes::wide_kernel_available`]);
 /// * `av` holds at least `(ia0 + MR - 1) * k + k0 + kc` elements;
 /// * `bpanel` holds at least `(kc - 1) * ldb + NR_W` elements;
 /// * `cchunk` holds at least `(rc0 + MR - 1) * n + j0 + NR_W` elements.
@@ -480,38 +538,26 @@ unsafe fn micro_full_wide<const FMA: bool, const MR: usize>(
     }
 }
 
-/// Generic edge micro-kernel for ragged tiles: the ragged right column edge
-/// (`width < nr`) of both paths, and the portable path's row remainders.
-/// Row-at-a-time with a stack accumulator, loading and storing only the
-/// `width` valid columns so a packed panel's zero padding (or, over
-/// row-major B at `ldb = n`, the next panel's columns) never reaches C. Per
-/// element the products still accumulate in ascending `kk` order —
-/// bit-identical by construction.
-#[inline]
-#[allow(clippy::too_many_arguments)] // tile coordinates plus the ragged rows/width pair
-fn micro_edge(
-    av: &[f32],
-    k: usize,
-    ia0: usize,
-    rows: usize,
-    k0: usize,
-    kc: usize,
-    bpanel: &[f32],
-    ldb: usize,
-    cchunk: &mut [f32],
-    rc0: usize,
-    n: usize,
-    j0: usize,
-    width: usize,
-) {
-    debug_assert!(width <= NR_W && width <= ldb);
+/// Generic edge micro-kernel for ragged tiles, over C rows `r..r + rows`
+/// and panel columns `s0..s0 + width`: the portable path's ragged right
+/// column edge (`width < NR`) and row remainders, and the ragged edge of
+/// the other paths over row-major B, whose rows end where a panel's
+/// padding would be. Row-at-a-time with a stack accumulator, loading and
+/// storing only the `width` valid columns so a packed panel's zero padding
+/// (or, over row-major B at `ldb = n`, the next panel's columns) never
+/// reaches C. Per element the products still accumulate in ascending `kk`
+/// order — bit-identical by construction.
+#[inline(always)]
+fn micro_edge(t: &Tile, r: usize, rows: usize, s0: usize, width: usize, cchunk: &mut [f32]) {
+    debug_assert!(s0 + width <= NR_W && width <= t.ldb);
+    let (j0, bpanel) = (t.j0 + s0, &t.bpanel[s0..]);
     let mut acc = [0.0f32; NR_W];
-    for r in 0..rows {
-        let arow = &av[(ia0 + r) * k + k0..][..kc];
-        let crow = &mut cchunk[(rc0 + r) * n + j0..][..width];
+    for i in r..r + rows {
+        let arow = &t.av[(t.ia0 + i) * t.k + t.k0..][..t.kc];
+        let crow = &mut cchunk[i * t.n + j0..][..width];
         acc[..width].copy_from_slice(crow);
         for (kk, &aik) in arow.iter().enumerate() {
-            let brow = &bpanel[kk * ldb..][..width];
+            let brow = &bpanel[kk * t.ldb..][..width];
             for (cj, &bj) in acc[..width].iter_mut().zip(brow) {
                 *cj += aik * bj;
             }
@@ -538,7 +584,14 @@ fn timed_pack<T>(floats: usize, pack: impl FnOnce() -> T) -> T {
 /// sequence (so fused and unfused are bit-identical). Row by row, so a row
 /// is still in L1 when the activation's slice kernel reads it; `gelu` times
 /// the activation alone, not the bias add.
-fn epilogue(cchunk: &mut [f32], n: usize, bias: Option<&[f32]>, act: Activation, gelu: &GeluClock) {
+fn epilogue(
+    cchunk: &mut [f32],
+    n: usize,
+    bias: Option<&[f32]>,
+    act: Activation,
+    gelu: &GeluClock,
+    lanes: Lanes,
+) {
     if bias.is_none() && act == Activation::Identity {
         return;
     }
@@ -548,7 +601,7 @@ fn epilogue(cchunk: &mut [f32], n: usize, bias: Option<&[f32]>, act: Activation,
                 *x += b;
             }
         }
-        gelu.time(|| act.apply_slice(row));
+        gelu.time(|| act.apply_slice(lanes, row));
     }
 }
 
@@ -560,6 +613,7 @@ fn nn_degenerate(
     n: usize,
     bias: Option<&[f32]>,
     act: Activation,
+    lanes: Lanes,
 ) -> Option<Tensor> {
     let (m, ka) = (a.rows(), a.cols());
     assert_eq!(ka, k, "matmul: inner dims {ka} vs {k}");
@@ -569,7 +623,7 @@ fn nn_degenerate(
     let mut c = Tensor::zeros(&[m, n]);
     if m != 0 && n != 0 {
         let gelu = GeluClock::start(act == Activation::Gelu);
-        epilogue(c.as_mut_slice(), n, bias, act, &gelu);
+        epilogue(c.as_mut_slice(), n, bias, act, &gelu, lanes);
         gelu.record(m * n);
     }
     Some(c)
@@ -594,10 +648,10 @@ enum BSource<'a> {
 /// `+0.0` and sums its products in ascending `k`, so the bits are those of
 /// the packed path.
 ///
-/// `fma` selects the fused multiply-add variant of the *wide* micro-kernel
-/// only, at every row height — the ragged right column edge and the
-/// portable path always compute exactly, so a row's bits never depend on
-/// how many other rows share the call.
+/// `fma` selects the fused multiply-add variant of the *wide* 64-column
+/// micro-kernel only, at every row height — the narrow tiles, the ragged
+/// right column edge and the portable path always compute exactly, so a
+/// row's bits never depend on how many other rows share the call.
 pub(crate) fn tiled_nn(
     a: &Tensor,
     b: &Tensor,
@@ -606,19 +660,20 @@ pub(crate) fn tiled_nn(
     fma: bool,
 ) -> Tensor {
     let (k, n) = (b.rows(), b.cols());
-    if let Some(c) = nn_degenerate(a, k, n, bias, act) {
+    let lanes = Lanes::host();
+    if let Some(c) = nn_degenerate(a, k, n, bias, act, lanes) {
         return c;
     }
     // C before the panels' scratch: the other way round the hot scratch
     // takes the buffer C would have had, and the training workloads'
     // memory moves.
     let c = Tensor::zeros(&[a.rows(), n]);
-    if a.rows() <= tile_rows(wide_layout(n), fma) {
+    if a.rows() <= Kernel::of(n, lanes).tile_rows(fma) {
         trace::count(names::COMPUTE_MATMUL_UNPACKED, 1);
-        nn_core(a, BSource::InPlace(b), c, bias, act, fma)
+        nn_core(a, BSource::InPlace(b), c, bias, act, fma, lanes)
     } else {
-        let packed = PackedB::pack(b.as_slice(), k, n, (n, 1), Tensor::scratch);
-        nn_core(a, BSource::Packed(&packed), c, bias, act, fma)
+        let packed = PackedB::pack(b.as_slice(), k, n, (n, 1), Tensor::scratch, lanes);
+        nn_core(a, BSource::Packed(&packed), c, bias, act, fma, lanes)
     }
 }
 
@@ -632,15 +687,30 @@ pub(crate) fn tiled_nn_packed(
     act: Activation,
     fma: bool,
 ) -> Tensor {
-    if let Some(c) = nn_degenerate(a, w.k, w.n, bias, act) {
+    let lanes = Lanes::host();
+    if let Some(c) = nn_degenerate(a, w.k, w.n, bias, act, lanes) {
         return c;
     }
     let c = Tensor::zeros(&[a.rows(), w.n]);
-    nn_core(a, BSource::Packed(w), c, bias, act, fma)
+    nn_core(a, BSource::Packed(w), c, bias, act, fma, lanes)
+}
+
+/// One NN call's operands and layout, shared by every row chunk of C.
+struct NnCall<'a> {
+    av: &'a [f32],
+    k: usize,
+    n: usize,
+    b: BSource<'a>,
+    kernel: Kernel,
+    fma: bool,
+    /// KC-block height.
+    kcb: usize,
+    /// Distance between consecutive `kk` rows of a panel.
+    ldb: usize,
 }
 
 /// The NN kernel proper over non-empty operands, into the zeroed `[m, n]`
-/// output `c`.
+/// output `c`, with every chunk of C rows at tier `lanes`.
 fn nn_core(
     a: &Tensor,
     b: BSource,
@@ -648,104 +718,149 @@ fn nn_core(
     bias: Option<&[f32]>,
     act: Activation,
     fma: bool,
+    lanes: Lanes,
 ) -> Tensor {
     let (m, k) = (a.rows(), a.cols());
     let n = c.cols();
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = fma;
     // Unpacked: one `k`-block at B's own row stride. Packed: the layout the
     // panels record. The FMA wide kernel runs 5-row tiles (see
     // [`MR_W_FMA`]); blocking (`kcb`) is shared with the exact tier:
     // measured on AVX-512 hosts, L1-resident B panels beat a
     // register-resident C with full-`k` panels streaming from L2.
-    let (wide, nr, kcb, ldb) = match b {
-        BSource::InPlace(_) => {
-            let wide = wide_layout(n);
-            (wide, if wide { NR_W } else { NR }, k, n)
+    let (kernel, kcb, ldb) = match b {
+        BSource::InPlace(_) => (Kernel::of(n, lanes), k, n),
+        BSource::Packed(p) => {
+            let (nr, kcb) = p.kernel.panels();
+            (p.kernel, kcb, nr)
         }
-        BSource::Packed(p) => (p.nr == NR_W, p.nr, p.kcb, p.nr),
     };
-    let mc = if wide { MC_W } else { MC };
-    let mr = tile_rows(wide, fma);
-    let av = a.as_slice();
-    let n_panels = n.div_ceil(nr);
+    let mc = if kernel == Kernel::Wide { MC_W } else { MC };
+    let call = NnCall {
+        av: a.as_slice(),
+        k,
+        n,
+        b,
+        kernel,
+        fma,
+        kcb,
+        ldb,
+    };
     let gelu = GeluClock::start(act == Activation::Gelu);
-
     let body = |chunk_idx: usize, cchunk: &mut [f32]| {
-        let ia0 = chunk_idx * mc;
-        let rows = cchunk.len() / n;
+        nn_chunk(lanes, &call, chunk_idx * mc, cchunk);
+        epilogue(cchunk, n, bias, act, &gelu, lanes);
+    };
+    par::for_each_chunk(c.as_mut_slice(), mc * n, gemm_work(m, k, n), body);
+    gelu.record(m * n);
+    c
+}
+
+lanes_fn! {
+    /// C rows `ia0..` — all of `cchunk` — over every KC-block and panel.
+    fn nn_chunk(call: &NnCall<'_>, ia0: usize, cchunk: &mut [f32]) {
+        let &NnCall { av, k, n, kernel, fma, kcb, ldb, .. } = call;
+        let (nr, rows) = (kernel.panels().0, cchunk.len() / n);
         for k0 in (0..k).step_by(kcb) {
             let kc = (k0 + kcb).min(k) - k0;
-            for p in 0..n_panels {
+            for p in 0..n.div_ceil(nr) {
                 let j0 = p * nr;
                 let width = nr.min(n - j0);
-                let bpanel = match &b {
-                    BSource::Packed(packed) => packed.panel(k0, kc, p),
-                    BSource::InPlace(b) => &b.as_slice()[k0 * n + j0..],
+                let (bpanel, padded) = match &call.b {
+                    BSource::Packed(packed) => (packed.panel(k0, kc, p), true),
+                    BSource::InPlace(b) => (&b.as_slice()[k0 * n + j0..], false),
                 };
-                let mut r = 0;
-                while r < rows {
-                    let rh = mr.min(rows - r);
-                    if wide && width == nr {
-                        #[cfg(target_arch = "x86_64")]
-                        {
-                            macro_rules! tile {
-                                ($fma:literal, $rh:literal) => {
-                                    micro_full_wide::<$fma, $rh>(
-                                        av,
-                                        k,
-                                        ia0 + r,
-                                        k0,
-                                        kc,
-                                        bpanel,
-                                        ldb,
-                                        cchunk,
-                                        r,
-                                        n,
-                                        j0,
-                                    )
-                                };
-                            }
-                            // SAFETY: `wide` proves AVX-512F support — read
-                            // in place it was just checked, and a
-                            // `PackedB` takes the `NR_W` layout only where
-                            // `wide_layout` checked it (the fields are
-                            // private to this module; a CPU's features do
-                            // not change while a process runs); the
-                            // loop bounds keep `ia0+r+rh` rows inside `av`;
-                            // `bpanel` is either a packed panel, exactly
-                            // `kc·NR_W` long at `ldb = NR_W`, or row-major
-                            // B from `[k0, j0]` on at `ldb = n`, where row
-                            // `kc−1` still holds `n − j0 ≥ NR_W` floats
-                            // (width == NR_W); and `r+rh` rows × `j0+NR_W`
-                            // cols sit inside this chunk.
-                            unsafe {
-                                match (fma, rh) {
-                                    (false, 6) => tile!(false, 6),
-                                    (false, 5) => tile!(false, 5),
-                                    (false, 4) => tile!(false, 4),
-                                    (false, 3) => tile!(false, 3),
-                                    (false, 2) => tile!(false, 2),
-                                    (false, 1) => tile!(false, 1),
-                                    (true, 5) => tile!(true, 5),
-                                    (true, 4) => tile!(true, 4),
-                                    (true, 3) => tile!(true, 3),
-                                    (true, 2) => tile!(true, 2),
-                                    (true, 1) => tile!(true, 1),
-                                    _ => unreachable!("row tile of {rh} rows, fma = {fma}"),
-                                }
-                            }
-                        }
-                        #[cfg(not(target_arch = "x86_64"))]
-                        unreachable!("wide path requires x86_64");
-                    } else if rh == mr && width == nr {
-                        micro_full(av, k, ia0 + r, k0, kc, bpanel, ldb, cchunk, r, n, j0);
-                    } else {
-                        micro_edge(
+                let tile = Tile { av, k, ia0, k0, kc, bpanel, ldb, n, j0 };
+                match kernel {
+                    Kernel::Wide if width == NR_W => tile.wide(rows, fma, cchunk),
+                    Kernel::Portable => tile.portable(rows, width, cchunk),
+                    _ => tile.narrow(rows, width, padded, cchunk),
+                }
+            }
+        }
+    }
+}
+
+impl Tile<'_> {
+    /// The portable path: full 8×8 tiles, and the edge kernel on every
+    /// ragged row or column edge.
+    #[inline(always)]
+    fn portable(&self, rows: usize, width: usize, cchunk: &mut [f32]) {
+        for r in (0..rows).step_by(MR) {
+            let rh = MR.min(rows - r);
+            if rh == MR && width == NR {
+                micro_tile::<MR, NR>(self, r, 0, NR, cchunk);
+            } else {
+                micro_edge(self, r, rh, 0, width, cchunk);
+            }
+        }
+    }
+
+    /// The narrow tiles over `width` columns of the panel, 16 at a time,
+    /// every row height its own instance; a ragged last block stores only
+    /// its valid columns. Over row-major B (not `padded`) a ragged block
+    /// has no padding to read, and takes the edge kernel.
+    #[inline(always)]
+    fn narrow(&self, rows: usize, width: usize, padded: bool, cchunk: &mut [f32]) {
+        for s0 in (0..width).step_by(NR_N) {
+            let w = NR_N.min(width - s0);
+            if w < NR_N && !padded {
+                micro_edge(self, 0, rows, s0, w, cchunk);
+                continue;
+            }
+            for r in (0..rows).step_by(MR_N) {
+                macro_rules! tile {
+                    ($rh:literal) => {
+                        micro_tile::<$rh, NR_N>(self, r, s0, w, cchunk)
+                    };
+                }
+                match MR_N.min(rows - r) {
+                    8 => tile!(8),
+                    7 => tile!(7),
+                    6 => tile!(6),
+                    5 => tile!(5),
+                    4 => tile!(4),
+                    3 => tile!(3),
+                    2 => tile!(2),
+                    1 => tile!(1),
+                    rh => unreachable!("narrow row tile of {rh} rows"),
+                }
+            }
+        }
+    }
+
+    /// The 64-wide intrinsic tiles over a full panel, every row height its
+    /// own instance.
+    #[inline(always)]
+    fn wide(&self, rows: usize, fma: bool, cchunk: &mut [f32]) {
+        #[cfg(target_arch = "x86_64")]
+        {
+            let Tile {
+                av,
+                k,
+                ia0,
+                k0,
+                kc,
+                bpanel,
+                ldb,
+                n,
+                j0,
+            } = *self;
+            let mr = Kernel::Wide.tile_rows(fma);
+            for r in (0..rows).step_by(mr) {
+                let rh = mr.min(rows - r);
+                // Each precondition of `micro_full_wide`, checked in debug
+                // builds: a tile out of range fails here, in the bitwise
+                // proptests, instead of reading past a slice.
+                debug_assert!(kc > 0 && (ia0 + r + rh - 1) * k + k0 + kc <= av.len());
+                debug_assert!((kc - 1) * ldb + NR_W <= bpanel.len());
+                debug_assert!((r + rh - 1) * n + j0 + NR_W <= cchunk.len());
+                debug_assert!(r + rh <= rows && j0 + NR_W <= n);
+                macro_rules! tile {
+                    ($fma:literal, $rh:literal) => {
+                        micro_full_wide::<$fma, $rh>(
                             av,
                             k,
                             ia0 + r,
-                            rh,
                             k0,
                             kc,
                             bpanel,
@@ -754,19 +869,45 @@ fn nn_core(
                             r,
                             n,
                             j0,
-                            width,
-                        );
+                        )
+                    };
+                }
+                // SAFETY: a `Kernel::Wide` call proves AVX-512F support —
+                // read in place, `Kernel::of` chose it at the wide tier of
+                // `Lanes`, which exists only on such a host, and a `PackedB`
+                // records `Kernel::Wide` only the same way (the fields are
+                // private to this module; a CPU's features do not change
+                // while a process runs); the loop bounds keep `ia0+r+rh`
+                // rows inside `av`; `bpanel` is either a packed panel,
+                // exactly `kc·NR_W` long at `ldb = NR_W`, or row-major B
+                // from `[k0, j0]` on at `ldb = n`, where row `kc−1` still
+                // holds `n − j0 ≥ NR_W` floats (this panel is full); and
+                // `r+rh` rows × `j0+NR_W` cols sit inside this chunk. The
+                // debug assertions above check each of these.
+                unsafe {
+                    match (fma, rh) {
+                        (false, 6) => tile!(false, 6),
+                        (false, 5) => tile!(false, 5),
+                        (false, 4) => tile!(false, 4),
+                        (false, 3) => tile!(false, 3),
+                        (false, 2) => tile!(false, 2),
+                        (false, 1) => tile!(false, 1),
+                        (true, 5) => tile!(true, 5),
+                        (true, 4) => tile!(true, 4),
+                        (true, 3) => tile!(true, 3),
+                        (true, 2) => tile!(true, 2),
+                        (true, 1) => tile!(true, 1),
+                        _ => unreachable!("row tile of {rh} rows, fma = {fma}"),
                     }
-                    r += mr;
                 }
             }
         }
-        epilogue(cchunk, n, bias, act, &gelu);
-    };
-
-    par::for_each_chunk(c.as_mut_slice(), mc * n, gemm_work(m, k, n), body);
-    gelu.record(m * n);
-    c
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            let _ = (rows, fma, cchunk);
+            unreachable!("wide path requires x86_64");
+        }
+    }
 }
 
 /// NT as NN on Bᵀ, the way TN is NN on Aᵀ: the `[n, k]` row-major B is
@@ -778,19 +919,14 @@ fn nn_core(
 /// no row-major operand to read in place.
 pub(crate) fn tiled_nt(a: &Tensor, b: &Tensor, fma: bool) -> Tensor {
     let (n, k) = (b.rows(), b.cols());
-    if let Some(c) = nn_degenerate(a, k, n, None, Activation::Identity) {
+    let lanes = Lanes::host();
+    if let Some(c) = nn_degenerate(a, k, n, None, Activation::Identity, lanes) {
         return c;
     }
     let c = Tensor::zeros(&[a.rows(), n]);
-    let packed = PackedB::pack(b.as_slice(), k, n, (1, k), Tensor::scratch);
-    nn_core(
-        a,
-        BSource::Packed(&packed),
-        c,
-        None,
-        Activation::Identity,
-        fma,
-    )
+    let packed = PackedB::pack(b.as_slice(), k, n, (1, k), Tensor::scratch, lanes);
+    let identity = Activation::Identity;
+    nn_core(a, BSource::Packed(&packed), c, None, identity, fma, lanes)
 }
 
 /// Cache-blocked, packed, register-tiled kernels — bit-identical to
@@ -932,8 +1068,8 @@ mod tests {
     /// Every row count around the register tiles (single-tile unpacked at
     /// `m ≤ mr`, one full tile plus each remainder height above it) against
     /// empty, one-deep, KC-straddling and multi-block reductions, and widths
-    /// on the portable path (`n < 64`), exactly one and many wide panels,
-    /// and a ragged column edge.
+    /// on the narrow or portable path (`n < 64`), exactly one and many wide
+    /// panels, and a ragged column edge.
     fn few_row_shapes() -> Vec<(usize, usize, usize)> {
         let mut shapes = Vec::new();
         for m in 1..=13 {
@@ -1129,13 +1265,20 @@ mod tests {
         }
     }
 
-    /// Where the wide kernel cannot run (portable path: `n < NR_W`, or no
-    /// AVX-512), `TiledFma` computes exactly the same bits as `Tiled` —
-    /// FMA only ever fires inside the wide full micro-kernels.
+    /// Where the 64-wide kernel does not run (`n < NR_W`: the narrow tier
+    /// on an AVX-512 host, the portable one elsewhere), `TiledFma` computes
+    /// exactly the same bits as `Tiled` — FMA only ever fires inside the
+    /// wide full micro-kernels.
     #[test]
     fn fma_equals_tiled_bitwise_on_the_portable_path() {
         let mut rng = Rng::seed_from(16);
-        for (m, k, n) in [(9, 33, 7), (40, 120, 63), (130, 31, 8)] {
+        for (m, k, n) in [
+            (9, 33, 7),
+            (40, 120, 63),
+            (130, 31, 8),
+            (32, 16, 32),
+            (33, 300, 16),
+        ] {
             let a = Tensor::randn(&[m, k], 1.0, &mut rng);
             let b = Tensor::randn(&[k, n], 1.0, &mut rng);
             assert_bitwise(
@@ -1149,6 +1292,65 @@ mod tests {
                 &Tiled.matmul_nt(&a, &bt),
                 &format!("portable nt {m}x{k}x{n}"),
             );
+            let at = Tensor::randn(&[m, k], 1.0, &mut rng);
+            let bm = Tensor::randn(&[m, n], 1.0, &mut rng);
+            assert_bitwise(
+                &TiledFma.matmul_tn(&at, &bm),
+                &Tiled.matmul_tn(&at, &bm),
+                &format!("portable tn {m}x{k}x{n}"),
+            );
+            let w = PackedB::new(&b);
+            assert_bitwise(
+                &TiledFma.matmul_packed(&a, &w, None, Activation::Gelu),
+                &Tiled.matmul_packed(&a, &w, None, Activation::Gelu),
+                &format!("portable prepacked {m}x{k}x{n}"),
+            );
+        }
+    }
+
+    /// Every narrow width against every row height around both tiers' tiles
+    /// and the 64-row chunk, and reductions empty, one deep, odd and past
+    /// KC: NN, NT, TN, prepacked and bias+GELU on the portable tier
+    /// (through [`crate::lanes::portable`]) and on the host's own, each
+    /// against `Reference`, bit for bit. On an AVX-512 host the second is
+    /// the narrow tier; elsewhere it is the portable tier again.
+    #[test]
+    fn narrow_shapes_match_reference_on_both_tiers() {
+        let mut rng = Rng::seed_from(20);
+        let all_ops = |a: &Tensor, b: &Tensor, bias: &[f32]| {
+            let w = PackedB::new(b);
+            [
+                Tiled.matmul(a, b),
+                Tiled.matmul_nt(a, &b.transposed()),
+                Tiled.matmul_tn(&a.transposed(), b),
+                Tiled.matmul_packed(a, &w, None, Activation::Identity),
+                Tiled.matmul_bias_act(a, b, Some(bias), Activation::Gelu),
+            ]
+        };
+        for n in [1, 4, 15, 16, 17, 31, 32, 33, 48, 63] {
+            for m in [1, 7, 8, 9, 15, 16, 17, 33, 64, 65, 130] {
+                for k in [0, 1, 17, 257] {
+                    let a = Tensor::randn(&[m, k], 1.0, &mut rng);
+                    let b = Tensor::randn(&[k, n], 1.0, &mut rng);
+                    let bias: Vec<f32> = (0..n).map(|j| (j as f32) * 0.25 - 1.0).collect();
+                    let nn = Reference.matmul(&a, &b);
+                    let fused = Reference.matmul_bias_act(&a, &b, Some(&bias), Activation::Gelu);
+                    let want = [&nn, &nn, &nn, &nn, &fused];
+                    let tiers = [
+                        (
+                            "portable",
+                            crate::lanes::portable(|| all_ops(&a, &b, &bias)),
+                        ),
+                        ("host", all_ops(&a, &b, &bias)),
+                    ];
+                    for (tier, got) in &tiers {
+                        let ops = ["nn", "nt", "tn", "prepacked", "fused"];
+                        for ((op, got), want) in ops.iter().zip(got).zip(want) {
+                            assert_bitwise(got, want, &format!("{tier} {op} {m}x{k}x{n}"));
+                        }
+                    }
+                }
+            }
         }
     }
 

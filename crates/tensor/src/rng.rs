@@ -8,8 +8,13 @@
 //!
 //! Box–Muller runs on the repository's own `ln` and `sin_cos` (see
 //! `crate::math`), never on the host's libm, so the initial weights are
-//! the same bits on every host.
+//! the same bits on every host. `Rng::fill_normals` transforms a block of
+//! uniforms at a time in one loop compiled at the target's baseline and
+//! again for AVX-512F (`crate::lanes`); the two give the same bits, as
+//! every operation in the transform is exact or correctly rounded lane by
+//! lane.
 
+use crate::lanes::{lanes_fn, Lanes};
 use crate::math::{ln, sin_cos};
 use rand::{Rng as _, RngCore, SeedableRng};
 
@@ -20,11 +25,21 @@ const NORMAL_BLOCK: usize = 256;
 /// `(r·cos θ, r·sin θ)` with `r = √(−2 ln u₁)` and `θ = 2π·u₂`. The body
 /// both [`Rng::normal`] and [`Rng::fill_normals`] evaluate, so a scalar draw
 /// and a vectorized block give the same bits.
-#[inline]
+#[inline(always)]
 fn box_muller(u1: f32, u2: f32) -> (f32, f32) {
     let r = (-2.0 * ln(u1)).sqrt();
     let (sin, cos) = sin_cos(u2);
     (r * cos, r * sin)
+}
+
+lanes_fn! {
+    /// `(z0s[i], z1s[i]) = box_muller(u1s[i], u2s[i])` for every `i`.
+    fn box_muller_block(u1s: &[f32], u2s: &[f32], z0s: &mut [f32], z1s: &mut [f32]) {
+        let pairs = z0s.iter_mut().zip(z1s.iter_mut()).zip(u1s.iter().zip(u2s));
+        for ((z0, z1), (&u1, &u2)) in pairs {
+            (*z0, *z1) = box_muller(u1, u2);
+        }
+    }
 }
 
 /// What the bulk tensor fills (`Tensor::randn`, `xavier`, `uniform`) do with
@@ -123,7 +138,8 @@ impl Rng {
     /// spare are left where those calls leave them — a cached spare is used
     /// first, and an odd tail leaves one cached. In between, pairs are drawn
     /// in blocks: the uniforms of a block come off the sequential generator
-    /// first, then one loop transforms the block, which vectorizes.
+    /// first, then one loop transforms the block, which vectorizes (at the
+    /// tier [`Lanes::host`] picks once per fill).
     pub(crate) fn fill_normals(&mut self, out: &mut [f32], std: f32) {
         let mut out = out;
         if !out.is_empty() {
@@ -133,6 +149,7 @@ impl Rng {
             }
         }
         let (paired, tail) = out.split_at_mut(out.len() / 2 * 2);
+        let lanes = Lanes::host();
         // One array per operand and per result, so the transform loop reads
         // and writes whole vectors; interleaving is a separate, cheap pass.
         let mut u1s = [0.0f32; NORMAL_BLOCK];
@@ -144,9 +161,7 @@ impl Rng {
             for (u1, u2) in u1s[..n].iter_mut().zip(&mut u2s[..n]) {
                 (*u1, *u2) = self.box_muller_uniforms();
             }
-            for i in 0..n {
-                (z0s[i], z1s[i]) = box_muller(u1s[i], u2s[i]);
-            }
+            box_muller_block(lanes, &u1s[..n], &u2s[..n], &mut z0s[..n], &mut z1s[..n]);
             for (pair, (z0, z1)) in block.chunks_exact_mut(2).zip(z0s.iter().zip(&z1s)) {
                 pair[0] = z0 * std;
                 pair[1] = z1 * std;
@@ -392,6 +407,63 @@ mod tests {
                     assert_eq!(v.to_bits(), drawn.normal().to_bits(), "n {n}: {i}");
                 }
                 assert_eq!(filled.next_u64(), drawn.next_u64(), "warm {warm}, n {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn the_wide_fill_draws_what_the_portable_fill_draws() {
+        // Lengths with odd tails on either side of a block (256 pairs), from
+        // a fresh stream and with a spare cached: the fill at the host's
+        // tier and at the portable one must give the same bits and leave
+        // the stream and the spare in the same place.
+        for n in [1, 2, 3, 255, 511, 512, 513, 514, 1025, 4097] {
+            for warm in 0..2 {
+                let mut host = Rng::seed_from(41 + n as u64);
+                for _ in 0..warm {
+                    host.normal();
+                }
+                let mut port = host.clone();
+                let (mut got, mut want) = (vec![0.0f32; n], vec![0.0f32; n]);
+                host.fill_normals(&mut got, 0.02);
+                crate::lanes::portable(|| port.fill_normals(&mut want, 0.02));
+                for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(g.to_bits(), w.to_bits(), "n {n}, warm {warm}: {i}");
+                }
+                assert_eq!(
+                    host.spare_normal.map(f32::to_bits),
+                    port.spare_normal.map(f32::to_bits)
+                );
+                assert_eq!(host.next_u64(), port.next_u64(), "n {n}, warm {warm}");
+            }
+        }
+    }
+
+    #[test]
+    fn box_muller_blocks_agree_on_both_tiers_over_every_third_u1() {
+        // Every third `u₁` the generator can produce, each with a different
+        // `u₂`, through the block transform at both tiers (the wide one only
+        // where this host has it), bit for bit.
+        let wide = Lanes::host();
+        if !wide.is_wide() {
+            return;
+        }
+        let unit = 1.0 / 16_777_216.0;
+        let ks: Vec<u32> = (0u32..1 << 24).step_by(3).collect();
+        for block in ks.chunks(4093) {
+            let u1s: Vec<f32> = block.iter().map(|&k| 1.0 - k as f32 * unit).collect();
+            let u2s: Vec<f32> = block
+                .iter()
+                .map(|&k| (k.wrapping_mul(0x9E37_79B9) & 0xff_ffff) as f32 * unit)
+                .collect();
+            let n = block.len();
+            let (mut z0w, mut z1w) = (vec![0.0f32; n], vec![0.0f32; n]);
+            let (mut z0p, mut z1p) = (vec![0.0f32; n], vec![0.0f32; n]);
+            box_muller_block(wide, &u1s, &u2s, &mut z0w, &mut z1w);
+            box_muller_block(Lanes::PORTABLE, &u1s, &u2s, &mut z0p, &mut z1p);
+            for i in 0..n {
+                assert_eq!(z0w[i].to_bits(), z0p[i].to_bits(), "z0 at u1 {}", u1s[i]);
+                assert_eq!(z1w[i].to_bits(), z1p[i].to_bits(), "z1 at u1 {}", u1s[i]);
             }
         }
     }

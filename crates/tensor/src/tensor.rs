@@ -6,6 +6,7 @@
 //! original system's kernels do.
 
 use crate::dtype::DType;
+use crate::lanes::{lanes_fn, Lanes};
 use crate::reservoir;
 use crate::rng::{Fills, Rng};
 use bagualu_trace::{self as trace, names};
@@ -287,17 +288,7 @@ impl Tensor {
     pub fn transposed(&self) -> Tensor {
         let (r, c) = (self.rows(), self.cols());
         let mut out = Tensor::zeros(&[c, r]);
-        // Blocked transpose for cache friendliness on large matrices.
-        const B: usize = 32;
-        for i0 in (0..r).step_by(B) {
-            for j0 in (0..c).step_by(B) {
-                for i in i0..(i0 + B).min(r) {
-                    for j in j0..(j0 + B).min(c) {
-                        out.data[j * r + i] = self.data[i * c + j];
-                    }
-                }
-            }
-        }
+        transpose(Lanes::host(), &self.data, r, c, &mut out.data);
         out
     }
 
@@ -472,6 +463,39 @@ fn sq_sums<const N: usize>(xs: [&[f32]; N]) -> [f32; N] {
     acc
 }
 
+lanes_fn! {
+    /// `dst[j·r + i] = src[i·c + j]` for the row-major `[r, c]` `src`: 8×8
+    /// blocks through registers (eight row loads, eight column stores), the
+    /// ragged right and bottom edges element by element.
+    fn transpose(src: &[f32], r: usize, c: usize, dst: &mut [f32]) {
+        const B: usize = 8;
+        let (r8, c8) = (r / B * B, c / B * B);
+        for i0 in (0..r8).step_by(B) {
+            for j0 in (0..c8).step_by(B) {
+                let rows: [&[f32; B]; B] =
+                    std::array::from_fn(|i| src[(i0 + i) * c + j0..][..B].try_into().unwrap());
+                for j in 0..B {
+                    let col: &mut [f32; B] =
+                        (&mut dst[(j0 + j) * r + i0..][..B]).try_into().unwrap();
+                    for (d, row) in col.iter_mut().zip(rows) {
+                        *d = row[j];
+                    }
+                }
+            }
+            for j in c8..c {
+                for i in i0..i0 + B {
+                    dst[j * r + i] = src[i * c + j];
+                }
+            }
+        }
+        for i in r8..r {
+            for j in 0..c {
+                dst[j * r + i] = src[i * c + j];
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -511,6 +535,19 @@ mod tests {
         assert!(t.approx_eq(&tt, 0.0));
         assert_eq!(t.transposed().shape(), &[53, 37]);
         assert_eq!(t.at(3, 11), t.transposed().at(11, 3));
+        // Whole 8×8 blocks, ragged right and bottom edges and both, on
+        // both tiers: every element lands where it belongs.
+        for (r, c) in [(1, 1), (8, 8), (7, 9), (16, 3), (3, 16), (32, 32), (17, 40)] {
+            let t = Tensor::randn(&[r, c], 1.0, &mut rng);
+            for tt in [t.transposed(), crate::lanes::portable(|| t.transposed())] {
+                assert_eq!(tt.shape(), &[c, r]);
+                for i in 0..r {
+                    for j in 0..c {
+                        assert_eq!(tt.at(j, i).to_bits(), t.at(i, j).to_bits(), "{r}x{c}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

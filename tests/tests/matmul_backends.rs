@@ -5,7 +5,8 @@
 //! * `Reference` NN *is* the naive accumulation order, bit for bit;
 //! * `Tiled` is bit-identical to `Reference` on every f32 input, for all
 //!   three layouts and the fused epilogue — on both the portable and the
-//!   wide (AVX-512) micro-kernel, wherever this host runs;
+//!   wide (AVX-512) micro-kernels, wherever this host runs, and the two
+//!   tiers (`ops::portable` against the host's own) agree bit for bit;
 //! * `HalfCompute` equals `Reference` bit for bit once the operands are
 //!   pre-quantized (storage format is the *only* difference), and tracks
 //!   the f32 oracle within its format's tolerance otherwise;
@@ -18,7 +19,7 @@
 //! dispatch boundary (`m·n·k` around `par::MIN_WORK`) at intra-op widths
 //! 1, 2, 3 and the host's core count.
 
-use bagualu_tensor::ops::{Activation, ComputeBackend};
+use bagualu_tensor::ops::{self, Activation, ComputeBackend, PackedB};
 use bagualu_tensor::par;
 use bagualu_tensor::rng::Rng;
 use bagualu_tensor::{DType, Tensor};
@@ -204,6 +205,54 @@ proptest! {
             let _lanes = par::scoped_width(width);
             for (op, (got, want)) in ["nn", "fused"].iter().zip(both(ComputeBackend::Tiled).iter().zip(&want)) {
                 prop_assert!(bitwise_eq(got, want), "{op} {m}x{k}x{n} at width {width}");
+            }
+        }
+    }
+
+    // The narrow tier (`n < 64`, 16-wide panels where the host has
+    // AVX-512F) and the portable 8×8 tier, run explicitly through
+    // `ops::portable`, against Reference, bit for bit: NN, NT, TN, a weight
+    // packed once and the fused bias+GELU epilogue. `m` crosses both tiles'
+    // row boundaries and the 64-row chunk; `k` is empty, one deep, odd, and
+    // past one KC=256 block. `tiled:fma` computes the narrow tier exactly,
+    // so it equals `Tiled` there.
+    #[test]
+    fn narrow_gemms_are_bit_identical_on_both_tiers(
+        m in 0usize..80, ki in 0usize..4, odd in 0usize..64, ni in 0usize..10,
+        seed in 0u64..1000,
+    ) {
+        let k = [0, 1, 2 * odd + 3, 257 + 2 * odd][ki];
+        let n = [1, 4, 15, 16, 17, 31, 32, 33, 48, 63][ni];
+        let mut rng = Rng::seed_from(seed);
+        let a = Tensor::randn(&[m, k], 1.0, &mut rng);
+        let b = Tensor::randn(&[k, n], 1.0, &mut rng);
+        let (at, bt) = (a.transposed(), b.transposed());
+        let bias: Vec<f32> = (0..n).map(|j| (j as f32) * 0.125 - 0.5).collect();
+        let all_ops = |cb: ComputeBackend| {
+            let be = cb.instantiate();
+            let packed = PackedB::new(&b);
+            [
+                be.matmul(&a, &b),
+                be.matmul_nt(&a, &bt),
+                be.matmul_tn(&at, &b),
+                be.matmul_packed(&a, &packed, None, Activation::Identity),
+                be.matmul_bias_act(&a, &b, Some(&bias), Activation::Gelu),
+            ]
+        };
+        // NT on Bᵀ and TN on Aᵀ are A·B again, so every op but the fused
+        // one answers Reference's NN.
+        let reference = ComputeBackend::Reference.instantiate();
+        let want_nn = reference.matmul(&a, &b);
+        let want_fused = reference.matmul_bias_act(&a, &b, Some(&bias), Activation::Gelu);
+        let tiers = [
+            ("portable", ops::portable(|| all_ops(ComputeBackend::Tiled))),
+            ("host", all_ops(ComputeBackend::Tiled)),
+            ("host tiled:fma", all_ops(ComputeBackend::TiledFma)),
+        ];
+        for (tier, got) in &tiers {
+            for (op, got) in ["nn", "nt", "tn", "prepacked", "fused"].iter().zip(got) {
+                let want = if *op == "fused" { &want_fused } else { &want_nn };
+                prop_assert!(bitwise_eq(got, want), "{tier} {op} {m}x{k}x{n}");
             }
         }
     }

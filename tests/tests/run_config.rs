@@ -105,6 +105,37 @@ fn config_file_reproduces_direct_construction_bit_for_bit() {
     assert_eq!(a.total_tokens, b.total_tokens);
 }
 
+/// A trainer built straight from a `RunConfig` (what `bagualu train`
+/// does) refuses what `train` refuses — experts that do not divide evenly
+/// over the ranks — and otherwise runs the `TrainConfig` path's losses, bit
+/// for bit.
+#[test]
+fn a_trainer_from_a_run_config_validates_and_runs_the_same_bits() {
+    let mut rc = RunConfig::default();
+    rc.model.experts = 6;
+    rc.train.ranks = 4;
+    let e = Trainer::try_from(&rc).err().expect("6 experts on 4 ranks");
+    assert!(e.contains("divide evenly"), "{e}");
+
+    let mut rc = RunConfig::default();
+    rc.train.ranks = 2;
+    rc.train.steps = 1;
+    rc.train.batch = 2;
+    rc.train.seq = 8;
+    let trainer = Trainer::try_from(&rc).unwrap();
+    assert!(
+        !trainer.config().trace,
+        "a run config describes an untraced run"
+    );
+    let a = trainer.run();
+    let b = Trainer::new(rc.to_train_config().unwrap()).run();
+    let bits = |r: &bagualu::trainer::TrainReport| {
+        r.loss_curve.iter().map(|l| l.to_bits()).collect::<Vec<_>>()
+    };
+    assert_eq!(bits(&a), bits(&b), "loss bits");
+    assert_eq!(a.loss_curve.len(), 1);
+}
+
 /// End-to-end tuner contract: the winning TOML, fed back through the file
 /// format, replays the tuned run bit-identically.
 #[test]
