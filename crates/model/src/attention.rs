@@ -1,8 +1,17 @@
 //! Causal multi-head self-attention with manual backward.
+//!
+//! The attention core of training — scores, causal softmax, context, and
+//! their backward — is one forward and one backward kernel of
+//! `bagualu-tensor` ([`causal_attention`], [`causal_attention_backward`]),
+//! which read the fused QKV rows in place and bound every row's sums at the
+//! diagonal: the causal mask is a loop bound, not `−∞` written into a
+//! score matrix. Decoding runs the same softmax row kernel on each new
+//! position's scores over its history (`attend`), so a cached step has the
+//! bits of the batched forward.
 
 use crate::linear::{Linear, PackedLinear};
 use crate::param::{HasParams, Param};
-use bagualu_tensor::ops::{matmul, matmul_nt, matmul_tn, softmax_rows_inplace, Activation};
+use bagualu_tensor::ops::{causal_attention, causal_attention_backward, softmax_row, Activation};
 use bagualu_tensor::rng::Rng;
 use bagualu_tensor::Tensor;
 
@@ -83,16 +92,24 @@ impl KvStore for KvCache {
     }
 }
 
-/// Rotate the `[s, hd]` rows of `x` by RoPE angles for absolute positions
-/// `start..start+s` (`sign = -1.0` applies the inverse rotation — the
-/// backward pass, since rotations are orthogonal).
-fn apply_rope(x: &mut Tensor, start: usize, sign: f32) {
-    let hd = x.cols();
-    rope_rows(x.as_mut_slice(), hd, start, sign);
+/// Rotate, in place, the queries and keys of every head of `[batch·seq,
+/// 3d]` QKV-shaped rows (`q | k | v`) at their positions in their sequence:
+/// the forward rotation on the projection, the inverse (`sign = -1.0`) on
+/// its gradient. Values are left alone.
+fn rope_qk(rows: &mut Tensor, seq: usize, n_heads: usize, sign: f32) {
+    let d = rows.cols() / 3;
+    let hd = d / n_heads;
+    for (r, row) in rows.as_mut_slice().chunks_exact_mut(3 * d).enumerate() {
+        for head in row[..2 * d].chunks_exact_mut(hd) {
+            rope_rows(head, hd, r % seq, sign);
+        }
+    }
 }
 
-/// [`apply_rope`] over bare rows: `rows` is `[s, hd]` row-major. The decode
-/// path rotates one head's slice of a QKV row in place through this.
+/// Rotate the `[s, hd]` rows of `rows` (row-major) by RoPE angles for
+/// absolute positions `start..start+s` (`sign = -1.0` applies the inverse
+/// rotation). The training path rotates each head of each QKV row through
+/// this ([`rope_qk`]), the decode path one head's slice at its position.
 fn rope_rows(rows: &mut [f32], hd: usize, start: usize, sign: f32) {
     assert!(hd.is_multiple_of(2), "RoPE needs an even head dim");
     for (t, row) in rows.chunks_exact_mut(hd).enumerate() {
@@ -109,12 +126,11 @@ fn rope_rows(rows: &mut [f32], hd: usize, start: usize, sign: f32) {
 
 /// Causal multi-head self-attention over `[batch·seq, d_model]` inputs.
 ///
-/// A fused QKV projection feeds per-`(batch, head)` score/softmax/context
-/// kernels; a final output projection mixes heads. The causal mask sets
-/// future positions to `−∞` before the softmax. With `rope`
-/// enabled, queries and keys carry rotary position embeddings (scores then
-/// depend only on *relative* distance, and no learned position table is
-/// needed).
+/// A fused QKV projection feeds the causal attention kernel, which sums
+/// every row only up to its diagonal; a final output projection mixes
+/// heads. With `rope` enabled, queries and keys carry rotary position
+/// embeddings (scores then depend only on *relative* distance, and no
+/// learned position table is needed).
 #[derive(Debug, Clone)]
 pub struct MultiHeadAttention {
     pub(crate) wqkv: Linear,
@@ -127,10 +143,10 @@ pub struct MultiHeadAttention {
 
 #[derive(Debug, Clone)]
 struct Cache {
+    /// The QKV projection, queries and keys rotated under RoPE.
     qkv: Tensor,
-    /// Softmax probabilities per (batch, head), row-major over batches then
-    /// heads.
-    probs: Vec<Tensor>,
+    /// The causal softmax probabilities, `[batch·heads·seq, seq]`.
+    probs: Tensor,
     batch: usize,
     seq: usize,
 }
@@ -180,75 +196,22 @@ impl MultiHeadAttention {
         self.d_model() / self.n_heads
     }
 
-    /// Copy columns `[c0, c0+w)` of rows `[r0, r0+s)` of `src` into a
-    /// `[s, w]` tensor.
-    fn gather_block(src: &Tensor, r0: usize, s: usize, c0: usize, w: usize) -> Tensor {
-        let cols = src.cols();
-        let mut out = Tensor::zeros(&[s, w]);
-        for i in 0..s {
-            let row = &src.as_slice()[(r0 + i) * cols + c0..(r0 + i) * cols + c0 + w];
-            out.row_mut(i).copy_from_slice(row);
-        }
-        out
-    }
-
-    /// Add a `[s, w]` block into columns `[c0, c0+w)` of rows `[r0, r0+s)`.
-    fn scatter_block(dst: &mut Tensor, block: &Tensor, r0: usize, c0: usize) {
-        let cols = dst.cols();
-        let (s, w) = (block.rows(), block.cols());
-        for i in 0..s {
-            let dst_row = &mut dst.as_mut_slice()[(r0 + i) * cols + c0..(r0 + i) * cols + c0 + w];
-            for (d, &v) in dst_row.iter_mut().zip(block.row(i)) {
-                *d += v;
-            }
-        }
-    }
-
     /// Forward. `x` is `[batch·seq, d_model]`, flattened batch-major.
     pub fn forward(&mut self, x: &Tensor, batch: usize, seq: usize) -> Tensor {
-        let d = self.d_model();
         assert_eq!(x.rows(), batch * seq);
-        assert_eq!(x.cols(), d);
-        let hd = self.head_dim();
-        let scale = 1.0 / (hd as f32).sqrt();
-
-        let qkv = self.wqkv.forward(x);
-        let mut ctx_all = Tensor::zeros(&[batch * seq, d]);
-        let mut probs = Vec::with_capacity(batch * self.n_heads);
-
-        for b in 0..batch {
-            let r0 = b * seq;
-            for h in 0..self.n_heads {
-                let mut q = Self::gather_block(&qkv, r0, seq, h * hd, hd);
-                let mut k = Self::gather_block(&qkv, r0, seq, d + h * hd, hd);
-                let v = Self::gather_block(&qkv, r0, seq, 2 * d + h * hd, hd);
-                if self.rope {
-                    apply_rope(&mut q, 0, 1.0);
-                    apply_rope(&mut k, 0, 1.0);
-                }
-
-                let mut scores = matmul_nt(&q, &k);
-                scores.scale(scale);
-                // Causal mask: position i may only attend to j ≤ i.
-                for i in 0..seq {
-                    for j in i + 1..seq {
-                        scores.set(i, j, f32::NEG_INFINITY);
-                    }
-                }
-                softmax_rows_inplace(&mut scores, &mut []);
-                let ctx = matmul(&scores, &v);
-                Self::scatter_block(&mut ctx_all, &ctx, r0, h * hd);
-                probs.push(scores);
-            }
+        assert_eq!(x.cols(), self.d_model());
+        let mut qkv = self.wqkv.forward(x);
+        if self.rope {
+            rope_qk(&mut qkv, seq, self.n_heads, 1.0);
         }
-
+        let (ctx, probs) = causal_attention(&qkv, batch, self.n_heads);
         self.cache = Some(Cache {
             qkv,
             probs,
             batch,
             seq,
         });
-        self.wo.forward(&ctx_all)
+        self.wo.forward(&ctx)
     }
 
     /// Incremental (KV-cached) forward for autoregressive decoding: append
@@ -278,57 +241,14 @@ impl MultiHeadAttention {
             .cache
             .take()
             .expect("MultiHeadAttention::backward before forward");
-        let d = self.d_model();
-        let hd = self.head_dim();
-        let scale = 1.0 / (hd as f32).sqrt();
-
-        let dctx_all = self.wo.backward(dy);
-        let mut dqkv = Tensor::zeros(&[batch * seq, 3 * d]);
-
-        for b in 0..batch {
-            let r0 = b * seq;
-            for h in 0..self.n_heads {
-                let p = &probs[b * self.n_heads + h];
-                let mut q = Self::gather_block(&qkv, r0, seq, h * hd, hd);
-                let mut k = Self::gather_block(&qkv, r0, seq, d + h * hd, hd);
-                let v = Self::gather_block(&qkv, r0, seq, 2 * d + h * hd, hd);
-                if self.rope {
-                    apply_rope(&mut q, 0, 1.0);
-                    apply_rope(&mut k, 0, 1.0);
-                }
-                let dctx = Self::gather_block(&dctx_all, r0, seq, h * hd, hd);
-
-                let dp = matmul_nt(&dctx, &v); // [s, s]
-                let dv = matmul_tn(p, &dctx); // [s, hd]
-
-                // Softmax backward: ds = p ⊙ (dp − rowsum(dp ⊙ p)).
-                let mut ds = dp;
-                for i in 0..seq {
-                    let prow = p.row(i);
-                    let drow = ds.row_mut(i);
-                    let dot: f32 = drow.iter().zip(prow).map(|(a, b)| a * b).sum();
-                    for (dj, &pj) in drow.iter_mut().zip(prow) {
-                        *dj = pj * (*dj - dot);
-                    }
-                }
-
-                let mut dq = matmul(&ds, &k);
-                dq.scale(scale);
-                let mut dk = matmul_tn(&ds, &q);
-                dk.scale(scale);
-                if self.rope {
-                    // Rotations are orthogonal: the gradient through RoPE is
-                    // the inverse rotation.
-                    apply_rope(&mut dq, 0, -1.0);
-                    apply_rope(&mut dk, 0, -1.0);
-                }
-
-                Self::scatter_block(&mut dqkv, &dq, r0, h * hd);
-                Self::scatter_block(&mut dqkv, &dk, r0, d + h * hd);
-                Self::scatter_block(&mut dqkv, &dv, r0, 2 * d + h * hd);
-            }
+        let dctx = self.wo.backward(dy);
+        let mut dqkv = causal_attention_backward(&qkv, &probs, &dctx, batch, self.n_heads);
+        if self.rope {
+            // Rotations are orthogonal: the gradient through RoPE is the
+            // inverse rotation. `+ 0.0` as the kernel's own stores do.
+            rope_qk(&mut dqkv, seq, self.n_heads, -1.0);
+            dqkv.as_mut_slice().iter_mut().for_each(|g| *g += 0.0);
         }
-
         self.wqkv.backward(&dqkv)
     }
 }
@@ -421,19 +341,11 @@ fn attend(
             let s: f32 = q.iter().zip(k).map(|(a, b)| a * b).sum();
             scores.push(s * scale);
         }
-        // Softmax.
-        let max = scores.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0f32;
-        for s in scores.iter_mut() {
-            *s = (*s - max).exp();
-            sum += *s;
-        }
-        let inv = 1.0 / sum;
+        softmax_row(scores);
         // Weighted value sum.
         let out = &mut ctx_row[h * hd..(h + 1) * hd];
         out.fill(0.0);
-        for (pos, s) in scores.iter().enumerate() {
-            let w = s * inv;
+        for (pos, &w) in scores.iter().enumerate() {
             let v = &kv.value(pos)[h * hd..(h + 1) * hd];
             for (o, &vv) in out.iter_mut().zip(v) {
                 *o += w * vv;
@@ -445,6 +357,16 @@ fn attend(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bagualu_tensor::ops::{install_backend, portable, ComputeBackend};
+    use proptest::prelude::*;
+
+    /// Rotate the `[s, hd]` rows of `x` by RoPE angles for absolute
+    /// positions `start..start+s` (`sign = -1.0` applies the inverse
+    /// rotation).
+    fn apply_rope(x: &mut Tensor, start: usize, sign: f32) {
+        let hd = x.cols();
+        rope_rows(x.as_mut_slice(), hd, start, sign);
+    }
 
     #[test]
     fn shapes_and_determinism() {
@@ -533,6 +455,205 @@ mod tests {
 
     fn bits(t: &Tensor) -> Vec<u32> {
         t.as_slice().iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Copy columns `[c0, c0+w)` of rows `[r0, r0+s)` of `src` into a
+    /// `[s, w]` tensor.
+    fn gather_block(src: &Tensor, r0: usize, s: usize, c0: usize, w: usize) -> Tensor {
+        let cols = src.cols();
+        let mut out = Tensor::zeros(&[s, w]);
+        for i in 0..s {
+            let row = &src.as_slice()[(r0 + i) * cols + c0..(r0 + i) * cols + c0 + w];
+            out.row_mut(i).copy_from_slice(row);
+        }
+        out
+    }
+
+    /// Add a `[s, w]` block into columns `[c0, c0+w)` of rows `[r0, r0+s)`.
+    fn scatter_block(dst: &mut Tensor, block: &Tensor, r0: usize, c0: usize) {
+        let cols = dst.cols();
+        let (s, w) = (block.rows(), block.cols());
+        for i in 0..s {
+            let dst_row = &mut dst.as_mut_slice()[(r0 + i) * cols + c0..(r0 + i) * cols + c0 + w];
+            for (d, &v) in dst_row.iter_mut().zip(block.row(i)) {
+                *d += v;
+            }
+        }
+    }
+
+    /// The unfused composition the attention kernels replaced, as the
+    /// oracle: per `(batch, head)`, gather → NT → scale → `−∞` mask →
+    /// softmax → NN → scatter, and its backward's four gathers and three
+    /// scatters, on the calling thread's GEMM backend. Returns the output
+    /// and `dx` of one forward and one backward of `dy`; the gradients land
+    /// in `attn`'s parameters.
+    fn unfused(
+        attn: &mut MultiHeadAttention,
+        x: &Tensor,
+        batch: usize,
+        seq: usize,
+        dy: &Tensor,
+    ) -> (Tensor, Tensor) {
+        use bagualu_tensor::ops::{matmul, matmul_nt, matmul_tn, softmax_rows_inplace};
+        let d = attn.d_model();
+        let hd = attn.head_dim();
+        let scale = 1.0 / (hd as f32).sqrt();
+        let qkv = attn.wqkv.forward(x);
+        let mut ctx_all = Tensor::zeros(&[batch * seq, d]);
+        let mut probs = Vec::with_capacity(batch * attn.n_heads);
+        for b in 0..batch {
+            let r0 = b * seq;
+            for h in 0..attn.n_heads {
+                let mut q = gather_block(&qkv, r0, seq, h * hd, hd);
+                let mut k = gather_block(&qkv, r0, seq, d + h * hd, hd);
+                let v = gather_block(&qkv, r0, seq, 2 * d + h * hd, hd);
+                if attn.rope {
+                    apply_rope(&mut q, 0, 1.0);
+                    apply_rope(&mut k, 0, 1.0);
+                }
+                let mut scores = matmul_nt(&q, &k);
+                scores.scale(scale);
+                for i in 0..seq {
+                    for j in i + 1..seq {
+                        scores.set(i, j, f32::NEG_INFINITY);
+                    }
+                }
+                softmax_rows_inplace(&mut scores, &mut []);
+                let ctx = matmul(&scores, &v);
+                scatter_block(&mut ctx_all, &ctx, r0, h * hd);
+                probs.push(scores);
+            }
+        }
+        let y = attn.wo.forward(&ctx_all);
+
+        let dctx_all = attn.wo.backward(dy);
+        let mut dqkv = Tensor::zeros(&[batch * seq, 3 * d]);
+        for b in 0..batch {
+            let r0 = b * seq;
+            for h in 0..attn.n_heads {
+                let p = &probs[b * attn.n_heads + h];
+                let mut q = gather_block(&qkv, r0, seq, h * hd, hd);
+                let mut k = gather_block(&qkv, r0, seq, d + h * hd, hd);
+                let v = gather_block(&qkv, r0, seq, 2 * d + h * hd, hd);
+                if attn.rope {
+                    apply_rope(&mut q, 0, 1.0);
+                    apply_rope(&mut k, 0, 1.0);
+                }
+                let dctx = gather_block(&dctx_all, r0, seq, h * hd, hd);
+                let dp = matmul_nt(&dctx, &v);
+                let dv = matmul_tn(p, &dctx);
+                let mut ds = dp;
+                for i in 0..seq {
+                    let prow = p.row(i);
+                    let drow = ds.row_mut(i);
+                    let dot: f32 = drow.iter().zip(prow).map(|(a, b)| a * b).sum();
+                    for (dj, &pj) in drow.iter_mut().zip(prow) {
+                        *dj = pj * (*dj - dot);
+                    }
+                }
+                let mut dq = matmul(&ds, &k);
+                dq.scale(scale);
+                let mut dk = matmul_tn(&ds, &q);
+                dk.scale(scale);
+                if attn.rope {
+                    apply_rope(&mut dq, 0, -1.0);
+                    apply_rope(&mut dk, 0, -1.0);
+                }
+                scatter_block(&mut dqkv, &dq, r0, h * hd);
+                scatter_block(&mut dqkv, &dk, r0, d + h * hd);
+                scatter_block(&mut dqkv, &dv, r0, 2 * d + h * hd);
+            }
+        }
+        (y, attn.wqkv.backward(&dqkv))
+    }
+
+    /// The fused layer and the unfused oracle on copies of one layer, on
+    /// the calling thread's backend and tier: output, `dx` and every
+    /// parameter gradient, `to_bits()` equal.
+    fn assert_fused_is_unfused(attn: &MultiHeadAttention, batch: usize, seq: usize, seed: u64) {
+        let mut rng = Rng::seed_from(seed);
+        let x = Tensor::randn(&[batch * seq, attn.d_model()], 1.0, &mut rng);
+        let dy = Tensor::randn(&[batch * seq, attn.d_model()], 1.0, &mut rng);
+        let (mut fused, mut oracle) = (attn.clone(), attn.clone());
+        let y = fused.forward(&x, batch, seq);
+        let dx = fused.backward(&dy);
+        let (y_want, dx_want) = unfused(&mut oracle, &x, batch, seq, &dy);
+        let what = format!(
+            "batch {batch} seq {seq} heads {} d {} rope {}",
+            attn.n_heads,
+            attn.d_model(),
+            attn.rope
+        );
+        assert_eq!(bits(&y), bits(&y_want), "output, {what}");
+        assert_eq!(bits(&dx), bits(&dx_want), "dx, {what}");
+        let mut grads = Vec::new();
+        fused.visit_params(&mut |p| grads.push((p.name.clone(), bits(&p.grad))));
+        let mut i = 0;
+        oracle.visit_params(&mut |p| {
+            assert_eq!(
+                grads[i],
+                (p.name.clone(), bits(&p.grad)),
+                "gradient, {what}"
+            );
+            i += 1;
+        });
+        assert_eq!(i, grads.len());
+    }
+
+    /// Every backend whose attention has the unfused composition's bits.
+    fn oracle_backends() -> [ComputeBackend; 4] {
+        use bagualu_tensor::DType;
+        [
+            ComputeBackend::Reference,
+            ComputeBackend::Tiled,
+            ComputeBackend::Half(DType::F16),
+            ComputeBackend::Half(DType::BF16),
+        ]
+    }
+
+    /// Run `f` on every oracle backend, on the portable tier and on the
+    /// host's own.
+    fn on_every_backend_and_tier(f: impl Fn()) {
+        for backend in oracle_backends() {
+            let _b = install_backend(backend.instantiate());
+            f();
+            portable(&f);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 16, ..ProptestConfig::default() })]
+        #[test]
+        fn fused_attention_has_the_bits_of_the_unfused_composition(
+            batch in 1usize..5,
+            seq in 1usize..71,
+            heads in 1usize..9,
+            half_hd in 1usize..33,
+            rope in 0u8..2,
+            seed in 0u64..1000,
+        ) {
+            // At most 64 model columns, so that a case of the debug build
+            // stays near half a second over every backend and tier.
+            let hd = 2 * half_hd;
+            let heads = heads.min((64 / hd).max(1));
+            let mut rng = Rng::seed_from(seed ^ 0x5eed);
+            let mut attn = MultiHeadAttention::new("p", heads * hd, heads, &mut rng);
+            if rope == 1 {
+                attn = attn.with_rope();
+            }
+            on_every_backend_and_tier(|| assert_fused_is_unfused(&attn, batch, seq, seed));
+        }
+    }
+
+    #[test]
+    fn fused_attention_has_the_unfused_bits_at_every_length_up_to_70() {
+        // Every residue of the 4-row tiles and the 16-lane tiles, at the
+        // narrowest head.
+        let mut rng = Rng::seed_from(61);
+        let attn = MultiHeadAttention::new("s", 8, 4, &mut rng).with_rope();
+        for seq in 1..=70 {
+            assert_fused_is_unfused(&attn, 2, seq, seq as u64);
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use crate::param::{HasParams, Param};
 use bagualu_tensor::ops::{
-    matmul, matmul_nt, matmul_packed, matmul_tn, softmax_rows, Activation, PackedB,
+    ln, matmul, matmul_nt, matmul_packed, matmul_tn, softmax_rows_inplace, Activation, PackedB,
 };
 use bagualu_tensor::rng::Rng;
 use bagualu_tensor::Tensor;
@@ -272,7 +272,8 @@ impl Gate {
 
     /// Route a batch `[n, d]`; returns the dispatch plan.
     pub fn forward(&mut self, x: &Tensor) -> Routing {
-        let probs = softmax_rows(&matmul(x, &self.wg.value));
+        let mut probs = matmul(x, &self.wg.value);
+        softmax_rows_inplace(&mut probs, &mut []);
         let capacity = self.capacity(x.rows());
         let bonus = self.locality_bonus();
         // Selection noise is a constant of the backward pass (standard
@@ -343,7 +344,8 @@ impl ServedRouter {
     /// intra-supernode traffic shaping as training. `Routing::capacity` is
     /// reported as `usize::MAX` (none applied) and `aux_loss` as 0.
     pub fn route(&self, x: &Tensor) -> Routing {
-        let probs = softmax_rows(&matmul_packed(x, &self.wg, None, Activation::Identity));
+        let mut probs = matmul_packed(x, &self.wg, None, Activation::Identity);
+        softmax_rows_inplace(&mut probs, &mut []);
         let kind = match self.kind {
             GateKind::Top2 => GateKind::Top2,
             _ => GateKind::Top1,
@@ -384,7 +386,7 @@ fn decide(
         } else {
             scored.clear();
             for (ex, &p) in row.iter().enumerate() {
-                let mut s = p.max(1e-30).ln();
+                let mut s = ln(p.max(1e-30));
                 if let Some((std, rng)) = noise.as_mut() {
                     s += *std * rng.normal();
                 }
@@ -734,8 +736,9 @@ mod tests {
         );
         for a in &rb.assignments {
             let p = {
-                let logits = matmul(&x, &biased.wg.value);
-                softmax_rows(&logits).at(a.token, a.expert)
+                let mut probs = matmul(&x, &biased.wg.value);
+                softmax_rows_inplace(&mut probs, &mut []);
+                probs.at(a.token, a.expert)
             };
             assert_eq!(a.weight, p, "combine weight must be the clean prob");
         }
@@ -887,28 +890,31 @@ mod tests {
     /// (the noise stream moves on between them) and the backward of the
     /// second for every [`GateKind`] with the locality bias off and on, the
     /// served router for the same eight gates, and the two-level gate's
-    /// forward and backward.
+    /// forward and backward. Recorded when the routers came to share one
+    /// core; re-recorded once, when every softmax moved onto the shared row
+    /// kernel (in-crate `exp`, lane sums) and the selection scores' `ln`
+    /// onto the in-crate `ln`.
     #[test]
     fn routing_bits_are_pinned() {
         use crate::moe::router::TwoLevelGate;
         const PINS: [(&str, u64); 17] = [
-            ("top1", 15733769914199145187),
-            ("top1 biased", 7160056102542065430),
-            ("top2", 3072464235947182321),
-            ("top2 biased", 8412086745500282573),
-            ("balanced", 9985451005301196341),
-            ("balanced biased", 2736849007928154935),
-            ("noisy", 13005504898736249802),
-            ("noisy biased", 6357388963861293899),
-            ("served top1", 9304927781622338019),
-            ("served top1 biased", 7667216896833057361),
-            ("served top2", 18164290355356947222),
-            ("served top2 biased", 9670675409911793250),
-            ("served balanced", 9304927781622338019),
-            ("served balanced biased", 7667216896833057361),
-            ("served noisy", 9304927781622338019),
-            ("served noisy biased", 7667216896833057361),
-            ("two-level", 11830859909232673174),
+            ("top1", 14527782827155877461),
+            ("top1 biased", 14819070559953057521),
+            ("top2", 16824213150631983301),
+            ("top2 biased", 1670693597231213407),
+            ("balanced", 1696440858719218375),
+            ("balanced biased", 3543962498973491702),
+            ("noisy", 4818777301089518485),
+            ("noisy biased", 5623196140457203322),
+            ("served top1", 6981823067813870833),
+            ("served top1 biased", 16264782711663681703),
+            ("served top2", 10239351741484257258),
+            ("served top2 biased", 15066974203091460888),
+            ("served balanced", 6981823067813870833),
+            ("served balanced biased", 16264782711663681703),
+            ("served noisy", 6981823067813870833),
+            ("served noisy biased", 16264782711663681703),
+            ("two-level", 6357909486455974676),
         ];
         let mut rng = Rng::seed_from(82);
         let x = Tensor::randn(&[40, 8], 1.0, &mut rng);

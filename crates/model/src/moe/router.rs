@@ -15,7 +15,7 @@
 
 use crate::moe::gate::{argmax, softmax_aux_backward, switch_aux, Gate, Routing};
 use crate::param::{HasParams, Param};
-use bagualu_tensor::ops::{matmul, matmul_nt, matmul_tn, softmax_rows};
+use bagualu_tensor::ops::{matmul, matmul_nt, matmul_tn, softmax_row, softmax_rows_inplace};
 use bagualu_tensor::rng::Rng;
 use bagualu_tensor::Tensor;
 
@@ -99,7 +99,8 @@ impl TwoLevelGate {
         let n = x.rows();
         let d = x.cols();
         let epg = self.experts_per_group();
-        let group_probs = softmax_rows(&matmul(x, &self.wg_group.value));
+        let mut group_probs = matmul(x, &self.wg_group.value);
+        softmax_rows_inplace(&mut group_probs, &mut []);
         let mut routing = Routing::open(self.n_experts(), self.capacity(n), n);
         let mut group_first = vec![0usize; self.groups];
         let mut chosen = Vec::with_capacity(n);
@@ -120,16 +121,7 @@ impl TwoLevelGate {
                 }
                 *l = s;
             }
-            // Softmax within the group.
-            let max = logits.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-            let mut sum = 0.0f32;
-            for l in logits.iter_mut() {
-                *l = (*l - max).exp();
-                sum += *l;
-            }
-            for l in logits.iter_mut() {
-                *l /= sum;
-            }
+            softmax_row(&mut logits);
             let (j, _) = argmax(&logits);
             let expert = g * epg + j;
             routing.raw_load[expert] += 1;

@@ -33,9 +33,6 @@ pub mod rng;
 pub(crate) mod tensor;
 
 pub use dtype::{DType, BF16, F16};
-pub use ops::{
-    current_backend, install_backend, process_backend, set_process_backend, Activation,
-    ComputeBackend,
-};
+pub use ops::{install_backend, set_process_backend, Activation, ComputeBackend};
 pub use pack::{pack_slice, unpack_slice};
 pub use tensor::Tensor;

@@ -165,7 +165,7 @@ pub fn set_process_backend(backend: Arc<dyn MatmulBackend>) -> Arc<dyn MatmulBac
 }
 
 /// The current process-default backend.
-pub fn process_backend() -> Arc<dyn MatmulBackend> {
+pub(crate) fn process_backend() -> Arc<dyn MatmulBackend> {
     Arc::clone(&process_slot().read().unwrap())
 }
 
@@ -196,7 +196,7 @@ impl Drop for BackendGuard {
 
 /// Resolve the backend the calling thread should use right now: innermost
 /// thread override, else the process default.
-pub fn current_backend() -> Arc<dyn MatmulBackend> {
+pub(crate) fn current_backend() -> Arc<dyn MatmulBackend> {
     THREAD_BACKEND
         .with(|s| s.borrow().last().cloned())
         .unwrap_or_else(process_backend)

@@ -24,31 +24,17 @@
 //! `GeluClock`.
 
 use crate::lanes::{lanes_fn, Lanes};
-use crate::math::ROUND_MAGIC;
+use crate::math::{exp2_int, exp_reduce};
 use crate::par::{self, work};
 use crate::tensor::Tensor;
 use bagualu_trace::{self as trace, names};
-use std::f32::consts::LOG2_E;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// `ln 2` split so that `n · LN2_HI` is exact for every `|n| < 2¹⁵`:
-/// `LN2_HI` is 355/512, nine significant bits.
-const LN2_HI: f32 = 0.693_359_4;
-const LN2_LO: f32 = -2.121_944_4e-4;
 /// `2|x|` beyond this is clamped: `tanh` is exactly `1.0` in `f32` from
 /// `|x| ≈ 9.02` on, so the clamp changes no result, only bounds the
 /// exponent of `2ⁿ`.
 const TANH_CLAMP: f32 = 20.0;
-/// `(expm1(r) − r) / r²` on `|r| ≤ ln2 / 2`: degree-4 Chebyshev fit,
-/// relative error of the resulting `expm1` below 2.3e-8.
-const EXPM1_POLY: [f32; 5] = [
-    0.5,
-    1.666_657_6e-1,
-    4.166_655_4e-2,
-    8.363_293e-3,
-    1.392_632_6e-3,
-];
 
 /// Hyperbolic tangent: within 2.2 ulp and 1.1e-7 of the exact value over
 /// all of `f32` (glibc 2.36's `tanhf`, same sweep: 2.2 ulp, 1.0e-7),
@@ -66,14 +52,8 @@ pub(crate) fn tanh(x: f32) -> f32 {
     // Not `f32::max`, which returns the non-NaN operand: a NaN fails the
     // comparison and stays.
     let v = if v < -TANH_CLAMP { -TANH_CLAMP } else { v };
-    let t = v * LOG2_E + ROUND_MAGIC;
-    let n = t - ROUND_MAGIC;
-    let r = (v - n * LN2_HI) - n * LN2_LO;
-    let [c2, c3, c4, c5, c6] = EXPM1_POLY;
-    let p = r + r * r * (c2 + r * (c3 + r * (c4 + r * (c5 + r * c6))));
-    // 2ⁿ: the shift drops the magic's own bits and leaves `n` in the
-    // exponent field, the add applies the bias.
-    let s = f32::from_bits((t.to_bits() << 23).wrapping_add(0x3f80_0000));
+    let (t, p) = exp_reduce(v);
+    let s = exp2_int(t);
     let sp = s * p;
     let magnitude = ((1.0 - s) - sp) / ((1.0 + s) + sp);
     // The quotient is never negative (`p ≤ 0` when `s = 1`), so OR-ing the

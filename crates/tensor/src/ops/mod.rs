@@ -16,6 +16,7 @@
 //! bit-identical to each other. GELU has one form on every backend: the
 //! in-crate branch-free `tanh` of `elementwise`.
 
+pub(crate) mod attention;
 pub(crate) mod backend;
 pub(crate) mod elementwise;
 pub(crate) mod half_compute;
@@ -25,16 +26,16 @@ pub(crate) mod softmax;
 pub(crate) mod tiled;
 
 pub use crate::lanes::{portable, wide_kernel_available};
+pub use crate::math::ln;
+pub use attention::{causal_attention, causal_attention_backward};
 pub use backend::{
-    current_backend, install_backend, process_backend, set_process_backend, Activation,
-    BackendGuard, ComputeBackend, MatmulBackend,
+    install_backend, set_process_backend, Activation, BackendGuard, ComputeBackend, MatmulBackend,
 };
 pub use elementwise::{gelu, gelu_backward};
 pub use matmul::{matmul, matmul_bias_act, matmul_nt, matmul_packed, matmul_tn, Reference};
 pub use rowops::{
-    adam_update, current_row_ops, install_row_ops, layernorm_rows, process_row_ops,
-    set_process_row_ops, AdamStep, LayerNormOut, ReferenceRowOps, RowOpsBackend, RowOpsGuard,
-    VectorizedRowOps,
+    adam_update, install_row_ops, layernorm_rows, AdamStep, LayerNormOut, ReferenceRowOps,
+    RowOpsBackend, RowOpsGuard, VectorizedRowOps,
 };
-pub use softmax::{softmax_rows, softmax_rows_inplace};
+pub use softmax::{softmax_row, softmax_rows_inplace};
 pub use tiled::PackedB;

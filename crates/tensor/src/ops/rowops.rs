@@ -5,8 +5,8 @@
 //! softmax (attention scores, MoE gates, the loss), layer-norm forward, and
 //! the element-wise Adam update — so the whole compute path of a training
 //! step is backend-dispatch, not hard-coded loops. Resolution mirrors the
-//! GEMM seam exactly: thread override ([`install_row_ops`]) → process
-//! default ([`set_process_row_ops`]) → [`ReferenceRowOps`].
+//! GEMM seam: a thread override ([`install_row_ops`]), else
+//! [`ReferenceRowOps`].
 //!
 //! # Contract
 //!
@@ -36,13 +36,15 @@
 //! attribute row-op time next to GEMM time.
 
 use crate::dtype::DType;
+use crate::lanes::Lanes;
+use crate::ops::softmax::softmax_block;
 use crate::par::{self, work};
 use crate::tensor::Tensor;
 use bagualu_trace::{self as trace, names};
 use rayon::prelude::*;
 use std::cell::RefCell;
 use std::fmt;
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, OnceLock};
 
 /// One Adam/AdamW update step's scalars, precomputed by the optimizer:
 /// hyperparameters, the bias-correction terms `1 − βᵢᵗ` for the current
@@ -168,9 +170,10 @@ fn adam_loop(value: &mut [f32], grad: &mut [f32], m: &mut [f32], v: &mut [f32], 
     }
 }
 
-/// The verbatim historical loops — sequential, clone-based where the
-/// originals were. This is the oracle tier: the pinned trainer loss curves
-/// were recorded under exactly these bits.
+/// The sequential tier — clone-based where the historical loops were, and
+/// the oracle the vectorized tier is pinned to. Its softmax is the shared
+/// row kernel of [`softmax_row`](crate::ops::softmax_row), run over the
+/// rows in order.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ReferenceRowOps;
 
@@ -181,7 +184,7 @@ impl RowOpsBackend for ReferenceRowOps {
 
     fn softmax_rows_inplace(&self, x: &mut Tensor, lse: &mut [f32]) {
         let c = x.cols();
-        softmax_block(x.as_mut_slice(), c, lse);
+        softmax_block(Lanes::host(), x.as_mut_slice(), c, lse);
     }
 
     fn layernorm_rows(&self, x: &Tensor, gamma: &[f32], beta: &[f32], eps: f32) -> LayerNormOut {
@@ -220,37 +223,6 @@ impl RowOpsBackend for ReferenceRowOps {
     }
 }
 
-/// One row of softmax — the exact historical three-step sequence: max,
-/// exp-and-sum, scale — returning the row's max and its sum of
-/// exponentials.
-#[inline]
-fn softmax_row(row: &mut [f32]) -> (f32, f32) {
-    let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-    let mut sum = 0.0f32;
-    for v in row.iter_mut() {
-        *v = (*v - max).exp();
-        sum += *v;
-    }
-    let inv = 1.0 / sum;
-    for v in row.iter_mut() {
-        *v *= inv;
-    }
-    (max, sum)
-}
-
-/// [`softmax_row`] over every `cols`-wide row of `x`, writing each row's
-/// log-sum-exp to its slot of `lse` unless `lse` is empty. Shared by both
-/// tiers (rows are independent, so the vectorized tier runs it per block of
-/// rows).
-fn softmax_block(x: &mut [f32], cols: usize, lse: &mut [f32]) {
-    for (r, row) in x.chunks_exact_mut(cols).enumerate() {
-        let (max, sum) = softmax_row(row);
-        if let Some(l) = lse.get_mut(r) {
-            *l = sum.ln() + max;
-        }
-    }
-}
-
 /// Row-parallel, pass-fused tier — bit-identical to [`ReferenceRowOps`]
 /// (see the module docs for why each transformation is exact).
 #[derive(Debug, Clone, Copy, Default)]
@@ -268,18 +240,18 @@ impl RowOpsBackend for VectorizedRowOps {
         if c == 0 {
             return;
         }
-        let x = x.as_mut_slice();
+        let (x, lanes) = (x.as_mut_slice(), Lanes::host());
         if !par::dispatch(work::EXP_ELEM * x.len() as u64) {
-            return softmax_block(x, c, lse);
+            return softmax_block(lanes, x, c, lse);
         }
         let rows = par::rows_per_task(work::EXP_ELEM * c as u64);
         let blocks = x.par_chunks_mut(rows * c);
         if lse.is_empty() {
-            blocks.for_each(|b| softmax_block(b, c, &mut []));
+            blocks.for_each(|b| softmax_block(lanes, b, c, &mut []));
         } else {
             blocks
                 .zip(lse.par_chunks_mut(rows))
-                .for_each(|(b, l)| softmax_block(b, c, l));
+                .for_each(|(b, l)| softmax_block(lanes, b, c, l));
         }
     }
 
@@ -369,24 +341,15 @@ impl RowOpsBackend for VectorizedRowOps {
     }
 }
 
-fn process_slot() -> &'static RwLock<Arc<dyn RowOpsBackend>> {
-    static SLOT: OnceLock<RwLock<Arc<dyn RowOpsBackend>>> = OnceLock::new();
-    SLOT.get_or_init(|| RwLock::new(Arc::new(ReferenceRowOps)))
-}
-
 thread_local! {
     /// Stack of thread-scoped row-op overrides (a stack so scopes nest).
     static THREAD_ROW_OPS: RefCell<Vec<Arc<dyn RowOpsBackend>>> = const { RefCell::new(Vec::new()) };
 }
 
-/// Swap the process-default row-op backend; returns the previous one.
-pub fn set_process_row_ops(backend: Arc<dyn RowOpsBackend>) -> Arc<dyn RowOpsBackend> {
-    std::mem::replace(&mut *process_slot().write().unwrap(), backend)
-}
-
-/// The current process-default row-op backend.
-pub fn process_row_ops() -> Arc<dyn RowOpsBackend> {
-    Arc::clone(&process_slot().read().unwrap())
+/// The row-op backend of a thread that installed none.
+pub(crate) fn process_row_ops() -> Arc<dyn RowOpsBackend> {
+    static DEFAULT: OnceLock<Arc<dyn RowOpsBackend>> = OnceLock::new();
+    Arc::clone(DEFAULT.get_or_init(|| Arc::new(ReferenceRowOps)))
 }
 
 /// Install `backend` for the *calling thread* until the returned guard
@@ -414,7 +377,7 @@ impl Drop for RowOpsGuard {
 }
 
 /// Resolve the row-op backend the calling thread should use right now.
-pub fn current_row_ops() -> Arc<dyn RowOpsBackend> {
+pub(crate) fn current_row_ops() -> Arc<dyn RowOpsBackend> {
     THREAD_ROW_OPS
         .with(|s| s.borrow().last().cloned())
         .unwrap_or_else(process_row_ops)
